@@ -202,12 +202,18 @@ def read_histogram_table(path) -> Histogram:
         header = fh.readline().strip()
         if header != "bin_lo,bin_hi,count":
             raise ValidationError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            lo, hi, c = line.strip().split(",")
-            if not edges:
-                edges.append(float(lo))
-            edges.append(float(hi))
-            counts.append(int(c))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                lo, hi, c = line.strip().split(",")
+                if not edges:
+                    edges.append(float(lo))
+                edges.append(float(hi))
+                counts.append(int(c))
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:{lineno}: bad row {line.strip()!r}, "
+                    "expected 'bin_lo,bin_hi,count'"
+                ) from exc
     if not counts:
         return Histogram(np.zeros(0), np.zeros(0, dtype=int))
     return Histogram(np.array(edges), np.array(counts, dtype=int))

@@ -274,10 +274,9 @@ def cmd_mask(args) -> int:
         elif args.task == "traj":
             sample = pretrain.mask_trajectory(vectors)
         else:
-            if rng.random() < args.map_fraction:
-                sample = pretrain.mask_map(vectors, args.mask_ratio, rng)
-            else:
-                sample = pretrain.mask_trajectory(vectors)
+            sample = pretrain.draw_sample(
+                vectors, args.map_fraction, args.mask_ratio, rng
+            )
         if sample.task is pretrain.ReconTask.MAP:
             n_map += 1
         pretrain.write_sample(sample, out_dir / pretrain.sample_filename(scene.scene_id))
@@ -338,13 +337,16 @@ def cmd_validate(args) -> int:
         ):
             if line.startswith("#") or not line.strip():
                 continue
-            name, status = line.split(",")[:2]
-            if status != "skipped" and not (Path(args.scenes) / name).exists():
-                failures += 1
-                print(
-                    f"FAIL {manifest}:{lineno}: listed file {name} missing",
-                    file=sys.stderr,
-                )
+            name, sep, rest = line.partition(",")
+            status = rest.partition(",")[0]
+            if not sep:
+                problem = f"expected 'file,status,...', got {line!r}"
+            elif status != "skipped" and not (Path(args.scenes) / name).exists():
+                problem = f"listed file {name} missing"
+            else:
+                continue
+            failures += 1
+            print(f"FAIL {manifest}:{lineno}: {problem}", file=sys.stderr)
     print(f"validated {len(files)} scenes, {failures} failures")
     return 1 if failures else 0
 

@@ -6,12 +6,13 @@ curvature-weighted speed, and deviation from the desired velocity; the
 minimum-cost action sequence whose terminal node first passes the horizon
 becomes the coarse trajectory.
 
-States are expanded one time layer at a time and merged on exact
-(arc-length, velocity) agreement, so the returned plan is the true optimum
-over the reachable action graph. Merging uses keys rounded at 1e-9 purely
-to absorb floating-point noise. When all transition costs are nonnegative
-(the default absolute-curvature mode), states already costlier than a
-greedy rollout bound are discarded early.
+The search is a layered dynamic program: states are expanded one time
+layer at a time and merged on exact (arc-length, velocity) agreement, so
+the returned plan is the true optimum over the reachable action graph.
+Merging uses keys rounded at 1e-9 purely to absorb floating-point noise.
+When all transition costs are nonnegative (the default absolute-curvature
+mode), a beam pass through the same layer loop first bounds the optimum,
+and the exact pass discards states costlier than that bound.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathOverrunError, PlanningFailureError
+from .errors import PathOverrunError, PlanningError, PlanningFailureError
 from .geometry import Point2
 from .maps import ReferencePath
 
 ACTION_RANGE = (-2.0, 1.0)
 DEFAULT_ACTION_SET = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
+# states per layer in the bounding beam pass; 16, 32 and 64 time the same
+BEAM_WIDTH = 32
 
 
 @dataclass(frozen=True)
@@ -122,38 +125,82 @@ def _n_steps(init_t: float, p: PlannerParams) -> int:
     return int(math.floor((p.t_g - init_t) / p.dt + 1e-9)) + 1
 
 
-def _greedy_upper_bound(init: PlannerNode, path, p, actions, n_steps) -> float:
-    """Cost of a feasible rollout picking the cheapest action each step."""
-    s, v, g = init.s, init.v, 0.0
+def _search(path, init, p, actions, n_steps, ub, beam):
+    """Expand `n_steps` layers from `init`; returns the last layer's
+    (S, V, G) and a trail of one flat `parent * n_actions + action` array
+    per layer.
+
+    With `beam > 0` each layer keeps its `beam` cheapest feasible states,
+    unmerged. With `beam == 0` states are merged on (s, v) rounded at 1e-9,
+    keeping the cheapest; the stable sort keeps candidate order, which is
+    (parent, action), among equal costs. States costlier than `ub` are
+    dropped.
+    """
     length = path.length
+    half_a_dt2 = 0.5 * actions * p.dt * p.dt
+    a_dt = actions * p.dt
+    a_cost = p.w1 * actions * actions
+    S = np.array([init.s])
+    V = np.array([init.v])
+    G = np.array([0.0])
+    trail: list[np.ndarray] = []
+    overrun_pruned = False
+
     for _ in range(n_steps):
-        s2 = s + v * p.dt + 0.5 * actions * p.dt * p.dt
-        v2 = v + actions * p.dt
-        feas = (v2 >= 0.0) & (s2 <= length)
-        if not feas.any():
-            return math.inf
-        kap = np.interp(s2, path.cum_s, path.kappa)
+        # (state, action) grids; the flat index is parent * n_actions + action
+        S2 = S[:, None] + V[:, None] * p.dt + half_a_dt2
+        V2 = V[:, None] + a_dt
+        over = S2 > length
+        feas = (V2 >= 0.0) & ~over
+        if over.any():
+            overrun_pruned = True
+        kap = np.interp(S2, path.cum_s, path.kappa)
         if p.abs_curvature:
             kap = np.abs(kap)
-        cost = (
-            p.w1 * actions * actions
-            + p.w2 * kap * v2 * v2
-            + p.w3 * (v2 - p.v_d) * (v2 - p.v_d)
-        )
-        cost[~feas] = math.inf
-        j = int(np.argmin(cost))
-        g += float(cost[j])
-        s, v = float(s2[j]), float(v2[j])
-    return g
+        dv = V2 - p.v_d
+        G2 = G[:, None] + (a_cost + p.w2 * kap * V2 * V2 + p.w3 * dv * dv)
+        if math.isfinite(ub):
+            feas &= G2 <= ub + 1e-9
+        if not feas.any():
+            if overrun_pruned:
+                raise PathOverrunError(
+                    f"path of {length:.1f} m too short for the horizon"
+                )
+            raise PlanningFailureError("all expansions pruned before the horizon")
+        idx = feas.ravel().nonzero()[0]
+        S2, V2, G2 = S2.take(idx), V2.take(idx), G2.take(idx)
+
+        if beam:
+            sel = np.argpartition(G2, min(beam, len(G2)) - 1)[:beam]
+        else:
+            key_s = np.round(S2, 9)
+            key_v = np.round(V2, 9)
+            order = np.lexsort((G2, key_v, key_s))
+            key_s, key_v = key_s[order], key_v[order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (key_s[1:] != key_s[:-1]) | (key_v[1:] != key_v[:-1])
+            sel = order[first]
+        S, V, G = S2[sel], V2[sel], G2[sel]
+        trail.append(idx[sel])
+    return S, V, G, trail
 
 
 def astar_plan(path: ReferencePath, init: PlannerNode, p: PlannerParams) -> CoarsePlan:
     """Minimum-cost action sequence whose last node first passes t_g.
 
-    Expansions with negative velocity are pruned; expansions past the end
-    of the path are pruned and, if they starve the search, reported as a
-    path overrun. Ties on terminal cost break toward lower velocity, then
-    lower arc-length.
+    A layered DP, not A*; the name is kept for its callers. Expansions with
+    negative velocity are pruned; expansions past the end of the path are
+    pruned and, if they starve the search, reported as a path overrun.
+    Ties on terminal cost break toward lower velocity, then lower
+    arc-length.
+
+    With nonnegative costs, a beam pass of `BEAM_WIDTH` states per layer
+    runs first; the cheapest plan it finds is feasible, so its cost `ub`
+    bounds the optimum, and the exact pass drops states costlier than
+    `ub + 1e-9`. A state's cost never falls along a path, so a dropped
+    state could not have won a merge or the final pick: plan and bytes are
+    those of the unpruned search. If the beam pass fails, nothing is
+    dropped.
     """
     if init.v < 0:
         raise ValueError(f"initial velocity must be nonnegative, got {init.v}")
@@ -168,71 +215,23 @@ def astar_plan(path: ReferencePath, init: PlannerNode, p: PlannerParams) -> Coar
 
     ub = math.inf
     if p.abs_curvature:
-        ub = _greedy_upper_bound(init, path, p, actions, n_steps)
+        try:
+            G = _search(path, init, p, actions, n_steps, ub, BEAM_WIDTH)[2]
+            ub = float(G.min())
+        except PlanningError:
+            pass
+    S, V, G, trail = _search(path, init, p, actions, n_steps, ub, 0)
 
-    S = np.array([init.s])
-    V = np.array([init.v])
-    G = np.array([0.0])
-    trail: list[tuple[np.ndarray, np.ndarray]] = []  # (parent index, action index)
-    overrun_pruned = False
-
-    for _ in range(n_steps):
-        n_states = len(S)
-        S2 = (S[:, None] + V[:, None] * p.dt + 0.5 * actions[None, :] * p.dt * p.dt).ravel()
-        V2 = (V[:, None] + actions[None, :] * p.dt).ravel()
-        par = np.repeat(np.arange(n_states), n_actions)
-        act = np.tile(np.arange(n_actions), n_states)
-
-        over = S2 > length
-        feas = (V2 >= 0.0) & ~over
-        if over.any():
-            overrun_pruned = True
-        kap = np.interp(S2, path.cum_s, path.kappa)
-        if p.abs_curvature:
-            kap = np.abs(kap)
-        a_col = actions[act]
-        G2 = G[par] + (
-            p.w1 * a_col * a_col
-            + p.w2 * kap * V2 * V2
-            + p.w3 * (V2 - p.v_d) * (V2 - p.v_d)
-        )
-        if math.isfinite(ub):
-            feas &= G2 <= ub + 1e-9
-        if not feas.any():
-            if overrun_pruned:
-                raise PathOverrunError(
-                    f"path of {length:.1f} m too short for the horizon"
-                )
-            raise PlanningFailureError("all expansions pruned before the horizon")
-        S2, V2, G2, par, act = S2[feas], V2[feas], G2[feas], par[feas], act[feas]
-
-        key_s = np.round(S2, 9)
-        key_v = np.round(V2, 9)
-        order = np.lexsort((act, par, G2, key_v, key_s))
-        key_s, key_v = key_s[order], key_v[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (key_s[1:] != key_s[:-1]) | (key_v[1:] != key_v[:-1])
-        sel = order[first]
-        S, V, G = S2[sel], V2[sel], G2[sel]
-        trail.append((par[sel], act[sel]))
-
-    best = int(np.lexsort((S, V, G))[0])
-    action_idx: list[int] = []
-    idx = best
-    for parents, acts in reversed(trail):
-        action_idx.append(int(acts[idx]))
-        idx = int(parents[idx])
-    action_idx.reverse()
-
-    nodes = [init]
+    idx = int(np.lexsort((S, V, G))[0])
     picked: list[float] = []
-    costs: list[float] = []
-    for ai in action_idx:
-        a = float(actions[ai])
-        nxt = expand(nodes[-1], a, p.dt)
-        costs.append(transition_cost(nxt, a, path, p))
-        nodes.append(nxt)
-        picked.append(a)
+    for flat in reversed(trail):
+        idx, ai = divmod(int(flat[idx]), n_actions)
+        picked.append(float(actions[ai]))
+    picked.reverse()
+    nodes = [init]
+    for a in picked:
+        nodes.append(expand(nodes[-1], a, p.dt))
+    costs = (transition_cost(n, a, path, p) for n, a in zip(nodes[1:], picked))
     return CoarsePlan(tuple(nodes), tuple(picked), sum(costs))
 
 

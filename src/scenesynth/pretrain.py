@@ -140,6 +140,12 @@ def _split(vectors, masked_ids, task) -> PretrainSample:
     return PretrainSample(visible, tuple(placeholders), tuple(targets), task)
 
 
+def _lane_ids(vectors: list[VectorFeature]) -> list[int]:
+    return sorted(
+        {v.polyline_id for v in vectors if v.element_kind is ElementKind.LANE}
+    )
+
+
 def mask_map(
     vectors: list[VectorFeature],
     ratio: float = DEFAULT_MASK_RATIO,
@@ -149,9 +155,7 @@ def mask_map(
     (half rounds up); the trajectory stays visible."""
     if rng is None:
         rng = np.random.default_rng()
-    lane_ids = sorted(
-        {v.polyline_id for v in vectors if v.element_kind is ElementKind.LANE}
-    )
+    lane_ids = _lane_ids(vectors)
     if len(lane_ids) < 2:
         raise MaskingError(f"map masking needs >= 2 lanes, got {len(lane_ids)}")
     n_mask = int(math.floor(ratio * len(lane_ids) + 0.5))
@@ -179,21 +183,30 @@ def assign_tasks(
     rng: np.random.Generator | None = None,
     mask_ratio: float = DEFAULT_MASK_RATIO,
 ) -> list[PretrainSample]:
-    """Draw one task per scene: map reconstruction with probability
-    `map_fraction`, trajectory reconstruction otherwise. Fresh generators
-    give the same scene different tasks across epochs."""
+    """Draw one task per scene with `draw_sample`, all from one `rng`.
+    Fresh generators give the same scene different tasks across epochs."""
     if not 0.0 <= map_fraction <= 1.0:
         raise ValueError(f"map_fraction must lie in [0, 1], got {map_fraction}")
     if rng is None:
         rng = np.random.default_rng()
-    samples = []
-    for scene in scenes:
-        vectors = vectorize_scene(scene)
-        if rng.random() < map_fraction:
-            samples.append(mask_map(vectors, mask_ratio, rng))
-        else:
-            samples.append(mask_trajectory(vectors))
-    return samples
+    return [
+        draw_sample(vectorize_scene(scene), map_fraction, mask_ratio, rng)
+        for scene in scenes
+    ]
+
+
+def draw_sample(
+    vectors: list[VectorFeature],
+    map_fraction: float,
+    mask_ratio: float,
+    rng: np.random.Generator,
+) -> PretrainSample:
+    """Map reconstruction with probability `map_fraction`, trajectory
+    reconstruction otherwise. A scene with fewer than two lanes cannot be
+    map-masked and falls back to trajectory reconstruction."""
+    if rng.random() < map_fraction and len(_lane_ids(vectors)) >= 2:
+        return mask_map(vectors, mask_ratio, rng)
+    return mask_trajectory(vectors)
 
 
 def _pointwise_l1(pred: np.ndarray, target: np.ndarray) -> float:
@@ -259,7 +272,13 @@ def read_sample(path) -> PretrainSample:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("task:"):
-                    task = ReconTask(body.partition(":")[2].strip())
+                    name = body.partition(":")[2].strip()
+                    try:
+                        task = ReconTask(name)
+                    except ValueError as exc:
+                        raise MapFormatError(
+                            f"unknown task {name!r}", path, lineno
+                        ) from exc
                 continue
             fields = line.split(",")
             try:

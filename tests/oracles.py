@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 
+from scenesynth.errors import PathOverrunError, PlanningFailureError
 from scenesynth.geometry import Polyline
 from scenesynth.maps import _path_from_polyline
+from scenesynth.planner import CoarsePlan, expand, transition_cost
 
 
 def binomial_band(n: int, p: float, z: float = 2.5758293035489004):
@@ -76,6 +78,66 @@ def enumerate_plan_costs(path, s0, v0, params):
     total = np.where(alive, total, np.inf)
     best = int(np.argmin(total))
     return float(total[best]), [float(x) for x in a[best]]
+
+
+def reference_plan(path, init, params):
+    """Unpruned layered DP over the action graph, the planner's reference.
+
+    Every layer expands every state, merges candidates on (s, v) rounded at
+    1e-9 and keeps the cheapest of each, ties broken by parent then action
+    through an explicit five-key lexsort. No cost bound prunes anything.
+    Returns the same `CoarsePlan` as `astar_plan` and raises the same
+    errors; expansions past the path end count as an overrun.
+    """
+    acts = np.asarray(params.action_set, dtype=float)
+    n_actions = len(acts)
+    n_steps = int(math.floor((params.t_g - init.t) / params.dt + 1e-9)) + 1
+    dt = params.dt
+    S, V, G = np.array([init.s]), np.array([init.v]), np.array([0.0])
+    trail = []
+    overran = False
+    for _ in range(n_steps):
+        n_states = len(S)
+        S2 = (S[:, None] + V[:, None] * dt + 0.5 * acts[None, :] * dt * dt).ravel()
+        V2 = (V[:, None] + acts[None, :] * dt).ravel()
+        par = np.repeat(np.arange(n_states), n_actions)
+        act = np.tile(np.arange(n_actions), n_states)
+        over = S2 > path.length
+        overran |= bool(over.any())
+        feas = (V2 >= 0.0) & ~over
+        kap = np.interp(S2, path.cum_s, path.kappa)
+        if params.abs_curvature:
+            kap = np.abs(kap)
+        a = acts[act]
+        G2 = G[par] + (
+            params.w1 * a * a
+            + params.w2 * kap * V2 * V2
+            + params.w3 * (V2 - params.v_d) * (V2 - params.v_d)
+        )
+        if not feas.any():
+            if overran:
+                raise PathOverrunError("reference: path too short for the horizon")
+            raise PlanningFailureError("reference: no feasible expansion")
+        S2, V2, G2, par, act = S2[feas], V2[feas], G2[feas], par[feas], act[feas]
+        key_s, key_v = np.round(S2, 9), np.round(V2, 9)
+        order = np.lexsort((act, par, G2, key_v, key_s))
+        key_s, key_v = key_s[order], key_v[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (key_s[1:] != key_s[:-1]) | (key_v[1:] != key_v[:-1])
+        sel = order[first]
+        S, V, G = S2[sel], V2[sel], G2[sel]
+        trail.append((par[sel], act[sel]))
+    idx = int(np.lexsort((S, V, G))[0])
+    picked = []
+    for parents, chosen in reversed(trail):
+        picked.append(float(acts[chosen[idx]]))
+        idx = int(parents[idx])
+    picked.reverse()
+    nodes = [init]
+    for a in picked:
+        nodes.append(expand(nodes[-1], a, dt))
+    total = sum(transition_cost(n, a, path, params) for n, a in zip(nodes[1:], picked))
+    return CoarsePlan(tuple(nodes), tuple(picked), total)
 
 
 def pointwise_l1_loop(pred, target):

@@ -238,6 +238,14 @@ def test_empty_histogram_table_headers_only(tmp_path):
     assert back.counts.size == 0
 
 
+@pytest.mark.parametrize("row", ["0.0,0.5", "0.0,0.5,1,2", "0.0,0.5,many"])
+def test_histogram_table_bad_row_names_line(tmp_path, row):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"bin_lo,bin_hi,count\n0.0,0.5,3\n{row}\n")
+    with pytest.raises(ValidationError, match=r"bad\.csv:3:"):
+        read_histogram_table(f)
+
+
 def test_endpoint_cloud_roundtrip(tmp_path):
     pts = np.random.default_rng(1).normal(size=(25, 2))
     f = tmp_path / "cloud.csv"

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scenesynth.cli import main, parse_run_config
 from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.maps import load_map, save_map
+from scenesynth.maps import LaneSegment, load_map, make_map, save_map
 from scenesynth.pretrain import read_sample, ReconTask
+from scenesynth.synthesis import read_scene, write_scene
 
 
 @pytest.fixture()
@@ -108,6 +111,18 @@ def test_validate_flags_corrupted_scene(tmp_path, map_file, capsys):
     assert victim.name in capsys.readouterr().err
 
 
+def test_validate_reports_manifest_line_without_comma(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=2)
+    main(["generate", "--config", str(cfg)])
+    manifest = tmp_path / "scenes" / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "scene_000009.csv\n")
+    capsys.readouterr()
+    assert main(["validate", "--scenes", str(tmp_path / "scenes")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL ") and "manifest.txt:" in err
+    assert err.count("FAIL ") == 1
+
+
 def test_validate_empty_dir_exits_1(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -156,6 +171,34 @@ def test_mask_combined_task_mixes(tmp_path, map_file):
     ) == 0
     tasks = {read_sample(f).task for f in sorted(out.glob("sample_*.txt"))}
     assert ReconTask.MAP in tasks  # 12 draws at 0.7 hit the map task w.h.p.
+
+
+def test_mask_combined_falls_back_on_one_lane_crop(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=4)
+    main(["generate", "--config", str(cfg)])
+    scenes = tmp_path / "scenes"
+
+    def mask(task, out):
+        return main(
+            ["mask", "--scenes", str(scenes), "--task", task, "--seed", "7",
+             "--out", str(tmp_path / out), "--map-fraction", "1.0"]
+        )
+
+    assert mask("combined", "before") == 0
+    victim = sorted(scenes.glob("scene_*.csv"))[0]
+    scene = read_scene(victim)
+    lane = scene.map_crop.lanes[scene.map_crop.sorted_ids()[0]]
+    one_lane = make_map(scene.city, [LaneSegment(lane.lane_id, lane.centerline)])
+    write_scene(replace(scene, map_crop=one_lane), victim)
+
+    assert mask("combined", "after") == 0
+    before = sorted((tmp_path / "before").glob("sample_*.txt"))
+    after = sorted((tmp_path / "after").glob("sample_*.txt"))
+    assert [f.name for f in before] == [f.name for f in after]
+    assert read_sample(after[0]).task is ReconTask.TRAJECTORY
+    assert [f.read_bytes() for f in before[1:]] == [f.read_bytes() for f in after[1:]]
+    assert mask("map", "map_only") == 1
+    assert "map masking needs >= 2 lanes" in capsys.readouterr().err
 
 
 def test_mask_empty_dir_exits_1(tmp_path, capsys):

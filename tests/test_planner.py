@@ -1,19 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import enumerate_plan_costs, wiggly_path
-from scenesynth.errors import PathOverrunError, PlanningFailureError
+from oracles import enumerate_plan_costs, reference_plan, wiggly_path
+from scenesynth import synthesis
+from scenesynth.errors import (
+    PathOverrunError,
+    PlanningError,
+    PlanningFailureError,
+    SceneSynthError,
+)
 from scenesynth.maps import ReferencePath
 from scenesynth.geometry import Polyline
 from scenesynth.planner import (
+    BEAM_WIDTH,
     CoarsePlan,
     PlannerNode,
     PlannerParams,
+    _n_steps,
+    _search,
     astar_plan,
     expand,
     plan_to_global,
     transition_cost,
 )
+from scenesynth.synthesis import GenerationConfig, generate_scene
 
 
 def straight_path(length=400.0):
@@ -234,3 +246,76 @@ def test_plan_to_global_overrun():
     )
     with pytest.raises(PathOverrunError):
         plan_to_global(plan, path)
+
+
+def plan_or_error(path, init, p, plan=astar_plan):
+    try:
+        return plan(path, init, p)
+    except PlanningError as exc:
+        return type(exc)
+
+
+def assert_matches_reference(path, init, p):
+    """`astar_plan` returns the reference plan or raises its error class."""
+    got = plan_or_error(path, init, p)
+    assert got == plan_or_error(path, init, p, reference_plan)
+    return got
+
+
+@pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
+def test_plan_matches_reference_on_generated_instances(
+    corridors_map, monkeypatch, fraction
+):
+    calls = []
+
+    def record(path, init, p):
+        calls.append((path, init, p))
+        return astar_plan(path, init, p)
+
+    monkeypatch.setattr(synthesis, "astar_plan", record)
+    # at index 18 both fractions draw a plan whose merge has an exact cost
+    # tie, so the (parent, action) tie-break is checked too
+    cfg = GenerationConfig(
+        seed=35, n_scenes=1, output_dir="unused", augmented_fraction=fraction
+    )
+    index = 0
+    while len(calls) < 160:
+        try:
+            generate_scene(corridors_map, np.random.default_rng([35, index]), cfg)
+        except SceneSynthError:
+            pass
+        index += 1
+    for path, init, p in calls:
+        assert_matches_reference(path, init, p)
+
+
+def test_plan_matches_reference_on_tied_action_orders():
+    # zero curvature and w3 = 0 leave only w1 * sum(a^2), so every order
+    # of the same actions costs the same
+    path = straight_path(400.0)
+    for actions in [(-0.5, 0.5), (-1.0, -0.5, 0.5, 1.0)]:
+        p = PlannerParams(action_set=actions, v_d=10.0, w3=0.0)
+        plan = assert_matches_reference(path, PlannerNode(0.0, 10.0, 0.0), p)
+        assert isinstance(plan, CoarsePlan)
+
+
+def test_plan_matches_reference_with_signed_curvature():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        path = wiggly_path(rng, max_turn=0.08)
+        p = PlannerParams(v_d=float(rng.uniform(6, 15)), abs_curvature=False)
+        init = PlannerNode(4.0, float(rng.uniform(5, 15)), 0.0)
+        assert_matches_reference(path, init, p)
+
+
+def test_plan_matches_reference_when_beam_pass_overruns():
+    # the beam keeps only cheap, fast states, which all run off a 20 m
+    # path; the bound falls back to infinity and the exact pass still
+    # finds the braking plan
+    path = straight_path(20.0)
+    init = PlannerNode(0.0, 4.0, 0.0)
+    p = PlannerParams(v_d=4.0)
+    actions = np.asarray(p.action_set)
+    with pytest.raises(PathOverrunError):
+        _search(path, init, p, actions, _n_steps(0.0, p), math.inf, BEAM_WIDTH)
+    assert isinstance(assert_matches_reference(path, init, p), CoarsePlan)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import binomial_band, pointwise_l1_loop
-from scenesynth.errors import MaskingError
+from scenesynth.errors import MapFormatError, MaskingError
 from scenesynth.pretrain import (
     ElementKind,
     ReconTask,
@@ -166,6 +166,9 @@ def test_assign_tasks_extremes_and_determinism():
     scenes = [toy_scene(4)] * 20
     all_map = assign_tasks(scenes, 1.0, np.random.default_rng(0))
     assert all(s.task is ReconTask.MAP for s in all_map)
+    # one lane cannot be map-masked: the scene falls back to its trajectory
+    one_lane = assign_tasks([toy_scene(1)], 1.0, np.random.default_rng(0))
+    assert one_lane[0].task is ReconTask.TRAJECTORY
     a = assign_tasks(scenes, 0.7, np.random.default_rng(5))
     b = assign_tasks(scenes, 0.7, np.random.default_rng(5))
     assert [s.task for s in a] == [s.task for s in b]
@@ -284,6 +287,14 @@ def test_sample_file_roundtrip_lossless(demo_scene, tmp_path):
             assert t1.polyline_id == t2.polyline_id
             assert np.array_equal(t1.points, t2.points)
         assert sample_to_text(back) == f.read_text()
+
+
+def test_sample_unknown_task_names_line(demo_scene, tmp_path):
+    f = tmp_path / "sample.txt"
+    write_sample(mask_trajectory(vectorize_scene(demo_scene)), f)
+    f.write_text(f.read_text().replace("# task: traj_recon", "# task: lane_recon"))
+    with pytest.raises(MapFormatError, match=r"sample\.txt:2: unknown task"):
+        read_sample(f)
 
 
 def test_demo_scene_has_enough_lanes_for_masking(demo_scene):

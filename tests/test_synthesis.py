@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,30 @@ def test_multi_city_datasets_track_cities(tmp_path):
     manifest = generate_dataset(maps, cfg)
     assert set(manifest.per_city) == {"MIA", "PIT"}
     assert sum(manifest.per_city.values()) == 12 - manifest.counts["skipped"]
+
+
+def scene_files_digest(directory) -> str:
+    """sha256 over the name and bytes of every scene file, in name order.
+    The manifest is left out: it echoes `output_dir`."""
+    h = hashlib.sha256()
+    for f in sorted(directory.glob("scene_*.csv")):
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    return h.hexdigest()
+
+
+# recorded before the planner gained its beam bound; a change that alters
+# output bytes on purpose updates them and says so in CHANGES.md
+@pytest.mark.parametrize(
+    "seed, fraction, digest",
+    [
+        (3, 165.0 / 370.0,
+         "b28ada983d5bb705d6ff7aaa067e3df0bf7e77b3485555c8b88d4342d1d5dd98"),
+        (5, 1.0,
+         "4922c9fc118649b559e31b90bd75bc1f55f8bfb618bfab7d42b60eaeb7ad5853"),
+    ],
+)
+def test_dataset_bytes_pinned(tmp_path, corridors_map, seed, fraction, digest):
+    cfg = small_cfg(tmp_path, n=40, seed=seed, augmented_fraction=fraction)
+    generate_dataset([corridors_map], cfg)
+    assert scene_files_digest(tmp_path / "scenes") == digest
