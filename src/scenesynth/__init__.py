@@ -49,7 +49,6 @@ from .synthesis import (
 from .pretrain import (
     PretrainSample,
     ReconTask,
-    VectorFeature,
     assign_tasks,
     map_recon_loss,
     mask_map,

@@ -1,14 +1,25 @@
 """Masked-reconstruction sample preparation.
 
-Scenes are flattened into consecutive-point vectors grouped by polyline.
-A sample then splits polylines into visible vectors and masked
-placeholders that keep only each masked polyline's first point, with the
-full polylines kept aside as reconstruction targets. The format carries
-the visible/masked partition explicitly (no in-band mask tokens), so a
-trainer can choose whether placeholders ever reach its encoder.
+A scene is flattened into one (n, 8) float array of consecutive-point
+vectors, one row per segment, with columns::
+
+    kind, polyline_id, x0, y0, x1, y1, attr0, attr1
+
+`kind` is `LANE` (0) or `TRAJECTORY` (1). Lane polylines come first,
+taking ids 0..n_lanes-1 in sorted lane-id order, then the trajectory
+with the next id. Lane rows carry (pred count, succ count) attributes;
+trajectory rows carry their (start, end) timestamps. A polyline's rows
+are contiguous, so their starts plus the last end reassemble it exactly.
+
+A sample splits the rows by polyline id into visible rows and masked
+polylines, whose full points are kept aside as reconstruction targets; a
+masked polyline's placeholder is its target's first point. The format
+carries the visible/masked partition explicitly (no in-band mask tokens),
+so a trainer can choose whether placeholders ever reach its encoder.
 
 Sample file format::
 
+    # format: scenesynth-sample v1
     # task: map_recon
     # masked: 2;5
     # columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1
@@ -18,9 +29,8 @@ Sample file format::
     target,2,0.0,4.0
     target,2,2.0,4.0
 
-Floats are written with repr and reload bit-exactly. Lane vectors carry
-(pred count, succ count) attributes; trajectory vectors carry their
-(start, end) timestamps.
+`kind` is written by name (`lane` or `trajectory`). Floats are written
+with repr and reload bit-exactly.
 """
 
 from __future__ import annotations
@@ -28,11 +38,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import MapFormatError, MaskingError
-from .geometry import Point2
 from .maps import write_text_atomic
 from .synthesis import Scene
 
@@ -41,10 +51,10 @@ DEFAULT_MASK_RATIO = 0.5
 DEFAULT_MAP_FRACTION = 0.7
 DEFAULT_REG_WEIGHT = 0.05
 
-
-class ElementKind(enum.Enum):
-    LANE = "lane"
-    TRAJECTORY = "trajectory"
+# values of the `kind` column, and their names in sample files
+LANE, TRAJECTORY = 0, 1
+KIND_NAMES = ("lane", "trajectory")
+COLUMNS = ("kind", "polyline_id", "x0", "y0", "x1", "y1", "attr0", "attr1")
 
 
 class ReconTask(enum.Enum):
@@ -53,101 +63,58 @@ class ReconTask(enum.Enum):
 
 
 @dataclass(frozen=True)
-class VectorFeature:
-    start: Point2
-    end: Point2
-    polyline_id: int
-    element_kind: ElementKind
-    attributes: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class MaskedPlaceholder:
-    polyline_id: int
-    first_point: Point2
-
-
-@dataclass(frozen=True)
-class TargetPolyline:
-    polyline_id: int
-    points: np.ndarray  # (n, 2)
-
-
-@dataclass(frozen=True)
 class PretrainSample:
-    visible: tuple[VectorFeature, ...]
-    masked_placeholders: tuple[MaskedPlaceholder, ...]
-    targets: tuple[TargetPolyline, ...]
+    visible: np.ndarray  # (m, 8) rows of the unmasked polylines
+    masked: tuple[int, ...]  # sorted ids of the masked polylines
+    targets: tuple[np.ndarray, ...]  # (k, 2) points of each, in `masked` order
     task: ReconTask
 
 
-def vectorize_scene(scene: Scene) -> list[VectorFeature]:
-    """Flatten lanes (sorted by id) then the trajectory into vectors.
-
-    Lane polylines take ids 0..n_lanes-1 and the trajectory the next id,
-    so concatenating each group's starts plus the final end reassembles
-    the original polylines exactly.
-    """
-    vectors: list[VectorFeature] = []
-    for pid, lane_id in enumerate(scene.map_crop.sorted_ids()):
-        lane = scene.map_crop.lanes[lane_id]
-        xy = lane.centerline.xy
-        attrs = (float(len(lane.predecessors)), float(len(lane.successors)))
-        for i in range(xy.shape[0] - 1):
-            vectors.append(
-                VectorFeature(
-                    Point2(float(xy[i, 0]), float(xy[i, 1])),
-                    Point2(float(xy[i + 1, 0]), float(xy[i + 1, 1])),
-                    pid,
-                    ElementKind.LANE,
-                    attrs,
-                )
-            )
-    traj_id = len(scene.map_crop.lanes)
-    xy = scene.trajectory
+def vectorize_scene(scene: Scene) -> np.ndarray:
+    """Flatten lanes (sorted by id) then the trajectory into (n, 8) rows."""
+    crop = scene.map_crop
+    lanes = [crop.lanes[lane_id] for lane_id in crop.sorted_ids()]
+    points = [lane.centerline.xy for lane in lanes] + [scene.trajectory]
+    n_segments = np.array([len(xy) - 1 for xy in points])
+    xy = np.concatenate(points)
+    # segment i runs from point i to point i + 1 unless i ends a polyline
+    joined = np.ones(len(xy) - 1, dtype=bool)
+    joined[np.cumsum(n_segments + 1)[:-1] - 1] = False
+    n_lane_rows = int(n_segments[:-1].sum())
+    out = np.empty((int(n_segments.sum()), 8))
+    out[:n_lane_rows, 0] = LANE
+    out[n_lane_rows:, 0] = TRAJECTORY
+    # the trajectory's id is the crop's lane count
+    out[:, 1] = np.repeat(np.arange(len(points)), n_segments)
+    out[:, 2:4] = xy[:-1][joined]
+    out[:, 4:6] = xy[1:][joined]
+    links = np.array(
+        [(len(lane.predecessors), len(lane.successors)) for lane in lanes], float
+    ).reshape(-1, 2)
+    out[:n_lane_rows, 6:8] = np.repeat(links, n_segments[:-1], axis=0)
     t = scene.timestamps
-    for i in range(xy.shape[0] - 1):
-        vectors.append(
-            VectorFeature(
-                Point2(float(xy[i, 0]), float(xy[i, 1])),
-                Point2(float(xy[i + 1, 0]), float(xy[i + 1, 1])),
-                traj_id,
-                ElementKind.TRAJECTORY,
-                (float(t[i]), float(t[i + 1])),
-            )
-        )
-    return vectors
+    out[n_lane_rows:, 6] = t[:-1]
+    out[n_lane_rows:, 7] = t[1:]
+    return out
 
 
-def _polyline_points(vectors: list[VectorFeature], pid: int) -> np.ndarray:
-    seq = [v for v in vectors if v.polyline_id == pid]
-    pts = [(v.start.x, v.start.y) for v in seq]
-    pts.append((seq[-1].end.x, seq[-1].end.y))
-    return np.array(pts)
+def _polyline_ids(vectors: np.ndarray, kind: int) -> list[int]:
+    return [int(p) for p in np.unique(vectors[vectors[:, 0] == kind, 1])]
 
 
-def _split(vectors, masked_ids, task) -> PretrainSample:
-    masked = sorted(masked_ids)
-    visible = tuple(v for v in vectors if v.polyline_id not in masked_ids)
-    placeholders = []
+def _split(vectors: np.ndarray, masked_ids, task: ReconTask) -> PretrainSample:
+    masked = tuple(sorted(masked_ids))
+    pid = vectors[:, 1]
     targets = []
-    for pid in masked:
-        pts = _polyline_points(vectors, pid)
-        placeholders.append(
-            MaskedPlaceholder(pid, Point2(float(pts[0, 0]), float(pts[0, 1])))
-        )
-        targets.append(TargetPolyline(pid, pts))
-    return PretrainSample(visible, tuple(placeholders), tuple(targets), task)
-
-
-def _lane_ids(vectors: list[VectorFeature]) -> list[int]:
-    return sorted(
-        {v.polyline_id for v in vectors if v.element_kind is ElementKind.LANE}
-    )
+    for p in masked:
+        rows = vectors[pid == p]
+        targets.append(np.concatenate([rows[:, 2:4], rows[-1:, 4:6]]))
+    visible = vectors[~np.isin(pid, masked)]
+    return PretrainSample(visible, masked, tuple(targets), task)
 
 
 def mask_map(
-    vectors: list[VectorFeature],
+    vectors: np.ndarray,
     ratio: float = DEFAULT_MASK_RATIO,
     rng: np.random.Generator | None = None,
 ) -> PretrainSample:
@@ -155,26 +122,22 @@ def mask_map(
     (half rounds up); the trajectory stays visible."""
     if rng is None:
         rng = np.random.default_rng()
-    lane_ids = _lane_ids(vectors)
+    lane_ids = _polyline_ids(vectors, LANE)
     if len(lane_ids) < 2:
         raise MaskingError(f"map masking needs >= 2 lanes, got {len(lane_ids)}")
     n_mask = int(math.floor(ratio * len(lane_ids) + 0.5))
-    chosen = set(
-        int(i) for i in rng.choice(lane_ids, size=n_mask, replace=False)
-    )
-    return _split(vectors, chosen, ReconTask.MAP)
+    chosen = rng.choice(lane_ids, size=n_mask, replace=False)
+    return _split(vectors, chosen.tolist(), ReconTask.MAP)
 
 
-def mask_trajectory(vectors: list[VectorFeature]) -> PretrainSample:
+def mask_trajectory(vectors: np.ndarray) -> PretrainSample:
     """Mask the single trajectory, retaining its start point."""
-    traj_ids = sorted(
-        {v.polyline_id for v in vectors if v.element_kind is ElementKind.TRAJECTORY}
-    )
+    traj_ids = _polyline_ids(vectors, TRAJECTORY)
     if len(traj_ids) != 1:
         raise MaskingError(
             f"trajectory masking needs exactly 1 trajectory, got {len(traj_ids)}"
         )
-    return _split(vectors, set(traj_ids), ReconTask.TRAJECTORY)
+    return _split(vectors, traj_ids, ReconTask.TRAJECTORY)
 
 
 def assign_tasks(
@@ -196,7 +159,7 @@ def assign_tasks(
 
 
 def draw_sample(
-    vectors: list[VectorFeature],
+    vectors: np.ndarray,
     map_fraction: float,
     mask_ratio: float,
     rng: np.random.Generator,
@@ -204,7 +167,7 @@ def draw_sample(
     """Map reconstruction with probability `map_fraction`, trajectory
     reconstruction otherwise. A scene with fewer than two lanes cannot be
     map-masked and falls back to trajectory reconstruction."""
-    if rng.random() < map_fraction and len(_lane_ids(vectors)) >= 2:
+    if rng.random() < map_fraction and len(_polyline_ids(vectors, LANE)) >= 2:
         return mask_map(vectors, mask_ratio, rng)
     return mask_trajectory(vectors)
 
@@ -240,18 +203,23 @@ def sample_to_text(sample: PretrainSample) -> str:
     lines = [
         "# format: scenesynth-sample v1",
         f"# task: {sample.task.value}",
-        "# masked: " + ";".join(str(p.polyline_id) for p in sample.masked_placeholders),
-        "# columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1",
+        "# masked: " + ";".join(str(p) for p in sample.masked),
+        "# columns: " + ",".join(COLUMNS),
     ]
-    for v in sample.visible:
-        lines.append(
-            f"{v.element_kind.value},{v.polyline_id},{v.start.x!r},{v.start.y!r},"
-            f"{v.end.x!r},{v.end.y!r},{v.attributes[0]!r},{v.attributes[1]!r}"
-        )
+    # a row whose start is bit for bit the previous row's end reuses its text
+    coords = np.ascontiguousarray(sample.visible[:, 2:6]).view(np.int64)
+    chained = np.zeros(len(coords), dtype=bool)
+    chained[1:] = (coords[1:, 0:2] == coords[:-1, 2:4]).all(axis=1)
+    end = ""
+    for (kind, pid, x0, y0, x1, y1, a0, a1), same in zip(
+        sample.visible.tolist(), chained.tolist()
+    ):
+        start = end if same else f"{x0!r},{y0!r}"
+        end = f"{x1!r},{y1!r}"
+        lines.append(f"{KIND_NAMES[int(kind)]},{int(pid)},{start},{end},{a0!r},{a1!r}")
     lines.append("# targets")
-    for tgt in sample.targets:
-        for x, y in tgt.points:
-            lines.append(f"target,{tgt.polyline_id},{float(x)!r},{float(y)!r}")
+    for pid, points in zip(sample.masked, sample.targets):
+        lines.extend(f"target,{pid},{x!r},{y!r}" for x, y in points.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -260,62 +228,60 @@ def write_sample(sample: PretrainSample, path) -> None:
 
 
 def read_sample(path) -> PretrainSample:
+    """Parse a sample file; raises MapFormatError, with the offending line
+    number where there is one, on malformed input."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"not UTF-8 text: {exc}", path) from exc
     task = None
-    visible: list[VectorFeature] = []
+    header_ids = None
+    rows: list[list[float]] = []
     target_pts: dict[int, list[tuple[float, float]]] = {}
-    target_order: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("task:"):
-                    name = body.partition(":")[2].strip()
-                    try:
-                        task = ReconTask(name)
-                    except ValueError as exc:
-                        raise MapFormatError(
-                            f"unknown task {name!r}", path, lineno
-                        ) from exc
+                key, _, value = line[1:].partition(":")
+                if key.strip() == "task":
+                    name = value.strip()
+                    if name not in {t.value for t in ReconTask}:
+                        raise ValueError(f"unknown task {name!r}")
+                    task = ReconTask(name)
+                elif key.strip() == "masked":
+                    header_ids = tuple(int(p) for p in value.split(";") if p.strip())
                 continue
             fields = line.split(",")
-            try:
-                if fields[0] == "target":
-                    if len(fields) != 4:
-                        raise ValueError("target row needs 4 columns")
-                    pid = int(fields[1])
-                    if pid not in target_pts:
-                        target_pts[pid] = []
-                        target_order.append(pid)
-                    target_pts[pid].append((float(fields[2]), float(fields[3])))
-                else:
-                    if len(fields) != 8:
-                        raise ValueError("vector row needs 8 columns")
-                    visible.append(
-                        VectorFeature(
-                            Point2(float(fields[2]), float(fields[3])),
-                            Point2(float(fields[4]), float(fields[5])),
-                            int(fields[1]),
-                            ElementKind(fields[0]),
-                            (float(fields[6]), float(fields[7])),
-                        )
-                    )
-            except ValueError as exc:
-                raise MapFormatError(str(exc), path, lineno) from exc
+            if fields[0] == "target":
+                if len(fields) != 4:
+                    raise ValueError("target row needs 4 columns")
+                point = (float(fields[2]), float(fields[3]))
+                target_pts.setdefault(int(fields[1]), []).append(point)
+            else:
+                if len(fields) != 8:
+                    raise ValueError("vector row needs 8 columns")
+                if fields[0] not in KIND_NAMES:
+                    raise ValueError(f"unknown kind {fields[0]!r}")
+                rows.append(
+                    [float(KIND_NAMES.index(fields[0])), float(int(fields[1]))]
+                    + [float(f) for f in fields[2:]]
+                )
+        except (ValueError, OverflowError) as exc:
+            raise MapFormatError(str(exc), path, lineno) from exc
     if task is None:
         raise MapFormatError("missing task header", path)
     if not target_pts:
         raise MapFormatError("sample has no targets", path)
-    targets = tuple(
-        TargetPolyline(pid, np.array(target_pts[pid])) for pid in target_order
-    )
-    placeholders = tuple(
-        MaskedPlaceholder(t.polyline_id, Point2(float(t.points[0, 0]), float(t.points[0, 1])))
-        for t in targets
-    )
-    return PretrainSample(tuple(visible), placeholders, targets, task)
+    masked = tuple(target_pts)
+    if header_ids is not None and header_ids != masked:
+        raise MapFormatError(
+            f"masked header lists {header_ids}, targets are {masked}", path
+        )
+    visible = np.array(rows, dtype=float).reshape(-1, 8)
+    targets = tuple(np.array(pts) for pts in target_pts.values())
+    return PretrainSample(visible, masked, targets, task)
 
 
 def sample_filename(scene_id: str) -> str:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from scenesynth.errors import PathOverrunError, PlanningFailureError
+from scenesynth.errors import MaskingError, PathOverrunError, PlanningFailureError
 from scenesynth.geometry import Polyline
 from scenesynth.maps import _path_from_polyline
 from scenesynth.planner import CoarsePlan, expand, transition_cost
@@ -138,6 +138,62 @@ def reference_plan(path, init, params):
         nodes.append(expand(nodes[-1], a, dt))
     total = sum(transition_cost(n, a, path, params) for n, a in zip(nodes[1:], picked))
     return CoarsePlan(tuple(nodes), tuple(picked), total)
+
+
+def reference_sample_text(
+    scene, task: str, rng: np.random.Generator,
+    map_fraction: float = 0.7, mask_ratio: float = 0.5,
+) -> str:
+    """Sample file text for `scene` by the per-segment path the array code
+    in `pretrain` replaced: one tuple per segment, a rescan of every
+    segment per masked polyline, and one f-string per row. `task` is the
+    CLI's map|traj|combined; `rng` is consumed as `mask` consumes it."""
+    vectors = []
+    for pid, lane_id in enumerate(scene.map_crop.sorted_ids()):
+        lane = scene.map_crop.lanes[lane_id]
+        xy = lane.centerline.xy
+        attrs = (float(len(lane.predecessors)), float(len(lane.successors)))
+        for i in range(xy.shape[0] - 1):
+            vectors.append(
+                ("lane", pid, float(xy[i, 0]), float(xy[i, 1]),
+                 float(xy[i + 1, 0]), float(xy[i + 1, 1])) + attrs
+            )
+    traj_id = len(scene.map_crop.lanes)
+    xy, t = scene.trajectory, scene.timestamps
+    for i in range(xy.shape[0] - 1):
+        vectors.append(
+            ("trajectory", traj_id, float(xy[i, 0]), float(xy[i, 1]),
+             float(xy[i + 1, 0]), float(xy[i + 1, 1]), float(t[i]), float(t[i + 1]))
+        )
+    lane_ids = sorted({v[1] for v in vectors if v[0] == "lane"})
+    if task == "combined":
+        use_map = rng.random() < map_fraction and len(lane_ids) >= 2
+    else:
+        use_map = task == "map"
+    if use_map:
+        if len(lane_ids) < 2:
+            raise MaskingError(f"map masking needs >= 2 lanes, got {len(lane_ids)}")
+        n_mask = int(math.floor(mask_ratio * len(lane_ids) + 0.5))
+        masked = sorted(int(i) for i in rng.choice(lane_ids, size=n_mask, replace=False))
+        task_name = "map_recon"
+    else:
+        masked = [traj_id]
+        task_name = "traj_recon"
+    lines = [
+        "# format: scenesynth-sample v1",
+        f"# task: {task_name}",
+        "# masked: " + ";".join(str(pid) for pid in masked),
+        "# columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1",
+    ]
+    for kind, pid, x0, y0, x1, y1, a0, a1 in vectors:
+        if pid not in masked:
+            lines.append(f"{kind},{pid},{x0!r},{y0!r},{x1!r},{y1!r},{a0!r},{a1!r}")
+    lines.append("# targets")
+    for pid in masked:
+        seq = [v for v in vectors if v[1] == pid]
+        points = [(v[2], v[3]) for v in seq] + [(seq[-1][4], seq[-1][5])]
+        lines.extend(f"target,{pid},{x!r},{y!r}" for x, y in points)
+    return "\n".join(lines) + "\n"
 
 
 def pointwise_l1_loop(pred, target):

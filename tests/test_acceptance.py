@@ -241,14 +241,15 @@ def test_criterion_6_masking_contracts():
         rng = np.random.default_rng(606)
         for n_lanes in (2, 3, 4, 7, 10, 15):
             sample = mask_map(vectorize_scene(small_scene(n_lanes)), 0.5, rng)
-            assert len(sample.masked_placeholders) == int(
+            assert len(sample.masked) == int(
                 math.floor(0.5 * n_lanes + 0.5)
             )
         scene = small_scene(6)
         traj_sample = mask_trajectory(vectorize_scene(scene))
-        assert len(traj_sample.masked_placeholders) == 1
-        start = traj_sample.masked_placeholders[0].first_point
-        assert (start.x, start.y) == (
+        assert len(traj_sample.masked) == 1
+        # the placeholder keeps the masked polyline's first point
+        start = traj_sample.targets[0][0]
+        assert (float(start[0]), float(start[1])) == (
             float(scene.trajectory[0, 0]),
             float(scene.trajectory[0, 1]),
         )

@@ -7,7 +7,7 @@ from scenesynth.cli import main, parse_run_config
 from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.maps import LaneSegment, load_map, make_map, save_map
-from scenesynth.pretrain import read_sample, ReconTask
+from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
 from scenesynth.synthesis import read_scene, write_scene
 
 
@@ -144,9 +144,9 @@ def test_mask_map_task_files(tmp_path, map_file):
         sample = read_sample(f)
         assert sample.task is ReconTask.MAP
         n_lanes = len(
-            {v.polyline_id for v in sample.visible}
-        ) + len(sample.masked_placeholders) - 1  # trajectory id stays visible
-        assert len(sample.masked_placeholders) == int(np.floor(0.5 * n_lanes + 0.5))
+            set(sample.visible[:, 1])
+        ) + len(sample.masked) - 1  # trajectory id stays visible
+        assert len(sample.masked) == int(np.floor(0.5 * n_lanes + 0.5))
 
 
 def test_mask_traj_task(tmp_path, map_file):
@@ -169,8 +169,13 @@ def test_mask_combined_task_mixes(tmp_path, map_file):
         ["mask", "--scenes", str(tmp_path / "scenes"), "--task", "combined",
          "--seed", "7", "--out", str(out), "--map-fraction", "0.7"]
     ) == 0
-    tasks = {read_sample(f).task for f in sorted(out.glob("sample_*.txt"))}
+    files = sorted(out.glob("sample_*.txt"))
+    assert len(files) == 12
+    tasks = {read_sample(f).task for f in files}
     assert ReconTask.MAP in tasks  # 12 draws at 0.7 hit the map task w.h.p.
+    # every sample reloads to the bytes it was written from
+    for f in files:
+        assert sample_to_text(read_sample(f)) == f.read_text(encoding="utf-8")
 
 
 def test_mask_combined_falls_back_on_one_lane_crop(tmp_path, map_file, capsys):
