@@ -57,7 +57,7 @@ import numpy as np
 
 from . import analysis, pretrain
 from .augment import TurnKind, sample_transform_params
-from .errors import ConfigError, SceneSynthError
+from .errors import ConfigError, MapFormatError, SceneSynthError
 from .maps import build_reference_path, load_map, save_map, write_text_atomic
 from .planner import PlannerParams
 from .refine import RefinementParams
@@ -265,9 +265,13 @@ def cmd_mask(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_map = 0
-    for i, path in enumerate(files):
+    for path in files:
         scene = read_scene(path)
-        rng = np.random.default_rng([args.seed, i])
+        # keyed on the scene id, so a sample does not depend on which other
+        # scene files sit in the directory
+        if not (scene.scene_id.isascii() and scene.scene_id.isdigit()):
+            raise MapFormatError(f"scene id {scene.scene_id!r} is not a number", path)
+        rng = np.random.default_rng([args.seed, int(scene.scene_id)])
         vectors = pretrain.vectorize_scene(scene)
         if args.task == "map":
             sample = pretrain.mask_map(vectors, args.mask_ratio, rng)

@@ -206,6 +206,39 @@ def test_mask_combined_falls_back_on_one_lane_crop(tmp_path, map_file, capsys):
     assert "map masking needs >= 2 lanes" in capsys.readouterr().err
 
 
+def test_mask_sample_depends_only_on_its_scene(tmp_path, map_file):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=6)
+    main(["generate", "--config", str(cfg)])
+    scenes = tmp_path / "scenes"
+
+    def mask(out):
+        assert main(
+            ["mask", "--scenes", str(scenes), "--task", "combined", "--seed", "7",
+             "--out", str(tmp_path / out)]
+        ) == 0
+        return {f.name: f.read_bytes() for f in (tmp_path / out).glob("sample_*.txt")}
+
+    before = mask("before")
+    (scenes / "scene_000000.csv").unlink()
+    after = mask("after")
+    assert len(before) == 6
+    assert after == {k: v for k, v in before.items() if k != "sample_000000.txt"}
+
+
+def test_mask_rejects_non_numeric_scene_id(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=1)
+    main(["generate", "--config", str(cfg)])
+    victim = tmp_path / "scenes" / "scene_000000.csv"
+    scene = read_scene(victim)
+    metadata = {**scene.metadata, "scene_id": "abc"}
+    write_scene(replace(scene, scene_id="abc", metadata=metadata), victim)
+    assert main(
+        ["mask", "--scenes", str(tmp_path / "scenes"), "--task", "traj",
+         "--seed", "1", "--out", str(tmp_path / "out")]
+    ) == 1
+    assert "scene id 'abc' is not a number" in capsys.readouterr().err
+
+
 def test_mask_empty_dir_exits_1(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
