@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, pretrain
-from .augment import TurnKind, sample_transform_params
+from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
 from .errors import ConfigError, MapFormatError, SceneSynthError
 from .maps import build_reference_path, load_map, save_map, write_text_atomic
 from .planner import PlannerParams
@@ -216,17 +216,15 @@ def cmd_augment_map(args) -> int:
     rng = np.random.default_rng([args.seed])
     lane_ids = m.sorted_ids()
     seed_lane = lane_ids[int(rng.integers(len(lane_ids)))]
-    path = build_reference_path(m, seed_lane, 150.0, rng)
+    path = build_reference_path(m, seed_lane, GenerationConfig.path_min_length, rng)
     params = sample_transform_params(rng, [path])
     if args.kind is not None:
         kind = TurnKind.SINGLE if args.kind == "single" else TurnKind.DOUBLE
         params = replace(
             params,
             kind=kind,
-            beta=20.0 if kind is TurnKind.DOUBLE else None,
+            beta=DEFAULT_TURN_GAP if kind is TurnKind.DOUBLE else None,
         )
-    from .augment import apply_transform
-
     augmented = apply_transform(m, params)
     save_map(augmented, args.out)
     sidecar = str(args.out) + ".params"
@@ -243,12 +241,15 @@ def cmd_generate(args) -> int:
     if not run.map_files:
         raise ConfigError("config key map_files must list at least one map")
     maps = [load_map(f) for f in run.map_files]
+    # the manifest already echoes every GenerationConfig key
+    echoed = {key for key, _ in run.generation.echo()}
     manifest = generate_dataset(
         maps,
         run.generation,
         workers=args.workers,
         log=print,
-        extra_config=[("workers", str(args.workers))] + list(run.echo),
+        extra_config=[("workers", str(args.workers))]
+        + [(key, value) for key, value in run.echo if key not in echoed],
     )
     print(
         f"generated {len(manifest.records)} scenes in {manifest.elapsed_s:.1f} s "

@@ -73,6 +73,22 @@ def test_generate_and_validate_roundtrip(tmp_path, map_file, capsys):
     assert main(["validate", "--scenes", str(tmp_path / "scenes")]) == 0
 
 
+def test_generate_manifest_echoes_each_config_key_once(tmp_path, map_file):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=2)
+    assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
+    lines = (tmp_path / "scenes" / "manifest.txt").read_text().splitlines()
+    keys = [ln[len("# config "):].partition(":")[0] for ln in lines
+            if ln.startswith("# config ")]
+    assert len(keys) == len(set(keys))
+    echoed = dict(
+        ln[len("# config "):].split(": ", 1) for ln in lines if ln.startswith("# config ")
+    )
+    assert echoed["seed"] == "21"
+    assert echoed["workers"] == "2"
+    assert echoed["map_files"] == str(map_file)
+    assert echoed["mask_ratio"] == "0.5"
+
+
 def test_generate_unknown_config_key_exits_2(tmp_path, map_file, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n_scnes = 4\n")
