@@ -379,6 +379,14 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenesynth",
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment-map", help="warp a map and write it back out")
     p.add_argument("--map", required=True)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_seed)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=("single", "double"))
     p.set_defaults(func=cmd_augment_map)
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mask", help="emit masked-reconstruction samples")
     p.add_argument("--scenes", required=True)
     p.add_argument("--task", required=True, choices=("map", "traj", "combined"))
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_seed)
     p.add_argument("--out", required=True)
     p.add_argument("--map-fraction", type=float, default=0.7, dest="map_fraction")
     p.add_argument("--mask-ratio", type=float, default=0.5, dest="mask_ratio")

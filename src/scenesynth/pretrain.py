@@ -54,7 +54,6 @@ DEFAULT_REG_WEIGHT = 0.05
 # values of the `kind` column, and their names in sample files
 LANE, TRAJECTORY = 0, 1
 KIND_NAMES = ("lane", "trajectory")
-COLUMNS = ("kind", "polyline_id", "x0", "y0", "x1", "y1", "attr0", "attr1")
 
 
 class ReconTask(enum.Enum):
@@ -204,9 +203,10 @@ def sample_to_text(sample: PretrainSample) -> str:
         "# format: scenesynth-sample v1",
         f"# task: {sample.task.value}",
         "# masked: " + ";".join(str(p) for p in sample.masked),
-        "# columns: " + ",".join(COLUMNS),
+        "# columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1",
     ]
-    # a row whose start is bit for bit the previous row's end reuses its text
+    # a row whose start is the previous row's end reuses that text; compared
+    # as bits, since 0.0 == -0.0 but their reprs differ
     coords = np.ascontiguousarray(sample.visible[:, 2:6]).view(np.int64)
     chained = np.zeros(len(coords), dtype=bool)
     chained[1:] = (coords[1:, 0:2] == coords[:-1, 2:4]).all(axis=1)

@@ -73,6 +73,8 @@ class GenerationConfig:
     max_warp_slope: float | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_scenes < 1:
             raise ConfigError(f"n_scenes must be >= 1, got {self.n_scenes}")
         if not 0.0 <= self.augmented_fraction <= 1.0:

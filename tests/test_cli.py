@@ -43,6 +43,25 @@ def test_missing_required_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["augment-map", "mask"])
+def test_negative_seed_flag_exits_2(tmp_path, map_file, command, capsys):
+    argv = {
+        "augment-map": ["--map", str(map_file), "--out", str(tmp_path / "a.map")],
+        "mask": ["--scenes", str(tmp_path), "--task", "traj",
+                 "--out", str(tmp_path / "out")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1"] + argv)
+    assert exc.value.code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_generate_negative_seed_exits_2(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, seed=-1)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_augment_map_deterministic_bytes(tmp_path, map_file):
     out1 = tmp_path / "a1.map"
     out2 = tmp_path / "a2.map"

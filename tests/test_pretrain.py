@@ -421,6 +421,7 @@ READER_FAULTS = (
     "no targets",
     "unknown task",
     "not UTF-8",
+    "id too large for a float",
 )
 
 
@@ -446,6 +447,8 @@ def test_read_sample_fuzz_faults_raise_map_format_error(
         fields = fields[:-1] if line % 2 else fields + ["0.0"]
     elif fault == "non-numeric field":
         fields[1 + line % (len(fields) - 1)] = junk
+    elif fault == "id too large for a float":
+        fields[1] = "9" * 400
     lines[i] = ",".join(fields)
     if fault == "missing task header":
         lines = [ln for ln in lines if not ln.startswith("# task:")]
