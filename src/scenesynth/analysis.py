@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .maps import write_text_atomic
+from .maps import read_lines, write_text_atomic
 from .synthesis import SCENE_DT, Scene
 
 SPEED_BIN_WIDTH = 0.5
@@ -198,22 +198,22 @@ def write_histogram_table(h: Histogram, path) -> None:
 def read_histogram_table(path) -> Histogram:
     edges: list[float] = []
     counts: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "bin_lo,bin_hi,count":
-            raise ValidationError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                lo, hi, c = line.strip().split(",")
-                if not edges:
-                    edges.append(float(lo))
-                edges.append(float(hi))
-                counts.append(int(c))
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{lineno}: bad row {line.strip()!r}, "
-                    "expected 'bin_lo,bin_hi,count'"
-                ) from exc
+    lines = read_lines(path, ValidationError)
+    header = lines[0].strip() if lines else ""
+    if header != "bin_lo,bin_hi,count":
+        raise ValidationError(f"{path}: unexpected header {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            lo, hi, c = line.strip().split(",")
+            if not edges:
+                edges.append(float(lo))
+            edges.append(float(hi))
+            counts.append(int(c))
+        except ValueError as exc:
+            raise ValidationError(
+                f"{path}:{lineno}: bad row {line.strip()!r}, "
+                "expected 'bin_lo,bin_hi,count'"
+            ) from exc
     if not counts:
         return Histogram(np.zeros(0), np.zeros(0, dtype=int))
     return Histogram(np.array(edges), np.array(counts, dtype=int))

@@ -22,6 +22,8 @@ DEFAULT_ALPHA2 = 20.0
 DEFAULT_TURN_LENGTH = 10.0  # s_t
 DEFAULT_TURN_GAP = 20.0  # beta
 DEFAULT_ONSET = 10.0  # b
+# the smallest max_slope that leaves an alpha1 to draw
+MIN_WARP_SLOPE = ALPHA1_RANGE[0] * DEFAULT_ALPHA2 / DEFAULT_TURN_LENGTH
 
 
 class TurnKind(enum.Enum):

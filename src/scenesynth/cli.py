@@ -12,18 +12,19 @@ Subcommands::
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage/config error.
 
-Config file format: one `key = value` per line, `#` comments allowed,
-unknown keys rejected. Keys and defaults:
+Config file format: one `key = value` per line (`key: value`, as the
+manifest's `# config` lines write it, reads the same), `#` comments
+allowed, unknown keys rejected. Keys and defaults, one row each of
+`synthesis.CONFIG_KEYS`, whose defaults are the dataclass field defaults:
 
     seed = 0                  master seed; every scene derives its own stream
     n_scenes = 10             number of scenes to generate
     output_dir = out/scenes   where scene files and the manifest land
-    map_files =               comma-separated map paths (required)
     augmented_fraction = 0.44594594594594594
     crop_radius = 100.0       map crop half-extent around the trajectory midpoint
     v_d_min = 6.0             desired-velocity sampling range
     v_d_max = 15.0
-    action_set = -2,-1,-0.5,0,0.5,1
+    action_set = -2.0,-1.0,-0.5,0.0,0.5,1.0
     dt = 0.5                  coarse planning step (s)
     t_g = 5.0                 planning horizon (s)
     w1 = 5.0                  acceleration cost weight
@@ -39,16 +40,13 @@ unknown keys rejected. Keys and defaults:
     path_spacing = 1.0        reference-path sample spacing (m)
     retry_budget = 5          regeneration attempts per failed scene
     max_warp_slope = none     optional cap on the post-turn lateral slope
-    mask_ratio = 0.5          fraction of lanes masked by the map task
-    map_fraction = 0.7        share of scenes given the map task (combined)
-    speed_bin_width = 0.5     speed histogram bin width (m/s)
-    speed_max = 30.0          speed histogram upper edge (m/s)
-    miss_threshold = 2.0      final-error threshold for the miss metric
+    map_files =               comma-separated map paths (required)
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -57,154 +55,45 @@ import numpy as np
 
 from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
-from .errors import ConfigError, MapFormatError, SceneSynthError
-from .maps import build_reference_path, load_map, save_map, write_text_atomic
-from .planner import PlannerParams
-from .refine import RefinementParams
-from .synthesis import GenerationConfig, generate_dataset, read_scene, scene_to_text
+from .errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
+from .maps import build_reference_path, load_map, read_lines, save_map, write_text_atomic
+from .synthesis import CONFIG_KEYS, GenerationConfig, generate_dataset, read_scene, scene_to_text
 
 
-_CONFIG_DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "n_scenes": "10",
-    "output_dir": "out/scenes",
-    "map_files": "",
-    "augmented_fraction": repr(165.0 / 370.0),
-    "crop_radius": "100.0",
-    "v_d_min": "6.0",
-    "v_d_max": "15.0",
-    "action_set": "-2,-1,-0.5,0,0.5,1",
-    "dt": "0.5",
-    "t_g": "5.0",
-    "w1": "5.0",
-    "w2": "5.0",
-    "w3": "1.0",
-    "abs_curvature": "true",
-    "omega1": "1.0",
-    "omega2": "1.0",
-    "omega3": "10.0",
-    "dt_fine": "0.1",
-    "k": "5",
-    "path_min_length": "150.0",
-    "path_spacing": "1.0",
-    "retry_budget": "5",
-    "max_warp_slope": "none",
-    "mask_ratio": "0.5",
-    "map_fraction": "0.7",
-    "speed_bin_width": "0.5",
-    "speed_max": "30.0",
-    "miss_threshold": "2.0",
-}
+_CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
+_CONFIG_TYPES = {key: vtype for key, _, vtype in CONFIG_KEYS}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     generation: GenerationConfig
     map_files: tuple[str, ...]
-    mask_ratio: float
-    map_fraction: float
-    speed_bin_width: float
-    speed_max: float
-    miss_threshold: float
-    echo: tuple[tuple[str, str], ...]
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from exc
 
 
 def parse_run_config(path) -> RunConfig:
-    values = dict(_CONFIG_DEFAULTS)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = read_lines(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    values: dict[str, object] = {}
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
+        match = _CONFIG_LINE.fullmatch(line)
+        if not match:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value': {line!r}")
-        key = key.strip()
-        if key not in values:
+        key, text = match[1].strip(), match[2].strip()
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
-
-    try:
-        planner = PlannerParams(
-            action_set=tuple(
-                float(a) for a in values["action_set"].split(",") if a.strip()
-            ),
-            dt=_parse_float("dt", values["dt"]),
-            w1=_parse_float("w1", values["w1"]),
-            w2=_parse_float("w2", values["w2"]),
-            w3=_parse_float("w3", values["w3"]),
-            t_g=_parse_float("t_g", values["t_g"]),
-            abs_curvature=_parse_bool("abs_curvature", values["abs_curvature"]),
-        )
-        refinement = RefinementParams(
-            omega1=_parse_float("omega1", values["omega1"]),
-            omega2=_parse_float("omega2", values["omega2"]),
-            omega3=_parse_float("omega3", values["omega3"]),
-            dt_fine=_parse_float("dt_fine", values["dt_fine"]),
-            k=_parse_int("k", values["k"]),
-        )
-        max_slope = values["max_warp_slope"]
-        generation = GenerationConfig(
-            seed=_parse_int("seed", values["seed"]),
-            n_scenes=_parse_int("n_scenes", values["n_scenes"]),
-            output_dir=values["output_dir"],
-            augmented_fraction=_parse_float(
-                "augmented_fraction", values["augmented_fraction"]
-            ),
-            crop_radius=_parse_float("crop_radius", values["crop_radius"]),
-            v_d_range=(
-                _parse_float("v_d_min", values["v_d_min"]),
-                _parse_float("v_d_max", values["v_d_max"]),
-            ),
-            planner=planner,
-            refinement=refinement,
-            path_min_length=_parse_float("path_min_length", values["path_min_length"]),
-            path_spacing=_parse_float("path_spacing", values["path_spacing"]),
-            retry_budget=_parse_int("retry_budget", values["retry_budget"]),
-            max_warp_slope=(
-                None if max_slope.lower() == "none"
-                else _parse_float("max_warp_slope", max_slope)
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    map_files = tuple(f.strip() for f in values["map_files"].split(",") if f.strip())
-    echo = tuple(sorted(values.items()))
-    return RunConfig(
-        generation=generation,
-        map_files=map_files,
-        mask_ratio=_parse_float("mask_ratio", values["mask_ratio"]),
-        map_fraction=_parse_float("map_fraction", values["map_fraction"]),
-        speed_bin_width=_parse_float("speed_bin_width", values["speed_bin_width"]),
-        speed_max=_parse_float("speed_max", values["speed_max"]),
-        miss_threshold=_parse_float("miss_threshold", values["miss_threshold"]),
-        echo=echo,
-    )
+        vtype = _CONFIG_TYPES[key]
+        try:
+            values[key] = vtype.parse(text)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: {key}: expected {vtype.noun}, got {text!r}"
+            ) from exc
+    return RunConfig(GenerationConfig.from_keys(values), values.get("map_files", ()))
 
 
 def _scene_files(directory) -> list[Path]:
@@ -241,15 +130,15 @@ def cmd_generate(args) -> int:
     if not run.map_files:
         raise ConfigError("config key map_files must list at least one map")
     maps = [load_map(f) for f in run.map_files]
-    # the manifest already echoes every GenerationConfig key
-    echoed = {key for key, _ in run.generation.echo()}
     manifest = generate_dataset(
         maps,
         run.generation,
         workers=args.workers,
         log=print,
-        extra_config=[("workers", str(args.workers))]
-        + [(key, value) for key, value in run.echo if key not in echoed],
+        extra_config=[
+            ("map_files", _CONFIG_TYPES["map_files"].format(run.map_files)),
+            ("workers", str(args.workers)),
+        ],
     )
     print(
         f"generated {len(manifest.records)} scenes in {manifest.elapsed_s:.1f} s "
@@ -330,16 +219,14 @@ def cmd_validate(args) -> int:
     for path in files:
         try:
             scene = read_scene(path)
-            if scene_to_text(scene) != path.read_text(encoding="utf-8"):
+            if scene_to_text(scene).encode("utf-8") != path.read_bytes():
                 raise SceneSynthError("file bytes differ from canonical serialization")
         except SceneSynthError as exc:
             failures += 1
             print(f"FAIL {path}: {exc}", file=sys.stderr)
     manifest = Path(args.scenes) / "manifest.txt"
     if manifest.exists():
-        for lineno, line in enumerate(
-            manifest.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, line in enumerate(read_lines(manifest, ValidationError), start=1):
             if line.startswith("#") or not line.strip():
                 continue
             name, sep, rest = line.partition(",")
@@ -411,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=("map", "traj", "combined"))
     p.add_argument("--seed", required=True, type=_seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--map-fraction", type=float, default=0.7, dest="map_fraction")
-    p.add_argument("--mask-ratio", type=float, default=0.5, dest="mask_ratio")
+    p.add_argument("--map-fraction", type=float, default=pretrain.DEFAULT_MAP_FRACTION)
+    p.add_argument("--mask-ratio", type=float, default=pretrain.DEFAULT_MASK_RATIO)
     p.set_defaults(func=cmd_mask)
 
     p = sub.add_parser("stats", help="compare two scene directories")

@@ -164,8 +164,7 @@ def parse_map_lines(lines, path=None) -> SceneMap:
 
 def load_map(path) -> SceneMap:
     """Read a map file; raises MapFormatError / ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map_lines(fh, path=path)
+    return parse_map_lines(read_lines(path), path=path)
 
 
 def map_to_lines(m: SceneMap) -> list[str]:
@@ -185,6 +184,20 @@ def map_to_lines(m: SceneMap) -> list[str]:
 
 def save_map(m: SceneMap, path) -> None:
     write_text_atomic(path, "\n".join(map_to_lines(m)) + "\n")
+
+
+def read_lines(path, error=MapFormatError) -> list[str]:
+    """The lines of a UTF-8 text file without their newlines, as iterating
+    the open file gives them. Bytes that are not UTF-8 raise `error`, the
+    caller's SceneSynthError subclass, not UnicodeDecodeError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def write_text_atomic(path, text: str) -> None:

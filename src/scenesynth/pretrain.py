@@ -38,12 +38,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import MapFormatError, MaskingError
-from .maps import write_text_atomic
+from .maps import read_lines, write_text_atomic
 from .synthesis import Scene
 
 TRAJ_MODES = 6
@@ -230,15 +229,11 @@ def write_sample(sample: PretrainSample, path) -> None:
 def read_sample(path) -> PretrainSample:
     """Parse a sample file; raises MapFormatError, with the offending line
     number where there is one, on malformed input."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MapFormatError(f"not UTF-8 text: {exc}", path) from exc
     task = None
     header_ids = None
     rows: list[list[float]] = []
     target_pts: dict[int, list[tuple[float, float]]] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -26,10 +26,11 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .augment import apply_transform, sample_transform_params
+from .augment import MIN_WARP_SLOPE, apply_transform, sample_transform_params
 from .errors import (
     ConfigError,
     MapFormatError,
@@ -57,10 +58,86 @@ ACCEL_BOUNDS = (-5.0, 3.0)
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
 
+class ValueType(NamedTuple):
+    """How one config value reads from and writes back to config syntax."""
+
+    noun: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+INT = ValueType("an integer", int, str)
+FLOAT = ValueType("a number", float, repr)
+TEXT = ValueType("text", str, str)
+BOOL = ValueType("true or false", _parse_bool, lambda v: str(v).lower())
+FLOATS = ValueType(
+    "comma-separated numbers",
+    lambda text: tuple(float(a) for a in _parse_list(text)),
+    lambda v: ",".join(map(repr, v)),
+)
+PATHS = ValueType("comma-separated paths", lambda text: tuple(_parse_list(text)), ",".join)
+FLOAT_OR_NONE = ValueType(
+    "a number or none",
+    lambda text: None if text.lower() == "none" else float(text),
+    lambda v: "none" if v is None else repr(v),
+)
+
+# One row per config key, in manifest order: the key, the GenerationConfig
+# field it sets (dotted into `planner`, `refinement` and the `v_d_range`
+# pair) and its value type. Defaults are the dataclass field defaults.
+# `map_files` names the map files, which no GenerationConfig holds.
+CONFIG_KEYS: tuple[tuple[str, str | None, ValueType], ...] = (
+    ("seed", "seed", INT),
+    ("n_scenes", "n_scenes", INT),
+    ("output_dir", "output_dir", TEXT),
+    ("augmented_fraction", "augmented_fraction", FLOAT),
+    ("crop_radius", "crop_radius", FLOAT),
+    ("v_d_min", "v_d_range.0", FLOAT),
+    ("v_d_max", "v_d_range.1", FLOAT),
+    ("action_set", "planner.action_set", FLOATS),
+    ("dt", "planner.dt", FLOAT),
+    ("t_g", "planner.t_g", FLOAT),
+    ("w1", "planner.w1", FLOAT),
+    ("w2", "planner.w2", FLOAT),
+    ("w3", "planner.w3", FLOAT),
+    ("abs_curvature", "planner.abs_curvature", BOOL),
+    ("omega1", "refinement.omega1", FLOAT),
+    ("omega2", "refinement.omega2", FLOAT),
+    ("omega3", "refinement.omega3", FLOAT),
+    ("dt_fine", "refinement.dt_fine", FLOAT),
+    ("k", "refinement.k", INT),
+    ("path_min_length", "path_min_length", FLOAT),
+    ("path_spacing", "path_spacing", FLOAT),
+    ("retry_budget", "retry_budget", INT),
+    ("max_warp_slope", "max_warp_slope", FLOAT_OR_NONE),
+    ("map_files", None, PATHS),
+)
+
+
+def config_field(cfg: GenerationConfig, path: str):
+    """The value at a dotted CONFIG_KEYS field path."""
+    value = cfg
+    for part in path.split("."):
+        value = value[int(part)] if part.isdigit() else getattr(value, part)
+    return value
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
-    seed: int
-    n_scenes: int
+    seed: int = 0
+    n_scenes: int = 10
     output_dir: str = "out/scenes"
     augmented_fraction: float = 165.0 / 370.0
     crop_radius: float = 100.0
@@ -88,6 +165,11 @@ class GenerationConfig:
             raise ConfigError(f"invalid v_d_range {self.v_d_range}")
         if self.retry_budget < 0:
             raise ConfigError("retry_budget must be nonnegative")
+        if self.max_warp_slope is not None and not self.max_warp_slope >= MIN_WARP_SLOPE:
+            raise ConfigError(
+                f"max_warp_slope must be >= {MIN_WARP_SLOPE} or none, "
+                f"got {self.max_warp_slope}"
+            )
         if abs(self.refinement.dt_fine - SCENE_DT) > 1e-12:
             raise ConfigError(
                 f"refinement dt_fine must be {SCENE_DT} to emit 10 Hz scenes"
@@ -98,33 +180,36 @@ class GenerationConfig:
                 "planner horizon too short for a full 50-sample scene"
             )
 
+    @classmethod
+    def from_keys(cls, values: dict[str, object]) -> GenerationConfig:
+        """The config that sets each CONFIG_KEYS key in `values` to its
+        parsed value; every other field keeps its default."""
+        default = cls()
+        groups: dict[str, dict[str, object]] = {}
+        for key, path, _ in CONFIG_KEYS:
+            if path:
+                owner, _, name = path.rpartition(".")
+                value = values.get(key, config_field(default, path))
+                groups.setdefault(owner, {})[name] = value
+        try:
+            planner = PlannerParams(**groups["planner"])
+            refinement = RefinementParams(**groups["refinement"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        v_d = groups["v_d_range"]
+        return cls(
+            **groups[""], v_d_range=(v_d["0"], v_d["1"]), planner=planner,
+            refinement=refinement,
+        )
+
     def echo(self) -> list[tuple[str, str]]:
-        """Flat (key, value) view of every field, for manifest echoing."""
-        out = [
-            ("seed", str(self.seed)),
-            ("n_scenes", str(self.n_scenes)),
-            ("output_dir", str(self.output_dir)),
-            ("augmented_fraction", repr(self.augmented_fraction)),
-            ("crop_radius", repr(self.crop_radius)),
-            ("v_d_range", f"{self.v_d_range[0]!r},{self.v_d_range[1]!r}"),
-            ("action_set", ",".join(repr(a) for a in self.planner.action_set)),
-            ("dt", repr(self.planner.dt)),
-            ("t_g", repr(self.planner.t_g)),
-            ("w1", repr(self.planner.w1)),
-            ("w2", repr(self.planner.w2)),
-            ("w3", repr(self.planner.w3)),
-            ("abs_curvature", str(self.planner.abs_curvature).lower()),
-            ("omega1", repr(self.refinement.omega1)),
-            ("omega2", repr(self.refinement.omega2)),
-            ("omega3", repr(self.refinement.omega3)),
-            ("dt_fine", repr(self.refinement.dt_fine)),
-            ("k", str(self.refinement.k)),
-            ("path_min_length", repr(self.path_min_length)),
-            ("path_spacing", repr(self.path_spacing)),
-            ("retry_budget", str(self.retry_budget)),
-            ("max_warp_slope", repr(self.max_warp_slope)),
+        """(key, value) in config syntax for each CONFIG_KEYS field, for the
+        manifest; the lines read back through `cli.parse_run_config`."""
+        return [
+            (key, vtype.format(config_field(self, path)))
+            for key, path, vtype in CONFIG_KEYS
+            if path
         ]
-        return out
 
 
 @dataclass(frozen=True)
@@ -172,9 +257,13 @@ def validate_scene(scene: Scene) -> None:
     scene.map_crop.validate()
     if scene.map_crop.city != scene.city:
         raise ValidationError(f"scene {sid}: map city {scene.map_crop.city!r} mismatch")
-    cx = float(scene.metadata["crop_center_x"])
-    cy = float(scene.metadata["crop_center_y"])
-    radius = float(scene.metadata["crop_radius"])
+    try:
+        cx, cy, radius = (
+            float(scene.metadata[key])
+            for key in ("crop_center_x", "crop_center_y", "crop_radius")
+        )
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"scene {sid}: missing or bad crop metadata {exc}") from exc
     d = np.hypot(scene.trajectory[:, 0] - cx, scene.trajectory[:, 1] - cy)
     if d.max() > radius + 1e-6:
         raise ValidationError(f"scene {sid}: trajectory leaves the crop radius")
@@ -290,39 +379,37 @@ def read_scene(path) -> Scene:
     header_seen = False
     track_id = None
     city_col = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("# map: "):
-                map_lines.append(line[len("# map: "):])
-            elif line.startswith("#"):
-                body = line[1:].strip()
-                key, sep, value = body.partition(":")
-                if not sep:
-                    raise MapFormatError("metadata line without ':'", path, lineno)
-                metadata[key.strip()] = value.strip()
-            elif line == CSV_HEADER:
-                header_seen = True
-            else:
-                if not header_seen:
-                    raise MapFormatError("data row before column header", path, lineno)
-                fields = line.split(",")
-                if len(fields) != 6:
-                    raise MapFormatError(
-                        f"expected 6 columns, got {len(fields)}", path, lineno
-                    )
-                if fields[2] != "AGENT":
-                    raise MapFormatError(
-                        f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno
-                    )
-                try:
-                    rows.append((float(fields[0]), float(fields[3]), float(fields[4])))
-                except ValueError as exc:
-                    raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
-                track_id = fields[1]
-                city_col = fields[5]
+    for lineno, line in enumerate(maps_mod.read_lines(path), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("# map: "):
+            map_lines.append(line[len("# map: "):])
+        elif line.startswith("#"):
+            body = line[1:].strip()
+            key, sep, value = body.partition(":")
+            if not sep:
+                raise MapFormatError("metadata line without ':'", path, lineno)
+            metadata[key.strip()] = value.strip()
+        elif line == CSV_HEADER:
+            header_seen = True
+        else:
+            if not header_seen:
+                raise MapFormatError("data row before column header", path, lineno)
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise MapFormatError(
+                    f"expected 6 columns, got {len(fields)}", path, lineno
+                )
+            if fields[2] != "AGENT":
+                raise MapFormatError(
+                    f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno
+                )
+            try:
+                rows.append((float(fields[0]), float(fields[3]), float(fields[4])))
+            except ValueError as exc:
+                raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
+            track_id = fields[1]
+            city_col = fields[5]
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)
     if len(rows) != SCENE_SAMPLES:
@@ -432,19 +519,24 @@ def _pool_build(index):
     return _build_scene_record(maps, cfg, index)
 
 
-def _peek_record(out_dir: Path, index: int) -> SceneRecord | None:
-    """Recover manifest data from an already-written scene file."""
+def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
+    """Recover manifest data from an already-written scene file; a file made
+    with another seed raises ConfigError instead of joining this dataset."""
     path = out_dir / scene_filename(index)
     if not path.exists():
         return None
     meta: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#") or line.startswith("# map: "):
-                break
-            body = line[1:].strip()
-            key, _, value = body.partition(":")
-            meta[key.strip()] = value.strip()
+    for line in maps_mod.read_lines(path):
+        if not line.startswith("#") or line.startswith("# map: "):
+            break
+        key, _, value = line[1:].partition(":")
+        meta[key.strip()] = value.strip()
+    rng_key = meta.get("rng_key", "")
+    if rng_key.partition("/")[0] != str(seed):
+        raise ConfigError(
+            f"{path} has rng_key {rng_key!r}, not from seed {seed}; "
+            "use another output_dir or delete the old scenes"
+        )
     status = "augmented" if meta.get("augmented") == "true" else "original"
     return SceneRecord(
         index, path.name, status, meta.get("city", "-"),
@@ -455,15 +547,9 @@ def _peek_record(out_dir: Path, index: int) -> SceneRecord | None:
 def manifest_text(
     cfg: GenerationConfig,
     maps: list[SceneMap],
-    records: list[SceneRecord],
+    manifest: DatasetManifest,
     extra_config: list[tuple[str, str]] | None = None,
 ) -> str:
-    counts = {"original": 0, "augmented": 0, "skipped": 0}
-    per_city: dict[str, int] = {}
-    for rec in records:
-        counts[rec.status] += 1
-        if rec.status != "skipped":
-            per_city[rec.city] = per_city.get(rec.city, 0) + 1
     lines = ["# scenesynth dataset manifest"]
     for key, value in cfg.echo():
         lines.append(f"# config {key}: {value}")
@@ -472,12 +558,12 @@ def manifest_text(
     lines.append(
         "# maps: " + ";".join(f"{m.city}={len(m.lanes)}" for m in maps)
     )
-    lines.append(f"# count total: {len(records)}")
+    lines.append(f"# count total: {len(manifest.records)}")
     for key in ("original", "augmented", "skipped"):
-        lines.append(f"# count {key}: {counts[key]}")
-    for city in sorted(per_city):
-        lines.append(f"# count city {city}: {per_city[city]}")
-    for rec in records:
+        lines.append(f"# count {key}: {manifest.counts[key]}")
+    for city in sorted(manifest.per_city):
+        lines.append(f"# count city {city}: {manifest.per_city[city]}")
+    for rec in manifest.records:
         if rec.status == "skipped":
             lines.append(f"{rec.filename},skipped,-,-,{rec.reason}")
         else:
@@ -513,7 +599,7 @@ def generate_dataset(
     records: dict[int, SceneRecord] = {}
     todo: list[int] = []
     for index in range(cfg.n_scenes):
-        cached = _peek_record(out_dir, index)
+        cached = _peek_record(out_dir, index, cfg.seed)
         if cached is not None:
             records[index] = cached
         else:
@@ -534,15 +620,15 @@ def generate_dataset(
 
     ordered = [records[i] for i in range(cfg.n_scenes)]
     elapsed = time.perf_counter() - t0
-    manifest_path = out_dir / "manifest.txt"
-    write_text_atomic(manifest_path, manifest_text(cfg, maps, ordered, extra_config))
     counts = {"original": 0, "augmented": 0, "skipped": 0}
     per_city: dict[str, int] = {}
     for rec in ordered:
         counts[rec.status] += 1
         if rec.status != "skipped":
             per_city[rec.city] = per_city.get(rec.city, 0) + 1
-    return DatasetManifest(manifest_path, ordered, counts, per_city, elapsed)
+    manifest = DatasetManifest(out_dir / "manifest.txt", ordered, counts, per_city, elapsed)
+    write_text_atomic(manifest.path, manifest_text(cfg, maps, manifest, extra_config))
+    return manifest
 
 
 def _finish_record(rec: SceneRecord, out_dir: Path, log) -> None:

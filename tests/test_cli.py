@@ -1,14 +1,30 @@
+import os
+import re
+import runpy
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenesynth
+from scenesynth import cli
 from scenesynth.cli import main, parse_run_config
 from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.maps import LaneSegment, load_map, make_map, save_map
 from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
-from scenesynth.synthesis import read_scene, write_scene
+from scenesynth.synthesis import (
+    CONFIG_KEYS,
+    GenerationConfig,
+    config_field,
+    read_scene,
+    write_scene,
+)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -105,7 +121,7 @@ def test_generate_manifest_echoes_each_config_key_once(tmp_path, map_file):
     assert echoed["seed"] == "21"
     assert echoed["workers"] == "2"
     assert echoed["map_files"] == str(map_file)
-    assert echoed["mask_ratio"] == "0.5"
+    assert keys == [key for key, _, _ in CONFIG_KEYS] + ["workers"]
 
 
 def test_generate_unknown_config_key_exits_2(tmp_path, map_file, capsys):
@@ -311,8 +327,8 @@ def test_parse_run_config_defaults_and_echo(tmp_path, map_file):
     assert run.generation.seed == 21
     assert run.generation.planner.dt == 0.5
     assert run.generation.refinement.k == 5
-    assert run.map_fraction == 0.7
-    assert dict(run.echo)["n_scenes"] == "8"
+    assert run.generation.max_warp_slope is None
+    assert dict(run.generation.echo())["n_scenes"] == "8"
 
 
 def test_parse_run_config_rejects_garbage_line(tmp_path):
@@ -320,3 +336,126 @@ def test_parse_run_config_rejects_garbage_line(tmp_path):
     cfg.write_text("just some words\n")
     with pytest.raises(ConfigError):
         parse_run_config(cfg)
+
+
+def test_manifest_config_block_reads_back(tmp_path, map_file):
+    other = tmp_path / "pit.map"
+    save_map(generate_map_fixture("corridors", "PIT"), other)
+    cfg = write_cfg(
+        tmp_path, f"{map_file}, {other}", n_scenes=2, max_warp_slope=3.5,
+        abs_curvature="false", action_set="-2, -1, 0, 1", v_d_min=7,
+        retry_budget=3,
+    )
+    assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
+    lines = (tmp_path / "scenes" / "manifest.txt").read_text().splitlines()
+    block = [ln[len("# config "):] for ln in lines
+             if ln.startswith("# config ") and not ln.startswith("# config workers:")]
+    keys = [ln.partition(":")[0] for ln in block]
+    assert keys == [key for key, _, _ in CONFIG_KEYS]
+    echo = tmp_path / "echo.cfg"
+    echo.write_text("\n".join(block) + "\n")
+    run, back = parse_run_config(cfg), parse_run_config(echo)
+    assert back.generation == run.generation
+    assert back.map_files == run.map_files == (str(map_file), str(other))
+    assert run.generation.max_warp_slope == 3.5
+    assert run.generation.planner.action_set == (-2.0, -1.0, 0.0, 1.0)
+
+
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("# nothing set\n")
+    run = parse_run_config(cfg)
+    assert run.generation == GenerationConfig()
+    assert run.map_files == ()
+
+
+def test_docstring_lists_each_config_key_with_its_default():
+    rows = re.findall(r"^    (\w+) = ?(.*?)(?: {2,}.*)?$", cli.__doc__, flags=re.M)
+    default = GenerationConfig()
+    expected = [
+        (key, vtype.format(config_field(default, path) if path else ()))
+        for key, path, vtype in CONFIG_KEYS
+    ]
+    assert rows == expected
+    assert len(rows) == 24
+
+
+@pytest.mark.parametrize(
+    "key", ["mask_ratio", "map_fraction", "speed_bin_width", "speed_max",
+            "miss_threshold"],
+)
+def test_removed_config_keys_exit_2(tmp_path, map_file, key, capsys):
+    cfg = write_cfg(tmp_path, map_file, **{key: "0.5"})
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("action_set", "-1,fast"), ("dt", "x"), ("k", "1.5"),
+     ("abs_curvature", "maybe"), ("max_warp_slope", "steep")],
+)
+def test_config_parse_error_names_the_key(tmp_path, map_file, key, value, capsys):
+    cfg = write_cfg(tmp_path, map_file, **{key: value})
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected" in err and repr(value) in err
+
+
+def test_generate_warp_slope_cap_below_every_warp_exits_2(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, max_warp_slope=0.25, augmented_fraction=1.0)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "max_warp_slope must be >= 2.0" in capsys.readouterr().err
+
+
+def test_generate_refuses_to_resume_another_seed(tmp_path, map_file, capsys):
+    assert main(["generate", "--config", str(write_cfg(tmp_path, map_file, seed=1,
+                                                        n_scenes=3))]) == 0
+    kept = tmp_path / "scenes" / "scene_000000.csv"
+    before = (kept.read_bytes(), kept.stat().st_mtime_ns)
+    manifest = (tmp_path / "scenes" / "manifest.txt").read_bytes()
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, map_file, seed=2, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "rng_key '1/0/0'" in capsys.readouterr().err
+    assert (kept.read_bytes(), kept.stat().st_mtime_ns) == before
+    assert (tmp_path / "scenes" / "manifest.txt").read_bytes() == manifest
+
+
+@pytest.mark.parametrize(
+    "fault, command",
+    [("scene", "validate"), ("map", "augment-map"), ("config", "generate"),
+     ("crop_center_x", "validate")],
+)
+def test_malformed_input_exits_without_traceback(tmp_path, map_file, fault, command):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=1)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scene = tmp_path / "scenes" / "scene_000000.csv"
+    victim = {"scene": scene, "map": map_file, "config": cfg, "crop_center_x": scene}[fault]
+    if fault == "crop_center_x":
+        lines = victim.read_text().splitlines(keepends=True)
+        victim.write_text("".join(ln for ln in lines if not ln.startswith("# crop_center_x")))
+    else:
+        victim.write_bytes(victim.read_bytes() + b"\xff")
+    argv = {
+        "validate": ["--scenes", str(tmp_path / "scenes")],
+        "augment-map": ["--map", str(map_file), "--seed", "1",
+                        "--out", str(tmp_path / "a.map")],
+        "generate": ["--config", str(cfg)],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(scenesynth.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "scenesynth.cli", command] + argv,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
+
+
+def test_demo_pipeline_runs(tmp_path, monkeypatch, capsys):
+    script = REPO / "scripts" / "demo_pipeline.py"
+    monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path / "demo"), "4"])
+    runpy.run_path(str(script), run_name="__main__")
+    assert "demo complete" in capsys.readouterr().out
+    assert len(list((tmp_path / "demo" / "samples").glob("sample_*.txt"))) == 4

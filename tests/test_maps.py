@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenesynth.errors import MapFormatError, PathOverrunError, ValidationError
+from scenesynth.errors import (
+    MapFormatError,
+    PathOverrunError,
+    SceneSynthError,
+    ValidationError,
+)
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2, Polyline
 from scenesynth.maps import (
@@ -10,6 +17,7 @@ from scenesynth.maps import (
     build_reference_paths,
     load_map,
     make_map,
+    map_to_lines,
     parse_map_lines,
     project_to_path,
     save_map,
@@ -191,3 +199,21 @@ def test_xy_at_overrun_raises():
 def test_parse_map_lines_accepts_comments_and_blanks():
     m = parse_map_lines(["# hello", "", "lane L1", "pt 0 0", "pt 5 0"])
     assert list(m.lanes) == ["L1"]
+
+
+@given(
+    line=st.integers(0, 10_000),
+    cut=st.integers(0, 30),
+    junk=st.one_of(st.text(max_size=40), st.floats().map(repr)),
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_map_lines_fuzz_any_line_raises_only_scenesynth_errors(line, cut, junk):
+    """Any one line cut short and followed by arbitrary text."""
+    lines = map_to_lines(generate_map_fixture("chain3"))
+    i = line % len(lines)
+    lines[i] = lines[i][:cut] + junk
+    try:
+        m = parse_map_lines(lines)
+    except SceneSynthError:
+        return
+    m.validate()

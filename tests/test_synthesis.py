@@ -1,9 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenesynth.errors import ConfigError, MapFormatError, ValidationError
+from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2
 from scenesynth.maps import crop_map
@@ -149,6 +152,40 @@ def test_validate_scene_catches_crop_violation(demo_scene):
     )
     with pytest.raises(ValidationError, match="crop"):
         validate_scene(bad)
+
+
+@pytest.mark.parametrize("key", ["crop_center_x", "crop_center_y", "crop_radius"])
+@pytest.mark.parametrize("value", [None, "far"])
+def test_validate_scene_bad_crop_metadata_is_validation_error(demo_scene, key, value):
+    meta = dict(demo_scene.metadata)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    with pytest.raises(ValidationError, match=key if value is None else "far"):
+        validate_scene(replace(demo_scene, metadata=meta))
+
+
+@given(
+    line=st.integers(0, 10_000),
+    cut=st.integers(0, 80),
+    junk=st.one_of(st.text(max_size=40), st.floats().map(repr)),
+)
+@settings(max_examples=200, deadline=None)
+def test_read_scene_fuzz_any_line_raises_only_scenesynth_errors(
+    demo_scene, line, cut, junk, tmp_path_factory
+):
+    """Any one line cut short and followed by arbitrary text."""
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    i = line % len(lines)
+    lines[i] = lines[i][:cut] + junk
+    f = tmp_path_factory.mktemp("fuzz") / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        scene = read_scene(f)
+    except SceneSynthError:
+        return
+    assert scene.trajectory.shape == (SCENE_SAMPLES, 2)
 
 
 def test_crop_keeps_nearby_lanes_and_prunes_links(corridors_map):
