@@ -196,6 +196,8 @@ def write_histogram_table(h: Histogram, path) -> None:
 
 
 def read_histogram_table(path) -> Histogram:
+    """Read a `write_histogram_table` file. Each row must start at the
+    previous row's bin_hi, end above its own bin_lo, and count >= 0."""
     edges: list[float] = []
     counts: list[int] = []
     lines = read_lines(path, ValidationError)
@@ -204,16 +206,26 @@ def read_histogram_table(path) -> Histogram:
         raise ValidationError(f"{path}: unexpected header {header!r}")
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            lo, hi, c = line.strip().split(",")
-            if not edges:
-                edges.append(float(lo))
-            edges.append(float(hi))
-            counts.append(int(c))
+            lo_text, hi_text, c_text = line.strip().split(",")
+            lo, hi, c = float(lo_text), float(hi_text), int(c_text)
         except ValueError as exc:
             raise ValidationError(
                 f"{path}:{lineno}: bad row {line.strip()!r}, "
                 "expected 'bin_lo,bin_hi,count'"
             ) from exc
+        if edges and lo != edges[-1]:
+            raise ValidationError(
+                f"{path}:{lineno}: bin_lo {lo!r} is not the previous bin_hi {edges[-1]!r}"
+            )
+        if not lo < hi or c < 0:
+            raise ValidationError(
+                f"{path}:{lineno}: need bin_lo < bin_hi and count >= 0, "
+                f"got {line.strip()!r}"
+            )
+        if not edges:
+            edges.append(lo)
+        edges.append(hi)
+        counts.append(c)
     if not counts:
         return Histogram(np.zeros(0), np.zeros(0, dtype=int))
     return Histogram(np.array(edges), np.array(counts, dtype=int))

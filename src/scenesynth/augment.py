@@ -160,7 +160,8 @@ def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
     """Warp every lane of the map in the shared anchor frame.
 
     Points whose frame-local x stays below the onset b are copied
-    bit-identically; connectivity and point counts never change.
+    bit-identically, and a lane with no point past b is kept as the same
+    LaneSegment object; connectivity and point counts never change.
     """
     origin = np.array([p.frame.origin.x, p.frame.origin.y])
     lanes = []
@@ -176,11 +177,10 @@ def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
             )
             back = rotate(warped, p.frame.heading) + origin
             new_xy = np.where(touched[:, None], back, xy)
-        else:
-            new_xy = xy
-        lanes.append(
-            LaneSegment(lane.lane_id, Polyline(new_xy), lane.predecessors, lane.successors)
-        )
+            lane = LaneSegment(
+                lane.lane_id, Polyline(new_xy), lane.predecessors, lane.successors
+            )
+        lanes.append(lane)
     out = SceneMap(city=m.city, lanes={ln.lane_id: ln for ln in lanes})
     out.validate()
     return out

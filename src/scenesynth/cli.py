@@ -225,6 +225,7 @@ def cmd_validate(args) -> int:
             failures += 1
             print(f"FAIL {path}: {exc}", file=sys.stderr)
     manifest = Path(args.scenes) / "manifest.txt"
+    scene_names = {path.name for path in files}
     if manifest.exists():
         for lineno, line in enumerate(read_lines(manifest, ValidationError), start=1):
             if line.startswith("#") or not line.strip():
@@ -233,7 +234,7 @@ def cmd_validate(args) -> int:
             status = rest.partition(",")[0]
             if not sep:
                 problem = f"expected 'file,status,...', got {line!r}"
-            elif status != "skipped" and not (Path(args.scenes) / name).exists():
+            elif status != "skipped" and name not in scene_names:
                 problem = f"listed file {name} missing"
             else:
                 continue
@@ -274,6 +275,22 @@ def _seed(text: str) -> int:
     return value
 
 
+def _workers(text: str) -> int:
+    """argparse type of --workers: a pool needs at least one process."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type of --map-fraction and --mask-ratio: a number in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenesynth",
@@ -290,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a scene dataset from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("mask", help="emit masked-reconstruction samples")
@@ -298,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=("map", "traj", "combined"))
     p.add_argument("--seed", required=True, type=_seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--map-fraction", type=float, default=pretrain.DEFAULT_MAP_FRACTION)
-    p.add_argument("--mask-ratio", type=float, default=pretrain.DEFAULT_MASK_RATIO)
+    p.add_argument("--map-fraction", type=_fraction, default=pretrain.DEFAULT_MAP_FRACTION)
+    p.add_argument("--mask-ratio", type=_fraction, default=pretrain.DEFAULT_MASK_RATIO)
     p.set_defaults(func=cmd_mask)
 
     p = sub.add_parser("stats", help="compare two scene directories")

@@ -40,7 +40,7 @@ class Polyline:
     arc-length per point (cum_s[0] == 0).
     """
 
-    __slots__ = ("xy", "cum_s")
+    __slots__ = ("xy", "cum_s", "_pt_lines")
 
     def __init__(self, xy):
         arr = np.array(xy, dtype=float)
@@ -57,6 +57,7 @@ class Polyline:
         cum.setflags(write=False)
         self.xy = arr
         self.cum_s = cum
+        self._pt_lines = None
 
     @property
     def length(self) -> float:
@@ -71,6 +72,13 @@ class Polyline:
 
     def last_point(self) -> Point2:
         return Point2(float(self.xy[-1, 0]), float(self.xy[-1, 1]))
+
+    def pt_lines(self) -> tuple[str, ...]:
+        """One map-file `pt x y` line per point, 9 decimals each; formatted
+        on first use and kept, since the points never change."""
+        if self._pt_lines is None:
+            self._pt_lines = tuple(f"pt {x:.9f} {y:.9f}" for x, y in self.xy.tolist())
+        return self._pt_lines
 
     def point_at(self, s) -> np.ndarray:
         """Linear interpolation along the polyline at chord arc-length s."""

@@ -173,8 +173,7 @@ def map_to_lines(m: SceneMap) -> list[str]:
     for lane_id in m.sorted_ids():
         lane = m.lanes[lane_id]
         out.append(f"lane {lane_id}")
-        for x, y in lane.centerline.xy:
-            out.append(f"pt {x:.9f} {y:.9f}")
+        out.extend(lane.centerline.pt_lines())
         for p in sorted(lane.predecessors):
             out.append(f"pred {p}")
         for s in sorted(lane.successors):

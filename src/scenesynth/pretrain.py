@@ -118,6 +118,8 @@ def mask_map(
 ) -> PretrainSample:
     """Mask round(ratio * n_lanes) lane polylines uniformly at random
     (half rounds up); the trajectory stays visible."""
+    if not 0.0 <= ratio <= 1.0:
+        raise MaskingError(f"mask ratio must lie in [0, 1], got {ratio}")
     if rng is None:
         rng = np.random.default_rng()
     lane_ids = _polyline_ids(vectors, LANE)

@@ -10,14 +10,21 @@ and direct-factorizes the remaining banded positive-definite stationarity
 system (bandwidth 3 from the jerk stencil); the two multipliers follow in
 closed form from the eliminated stationarity rows. The constraints
 therefore hold exactly, not merely to solver precision.
+
+The quadratic form and its banded Cholesky factor depend only on the
+weights and the horizon, not on the plan or the initial state, so each
+is built once per (RefinementParams, horizon) and reused read-only by
+every later solve; a scene only forms its right-hand side and runs the
+two triangular solves.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from dataclasses import dataclass
+from functools import lru_cache
 
-from scipy.linalg import solveh_banded
+import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import RefinementError
 from .planner import CoarsePlan
@@ -83,6 +90,51 @@ class RefinementSystem:
     params: RefinementParams
 
 
+def _add_stencil_gram(Q: np.ndarray, coeffs: np.ndarray, weight: float, centers) -> None:
+    """Add weight * c c' at rows and columns i-1 .. i-2+len(c) for each i
+    in `centers`, in increasing i: each entry then sums its terms in the
+    order an entry-by-entry loop does, which keeps Q, and so the refined
+    trajectories, the same as that loop's to the last bit."""
+    block = weight * coeffs[:, None] * coeffs[None, :]
+    width = len(coeffs)
+    for i in centers:
+        Q[i - 1:i - 1 + width, i - 1:i - 1 + width] += block
+
+
+@lru_cache(maxsize=8)
+def _quadratic_form(p: RefinementParams, n: int) -> np.ndarray:
+    """The read-only (n+1, n+1) matrix Q of the objective x'Qx - 2 q'x +
+    const: the acceleration and jerk stencils' Gram matrices plus the
+    tracking weight on every k-th diagonal entry."""
+    dt = p.dt_fine
+    Q = np.zeros((n + 1, n + 1))
+    if p.omega1 > 0 and n >= 2:
+        c2 = np.array([1.0, -2.0, 1.0]) / (dt * dt)
+        _add_stencil_gram(Q, c2, p.omega1, range(1, n))
+    if p.omega2 > 0 and n >= 3:
+        c3 = np.array([-1.0, 3.0, -3.0, 1.0]) / (dt * dt * dt)
+        _add_stencil_gram(Q, c3, p.omega2, range(1, n - 1))
+    knot_index = np.arange(1, n // p.k + 1) * p.k
+    Q[knot_index, knot_index] += p.omega3
+    Q.setflags(write=False)
+    return Q
+
+
+@lru_cache(maxsize=8)
+def _banded_factor(p: RefinementParams, n: int) -> np.ndarray:
+    """Upper banded Cholesky factor of Q[2:, 2:], the system left once the
+    two constrained samples are eliminated; raises LinAlgError when that
+    system is singular."""
+    h = _quadratic_form(p, n)[2:, 2:]
+    bw = min(3, h.shape[0] - 1)
+    ab = np.zeros((bw + 1, h.shape[0]))
+    for offset in range(bw + 1):
+        ab[bw - offset, offset:] = np.diagonal(h, offset)
+    factor = cholesky_banded(ab)
+    factor.setflags(write=False)
+    return factor
+
+
 def build_refinement_system(
     coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
 ) -> RefinementSystem:
@@ -100,25 +152,9 @@ def build_refinement_system(
     dt = p.dt_fine
     grid_t = nodes[0].t + np.arange(n + 1) * dt
 
-    Q = np.zeros((n + 1, n + 1))
-    if p.omega1 > 0 and n >= 2:
-        c2 = np.array([1.0, -2.0, 1.0]) / (dt * dt)
-        for i in range(1, n):
-            cols = (i - 1, i, i + 1)
-            for a, ca in zip(cols, c2):
-                for bcol, cb in zip(cols, c2):
-                    Q[a, bcol] += p.omega1 * ca * cb
-    if p.omega2 > 0 and n >= 3:
-        c3 = np.array([-1.0, 3.0, -3.0, 1.0]) / (dt * dt * dt)
-        for i in range(1, n - 1):
-            cols = (i - 1, i, i + 1, i + 2)
-            for a, ca in zip(cols, c3):
-                for bcol, cb in zip(cols, c3):
-                    Q[a, bcol] += p.omega2 * ca * cb
     knot_index = np.arange(1, m_knots + 1) * p.k
     sc_knots = np.array([nodes[j].s for j in range(1, m_knots + 1)])
     q = np.zeros(n + 1)
-    Q[knot_index, knot_index] += p.omega3
     q[knot_index] += p.omega3 * sc_knots
     const = float(p.omega3 * np.dot(sc_knots, sc_knots))
 
@@ -127,7 +163,9 @@ def build_refinement_system(
     A[1, 0] = -1.0 / dt
     A[1, 1] = 1.0 / dt
     b = np.array([s0, v0])
-    return RefinementSystem(grid_t, Q, q, const, A, b, knot_index, sc_knots, p)
+    return RefinementSystem(
+        grid_t, _quadratic_form(p, n), q, const, A, b, knot_index, sc_knots, p
+    )
 
 
 def objective_value(x: np.ndarray, sys: RefinementSystem) -> float:
@@ -182,23 +220,21 @@ def _solve_eliminated(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
         h = sys.Q[2:, 2:]
         # D2 x_ref = D3 x_ref = 0 analytically, so only tracking remains
         rhs = np.zeros(n1 - 2)
-        for j, kj in enumerate(sys.knot_index):
-            if kj >= 2:
-                rhs[kj - 2] = p.omega3 * (sys.sc_knots[j] - x[kj])
-        bw = min(3, h.shape[0] - 1)
-        ab = np.zeros((bw + 1, h.shape[0]))
-        for offset in range(bw + 1):
-            ab[bw - offset, offset:] = np.diagonal(h, offset)
+        tracked = sys.knot_index >= 2
+        kj = sys.knot_index[tracked]
+        rhs[kj - 2] = p.omega3 * (sys.sc_knots[tracked] - x[kj])
         try:
-            u = solveh_banded(ab, rhs)
-            # two fixed polish steps against the dt^-6 stencil scaling
-            for _ in range(2):
-                u = u + solveh_banded(ab, rhs - h @ u)
+            factor = (_banded_factor(p, n1 - 1), False)
         except np.linalg.LinAlgError as exc:
             raise RefinementError(
                 "singular smoothing system; add acceleration or jerk weight, "
                 "or track every fine knot (k=1)"
             ) from exc
+        # a non-finite right-hand side gives a non-finite u, refused below
+        u = cho_solve_banded(factor, rhs, check_finite=False)
+        # two fixed polish steps against the dt^-6 stencil scaling
+        for _ in range(2):
+            u = u + cho_solve_banded(factor, rhs - h @ u, check_finite=False)
         if not np.isfinite(u).all():
             raise RefinementError("smoothing solve produced non-finite values")
         x[2:] += u

@@ -357,12 +357,13 @@ def generate_scene(
 
 def scene_to_text(scene: Scene) -> str:
     lines = [f"# {k}: {v}" for k, v in scene.metadata.items()]
-    lines.extend(f"# map: {ln}" for ln in map_to_lines(scene.map_crop))
+    lines.append("# map: " + "\n# map: ".join(map_to_lines(scene.map_crop)))
     lines.append(CSV_HEADER)
-    for t, (x, y) in zip(scene.timestamps, scene.trajectory):
-        lines.append(
-            f"{t:.1f},{scene.scene_id},AGENT,{x:.9f},{y:.9f},{scene.city}"
-        )
+    sid, city = scene.scene_id, scene.city
+    lines.extend(
+        f"{t:.1f},{sid},AGENT,{x:.9f},{y:.9f},{city}"
+        for t, (x, y) in zip(scene.timestamps.tolist(), scene.trajectory.tolist())
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from scipy.linalg import solveh_banded
+
 from scenesynth.errors import MaskingError, PathOverrunError, PlanningFailureError
 from scenesynth.geometry import Polyline
 from scenesynth.maps import _path_from_polyline
@@ -193,6 +195,75 @@ def reference_sample_text(
         seq = [v for v in vectors if v[1] == pid]
         points = [(v[2], v[3]) for v in seq] + [(seq[-1][4], seq[-1][5])]
         lines.extend(f"target,{pid},{x!r},{y!r}" for x, y in points)
+    return "\n".join(lines) + "\n"
+
+
+def reference_refine(coarse, p, v0, s0):
+    """Refined arc-lengths by the per-scene path `refine` replaced: the
+    dense Q assembled by a loop over every stencil entry, the banded
+    system re-extracted from it, and `solveh_banded` for the solve and
+    both polish steps. Returns the s values only; no checks."""
+    nodes = coarse.nodes
+    m_knots = len(nodes) - 2
+    n = m_knots * p.k
+    dt = p.dt_fine
+    Q = np.zeros((n + 1, n + 1))
+    if p.omega1 > 0 and n >= 2:
+        c2 = np.array([1.0, -2.0, 1.0]) / (dt * dt)
+        for i in range(1, n):
+            cols = (i - 1, i, i + 1)
+            for a, ca in zip(cols, c2):
+                for bcol, cb in zip(cols, c2):
+                    Q[a, bcol] += p.omega1 * ca * cb
+    if p.omega2 > 0 and n >= 3:
+        c3 = np.array([-1.0, 3.0, -3.0, 1.0]) / (dt * dt * dt)
+        for i in range(1, n - 1):
+            cols = (i - 1, i, i + 1, i + 2)
+            for a, ca in zip(cols, c3):
+                for bcol, cb in zip(cols, c3):
+                    Q[a, bcol] += p.omega2 * ca * cb
+    knot_index = np.arange(1, m_knots + 1) * p.k
+    sc_knots = np.array([nodes[j].s for j in range(1, m_knots + 1)])
+    Q[knot_index, knot_index] += p.omega3
+
+    n1 = n + 1
+    x = s0 + np.arange(n1) * (v0 * dt)
+    x[0] = s0
+    if n1 > 2:
+        h = Q[2:, 2:]
+        rhs = np.zeros(n1 - 2)
+        for j, kj in enumerate(knot_index):
+            if kj >= 2:
+                rhs[kj - 2] = p.omega3 * (sc_knots[j] - x[kj])
+        bw = min(3, h.shape[0] - 1)
+        ab = np.zeros((bw + 1, h.shape[0]))
+        for offset in range(bw + 1):
+            ab[bw - offset, offset:] = np.diagonal(h, offset)
+        u = solveh_banded(ab, rhs)
+        for _ in range(2):
+            u = u + solveh_banded(ab, rhs - h @ u)
+        x[2:] += u
+    return x
+
+
+def reference_scene_text(scene) -> str:
+    """Scene file text formatted one numpy scalar at a time, by the path
+    that per-lane cached `pt` lines and `.tolist()` rows replaced."""
+    lines = [f"# {k}: {v}" for k, v in scene.metadata.items()]
+    crop = scene.map_crop
+    lines.append(f"# map: city {crop.city}")
+    for lane_id in crop.sorted_ids():
+        lane = crop.lanes[lane_id]
+        lines.append(f"# map: lane {lane_id}")
+        for x, y in lane.centerline.xy:
+            lines.append(f"# map: pt {x:.9f} {y:.9f}")
+        for pred in sorted(lane.predecessors):
+            lines.append(f"# map: pred {pred}")
+        for succ in sorted(lane.successors):
+            lines.append(f"# map: succ {succ}")
+    lines.append("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME")
+    for t, (x, y) in zip(scene.timestamps, scene.trajectory):
+        lines.append(f"{t:.1f},{scene.scene_id},AGENT,{x:.9f},{y:.9f},{scene.city}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ from scenesynth.analysis import (
     write_endpoint_cloud,
     write_histogram_table,
 )
-from scenesynth.errors import ValidationError
+from scenesynth.errors import SceneSynthError, ValidationError
 from scenesynth.synthesis import Scene
 
 
@@ -244,6 +244,42 @@ def test_histogram_table_bad_row_names_line(tmp_path, row):
     f.write_text(f"bin_lo,bin_hi,count\n0.0,0.5,3\n{row}\n")
     with pytest.raises(ValidationError, match=r"bad\.csv:3:"):
         read_histogram_table(f)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [("0.6,1.0,2", "not the previous bin_hi"), ("0.5,0.5,2", "bin_lo < bin_hi"),
+     ("0.5,nan,2", "bin_lo < bin_hi"), ("0.5,1.0,-2", "count >= 0")],
+)
+def test_histogram_table_refuses_row_that_is_no_bin(tmp_path, row, problem):
+    f = tmp_path / "bad.csv"
+    f.write_text(f"bin_lo,bin_hi,count\n0.0,0.5,3\n{row}\n")
+    with pytest.raises(ValidationError, match=problem):
+        read_histogram_table(f)
+
+
+@given(
+    line=st.integers(0, 10_000),
+    cut=st.integers(0, 30),
+    junk=st.one_of(st.text(max_size=40), st.floats().map(repr)),
+)
+@settings(max_examples=200, deadline=None)
+def test_read_histogram_table_fuzz_any_line_raises_only_scenesynth_errors(
+    line, cut, junk, tmp_path_factory
+):
+    """Any one line cut short and followed by arbitrary text."""
+    f = tmp_path_factory.mktemp("fuzz") / "hist.csv"
+    write_histogram_table(Histogram(speed_histogram_edges()[:6], np.arange(5)), f)
+    lines = f.read_text().rstrip("\n").split("\n")
+    i = line % len(lines)
+    lines[i] = lines[i][:cut] + junk
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        h = read_histogram_table(f)
+    except SceneSynthError:
+        return
+    assert h.edges.size == h.counts.size + 1 or h.counts.size == 0
+    assert (np.diff(h.edges) > 0).all() and (h.counts >= 0).all()
 
 
 def test_endpoint_cloud_roundtrip(tmp_path):

@@ -142,6 +142,15 @@ def test_apply_transform_identity_when_all_before_onset():
         )
 
 
+def test_apply_transform_keeps_the_polyline_of_a_lane_before_onset():
+    before = LaneSegment("A", Polyline([(0.0, 5.0), (9.0, 5.0)]))
+    across = LaneSegment("B", Polyline([(0.0, 0.0), (9.0, 0.0), (30.0, 0.0)]))
+    m = make_map("MIA", [before, across])
+    out = apply_transform(m, single())
+    assert out.lanes["A"].centerline is before.centerline
+    assert out.lanes["B"].centerline is not across.centerline
+
+
 def test_apply_transform_straight_lane_offsets_match_profile():
     lane = LaneSegment("L", Polyline([(float(x), 0.0) for x in range(0, 61, 2)]))
     m = make_map("MIA", [lane])

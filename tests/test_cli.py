@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import runpy
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenesynth
 from scenesynth import cli
@@ -20,6 +24,7 @@ from scenesynth.synthesis import (
     CONFIG_KEYS,
     GenerationConfig,
     config_field,
+    generate_dataset,
     read_scene,
     write_scene,
 )
@@ -174,6 +179,40 @@ def test_validate_reports_manifest_line_without_comma(tmp_path, map_file, capsys
     assert err.count("FAIL ") == 1
 
 
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_dataset")
+    cfg = GenerationConfig(seed=4, n_scenes=2, output_dir=str(out))
+    generate_dataset([generate_map_fixture("corridors", "MIA")], cfg)
+    return out
+
+
+@given(
+    line=st.integers(0, 10_000),
+    cut=st.integers(0, 60),
+    junk=st.one_of(
+        st.text(max_size=40), st.sampled_from([",", ",skipped", "\xff", "x" * 300])
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_validate_fuzz_manifest_line_fails_without_traceback(
+    small_dataset, line, cut, junk, tmp_path_factory
+):
+    """Any one manifest line cut short and followed by arbitrary text."""
+    scenes = tmp_path_factory.mktemp("fuzz")
+    for f in small_dataset.iterdir():
+        (scenes / f.name).write_bytes(f.read_bytes())
+    lines = (small_dataset / "manifest.txt").read_text().rstrip("\n").split("\n")
+    i = line % len(lines)
+    lines[i] = lines[i][:cut] + junk
+    (scenes / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["validate", "--scenes", str(scenes)])
+    assert code in (0, 1)
+    assert (code == 1) == ("FAIL " in err.getvalue())
+
+
 def test_validate_empty_dir_exits_1(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -288,6 +327,28 @@ def test_mask_rejects_non_numeric_scene_id(tmp_path, map_file, capsys):
          "--seed", "1", "--out", str(tmp_path / "out")]
     ) == 1
     assert "scene id 'abc' is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--mask-ratio", "--map-fraction"])
+@pytest.mark.parametrize("value", ["1.5", "-1", "nan", "7"])
+def test_mask_fraction_flags_outside_unit_interval_exit_2(tmp_path, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["mask", "--scenes", str(tmp_path), "--task", "combined", "--seed", "1",
+             "--out", str(tmp_path / "out"), flag, value]
+        )
+    assert exc.value.code == 2
+    assert "must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_generate_workers_below_one_exit_2(tmp_path, map_file, workers, capsys):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=1)
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--config", str(cfg), "--workers", workers])
+    assert exc.value.code == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
 
 
 def test_mask_empty_dir_exits_1(tmp_path, capsys):

@@ -154,6 +154,12 @@ def test_mask_map_needs_two_lanes():
         mask_map(vectorize_scene(toy_scene(1)), 0.5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("ratio", [1.5, -1.0, float("nan")])
+def test_mask_map_refuses_ratio_outside_unit_interval(ratio):
+    with pytest.raises(MaskingError, match="mask ratio"):
+        mask_map(vectorize_scene(toy_scene(4)), ratio, np.random.default_rng(0))
+
+
 def test_mask_map_placeholder_first_points_bit_exact():
     scene = toy_scene(6)
     sample = mask_map(vectorize_scene(scene), 0.5, np.random.default_rng(3))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from scenesynth.errors import RefinementError
-from scenesynth.planner import CoarsePlan, PlannerNode, expand
+from oracles import reference_refine
+from scenesynth import synthesis
+from scenesynth.errors import RefinementError, SceneSynthError
+from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams, expand
 from scenesynth.refine import (
     RefinementParams,
     accel_of,
@@ -211,7 +213,71 @@ def test_refined_accel_jerk_match_stencils():
     assert np.abs(traj.jerk - jerk_of(traj.s_values, 0.1)).max() < 1e-9
 
 
+@pytest.mark.parametrize("v0", [float("nan"), float("inf")])
+def test_non_finite_initial_speed_is_refinement_error(v0):
+    plan = make_plan([0.0] * 11)
+    with np.errstate(invalid="ignore"), pytest.raises(RefinementError, match="non-finite"):
+        refine_trajectory(plan, RefinementParams(), v0=v0, s0=0.0)
+
+
 def test_too_short_plan_rejected():
     plan = make_plan([0.0])
     with pytest.raises(RefinementError, match="too short"):
         refine_trajectory(plan, RefinementParams(), 10.0, 0.0)
+
+
+def captured_refinements(corridors_map, monkeypatch, cfg, count):
+    """(plan, v0, s0) of the first `count` refinements `generate_scene`
+    asks for under `cfg`."""
+    calls = []
+
+    def record(plan, p, v0, s0):
+        calls.append((plan, v0, s0))
+        return refine_trajectory(plan, p, v0=v0, s0=s0)
+
+    monkeypatch.setattr(synthesis, "refine_trajectory", record)
+    index = 0
+    while len(calls) < count:
+        try:
+            synthesis.generate_scene(
+                corridors_map, np.random.default_rng([44, index]), cfg
+            )
+        except SceneSynthError:
+            pass
+        index += 1
+    monkeypatch.undo()
+    return calls[:count]
+
+
+# the default weights, no acceleration weight, one fine step per coarse step
+REFINE_PARAMS = [
+    RefinementParams(),
+    RefinementParams(omega1=0.0),
+    RefinementParams(dt_fine=0.5, k=1),
+]
+
+
+@pytest.mark.parametrize(
+    "fraction, t_g, count",
+    [(165.0 / 370.0, 5.0, 160), (1.0, 5.0, 160), (165.0 / 370.0, 7.0, 40)],
+)
+def test_refine_matches_reference_on_generated_plans(
+    corridors_map, monkeypatch, fraction, t_g, count
+):
+    cfg = synthesis.GenerationConfig(
+        output_dir="unused", augmented_fraction=fraction,
+        planner=PlannerParams(t_g=t_g),
+    )
+    for plan, v0, s0 in captured_refinements(corridors_map, monkeypatch, cfg, count):
+        for p in REFINE_PARAMS:
+            got = refine_trajectory(plan, p, v0=v0, s0=s0).s_values
+            assert np.array_equal(got, reference_refine(plan, p, v0, s0))
+
+
+def test_cached_quadratic_form_refuses_writes():
+    plan = make_plan([0.0] * 11)
+    sys = build_refinement_system(plan, RefinementParams(), v0=10.0, s0=0.0)
+    again = build_refinement_system(plan, RefinementParams(), v0=4.0, s0=7.0)
+    assert again.Q is sys.Q
+    with pytest.raises(ValueError, match="read-only"):
+        sys.Q[3, 3] = 0.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_scene_text
 from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2
@@ -186,6 +187,23 @@ def test_read_scene_fuzz_any_line_raises_only_scenesynth_errors(
     except SceneSynthError:
         return
     assert scene.trajectory.shape == (SCENE_SAMPLES, 2)
+
+
+@pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
+def test_scene_text_matches_reference(corridors_map, fraction):
+    cfg = GenerationConfig(output_dir="unused", augmented_fraction=fraction)
+    texts = 0
+    index = 0
+    while texts < 200:
+        index += 1
+        try:
+            scene = generate_scene(corridors_map, np.random.default_rng([8, index]), cfg)
+        except SceneSynthError:
+            continue
+        # twice: the second pass reads the pt lines kept on each Polyline
+        assert scene_to_text(scene) == reference_scene_text(scene)
+        assert scene_to_text(scene) == reference_scene_text(scene)
+        texts += 1
 
 
 def test_crop_keeps_nearby_lanes_and_prunes_links(corridors_map):
