@@ -98,67 +98,95 @@ def make_map(city: str, lanes: list[LaneSegment]) -> SceneMap:
     return m
 
 
-def parse_map_lines(lines, path=None) -> SceneMap:
-    """Parse the map schema from an iterable of text lines."""
-    city = "UNKNOWN"
-    lanes: list[LaneSegment] = []
-    cur_id = None
-    cur_pts: list[tuple[float, float]] = []
-    cur_succ: list[str] = []
-    cur_pred: list[str] = []
+def _line_fault(fields: list[str], in_lane: bool) -> str:
+    """Why a non-blank, non-comment map line is malformed."""
+    tag = fields[0]
+    if tag == "city":
+        return "city line needs one label"
+    if tag == "lane":
+        return "lane line needs one id"
+    if tag in ("pt", "succ", "pred"):
+        if not in_lane:
+            return f"{tag} before any lane header"
+        return "pt line needs two coordinates" if tag == "pt" else f"{tag} line needs one id"
+    return f"unknown directive {tag!r}"
 
-    def flush(lineno):
-        if cur_id is None:
-            return
-        if len(cur_pts) < 2:
+
+def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
+    """Parse the map schema from a list of text lines.
+
+    `line_numbers[i]` is the file line of `lines[i]` (default `i + 1`).
+    A MapFormatError names the line at fault; a lane with too few,
+    coincident or non-finite points names its `lane` line. Faults are
+    raised in the order a line-by-line reader meets them: a lane is
+    checked once the next `lane` line (or the end) closes it.
+
+    One pass splits each line once; the `pt` coordinates of every lane
+    then convert in one call and the lanes are cut out by row.
+    """
+    if line_numbers is None:
+        line_numbers = range(1, len(lines) + 1)
+    city = "UNKNOWN"
+    heads: list[tuple[str, int, int]] = []  # lane id, index in lines, first pt row
+    links: list[tuple[list[str], list[str]]] = []  # (pred, succ) ids per lane
+    coords: list[str] = []  # "pt", x, y of every pt line
+    pt_at: list[int] = []  # index in lines of every pt line
+    fault = None  # (index in lines, message) of the first malformed line
+    for i, line in enumerate(lines):
+        fields = line.split()
+        n = len(fields)
+        if n == 3 and fields[0] == "pt" and heads:
+            coords += fields
+            pt_at.append(i)
+            continue
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag[0] == "#":
+            continue
+        if tag == "lane" and n == 2:
+            heads.append((fields[1], i, len(pt_at)))
+            links.append(([], []))
+        elif (tag == "succ" or tag == "pred") and n == 2 and heads:
+            links[-1][tag == "succ"].append(fields[1])
+        elif tag == "city" and n == 2:
+            city = fields[1]
+        else:
+            fault = (i, _line_fault(fields, bool(heads)))
+            break
+    del coords[::3]
+    try:
+        xy = np.array(coords, float).reshape(-1, 2)
+    except ValueError:
+        for k, token in enumerate(coords):
+            try:
+                float(token)
+            except ValueError:
+                break
+        i = pt_at[k // 2]
+        fault = (i, f"bad coordinate: {lines[i].strip()}")
+        xy = np.array(coords[: k - k % 2], float).reshape(-1, 2)
+
+    # a lane is closed by the next lane line before the fault, or by the end
+    stop = len(lines) if fault is None else fault[0]
+    ends = [first for _, i, first in heads[1:] if i < stop]
+    if fault is None and heads:
+        ends.append(len(pt_at))
+    lanes: list[LaneSegment] = []
+    for (lane_id, i, first), end, (pred, succ) in zip(heads, ends, links):
+        if end - first < 2:
             raise MapFormatError(
-                f"lane {cur_id!r} has {len(cur_pts)} points, need at least 2",
+                f"lane {lane_id!r} has {end - first} points, need at least 2",
                 path,
-                lineno,
+                line_numbers[i],
             )
         try:
-            poly = Polyline(cur_pts)
+            poly = Polyline(xy[first:end])
         except ValueError as exc:
-            raise MapFormatError(f"lane {cur_id!r}: {exc}", path, lineno) from exc
-        lanes.append(
-            LaneSegment(cur_id, poly, tuple(cur_pred), tuple(cur_succ))
-        )
-
-    lineno = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "city":
-            if len(fields) != 2:
-                raise MapFormatError("city line needs one label", path, lineno)
-            city = fields[1]
-        elif tag == "lane":
-            if len(fields) != 2:
-                raise MapFormatError("lane line needs one id", path, lineno)
-            flush(lineno)
-            cur_id = fields[1]
-            cur_pts, cur_succ, cur_pred = [], [], []
-        elif tag == "pt":
-            if cur_id is None:
-                raise MapFormatError("pt before any lane header", path, lineno)
-            if len(fields) != 3:
-                raise MapFormatError("pt line needs two coordinates", path, lineno)
-            try:
-                cur_pts.append((float(fields[1]), float(fields[2])))
-            except ValueError as exc:
-                raise MapFormatError(f"bad coordinate: {line}", path, lineno) from exc
-        elif tag in ("succ", "pred"):
-            if cur_id is None:
-                raise MapFormatError(f"{tag} before any lane header", path, lineno)
-            if len(fields) != 2:
-                raise MapFormatError(f"{tag} line needs one id", path, lineno)
-            (cur_succ if tag == "succ" else cur_pred).append(fields[1])
-        else:
-            raise MapFormatError(f"unknown directive {tag!r}", path, lineno)
-    flush(lineno + 1)
+            raise MapFormatError(f"lane {lane_id!r}: {exc}", path, line_numbers[i]) from exc
+        lanes.append(LaneSegment(lane_id, poly, tuple(pred), tuple(succ)))
+    if fault is not None:
+        raise MapFormatError(fault[1], path, line_numbers[fault[0]])
     return make_map(city, lanes)
 
 

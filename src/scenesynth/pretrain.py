@@ -117,7 +117,8 @@ def mask_map(
     rng: np.random.Generator | None = None,
 ) -> PretrainSample:
     """Mask round(ratio * n_lanes) lane polylines uniformly at random
-    (half rounds up); the trajectory stays visible."""
+    (half rounds up), and at least one, so that every sample has a
+    target; the trajectory stays visible."""
     if not 0.0 <= ratio <= 1.0:
         raise MaskingError(f"mask ratio must lie in [0, 1], got {ratio}")
     if rng is None:
@@ -125,7 +126,7 @@ def mask_map(
     lane_ids = _polyline_ids(vectors, LANE)
     if len(lane_ids) < 2:
         raise MaskingError(f"map masking needs >= 2 lanes, got {len(lane_ids)}")
-    n_mask = int(math.floor(ratio * len(lane_ids) + 0.5))
+    n_mask = max(1, int(math.floor(ratio * len(lane_ids) + 0.5)))
     chosen = rng.choice(lane_ids, size=n_mask, replace=False)
     return _split(vectors, chosen.tolist(), ReconTask.MAP)
 

@@ -371,61 +371,87 @@ def write_scene(scene: Scene, path) -> None:
     write_text_atomic(path, scene_to_text(scene))
 
 
+def _trajectory_table(rows: list[str], row_lines: list[int], path) -> np.ndarray:
+    """The (n, 3) TIMESTAMP, X, Y values of CSV rows, converted in one
+    call; MapFormatError names the first row at fault."""
+    n = len(rows)
+    tokens = ",".join(rows).split(",") if rows else []
+    if [row.count(",") for row in rows] == [5] * n and tokens[2::6] == ["AGENT"] * n:
+        try:
+            return np.array([tokens[0::6], tokens[3::6], tokens[4::6]], float).T.copy()
+        except ValueError:
+            pass
+    for row, lineno in zip(rows, row_lines):
+        fields = row.split(",")
+        if len(fields) != 6:
+            raise MapFormatError(f"expected 6 columns, got {len(fields)}", path, lineno)
+        if fields[2] != "AGENT":
+            raise MapFormatError(
+                f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno
+            )
+        try:
+            float(fields[0]), float(fields[3]), float(fields[4])
+        except ValueError as exc:
+            raise MapFormatError(f"bad numeric field: {row}", path, lineno) from exc
+    raise AssertionError("rows that pass every per-row check did not convert")
+
+
 def read_scene(path) -> Scene:
-    """Parse and validate a scene file; raises MapFormatError with the
-    offending line number on malformed input."""
+    """Parse and validate a scene file. Malformed input raises
+    MapFormatError naming the file line at fault, or ValidationError.
+
+    One pass sorts the lines by prefix into metadata, map lines and
+    trajectory rows, keeping each line's number; the map block and the
+    rows then convert their numbers in one call each. Faults are raised
+    in the order a line-by-line reader meets them, map faults after the
+    metadata and row checks.
+    """
     metadata: dict[str, str] = {}
     map_lines: list[str] = []
-    rows: list[tuple[float, float, float]] = []
+    map_at: list[int] = []  # file line of each map line
+    rows: list[str] = []
+    row_at: list[int] = []  # file line of each row
     header_seen = False
-    track_id = None
-    city_col = None
+    fault = None  # (file line, message) of the first malformed line
     for lineno, line in enumerate(maps_mod.read_lines(path), start=1):
-        if not line.strip():
-            continue
         if line.startswith("# map: "):
-            map_lines.append(line[len("# map: "):])
+            map_lines.append(line[7:])
+            map_at.append(lineno)
         elif line.startswith("#"):
-            body = line[1:].strip()
-            key, sep, value = body.partition(":")
+            key, sep, value = line[1:].strip().partition(":")
             if not sep:
-                raise MapFormatError("metadata line without ':'", path, lineno)
+                fault = (lineno, "metadata line without ':'")
+                break
             metadata[key.strip()] = value.strip()
         elif line == CSV_HEADER:
             header_seen = True
+        elif not line.strip():
+            continue
+        elif header_seen:
+            rows.append(line)
+            row_at.append(lineno)
         else:
-            if not header_seen:
-                raise MapFormatError("data row before column header", path, lineno)
-            fields = line.split(",")
-            if len(fields) != 6:
-                raise MapFormatError(
-                    f"expected 6 columns, got {len(fields)}", path, lineno
-                )
-            if fields[2] != "AGENT":
-                raise MapFormatError(
-                    f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno
-                )
-            try:
-                rows.append((float(fields[0]), float(fields[3]), float(fields[4])))
-            except ValueError as exc:
-                raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
-            track_id = fields[1]
-            city_col = fields[5]
+            fault = (lineno, "data row before column header")
+            break
+    # every row read lies before the fault, so a bad row is met first
+    table = _trajectory_table(rows, row_at, path)
+    if fault is not None:
+        raise MapFormatError(fault[1], path, fault[0])
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)
     if len(rows) != SCENE_SAMPLES:
         raise ValidationError(
             f"{path}: {len(rows)} trajectory rows, expected {SCENE_SAMPLES}"
         )
-    if track_id != metadata["scene_id"] or city_col != metadata["city"]:
+    last = rows[-1].split(",")
+    if last[1] != metadata["scene_id"] or last[5] != metadata["city"]:
         raise ValidationError(f"{path}: row identity differs from metadata")
-    arr = np.array(rows)
     scene = Scene(
         scene_id=metadata["scene_id"],
         city=metadata["city"],
-        map_crop=parse_map_lines(map_lines, path=path),
-        timestamps=arr[:, 0],
-        trajectory=arr[:, 1:3],
+        map_crop=parse_map_lines(map_lines, path=path, line_numbers=map_at),
+        timestamps=table[:, 0],
+        trajectory=table[:, 1:3],
         metadata=metadata,
     )
     validate_scene(scene)

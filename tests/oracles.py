@@ -10,13 +10,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
+import pytest
 from scipy.linalg import solveh_banded
 
-from scenesynth.errors import MaskingError, PathOverrunError, PlanningFailureError
+from scenesynth.errors import (
+    MapFormatError,
+    MaskingError,
+    PathOverrunError,
+    PlanningFailureError,
+    SceneSynthError,
+    ValidationError,
+)
 from scenesynth.geometry import Polyline
-from scenesynth.maps import _path_from_polyline
+from scenesynth.maps import LaneSegment, SceneMap, _path_from_polyline, make_map, read_lines
 from scenesynth.planner import CoarsePlan, expand, transition_cost
+from scenesynth.synthesis import CSV_HEADER, SCENE_SAMPLES, Scene, validate_scene
 
 
 def binomial_band(n: int, p: float, z: float = 2.5758293035489004):
@@ -175,7 +183,7 @@ def reference_sample_text(
     if use_map:
         if len(lane_ids) < 2:
             raise MaskingError(f"map masking needs >= 2 lanes, got {len(lane_ids)}")
-        n_mask = int(math.floor(mask_ratio * len(lane_ids) + 0.5))
+        n_mask = max(1, int(math.floor(mask_ratio * len(lane_ids) + 0.5)))
         masked = sorted(int(i) for i in rng.choice(lane_ids, size=n_mask, replace=False))
         task_name = "map_recon"
     else:
@@ -267,6 +275,139 @@ def reference_scene_text(scene) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
+    """The map schema parsed one line at a time, one `strip`/`split`/`float`
+    per line, by the loop that the batched `maps.parse_map_lines` replaced.
+    Faults name `line_numbers[i]` (default `i + 1`); a lane-level fault
+    names the lane's own `lane` line."""
+    if line_numbers is None:
+        line_numbers = range(1, len(lines) + 1)
+    city = "UNKNOWN"
+    lanes: list[LaneSegment] = []
+    cur_id = None
+    cur_line = None
+    cur_pts: list[tuple[float, float]] = []
+    cur_succ: list[str] = []
+    cur_pred: list[str] = []
+
+    def flush():
+        if cur_id is None:
+            return
+        if len(cur_pts) < 2:
+            raise MapFormatError(
+                f"lane {cur_id!r} has {len(cur_pts)} points, need at least 2",
+                path,
+                cur_line,
+            )
+        try:
+            poly = Polyline(cur_pts)
+        except ValueError as exc:
+            raise MapFormatError(f"lane {cur_id!r}: {exc}", path, cur_line) from exc
+        lanes.append(
+            LaneSegment(cur_id, poly, tuple(cur_pred), tuple(cur_succ))
+        )
+
+    for lineno, raw in zip(line_numbers, lines):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "city":
+            if len(fields) != 2:
+                raise MapFormatError("city line needs one label", path, lineno)
+            city = fields[1]
+        elif tag == "lane":
+            if len(fields) != 2:
+                raise MapFormatError("lane line needs one id", path, lineno)
+            flush()
+            cur_id = fields[1]
+            cur_line = lineno
+            cur_pts, cur_succ, cur_pred = [], [], []
+        elif tag == "pt":
+            if cur_id is None:
+                raise MapFormatError("pt before any lane header", path, lineno)
+            if len(fields) != 3:
+                raise MapFormatError("pt line needs two coordinates", path, lineno)
+            try:
+                cur_pts.append((float(fields[1]), float(fields[2])))
+            except ValueError as exc:
+                raise MapFormatError(f"bad coordinate: {line}", path, lineno) from exc
+        elif tag in ("succ", "pred"):
+            if cur_id is None:
+                raise MapFormatError(f"{tag} before any lane header", path, lineno)
+            if len(fields) != 2:
+                raise MapFormatError(f"{tag} line needs one id", path, lineno)
+            (cur_succ if tag == "succ" else cur_pred).append(fields[1])
+        else:
+            raise MapFormatError(f"unknown directive {tag!r}", path, lineno)
+    flush()
+    return make_map(city, lanes)
+
+
+def reference_read_scene(path) -> Scene:
+    """A scene file read one line at a time, by the loop that the batched
+    `synthesis.read_scene` replaced; map lines keep their file lines."""
+    metadata: dict[str, str] = {}
+    map_lines: list[str] = []
+    map_at: list[int] = []
+    rows: list[tuple[float, float, float]] = []
+    header_seen = False
+    track_id = None
+    city_col = None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("# map: "):
+            map_lines.append(line[len("# map: "):])
+            map_at.append(lineno)
+        elif line.startswith("#"):
+            body = line[1:].strip()
+            key, sep, value = body.partition(":")
+            if not sep:
+                raise MapFormatError("metadata line without ':'", path, lineno)
+            metadata[key.strip()] = value.strip()
+        elif line == CSV_HEADER:
+            header_seen = True
+        else:
+            if not header_seen:
+                raise MapFormatError("data row before column header", path, lineno)
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise MapFormatError(
+                    f"expected 6 columns, got {len(fields)}", path, lineno
+                )
+            if fields[2] != "AGENT":
+                raise MapFormatError(
+                    f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno
+                )
+            try:
+                rows.append((float(fields[0]), float(fields[3]), float(fields[4])))
+            except ValueError as exc:
+                raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
+            track_id = fields[1]
+            city_col = fields[5]
+    if "scene_id" not in metadata or "city" not in metadata:
+        raise MapFormatError("missing scene_id/city metadata", path)
+    if len(rows) != SCENE_SAMPLES:
+        raise ValidationError(
+            f"{path}: {len(rows)} trajectory rows, expected {SCENE_SAMPLES}"
+        )
+    if track_id != metadata["scene_id"] or city_col != metadata["city"]:
+        raise ValidationError(f"{path}: row identity differs from metadata")
+    arr = np.array(rows)
+    scene = Scene(
+        scene_id=metadata["scene_id"],
+        city=metadata["city"],
+        map_crop=reference_parse_map_lines(map_lines, path=path, line_numbers=map_at),
+        timestamps=arr[:, 0],
+        trajectory=arr[:, 1:3],
+        metadata=metadata,
+    )
+    validate_scene(scene)
+    return scene
+
+
 def pointwise_l1_loop(pred, target):
     """Scalar-loop point-wise L1 used to check the vectorized losses."""
     total = 0.0
@@ -300,3 +441,39 @@ def jsd_direct(c1, c2):
         if qi > 0:
             out += 0.5 * qi * math.log2(qi / mi)
     return out
+
+
+def assert_same_map(got: SceneMap, want: SceneMap) -> None:
+    """Same city, lane order, point bits and links."""
+    assert got.city == want.city
+    assert list(got.lanes) == list(want.lanes)
+    for a, b in zip(got.lanes.values(), want.lanes.values()):
+        assert a.centerline.xy.tobytes() == b.centerline.xy.tobytes()
+        assert (a.predecessors, a.successors) == (b.predecessors, b.successors)
+
+
+def assert_same_scene(got: Scene, want: Scene) -> None:
+    """Same metadata, array bits and map."""
+    assert (got.scene_id, got.city, got.metadata) == (want.scene_id, want.city, want.metadata)
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert got.trajectory.tobytes() == want.trajectory.tobytes()
+    assert_same_map(got.map_crop, want.map_crop)
+
+
+def assert_same_outcome(read, reference, *args) -> None:
+    """`read(*args)` gives what `reference(*args)` gives: an equal map or
+    scene, or a SceneSynthError of the same class, line and message."""
+    try:
+        want = reference(*args)
+    except SceneSynthError as exc:
+        with pytest.raises(SceneSynthError) as got:
+            read(*args)
+        assert type(got.value) is type(exc)
+        assert getattr(got.value, "line", None) == getattr(exc, "line", None)
+        assert str(got.value) == str(exc)
+        return
+    got = read(*args)
+    if isinstance(want, Scene):
+        assert_same_scene(got, want)
+    else:
+        assert_same_map(got, want)

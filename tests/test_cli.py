@@ -268,6 +268,22 @@ def test_mask_combined_task_mixes(tmp_path, map_file):
         assert sample_to_text(read_sample(f)) == f.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("task", ["map", "combined"])
+def test_mask_every_ratio_writes_samples_that_reload(small_dataset, tmp_path, task):
+    for ratio in ("0", "0.05", "1"):
+        out = tmp_path / ratio
+        assert main(
+            ["mask", "--scenes", str(small_dataset), "--task", task, "--seed", "3",
+             "--out", str(out), "--mask-ratio", ratio, "--map-fraction", "1.0"]
+        ) == 0
+        files = sorted(out.glob("sample_*.txt"))
+        assert len(files) == 2
+        for f in files:
+            sample = read_sample(f)
+            assert sample.task is ReconTask.MAP
+            assert len(sample.masked) >= 1
+
+
 def test_mask_combined_falls_back_on_one_lane_crop(tmp_path, map_file, capsys):
     cfg = write_cfg(tmp_path, map_file, n_scenes=4)
     main(["generate", "--config", str(cfg)])
@@ -520,3 +536,13 @@ def test_demo_pipeline_runs(tmp_path, monkeypatch, capsys):
     runpy.run_path(str(script), run_name="__main__")
     assert "demo complete" in capsys.readouterr().out
     assert len(list((tmp_path / "demo" / "samples").glob("sample_*.txt"))) == 4
+
+
+def test_compare_outputs_same_tree_exits_0():
+    script = REPO / "scripts" / "compare_outputs.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(REPO), str(REPO), "--scenes", "5"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 files differ" in proc.stdout

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import assert_same_outcome, reference_parse_map_lines
 from scenesynth.errors import (
     MapFormatError,
     PathOverrunError,
@@ -212,8 +213,53 @@ def test_parse_map_lines_fuzz_any_line_raises_only_scenesynth_errors(line, cut, 
     lines = map_to_lines(generate_map_fixture("chain3"))
     i = line % len(lines)
     lines[i] = lines[i][:cut] + junk
+    assert_same_outcome(parse_map_lines, reference_parse_map_lines, lines)
     try:
         m = parse_map_lines(lines)
     except SceneSynthError:
         return
     m.validate()
+
+
+# well- and ill-formed lines; several of them in one map make faults meet
+MAP_LINES = [
+    "", "# note", "city PIT", "city", "lane L9", "lane", "lane L1 L2", "pt 0.0 0.0",
+    "pt 40.0 nan", "pt 1_0 \uff12", "pt x 0", "pt 0", "succ L2", "succ", "pred L9",
+    "pred", "bogus", "\x1c",
+]
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10_000), st.booleans(), st.sampled_from(MAP_LINES)),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_map_lines_matches_reference_on_several_edited_lines(edits):
+    """Several lines replaced or inserted: the first fault a line-by-line
+    reader meets is the one raised."""
+    lines = map_to_lines(generate_map_fixture("chain3"))
+    for line, insert, text in edits:
+        if insert:
+            lines.insert(line % (len(lines) + 1), text)
+        else:
+            lines[line % len(lines)] = text
+    assert_same_outcome(parse_map_lines, reference_parse_map_lines, lines)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("pt 50.0 0.0\npt 100.0 0.0\n", "", "has 1 points"),
+        ("pt 50.0 0.0\n", "pt 0.0 0.0\n", "coincident"),
+        ("pt 50.0 0.0\n", "pt 50.0 nan\n", "non-finite"),
+    ],
+)
+def test_lane_fault_names_its_lane_line(tmp_path, old, new, message):
+    f = tmp_path / "m.map"
+    f.write_text(TWO_LANE.replace(old, new))
+    with pytest.raises(MapFormatError, match=message) as exc:
+        load_map(f)
+    assert exc.value.line == 2  # `lane L1`, not the `lane L2` line that closes it

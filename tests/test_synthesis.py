@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_scene_text
+from oracles import assert_same_outcome, reference_read_scene, reference_scene_text
 from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2
@@ -182,11 +182,133 @@ def test_read_scene_fuzz_any_line_raises_only_scenesynth_errors(
     lines[i] = lines[i][:cut] + junk
     f = tmp_path_factory.mktemp("fuzz") / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_same_outcome(read_scene, reference_read_scene, f)
     try:
         scene = read_scene(f)
     except SceneSynthError:
         return
     assert scene.trajectory.shape == (SCENE_SAMPLES, 2)
+
+
+# well- and ill-formed lines of each block of a scene file
+SCENE_LINES = [
+    "", " ", "# no colon", "# key: value", "# map: lane", "# map: lane Z9", "# map: pt 0.0 nan",
+    "# map: pt x 0", "# map: bogus", "# map: succ Z9", "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME",
+    "0.0,000000,AGENT,1.0,2.0,MIA", "0.0,000000,AGENT,x,2.0,MIA", "0.0,000000,CAR,1.0,2.0,MIA",
+    "0.0,000000,AGENT,1.0,2.0", "0.0,000000,AGENT,1.0,2.0,MIA,7", "0.0,000001,AGENT,1.0,2.0,PIT",
+]
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 10_000), st.booleans(), st.sampled_from(SCENE_LINES)),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_read_scene_matches_reference_on_several_edited_lines(
+    demo_scene, edits, tmp_path_factory
+):
+    """Several lines replaced or inserted: the first fault a line-by-line
+    reader meets is the one raised."""
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    for line, insert, text in edits:
+        if insert:
+            lines.insert(line % (len(lines) + 1), text)
+        else:
+            lines[line % len(lines)] = text
+    f = tmp_path_factory.mktemp("edits") / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_same_outcome(read_scene, reference_read_scene, f)
+
+
+def _scene_line(lines, where):
+    """Index of a line of a scene file: ("meta", k), ("pt", k) or ("row", k)
+    is the k-th metadata line, `# map: pt` line or trajectory row."""
+    kind, k = where
+    if kind == "row":
+        return lines.index("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME") + 1 + k
+    prefix = "# map: pt " if kind == "pt" else "# "
+    return [i for i, line in enumerate(lines) if line.startswith(prefix)][k]
+
+
+@pytest.mark.parametrize(
+    "edits, fault",
+    [
+        # a bad row before a metadata line without ':'
+        ([(("row", 3), "0.3,000000,AGENT,x,0.0,MIA"), (("row", 40), "# no colon")], ("row", 3)),
+        # a metadata line without ':' before a bad row
+        ([(("meta", 2), "# no colon"), (("row", 3), "0.3,000000,AGENT,x,0.0,MIA")], ("meta", 2)),
+        # a bad map coordinate is met after every row
+        ([(("pt", 0), "# map: pt x 0"), (("row", 3), "0.3,000000,CAR,1,0,MIA")], ("row", 3)),
+        # a row's last field moved onto the next row: both have 6 fields joined
+        ([(("row", 3), "0.3,000000,AGENT,1.0,2.0"), (("row", 4), "MIA,0.4,000000,AGENT,1.0,2.0,MIA")],
+         ("row", 3)),
+    ],
+)
+def test_read_scene_raises_the_first_fault(demo_scene, tmp_path, edits, fault):
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    want = _scene_line(lines, fault) + 1
+    for where, text in edits:
+        lines[_scene_line(lines, where)] = text
+    f = tmp_path / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_same_outcome(read_scene, reference_read_scene, f)
+    with pytest.raises(MapFormatError) as exc:
+        read_scene(f)
+    assert exc.value.line == want
+
+
+@pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
+def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
+    cfg = GenerationConfig(output_dir="unused", augmented_fraction=fraction)
+    f = tmp_path / "scene_000000.csv"
+    read = 0
+    index = 0
+    while read < 200:
+        index += 1
+        try:
+            scene = generate_scene(corridors_map, np.random.default_rng([9, index]), cfg)
+        except SceneSynthError:
+            continue
+        f.write_text(scene_to_text(scene), encoding="utf-8")
+        assert_same_outcome(read_scene, reference_read_scene, f)
+        read += 1
+
+
+@pytest.mark.parametrize(
+    "prefix, broken",
+    [
+        ("# v0:", "# v0 11.3"),
+        ("# map: lane ", "# map: lane"),
+        ("# map: pt ", "# map: pt 1.0 one"),
+        ("# map: succ ", "# map: succ"),
+        ("# map: pred ", "# map: pred H0_0 H0_1"),
+        ("1.2,", "1.2,000000,AGENT,east,0.0,MIA"),
+    ],
+)
+def test_read_scene_fault_names_its_file_line(demo_scene, tmp_path, prefix, broken):
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = broken
+    f = tmp_path / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MapFormatError, match=f":{i + 1}: ") as exc:
+        read_scene(f)
+    assert exc.value.line == i + 1
+
+
+def test_read_scene_lane_fault_names_its_lane_line(demo_scene, tmp_path):
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    lanes = [i for i, line in enumerate(lines) if line.startswith("# map: lane ")]
+    i = lanes[1]
+    lines[i + 2] = lines[i + 1]  # the lane's second point repeats its first
+    f = tmp_path / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MapFormatError, match="coincident") as exc:
+        read_scene(f)
+    assert exc.value.line == i + 1
 
 
 @pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
