@@ -6,14 +6,16 @@ For each case (the paper's 165/370 warped mix and an all-warped dataset,
 each at two fixed seeds) it runs, once with OLD_TREE/src and once with
 NEW_TREE/src on PYTHONPATH, in a fresh process and into the same paths:
 write the `corridors` MIA and PIT map files, `generate` N scenes from
-them, then `mask --task combined`. The manifest echoes the output and
-map paths, so both trees must write to the same paths for their bytes
-to be comparable; the second tree runs after the first one's files are
-recorded and removed.
+them, then `mask --task combined`; then the same again with
+`generate --workers 2`, into `scenes_w2/` and `samples_w2/`. The manifest
+echoes the output and map paths, so both trees must write to the same
+paths for their bytes to be comparable; the second tree runs after the
+first one's files are recorded and removed.
 
 Prints every map, scene, manifest or sample file whose bytes differ, or
-that only one tree wrote, and exits 1 if there is any; exits 0 if every
-file is byte-identical.
+that only one tree wrote, and every scene or sample file of a two-worker
+run whose bytes differ from the one-worker run's; exits 1 if there is
+any, and 0 if every file is byte-identical.
 """
 
 from __future__ import annotations
@@ -50,19 +52,21 @@ for city in ("MIA", "PIT"):
     path = work / f"corridors_{city}.txt"
     save_map(generate_map_fixture("corridors", city), path)
     maps.append(str(path))
-lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {work / 'scenes'}",
-         "map_files = " + ",".join(maps)]
-if fraction != "default":
-    lines.append(f"augmented_fraction = {fraction}")
-(work / "generate.cfg").write_text("\\n".join(lines) + "\\n")
-for argv in (
-    ["generate", "--config", str(work / "generate.cfg")],
-    ["mask", "--scenes", str(work / "scenes"), "--task", "combined", "--seed", seed,
-     "--out", str(work / "samples")],
-):
-    code = main(argv)
-    if code != 0:
-        sys.exit(f"scenesynth {argv[0]} exited {code}")
+for suffix, workers in (("", "1"), ("_w2", "2")):
+    scenes, cfg = work / f"scenes{suffix}", work / f"generate{suffix}.cfg"
+    lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {scenes}",
+             "map_files = " + ",".join(maps)]
+    if fraction != "default":
+        lines.append(f"augmented_fraction = {fraction}")
+    cfg.write_text("\\n".join(lines) + "\\n")
+    for argv in (
+        ["generate", "--config", str(cfg), "--workers", workers],
+        ["mask", "--scenes", str(scenes), "--task", "combined", "--seed", seed,
+         "--out", str(work / f"samples{suffix}")],
+    ):
+        code = main(argv)
+        if code != 0:
+            sys.exit(f"scenesynth {argv[0]} exited {code}")
 """
 
 
@@ -88,12 +92,35 @@ def run_tree(tree: Path, work: Path, n_scenes: int, fraction, seed: int) -> dict
     return digests
 
 
+def worker_problems(label: str, digests: dict[str, str]) -> list[str]:
+    """One line per scene or sample file of the two-worker run whose bytes
+    differ from the one-worker run's, or that only one of the runs wrote.
+    The manifests differ by design: they echo `output_dir` and `workers`."""
+    problems = []
+    for one, two in (("scenes", "scenes_w2"), ("samples", "samples_w2")):
+        files = {
+            run: {
+                path.partition("/")[2]: digest
+                for path, digest in digests.items()
+                if path.partition("/")[0] == run and not path.endswith("manifest.txt")
+            }
+            for run in (one, two)
+        }
+        for path in sorted(files[one].keys() | files[two].keys()):
+            if files[one].get(path) != files[two].get(path):
+                problems.append(f"{label}/{two}/{path}: differs from {one}/{path}")
+    return problems
+
+
 def compare(old: Path, new: Path, n_scenes: int, work: Path) -> list[str]:
-    """One line per file whose bytes differ between the trees."""
+    """One line per file whose bytes differ between the trees, or between
+    a tree's one- and two-worker runs."""
     problems = []
     for name, fraction, seed in CASES:
         before = run_tree(old, work / name, n_scenes, fraction, seed)
         after = run_tree(new, work / name, n_scenes, fraction, seed)
+        problems += worker_problems(f"{old}: {name}", before)
+        problems += worker_problems(f"{new}: {name}", after)
         for path in sorted(before.keys() | after.keys()):
             if path not in after:
                 problems.append(f"{name}/{path}: only in {old}")

@@ -27,6 +27,7 @@ from .planner import (
     PlannerParams,
     astar_plan,
     expand,
+    plan_one,
     plan_to_global,
     transition_cost,
 )
@@ -42,6 +43,7 @@ from .synthesis import (
     Scene,
     generate_dataset,
     generate_scene,
+    make_scene,
     read_scene,
     validate_scene,
     write_scene,

@@ -190,7 +190,9 @@ def _load_scenes(directory):
 
 def cmd_stats(args) -> int:
     scenes = _load_scenes(args.scenes)
-    ref = _load_scenes(args.ref)
+    # the same directory under another spelling is read once
+    same = Path(args.ref).resolve() == Path(args.scenes).resolve()
+    ref = scenes if same else _load_scenes(args.ref)
     sp1 = analysis.speed_distribution(scenes)
     sp2 = analysis.speed_distribution(ref)
     hd1 = analysis.heading_distribution(scenes)

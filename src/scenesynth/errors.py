@@ -6,17 +6,14 @@ data and validation problems exit 1.
 
 
 class SceneSynthError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.
 
+    A fault found in a file names it, and the file line at fault where
+    there is one: the message reads `path:line: message`, and `path` and
+    `line` are kept.
+    """
 
-class ConfigError(SceneSynthError):
-    """Invalid or unknown configuration value."""
-
-
-class MapFormatError(SceneSynthError):
-    """Map or scene file does not parse."""
-
-    def __init__(self, message: str, path=None, line: int | None = None):
+    def __init__(self, message: str = "", path=None, line: int | None = None):
         loc = ""
         if path is not None:
             loc = f"{path}:"
@@ -26,6 +23,14 @@ class MapFormatError(SceneSynthError):
         super().__init__(f"{loc}{message}")
         self.path = path
         self.line = line
+
+
+class ConfigError(SceneSynthError):
+    """Invalid or unknown configuration value."""
+
+
+class MapFormatError(SceneSynthError):
+    """Map or scene file does not parse."""
 
 
 class ValidationError(SceneSynthError):

@@ -62,12 +62,16 @@ class SceneMap:
     city: str
     lanes: dict[str, LaneSegment] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self, path=None, lane_lines: dict[str, int] | None = None) -> None:
+        """Check the graph; a fault names the map's file `path` and the
+        `lane` line (`lane_lines[lane_id]`) of the lane at fault."""
+        lane_lines = lane_lines or {}
         for lane in self.lanes.values():
+            line = lane_lines.get(lane.lane_id)
             for ref in lane.successors + lane.predecessors:
                 if ref not in self.lanes:
                     raise ValidationError(
-                        f"lane {lane.lane_id!r} references missing lane {ref!r}"
+                        f"lane {lane.lane_id!r} references missing lane {ref!r}", path, line
                     )
             for succ_id in lane.successors:
                 gap = lane.centerline.last_point().dist(
@@ -76,7 +80,9 @@ class SceneMap:
                 if gap > CONNECTIVITY_TOL:
                     raise ValidationError(
                         f"lane {lane.lane_id!r} -> {succ_id!r} endpoint gap "
-                        f"{gap:.3f} m exceeds {CONNECTIVITY_TOL} m"
+                        f"{gap:.3f} m exceeds {CONNECTIVITY_TOL} m",
+                        path,
+                        line,
                     )
 
     def n_edges(self) -> int:
@@ -86,15 +92,20 @@ class SceneMap:
         return sorted(self.lanes)
 
 
-def make_map(city: str, lanes: list[LaneSegment]) -> SceneMap:
-    """Build and validate a SceneMap from lane segments."""
+def make_map(city: str, lanes: list[LaneSegment], path=None, lane_lines=None) -> SceneMap:
+    """Build and validate a SceneMap from lane segments. A graph fault
+    names the map's file `path` and the `lane` line of the lane at fault,
+    `lane_lines[k]` for `lanes[k]`, when they are given."""
     by_id: dict[str, LaneSegment] = {}
-    for lane in lanes:
+    at: dict[str, int] = {}
+    for k, lane in enumerate(lanes):
+        line = lane_lines[k] if lane_lines is not None else None
         if lane.lane_id in by_id:
-            raise ValidationError(f"duplicate lane id {lane.lane_id!r}")
+            raise ValidationError(f"duplicate lane id {lane.lane_id!r}", path, line)
         by_id[lane.lane_id] = lane
+        at[lane.lane_id] = line
     m = SceneMap(city=city, lanes=by_id)
-    m.validate()
+    m.validate(path, at)
     return m
 
 
@@ -117,7 +128,9 @@ def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
 
     `line_numbers[i]` is the file line of `lines[i]` (default `i + 1`).
     A MapFormatError names the line at fault; a lane with too few,
-    coincident or non-finite points names its `lane` line. Faults are
+    coincident or non-finite points names its `lane` line, and so does the
+    ValidationError of a graph fault (a duplicate lane id, a missing or
+    disconnected successor or predecessor). Faults are
     raised in the order a line-by-line reader meets them: a lane is
     checked once the next `lane` line (or the end) closes it.
 
@@ -187,7 +200,7 @@ def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
         lanes.append(LaneSegment(lane_id, poly, tuple(pred), tuple(succ)))
     if fault is not None:
         raise MapFormatError(fault[1], path, line_numbers[fault[0]])
-    return make_map(city, lanes)
+    return make_map(city, lanes, path, [line_numbers[i] for _, i, _ in heads])
 
 
 def load_map(path) -> SceneMap:

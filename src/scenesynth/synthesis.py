@@ -17,6 +17,18 @@ Trajectory coordinates carry 9 decimal places; metadata floats use repr
 and reload exactly. Every byte of a scene file is a deterministic function
 of (seed, config, maps), which keeps datasets reproducible across worker
 counts.
+
+An attempt at a scene has three phases: `draw_scene` makes every random
+draw (warp, reference path, speeds, start), `astar_plan` plans, and
+`generate_scene` finishes (refine, place, crop, validate) or raises the
+attempt's error. `generate_dataset` cuts the scene indices into chunks of
+`CHUNK_SCENES`, one worker task each, and runs each chunk in rounds: round
+r draws attempt r of every scene still pending, plans all of them in one
+`astar_plan` call, finishes each, and sends the failed ones to round
+r + 1. Each attempt draws from its own `[seed, index, attempt]` stream and
+a plan does not depend on its batch, so the bytes do not depend on the
+chunk size or the worker count. `make_scene` runs the three phases for
+one scene.
 """
 
 from __future__ import annotations
@@ -37,11 +49,19 @@ from .errors import (
     PlanningError,
     PlanningFailureError,
     RefinementError,
+    SceneSynthError,
     ValidationError,
 )
 from .geometry import Point2
-from .maps import SceneMap, crop_map, map_to_lines, parse_map_lines, write_text_atomic
-from .planner import PlannerNode, PlannerParams, astar_plan, sample_speed_targets
+from .maps import (
+    ReferencePath,
+    SceneMap,
+    crop_map,
+    map_to_lines,
+    parse_map_lines,
+    write_text_atomic,
+)
+from .planner import CoarsePlan, PlannerNode, PlannerParams, astar_plan, sample_speed_targets
 from .refine import RefinementParams, refine_trajectory
 from . import maps as maps_mod
 from . import planner as planner_mod
@@ -56,6 +76,10 @@ MAX_SPEED = 25.0
 ACCEL_BOUNDS = (-5.0, 3.0)
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
+
+# scene indices that one worker task plans together, round by round; output
+# bytes do not depend on it
+CHUNK_SCENES = 16
 
 
 class ValueType(NamedTuple):
@@ -269,22 +293,42 @@ def validate_scene(scene: Scene) -> None:
         raise ValidationError(f"scene {sid}: trajectory leaves the crop radius")
 
 
-def generate_scene(
+@dataclass(frozen=True)
+class Draft:
+    """What one attempt at a scene draws before planning: the metadata so
+    far, the (possibly warped) map, the reference path and the planner's
+    start state and parameters (with this scene's `v_d`)."""
+
+    scene_id: str
+    city: str
+    metadata: dict[str, str]
+    work_map: SceneMap
+    path: ReferencePath
+    start: PlannerNode
+    planner: PlannerParams
+
+    @property
+    def problem(self) -> tuple[ReferencePath, PlannerNode, PlannerParams]:
+        """The `astar_plan` problem of this draft."""
+        return self.path, self.start, self.planner
+
+
+def draw_scene(
     base_map: SceneMap,
     rng: np.random.Generator,
     cfg: GenerationConfig,
     scene_id: str = "000000",
     rng_key: str = "",
     force_augmented: bool | None = None,
-) -> Scene:
-    """Synthesize one scene on `base_map`.
+) -> Draft:
+    """Make every draw of one attempt at a scene on `base_map`.
 
     Draw order from `rng`: augmentation coin (skipped when
     `force_augmented` pins it, as the dataset layer does to keep the
     original/augmented mix unbiased across retries), then (if augmenting)
     the anchor lane, anchor walk, and warp parameters, then the driven
     lane and its walk, the speed targets, and the start position.
-    Identical inputs always yield an identical scene.
+    Identical inputs always yield an identical draft.
     """
     if force_augmented is None:
         augmented = bool(rng.random() < cfg.augmented_fraction)
@@ -327,32 +371,54 @@ def generate_scene(
             f"path of {path.length:.0f} m too short for v0={v0:.1f} m/s"
         )
     s0 = float(candidates[int(rng.integers(candidates.size))])
-
-    plan = astar_plan(
-        path, PlannerNode(s0, v0, 0.0), replace(cfg.planner, v_d=v_d)
+    metadata.update({"v_d": repr(v_d), "v0": repr(v0), "s0": repr(s0)})
+    return Draft(
+        scene_id, base_map.city, metadata, work_map, path,
+        PlannerNode(s0, v0, 0.0), replace(cfg.planner, v_d=v_d),
     )
-    refined = refine_trajectory(plan, cfg.refinement, v0=v0, s0=s0)
+
+
+def generate_scene(
+    draft: Draft | None, outcome: CoarsePlan | SceneSynthError, cfg: GenerationConfig
+) -> Scene:
+    """Finish one attempt: raise the error that its draw or plan ended in
+    (`outcome`, with no draft after a failed draw), or refine the plan,
+    place it on the path, crop the map around it and validate the scene."""
+    if not isinstance(outcome, CoarsePlan):
+        raise outcome
+    plan, path, start = outcome, draft.path, draft.start
+    refined = refine_trajectory(plan, cfg.refinement, v0=start.v, s0=start.s)
     s_fine = refined.s_values[:SCENE_SAMPLES]
     timestamps = np.arange(SCENE_SAMPLES) * SCENE_DT
     xy = path.xy_at(s_fine)
 
     center = Point2(float(xy[SCENE_SAMPLES // 2, 0]), float(xy[SCENE_SAMPLES // 2, 1]))
-    crop = crop_map(work_map, center, cfg.crop_radius)
-    metadata.update(
-        {
-            "v_d": repr(v_d),
-            "v0": repr(v0),
-            "s0": repr(s0),
-            "plan_cost": repr(plan.total_cost),
-            "drive_lanes": ";".join(path.lane_ids),
-            "crop_center_x": repr(center.x),
-            "crop_center_y": repr(center.y),
-            "crop_radius": repr(cfg.crop_radius),
-        }
-    )
-    scene = Scene(scene_id, base_map.city, crop, timestamps, xy, metadata)
+    crop = crop_map(draft.work_map, center, cfg.crop_radius)
+    metadata = {
+        **draft.metadata,
+        "plan_cost": repr(plan.total_cost),
+        "drive_lanes": ";".join(path.lane_ids),
+        "crop_center_x": repr(center.x),
+        "crop_center_y": repr(center.y),
+        "crop_radius": repr(cfg.crop_radius),
+    }
+    scene = Scene(draft.scene_id, draft.city, crop, timestamps, xy, metadata)
     validate_scene(scene)
     return scene
+
+
+def make_scene(
+    base_map: SceneMap,
+    rng: np.random.Generator,
+    cfg: GenerationConfig,
+    scene_id: str = "000000",
+    rng_key: str = "",
+    force_augmented: bool | None = None,
+) -> Scene:
+    """One attempt at one scene: draw, plan alone, finish. Raises the
+    attempt's error; a dataset makes the same scene from the same draws."""
+    draft = draw_scene(base_map, rng, cfg, scene_id, rng_key, force_augmented)
+    return generate_scene(draft, astar_plan([draft.problem])[0], cfg)
 
 
 def scene_to_text(scene: Scene) -> str:
@@ -371,11 +437,11 @@ def write_scene(scene: Scene, path) -> None:
     write_text_atomic(path, scene_to_text(scene))
 
 
-def _trajectory_table(rows: list[str], row_lines: list[int], path) -> np.ndarray:
-    """The (n, 3) TIMESTAMP, X, Y values of CSV rows, converted in one
-    call; MapFormatError names the first row at fault."""
+def _trajectory_table(rows: list[str], tokens: list[str], row_lines: list[int], path) -> np.ndarray:
+    """The (n, 3) TIMESTAMP, X, Y values of CSV rows, whose comma-split
+    `tokens` run on across rows, converted in one call; MapFormatError
+    names the first row at fault."""
     n = len(rows)
-    tokens = ",".join(rows).split(",") if rows else []
     if [row.count(",") for row in rows] == [5] * n and tokens[2::6] == ["AGENT"] * n:
         try:
             return np.array([tokens[0::6], tokens[3::6], tokens[4::6]], float).T.copy()
@@ -404,7 +470,8 @@ def read_scene(path) -> Scene:
     trajectory rows, keeping each line's number; the map block and the
     rows then convert their numbers in one call each. Faults are raised
     in the order a line-by-line reader meets them, map faults after the
-    metadata and row checks.
+    metadata and row checks. Every row's track id and city must be the
+    metadata's; the ValidationError names the first row that differs.
     """
     metadata: dict[str, str] = {}
     map_lines: list[str] = []
@@ -434,7 +501,8 @@ def read_scene(path) -> Scene:
             fault = (lineno, "data row before column header")
             break
     # every row read lies before the fault, so a bad row is met first
-    table = _trajectory_table(rows, row_at, path)
+    tokens = ",".join(rows).split(",") if rows else []
+    table = _trajectory_table(rows, tokens, row_at, path)
     if fault is not None:
         raise MapFormatError(fault[1], path, fault[0])
     if "scene_id" not in metadata or "city" not in metadata:
@@ -443,9 +511,13 @@ def read_scene(path) -> Scene:
         raise ValidationError(
             f"{path}: {len(rows)} trajectory rows, expected {SCENE_SAMPLES}"
         )
-    last = rows[-1].split(",")
-    if last[1] != metadata["scene_id"] or last[5] != metadata["city"]:
-        raise ValidationError(f"{path}: row identity differs from metadata")
+    sid, city = metadata["scene_id"], metadata["city"]
+    if tokens[1::6] != [sid] * SCENE_SAMPLES or tokens[5::6] != [city] * SCENE_SAMPLES:
+        k = next(
+            k for k in range(SCENE_SAMPLES)
+            if tokens[6 * k + 1] != sid or tokens[6 * k + 5] != city
+        )
+        raise ValidationError("row identity differs from metadata", path, row_at[k])
     scene = Scene(
         scene_id=metadata["scene_id"],
         city=metadata["city"],
@@ -470,7 +542,7 @@ class SceneRecord:
     city: str
     cost: str
     attempts: int
-    wall_ms: float
+    wall_ms: float  # own draw and finish time, plus a batch share of planning
     text: str | None = None
     reason: str = ""
 
@@ -488,49 +560,76 @@ class DatasetManifest:
         return len(self.records) / self.elapsed_s if self.elapsed_s > 0 else math.inf
 
 
-def _build_scene_record(maps: list[SceneMap], cfg: GenerationConfig, index: int) -> SceneRecord:
-    """Generate one scene with bounded retries; pure in (maps, cfg, index).
+def _build_scene_records(
+    maps: list[SceneMap], cfg: GenerationConfig, indices: list[int]
+) -> list[SceneRecord]:
+    """Generate the scenes `indices` with bounded retries, in rounds; each
+    scene is pure in (maps, cfg, index), whatever else shares its chunk.
 
     The map choice and augmentation coin come from a per-scene stream that
     retries do not consume, so failed attempts cannot bias the
-    original/augmented mix; each attempt re-randomizes everything else.
+    original/augmented mix. Round r draws attempt r of every scene still
+    pending on its own `[seed, index, r]` stream, plans all of their drafts
+    in one `astar_plan` call, then finishes each scene through one
+    `generate_scene` call; a scene whose attempt failed goes on to round
+    r + 1. A scene's `wall_ms` is its own draw and finish time plus, for
+    each round it was planned in, the planning time over the batch size.
     """
-    t0 = time.perf_counter()
-    reason = ""
-    scene_rng = np.random.default_rng([cfg.seed, index])
-    map_idx = int(scene_rng.integers(len(maps)))
-    augmented = bool(scene_rng.random() < cfg.augmented_fraction)
+    wall = dict.fromkeys(indices, 0.0)  # ms
+    picks: dict[int, tuple[SceneMap, bool]] = {}  # map and augmentation coin
+    for index in indices:
+        scene_rng = np.random.default_rng([cfg.seed, index])
+        map_idx = int(scene_rng.integers(len(maps)))
+        picks[index] = (maps[map_idx], bool(scene_rng.random() < cfg.augmented_fraction))
+    records: dict[int, SceneRecord] = {}
+    reasons: dict[int, str] = {}
+    pending = list(indices)
     for attempt in range(cfg.retry_budget + 1):
-        rng = np.random.default_rng([cfg.seed, index, attempt])
-        try:
-            scene = generate_scene(
-                maps[map_idx],
-                rng,
-                cfg,
-                scene_id=f"{index:06d}",
-                rng_key=f"{cfg.seed}/{index}/{attempt}",
-                force_augmented=augmented,
+        drafts: dict[int, Draft] = {}
+        outcomes: dict[int, CoarsePlan | SceneSynthError] = {}
+        for index in pending:
+            t0 = time.perf_counter()
+            base_map, augmented = picks[index]
+            rng = np.random.default_rng([cfg.seed, index, attempt])
+            try:
+                drafts[index] = draw_scene(
+                    base_map, rng, cfg, scene_id=f"{index:06d}",
+                    rng_key=f"{cfg.seed}/{index}/{attempt}", force_augmented=augmented,
+                )
+            except (PlanningError, RefinementError, ValidationError) as exc:
+                outcomes[index] = exc
+            wall[index] += (time.perf_counter() - t0) * 1e3
+        if drafts:
+            t0 = time.perf_counter()
+            plans = astar_plan([draft.problem for draft in drafts.values()])
+            share = (time.perf_counter() - t0) * 1e3 / len(drafts)
+            for index, plan in zip(drafts, plans):
+                outcomes[index] = plan
+                wall[index] += share
+        failed = []
+        for index in pending:
+            t0 = time.perf_counter()
+            try:
+                scene = generate_scene(drafts.get(index), outcomes[index], cfg)
+            except (PlanningError, RefinementError, ValidationError) as exc:
+                reasons[index] = str(exc).replace(",", ";").replace("\n", " ")
+                failed.append(index)
+                continue
+            finally:
+                wall[index] += (time.perf_counter() - t0) * 1e3
+            status = "augmented" if scene.metadata["augmented"] == "true" else "original"
+            records[index] = SceneRecord(
+                index, scene_filename(index), status, scene.city,
+                scene.metadata["plan_cost"], attempt + 1, wall[index],
+                text=scene_to_text(scene),
             )
-        except (PlanningError, RefinementError, ValidationError) as exc:
-            reason = str(exc).replace(",", ";").replace("\n", " ")
-            continue
-        wall = (time.perf_counter() - t0) * 1e3
-        status = "augmented" if scene.metadata["augmented"] == "true" else "original"
-        return SceneRecord(
-            index,
-            scene_filename(index),
-            status,
-            scene.city,
-            scene.metadata["plan_cost"],
-            attempt + 1,
-            wall,
-            text=scene_to_text(scene),
+        pending = failed
+    for index in pending:
+        records[index] = SceneRecord(
+            index, scene_filename(index), "skipped", "-", "-",
+            cfg.retry_budget + 1, wall[index], text=None, reason=reasons[index],
         )
-    wall = (time.perf_counter() - t0) * 1e3
-    return SceneRecord(
-        index, scene_filename(index), "skipped", "-", "-",
-        cfg.retry_budget + 1, wall, text=None, reason=reason,
-    )
+    return [records[index] for index in indices]
 
 
 _POOL_STATE: tuple[list[SceneMap], GenerationConfig] | None = None
@@ -541,9 +640,9 @@ def _pool_init(maps, cfg):
     _POOL_STATE = (maps, cfg)
 
 
-def _pool_build(index):
+def _pool_build(indices):
     maps, cfg = _POOL_STATE
-    return _build_scene_record(maps, cfg, index)
+    return _build_scene_records(maps, cfg, indices)
 
 
 def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
@@ -608,8 +707,10 @@ def generate_dataset(
     """Write `cfg.n_scenes` scene files plus a manifest into the output dir.
 
     Already-written scene ids are skipped, so interrupted runs resume; a
-    rerun over a complete dataset rewrites nothing. Output bytes do not
-    depend on `workers`.
+    rerun over a complete dataset rewrites nothing. The scenes still to
+    make run in chunks of `CHUNK_SCENES`, one pool task each; records are
+    written and logged in index order. Output bytes do not depend on
+    `workers` or on the chunk size.
     """
     if not maps:
         raise ConfigError("need at least one map")
@@ -632,18 +733,20 @@ def generate_dataset(
         else:
             todo.append(index)
 
-    if workers <= 1 or len(todo) <= 1:
-        built = (_build_scene_record(maps, cfg, i) for i in todo)
-        for rec in built:
-            records[rec.index] = rec
-            _finish_record(rec, out_dir, log)
+    chunks = [todo[i : i + CHUNK_SCENES] for i in range(0, len(todo), CHUNK_SCENES)]
+    if workers <= 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            for rec in _build_scene_records(maps, cfg, chunk):
+                records[rec.index] = rec
+                _finish_record(rec, out_dir, log)
     else:
         with multiprocessing.Pool(
             processes=workers, initializer=_pool_init, initargs=(maps, cfg)
         ) as pool:
-            for rec in pool.imap(_pool_build, todo, chunksize=8):
-                records[rec.index] = rec
-                _finish_record(rec, out_dir, log)
+            for built in pool.imap(_pool_build, chunks):
+                for rec in built:
+                    records[rec.index] = rec
+                    _finish_record(rec, out_dir, log)
 
     ordered = [records[i] for i in range(cfg.n_scenes)]
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.synthesis import GenerationConfig, generate_dataset, generate_scene
+from scenesynth.synthesis import GenerationConfig, generate_dataset, make_scene
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +14,7 @@ def corridors_map():
 def demo_scene(corridors_map):
     cfg = GenerationConfig(seed=5, n_scenes=1, output_dir="unused")
     rng = np.random.default_rng([5, 0, 0])
-    return generate_scene(corridors_map, rng, cfg, "000000", "5/0/0")
+    return make_scene(corridors_map, rng, cfg, "000000", "5/0/0")
 
 
 @pytest.fixture(scope="session")

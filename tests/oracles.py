@@ -279,11 +279,12 @@ def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
     """The map schema parsed one line at a time, one `strip`/`split`/`float`
     per line, by the loop that the batched `maps.parse_map_lines` replaced.
     Faults name `line_numbers[i]` (default `i + 1`); a lane-level fault
-    names the lane's own `lane` line."""
+    names the lane's own `lane` line, and so does a graph fault."""
     if line_numbers is None:
         line_numbers = range(1, len(lines) + 1)
     city = "UNKNOWN"
     lanes: list[LaneSegment] = []
+    lane_lines: list[int] = []
     cur_id = None
     cur_line = None
     cur_pts: list[tuple[float, float]] = []
@@ -306,6 +307,7 @@ def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
         lanes.append(
             LaneSegment(cur_id, poly, tuple(cur_pred), tuple(cur_succ))
         )
+        lane_lines.append(cur_line)
 
     for lineno, raw in zip(line_numbers, lines):
         line = raw.strip()
@@ -342,7 +344,7 @@ def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
         else:
             raise MapFormatError(f"unknown directive {tag!r}", path, lineno)
     flush()
-    return make_map(city, lanes)
+    return make_map(city, lanes, path, lane_lines)
 
 
 def reference_read_scene(path) -> Scene:
@@ -353,8 +355,7 @@ def reference_read_scene(path) -> Scene:
     map_at: list[int] = []
     rows: list[tuple[float, float, float]] = []
     header_seen = False
-    track_id = None
-    city_col = None
+    identities: list[tuple[str, str, int]] = []  # track id, city, line per row
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
@@ -385,16 +386,16 @@ def reference_read_scene(path) -> Scene:
                 rows.append((float(fields[0]), float(fields[3]), float(fields[4])))
             except ValueError as exc:
                 raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
-            track_id = fields[1]
-            city_col = fields[5]
+            identities.append((fields[1], fields[5], lineno))
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)
     if len(rows) != SCENE_SAMPLES:
         raise ValidationError(
             f"{path}: {len(rows)} trajectory rows, expected {SCENE_SAMPLES}"
         )
-    if track_id != metadata["scene_id"] or city_col != metadata["city"]:
-        raise ValidationError(f"{path}: row identity differs from metadata")
+    for track_id, city_col, lineno in identities:
+        if track_id != metadata["scene_id"] or city_col != metadata["city"]:
+            raise ValidationError("row identity differs from metadata", path, lineno)
     arr = np.array(rows)
     scene = Scene(
         scene_id=metadata["scene_id"],

@@ -22,7 +22,7 @@ from scenesynth.analysis import forecast_metrics
 from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame, f_double_turn, f_single_turn, f_single_turn_slope, q_alpha
 from scenesynth.geometry import Point2, Polyline
 from scenesynth.maps import LaneSegment, make_map
-from scenesynth.planner import PlannerNode, PlannerParams, astar_plan
+from scenesynth.planner import PlannerNode, PlannerParams, plan_one
 from scenesynth.pretrain import (
     ReconTask,
     assign_tasks,
@@ -139,7 +139,7 @@ def test_criterion_2_planner_optimality():
                 t_g=(steps - 1) * 0.5 + 0.25,
             )
             v0 = float(rng.uniform(0, 1.2 * p.v_d))
-            plan = astar_plan(path, PlannerNode(5.0, v0, 0.0), p)
+            plan = plan_one(path, PlannerNode(5.0, v0, 0.0), p)
             best, _ = enumerate_plan_costs(path, 5.0, v0, p)
             assert abs(plan.total_cost - best) < 1e-9, trial
         # flat path at the desired speed: the zero plan is optimal
@@ -147,7 +147,7 @@ def test_criterion_2_planner_optimality():
         from scenesynth.maps import _path_from_polyline
 
         path = _path_from_polyline(flat, ("L",), 1.0)
-        plan = astar_plan(path, PlannerNode(0.0, 10.0, 0.0), PlannerParams(v_d=10.0))
+        plan = plan_one(path, PlannerNode(0.0, 10.0, 0.0), PlannerParams(v_d=10.0))
         assert plan.total_cost == 0.0
         assert all(a == 0.0 for a in plan.actions)
         assert time.perf_counter() - t0 < 30.0

@@ -386,6 +386,57 @@ def test_stats_self_comparison_reports_zero(tmp_path, map_file, capsys):
     assert "speed_overlap=1.000000" in out
 
 
+def test_stats_against_its_own_directory_reads_each_file_once(
+    tmp_path, map_file, monkeypatch, capsys
+):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=6)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for f in scenes.glob("scene_*.csv"):
+        (copy / f.name).write_bytes(f.read_bytes())
+    capsys.readouterr()
+    assert main(["stats", "--scenes", str(scenes), "--ref", str(copy)]) == 0
+    want = capsys.readouterr().out
+    reads = []
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return read_scene(path)
+
+    monkeypatch.setattr(cli, "read_scene", counted)
+    # another spelling of the same directory
+    assert main(["stats", "--scenes", str(scenes), "--ref", str(scenes / ".." / "scenes")]) == 0
+    assert capsys.readouterr().out == want
+    assert len(want.splitlines()) == 2 and want.count("=") == 4
+    assert sorted(reads) == sorted(f.name for f in scenes.glob("scene_*.csv"))
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("lane L1\npt 0 0\npt 1 0\nsucc L3\nlane L2\npt 1 0\npt 2 0\n", 1,
+         "lane 'L1' references missing lane 'L3'"),
+        ("lane L1\npt 0 0\npt 1 0\nlane L2\npt 1 0\npt 2 0\npred L0\n", 4,
+         "lane 'L2' references missing lane 'L0'"),
+        ("lane L1\npt 0 0\npt 1 0\nlane L2\npt 1 0\npt 2 0\nlane L1\npt 5 0\npt 6 0\n", 7,
+         "duplicate lane id 'L1'"),
+    ],
+    ids=["succ", "pred", "duplicate"],
+)
+def test_augment_map_graph_fault_names_file_and_lane_line(
+    tmp_path, capsys, text, line, message
+):
+    bad = tmp_path / "bad.map"
+    bad.write_text("city MIA\n" + text)
+    code = main(["augment-map", "--map", str(bad), "--seed", "1",
+                 "--out", str(tmp_path / "a.map")])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == f"error: {bad}:{line + 1}: {message}"
+    assert not (tmp_path / "a.map").exists()
+
+
 def test_plot_emits_tables_and_svg(tmp_path, map_file):
     cfg = write_cfg(tmp_path, map_file, n_scenes=4)
     main(["generate", "--config", str(cfg)])
@@ -546,3 +597,21 @@ def test_compare_outputs_same_tree_exits_0():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 files differ" in proc.stdout
+
+
+def test_compare_outputs_names_files_that_differ_across_worker_counts():
+    script = runpy.run_path(str(REPO / "scripts" / "compare_outputs.py"), run_name="compare")
+    digests = {
+        "corridors_MIA.txt": "m",
+        "scenes/manifest.txt": "w1",
+        "scenes/scene_000000.csv": "a",
+        "scenes_w2/manifest.txt": "w2",
+        "scenes_w2/scene_000000.csv": "b",
+        "samples/sample_000000.txt": "c",
+        "samples_w2/sample_000000.txt": "c",
+        "samples_w2/sample_000001.txt": "d",
+    }
+    assert script["worker_problems"]("T", digests) == [
+        "T/scenes_w2/scene_000000.csv: differs from scenes/scene_000000.csv",
+        "T/samples_w2/sample_000001.txt: differs from samples/sample_000001.txt",
+    ]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,26 +12,25 @@ from scenesynth.errors import (
     PlanningFailureError,
     SceneSynthError,
 )
-from scenesynth.maps import ReferencePath
+from scenesynth.maps import ReferencePath, _path_from_polyline
 from scenesynth.geometry import Polyline
 from scenesynth.planner import (
     BEAM_WIDTH,
     CoarsePlan,
     PlannerNode,
     PlannerParams,
+    _Batch,
     _n_steps,
-    _search,
     astar_plan,
     expand,
+    plan_one,
     plan_to_global,
     transition_cost,
 )
-from scenesynth.synthesis import GenerationConfig, generate_scene
+from scenesynth.synthesis import GenerationConfig, make_scene
 
 
 def straight_path(length=400.0):
-    from scenesynth.maps import _path_from_polyline
-
     poly = Polyline([(0.0, 0.0), (length, 0.0)])
     return _path_from_polyline(poly, ("L",), 1.0)
 
@@ -104,7 +104,7 @@ def test_param_validation():
 def test_plan_zero_cost_at_desired_velocity():
     path = straight_path(400.0)
     p = PlannerParams(v_d=10.0, t_g=5.0)
-    plan = astar_plan(path, PlannerNode(0.0, 10.0, 0.0), p)
+    plan = plan_one(path, PlannerNode(0.0, 10.0, 0.0), p)
     assert plan.total_cost == 0.0
     assert all(a == 0.0 for a in plan.actions)
     assert len(plan.actions) == 11
@@ -113,7 +113,7 @@ def test_plan_zero_cost_at_desired_velocity():
 def test_plan_accelerates_from_standstill():
     path = straight_path(200.0)
     p = PlannerParams(v_d=10.0, t_g=1.3, action_set=(-1.0, 0.0, 1.0))
-    plan = astar_plan(path, PlannerNode(0.0, 0.0, 0.0), p)
+    plan = plan_one(path, PlannerNode(0.0, 0.0, 0.0), p)
     best_cost, best_seq = enumerate_plan_costs(path, 0.0, 0.0, p)
     assert plan.total_cost == pytest.approx(best_cost, abs=1e-9)
     assert plan.actions[0] == 1.0 == best_seq[0]
@@ -138,7 +138,7 @@ def test_plan_matches_enumeration_on_random_instances():
             t_g=(horizon_steps - 1) * 0.5 + 0.25,
         )
         v0 = float(rng.uniform(0, 1.2 * p.v_d))
-        plan = astar_plan(path, PlannerNode(5.0, v0, 0.0), p)
+        plan = plan_one(path, PlannerNode(5.0, v0, 0.0), p)
         best_cost, _ = enumerate_plan_costs(path, 5.0, v0, p)
         assert plan.total_cost == pytest.approx(best_cost, abs=1e-9), trial
         assert len(plan.actions) == horizon_steps
@@ -147,7 +147,7 @@ def test_plan_matches_enumeration_on_random_instances():
 def test_plan_replay_reproduces_nodes_bit_exactly():
     path = wiggly_path(np.random.default_rng(7))
     p = PlannerParams(v_d=9.0)
-    plan = astar_plan(path, PlannerNode(3.0, 8.5, 0.0), p)
+    plan = plan_one(path, PlannerNode(3.0, 8.5, 0.0), p)
     node = plan.nodes[0]
     for a, expect in zip(plan.actions, plan.nodes[1:]):
         node = expand(node, a, p.dt)
@@ -162,7 +162,7 @@ def test_plan_replay_reproduces_nodes_bit_exactly():
 def test_plan_monotone_time_and_horizon():
     path = straight_path(400.0)
     p = PlannerParams(v_d=8.0, t_g=5.0)
-    plan = astar_plan(path, PlannerNode(0.0, 8.0, 0.0), p)
+    plan = plan_one(path, PlannerNode(0.0, 8.0, 0.0), p)
     times = plan.times()
     assert np.allclose(np.diff(times), p.dt)
     assert times[-1] > p.t_g
@@ -171,7 +171,7 @@ def test_plan_monotone_time_and_horizon():
 
 def test_plan_actions_within_bounds():
     path = wiggly_path(np.random.default_rng(8))
-    plan = astar_plan(path, PlannerNode(2.0, 12.0, 0.0), PlannerParams(v_d=6.0))
+    plan = plan_one(path, PlannerNode(2.0, 12.0, 0.0), PlannerParams(v_d=6.0))
     assert all(-2.0 <= a <= 1.0 for a in plan.actions)
 
 
@@ -179,28 +179,28 @@ def test_plan_deterministic():
     rng = np.random.default_rng(55)
     path = wiggly_path(rng)
     p = PlannerParams(v_d=11.0)
-    a = astar_plan(path, PlannerNode(1.0, 10.0, 0.0), p)
-    b = astar_plan(path, PlannerNode(1.0, 10.0, 0.0), p)
+    a = plan_one(path, PlannerNode(1.0, 10.0, 0.0), p)
+    b = plan_one(path, PlannerNode(1.0, 10.0, 0.0), p)
     assert a == b
 
 
 def test_plan_overrun_error_on_short_path():
     path = straight_path(30.0)
     with pytest.raises(PathOverrunError):
-        astar_plan(path, PlannerNode(0.0, 15.0, 0.0), PlannerParams(v_d=15.0))
+        plan_one(path, PlannerNode(0.0, 15.0, 0.0), PlannerParams(v_d=15.0))
 
 
 def test_plan_failure_when_all_pruned():
     path = straight_path(200.0)
     p = PlannerParams(action_set=(-2.0,), v_d=5.0)
     with pytest.raises(PlanningFailureError):
-        astar_plan(path, PlannerNode(0.0, 0.0, 0.0), p)
+        plan_one(path, PlannerNode(0.0, 0.0, 0.0), p)
 
 
 def test_plan_rejects_negative_initial_velocity():
     path = straight_path(200.0)
     with pytest.raises(ValueError):
-        astar_plan(path, PlannerNode(0.0, -1.0, 0.0), PlannerParams())
+        plan_one(path, PlannerNode(0.0, -1.0, 0.0), PlannerParams())
 
 
 def test_plan_to_global_straight():
@@ -248,7 +248,7 @@ def test_plan_to_global_overrun():
         plan_to_global(plan, path)
 
 
-def plan_or_error(path, init, p, plan=astar_plan):
+def plan_or_error(path, init, p, plan=plan_one):
     try:
         return plan(path, init, p)
     except PlanningError as exc:
@@ -256,37 +256,120 @@ def plan_or_error(path, init, p, plan=astar_plan):
 
 
 def assert_matches_reference(path, init, p):
-    """`astar_plan` returns the reference plan or raises its error class."""
+    """`plan_one` returns the reference plan or raises its error class."""
     got = plan_or_error(path, init, p)
     assert got == plan_or_error(path, init, p, reference_plan)
     return got
 
 
-@pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
-def test_plan_matches_reference_on_generated_instances(
-    corridors_map, monkeypatch, fraction
-):
-    calls = []
+FRACTIONS = (165.0 / 370.0, 1.0)
 
-    def record(path, init, p):
-        calls.append((path, init, p))
-        return astar_plan(path, init, p)
 
-    monkeypatch.setattr(synthesis, "astar_plan", record)
-    # at index 18 both fractions draw a plan whose merge has an exact cost
-    # tie, so the (parent, action) tie-break is checked too
-    cfg = GenerationConfig(
-        seed=35, n_scenes=1, output_dir="unused", augmented_fraction=fraction
-    )
-    index = 0
-    while len(calls) < 160:
-        try:
-            generate_scene(corridors_map, np.random.default_rng([35, index]), cfg)
-        except SceneSynthError:
-            pass
-        index += 1
-    for path, init, p in calls:
-        assert_matches_reference(path, init, p)
+@pytest.fixture(scope="module")
+def oracle_instances(corridors_map):
+    """For each warp fraction, the first 160 planner problems that
+    `make_scene` poses at seed 35, each with `reference_plan`'s plan or
+    error class. At index 18 both fractions draw a plan whose merge has an
+    exact cost tie, so the (parent, action) tie-break is checked too."""
+    instances = {}
+    for fraction in FRACTIONS:
+        calls = []
+
+        def record(problems):
+            calls.extend(problems)
+            return astar_plan(problems)
+
+        cfg = GenerationConfig(
+            seed=35, n_scenes=1, output_dir="unused", augmented_fraction=fraction
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "astar_plan", record)
+            index = 0
+            while len(calls) < 160:
+                try:
+                    make_scene(corridors_map, np.random.default_rng([35, index]), cfg)
+                except SceneSynthError:
+                    pass
+                index += 1
+        instances[fraction] = [
+            (problem, plan_or_error(*problem, reference_plan)) for problem in calls
+        ]
+    return instances
+
+
+@pytest.mark.parametrize("fraction", FRACTIONS)
+def test_plan_matches_reference_on_generated_instances(oracle_instances, fraction):
+    for problem, want in oracle_instances[fraction]:
+        assert plan_or_error(*problem) == want
+
+
+def outcome(result):
+    """A plan, or the class of a PlanningError, as `plan_or_error` gives it."""
+    return type(result) if isinstance(result, PlanningError) else result
+
+
+def test_batched_plans_match_reference(oracle_instances):
+    instances = [x for fraction in FRACTIONS for x in oracle_instances[fraction]]
+    rng = np.random.default_rng(2718)
+    order = rng.permutation(len(instances)).tolist()
+    sizes = [1]
+    while sum(sizes) < len(order):
+        sizes.append(int(rng.integers(2, 41)))
+    start = 0
+    for size in sizes:
+        batch = [instances[k] for k in order[start : start + size]]
+        start += size
+        got = astar_plan([problem for problem, _ in batch])
+        assert [outcome(r) for r in got] == [want for _, want in batch]
+
+
+def test_batch_mixing_feasible_overrunning_and_pruned_scenes():
+    # only braking actions: a slow start runs out of speed, a fast start
+    # runs off a short path, and one starts past the end of its path
+    path, short = straight_path(200.0), straight_path(30.0)
+    p = PlannerParams(action_set=(-1.0, -0.5), v_d=8.0)
+    problems = [
+        (path, PlannerNode(0.0, 10.0, 0.0), p),
+        (short, PlannerNode(0.0, 10.0, 0.0), replace(p, v_d=10.0)),
+        (wiggly_path(np.random.default_rng(4)), PlannerNode(3.0, 9.0, 0.0), replace(p, v_d=6.0)),
+        (path, PlannerNode(0.0, 0.5, 0.0), replace(p, v_d=3.0)),
+        (path, PlannerNode(201.0, 5.0, 0.0), p),
+    ]
+    got = [outcome(r) for r in astar_plan(problems)]
+    assert got == [plan_or_error(*problem, reference_plan) for problem in problems]
+    assert isinstance(got[0], CoarsePlan) and isinstance(got[2], CoarsePlan)
+    assert got[1:2] + got[3:] == [PathOverrunError, PlanningFailureError, PathOverrunError]
+
+
+def test_batch_must_share_all_but_desired_velocity():
+    path = straight_path(200.0)
+    init = PlannerNode(0.0, 10.0, 0.0)
+    with pytest.raises(ValueError, match="only in v_d"):
+        astar_plan([(path, init, PlannerParams()), (path, init, PlannerParams(w1=4.0))])
+    coarse = _path_from_polyline(Polyline([(0.0, 0.0), (100.0, 0.0)]), ("L",), 2.0)
+    with pytest.raises(ValueError, match="one uniform grid"):
+        astar_plan([(path, init, PlannerParams()), (coarse, init, PlannerParams())])
+
+
+def test_batched_curvature_lookup_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(5)
+    paths = [wiggly_path(rng, length=n, max_turn=0.08) for n in (40.0, 260.0, 117.0)]
+    batch = _Batch(paths, PlannerParams(), np.zeros(len(paths)))
+    for row, path in enumerate(paths):
+        end = path.length
+        x = np.concatenate([
+            path.cum_s,
+            [end, np.nextafter(end, np.inf), np.nextafter(end, -np.inf), end + 3.5],
+            rng.uniform(0.0, end, 5000),
+            [-0.5, -0.0],
+        ])
+        got = batch.curvature(x, np.full(x.shape, row))
+        assert got.tobytes() == np.interp(x, path.cum_s, path.kappa).tobytes()
+    # padded (scene, state) layout, as the beam pass asks for it
+    x = rng.uniform(0.0, 45.0, (3, 500))
+    got = batch.curvature(x, np.arange(3)[:, None])
+    want = [np.interp(x[row], path.cum_s, path.kappa) for row, path in enumerate(paths)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_plan_matches_reference_on_tied_action_orders():
@@ -315,7 +398,7 @@ def test_plan_matches_reference_when_beam_pass_overruns():
     path = straight_path(20.0)
     init = PlannerNode(0.0, 4.0, 0.0)
     p = PlannerParams(v_d=4.0)
-    actions = np.asarray(p.action_set)
-    with pytest.raises(PathOverrunError):
-        _search(path, init, p, actions, _n_steps(0.0, p), math.inf, BEAM_WIDTH)
+    batch = _Batch([path], p, np.array([p.v_d]))
+    ub = batch.beam_bounds(np.array([init.s]), np.array([init.v]), _n_steps(0.0, p), BEAM_WIDTH)
+    assert ub.tolist() == [math.inf]
     assert isinstance(assert_matches_reference(path, init, p), CoarsePlan)

@@ -22,7 +22,7 @@ from scenesynth.pretrain import (
     vectorize_scene,
     write_sample,
 )
-from scenesynth.synthesis import GenerationConfig, Scene, generate_scene
+from scenesynth.synthesis import GenerationConfig, Scene, make_scene
 
 
 def toy_scene(n_lanes=4, city="MIA"):
@@ -349,7 +349,7 @@ def generated_scenes(corridors_map, fraction, n, seed=44):
     while len(scenes) < n:
         try:
             scenes.append(
-                generate_scene(
+                make_scene(
                     corridors_map, np.random.default_rng([seed, index]), cfg,
                     f"{index:06d}",
                 )

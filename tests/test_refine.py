@@ -227,7 +227,7 @@ def test_too_short_plan_rejected():
 
 
 def captured_refinements(corridors_map, monkeypatch, cfg, count):
-    """(plan, v0, s0) of the first `count` refinements `generate_scene`
+    """(plan, v0, s0) of the first `count` refinements `make_scene`
     asks for under `cfg`."""
     calls = []
 
@@ -239,7 +239,7 @@ def captured_refinements(corridors_map, monkeypatch, cfg, count):
     index = 0
     while len(calls) < count:
         try:
-            synthesis.generate_scene(
+            synthesis.make_scene(
                 corridors_map, np.random.default_rng([44, index]), cfg
             )
         except SceneSynthError:

@@ -11,13 +11,14 @@ from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, Vali
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2
 from scenesynth.maps import crop_map
+from scenesynth import synthesis
 from scenesynth.planner import PlannerParams
 from scenesynth.refine import RefinementParams
 from scenesynth.synthesis import (
     GenerationConfig,
     SCENE_SAMPLES,
     generate_dataset,
-    generate_scene,
+    make_scene,
     read_scene,
     scene_to_text,
     validate_scene,
@@ -50,8 +51,8 @@ def test_config_validation():
 
 def test_scene_deterministic_bytes(corridors_map):
     cfg = GenerationConfig(seed=9, n_scenes=1, output_dir="unused")
-    a = generate_scene(corridors_map, np.random.default_rng([9, 0, 0]), cfg, "000000")
-    b = generate_scene(corridors_map, np.random.default_rng([9, 0, 0]), cfg, "000000")
+    a = make_scene(corridors_map, np.random.default_rng([9, 0, 0]), cfg, "000000")
+    b = make_scene(corridors_map, np.random.default_rng([9, 0, 0]), cfg, "000000")
     assert scene_to_text(a) == scene_to_text(b)
 
 
@@ -75,7 +76,7 @@ def test_unaugmented_scene_follows_straight_lane():
         path_min_length=120.0,
     )
     for i in range(5):
-        scene = generate_scene(m, np.random.default_rng([2, i, 0]), cfg, f"{i:06d}")
+        scene = make_scene(m, np.random.default_rng([2, i, 0]), cfg, f"{i:06d}")
         # both lanes lie on y = 0
         assert np.abs(scene.trajectory[:, 1]).max() < 0.1
 
@@ -269,7 +270,7 @@ def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
     while read < 200:
         index += 1
         try:
-            scene = generate_scene(corridors_map, np.random.default_rng([9, index]), cfg)
+            scene = make_scene(corridors_map, np.random.default_rng([9, index]), cfg)
         except SceneSynthError:
             continue
         f.write_text(scene_to_text(scene), encoding="utf-8")
@@ -311,6 +312,24 @@ def test_read_scene_lane_fault_names_its_lane_line(demo_scene, tmp_path):
     assert exc.value.line == i + 1
 
 
+@pytest.mark.parametrize("column, value", [(1, "000999"), (5, "PIT")])
+def test_read_scene_row_identity_names_first_row_at_fault(
+    demo_scene, tmp_path, column, value
+):
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    header = lines.index("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME")
+    for i in (header + 11, header + 30):
+        fields = lines[i].split(",")
+        fields[column] = value
+        lines[i] = ",".join(fields)
+    f = tmp_path / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f":{header + 12}: row identity") as exc:
+        read_scene(f)
+    assert exc.value.line == header + 12
+    assert_same_outcome(read_scene, reference_read_scene, f)
+
+
 @pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
 def test_scene_text_matches_reference(corridors_map, fraction):
     cfg = GenerationConfig(output_dir="unused", augmented_fraction=fraction)
@@ -319,7 +338,7 @@ def test_scene_text_matches_reference(corridors_map, fraction):
     while texts < 200:
         index += 1
         try:
-            scene = generate_scene(corridors_map, np.random.default_rng([8, index]), cfg)
+            scene = make_scene(corridors_map, np.random.default_rng([8, index]), cfg)
         except SceneSynthError:
             continue
         # twice: the second pass reads the pt lines kept on each Polyline
@@ -394,7 +413,7 @@ def test_augmented_scene_records_transform(corridors_map):
     cfg = GenerationConfig(
         seed=4, n_scenes=1, output_dir="unused", augmented_fraction=1.0
     )
-    scene = generate_scene(
+    scene = make_scene(
         corridors_map, np.random.default_rng([4, 0, 0]), cfg, "000000"
     )
     assert scene.metadata["augmented"] == "true"
@@ -438,3 +457,69 @@ def test_dataset_bytes_pinned(tmp_path, corridors_map, seed, fraction, digest):
     cfg = small_cfg(tmp_path, n=40, seed=seed, augmented_fraction=fraction)
     generate_dataset([corridors_map], cfg)
     assert scene_files_digest(tmp_path / "scenes") == digest
+
+
+def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
+    tmp_path, corridors_map, monkeypatch
+):
+    # every third scene fails its first two attempts and scene 7 every one,
+    # so chunks run several rounds and end with a skipped scene
+    real_validate = synthesis.validate_scene
+
+    def flaky(scene):
+        index, attempt = map(int, scene.metadata["rng_key"].split("/")[1:])
+        if index == 7 or (index % 3 == 0 and attempt < 2):
+            raise ValidationError(f"forced failure {index}/{attempt}")
+        real_validate(scene)
+
+    calls = {"generate_scene": 0, "astar_plan": 0}
+
+    def counted(name):
+        real = getattr(synthesis, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(synthesis, "validate_scene", flaky)
+    runs = {}
+    for chunk in (1, synthesis.CHUNK_SCENES):
+        monkeypatch.setattr(synthesis, "CHUNK_SCENES", chunk)
+        calls.update(generate_scene=0, astar_plan=0)
+        with monkeypatch.context() as mp:
+            for name in calls:
+                mp.setattr(synthesis, name, counted(name))
+            log = []
+            cfg = small_cfg(
+                tmp_path / str(chunk), n=40, seed=6, augmented_fraction=1.0, retry_budget=3
+            )
+            manifest = generate_dataset([corridors_map], cfg, log=log.append)
+        records = [
+            (r.filename, r.status, r.cost, r.attempts, r.reason) for r in manifest.records
+        ]
+        # one finishing call per attempt, as the traced benchmark counts them
+        assert calls["generate_scene"] == sum(r.attempts for r in manifest.records)
+        runs[chunk] = (
+            scene_files_digest(tmp_path / str(chunk) / "scenes"),
+            records,
+            [line.partition(" wall_ms=")[0] for line in log],
+            calls["astar_plan"],
+        )
+    one, chunked = runs[1], runs[synthesis.CHUNK_SCENES]
+    assert chunked[:3] == one[:3]
+    # chunks of 16 over 40 scenes: 3 chunks, at most 4 rounds each
+    assert chunked[3] <= 3 * 4 < one[3]
+    records = one[1]
+    assert records[7][1:4] == ("skipped", "-", 4) and "forced failure 7/3" in records[7][4]
+    assert all(records[i][3] >= 3 for i in range(0, 40, 3) if i != 7)
+    assert [line.partition(" ")[0] for line in one[2]] == [
+        f"scene={r[0]}" for r in records
+    ]
+    # scene 3 was made by its third attempt, from that attempt's own stream
+    cfg = small_cfg(tmp_path, seed=6, augmented_fraction=1.0)
+    rng = np.random.default_rng([6, 3, 2])
+    scene = make_scene(corridors_map, rng, cfg, "000003", "6/3/2", force_augmented=True)
+    kept = tmp_path / str(synthesis.CHUNK_SCENES) / "scenes" / "scene_000003.csv"
+    assert kept.read_text() == scene_to_text(scene)
