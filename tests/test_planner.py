@@ -338,7 +338,7 @@ def test_batch_mixing_feasible_overrunning_and_pruned_scenes():
     got = [outcome(r) for r in astar_plan(problems)]
     assert got == [plan_or_error(*problem, reference_plan) for problem in problems]
     assert isinstance(got[0], CoarsePlan) and isinstance(got[2], CoarsePlan)
-    assert got[1:2] + got[3:] == [PathOverrunError, PlanningFailureError, PathOverrunError]
+    assert (got[1], got[3], got[4]) == (PathOverrunError, PlanningFailureError, PathOverrunError)
 
 
 def test_batch_must_share_all_but_desired_velocity():
