@@ -2,20 +2,26 @@
 
 Usage: python scripts/compare_outputs.py OLD_TREE NEW_TREE [--scenes N]
 
-For each case (the paper's 165/370 warped mix and an all-warped dataset,
-each at two fixed seeds) it runs, once with OLD_TREE/src and once with
-NEW_TREE/src on PYTHONPATH, in a fresh process and into the same paths:
-write the `corridors` MIA and PIT map files, `generate` N scenes from
-them, then `mask --task combined`; then the same again with
-`generate --workers 2`, into `scenes_w2/` and `samples_w2/`. The manifest
-echoes the output and map paths, so both trees must write to the same
-paths for their bytes to be comparable; the second tree runs after the
-first one's files are recorded and removed.
+Each case runs once with OLD_TREE/src and once with NEW_TREE/src on
+PYTHONPATH, in a fresh process and into the same paths, after writing
+the `corridors` MIA and PIT map files:
 
-Prints every map, scene, manifest or sample file whose bytes differ, or
-that only one tree wrote, and every scene or sample file of a two-worker
-run whose bytes differ from the one-worker run's; exits 1 if there is
-any, and 0 if every file is byte-identical.
+- generate cases (the paper's 165/370 warped mix and an all-warped
+  dataset, each at two fixed seeds): `generate` N scenes from the maps,
+  then `mask --task combined`; then the same again with
+  `generate --workers 2`, into `scenes_w2/` and `samples_w2/`;
+- augment-map cases (`--kind single` and `--kind double`, each at two
+  fixed seeds): `augment-map` on each map, which writes the warped map
+  and its `.params` file.
+
+The manifest echoes the output and map paths, so both trees must write
+to the same paths for their bytes to be comparable; the second tree runs
+after the first one's files are recorded and removed.
+
+Prints every map, scene, manifest, sample or `.params` file whose bytes
+differ, or that only one tree wrote, and every scene or sample file of a
+two-worker run whose bytes differ from the one-worker run's; exits 1 if
+there is any, and 0 if every file is byte-identical.
 """
 
 from __future__ import annotations
@@ -37,8 +43,17 @@ CASES = (
     ("warped-271828000", 1.0, 271828000),
 )
 
-# run in the tree's interpreter environment: write the maps and a config,
-# then generate and mask through the CLI
+# (name, augment-map --kind, seed)
+AUGMENT_CASES = (
+    ("augment-single-1000", "single", 1000),
+    ("augment-single-271828000", "single", 271828000),
+    ("augment-double-1000", "double", 1000),
+    ("augment-double-271828000", "double", 271828000),
+)
+
+# run in the tree's interpreter environment: write the maps, then
+# (generate) write a config, generate and mask through the CLI, or
+# (augment) warp each map through the CLI
 RUN = """
 import sys
 from pathlib import Path
@@ -46,12 +61,21 @@ from scenesynth.cli import main
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.maps import save_map
 
-work, n_scenes, seed, fraction = Path(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4]
+mode, work, seed = sys.argv[1], Path(sys.argv[2]), sys.argv[3]
 maps = []
 for city in ("MIA", "PIT"):
     path = work / f"corridors_{city}.txt"
     save_map(generate_map_fixture("corridors", city), path)
     maps.append(str(path))
+if mode == "augment":
+    for path in maps:
+        out = path.replace("corridors_", f"augmented_{sys.argv[4]}_")
+        code = main(["augment-map", "--map", path, "--seed", seed, "--out", out,
+                     "--kind", sys.argv[4]])
+        if code != 0:
+            sys.exit(f"scenesynth augment-map exited {code}")
+    sys.exit(0)
+n_scenes, fraction = sys.argv[4], sys.argv[5]
 for suffix, workers in (("", "1"), ("_w2", "2")):
     scenes, cfg = work / f"scenes{suffix}", work / f"generate{suffix}.cfg"
     lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {scenes}",
@@ -78,12 +102,12 @@ def _digests(root: Path) -> dict[str, str]:
     }
 
 
-def run_tree(tree: Path, work: Path, n_scenes: int, fraction, seed: int) -> dict[str, str]:
-    """sha256 of every file one tree writes for one case, by path."""
+def run_tree(tree: Path, work: Path, mode: str, seed: int, *args: str) -> dict[str, str]:
+    """sha256 of every file one tree writes for one case, by path: `mode`
+    is "generate" (args: scene count, fraction) or "augment" (args: kind)."""
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", RUN, str(work), str(n_scenes), str(seed),
-            "default" if fraction is None else repr(fraction)]
+    argv = [sys.executable, "-c", RUN, mode, str(work), str(seed), *args]
     proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {proc.stderr.strip()}")
@@ -116,9 +140,13 @@ def compare(old: Path, new: Path, n_scenes: int, work: Path) -> list[str]:
     """One line per file whose bytes differ between the trees, or between
     a tree's one- and two-worker runs."""
     problems = []
-    for name, fraction, seed in CASES:
-        before = run_tree(old, work / name, n_scenes, fraction, seed)
-        after = run_tree(new, work / name, n_scenes, fraction, seed)
+    runs = [
+        (name, "generate", seed, str(n_scenes), "default" if fraction is None else repr(fraction))
+        for name, fraction, seed in CASES
+    ] + [(name, "augment", seed, kind) for name, kind, seed in AUGMENT_CASES]
+    for name, *case in runs:
+        before = run_tree(old, work / name, *case)
+        after = run_tree(new, work / name, *case)
         problems += worker_problems(f"{old}: {name}", before)
         problems += worker_problems(f"{new}: {name}", after)
         for path in sorted(before.keys() | after.keys()):

@@ -6,9 +6,7 @@ from .maps import (
     ReferencePath,
     SceneMap,
     build_reference_path,
-    build_reference_paths,
     load_map,
-    project_to_path,
     save_map,
 )
 from .augment import (
@@ -28,7 +26,6 @@ from .planner import (
     astar_plan,
     expand,
     plan_one,
-    plan_to_global,
     transition_cost,
 )
 from .refine import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point2, Polyline, rotate
-from .maps import LaneSegment, ReferencePath, SceneMap
+from .maps import LanePoints, LaneSegment, ReferencePath, SceneMap
 
 ALPHA1_RANGE = (1.0, 10.0)
 DEFAULT_ALPHA2 = 20.0
@@ -159,30 +159,38 @@ def warp_displacement(x, p: TurnTransformParams):
 def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
     """Warp every lane of the map in the shared anchor frame.
 
-    Points whose frame-local x stays below the onset b are copied
-    bit-identically, and a lane with no point past b is kept as the same
-    LaneSegment object; connectivity and point counts never change.
+    Works on the map's points as one array (`m.points`, lanes in sorted-id
+    order): one rotation into the frame, one `warp_displacement` call on
+    the points whose frame-local x reaches the onset b, one rotation back
+    of those points. Every other point is copied bit-identically, and a
+    lane with no point past b is kept as the same LaneSegment object;
+    connectivity and point counts never change. The warped map's `points`
+    is the warped array.
     """
+    ids, xy, offsets = m.points
     origin = np.array([p.frame.origin.x, p.frame.origin.y])
-    lanes = []
-    for lane_id in m.sorted_ids():
+    local = rotate(xy - origin, -p.frame.heading)
+    touched = local[:, 0] >= p.b
+    warped = local[touched]
+    warped[:, 1] += warp_displacement(warped[:, 0] - p.b, p)
+    new_xy = xy.copy()
+    new_xy[touched] = rotate(warped, p.frame.heading) + origin
+    new_xy.setflags(write=False)
+    lanes = {}
+    hit = np.logical_or.reduceat(touched, offsets[:-1])
+    for k, lane_id in enumerate(ids):
         lane = m.lanes[lane_id]
-        xy = lane.centerline.xy
-        local = rotate(xy - origin, -p.frame.heading)
-        touched = local[:, 0] >= p.b
-        if touched.any():
-            warped = local.copy()
-            warped[touched, 1] += warp_displacement(
-                local[touched, 0] - p.b, p
-            )
-            back = rotate(warped, p.frame.heading) + origin
-            new_xy = np.where(touched[:, None], back, xy)
+        if hit[k]:
             lane = LaneSegment(
-                lane.lane_id, Polyline(new_xy), lane.predecessors, lane.successors
+                lane_id,
+                Polyline(new_xy[offsets[k] : offsets[k + 1]]),
+                lane.predecessors,
+                lane.successors,
             )
-        lanes.append(lane)
-    out = SceneMap(city=m.city, lanes={ln.lane_id: ln for ln in lanes})
+        lanes[lane_id] = lane
+    out = SceneMap(city=m.city, lanes=lanes)
     out.validate()
+    out.__dict__["points"] = LanePoints(ids, new_xy, offsets)  # the cached_property's slot
     return out
 
 

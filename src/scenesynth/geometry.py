@@ -141,30 +141,6 @@ def curvature_profile(p: Polyline) -> np.ndarray:
     return np.concatenate(([kappa[0]], kappa, [kappa[-1]]))
 
 
-def project_to_polyline(pos: Point2, p: Polyline) -> tuple[float, float, float]:
-    """Project a point onto the polyline.
-
-    Returns (s, lateral, distance): chord arc-length of the closest point,
-    the signed perpendicular offset (left of travel positive), and the
-    projection distance. Ties go to the earliest segment.
-    """
-    xy = p.xy
-    q = np.array([pos.x, pos.y])
-    d = xy[1:] - xy[:-1]
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    w = q[None, :] - xy[:-1]
-    t = np.clip(np.einsum("ij,ij->i", w, d) / seg_len2, 0.0, 1.0)
-    foot = xy[:-1] + t[:, None] * d
-    diff = q[None, :] - foot
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    i = int(np.argmin(dist2))
-    seg_len = math.sqrt(seg_len2[i])
-    s = float(p.cum_s[i] + t[i] * seg_len)
-    tx, ty = d[i] / seg_len
-    lateral = float(tx * diff[i, 1] - ty * diff[i, 0])
-    return s, lateral, math.sqrt(float(dist2[i]))
-
-
 def rotate(xy: np.ndarray, angle: float) -> np.ndarray:
     """Rotate points (n, 2) about the origin by `angle` radians."""
     c, s = math.cos(angle), math.sin(angle)

@@ -25,6 +25,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .geometry import (
     Point2,
     Polyline,
     curvature_profile,
-    project_to_polyline,
     resample_polyline,
 )
 
@@ -43,6 +44,10 @@ CONNECTIVITY_TOL = 0.5
 
 # Arc-length spacing of reference-path samples.
 REFERENCE_SPACING = 1.0
+
+# Reference paths that `build_reference_path` keeps for reuse, the least
+# recently used dropped first.
+PATH_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -55,12 +60,33 @@ class LaneSegment:
     successors: tuple[str, ...] = ()
 
 
+class LanePoints(NamedTuple):
+    """The centerline points of a map's lanes as one array: lane `ids[k]`
+    owns rows `offsets[k]:offsets[k + 1]` of the read-only `(N, 2)` `xy`."""
+
+    ids: tuple[str, ...]
+    xy: np.ndarray
+    offsets: np.ndarray
+
+
 @dataclass(frozen=True)
 class SceneMap:
     """A lane graph for one city. Treat as immutable after construction."""
 
     city: str
     lanes: dict[str, LaneSegment] = field(default_factory=dict)
+
+    @cached_property
+    def points(self) -> LanePoints:
+        """Every centerline point, lanes in sorted-id order; built on first
+        use and kept with the map object (not a field, so not compared)."""
+        ids = tuple(self.sorted_ids())
+        polys = [self.lanes[lane_id].centerline.xy for lane_id in ids]
+        xy = np.concatenate(polys) if polys else np.empty((0, 2))
+        xy.setflags(write=False)
+        offsets = np.cumsum([0] + [len(poly) for poly in polys])
+        offsets.setflags(write=False)
+        return LanePoints(ids, xy, offsets)
 
     def validate(self, path=None, lane_lines: dict[str, int] | None = None) -> None:
         """Check the graph; a fault names the map's file `path` and the
@@ -327,6 +353,12 @@ def _path_from_polyline(poly: Polyline, lane_ids, spacing: float) -> ReferencePa
     return ReferencePath(resampled, cum_s, kappa, spacing, tuple(lane_ids))
 
 
+# (spacing and its type, id of each chain lane) -> (the chain's lanes, its
+# path); holding the lanes keeps their ids from being reused while the entry
+# is cached
+_PATH_CACHE: dict[tuple, tuple[tuple[LaneSegment, ...], ReferencePath]] = {}
+
+
 def build_reference_path(
     m: SceneMap,
     seed_lane: str,
@@ -339,6 +371,14 @@ def build_reference_path(
     The walk picks a uniformly random unvisited successor at each fork and
     stops when the graph is exhausted, so the result can be shorter than
     `min_length` on small maps.
+
+    A path is a function of its chain of lanes and `spacing`, so the last
+    `PATH_CACHE_SIZE` paths are kept by the identity of their
+    `LaneSegment` objects: a chain of the very same objects at the same
+    spacing returns the path already built (immutable, with read-only
+    arrays), whatever map holds them. A warped lane is a new object, so a
+    chain through it is never served from its unwarped twin. The walk and
+    its rng draws are the same on a hit.
     """
     if min_length <= 0:
         raise ValueError("min_length must be positive")
@@ -355,54 +395,36 @@ def build_reference_path(
         lane = m.lanes[nxt]
         chain.append(lane)
         total += lane.centerline.length
-    poly = _concat_centerlines([ln.centerline for ln in chain])
-    return _path_from_polyline(poly, [ln.lane_id for ln in chain], spacing)
-
-
-def build_reference_paths(
-    m: SceneMap,
-    min_length: float,
-    rng: np.random.Generator,
-    spacing: float = REFERENCE_SPACING,
-) -> list[ReferencePath]:
-    """One reference path per seed lane, in sorted lane-id order."""
-    return [
-        build_reference_path(m, lane_id, min_length, rng, spacing)
-        for lane_id in m.sorted_ids()
-    ]
-
-
-def project_to_path(pos: Point2, path: ReferencePath) -> tuple[float, float]:
-    """Arc-length and signed lateral offset of `pos` on the path.
-
-    The returned s lives on the path's uniform grid parameterization
-    (cum_s), with left-of-travel lateral positive.
-    """
-    s_chord, lateral, _ = project_to_polyline(pos, path.samples)
-    # translate chord arc-length onto the uniform grid
-    chord = path.samples.cum_s
-    i = int(np.clip(np.searchsorted(chord, s_chord, side="right") - 1, 0, len(chord) - 2))
-    frac = (s_chord - chord[i]) / (chord[i + 1] - chord[i])
-    s = float(path.cum_s[i] + frac * (path.cum_s[i + 1] - path.cum_s[i]))
-    return s, lateral
+    key = (type(spacing), spacing, *map(id, chain))
+    hit = _PATH_CACHE.pop(key, None)
+    if hit is None:
+        poly = _concat_centerlines([ln.centerline for ln in chain])
+        hit = (tuple(chain), _path_from_polyline(poly, [ln.lane_id for ln in chain], spacing))
+        if len(_PATH_CACHE) >= PATH_CACHE_SIZE:
+            del _PATH_CACHE[next(iter(_PATH_CACHE))]
+    _PATH_CACHE[key] = hit
+    return hit[1]
 
 
 def crop_map(m: SceneMap, center: Point2, radius: float) -> SceneMap:
     """Keep lanes with any centerline point within `radius` of `center`,
-    pruning connectivity references that leave the crop."""
-    c = np.array([center.x, center.y])
-    keep: dict[str, LaneSegment] = {}
-    for lane_id, lane in m.lanes.items():
-        d2 = ((lane.centerline.xy - c) ** 2).sum(axis=1)
-        if (d2 <= radius * radius).any():
-            keep[lane_id] = lane
+    pruning connectivity references that leave the crop.
+
+    The squared distances of all of the map's points (`m.points`) come
+    from one array pass, and `np.logical_or.reduceat` turns them into one
+    keep flag per lane."""
+    ids, xy, offsets = m.points
+    d2 = (xy - np.array([center.x, center.y])) ** 2
+    near = d2[:, 0] + d2[:, 1] <= radius * radius
+    kept = {ids[k] for k in np.flatnonzero(np.logical_or.reduceat(near, offsets[:-1]))}
     lanes = [
         LaneSegment(
             lane.lane_id,
             lane.centerline,
-            tuple(p for p in lane.predecessors if p in keep),
-            tuple(s for s in lane.successors if s in keep),
+            tuple(p for p in lane.predecessors if p in kept),
+            tuple(s for s in lane.successors if s in kept),
         )
-        for lane in keep.values()
+        for lane_id, lane in m.lanes.items()
+        if lane_id in kept
     ]
     return make_map(m.city, lanes)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PathOverrunError, PlanningError, PlanningFailureError
-from .geometry import Point2
 from .maps import ReferencePath
 
 ACTION_RANGE = (-2.0, 1.0)
@@ -340,16 +339,6 @@ def plan_one(path: ReferencePath, init: PlannerNode, p: PlannerParams) -> Coarse
     if isinstance(plan, PlanningError):
         raise plan
     return plan
-
-
-def plan_to_global(plan: CoarsePlan, path: ReferencePath) -> list[tuple[float, Point2]]:
-    """Interpolate plan arc-lengths onto the path polyline."""
-    s = plan.s_values()
-    xy = path.xy_at(s)
-    return [
-        (node.t, Point2(float(x), float(y)))
-        for node, (x, y) in zip(plan.nodes, xy)
-    ]
 
 
 def sample_speed_targets(

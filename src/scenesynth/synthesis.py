@@ -22,10 +22,10 @@ An attempt at a scene has three phases: `draw_scene` makes every random
 draw (warp, reference path, speeds, start), `astar_plan` plans, and
 `generate_scene` finishes (refine, place, crop, validate) or raises the
 attempt's error. `generate_dataset` cuts the scene indices into chunks of
-`CHUNK_SCENES`, one worker task each, and runs each chunk in rounds: round
-r draws attempt r of every scene still pending, plans all of them in one
-`astar_plan` call, finishes each, and sends the failed ones to round
-r + 1. Each attempt draws from its own `[seed, index, attempt]` stream and
+at most `CHUNK_SCENES` (`chunk_indices`), one worker task each, and runs
+each chunk in rounds: round r draws attempt r of every scene still
+pending, plans all of them in one `astar_plan` call, finishes each, and
+sends the failed ones to round r + 1. Each attempt draws from its own `[seed, index, attempt]` stream and
 a plan does not depend on its batch, so the bytes do not depend on the
 chunk size or the worker count. `make_scene` runs the three phases for
 one scene.
@@ -77,8 +77,8 @@ ACCEL_BOUNDS = (-5.0, 3.0)
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
-# scene indices that one worker task plans together, round by round; output
-# bytes do not depend on it
+# the most scene indices that one worker task plans together, round by
+# round; output bytes do not depend on it
 CHUNK_SCENES = 16
 
 
@@ -697,6 +697,24 @@ def manifest_text(
     return "\n".join(lines) + "\n"
 
 
+def chunk_indices(todo: list[int], workers: int = 1) -> list[list[int]]:
+    """Cut the scene indices still to make into pool tasks, in order.
+
+    One worker takes them `CHUNK_SCENES` at a time. More workers get a
+    multiple of `workers` near-equal chunks (sizes differ by at most one,
+    none above `CHUNK_SCENES`, none empty), so that no worker idles while
+    another runs the last chunk: 200 scenes on 2 workers make 14 chunks
+    of 14 or 15.
+    """
+    if workers <= 1 or not todo:
+        return [todo[i : i + CHUNK_SCENES] for i in range(0, len(todo), CHUNK_SCENES)]
+    n = -(-len(todo) // CHUNK_SCENES)
+    n = min(-(-n // workers) * workers, len(todo))
+    size, extra = divmod(len(todo), n)
+    bounds = [k * size + min(k, extra) for k in range(n + 1)]
+    return [todo[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def generate_dataset(
     maps: list[SceneMap],
     cfg: GenerationConfig,
@@ -708,8 +726,8 @@ def generate_dataset(
 
     Already-written scene ids are skipped, so interrupted runs resume; a
     rerun over a complete dataset rewrites nothing. The scenes still to
-    make run in chunks of `CHUNK_SCENES`, one pool task each; records are
-    written and logged in index order. Output bytes do not depend on
+    make run in the chunks of `chunk_indices`, one pool task each; records
+    are written and logged in index order. Output bytes do not depend on
     `workers` or on the chunk size.
     """
     if not maps:
@@ -733,7 +751,7 @@ def generate_dataset(
         else:
             todo.append(index)
 
-    chunks = [todo[i : i + CHUNK_SCENES] for i in range(0, len(todo), CHUNK_SCENES)]
+    chunks = chunk_indices(todo, workers)
     if workers <= 1 or len(chunks) <= 1:
         for chunk in chunks:
             for rec in _build_scene_records(maps, cfg, chunk):

@@ -21,7 +21,8 @@ from scenesynth.errors import (
     SceneSynthError,
     ValidationError,
 )
-from scenesynth.geometry import Polyline
+from scenesynth.augment import warp_displacement
+from scenesynth.geometry import Polyline, rotate
 from scenesynth.maps import LaneSegment, SceneMap, _path_from_polyline, make_map, read_lines
 from scenesynth.planner import CoarsePlan, expand, transition_cost
 from scenesynth.synthesis import CSV_HEADER, SCENE_SAMPLES, Scene, validate_scene
@@ -345,6 +346,55 @@ def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
             raise MapFormatError(f"unknown directive {tag!r}", path, lineno)
     flush()
     return make_map(city, lanes, path, lane_lines)
+
+
+def reference_apply_transform(m: SceneMap, p) -> SceneMap:
+    """The warp one lane at a time, by the loop that the whole-map
+    `augment.apply_transform` replaced: rotate each lane into the frame,
+    displace its points past the onset, rotate it back, and keep the
+    LaneSegment object of a lane with no point past the onset."""
+    origin = np.array([p.frame.origin.x, p.frame.origin.y])
+    lanes = []
+    for lane_id in m.sorted_ids():
+        lane = m.lanes[lane_id]
+        xy = lane.centerline.xy
+        local = rotate(xy - origin, -p.frame.heading)
+        touched = local[:, 0] >= p.b
+        if touched.any():
+            warped = local.copy()
+            warped[touched, 1] += warp_displacement(
+                local[touched, 0] - p.b, p
+            )
+            back = rotate(warped, p.frame.heading) + origin
+            new_xy = np.where(touched[:, None], back, xy)
+            lane = LaneSegment(
+                lane.lane_id, Polyline(new_xy), lane.predecessors, lane.successors
+            )
+        lanes.append(lane)
+    out = SceneMap(city=m.city, lanes={ln.lane_id: ln for ln in lanes})
+    out.validate()
+    return out
+
+
+def reference_crop_map(m: SceneMap, center, radius: float) -> SceneMap:
+    """The crop one lane at a time, by the loop that the whole-map
+    `maps.crop_map` replaced."""
+    c = np.array([center.x, center.y])
+    keep: dict[str, LaneSegment] = {}
+    for lane_id, lane in m.lanes.items():
+        d2 = ((lane.centerline.xy - c) ** 2).sum(axis=1)
+        if (d2 <= radius * radius).any():
+            keep[lane_id] = lane
+    lanes = [
+        LaneSegment(
+            lane.lane_id,
+            lane.centerline,
+            tuple(p for p in lane.predecessors if p in keep),
+            tuple(s for s in lane.successors if s in keep),
+        )
+        for lane in keep.values()
+    ]
+    return make_map(m.city, lanes)
 
 
 def reference_read_scene(path) -> Scene:

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import binomial_band
+from oracles import assert_same_map, binomial_band, reference_apply_transform
 from scenesynth.augment import (
+    ALPHA1_RANGE,
+    DEFAULT_ALPHA2,
+    DEFAULT_TURN_GAP,
+    DEFAULT_TURN_LENGTH,
     TurnKind,
     TurnTransformParams,
     WarpFrame,
@@ -17,6 +21,7 @@ from scenesynth.augment import (
     sample_transform_params,
     warp_displacement,
 )
+from scenesynth.errors import ValidationError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2, Polyline
 from scenesynth.maps import LaneSegment, build_reference_path, make_map
@@ -183,6 +188,76 @@ def test_apply_transform_preserves_topology():
         assert other.successors == lane.successors
         assert other.predecessors == lane.predecessors
         assert other.centerline.n_points == lane.centerline.n_points
+
+
+def random_warp(rng, m):
+    """A warp of either kind anchored near a random centerline point of `m`,
+    heading anywhere, with the onset b anywhere in [0, 30]."""
+    lane = m.lanes[m.sorted_ids()[int(rng.integers(len(m.lanes)))]]
+    origin = lane.centerline.xy[int(rng.integers(lane.centerline.n_points))]
+    origin = origin + rng.normal(0.0, 20.0, 2)
+    kind = TurnKind.SINGLE if rng.random() < 0.5 else TurnKind.DOUBLE
+    return TurnTransformParams(
+        kind,
+        float(rng.uniform(0.0, 30.0)),
+        float(rng.uniform(*ALPHA1_RANGE)),
+        DEFAULT_ALPHA2,
+        DEFAULT_TURN_LENGTH,
+        DEFAULT_TURN_GAP if kind is TurnKind.DOUBLE else None,
+        WarpFrame(Point2(*map(float, origin)), float(rng.uniform(-math.pi, math.pi))),
+    )
+
+
+def assert_warp_matches_reference(m, p):
+    """`apply_transform(m, p)` is the per-lane loop's map, bit for bit, in
+    the same lane order, with the same LaneSegment object for every lane
+    the loop keeps, and its `points` are its lanes' points; returns the
+    warped map and how many lanes it changed, or None when both raise."""
+    try:
+        want = reference_apply_transform(m, p)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            apply_transform(m, p)
+        assert str(got.value) == str(exc)
+        return None
+    got = apply_transform(m, p)
+    assert_same_map(got, want)
+    for lane_id, lane in got.lanes.items():
+        assert (lane is m.lanes[lane_id]) == (want.lanes[lane_id] is m.lanes[lane_id])
+    ids, xy, offsets = got.points
+    assert ids == tuple(got.sorted_ids()) and not xy.flags.writeable
+    assert xy.tobytes() == np.concatenate([got.lanes[k].centerline.xy for k in ids]).tobytes()
+    assert list(np.diff(offsets)) == [got.lanes[k].centerline.n_points for k in ids]
+    return got, sum(lane is not m.lanes[k] for k, lane in got.lanes.items())
+
+
+@pytest.mark.parametrize("name", ["corridors", "fork", "chain3"])
+def test_apply_transform_matches_reference_on_random_warps(name):
+    """200 random warps of the fixture, each warped once more (the second
+    warp reads the `points` that the first one built), plus a warp that
+    touches no lane and one that touches every lane."""
+    m = generate_map_fixture(name)
+    rng = np.random.default_rng([8, len(name)])
+    xy = np.concatenate([lane.centerline.xy for lane in m.lanes.values()])
+    (x0, y0), (x1, _) = xy.min(axis=0), xy.max(axis=0)
+    warps = [
+        single(frame=WarpFrame(Point2(float(x1) + 100.0, float(y0)), 0.0)),  # touches none
+        double(alpha1=1.0, frame=WarpFrame(Point2(float(x0) - 20.0, float(y0)), 0.0)),
+    ] + [random_warp(rng, m) for _ in range(200)]
+    changed = []
+    for p in warps:
+        once = assert_warp_matches_reference(m, p)
+        if once is not None:
+            changed.append(once[1])
+            assert_warp_matches_reference(once[0], random_warp(rng, once[0]))
+    assert changed[0] == 0 and changed[1] == len(m.lanes)
+    assert len(changed) >= 190
+    assert {0, len(m.lanes)} < set(changed)
+
+
+def test_apply_transform_of_an_empty_map():
+    out = apply_transform(make_map("MIA", []), single())
+    assert out.lanes == {} and out.points.xy.shape == (0, 2)
 
 
 def test_sample_params_deterministic(corridors_map):

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import circle_points
 from scenesynth.geometry import (
     Point2,
     Polyline,
     curvature_profile,
-    project_to_polyline,
     resample_polyline,
 )
 
@@ -122,34 +119,4 @@ def test_curvature_endpoints_copy_neighbors():
     assert kappa[-1] == kappa[-2]
 
 
-def test_project_perpendicular_foot():
-    p = Polyline([(0, 0), (10, 0)])
-    s, lateral, dist = project_to_polyline(Point2(5.0, 2.0), p)
-    assert s == pytest.approx(5.0)
-    assert lateral == pytest.approx(2.0)
-    assert dist == pytest.approx(2.0)
 
-
-def test_project_right_side_negative():
-    p = Polyline([(0, 0), (10, 0)])
-    _, lateral, _ = project_to_polyline(Point2(4.0, -1.5), p)
-    assert lateral == pytest.approx(-1.5)
-
-
-def test_project_beyond_end_clamps():
-    p = Polyline([(0, 0), (10, 0)])
-    s, _, dist = project_to_polyline(Point2(12.0, 1.0), p)
-    assert s == pytest.approx(10.0)
-    assert dist == pytest.approx(math.hypot(2.0, 1.0))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_project_beats_every_vertex(seed):
-    rng = np.random.default_rng(seed)
-    pts = np.cumsum(rng.uniform(0.2, 1.5, size=(12, 2)), axis=0)
-    p = Polyline(pts)
-    pos = Point2(*rng.uniform(-2, 12, size=2))
-    _, _, dist = project_to_polyline(pos, p)
-    vertex_d = np.hypot(pts[:, 0] - pos.x, pts[:, 1] - pos.y)
-    assert dist <= vertex_d.min() + 1e-12

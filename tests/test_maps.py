@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_same_outcome, reference_parse_map_lines
+from oracles import (
+    assert_same_map,
+    assert_same_outcome,
+    reference_crop_map,
+    reference_parse_map_lines,
+)
+from scenesynth import maps
+from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame, apply_transform
 from scenesynth.errors import (
     MapFormatError,
     PathOverrunError,
@@ -13,14 +20,14 @@ from scenesynth.errors import (
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2, Polyline
 from scenesynth.maps import (
+    PATH_CACHE_SIZE,
     LaneSegment,
     build_reference_path,
-    build_reference_paths,
+    crop_map,
     load_map,
     make_map,
     map_to_lines,
     parse_map_lines,
-    project_to_path,
     save_map,
 )
 
@@ -139,16 +146,6 @@ def test_reference_path_fork_deterministic():
     assert other[0] == "L1" and other[1] in ("L2", "L3")
 
 
-def test_build_reference_paths_one_per_lane():
-    m = generate_map_fixture("chain3")
-    paths = build_reference_paths(m, 60.0, np.random.default_rng(1))
-    assert len(paths) == 3
-    assert paths[0].lane_ids[0] == "L1"
-
-
-def test_build_reference_paths_empty_map():
-    empty = make_map("MIA", [])
-    assert build_reference_paths(empty, 50.0, np.random.default_rng(0)) == []
 
 
 def test_reference_path_requires_positive_min_length():
@@ -157,37 +154,7 @@ def test_reference_path_requires_positive_min_length():
         build_reference_path(m, "L1", 0.0, np.random.default_rng(0))
 
 
-def test_project_on_sample_is_exact():
-    m = generate_map_fixture("straight_pair")
-    path = build_reference_path(m, "L1", 100.0, np.random.default_rng(0))
-    pos = Point2(*path.samples.xy[2])
-    s, lateral = project_to_path(pos, path)
-    assert s == path.cum_s[2]
-    assert lateral == 0.0
 
-
-def test_project_left_offset_positive():
-    m = generate_map_fixture("straight_pair")
-    path = build_reference_path(m, "L1", 100.0, np.random.default_rng(0))
-    s, lateral = project_to_path(Point2(5.0, 2.0), path)
-    assert s == pytest.approx(5.0)
-    assert lateral == pytest.approx(2.0)
-
-
-def test_project_matches_densified_search():
-    m = generate_map_fixture("corridors")
-    path = build_reference_path(m, "A0_0", 150.0, np.random.default_rng(3))
-    dense_s = np.linspace(0, path.length, 10_000)
-    dense_xy = path.xy_at(dense_s)
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        pos = Point2(
-            float(rng.uniform(-170, 170)), float(rng.uniform(150, 260))
-        )
-        s, _ = project_to_path(pos, path)
-        d = np.hypot(dense_xy[:, 0] - pos.x, dense_xy[:, 1] - pos.y)
-        s_oracle = dense_s[int(np.argmin(d))]
-        assert abs(s - s_oracle) <= path.spacing
 
 
 def test_xy_at_overrun_raises():
@@ -263,3 +230,141 @@ def test_lane_fault_names_its_lane_line(tmp_path, old, new, message):
     with pytest.raises(MapFormatError, match=message) as exc:
         load_map(f)
     assert exc.value.line == 2  # `lane L1`, not the `lane L2` line that closes it
+
+
+def test_map_points_are_one_read_only_array_kept_with_the_map():
+    m = generate_map_fixture("fork")
+    twin = generate_map_fixture("fork")
+    ids, xy, offsets = m.points
+    assert m.points is m.points
+    assert ids == ("L1", "L2", "L3") and list(offsets) == [0, *np.cumsum(
+        [m.lanes[k].centerline.n_points for k in ids]
+    )]
+    assert xy.tobytes() == np.concatenate([m.lanes[k].centerline.xy for k in ids]).tobytes()
+    assert not xy.flags.writeable and not offsets.flags.writeable
+    assert m == twin and twin == m  # not a field: equality ignores it
+
+
+@pytest.mark.parametrize("name", ["corridors", "fork", "chain3"])
+def test_crop_map_matches_reference(name):
+    """Random centers and radii on the fixture and on a warped copy (whose
+    `points` the warp built), a radius of 0 on a centerline point, and a
+    crop that keeps no lane."""
+    base = generate_map_fixture(name)
+    frame = WarpFrame(Point2(*map(float, base.points.xy[3])), 0.4)
+    warped = apply_transform(
+        base, TurnTransformParams(TurnKind.SINGLE, 5.0, 3.0, 20.0, 10.0, None, frame)
+    )
+    rng = np.random.default_rng([9, len(name)])
+    lo, hi = base.points.xy.min(axis=0) - 150.0, base.points.xy.max(axis=0) + 150.0
+    kept = set()
+    for m in (base, warped):
+        on_point = Point2(*map(float, m.points.xy[7]))
+        cases = [(on_point, 0.0), (Point2(*map(float, hi + 500.0)), 100.0)]
+        cases += [
+            (Point2(*map(float, rng.uniform(lo, hi))), float(rng.uniform(0.5, 200.0)))
+            for _ in range(200)
+        ]
+        for center, radius in cases:
+            got = crop_map(m, center, radius)
+            assert_same_map(got, reference_crop_map(m, center, radius))
+            for lane_id, lane in got.lanes.items():
+                assert lane.centerline is m.lanes[lane_id].centerline
+            kept.add(len(got.lanes))
+        assert len(crop_map(m, *cases[0]).lanes) >= 1
+        assert crop_map(m, *cases[1]).lanes == {}
+    assert {0, len(base.lanes)} < kept
+    assert crop_map(make_map("MIA", []), Point2(0.0, 0.0), 10.0).lanes == {}
+
+
+@pytest.fixture
+def path_cache(monkeypatch):
+    """An empty reference-path cache for one test."""
+    cache = {}
+    monkeypatch.setattr(maps, "_PATH_CACHE", cache)
+    return cache
+
+
+def uncached_path(m, lane_id, min_length, seed, monkeypatch, spacing=1.0):
+    """The path built with an empty cache, and the rng state after it."""
+    rng = np.random.default_rng(seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(maps, "_PATH_CACHE", {})
+        path = build_reference_path(m, lane_id, min_length, rng, spacing)
+    return path, rng.bit_generator.state
+
+
+def assert_same_path(got, want):
+    assert got.lane_ids == want.lane_ids and got.spacing == want.spacing
+    for a, b in ((got.samples.xy, want.samples.xy), (got.cum_s, want.cum_s),
+                 (got.kappa, want.kappa)):
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
+        assert not a.flags.writeable
+
+
+def test_repeated_chain_returns_the_cached_path_with_uncached_bits(path_cache, monkeypatch):
+    m = generate_map_fixture("corridors")
+    for seed, lane_id in enumerate(m.sorted_ids() * 3):
+        want, want_state = uncached_path(m, lane_id, 150.0, seed, monkeypatch)
+        rng = np.random.default_rng(seed)
+        first = build_reference_path(m, lane_id, 150.0, rng)
+        assert rng.bit_generator.state == want_state
+        rng = np.random.default_rng(seed)
+        again = build_reference_path(m, lane_id, 150.0, rng)
+        assert again is first and rng.bit_generator.state == want_state
+        assert_same_path(again, want)
+    # other spacings, and an equal map made of other objects, are other keys
+    for spacing in (2.0, 2):
+        want, _ = uncached_path(m, "H0_0", 150.0, 0, monkeypatch, spacing)
+        got = build_reference_path(m, "H0_0", 150.0, np.random.default_rng(0), spacing)
+        assert got is not first and type(got.spacing) is type(spacing)
+        assert_same_path(got, want)
+    twin = generate_map_fixture("corridors")
+    first = build_reference_path(m, "A0_0", 150.0, np.random.default_rng(0))
+    assert build_reference_path(twin, "A0_0", 150.0, np.random.default_rng(0)) is not first
+
+
+def test_warped_chain_is_not_served_from_its_unwarped_twin(path_cache, monkeypatch):
+    m = generate_map_fixture("chain3")  # L1 -> L2 -> L3, 40 m each from x = 0
+    base = build_reference_path(m, "L1", 100.0, np.random.default_rng(0))
+    short = build_reference_path(m, "L1", 30.0, np.random.default_rng(0))
+    assert base.lane_ids == ("L1", "L2", "L3") and short.lane_ids == ("L1",)
+    # an onset at x = 85 bends L3 only
+    frame = WarpFrame(Point2(0.0, 0.0), 0.0)
+    warped = apply_transform(
+        m, TurnTransformParams(TurnKind.SINGLE, 85.0, 2.0, 20.0, 10.0, None, frame)
+    )
+    assert warped.lanes["L1"] is m.lanes["L1"] and warped.lanes["L3"] is not m.lanes["L3"]
+    got = build_reference_path(warped, "L1", 100.0, np.random.default_rng(0))
+    want, _ = uncached_path(warped, "L1", 100.0, 0, monkeypatch)
+    assert got is not base
+    assert_same_path(got, want)
+    assert got.samples.xy.tobytes() != base.samples.xy.tobytes()
+    # a chain of untouched lanes is the same chain in both maps
+    assert build_reference_path(warped, "L1", 30.0, np.random.default_rng(0)) is short
+
+
+def test_path_cache_never_exceeds_its_bound(path_cache, monkeypatch):
+    """Distinct chains (every lane of every warp is a new object, and each
+    warped map is dropped at once) fill the cache to its bound and no
+    further, each with the bits of an uncached build; the least recently
+    used entry goes first, and each entry holds the very lanes its key
+    names."""
+    m = generate_map_fixture("chain3")
+    kept = build_reference_path(m, "L1", 100.0, np.random.default_rng(0))
+    for k in range(2 * PATH_CACHE_SIZE):
+        frame = WarpFrame(Point2(-5.0 - k, 0.0), 0.0)
+        warped = apply_transform(
+            m, TurnTransformParams(TurnKind.SINGLE, 0.0, 1.0, 20.0, 10.0, None, frame)
+        )
+        got = build_reference_path(warped, "L1", 100.0, np.random.default_rng(0))
+        assert_same_path(got, uncached_path(warped, "L1", 100.0, 0, monkeypatch)[0])
+        assert len(path_cache) == min(k + 2, PATH_CACHE_SIZE)
+        if k < PATH_CACHE_SIZE - 2:
+            # a hit makes the entry the most recently used
+            assert build_reference_path(m, "L1", 100.0, np.random.default_rng(0)) is kept
+        cached = [path for _, path in path_cache.values()]
+        assert (kept in cached) == (k < 2 * PATH_CACHE_SIZE - 3)
+    for key, (lanes, path) in path_cache.items():
+        assert key[2:] == tuple(map(id, lanes))
+        assert path.lane_ids == tuple(lane.lane_id for lane in lanes)

@@ -396,6 +396,24 @@ def test_generate_dataset_worker_count_invariant_bytes(tmp_path, corridors_map):
         assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_chunk_indices_gives_each_worker_the_same_number_of_near_equal_chunks():
+    size = synthesis.CHUNK_SCENES
+    assert [len(c) for c in synthesis.chunk_indices(list(range(200)), 2)] == [15] * 4 + [14] * 10
+    for n in (0, 1, 3, 16, 17, 33, 40, 199, 200, 1000):
+        todo = list(range(5, 5 + 2 * n, 2))  # gaps, as when resuming
+        one = synthesis.chunk_indices(todo, 1)
+        assert one == [todo[i : i + size] for i in range(0, n, size)]
+        for workers in (2, 3, 4, 7):
+            chunks = synthesis.chunk_indices(todo, workers)
+            sizes = [len(c) for c in chunks]
+            assert [i for c in chunks for i in c] == todo
+            assert all(0 < k <= size for k in sizes)
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            # the fewest chunks that are a multiple of the workers, or one per scene
+            rounds = -(-len(one) // workers)
+            assert len(chunks) == min(rounds * workers, n)
+
+
 def test_generate_dataset_requires_maps(tmp_path):
     with pytest.raises(ConfigError, match="map"):
         generate_dataset([], small_cfg(tmp_path))
