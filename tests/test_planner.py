@@ -202,6 +202,57 @@ def test_plan_rejects_negative_initial_velocity():
         plan_one(path, PlannerNode(0.0, -1.0, 0.0), PlannerParams())
 
 
+def plan_to_global(plan, path):
+    """A plan's nodes as (t, x, y): its arc lengths placed on the path by
+    `ReferencePath.xy_at`, as synthesis places a refined plan."""
+    xy = path.xy_at(plan.s_values())
+    return [(node.t, float(x), float(y)) for node, (x, y) in zip(plan.nodes, xy)]
+
+
+def test_plan_to_global_straight():
+    path = straight_path(200.0)
+    nodes = (
+        PlannerNode(0.0, 10.0, 0.0),
+        PlannerNode(5.0, 10.0, 0.5),
+        PlannerNode(10.0, 10.0, 1.0),
+    )
+    plan = CoarsePlan(nodes, (0.0, 0.0), 0.0)
+    assert plan_to_global(plan, path) == [
+        (0.0, 0.0, 0.0),
+        (0.5, 5.0, 0.0),
+        (1.0, 10.0, 0.0),
+    ]
+
+
+def test_plan_to_global_sample_exact_and_dense_oracle():
+    path = wiggly_path(np.random.default_rng(3))
+    # a node exactly on a grid sample maps to that sample's coordinates
+    idx = 17
+    nodes = (
+        PlannerNode(float(path.cum_s[idx]), 5.0, 0.0),
+        PlannerNode(float(path.cum_s[idx]) + 3.3, 5.0, 0.5),
+    )
+    plan = CoarsePlan(nodes, (0.0,), 0.0)
+    pts = plan_to_global(plan, path)
+    assert pts[0][1:] == tuple(path.samples.xy[idx])
+    # independent scalar interpolation along the stored grid
+    s = nodes[1].s
+    i = int(np.searchsorted(path.cum_s, s, side="right")) - 1
+    frac = (s - path.cum_s[i]) / (path.cum_s[i + 1] - path.cum_s[i])
+    expect = path.samples.xy[i] * (1.0 - frac) + path.samples.xy[i + 1] * frac
+    assert abs(pts[1][1] - expect[0]) < 1e-6
+    assert abs(pts[1][2] - expect[1]) < 1e-6
+
+
+def test_plan_to_global_overrun():
+    path = straight_path(100.0)
+    plan = CoarsePlan(
+        (PlannerNode(99.0, 10.0, 0.0), PlannerNode(104.0, 10.0, 0.5)), (0.0,), 0.0
+    )
+    with pytest.raises(PathOverrunError):
+        plan_to_global(plan, path)
+
+
 
 
 
