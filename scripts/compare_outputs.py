@@ -9,7 +9,9 @@ the `corridors` MIA and PIT map files:
 - generate cases (the paper's 165/370 warped mix and an all-warped
   dataset, each at two fixed seeds): `generate` N scenes from the maps,
   then `mask --task combined`; then the same again with
-  `generate --workers 2`, into `scenes_w2/` and `samples_w2/`;
+  `generate --workers 2`, into `scenes_w2/` and `samples_w2/`. The
+  per-scene lines that `generate` logs, without their `wall_ms=` timing,
+  go to `logs/generate.log` and `logs_w2/generate.log`;
 - augment-map cases (`--kind single` and `--kind double`, each at two
   fixed seeds): `augment-map` on each map, which writes the warped map
   and its `.params` file.
@@ -18,10 +20,12 @@ The manifest echoes the output and map paths, so both trees must write
 to the same paths for their bytes to be comparable; the second tree runs
 after the first one's files are recorded and removed.
 
-Prints every map, scene, manifest, sample or `.params` file whose bytes
-differ, or that only one tree wrote, and every scene or sample file of a
-two-worker run whose bytes differ from the one-worker run's; exits 1 if
-there is any, and 0 if every file is byte-identical.
+Prints every map, scene, manifest, sample, log or `.params` file whose
+bytes differ, or that only one tree wrote, and every scene, sample or log
+file of a two-worker run whose bytes differ from the one-worker run's;
+exits 1 if there is any, and 0 if every file is byte-identical. So a
+change in how the work is ordered must not reorder or change a logged
+record.
 """
 
 from __future__ import annotations
@@ -52,9 +56,11 @@ AUGMENT_CASES = (
 )
 
 # run in the tree's interpreter environment: write the maps, then
-# (generate) write a config, generate and mask through the CLI, or
-# (augment) warp each map through the CLI
+# (generate) write a config, generate (keeping its scene log lines) and
+# mask through the CLI, or (augment) warp each map through the CLI
 RUN = """
+import contextlib
+import io
 import sys
 from pathlib import Path
 from scenesynth.cli import main
@@ -88,9 +94,17 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
         ["mask", "--scenes", str(scenes), "--task", "combined", "--seed", seed,
          "--out", str(work / f"samples{suffix}")],
     ):
-        code = main(argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
         if code != 0:
             sys.exit(f"scenesynth {argv[0]} exited {code}")
+        if argv[0] == "generate":
+            logs = work / f"logs{suffix}"
+            logs.mkdir()
+            lines = [line.partition(" wall_ms=")[0] for line in out.getvalue().splitlines()
+                     if line.startswith("scene=")]
+            (logs / "generate.log").write_text("\\n".join(lines) + "\\n")
 """
 
 
@@ -117,11 +131,12 @@ def run_tree(tree: Path, work: Path, mode: str, seed: int, *args: str) -> dict[s
 
 
 def worker_problems(label: str, digests: dict[str, str]) -> list[str]:
-    """One line per scene or sample file of the two-worker run whose bytes
-    differ from the one-worker run's, or that only one of the runs wrote.
-    The manifests differ by design: they echo `output_dir` and `workers`."""
+    """One line per scene, sample or log file of the two-worker run whose
+    bytes differ from the one-worker run's, or that only one of the runs
+    wrote. The manifests differ by design: they echo `output_dir` and
+    `workers`."""
     problems = []
-    for one, two in (("scenes", "scenes_w2"), ("samples", "samples_w2")):
+    for one, two in (("scenes", "scenes_w2"), ("samples", "samples_w2"), ("logs", "logs_w2")):
         files = {
             run: {
                 path.partition("/")[2]: digest

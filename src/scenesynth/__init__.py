@@ -33,6 +33,7 @@ from .refine import (
     RefinementParams,
     accel_of,
     jerk_of,
+    refine_one,
     refine_trajectory,
 )
 from .synthesis import (

@@ -412,19 +412,24 @@ def crop_map(m: SceneMap, center: Point2, radius: float) -> SceneMap:
 
     The squared distances of all of the map's points (`m.points`) come
     from one array pass, and `np.logical_or.reduceat` turns them into one
-    keep flag per lane."""
+    keep flag per lane. A kept lane whose links all stay in the crop is
+    kept as it is. The crop is not validated here: its graph is part of
+    the source map's, and `validate_scene` checks the crop of every
+    emitted scene."""
     ids, xy, offsets = m.points
     d2 = (xy - np.array([center.x, center.y])) ** 2
     near = d2[:, 0] + d2[:, 1] <= radius * radius
     kept = {ids[k] for k in np.flatnonzero(np.logical_or.reduceat(near, offsets[:-1]))}
-    lanes = [
-        LaneSegment(
-            lane.lane_id,
-            lane.centerline,
-            tuple(p for p in lane.predecessors if p in kept),
-            tuple(s for s in lane.successors if s in kept),
-        )
-        for lane_id, lane in m.lanes.items()
-        if lane_id in kept
-    ]
-    return make_map(m.city, lanes)
+    lanes: dict[str, LaneSegment] = {}
+    for lane_id, lane in m.lanes.items():
+        if lane_id not in kept:
+            continue
+        if not (kept.issuperset(lane.predecessors) and kept.issuperset(lane.successors)):
+            lane = LaneSegment(
+                lane_id,
+                lane.centerline,
+                tuple(p for p in lane.predecessors if p in kept),
+                tuple(s for s in lane.successors if s in kept),
+            )
+        lanes[lane_id] = lane
+    return SceneMap(m.city, lanes)

@@ -191,6 +191,33 @@ class _Batch:
         G2 = G[..., None] + (self.a_cost + p.w2 * kap * V2 * V2 + p.w3 * dv * dv)
         return S2, V2, G2, over, feas
 
+    def replay(self, S, V, t0: float, rows, picked):
+        """The nodes and total costs of the plans that take actions
+        `picked` (plans, layers) from states `S`, `V` at time `t0`, the
+        plans' scenes being `rows`, one layer at a time: per plan, lists
+        of (s, v, t) floats, and the costs as one array. Each layer takes
+        the expression order of `expand` and `transition_cost` and the
+        costs add up from the first layer, so plan and cost are those of
+        replaying the plan node by node."""
+        p = self.p
+        n_plans, n_steps = picked.shape
+        s = np.empty((n_plans, n_steps + 1))
+        v = np.empty_like(s)
+        t = np.empty_like(s)
+        s[:, 0], v[:, 0], t[:, 0] = S, V, t0
+        total = np.zeros(n_plans)
+        for k in range(n_steps):
+            a = picked[:, k]
+            s[:, k + 1] = s[:, k] + v[:, k] * p.dt + 0.5 * a * p.dt * p.dt
+            v[:, k + 1] = v[:, k] + a * p.dt
+            t[:, k + 1] = t[:, k] + p.dt
+            kap = self.curvature(s[:, k + 1], rows)
+            if p.abs_curvature:
+                kap = np.abs(kap)
+            vk, dv = v[:, k + 1], v[:, k + 1] - self.v_d[rows]
+            total = total + (p.w1 * a * a + p.w2 * kap * vk * vk + p.w3 * dv * dv)
+        return zip(s.tolist(), v.tolist(), t.tolist()), total
+
     def beam_bounds(self, S, V, n_steps: int, beam: int) -> np.ndarray:
         """The cheapest plan cost of each scene when each layer keeps only
         its `beam` cheapest feasible states, unmerged; inf where a layer has
@@ -323,13 +350,14 @@ def astar_plan(problems) -> list[CoarsePlan | PlanningError]:
     chosen = np.empty((len(idx), n_steps), dtype=np.intp)
     for layer in range(n_steps - 1, -1, -1):
         idx, chosen[:, layer] = np.divmod(trail[layer][idx], len(batch.actions))
-    for b, picked in zip(scenes.tolist(), batch.actions[chosen].tolist()):
-        path, init, pb = problems[live[b]]
-        nodes = [init]
-        for a in picked:
-            nodes.append(expand(nodes[-1], a, p.dt))
-        costs = (transition_cost(n, a, path, pb) for n, a in zip(nodes[1:], picked))
-        out[live[b]] = CoarsePlan(tuple(nodes), tuple(picked), sum(costs))
+    picked = batch.actions[chosen]
+    nodes, costs = batch.replay(S[scenes], V[scenes], problems[0][1].t, scenes, picked)
+    for b, (s, v, t), acts, cost in zip(
+        scenes.tolist(), nodes, picked.tolist(), costs.tolist()
+    ):
+        init = problems[live[b]][1]
+        tail = map(PlannerNode, s[1:], v[1:], t[1:])
+        out[live[b]] = CoarsePlan((init, *tail), tuple(acts), cost)
     return out
 
 

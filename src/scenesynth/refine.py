@@ -16,6 +16,13 @@ weights and the horizon, not on the plan or the initial state, so each
 is built once per (RefinementParams, horizon) and reused read-only by
 every later solve; a scene only forms its right-hand side and runs the
 two triangular solves.
+
+`refine_trajectory` refines a batch of plans at once, as `generate_dataset`
+asks for a whole round of plans: plans of one horizon are the
+right-hand-side columns of one banded solve per step, and every other
+step is one array operation over them. A trajectory's bits do not depend
+on which plans share its batch; `refine_one` refines one plan through
+the same code.
 """
 
 from __future__ import annotations
@@ -58,19 +65,20 @@ class RefinedTrajectory:
 
 
 def accel_of(s: np.ndarray, dt_fine: float) -> np.ndarray:
-    """Central second difference per interior sample."""
+    """Central second difference per interior sample, along the last axis."""
     s = np.asarray(s, dtype=float)
-    if s.size < 3:
-        raise ValueError(f"need at least 3 samples, got {s.size}")
-    return (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (dt_fine * dt_fine)
+    if s.shape[-1] < 3:
+        raise ValueError(f"need at least 3 samples, got {s.shape[-1]}")
+    return (s[..., 2:] - 2.0 * s[..., 1:-1] + s[..., :-2]) / (dt_fine * dt_fine)
 
 
 def jerk_of(s: np.ndarray, dt_fine: float) -> np.ndarray:
-    """Third difference (s[i+2] - 3 s[i+1] + 3 s[i] - s[i-1]) / dt^3."""
+    """Third difference (s[i+2] - 3 s[i+1] + 3 s[i] - s[i-1]) / dt^3, along
+    the last axis."""
     s = np.asarray(s, dtype=float)
-    if s.size < 4:
-        raise ValueError(f"need at least 4 samples, got {s.size}")
-    return (s[3:] - 3.0 * s[2:-1] + 3.0 * s[1:-2] - s[:-3]) / (
+    if s.shape[-1] < 4:
+        raise ValueError(f"need at least 4 samples, got {s.shape[-1]}")
+    return (s[..., 3:] - 3.0 * s[..., 2:-1] + 3.0 * s[..., 1:-2] - s[..., :-3]) / (
         dt_fine * dt_fine * dt_fine
     )
 
@@ -135,9 +143,9 @@ def _banded_factor(p: RefinementParams, n: int) -> np.ndarray:
     return factor
 
 
-def build_refinement_system(
-    coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
-) -> RefinementSystem:
+def _fine_steps(coarse: CoarsePlan, p: RefinementParams) -> int:
+    """Index n of the last fine sample of the refined `coarse`; raises
+    RefinementError when the plan cannot be refined with `p`."""
     nodes = coarse.nodes
     if len(nodes) < 3:
         raise RefinementError("coarse plan too short to refine")
@@ -147,13 +155,23 @@ def build_refinement_system(
             f"k*dt_fine={p.k * p.dt_fine} does not match coarse step {dt_coarse}"
         )
     # the final coarse node overshoots the horizon; refine up to the one before
-    m_knots = len(nodes) - 2
-    n = m_knots * p.k  # index of the last fine sample
-    dt = p.dt_fine
-    grid_t = nodes[0].t + np.arange(n + 1) * dt
+    return (len(nodes) - 2) * p.k
 
-    knot_index = np.arange(1, m_knots + 1) * p.k
-    sc_knots = np.array([nodes[j].s for j in range(1, m_knots + 1)])
+
+def _tracked_knots(coarse: CoarsePlan, n: int, p: RefinementParams) -> list[float]:
+    """The coarse arc-lengths that fine samples k, 2k, ..., n track."""
+    return [node.s for node in coarse.nodes[1 : n // p.k + 1]]
+
+
+def build_refinement_system(
+    coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
+) -> RefinementSystem:
+    n = _fine_steps(coarse, p)
+    dt = p.dt_fine
+    grid_t = coarse.nodes[0].t + np.arange(n + 1) * dt
+
+    knot_index = np.arange(1, n // p.k + 1) * p.k
+    sc_knots = np.array(_tracked_knots(coarse, n, p))
     q = np.zeros(n + 1)
     q[knot_index] += p.omega3 * sc_knots
     const = float(p.omega3 * np.dot(sc_knots, sc_knots))
@@ -166,18 +184,6 @@ def build_refinement_system(
     return RefinementSystem(
         grid_t, _quadratic_form(p, n), q, const, A, b, knot_index, sc_knots, p
     )
-
-
-def objective_value(x: np.ndarray, sys: RefinementSystem) -> float:
-    """Smoothing-plus-tracking objective evaluated directly from stencils."""
-    p = sys.params
-    total = 0.0
-    if x.size >= 3:
-        total += p.omega1 * float(np.sum(accel_of(x, p.dt_fine) ** 2))
-    if x.size >= 4:
-        total += p.omega2 * float(np.sum(jerk_of(x, p.dt_fine) ** 2))
-    total += p.omega3 * float(np.sum((x[sys.knot_index] - sys.sc_knots) ** 2))
-    return total
 
 
 def objective_gradient(x: np.ndarray, sys: RefinementSystem) -> np.ndarray:
@@ -197,8 +203,15 @@ def stationarity_residual(x: np.ndarray, lam: np.ndarray, sys: RefinementSystem)
     return float(np.abs(grad).max()) / scale
 
 
-def _solve_eliminated(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve with x0, x1 eliminated through the constraints.
+def _solve_stacked(
+    p: RefinementParams, n: int, s0: np.ndarray, v0: np.ndarray, sc_knots: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray | None, list[RefinementError | None]]:
+    """Solve the systems of one horizon n, one per row of the initial
+    states `s0`, `v0` and the tracked arc-lengths `sc_knots` (rows, knots),
+    with x0, x1 eliminated through the constraints. Returns the s values
+    (rows, n + 1), the multipliers (rows, 2) and, per row, None or the
+    RefinementError that row ends in; no values when the system itself is
+    singular.
 
     The solve works in deviations u from the initial tangent line
     x_ref_i = s0 + i * v0 * dt, which satisfies both constraints and is
@@ -209,63 +222,131 @@ def _solve_eliminated(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
     tolerances. u solves the banded symmetric positive-definite system
     Q[2:, 2:] u = (q - Q x_ref)[2:]; the multipliers come from the two
     eliminated stationarity rows.
+
+    Each row is a right-hand-side column of one `cho_solve_banded` call
+    for the solve and one for each polish step; LAPACK solves every
+    column on its own, so a row's bits do not depend on the others. The
+    products with Q stay one matrix-vector product per row, as a matrix
+    product would sum in another order. The finiteness and stationarity
+    checks are per row.
     """
-    n1 = sys.Q.shape[0]
-    dt = sys.params.dt_fine
-    p = sys.params
-    c = sys.b[1] * dt
-    x = sys.b[0] + np.arange(n1) * c
-    x[0] = sys.b[0]
-    if n1 > 2:
-        h = sys.Q[2:, 2:]
+    rows = len(s0)
+    if p.omega1 == 0.0 and p.omega2 == 0.0 and p.k > 1:
+        exc = (
+            "untracked interior knots with zero smoothing weights make the "
+            "system singular; set omega1/omega2 > 0 or k = 1"
+        )
+        return None, None, [RefinementError(exc) for _ in range(rows)]
+    Q = _quadratic_form(p, n)
+    dt = p.dt_fine
+    knot_index = np.arange(1, n // p.k + 1) * p.k
+    X = s0[:, None] + np.arange(n + 1) * (v0 * dt)[:, None]
+    X[:, 0] = s0
+    errors: list[RefinementError | None] = [None] * rows
+    if n > 1:
+        h = Q[2:, 2:]
         # D2 x_ref = D3 x_ref = 0 analytically, so only tracking remains
-        rhs = np.zeros(n1 - 2)
-        tracked = sys.knot_index >= 2
-        kj = sys.knot_index[tracked]
-        rhs[kj - 2] = p.omega3 * (sys.sc_knots[tracked] - x[kj])
+        rhs = np.zeros((rows, n - 1))
+        tracked = knot_index >= 2
+        kj = knot_index[tracked]
+        rhs[:, kj - 2] = p.omega3 * (sc_knots[:, tracked] - X[:, kj])
         try:
-            factor = (_banded_factor(p, n1 - 1), False)
-        except np.linalg.LinAlgError as exc:
-            raise RefinementError(
+            factor = (_banded_factor(p, n), False)
+        except np.linalg.LinAlgError:
+            exc = (
                 "singular smoothing system; add acceleration or jerk weight, "
                 "or track every fine knot (k=1)"
-            ) from exc
+            )
+            return None, None, [RefinementError(exc) for _ in range(rows)]
         # a non-finite right-hand side gives a non-finite u, refused below
-        u = cho_solve_banded(factor, rhs, check_finite=False)
+        U = np.ascontiguousarray(cho_solve_banded(factor, rhs.T, check_finite=False).T)
         # two fixed polish steps against the dt^-6 stencil scaling
         for _ in range(2):
-            u = u + cho_solve_banded(factor, rhs - h @ u, check_finite=False)
-        if not np.isfinite(u).all():
-            raise RefinementError("smoothing solve produced non-finite values")
-        x[2:] += u
-    grad = objective_gradient(x, sys)
-    lam1 = -dt * grad[1]
-    lam0 = -grad[0] - grad[1]
-    return x, np.array([lam0, lam1])
+            step = np.stack([r - h @ u for r, u in zip(rhs, U)])
+            U = U + cho_solve_banded(factor, step.T, check_finite=False).T
+        for row in np.flatnonzero(~np.isfinite(U).all(axis=1)):
+            errors[row] = RefinementError("smoothing solve produced non-finite values")
+        X[:, 2:] += U
+    q = np.zeros_like(X)
+    q[:, knot_index] += p.omega3 * sc_knots
+    QX = np.stack([Q @ x for x in X])
+    grad = 2.0 * (QX - q)
+    lam = np.stack([-grad[:, 0] - grad[:, 1], -dt * grad[:, 1]], axis=1)
+    # A' lam: the two constraint rows touch only x0 and x1
+    a_lam = np.zeros_like(X)
+    a_lam[:, 0] = lam[:, 0] - lam[:, 1] / dt
+    a_lam[:, 1] = lam[:, 1] / dt
+    scale = np.maximum.reduce([
+        np.ones(rows),
+        np.abs(2.0 * QX).max(axis=1),
+        np.abs(2.0 * q).max(axis=1, initial=0.0),
+        np.abs(a_lam).max(axis=1),
+    ])
+    residual = np.abs(grad + a_lam).max(axis=1) / scale
+    for row in np.flatnonzero(residual > 1e-6):
+        if errors[row] is None:
+            errors[row] = RefinementError("stationarity residual too large after solve")
+    return X, lam, errors
 
 
 def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
     """Solve the stationarity system; returns (s values, multipliers)."""
-    p = sys.params
-    if p.omega1 == 0.0 and p.omega2 == 0.0 and p.k > 1:
-        raise RefinementError(
-            "untracked interior knots with zero smoothing weights make the "
-            "system singular; set omega1/omega2 > 0 or k = 1"
-        )
-    x, lam = _solve_eliminated(sys)
-    if stationarity_residual(x, lam, sys) > 1e-6:
-        raise RefinementError("stationarity residual too large after solve")
-    return x, lam
+    X, lam, (exc,) = _solve_stacked(
+        sys.params, len(sys.grid_t) - 1, sys.b[:1], sys.b[1:], sys.sc_knots[None]
+    )
+    if exc is not None:
+        raise exc
+    return X[0], lam[0]
 
 
 def refine_trajectory(
+    problems, p: RefinementParams
+) -> list[RefinedTrajectory | RefinementError]:
+    """For each `(coarse, v0, s0)` problem, the coarse plan smoothed onto
+    the fine grid from the state (s0, v0), or the RefinementError that
+    ends its refinement.
+
+    Plans with the same number of nodes are solved together, as rows of
+    `_solve_stacked`; every other step is elementwise over those rows, so
+    each trajectory has the bits of a refinement of its plan alone."""
+    out: list[RefinedTrajectory | RefinementError | None] = [None] * len(problems)
+    groups: dict[int, list[int]] = {}
+    for j, (coarse, _, _) in enumerate(problems):
+        try:
+            groups.setdefault(_fine_steps(coarse, p), []).append(j)
+        except RefinementError as exc:
+            out[j] = exc
+    dt = p.dt_fine
+    for n, members in groups.items():
+        plans = [problems[j][0] for j in members]
+        v0 = np.array([problems[j][1] for j in members], dtype=float)
+        s0 = np.array([problems[j][2] for j in members], dtype=float)
+        sc_knots = np.array([_tracked_knots(plan, n, p) for plan in plans])
+        X, _, errors = _solve_stacked(p, n, s0, v0, sc_knots)
+        if X is None:
+            for j, exc in zip(members, errors):
+                out[j] = exc
+            continue
+        moved = (np.abs(X[:, 0] - s0) > 1e-8) | (np.abs((X[:, 1] - X[:, 0]) / dt - v0) > 1e-8)
+        grid_t = np.array([plan.nodes[0].t for plan in plans])[:, None] + np.arange(n + 1) * dt
+        accel = accel_of(X, dt) if n >= 2 else np.zeros((len(plans), 0))
+        jerk = jerk_of(X, dt) if n >= 3 else np.zeros((len(plans), 0))
+        for row, j in enumerate(members):
+            if errors[row] is None and moved[row]:
+                errors[row] = RefinementError("initial-state constraints violated after solve")
+            out[j] = (
+                RefinedTrajectory(grid_t[row], X[row], accel[row], jerk[row])
+                if errors[row] is None else errors[row]
+            )
+    return out
+
+
+def refine_one(
     coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
 ) -> RefinedTrajectory:
-    """Smooth the coarse plan onto the fine grid from the state (s0, v0)."""
-    sys = build_refinement_system(coarse, p, v0, s0)
-    x, _ = solve_system(sys)
-    if abs(x[0] - s0) > 1e-8 or abs((x[1] - x[0]) / p.dt_fine - v0) > 1e-8:
-        raise RefinementError("initial-state constraints violated after solve")
-    accel = accel_of(x, p.dt_fine) if x.size >= 3 else np.zeros(0)
-    jerk = jerk_of(x, p.dt_fine) if x.size >= 4 else np.zeros(0)
-    return RefinedTrajectory(sys.grid_t, x, accel, jerk)
+    """`refine_trajectory` of one problem: its trajectory, or its
+    RefinementError raised."""
+    (refined,) = refine_trajectory([(coarse, v0, s0)], p)
+    if isinstance(refined, RefinementError):
+        raise refined
+    return refined

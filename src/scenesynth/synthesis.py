@@ -19,16 +19,19 @@ of (seed, config, maps), which keeps datasets reproducible across worker
 counts.
 
 An attempt at a scene has three phases: `draw_scene` makes every random
-draw (warp, reference path, speeds, start), `astar_plan` plans, and
-`generate_scene` finishes (refine, place, crop, validate) or raises the
-attempt's error. `generate_dataset` cuts the scene indices into chunks of
-at most `CHUNK_SCENES` (`chunk_indices`), one worker task each, and runs
-each chunk in rounds: round r draws attempt r of every scene still
-pending, plans all of them in one `astar_plan` call, finishes each, and
-sends the failed ones to round r + 1. Each attempt draws from its own `[seed, index, attempt]` stream and
-a plan does not depend on its batch, so the bytes do not depend on the
-chunk size or the worker count. `make_scene` runs the three phases for
-one scene.
+draw (warp, reference path, speeds, start), `plan_and_refine` plans
+(`astar_plan`) and smooths the plan (`refine_trajectory`), and
+`generate_scene` finishes (place, crop, validate) or raises the attempt's
+error. `generate_dataset` keeps the scenes still to make in one queue per
+worker task (the whole to-do list with one worker, the chunks of
+`chunk_indices` with more) and runs each queue in rounds: a round takes
+up to `CHUNK_SCENES` attempts, the retries of the round before first and
+then the next scenes of the queue, draws each, plans and refines all of
+them in one call each, and finishes each; a failed attempt is retried in
+the next round. Each attempt draws from its own `[seed, index, attempt]`
+stream, and neither a plan nor its refinement depends on its batch, so
+the bytes do not depend on the round size or the worker count.
+`make_scene` runs the three phases for one scene.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,7 +66,7 @@ from .maps import (
     write_text_atomic,
 )
 from .planner import CoarsePlan, PlannerNode, PlannerParams, astar_plan, sample_speed_targets
-from .refine import RefinementParams, refine_trajectory
+from .refine import RefinedTrajectory, RefinementParams, refine_trajectory
 from . import maps as maps_mod
 from . import planner as planner_mod
 
@@ -77,8 +81,8 @@ ACCEL_BOUNDS = (-5.0, 3.0)
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
-# the most scene indices that one worker task plans together, round by
-# round; output bytes do not depend on it
+# the most attempts that one round plans and refines together, and the
+# most scene indices per pool task; output bytes do not depend on it
 CHUNK_SCENES = 16
 
 
@@ -378,16 +382,33 @@ def draw_scene(
     )
 
 
-def generate_scene(
-    draft: Draft | None, outcome: CoarsePlan | SceneSynthError, cfg: GenerationConfig
-) -> Scene:
-    """Finish one attempt: raise the error that its draw or plan ended in
-    (`outcome`, with no draft after a failed draw), or refine the plan,
-    place it on the path, crop the map around it and validate the scene."""
-    if not isinstance(outcome, CoarsePlan):
+Outcome = tuple[CoarsePlan, RefinedTrajectory] | SceneSynthError
+
+
+def plan_and_refine(drafts: list[Draft], cfg: GenerationConfig) -> list[Outcome]:
+    """Plan the drafts in one `astar_plan` call and refine their plans in
+    one `refine_trajectory` call: per draft, its (plan, trajectory), or
+    the error that its planning or refinement ended in."""
+    outcomes: list[Outcome] = astar_plan([draft.problem for draft in drafts])
+    planned = [k for k, plan in enumerate(outcomes) if isinstance(plan, CoarsePlan)]
+    if planned:
+        refined = refine_trajectory(
+            [(outcomes[k], drafts[k].start.v, drafts[k].start.s) for k in planned],
+            cfg.refinement,
+        )
+        for k, traj in zip(planned, refined):
+            outcomes[k] = traj if isinstance(traj, RefinementError) else (outcomes[k], traj)
+    return outcomes
+
+
+def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig) -> Scene:
+    """Finish one attempt: raise the error that its draw, plan or
+    refinement ended in (`outcome`, with no draft after a failed draw), or
+    place the refined plan on the path, crop the map around it and
+    validate the scene."""
+    if isinstance(outcome, SceneSynthError):
         raise outcome
-    plan, path, start = outcome, draft.path, draft.start
-    refined = refine_trajectory(plan, cfg.refinement, v0=start.v, s0=start.s)
+    (plan, refined), path = outcome, draft.path
     s_fine = refined.s_values[:SCENE_SAMPLES]
     timestamps = np.arange(SCENE_SAMPLES) * SCENE_DT
     xy = path.xy_at(s_fine)
@@ -415,10 +436,11 @@ def make_scene(
     rng_key: str = "",
     force_augmented: bool | None = None,
 ) -> Scene:
-    """One attempt at one scene: draw, plan alone, finish. Raises the
-    attempt's error; a dataset makes the same scene from the same draws."""
+    """One attempt at one scene: draw, plan and refine alone, finish.
+    Raises the attempt's error; a dataset makes the same scene from the
+    same draws."""
     draft = draw_scene(base_map, rng, cfg, scene_id, rng_key, force_augmented)
-    return generate_scene(draft, astar_plan([draft.problem])[0], cfg)
+    return generate_scene(draft, plan_and_refine([draft], cfg)[0], cfg)
 
 
 def scene_to_text(scene: Scene) -> str:
@@ -542,7 +564,7 @@ class SceneRecord:
     city: str
     cost: str
     attempts: int
-    wall_ms: float  # own draw and finish time, plus a batch share of planning
+    wall_ms: float  # own draw and finish time, plus a round share of planning and refinement
     text: str | None = None
     reason: str = ""
 
@@ -562,33 +584,45 @@ class DatasetManifest:
 
 def _build_scene_records(
     maps: list[SceneMap], cfg: GenerationConfig, indices: list[int]
-) -> list[SceneRecord]:
-    """Generate the scenes `indices` with bounded retries, in rounds; each
-    scene is pure in (maps, cfg, index), whatever else shares its chunk.
+) -> Iterator[SceneRecord]:
+    """Generate the scenes `indices` with bounded retries, in rounds, and
+    yield their records in index order; each scene is pure in (maps, cfg,
+    index), whatever else shares its rounds.
 
     The map choice and augmentation coin come from a per-scene stream that
     retries do not consume, so failed attempts cannot bias the
-    original/augmented mix. Round r draws attempt r of every scene still
-    pending on its own `[seed, index, r]` stream, plans all of their drafts
-    in one `astar_plan` call, then finishes each scene through one
-    `generate_scene` call; a scene whose attempt failed goes on to round
-    r + 1. A scene's `wall_ms` is its own draw and finish time plus, for
-    each round it was planned in, the planning time over the batch size.
+    original/augmented mix. Each round takes up to `CHUNK_SCENES`
+    attempts: the retries of the round before, then the next scenes of
+    `indices`. Attempt r of a scene draws from its own `[seed, index, r]`
+    stream; the round plans and refines all of its drafts through one
+    `plan_and_refine` call, then finishes each attempt through one
+    `generate_scene` call, and a failed attempt with budget left joins the
+    next round. A round's retries are at most its size, so they all fit in
+    the next round: a scene is done `retry_budget` rounds after its first
+    attempt at the latest, and a record waits at most `retry_budget + 1`
+    rounds for the scenes before it. A scene's `wall_ms` is its own draw
+    and finish time plus, for each round it was planned in, the planning
+    and refinement time over the number of drafts planned.
     """
-    wall = dict.fromkeys(indices, 0.0)  # ms
+    queue = deque(indices)
+    retries: list[tuple[int, int]] = []  # (index, attempt) for the next round
     picks: dict[int, tuple[SceneMap, bool]] = {}  # map and augmentation coin
-    for index in indices:
-        scene_rng = np.random.default_rng([cfg.seed, index])
-        map_idx = int(scene_rng.integers(len(maps)))
-        picks[index] = (maps[map_idx], bool(scene_rng.random() < cfg.augmented_fraction))
-    records: dict[int, SceneRecord] = {}
-    reasons: dict[int, str] = {}
-    pending = list(indices)
-    for attempt in range(cfg.retry_budget + 1):
+    wall: dict[int, float] = {}  # ms
+    done: dict[int, SceneRecord] = {}
+    emitted = 0
+    while retries or queue:
+        fresh = min(CHUNK_SCENES - len(retries), len(queue))
+        attempts = retries + [(queue.popleft(), 0) for _ in range(fresh)]
+        retries = []
         drafts: dict[int, Draft] = {}
-        outcomes: dict[int, CoarsePlan | SceneSynthError] = {}
-        for index in pending:
+        outcomes: dict[int, Outcome] = {}
+        for index, attempt in attempts:
             t0 = time.perf_counter()
+            if attempt == 0:
+                scene_rng = np.random.default_rng([cfg.seed, index])
+                map_idx = int(scene_rng.integers(len(maps)))
+                picks[index] = (maps[map_idx], bool(scene_rng.random() < cfg.augmented_fraction))
+                wall[index] = 0.0
             base_map, augmented = picks[index]
             rng = np.random.default_rng([cfg.seed, index, attempt])
             try:
@@ -601,35 +635,36 @@ def _build_scene_records(
             wall[index] += (time.perf_counter() - t0) * 1e3
         if drafts:
             t0 = time.perf_counter()
-            plans = astar_plan([draft.problem for draft in drafts.values()])
+            outcomes.update(zip(drafts, plan_and_refine(list(drafts.values()), cfg)))
             share = (time.perf_counter() - t0) * 1e3 / len(drafts)
-            for index, plan in zip(drafts, plans):
-                outcomes[index] = plan
+            for index in drafts:
                 wall[index] += share
-        failed = []
-        for index in pending:
+        for index, attempt in attempts:
             t0 = time.perf_counter()
             try:
                 scene = generate_scene(drafts.get(index), outcomes[index], cfg)
             except (PlanningError, RefinementError, ValidationError) as exc:
-                reasons[index] = str(exc).replace(",", ";").replace("\n", " ")
-                failed.append(index)
+                scene, reason = None, str(exc).replace(",", ";").replace("\n", " ")
+            wall[index] += (time.perf_counter() - t0) * 1e3
+            if scene is None and attempt < cfg.retry_budget:
+                retries.append((index, attempt + 1))
                 continue
-            finally:
-                wall[index] += (time.perf_counter() - t0) * 1e3
-            status = "augmented" if scene.metadata["augmented"] == "true" else "original"
-            records[index] = SceneRecord(
-                index, scene_filename(index), status, scene.city,
-                scene.metadata["plan_cost"], attempt + 1, wall[index],
-                text=scene_to_text(scene),
-            )
-        pending = failed
-    for index in pending:
-        records[index] = SceneRecord(
-            index, scene_filename(index), "skipped", "-", "-",
-            cfg.retry_budget + 1, wall[index], text=None, reason=reasons[index],
-        )
-    return [records[index] for index in indices]
+            del picks[index]
+            if scene is None:
+                done[index] = SceneRecord(
+                    index, scene_filename(index), "skipped", "-", "-",
+                    attempt + 1, wall.pop(index), text=None, reason=reason,
+                )
+            else:
+                status = "augmented" if scene.metadata["augmented"] == "true" else "original"
+                done[index] = SceneRecord(
+                    index, scene_filename(index), status, scene.city,
+                    scene.metadata["plan_cost"], attempt + 1, wall.pop(index),
+                    text=scene_to_text(scene),
+                )
+        while emitted < len(indices) and indices[emitted] in done:
+            yield done.pop(indices[emitted])
+            emitted += 1
 
 
 _POOL_STATE: tuple[list[SceneMap], GenerationConfig] | None = None
@@ -642,7 +677,7 @@ def _pool_init(maps, cfg):
 
 def _pool_build(indices):
     maps, cfg = _POOL_STATE
-    return _build_scene_records(maps, cfg, indices)
+    return list(_build_scene_records(maps, cfg, indices))
 
 
 def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
@@ -697,17 +732,15 @@ def manifest_text(
     return "\n".join(lines) + "\n"
 
 
-def chunk_indices(todo: list[int], workers: int = 1) -> list[list[int]]:
-    """Cut the scene indices still to make into pool tasks, in order.
-
-    One worker takes them `CHUNK_SCENES` at a time. More workers get a
+def chunk_indices(todo: list[int], workers: int) -> list[list[int]]:
+    """Cut the scene indices still to make into pool tasks, in order: a
     multiple of `workers` near-equal chunks (sizes differ by at most one,
     none above `CHUNK_SCENES`, none empty), so that no worker idles while
     another runs the last chunk: 200 scenes on 2 workers make 14 chunks
     of 14 or 15.
     """
-    if workers <= 1 or not todo:
-        return [todo[i : i + CHUNK_SCENES] for i in range(0, len(todo), CHUNK_SCENES)]
+    if not todo:
+        return []
     n = -(-len(todo) // CHUNK_SCENES)
     n = min(-(-n // workers) * workers, len(todo))
     size, extra = divmod(len(todo), n)
@@ -725,10 +758,12 @@ def generate_dataset(
     """Write `cfg.n_scenes` scene files plus a manifest into the output dir.
 
     Already-written scene ids are skipped, so interrupted runs resume; a
-    rerun over a complete dataset rewrites nothing. The scenes still to
-    make run in the chunks of `chunk_indices`, one pool task each; records
-    are written and logged in index order. Output bytes do not depend on
-    `workers` or on the chunk size.
+    rerun over a complete dataset rewrites nothing. One worker makes the
+    scenes still to make as one queue, writing each record as soon as the
+    ones before it are done; more workers make the chunks of
+    `chunk_indices`, one queue and one pool task each. Records are written
+    and logged in index order. Output bytes do not depend on `workers` or
+    on `CHUNK_SCENES`.
     """
     if not maps:
         raise ConfigError("need at least one map")
@@ -751,12 +786,11 @@ def generate_dataset(
         else:
             todo.append(index)
 
-    chunks = chunk_indices(todo, workers)
-    if workers <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            for rec in _build_scene_records(maps, cfg, chunk):
-                records[rec.index] = rec
-                _finish_record(rec, out_dir, log)
+    chunks = chunk_indices(todo, workers) if workers > 1 else [todo]
+    if len(chunks) <= 1:
+        for rec in _build_scene_records(maps, cfg, todo):
+            records[rec.index] = rec
+            _finish_record(rec, out_dir, log)
     else:
         with multiprocessing.Pool(
             processes=workers, initializer=_pool_init, initargs=(maps, cfg)

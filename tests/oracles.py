@@ -25,6 +25,7 @@ from scenesynth.augment import warp_displacement
 from scenesynth.geometry import Polyline, rotate
 from scenesynth.maps import LaneSegment, SceneMap, _path_from_polyline, make_map, read_lines
 from scenesynth.planner import CoarsePlan, expand, transition_cost
+from scenesynth.refine import RefinementSystem, accel_of, jerk_of
 from scenesynth.synthesis import CSV_HEADER, SCENE_SAMPLES, Scene, validate_scene
 
 
@@ -253,6 +254,18 @@ def reference_refine(coarse, p, v0, s0):
             u = u + solveh_banded(ab, rhs - h @ u)
         x[2:] += u
     return x
+
+
+def objective_value(x: np.ndarray, sys: RefinementSystem) -> float:
+    """Smoothing-plus-tracking objective evaluated directly from stencils."""
+    p = sys.params
+    total = 0.0
+    if x.size >= 3:
+        total += p.omega1 * float(np.sum(accel_of(x, p.dt_fine) ** 2))
+    if x.size >= 4:
+        total += p.omega2 * float(np.sum(jerk_of(x, p.dt_fine) ** 2))
+    total += p.omega3 * float(np.sum((x[sys.knot_index] - sys.sc_knots) ** 2))
+    return total
 
 
 def reference_scene_text(scene) -> str:

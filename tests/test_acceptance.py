@@ -15,6 +15,7 @@ from oracles import (
     binomial_band,
     enumerate_plan_costs,
     forecast_metrics_loop,
+    objective_value,
     pointwise_l1_loop,
     wiggly_path,
 )
@@ -36,8 +37,7 @@ from scenesynth.refine import (
     RefinementParams,
     build_refinement_system,
     objective_gradient,
-    objective_value,
-    refine_trajectory,
+    refine_one,
     solve_system,
     stationarity_residual,
 )
@@ -193,7 +193,7 @@ def test_criterion_3_refinement_correctness():
         plan = CoarsePlan(tuple(nodes), (0.5, -0.5, 0.0, 1.0, -1.0, 0.5), 0.0)
         pt = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=1)
         v0 = (nodes[1].s - nodes[0].s) / 0.1
-        traj = refine_trajectory(plan, pt, v0=v0, s0=nodes[0].s)
+        traj = refine_one(plan, pt, v0=v0, s0=nodes[0].s)
         coarse = np.array([n.s for n in nodes[:-1]])
         assert np.abs(traj.s_values - coarse).max() < 1e-8
         assert time.perf_counter() - t0 < 30.0

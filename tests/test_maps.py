@@ -277,6 +277,30 @@ def test_crop_map_matches_reference(name):
     assert crop_map(make_map("MIA", []), Point2(0.0, 0.0), 10.0).lanes == {}
 
 
+@pytest.mark.parametrize("name", ["corridors", "fork", "chain3"])
+def test_crop_map_equals_make_map_of_its_lanes(name):
+    """A crop is the map that `make_map` builds, and validates, from the
+    same lanes; a lane whose links all stay in the crop is the source's
+    own `LaneSegment`."""
+    base = generate_map_fixture(name)
+    rng = np.random.default_rng([10, len(name)])
+    lo, hi = base.points.xy.min(axis=0) - 50.0, base.points.xy.max(axis=0) + 50.0
+    pruned = whole = 0
+    for _ in range(200):
+        center = Point2(*map(float, rng.uniform(lo, hi)))
+        crop = crop_map(base, center, float(rng.uniform(0.5, 200.0)))
+        assert crop == make_map(base.city, list(crop.lanes.values()))
+        for lane_id, lane in crop.lanes.items():
+            source = base.lanes[lane_id]
+            links = (lane.predecessors, lane.successors)
+            if links == (source.predecessors, source.successors):
+                assert lane is source
+                whole += 1
+            else:
+                pruned += 1
+    assert pruned and whole
+
+
 @pytest.fixture
 def path_cache(monkeypatch):
     """An empty reference-path cache for one test."""

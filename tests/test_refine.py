@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import reference_refine
+from oracles import objective_value, reference_refine
 from scenesynth import synthesis
 from scenesynth.errors import RefinementError, SceneSynthError
 from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams, expand
@@ -11,7 +11,7 @@ from scenesynth.refine import (
     build_refinement_system,
     jerk_of,
     objective_gradient,
-    objective_value,
+    refine_one,
     refine_trajectory,
     solve_system,
     stationarity_residual,
@@ -84,7 +84,7 @@ def test_params_validation():
 def test_grid_and_knots_cover_horizon():
     plan = make_plan([0.0] * 11)
     p = RefinementParams()
-    traj = refine_trajectory(plan, p, v0=10.0, s0=0.0)
+    traj = refine_one(plan, p, v0=10.0, s0=0.0)
     assert traj.timestamps.shape == (51,)
     assert traj.timestamps[0] == 0.0
     assert traj.timestamps[-1] == pytest.approx(5.0)
@@ -94,12 +94,12 @@ def test_grid_and_knots_cover_horizon():
 def test_k_dt_mismatch_rejected():
     plan = make_plan([0.0] * 11)
     with pytest.raises(RefinementError, match="coarse step"):
-        refine_trajectory(plan, RefinementParams(dt_fine=0.1, k=4), 10.0, 0.0)
+        refine_one(plan, RefinementParams(dt_fine=0.1, k=4), 10.0, 0.0)
 
 
 def test_constant_velocity_plan_refines_to_line():
     plan = make_plan([0.0] * 11, v0=8.0, s0=2.0)
-    traj = refine_trajectory(plan, RefinementParams(), v0=8.0, s0=2.0)
+    traj = refine_one(plan, RefinementParams(), v0=8.0, s0=2.0)
     expected = 2.0 + 8.0 * traj.timestamps
     assert np.abs(traj.s_values - expected).max() < 1e-8
     assert np.abs(traj.accel).max() < 1e-8
@@ -113,7 +113,7 @@ def test_pure_tracking_reproduces_consistent_coarse():
     plan = make_plan([0.5, -0.5, 1.0, 0.0, -1.0, 0.5], v0=6.0, s0=1.0, dt=0.1)
     p = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=1)
     v0_fd = (plan.nodes[1].s - plan.nodes[0].s) / p.dt_fine
-    traj = refine_trajectory(plan, p, v0=v0_fd, s0=1.0)
+    traj = refine_one(plan, p, v0=v0_fd, s0=1.0)
     coarse_s = np.array([n.s for n in plan.nodes[:-1]])
     assert np.abs(traj.s_values - coarse_s).max() < 1e-8
 
@@ -122,7 +122,7 @@ def test_zero_smoothing_with_untracked_knots_raises():
     plan = make_plan([0.0] * 11)
     p = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=5)
     with pytest.raises(RefinementError, match="singular"):
-        refine_trajectory(plan, p, 10.0, 0.0)
+        refine_one(plan, p, 10.0, 0.0)
 
 
 def test_initial_constraints_hold_exactly():
@@ -132,7 +132,7 @@ def test_initial_constraints_hold_exactly():
         plan = random_plan(rng)
         v0 = float(rng.uniform(0.0, 16.0))
         s0 = plan.nodes[0].s + float(rng.uniform(-1.0, 1.0))
-        traj = refine_trajectory(plan, p, v0=v0, s0=s0)
+        traj = refine_one(plan, p, v0=v0, s0=s0)
         assert abs(traj.s_values[0] - s0) < 1e-8
         assert abs((traj.s_values[1] - traj.s_values[0]) / 0.1 - v0) < 1e-8
 
@@ -208,7 +208,7 @@ def test_solution_beats_corrected_interpolant():
 
 def test_refined_accel_jerk_match_stencils():
     plan = make_plan([1.0, -0.5, 0.5, 0.0, -1.0, 0.5, 1.0, 0.0, -0.5, 0.0, 0.5])
-    traj = refine_trajectory(plan, RefinementParams(), v0=10.0, s0=0.0)
+    traj = refine_one(plan, RefinementParams(), v0=10.0, s0=0.0)
     assert np.abs(traj.accel - accel_of(traj.s_values, 0.1)).max() < 1e-9
     assert np.abs(traj.jerk - jerk_of(traj.s_values, 0.1)).max() < 1e-9
 
@@ -217,35 +217,36 @@ def test_refined_accel_jerk_match_stencils():
 def test_non_finite_initial_speed_is_refinement_error(v0):
     plan = make_plan([0.0] * 11)
     with np.errstate(invalid="ignore"), pytest.raises(RefinementError, match="non-finite"):
-        refine_trajectory(plan, RefinementParams(), v0=v0, s0=0.0)
+        refine_one(plan, RefinementParams(), v0=v0, s0=0.0)
 
 
 def test_too_short_plan_rejected():
     plan = make_plan([0.0])
     with pytest.raises(RefinementError, match="too short"):
-        refine_trajectory(plan, RefinementParams(), 10.0, 0.0)
+        refine_one(plan, RefinementParams(), 10.0, 0.0)
 
 
 def captured_refinements(corridors_map, monkeypatch, cfg, count):
     """(plan, v0, s0) of the first `count` refinements `make_scene`
-    asks for under `cfg`."""
+    asks for under `cfg`, recorded from its batched call."""
     calls = []
 
-    def record(plan, p, v0, s0):
-        calls.append((plan, v0, s0))
-        return refine_trajectory(plan, p, v0=v0, s0=s0)
+    def record(problems, p):
+        calls.extend(problems)
+        return refine_trajectory(problems, p)
 
     monkeypatch.setattr(synthesis, "refine_trajectory", record)
-    index = 0
-    while len(calls) < count:
+    for index in range(4 * count):
+        if len(calls) >= count:
+            break
         try:
             synthesis.make_scene(
                 corridors_map, np.random.default_rng([44, index]), cfg
             )
         except SceneSynthError:
             pass
-        index += 1
     monkeypatch.undo()
+    assert len(calls) >= count
     return calls[:count]
 
 
@@ -255,6 +256,18 @@ REFINE_PARAMS = [
     RefinementParams(omega1=0.0),
     RefinementParams(dt_fine=0.5, k=1),
 ]
+
+
+def random_batches(rng, n):
+    """The indices 0 .. n-1 in a random order, cut into batches of random
+    sizes from 1 to 32."""
+    order = rng.permutation(n).tolist()
+    batches = []
+    while order:
+        size = int(rng.integers(1, 33))
+        batches.append(order[:size])
+        order = order[size:]
+    return batches
 
 
 @pytest.mark.parametrize(
@@ -268,10 +281,30 @@ def test_refine_matches_reference_on_generated_plans(
         output_dir="unused", augmented_fraction=fraction,
         planner=PlannerParams(t_g=t_g),
     )
-    for plan, v0, s0 in captured_refinements(corridors_map, monkeypatch, cfg, count):
-        for p in REFINE_PARAMS:
-            got = refine_trajectory(plan, p, v0=v0, s0=s0).s_values
-            assert np.array_equal(got, reference_refine(plan, p, v0, s0))
+    problems = captured_refinements(corridors_map, monkeypatch, cfg, count)
+    rng = np.random.default_rng(count)
+    for p in REFINE_PARAMS:
+        for batch in random_batches(rng, len(problems)):
+            got = refine_trajectory([problems[j] for j in batch], p)
+            for j, traj in zip(batch, got):
+                plan, v0, s0 = problems[j]
+                assert np.array_equal(traj.s_values, reference_refine(plan, p, v0, s0))
+
+
+def test_mixed_batch_gives_each_failing_plan_its_own_error():
+    rng = np.random.default_rng(9)
+    plans = [random_plan(rng) for _ in range(4)]
+    problems = [(plan, plan.nodes[0].v, plan.nodes[0].s) for plan in plans]
+    coarse_step = make_plan([0.0] * 11, dt=0.4)  # k * dt_fine is 0.5, not 0.4
+    mixed = [problems[0], (make_plan([0.0]), 10.0, 0.0), problems[1], problems[2],
+             (coarse_step, 10.0, 0.0), problems[3]]
+    p = RefinementParams()
+    got = refine_trajectory(mixed, p)
+    assert isinstance(got[1], RefinementError) and str(got[1]) == "coarse plan too short to refine"
+    assert isinstance(got[4], RefinementError) and "does not match coarse step 0.4" in str(got[4])
+    for traj, (plan, v0, s0) in zip([got[k] for k in (0, 2, 3, 5)], problems):
+        assert np.array_equal(traj.s_values, refine_one(plan, p, v0, s0).s_values)
+        assert np.array_equal(traj.s_values, reference_refine(plan, p, v0, s0))
 
 
 def test_cached_quadratic_form_refuses_writes():
