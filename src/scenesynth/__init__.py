@@ -14,9 +14,6 @@ from .augment import (
     TurnTransformParams,
     WarpFrame,
     apply_transform,
-    f_double_turn,
-    f_single_turn,
-    q_alpha,
     sample_transform_params,
 )
 from .planner import (
@@ -24,9 +21,7 @@ from .planner import (
     PlannerNode,
     PlannerParams,
     astar_plan,
-    expand,
     plan_one,
-    transition_cost,
 )
 from .refine import (
     RefinedTrajectory,
@@ -44,12 +39,10 @@ from .synthesis import (
     make_scene,
     read_scene,
     validate_scene,
-    write_scene,
 )
 from .pretrain import (
     PretrainSample,
     ReconTask,
-    assign_tasks,
     map_recon_loss,
     mask_map,
     mask_trajectory,

@@ -84,32 +84,6 @@ class TurnTransformParams:
         return md
 
 
-def params_from_metadata(md: dict[str, str]) -> TurnTransformParams:
-    kind = TurnKind(md["transform_kind"])
-    return TurnTransformParams(
-        kind=kind,
-        b=float(md["transform_b"]),
-        alpha1=float(md["transform_alpha1"]),
-        alpha2=float(md["transform_alpha2"]),
-        s_t=float(md["transform_s_t"]),
-        beta=float(md["transform_beta"]) if kind is TurnKind.DOUBLE else None,
-        frame=WarpFrame(
-            Point2(float(md["transform_frame_x"]), float(md["transform_frame_y"])),
-            float(md["transform_frame_heading"]),
-        ),
-    )
-
-
-def q_alpha(s_x: float, alpha1: float, alpha2: float, s_t: float) -> float:
-    """Turn-shape profile alpha1 * (s_x / s_t) ** alpha2 on [0, s_t].
-
-    Written in ratio form so q_alpha(s_t) equals alpha1 exactly.
-    """
-    if not 0.0 <= s_x <= s_t:
-        raise ValueError(f"s_x {s_x} outside [0, {s_t}]")
-    return alpha1 * (s_x / s_t) ** alpha2
-
-
 def _single_turn_array(x, alpha1, alpha2, s_t):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -120,34 +94,18 @@ def _single_turn_array(x, alpha1, alpha2, s_t):
     return out
 
 
-def f_single_turn(s_x: float, p: TurnTransformParams) -> float:
-    """Single-turn lateral displacement: zero before the turn, the shape
-    profile across it, and its tangent line afterwards (C1 everywhere)."""
-    if s_x < 0.0:
-        return 0.0
-    if s_x <= p.s_t:
-        return p.alpha1 * (s_x / p.s_t) ** p.alpha2
-    return (s_x - p.s_t) * p.end_slope + p.alpha1
-
-
-def f_double_turn(s_x: float, p: TurnTransformParams) -> float:
-    """Two opposite turns `beta` apart; flattens to alpha1*alpha2*beta/s_t."""
-    if p.kind is not TurnKind.DOUBLE:
-        raise ValueError("f_double_turn requires DoubleTurn params")
-    return f_single_turn(s_x, p) - f_single_turn(s_x - p.beta, p)
-
-
-def f_single_turn_slope(s_x: float, p: TurnTransformParams) -> float:
-    """Analytic derivative of the single-turn profile."""
-    if s_x < 0.0:
-        return 0.0
-    if s_x <= p.s_t:
-        return p.alpha1 * p.alpha2 / p.s_t * (s_x / p.s_t) ** (p.alpha2 - 1.0)
-    return p.end_slope
-
-
 def warp_displacement(x, p: TurnTransformParams):
-    """Vectorized displacement for either turn kind."""
+    """The lateral displacement f(x) at each frame-local distance x past
+    the onset, for either turn kind.
+
+    A single turn is zero for x < 0, follows the shape profile
+    alpha1 * (x / s_t) ** alpha2 on [0, s_t] (in ratio form, so it reaches
+    alpha1 exactly at s_t), and continues along its tangent line
+    (x - s_t) * alpha1 * alpha2 / s_t + alpha1 past s_t: C1 everywhere,
+    with slope alpha1 * alpha2 / s_t * (x / s_t) ** (alpha2 - 1) inside the
+    turn. A double turn is f(x) - f(x - beta), two opposite turns `beta`
+    apart; it flattens to alpha1 * alpha2 * beta / s_t.
+    """
     if p.kind is TurnKind.SINGLE:
         return _single_turn_array(x, p.alpha1, p.alpha2, p.s_t)
     single = _single_turn_array(x, p.alpha1, p.alpha2, p.s_t)
@@ -196,19 +154,16 @@ def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
 
 def sample_transform_params(
     rng: np.random.Generator,
-    paths: list[ReferencePath],
+    path: ReferencePath,
     max_slope: float | None = None,
 ) -> TurnTransformParams:
     """Draw warp parameters and anchor the frame on a reference path.
 
     The kind is a fair coin, alpha1 uniform over its range, and the frame
-    sits at a uniformly chosen sample over every path, headed along the
-    local tangent. `max_slope` optionally caps the post-turn displacement
-    slope alpha1*alpha2/s_t by shrinking the alpha1 range (uncapped by
-    default).
+    sits at a uniformly chosen sample of the path, headed along the local
+    tangent. `max_slope` optionally caps the post-turn displacement slope
+    alpha1*alpha2/s_t by shrinking the alpha1 range (uncapped by default).
     """
-    if not paths:
-        raise ValueError("need at least one reference path to anchor the warp")
     kind = TurnKind.SINGLE if int(rng.integers(2)) == 0 else TurnKind.DOUBLE
     lo, hi = ALPHA1_RANGE
     if max_slope is not None:
@@ -216,14 +171,9 @@ def sample_transform_params(
         if hi < lo:
             raise ValueError(f"max_slope {max_slope} leaves no valid alpha1")
     alpha1 = float(rng.uniform(lo, hi))
-    counts = [path.samples.n_points for path in paths]
-    flat = int(rng.integers(sum(counts)))
-    for path, count in zip(paths, counts):
-        if flat < count:
-            break
-        flat -= count
-    origin = Point2(float(path.samples.xy[flat, 0]), float(path.samples.xy[flat, 1]))
-    frame = WarpFrame(origin, path.tangent_at_index(flat))
+    k = int(rng.integers(path.samples.n_points))
+    origin = Point2(float(path.samples.xy[k, 0]), float(path.samples.xy[k, 1]))
+    frame = WarpFrame(origin, path.tangent_at_index(k))
     return TurnTransformParams(
         kind=kind,
         b=DEFAULT_ONSET,

@@ -57,7 +57,14 @@ from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
 from .errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from .maps import build_reference_path, load_map, read_lines, save_map, write_text_atomic
-from .synthesis import CONFIG_KEYS, GenerationConfig, generate_dataset, read_scene, scene_to_text
+from .synthesis import (
+    CONFIG_KEYS,
+    GenerationConfig,
+    generate_dataset,
+    manifest_fields,
+    read_scene,
+    scene_to_text,
+)
 
 
 _CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
@@ -106,7 +113,7 @@ def cmd_augment_map(args) -> int:
     lane_ids = m.sorted_ids()
     seed_lane = lane_ids[int(rng.integers(len(lane_ids)))]
     path = build_reference_path(m, seed_lane, GenerationConfig.path_min_length, rng)
-    params = sample_transform_params(rng, [path])
+    params = sample_transform_params(rng, path)
     if args.kind is not None:
         kind = TurnKind.SINGLE if args.kind == "single" else TurnKind.DOUBLE
         params = replace(
@@ -218,6 +225,8 @@ def cmd_validate(args) -> int:
         print(f"no scene files in {args.scenes}", file=sys.stderr)
         return 1
     failures = 0
+    # the (status, city, cost) manifest row of each scene that reads back
+    rows: dict[str, tuple[str, str, str]] = {}
     for path in files:
         try:
             scene = read_scene(path)
@@ -226,6 +235,8 @@ def cmd_validate(args) -> int:
         except SceneSynthError as exc:
             failures += 1
             print(f"FAIL {path}: {exc}", file=sys.stderr)
+            continue
+        rows[path.name] = manifest_fields(scene.metadata)
     manifest = Path(args.scenes) / "manifest.txt"
     scene_names = {path.name for path in files}
     if manifest.exists():
@@ -233,11 +244,18 @@ def cmd_validate(args) -> int:
             if line.startswith("#") or not line.strip():
                 continue
             name, sep, rest = line.partition(",")
-            status = rest.partition(",")[0]
+            listed = tuple(rest.split(",")[:3])
             if not sep:
                 problem = f"expected 'file,status,...', got {line!r}"
-            elif status != "skipped" and name not in scene_names:
+            elif listed[0] == "skipped":
+                continue
+            elif name not in scene_names:
                 problem = f"listed file {name} missing"
+            elif name in rows and listed != rows[name]:
+                problem = (
+                    f"lists {name} as {','.join(listed)}; the file has "
+                    f"{','.join(rows[name])}"
+                )
             else:
                 continue
             failures += 1

@@ -29,9 +29,6 @@ class Point2:
     def dist(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 class Polyline:
     """Ordered 2-D points with strictly increasing arc-length.

@@ -14,9 +14,21 @@ are written back with 9 decimal places. Blank lines and lines starting
 with `#` are ignored.
 
 Argoverse-style HD maps translate onto this schema one lane segment at a
-time: the per-lane centerline array becomes the `pt` rows, the lane id the
-`lane` header, and the predecessor/successor id lists the `pred`/`succ`
-rows (see scripts/convert_argoverse_map.py for the documented stub).
+time (the converter itself is out of scope)::
+
+    our schema            Argoverse-style source
+    ----------            ----------------------
+    city <tag>            city name, e.g. MIA / PIT
+    lane <id>             lane segment id (stringified)
+    pt <x> <y>            lane centerline vertices, city frame, meters
+    succ <id>             each successor lane id
+    pred <id>             each predecessor lane id
+
+One `lane` record per lane segment; vertex order follows travel
+direction; write coordinates with at least 6 significant digits (9
+decimals are written). Successor endpoints must touch their
+predecessor's last vertex to within 0.5 m (`CONNECTIVITY_TOL`) or
+validation rejects the file.
 """
 
 from __future__ import annotations
@@ -110,9 +122,6 @@ class SceneMap:
                         path,
                         line,
                     )
-
-    def n_edges(self) -> int:
-        return sum(len(lane.successors) for lane in self.lanes.values())
 
     def sorted_ids(self) -> list[str]:
         return sorted(self.lanes)
@@ -303,9 +312,6 @@ class ReferencePath:
     @property
     def length(self) -> float:
         return float(self.cum_s[-1])
-
-    def curvature_at(self, s):
-        return np.interp(s, self.cum_s, self.kappa)
 
     def xy_at(self, s) -> np.ndarray:
         """Map arc-length(s) to plane coordinates; raises on overrun."""

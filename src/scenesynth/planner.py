@@ -74,54 +74,20 @@ class PlannerParams:
 class CoarsePlan:
     """Planned nodes plus the actions that connect them.
 
-    nodes[i+1] is exactly expand(nodes[i], actions[i], dt), and total_cost
-    is the plain sum of the per-transition costs.
+    nodes[i+1] is nodes[i] advanced by actions[i] over one step (the
+    transition of `_Batch.expand`), and total_cost is the plain sum of the
+    per-transition costs.
     """
 
     nodes: tuple[PlannerNode, ...]
     actions: tuple[float, ...]
     total_cost: float
 
-    @property
-    def dt(self) -> float:
-        return self.nodes[1].t - self.nodes[0].t
-
     def s_values(self) -> np.ndarray:
         return np.array([n.s for n in self.nodes])
 
     def times(self) -> np.ndarray:
         return np.array([n.t for n in self.nodes])
-
-
-def expand(n: PlannerNode, a: float, dt: float) -> PlannerNode:
-    """Constant-acceleration transition over one coarse step.
-
-    Returns the raw kinematic result; negative velocities are rejected by
-    the search, not here.
-    """
-    return PlannerNode(
-        n.s + n.v * dt + 0.5 * a * dt * dt,
-        n.v + a * dt,
-        n.t + dt,
-    )
-
-
-def transition_cost(
-    n_next: PlannerNode, a: float, path: ReferencePath, p: PlannerParams
-) -> float:
-    """Cost of arriving at n_next using acceleration a."""
-    if n_next.s < -1e-9 or n_next.s > path.length + 1e-9:
-        raise PathOverrunError(
-            f"s={n_next.s:.3f} outside path [0, {path.length:.3f}]"
-        )
-    kap = np.interp(n_next.s, path.cum_s, path.kappa)
-    if p.abs_curvature:
-        kap = np.abs(kap)
-    return float(
-        p.w1 * a * a
-        + p.w2 * kap * n_next.v * n_next.v
-        + p.w3 * (n_next.v - p.v_d) * (n_next.v - p.v_d)
-    )
 
 
 def _n_steps(init_t: float, p: PlannerParams) -> int:
@@ -178,7 +144,14 @@ class _Batch:
     def expand(self, S, V, G, rows):
         """Every action from every state: (S2, V2, G2, over, feas) on grids
         of shape `S.shape + (n_actions,)`; `rows` gives each state's scene,
-        shaped to broadcast against those grids."""
+        shaped to broadcast against those grids.
+
+        Action a takes (s, v, t) at constant acceleration over one step dt
+        to s' = s + v dt + a dt^2 / 2, v' = v + a dt, t' = t + dt, at the
+        cost w1 a^2 + w2 kappa(s') v'^2 + w3 (v' - v_d)^2, kappa(s') taken
+        by magnitude unless `abs_curvature` is off; G2 adds that cost to
+        G. `over` flags an s' past the path end and `feas` the expansions
+        the search keeps: v' >= 0 and not over."""
         p = self.p
         S2 = S[..., None] + V[..., None] * p.dt + self.half_a_dt2
         V2 = V[..., None] + self.a_dt
@@ -190,33 +163,6 @@ class _Batch:
         dv = V2 - self.v_d[rows]
         G2 = G[..., None] + (self.a_cost + p.w2 * kap * V2 * V2 + p.w3 * dv * dv)
         return S2, V2, G2, over, feas
-
-    def replay(self, S, V, t0: float, rows, picked):
-        """The nodes and total costs of the plans that take actions
-        `picked` (plans, layers) from states `S`, `V` at time `t0`, the
-        plans' scenes being `rows`, one layer at a time: per plan, lists
-        of (s, v, t) floats, and the costs as one array. Each layer takes
-        the expression order of `expand` and `transition_cost` and the
-        costs add up from the first layer, so plan and cost are those of
-        replaying the plan node by node."""
-        p = self.p
-        n_plans, n_steps = picked.shape
-        s = np.empty((n_plans, n_steps + 1))
-        v = np.empty_like(s)
-        t = np.empty_like(s)
-        s[:, 0], v[:, 0], t[:, 0] = S, V, t0
-        total = np.zeros(n_plans)
-        for k in range(n_steps):
-            a = picked[:, k]
-            s[:, k + 1] = s[:, k] + v[:, k] * p.dt + 0.5 * a * p.dt * p.dt
-            v[:, k + 1] = v[:, k] + a * p.dt
-            t[:, k + 1] = t[:, k] + p.dt
-            kap = self.curvature(s[:, k + 1], rows)
-            if p.abs_curvature:
-                kap = np.abs(kap)
-            vk, dv = v[:, k + 1], v[:, k + 1] - self.v_d[rows]
-            total = total + (p.w1 * a * a + p.w2 * kap * vk * vk + p.w3 * dv * dv)
-        return zip(s.tolist(), v.tolist(), t.tolist()), total
 
     def beam_bounds(self, S, V, n_steps: int, beam: int) -> np.ndarray:
         """The cheapest plan cost of each scene when each layer keeps only
@@ -237,10 +183,12 @@ class _Batch:
 
     def exact(self, S, V, n_steps: int, ub: np.ndarray):
         """The merged layered DP of every scene, on flat state arrays sorted
-        by scene. Returns `(scenes, picks, trail, errors)`: the scenes that
-        reach the last layer and the index of each one's pick in it, one
-        flat `parent * n_actions + action` array per layer, and
-        `{scene: PlanningError}` for the scenes that starve."""
+        by scene. Returns `(scenes, picks, costs, layers, errors)`: the
+        scenes that reach the last layer, the index of each one's pick in
+        it and the pick's cost G, per layer the kept states as `(S, V,
+        trail)` with `trail` the flat `parent * n_actions + action` of each,
+        and `{scene: PlanningError}` for the scenes that starve. G sums the
+        transition costs from 0 along each state's chain of kept parents."""
         n_actions = len(self.actions)
         n = len(S)
         scene = np.arange(n)
@@ -249,7 +197,7 @@ class _Batch:
         overrun = np.zeros(n, dtype=bool)
         alive = np.ones(n, dtype=bool)
         errors: dict[int, PlanningError] = {}
-        trail: list[np.ndarray] = []
+        layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for _ in range(n_steps):
             S2, V2, G2, over, feas = self.expand(S, V, G, scene[:, None])
             overrun[scene[over.any(axis=1)]] = True
@@ -281,13 +229,13 @@ class _Batch:
             )
             sel = order[first]
             S, V, G, scene = S2[sel], V2[sel], G2[sel], cand_scene[first]
-            trail.append(idx[sel])
+            layers.append((S, V, idx[sel]))
         # per scene, the cheapest state, then the slowest, then the nearest
         order = np.lexsort((S, V, G, scene))
         first = np.ones(len(order), dtype=bool)
         first[1:] = scene[order[1:]] != scene[order[:-1]]
         picks = order[first]
-        return scene[picks], picks, trail, errors
+        return scene[picks], picks, G[picks], layers, errors
 
 
 def astar_plan(problems) -> list[CoarsePlan | PlanningError]:
@@ -343,20 +291,26 @@ def astar_plan(problems) -> list[CoarsePlan | PlanningError]:
     ub = np.full(len(live), np.inf)
     if p.abs_curvature:
         ub = batch.beam_bounds(S, V, n_steps, BEAM_WIDTH)
-    scenes, idx, trail, errors = batch.exact(S, V, n_steps, ub)
+    scenes, idx, costs, layers, errors = batch.exact(S, V, n_steps, ub)
     for b, exc in errors.items():
         out[live[b]] = exc
 
+    # each plan's nodes are the kept states along its pick's parent chain
+    s = np.empty((len(idx), n_steps))
+    v = np.empty_like(s)
     chosen = np.empty((len(idx), n_steps), dtype=np.intp)
     for layer in range(n_steps - 1, -1, -1):
-        idx, chosen[:, layer] = np.divmod(trail[layer][idx], len(batch.actions))
-    picked = batch.actions[chosen]
-    nodes, costs = batch.replay(S[scenes], V[scenes], problems[0][1].t, scenes, picked)
-    for b, (s, v, t), acts, cost in zip(
-        scenes.tolist(), nodes, picked.tolist(), costs.tolist()
+        S_k, V_k, trail = layers[layer]
+        s[:, layer], v[:, layer] = S_k[idx], V_k[idx]
+        idx, chosen[:, layer] = np.divmod(trail[idx], len(batch.actions))
+    t = [problems[0][1].t]
+    for _ in range(n_steps):
+        t.append(t[-1] + p.dt)
+    for b, s_b, v_b, acts, cost in zip(
+        scenes.tolist(), s.tolist(), v.tolist(), batch.actions[chosen].tolist(), costs.tolist()
     ):
         init = problems[live[b]][1]
-        tail = map(PlannerNode, s[1:], v[1:], t[1:])
+        tail = map(PlannerNode, s_b, v_b, t[1:])
         out[live[b]] = CoarsePlan((init, *tail), tuple(acts), cost)
     return out
 

@@ -111,18 +111,12 @@ def _split(vectors: np.ndarray, masked_ids, task: ReconTask) -> PretrainSample:
     return PretrainSample(visible, masked, tuple(targets), task)
 
 
-def mask_map(
-    vectors: np.ndarray,
-    ratio: float = DEFAULT_MASK_RATIO,
-    rng: np.random.Generator | None = None,
-) -> PretrainSample:
+def mask_map(vectors: np.ndarray, ratio: float, rng: np.random.Generator) -> PretrainSample:
     """Mask round(ratio * n_lanes) lane polylines uniformly at random
     (half rounds up), and at least one, so that every sample has a
     target; the trajectory stays visible."""
     if not 0.0 <= ratio <= 1.0:
         raise MaskingError(f"mask ratio must lie in [0, 1], got {ratio}")
-    if rng is None:
-        rng = np.random.default_rng()
     lane_ids = _polyline_ids(vectors, LANE)
     if len(lane_ids) < 2:
         raise MaskingError(f"map masking needs >= 2 lanes, got {len(lane_ids)}")
@@ -139,24 +133,6 @@ def mask_trajectory(vectors: np.ndarray) -> PretrainSample:
             f"trajectory masking needs exactly 1 trajectory, got {len(traj_ids)}"
         )
     return _split(vectors, traj_ids, ReconTask.TRAJECTORY)
-
-
-def assign_tasks(
-    scenes: list[Scene],
-    map_fraction: float = DEFAULT_MAP_FRACTION,
-    rng: np.random.Generator | None = None,
-    mask_ratio: float = DEFAULT_MASK_RATIO,
-) -> list[PretrainSample]:
-    """Draw one task per scene with `draw_sample`, all from one `rng`.
-    Fresh generators give the same scene different tasks across epochs."""
-    if not 0.0 <= map_fraction <= 1.0:
-        raise ValueError(f"map_fraction must lie in [0, 1], got {map_fraction}")
-    if rng is None:
-        rng = np.random.default_rng()
-    return [
-        draw_sample(vectorize_scene(scene), map_fraction, mask_ratio, rng)
-        for scene in scenes
-    ]
 
 
 def draw_sample(

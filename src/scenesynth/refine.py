@@ -83,21 +83,6 @@ def jerk_of(s: np.ndarray, dt_fine: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class RefinementSystem:
-    """Quadratic data: objective x'Qx - 2 q'x + const, constraints A x = b."""
-
-    grid_t: np.ndarray
-    Q: np.ndarray
-    q: np.ndarray
-    const: float
-    A: np.ndarray
-    b: np.ndarray
-    knot_index: np.ndarray
-    sc_knots: np.ndarray
-    params: RefinementParams
-
-
 def _add_stencil_gram(Q: np.ndarray, coeffs: np.ndarray, weight: float, centers) -> None:
     """Add weight * c c' at rows and columns i-1 .. i-2+len(c) for each i
     in `centers`, in increasing i: each entry then sums its terms in the
@@ -163,55 +148,23 @@ def _tracked_knots(coarse: CoarsePlan, n: int, p: RefinementParams) -> list[floa
     return [node.s for node in coarse.nodes[1 : n // p.k + 1]]
 
 
-def build_refinement_system(
-    coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
-) -> RefinementSystem:
-    n = _fine_steps(coarse, p)
-    dt = p.dt_fine
-    grid_t = coarse.nodes[0].t + np.arange(n + 1) * dt
-
-    knot_index = np.arange(1, n // p.k + 1) * p.k
-    sc_knots = np.array(_tracked_knots(coarse, n, p))
-    q = np.zeros(n + 1)
-    q[knot_index] += p.omega3 * sc_knots
-    const = float(p.omega3 * np.dot(sc_knots, sc_knots))
-
-    A = np.zeros((2, n + 1))
-    A[0, 0] = 1.0
-    A[1, 0] = -1.0 / dt
-    A[1, 1] = 1.0 / dt
-    b = np.array([s0, v0])
-    return RefinementSystem(
-        grid_t, _quadratic_form(p, n), q, const, A, b, knot_index, sc_knots, p
-    )
-
-
-def objective_gradient(x: np.ndarray, sys: RefinementSystem) -> np.ndarray:
-    return 2.0 * (sys.Q @ x - sys.q)
-
-
-def stationarity_residual(x: np.ndarray, lam: np.ndarray, sys: RefinementSystem) -> float:
-    """Infinity norm of the stationarity equations, relative to the
-    magnitude of the terms involved."""
-    grad = objective_gradient(x, sys) + sys.A.T @ lam
-    scale = max(
-        1.0,
-        float(np.abs(2.0 * (sys.Q @ x)).max()),
-        float(np.abs(2.0 * sys.q).max(initial=0.0)),
-        float(np.abs(sys.A.T @ lam).max()),
-    )
-    return float(np.abs(grad).max()) / scale
-
-
 def _solve_stacked(
     p: RefinementParams, n: int, s0: np.ndarray, v0: np.ndarray, sc_knots: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray | None, list[RefinementError | None]]:
+) -> tuple[np.ndarray | None, list[RefinementError | None]]:
     """Solve the systems of one horizon n, one per row of the initial
     states `s0`, `v0` and the tracked arc-lengths `sc_knots` (rows, knots),
     with x0, x1 eliminated through the constraints. Returns the s values
-    (rows, n + 1), the multipliers (rows, 2) and, per row, None or the
-    RefinementError that row ends in; no values when the system itself is
-    singular.
+    (rows, n + 1) and, per row, None or the RefinementError that row ends
+    in; no values when the system itself is singular.
+
+    A row's system: minimize x'Qx - 2 q'x + const over the fine samples
+    x_0 .. x_n (Q from `_quadratic_form`; q = omega3 * sc at the knot
+    samples k, 2k, ..., zero elsewhere; const = omega3 * sc'sc) subject to
+    A x = b, the two rows x_0 = s0 and (x_1 - x_0) / dt = v0. Stationarity
+    is 2 (Q x - q) + A' lam = 0. Its rows for x_0 and x_1 give the
+    multipliers lam = (-g_0 - g_1, -dt g_1) with g = 2 (Q x - q), and the
+    residual checked is max |2 (Q x - q) + A' lam|, relative to the largest
+    of 1, |2 Q x|, |2 q| and |A' lam|, at most 1e-6.
 
     The solve works in deviations u from the initial tangent line
     x_ref_i = s0 + i * v0 * dt, which satisfies both constraints and is
@@ -220,8 +173,7 @@ def _solve_stacked(
     scale of the smoothing correction instead of the absolute arc-length,
     which the dt^-6 jerk stencil would otherwise amplify past the stated
     tolerances. u solves the banded symmetric positive-definite system
-    Q[2:, 2:] u = (q - Q x_ref)[2:]; the multipliers come from the two
-    eliminated stationarity rows.
+    Q[2:, 2:] u = (q - Q x_ref)[2:].
 
     Each row is a right-hand-side column of one `cho_solve_banded` call
     for the solve and one for each polish step; LAPACK solves every
@@ -236,7 +188,7 @@ def _solve_stacked(
             "untracked interior knots with zero smoothing weights make the "
             "system singular; set omega1/omega2 > 0 or k = 1"
         )
-        return None, None, [RefinementError(exc) for _ in range(rows)]
+        return None, [RefinementError(exc) for _ in range(rows)]
     Q = _quadratic_form(p, n)
     dt = p.dt_fine
     knot_index = np.arange(1, n // p.k + 1) * p.k
@@ -257,7 +209,7 @@ def _solve_stacked(
                 "singular smoothing system; add acceleration or jerk weight, "
                 "or track every fine knot (k=1)"
             )
-            return None, None, [RefinementError(exc) for _ in range(rows)]
+            return None, [RefinementError(exc) for _ in range(rows)]
         # a non-finite right-hand side gives a non-finite u, refused below
         U = np.ascontiguousarray(cho_solve_banded(factor, rhs.T, check_finite=False).T)
         # two fixed polish steps against the dt^-6 stencil scaling
@@ -286,17 +238,7 @@ def _solve_stacked(
     for row in np.flatnonzero(residual > 1e-6):
         if errors[row] is None:
             errors[row] = RefinementError("stationarity residual too large after solve")
-    return X, lam, errors
-
-
-def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the stationarity system; returns (s values, multipliers)."""
-    X, lam, (exc,) = _solve_stacked(
-        sys.params, len(sys.grid_t) - 1, sys.b[:1], sys.b[1:], sys.sc_knots[None]
-    )
-    if exc is not None:
-        raise exc
-    return X[0], lam[0]
+    return X, errors
 
 
 def refine_trajectory(
@@ -322,7 +264,7 @@ def refine_trajectory(
         v0 = np.array([problems[j][1] for j in members], dtype=float)
         s0 = np.array([problems[j][2] for j in members], dtype=float)
         sc_knots = np.array([_tracked_knots(plan, n, p) for plan in plans])
-        X, _, errors = _solve_stacked(p, n, s0, v0, sc_knots)
+        X, errors = _solve_stacked(p, n, s0, v0, sc_knots)
         if X is None:
             for j, exc in zip(members, errors):
                 out[j] = exc

@@ -351,7 +351,7 @@ def draw_scene(
         anchor_path = maps_mod.build_reference_path(
             base_map, anchor_lane, cfg.path_min_length, rng, cfg.path_spacing
         )
-        params = sample_transform_params(rng, [anchor_path], cfg.max_warp_slope)
+        params = sample_transform_params(rng, anchor_path, cfg.max_warp_slope)
         work_map = apply_transform(base_map, params)
         metadata.update(params.metadata())
 
@@ -453,10 +453,6 @@ def scene_to_text(scene: Scene) -> str:
         for t, (x, y) in zip(scene.timestamps.tolist(), scene.trajectory.tolist())
     )
     return "\n".join(lines) + "\n"
-
-
-def write_scene(scene: Scene, path) -> None:
-    write_text_atomic(path, scene_to_text(scene))
 
 
 def _trajectory_table(rows: list[str], tokens: list[str], row_lines: list[int], path) -> np.ndarray:
@@ -656,11 +652,9 @@ def _build_scene_records(
                     attempt + 1, wall.pop(index), text=None, reason=reason,
                 )
             else:
-                status = "augmented" if scene.metadata["augmented"] == "true" else "original"
                 done[index] = SceneRecord(
-                    index, scene_filename(index), status, scene.city,
-                    scene.metadata["plan_cost"], attempt + 1, wall.pop(index),
-                    text=scene_to_text(scene),
+                    index, scene_filename(index), *manifest_fields(scene.metadata),
+                    attempt + 1, wall.pop(index), text=scene_to_text(scene),
                 )
         while emitted < len(indices) and indices[emitted] in done:
             yield done.pop(indices[emitted])
@@ -678,6 +672,13 @@ def _pool_init(maps, cfg):
 def _pool_build(indices):
     maps, cfg = _POOL_STATE
     return list(_build_scene_records(maps, cfg, indices))
+
+
+def manifest_fields(meta: dict[str, str]) -> tuple[str, str, str]:
+    """The status, city and cost that the manifest row of a written scene
+    lists, from the scene's metadata."""
+    status = "augmented" if meta.get("augmented") == "true" else "original"
+    return status, meta.get("city", "-"), meta.get("plan_cost", "-")
 
 
 def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
@@ -698,11 +699,7 @@ def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
             f"{path} has rng_key {rng_key!r}, not from seed {seed}; "
             "use another output_dir or delete the old scenes"
         )
-    status = "augmented" if meta.get("augmented") == "true" else "original"
-    return SceneRecord(
-        index, path.name, status, meta.get("city", "-"),
-        meta.get("plan_cost", "-"), 0, 0.0,
-    )
+    return SceneRecord(index, path.name, *manifest_fields(meta), 0, 0.0)
 
 
 def manifest_text(

@@ -2,12 +2,19 @@
 
 Everything here recomputes results from first principles (enumeration,
 densification, direct formulas) and deliberately avoids the code paths it
-is used to verify.
+is used to verify. The scalar statements of formulas that the package
+computes in array form also live here: the planner's `expand` and
+`transition_cost`, the warp profiles, and the refinement system with its
+gradient and stationarity residual. `solve_system` runs the package's
+solver on that system and takes the multipliers from the two eliminated
+stationarity rows, so the residual and gradient checks test the solver's
+output against system data formed independently of it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,11 +28,26 @@ from scenesynth.errors import (
     SceneSynthError,
     ValidationError,
 )
-from scenesynth.augment import warp_displacement
+from scenesynth.augment import TurnKind, TurnTransformParams, warp_displacement
 from scenesynth.geometry import Polyline, rotate
-from scenesynth.maps import LaneSegment, SceneMap, _path_from_polyline, make_map, read_lines
-from scenesynth.planner import CoarsePlan, expand, transition_cost
-from scenesynth.refine import RefinementSystem, accel_of, jerk_of
+from scenesynth.maps import (
+    LaneSegment,
+    ReferencePath,
+    SceneMap,
+    _path_from_polyline,
+    make_map,
+    read_lines,
+)
+from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams
+from scenesynth.refine import (
+    RefinementParams,
+    _fine_steps,
+    _quadratic_form,
+    _solve_stacked,
+    _tracked_knots,
+    accel_of,
+    jerk_of,
+)
 from scenesynth.synthesis import CSV_HEADER, SCENE_SAMPLES, Scene, validate_scene
 
 
@@ -51,6 +73,37 @@ def wiggly_path(rng: np.random.Generator, length: float = 260.0, max_turn: float
     xy[1:, 0] = np.cumsum(np.cos(headings))
     xy[1:, 1] = np.cumsum(np.sin(headings))
     return _path_from_polyline(Polyline(xy), ("synthetic",), 1.0)
+
+
+def expand(n: PlannerNode, a: float, dt: float) -> PlannerNode:
+    """Constant-acceleration transition over one coarse step.
+
+    Returns the raw kinematic result; negative velocities are rejected by
+    the search, not here.
+    """
+    return PlannerNode(
+        n.s + n.v * dt + 0.5 * a * dt * dt,
+        n.v + a * dt,
+        n.t + dt,
+    )
+
+
+def transition_cost(
+    n_next: PlannerNode, a: float, path: ReferencePath, p: PlannerParams
+) -> float:
+    """Cost of arriving at n_next using acceleration a."""
+    if n_next.s < -1e-9 or n_next.s > path.length + 1e-9:
+        raise PathOverrunError(
+            f"s={n_next.s:.3f} outside path [0, {path.length:.3f}]"
+        )
+    kap = np.interp(n_next.s, path.cum_s, path.kappa)
+    if p.abs_curvature:
+        kap = np.abs(kap)
+    return float(
+        p.w1 * a * a
+        + p.w2 * kap * n_next.v * n_next.v
+        + p.w3 * (n_next.v - p.v_d) * (n_next.v - p.v_d)
+    )
 
 
 def enumerate_plan_costs(path, s0, v0, params):
@@ -208,6 +261,75 @@ def reference_sample_text(
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class RefinementSystem:
+    """Quadratic data: objective x'Qx - 2 q'x + const, constraints A x = b."""
+
+    grid_t: np.ndarray
+    Q: np.ndarray
+    q: np.ndarray
+    const: float
+    A: np.ndarray
+    b: np.ndarray
+    knot_index: np.ndarray
+    sc_knots: np.ndarray
+    params: RefinementParams
+
+
+def build_refinement_system(
+    coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
+) -> RefinementSystem:
+    n = _fine_steps(coarse, p)
+    dt = p.dt_fine
+    grid_t = coarse.nodes[0].t + np.arange(n + 1) * dt
+
+    knot_index = np.arange(1, n // p.k + 1) * p.k
+    sc_knots = np.array(_tracked_knots(coarse, n, p))
+    q = np.zeros(n + 1)
+    q[knot_index] += p.omega3 * sc_knots
+    const = float(p.omega3 * np.dot(sc_knots, sc_knots))
+
+    A = np.zeros((2, n + 1))
+    A[0, 0] = 1.0
+    A[1, 0] = -1.0 / dt
+    A[1, 1] = 1.0 / dt
+    b = np.array([s0, v0])
+    return RefinementSystem(
+        grid_t, _quadratic_form(p, n), q, const, A, b, knot_index, sc_knots, p
+    )
+
+
+def objective_gradient(x: np.ndarray, sys: RefinementSystem) -> np.ndarray:
+    return 2.0 * (sys.Q @ x - sys.q)
+
+
+def stationarity_residual(x: np.ndarray, lam: np.ndarray, sys: RefinementSystem) -> float:
+    """Infinity norm of the stationarity equations, relative to the
+    magnitude of the terms involved."""
+    grad = objective_gradient(x, sys) + sys.A.T @ lam
+    scale = max(
+        1.0,
+        float(np.abs(2.0 * (sys.Q @ x)).max()),
+        float(np.abs(2.0 * sys.q).max(initial=0.0)),
+        float(np.abs(sys.A.T @ lam).max()),
+    )
+    return float(np.abs(grad).max()) / scale
+
+
+def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stationarity system through `refine._solve_stacked`, the
+    solver `refine_trajectory` runs; returns (s values, multipliers), the
+    multipliers taken from the two eliminated stationarity rows."""
+    X, (exc,) = _solve_stacked(
+        sys.params, len(sys.grid_t) - 1, sys.b[:1], sys.b[1:], sys.sc_knots[None]
+    )
+    if exc is not None:
+        raise exc
+    x = X[0]
+    grad = objective_gradient(x, sys)
+    return x, np.array([-grad[0] - grad[1], -sys.params.dt_fine * grad[1]])
+
+
 def reference_refine(coarse, p, v0, s0):
     """Refined arc-lengths by the per-scene path `refine` replaced: the
     dense Q assembled by a loop over every stencil entry, the banded
@@ -359,6 +481,42 @@ def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
             raise MapFormatError(f"unknown directive {tag!r}", path, lineno)
     flush()
     return make_map(city, lanes, path, lane_lines)
+
+
+def q_alpha(s_x: float, alpha1: float, alpha2: float, s_t: float) -> float:
+    """Turn-shape profile alpha1 * (s_x / s_t) ** alpha2 on [0, s_t].
+
+    Written in ratio form so q_alpha(s_t) equals alpha1 exactly.
+    """
+    if not 0.0 <= s_x <= s_t:
+        raise ValueError(f"s_x {s_x} outside [0, {s_t}]")
+    return alpha1 * (s_x / s_t) ** alpha2
+
+
+def f_single_turn(s_x: float, p: TurnTransformParams) -> float:
+    """Single-turn lateral displacement: zero before the turn, the shape
+    profile across it, and its tangent line afterwards (C1 everywhere)."""
+    if s_x < 0.0:
+        return 0.0
+    if s_x <= p.s_t:
+        return p.alpha1 * (s_x / p.s_t) ** p.alpha2
+    return (s_x - p.s_t) * p.end_slope + p.alpha1
+
+
+def f_double_turn(s_x: float, p: TurnTransformParams) -> float:
+    """Two opposite turns `beta` apart; flattens to alpha1*alpha2*beta/s_t."""
+    if p.kind is not TurnKind.DOUBLE:
+        raise ValueError("f_double_turn requires DoubleTurn params")
+    return f_single_turn(s_x, p) - f_single_turn(s_x - p.beta, p)
+
+
+def f_single_turn_slope(s_x: float, p: TurnTransformParams) -> float:
+    """Analytic derivative of the single-turn profile."""
+    if s_x < 0.0:
+        return 0.0
+    if s_x <= p.s_t:
+        return p.alpha1 * p.alpha2 / p.s_t * (s_x / p.s_t) ** (p.alpha2 - 1.0)
+    return p.end_slope
 
 
 def reference_apply_transform(m: SceneMap, p) -> SceneMap:

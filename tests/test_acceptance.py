@@ -13,35 +13,36 @@ import numpy as np
 
 from oracles import (
     binomial_band,
+    build_refinement_system,
     enumerate_plan_costs,
+    expand,
+    f_double_turn,
+    f_single_turn,
+    f_single_turn_slope,
     forecast_metrics_loop,
+    objective_gradient,
     objective_value,
     pointwise_l1_loop,
+    q_alpha,
+    solve_system,
+    stationarity_residual,
     wiggly_path,
 )
 from scenesynth.analysis import forecast_metrics
-from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame, f_double_turn, f_single_turn, f_single_turn_slope, q_alpha
+from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame
 from scenesynth.geometry import Point2, Polyline
-from scenesynth.maps import LaneSegment, make_map
-from scenesynth.planner import PlannerNode, PlannerParams, plan_one
+from scenesynth.maps import LaneSegment, make_map, write_text_atomic
+from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams, plan_one
 from scenesynth.pretrain import (
     ReconTask,
-    assign_tasks,
+    draw_sample,
     map_recon_loss,
     mask_map,
     mask_trajectory,
     traj_recon_loss,
     vectorize_scene,
 )
-from scenesynth.refine import (
-    RefinementParams,
-    build_refinement_system,
-    objective_gradient,
-    refine_one,
-    solve_system,
-    stationarity_residual,
-)
-from scenesynth.planner import CoarsePlan, expand
+from scenesynth.refine import RefinementParams, refine_one
 from scenesynth.synthesis import (
     GenerationConfig,
     Scene,
@@ -225,10 +226,8 @@ def test_criterion_5_dataset_integrity(dataset_1k):
                 # explicit round-trip comparison at the stated tolerance
                 speeds = np.hypot(*np.diff(scene.trajectory, axis=0).T) / 0.1
                 assert speeds.min() >= 0.0 and speeds.max() <= 25.0
-                from scenesynth.synthesis import write_scene
-
                 tmp = out_dir / "_rt_probe.csv"
-                write_scene(scene, tmp)
+                write_text_atomic(tmp, scene_to_text(scene))
                 back = read_scene(tmp)
                 assert np.abs(back.trajectory - scene.trajectory).max() <= 1e-9
                 tmp.unlink()
@@ -254,7 +253,8 @@ def test_criterion_6_masking_contracts():
             float(scene.trajectory[0, 1]),
         )
         scenes = [small_scene(4)] * 10_000
-        samples = assign_tasks(scenes, 0.7, np.random.default_rng(616))
+        rng = np.random.default_rng(616)
+        samples = [draw_sample(vectorize_scene(s), 0.7, 0.5, rng) for s in scenes]
         n_map = sum(s.task is ReconTask.MAP for s in samples)
         lo, hi = binomial_band(10_000, 0.7)
         assert lo <= n_map <= hi, n_map

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import assert_same_map, binomial_band, reference_apply_transform
+from oracles import (
+    assert_same_map,
+    binomial_band,
+    f_double_turn,
+    f_single_turn,
+    f_single_turn_slope,
+    q_alpha,
+    reference_apply_transform,
+)
 from scenesynth.augment import (
     ALPHA1_RANGE,
     DEFAULT_ALPHA2,
@@ -13,11 +21,6 @@ from scenesynth.augment import (
     TurnTransformParams,
     WarpFrame,
     apply_transform,
-    f_double_turn,
-    f_single_turn,
-    f_single_turn_slope,
-    params_from_metadata,
-    q_alpha,
     sample_transform_params,
     warp_displacement,
 )
@@ -264,8 +267,8 @@ def test_sample_params_deterministic(corridors_map):
     path = build_reference_path(
         corridors_map, "H0_0", 150.0, np.random.default_rng(4)
     )
-    a = sample_transform_params(np.random.default_rng(77), [path])
-    b = sample_transform_params(np.random.default_rng(77), [path])
+    a = sample_transform_params(np.random.default_rng(77), path)
+    b = sample_transform_params(np.random.default_rng(77), path)
     assert a == b
 
 
@@ -278,7 +281,7 @@ def test_sample_params_ranges_and_kind_frequency(corridors_map):
     alphas = np.empty(n)
     doubles = 0
     for i in range(n):
-        p = sample_transform_params(rng, [path])
+        p = sample_transform_params(rng, path)
         alphas[i] = p.alpha1
         doubles += p.kind is TurnKind.DOUBLE
         assert p.alpha2 == 20.0 and p.s_t == 10.0 and p.b == 10.0
@@ -296,16 +299,8 @@ def test_sample_params_slope_cap(corridors_map):
     )
     rng = np.random.default_rng(5)
     for _ in range(200):
-        p = sample_transform_params(rng, [path], max_slope=6.0)
+        p = sample_transform_params(rng, path, max_slope=6.0)
         assert p.end_slope <= 6.0 + 1e-12
-
-
-def test_params_metadata_roundtrip(corridors_map):
-    path = build_reference_path(
-        corridors_map, "A0_0", 150.0, np.random.default_rng(4)
-    )
-    p = sample_transform_params(np.random.default_rng(6), [path])
-    assert params_from_metadata(p.metadata()) == p
 
 
 def test_frame_heading_must_be_finite():

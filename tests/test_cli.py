@@ -26,7 +26,7 @@ from scenesynth.synthesis import (
     config_field,
     generate_dataset,
     read_scene,
-    write_scene,
+    scene_to_text,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -179,6 +179,25 @@ def test_validate_reports_manifest_line_without_comma(tmp_path, map_file, capsys
     assert err.count("FAIL ") == 1
 
 
+def test_validate_compares_manifest_rows_with_scene_metadata(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+    assert main(["validate", "--scenes", str(scenes)]) == 0
+    victim = scenes / "scene_000001.csv"
+    text = victim.read_text()
+    cost = re.search(r"^# plan_cost: (.*)$", text, re.M)[1]
+    victim.write_text(text.replace(f"# plan_cost: {cost}\n", "# plan_cost: 0.123\n"))
+    rows = (scenes / "manifest.txt").read_text().splitlines()
+    lineno = next(i for i, row in enumerate(rows, 1) if row.startswith(victim.name))
+    capsys.readouterr()
+    assert main(["validate", "--scenes", str(scenes)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("FAIL ") == 1
+    assert err.startswith(f"FAIL {scenes / 'manifest.txt'}:{lineno}: ")
+    assert cost in err and "0.123" in err
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_dataset")
@@ -300,7 +319,7 @@ def test_mask_combined_falls_back_on_one_lane_crop(tmp_path, map_file, capsys):
     scene = read_scene(victim)
     lane = scene.map_crop.lanes[scene.map_crop.sorted_ids()[0]]
     one_lane = make_map(scene.city, [LaneSegment(lane.lane_id, lane.centerline)])
-    write_scene(replace(scene, map_crop=one_lane), victim)
+    victim.write_text(scene_to_text(replace(scene, map_crop=one_lane)))
 
     assert mask("combined", "after") == 0
     before = sorted((tmp_path / "before").glob("sample_*.txt"))
@@ -337,7 +356,7 @@ def test_mask_rejects_non_numeric_scene_id(tmp_path, map_file, capsys):
     victim = tmp_path / "scenes" / "scene_000000.csv"
     scene = read_scene(victim)
     metadata = {**scene.metadata, "scene_id": "abc"}
-    write_scene(replace(scene, scene_id="abc", metadata=metadata), victim)
+    victim.write_text(scene_to_text(replace(scene, scene_id="abc", metadata=metadata)))
     assert main(
         ["mask", "--scenes", str(tmp_path / "scenes"), "--task", "traj",
          "--seed", "1", "--out", str(tmp_path / "out")]

@@ -51,7 +51,7 @@ def test_load_two_lane_map(tmp_path):
     m = load_map(f)
     assert m.city == "MIA"
     assert len(m.lanes) == 2
-    assert m.n_edges() == 1
+    assert sum(len(lane.successors) for lane in m.lanes.values()) == 1
     assert m.lanes["L1"].successors == ("L2",)
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import enumerate_plan_costs, reference_plan, wiggly_path
+from oracles import enumerate_plan_costs, expand, reference_plan, transition_cost, wiggly_path
 from scenesynth import synthesis
 from scenesynth.errors import (
     PathOverrunError,
@@ -22,9 +22,7 @@ from scenesynth.planner import (
     _Batch,
     _n_steps,
     astar_plan,
-    expand,
     plan_one,
-    transition_cost,
 )
 from scenesynth.synthesis import GenerationConfig, make_scene
 

@@ -11,7 +11,6 @@ from scenesynth.pretrain import (
     LANE,
     TRAJECTORY,
     ReconTask,
-    assign_tasks,
     draw_sample,
     map_recon_loss,
     mask_map,
@@ -191,30 +190,31 @@ def test_mask_trajectory_requires_exactly_one():
         mask_trajectory(no_traj)
 
 
+def draw_tasks(scenes, map_fraction, rng):
+    """One `draw_sample` per scene, all from one `rng`, as `mask --task
+    combined` draws them."""
+    return [draw_sample(vectorize_scene(s), map_fraction, 0.5, rng) for s in scenes]
+
+
 def test_assign_tasks_extremes_and_determinism():
     scenes = [toy_scene(4)] * 20
-    all_map = assign_tasks(scenes, 1.0, np.random.default_rng(0))
+    all_map = draw_tasks(scenes, 1.0, np.random.default_rng(0))
     assert all(s.task is ReconTask.MAP for s in all_map)
     # one lane cannot be map-masked: the scene falls back to its trajectory
-    one_lane = assign_tasks([toy_scene(1)], 1.0, np.random.default_rng(0))
+    one_lane = draw_tasks([toy_scene(1)], 1.0, np.random.default_rng(0))
     assert one_lane[0].task is ReconTask.TRAJECTORY
-    a = assign_tasks(scenes, 0.7, np.random.default_rng(5))
-    b = assign_tasks(scenes, 0.7, np.random.default_rng(5))
+    a = draw_tasks(scenes, 0.7, np.random.default_rng(5))
+    b = draw_tasks(scenes, 0.7, np.random.default_rng(5))
     assert [s.task for s in a] == [s.task for s in b]
     assert [sorted(s.masked) for s in a] == [sorted(s.masked) for s in b]
 
 
 def test_assign_tasks_frequency_in_binomial_band():
     scenes = [toy_scene(4)] * 10_000
-    samples = assign_tasks(scenes, 0.7, np.random.default_rng(11))
+    samples = draw_tasks(scenes, 0.7, np.random.default_rng(11))
     n_map = sum(s.task is ReconTask.MAP for s in samples)
     lo, hi = binomial_band(len(scenes), 0.7)
     assert lo <= n_map <= hi
-
-
-def test_assign_tasks_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        assign_tasks([toy_scene()], 1.2, np.random.default_rng(0))
 
 
 def test_map_recon_loss_identity_zero():

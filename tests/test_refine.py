@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
 
-from oracles import objective_value, reference_refine
+from oracles import (
+    build_refinement_system,
+    expand,
+    objective_gradient,
+    objective_value,
+    reference_refine,
+    solve_system,
+    stationarity_residual,
+)
 from scenesynth import synthesis
 from scenesynth.errors import RefinementError, SceneSynthError
-from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams, expand
+from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams
 from scenesynth.refine import (
     RefinementParams,
     accel_of,
-    build_refinement_system,
     jerk_of,
-    objective_gradient,
     refine_one,
     refine_trajectory,
-    solve_system,
-    stationarity_residual,
 )
 
 

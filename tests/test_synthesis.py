@@ -22,7 +22,6 @@ from scenesynth.synthesis import (
     read_scene,
     scene_to_text,
     validate_scene,
-    write_scene,
 )
 
 
@@ -91,7 +90,7 @@ def test_scene_velocities_within_sampled_range(demo_scene):
 
 def test_scene_file_roundtrip(demo_scene, tmp_path):
     f = tmp_path / "scene_000000.csv"
-    write_scene(demo_scene, f)
+    f.write_text(scene_to_text(demo_scene))
     back = read_scene(f)
     assert back.scene_id == demo_scene.scene_id
     assert back.city == demo_scene.city
