@@ -18,7 +18,6 @@ from .augment import (
 )
 from .planner import (
     CoarsePlan,
-    PlannerNode,
     PlannerParams,
     astar_plan,
     plan_one,

@@ -63,11 +63,6 @@ class TurnTransformParams:
         if self.kind is TurnKind.DOUBLE and (self.beta is None or self.beta <= 0):
             raise ValueError("double turn needs beta > 0")
 
-    @property
-    def end_slope(self) -> float:
-        """Displacement slope past the turn: alpha1 * alpha2 / s_t."""
-        return self.alpha1 * self.alpha2 / self.s_t
-
     def metadata(self) -> dict[str, str]:
         md = {
             "transform_kind": self.kind.value,

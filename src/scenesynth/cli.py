@@ -219,6 +219,55 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _manifest_problems(
+    manifest: Path, scene_names: set[str], rows: dict[str, tuple[str, str, str]]
+) -> list[str]:
+    """Each fault of `manifest` against the scene files `scene_names`, of
+    which `rows` gives the (status, city, cost) of each that reads back,
+    as `where: problem`: a malformed row, a row whose file is missing or
+    disagrees with it, a file without a row or with a `skipped` row, and a
+    `# count` line that is missing or differs from the tally of the rows."""
+    problems: list[str] = []
+    unlisted = set(scene_names)
+    tally = {"total": 0, "original": 0, "augmented": 0, "skipped": 0}
+    counts: dict[str, tuple[str, str]] = {}  # count key: (where, value)
+    for lineno, line in enumerate(read_lines(manifest, ValidationError), start=1):
+        where = f"{manifest}:{lineno}"
+        if line.startswith("# count "):
+            key, _, value = line[len("# count "):].partition(":")
+            counts[key.strip()] = (where, value.strip())
+            continue
+        if line.startswith("#") or not line.strip():
+            continue
+        name, sep, rest = line.partition(",")
+        listed = tuple(rest.split(",")[:3])
+        if not sep:
+            problems.append(f"{where}: expected 'file,status,...', got {line!r}")
+            continue
+        unlisted.discard(name)
+        tally["total"] += 1
+        if listed[0] in ("original", "augmented", "skipped"):
+            tally[listed[0]] += 1
+        if listed[0] != "skipped" and len(listed) > 1:
+            tally[f"city {listed[1]}"] = tally.get(f"city {listed[1]}", 0) + 1
+        if listed[0] == "skipped":
+            if name in scene_names:
+                problems.append(f"{where}: lists {name} as skipped; the file exists")
+        elif name not in scene_names:
+            problems.append(f"{where}: listed file {name} missing")
+        elif name in rows and listed != rows[name]:
+            problems.append(
+                f"{where}: lists {name} as {','.join(listed)}; "
+                f"the file has {','.join(rows[name])}"
+            )
+    problems.extend(f"{manifest}: no row lists {name}" for name in sorted(unlisted))
+    for key in sorted(tally.keys() | counts.keys()):
+        where, value = counts.get(key, (str(manifest), "missing"))
+        if value != str(tally.get(key, 0)):
+            problems.append(f"{where}: count {key} is {value}; the rows tally {tally.get(key, 0)}")
+    return problems
+
+
 def cmd_validate(args) -> int:
     files = _scene_files(args.scenes)
     if not files:
@@ -238,28 +287,11 @@ def cmd_validate(args) -> int:
             continue
         rows[path.name] = manifest_fields(scene.metadata)
     manifest = Path(args.scenes) / "manifest.txt"
-    scene_names = {path.name for path in files}
     if manifest.exists():
-        for lineno, line in enumerate(read_lines(manifest, ValidationError), start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            name, sep, rest = line.partition(",")
-            listed = tuple(rest.split(",")[:3])
-            if not sep:
-                problem = f"expected 'file,status,...', got {line!r}"
-            elif listed[0] == "skipped":
-                continue
-            elif name not in scene_names:
-                problem = f"listed file {name} missing"
-            elif name in rows and listed != rows[name]:
-                problem = (
-                    f"lists {name} as {','.join(listed)}; the file has "
-                    f"{','.join(rows[name])}"
-                )
-            else:
-                continue
-            failures += 1
-            print(f"FAIL {manifest}:{lineno}: {problem}", file=sys.stderr)
+        problems = _manifest_problems(manifest, {path.name for path in files}, rows)
+        for problem in problems:
+            print(f"FAIL {problem}", file=sys.stderr)
+        failures += len(problems)
     print(f"validated {len(files)} scenes, {failures} failures")
     return 1 if failures else 0
 

@@ -26,9 +26,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite point ({self.x}, {self.y})")
 
-    def dist(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 class Polyline:
     """Ordered 2-D points with strictly increasing arc-length.
@@ -63,12 +60,6 @@ class Polyline:
     @property
     def n_points(self) -> int:
         return int(self.xy.shape[0])
-
-    def first_point(self) -> Point2:
-        return Point2(float(self.xy[0, 0]), float(self.xy[0, 1]))
-
-    def last_point(self) -> Point2:
-        return Point2(float(self.xy[-1, 0]), float(self.xy[-1, 1]))
 
     def pt_lines(self) -> tuple[str, ...]:
         """One map-file `pt x y` line per point, 9 decimals each; formatted

@@ -112,9 +112,8 @@ class SceneMap:
                         f"lane {lane.lane_id!r} references missing lane {ref!r}", path, line
                     )
             for succ_id in lane.successors:
-                gap = lane.centerline.last_point().dist(
-                    self.lanes[succ_id].centerline.first_point()
-                )
+                end, start = lane.centerline.xy[-1], self.lanes[succ_id].centerline.xy[0]
+                gap = math.hypot(end[0] - start[0], end[1] - start[1])
                 if gap > CONNECTIVITY_TOL:
                     raise ValidationError(
                         f"lane {lane.lane_id!r} -> {succ_id!r} endpoint gap "

@@ -3,8 +3,8 @@
 The search space is (arc-length, velocity, time) with a fixed acceleration
 action set applied over a coarse time step. Transitions pay for actuation,
 curvature-weighted speed, and deviation from the desired velocity; the
-minimum-cost action sequence whose terminal node first passes the horizon
-becomes the coarse trajectory.
+minimum-cost action sequence whose terminal state first passes the
+horizon becomes the coarse trajectory.
 
 The search is a layered dynamic program: states are expanded one time
 layer at a time and merged on exact (arc-length, velocity) agreement, so
@@ -14,18 +14,21 @@ When all transition costs are nonnegative (the default absolute-curvature
 mode), a beam pass through the same layer loop first bounds the optimum,
 and the exact pass discards states costlier than that bound.
 
-`astar_plan` plans a batch of scenes at once, as the dataset driver asks
-for a whole round of drafts: each layer of each pass is one set of array
-operations over every scene, which saves the per-call numpy overhead that
-dominates a single small search. A scene's plan, and so every output
-byte, does not depend on which scenes share its batch; `plan_one` plans
-one scene through the same code.
+A planning problem is `(path, s0, v0, v_d)`: a reference path, the
+start arc-length and velocity at t = 0 and the desired velocity, planned
+under one `PlannerParams` that every problem shares. `astar_plan` plans a
+batch of problems at once, as the dataset driver asks for a whole round
+of drafts: each layer of each pass is one set of array operations over
+every scene, which saves the per-call numpy overhead that dominates a
+single small search. A scene's plan, and so every output byte, does not
+depend on which scenes share its batch; `plan_one` plans one problem
+through the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,22 +42,12 @@ BEAM_WIDTH = 32
 
 
 @dataclass(frozen=True)
-class PlannerNode:
-    """One search state: arc-length s (m), velocity v (m/s), time t (s)."""
-
-    s: float
-    v: float
-    t: float
-
-
-@dataclass(frozen=True)
 class PlannerParams:
     action_set: tuple[float, ...] = DEFAULT_ACTION_SET
     dt: float = 0.5
     w1: float = 5.0
     w2: float = 5.0
     w3: float = 1.0
-    v_d: float = 10.0
     t_g: float = 5.0
     abs_curvature: bool = True
 
@@ -72,29 +65,25 @@ class PlannerParams:
 
 @dataclass(frozen=True)
 class CoarsePlan:
-    """Planned nodes plus the actions that connect them.
+    """The planned arc-lengths and velocities at t = 0, dt, 2 dt, ... plus
+    the actions that connect them.
 
-    nodes[i+1] is nodes[i] advanced by actions[i] over one step (the
-    transition of `_Batch.expand`), and total_cost is the plain sum of the
-    per-transition costs.
+    (s[i+1], v[i+1]) is (s[i], v[i]) advanced by actions[i] over one step
+    dt (the transition of `_Batch.expand`), and total_cost is the plain sum
+    of the per-transition costs. Every field holds Python floats, so plans
+    compare with `==`.
     """
 
-    nodes: tuple[PlannerNode, ...]
+    s: tuple[float, ...]
+    v: tuple[float, ...]
     actions: tuple[float, ...]
     total_cost: float
-
-    def s_values(self) -> np.ndarray:
-        return np.array([n.s for n in self.nodes])
-
-    def times(self) -> np.ndarray:
-        return np.array([n.t for n in self.nodes])
+    dt: float
 
 
-def _n_steps(init_t: float, p: PlannerParams) -> int:
-    """Number of transitions until time first exceeds the horizon."""
-    if p.t_g <= init_t:
-        raise ValueError(f"horizon t_g={p.t_g} does not exceed init time {init_t}")
-    return int(math.floor((p.t_g - init_t) / p.dt + 1e-9)) + 1
+def _n_steps(p: PlannerParams) -> int:
+    """Number of transitions from t = 0 until time first exceeds the horizon."""
+    return int(math.floor(p.t_g / p.dt + 1e-9)) + 1
 
 
 class _Batch:
@@ -238,10 +227,10 @@ class _Batch:
         return scene[picks], picks, G[picks], layers, errors
 
 
-def astar_plan(problems) -> list[CoarsePlan | PlanningError]:
-    """For each `(path, init, params)` problem, the minimum-cost action
-    sequence whose last node first passes t_g, or the PlanningError that
-    ends its search.
+def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
+    """For each `(path, s0, v0, v_d)` problem, the minimum-cost action
+    sequence from (s0, v0) at t = 0 whose last state first passes t_g, or
+    the PlanningError that ends its search.
 
     A layered DP, not A*; the name is kept for its callers. Expansions with
     negative velocity are pruned; expansions past the end of the path are
@@ -249,14 +238,14 @@ def astar_plan(problems) -> list[CoarsePlan | PlanningError]:
     overrun. Ties on terminal cost break toward lower velocity, then lower
     arc-length.
 
-    All problems run together: one beam pass over padded `(scene, state)`
-    arrays, then one exact pass over flat state arrays that carry a scene
-    key, merged with `lexsort((G2, key_v, key_s, scene))`. The problems
-    must agree in their initial time, path grid spacing and every
-    parameter but `v_d`. With nonnegative costs, the beam pass keeps `BEAM_WIDTH` states per
-    scene and layer; the cheapest plan it finds is feasible, so its cost
-    `ub` bounds that scene's optimum, and the exact pass drops the scene's
-    states costlier than `ub + 1e-9`. A state's cost never falls along a
+    All problems run together under `p`: one beam pass over padded
+    `(scene, state)` arrays, then one exact pass over flat state arrays
+    that carry a scene key, merged with `lexsort((G2, key_v, key_s,
+    scene))`. The paths must share one grid spacing. With nonnegative
+    costs, the beam pass keeps `BEAM_WIDTH` states per scene and layer;
+    the cheapest plan it finds is feasible, so its cost `ub` bounds that
+    scene's optimum, and the exact pass drops the scene's states costlier
+    than `ub + 1e-9`. A state's cost never falls along a
     path, so a dropped state could not have won a merge or the final pick:
     each plan, and its bytes, are those of the unpruned single-scene
     search, whatever else shares the batch (a tie at the beam cut may
@@ -265,29 +254,19 @@ def astar_plan(problems) -> list[CoarsePlan | PlanningError]:
     """
     out: list[CoarsePlan | PlanningError | None] = [None] * len(problems)
     live: list[int] = []  # problems that start on their path
-    for k, (path, init, p) in enumerate(problems):
-        if init.v < 0:
-            raise ValueError(f"initial velocity must be nonnegative, got {init.v}")
-        if init.t < 0:
-            raise ValueError(f"initial time must be nonnegative, got {init.t}")
-        head = problems[0]
-        if init.t != head[1].t or (p != head[2] and replace(p, v_d=head[2].v_d) != head[2]):
-            raise ValueError("problems planned together may differ only in v_d")
-        if init.s < 0 or init.s > path.length:
-            out[k] = PathOverrunError(
-                f"initial s={init.s:.3f} outside [0, {path.length:.3f}]"
-            )
+    for k, (path, s0, v0, _) in enumerate(problems):
+        if v0 < 0:
+            raise ValueError(f"initial velocity must be nonnegative, got {v0}")
+        if s0 < 0 or s0 > path.length:
+            out[k] = PathOverrunError(f"initial s={s0:.3f} outside [0, {path.length:.3f}]")
         else:
             live.append(k)
     if not live:
         return out
-    p = problems[0][2]
-    n_steps = _n_steps(problems[0][1].t, p)
-    batch = _Batch(
-        [problems[k][0] for k in live], p, np.array([problems[k][2].v_d for k in live])
-    )
-    S = np.array([problems[k][1].s for k in live])
-    V = np.array([problems[k][1].v for k in live])
+    n_steps = _n_steps(p)
+    paths, S, V, v_d = zip(*(problems[k] for k in live))
+    batch = _Batch(paths, p, np.array(v_d, dtype=float))
+    S, V = np.array(S, dtype=float), np.array(V, dtype=float)
     ub = np.full(len(live), np.inf)
     if p.abs_curvature:
         ub = batch.beam_bounds(S, V, n_steps, BEAM_WIDTH)
@@ -295,29 +274,27 @@ def astar_plan(problems) -> list[CoarsePlan | PlanningError]:
     for b, exc in errors.items():
         out[live[b]] = exc
 
-    # each plan's nodes are the kept states along its pick's parent chain
-    s = np.empty((len(idx), n_steps))
+    # each plan is its start, then the kept states along its pick's parent chain
+    s = np.empty((len(idx), n_steps + 1))
     v = np.empty_like(s)
+    s[:, 0], v[:, 0] = S[scenes], V[scenes]
     chosen = np.empty((len(idx), n_steps), dtype=np.intp)
     for layer in range(n_steps - 1, -1, -1):
         S_k, V_k, trail = layers[layer]
-        s[:, layer], v[:, layer] = S_k[idx], V_k[idx]
+        s[:, layer + 1], v[:, layer + 1] = S_k[idx], V_k[idx]
         idx, chosen[:, layer] = np.divmod(trail[idx], len(batch.actions))
-    t = [problems[0][1].t]
-    for _ in range(n_steps):
-        t.append(t[-1] + p.dt)
     for b, s_b, v_b, acts, cost in zip(
         scenes.tolist(), s.tolist(), v.tolist(), batch.actions[chosen].tolist(), costs.tolist()
     ):
-        init = problems[live[b]][1]
-        tail = map(PlannerNode, s_b, v_b, t[1:])
-        out[live[b]] = CoarsePlan((init, *tail), tuple(acts), cost)
+        out[live[b]] = CoarsePlan(tuple(s_b), tuple(v_b), tuple(acts), cost, p.dt)
     return out
 
 
-def plan_one(path: ReferencePath, init: PlannerNode, p: PlannerParams) -> CoarsePlan:
+def plan_one(
+    path: ReferencePath, s0: float, v0: float, v_d: float, p: PlannerParams
+) -> CoarsePlan:
     """`astar_plan` of one problem: its plan, or its PlanningError raised."""
-    (plan,) = astar_plan([(path, init, p)])
+    (plan,) = astar_plan([(path, s0, v0, v_d)], p)
     if isinstance(plan, PlanningError):
         raise plan
     return plan

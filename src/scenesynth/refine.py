@@ -131,21 +131,14 @@ def _banded_factor(p: RefinementParams, n: int) -> np.ndarray:
 def _fine_steps(coarse: CoarsePlan, p: RefinementParams) -> int:
     """Index n of the last fine sample of the refined `coarse`; raises
     RefinementError when the plan cannot be refined with `p`."""
-    nodes = coarse.nodes
-    if len(nodes) < 3:
+    if len(coarse.s) < 3:
         raise RefinementError("coarse plan too short to refine")
-    dt_coarse = nodes[1].t - nodes[0].t
-    if abs(p.k * p.dt_fine - dt_coarse) > 1e-12:
+    if abs(p.k * p.dt_fine - coarse.dt) > 1e-12:
         raise RefinementError(
-            f"k*dt_fine={p.k * p.dt_fine} does not match coarse step {dt_coarse}"
+            f"k*dt_fine={p.k * p.dt_fine} does not match coarse step {coarse.dt}"
         )
-    # the final coarse node overshoots the horizon; refine up to the one before
-    return (len(nodes) - 2) * p.k
-
-
-def _tracked_knots(coarse: CoarsePlan, n: int, p: RefinementParams) -> list[float]:
-    """The coarse arc-lengths that fine samples k, 2k, ..., n track."""
-    return [node.s for node in coarse.nodes[1 : n // p.k + 1]]
+    # the final coarse state overshoots the horizon; refine up to the one before
+    return (len(coarse.s) - 2) * p.k
 
 
 def _solve_stacked(
@@ -245,10 +238,10 @@ def refine_trajectory(
     problems, p: RefinementParams
 ) -> list[RefinedTrajectory | RefinementError]:
     """For each `(coarse, v0, s0)` problem, the coarse plan smoothed onto
-    the fine grid from the state (s0, v0), or the RefinementError that
-    ends its refinement.
+    the fine grid from the state (s0, v0) at t = 0, or the RefinementError
+    that ends its refinement.
 
-    Plans with the same number of nodes are solved together, as rows of
+    Plans with the same number of states are solved together, as rows of
     `_solve_stacked`; every other step is elementwise over those rows, so
     each trajectory has the bits of a refinement of its plan alone."""
     out: list[RefinedTrajectory | RefinementError | None] = [None] * len(problems)
@@ -263,21 +256,23 @@ def refine_trajectory(
         plans = [problems[j][0] for j in members]
         v0 = np.array([problems[j][1] for j in members], dtype=float)
         s0 = np.array([problems[j][2] for j in members], dtype=float)
-        sc_knots = np.array([_tracked_knots(plan, n, p) for plan in plans])
+        # fine samples k, 2k, ..., n track the plan's arc-lengths after its start
+        sc_knots = np.array([plan.s[1 : n // p.k + 1] for plan in plans])
         X, errors = _solve_stacked(p, n, s0, v0, sc_knots)
         if X is None:
             for j, exc in zip(members, errors):
                 out[j] = exc
             continue
         moved = (np.abs(X[:, 0] - s0) > 1e-8) | (np.abs((X[:, 1] - X[:, 0]) / dt - v0) > 1e-8)
-        grid_t = np.array([plan.nodes[0].t for plan in plans])[:, None] + np.arange(n + 1) * dt
+        grid_t = np.arange(n + 1) * dt
+        grid_t.setflags(write=False)  # shared by the group's trajectories
         accel = accel_of(X, dt) if n >= 2 else np.zeros((len(plans), 0))
         jerk = jerk_of(X, dt) if n >= 3 else np.zeros((len(plans), 0))
         for row, j in enumerate(members):
             if errors[row] is None and moved[row]:
                 errors[row] = RefinementError("initial-state constraints violated after solve")
             out[j] = (
-                RefinedTrajectory(grid_t[row], X[row], accel[row], jerk[row])
+                RefinedTrajectory(grid_t, X[row], accel[row], jerk[row])
                 if errors[row] is None else errors[row]
             )
     return out

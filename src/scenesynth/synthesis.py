@@ -20,9 +20,10 @@ counts.
 
 An attempt at a scene has three phases: `draw_scene` makes every random
 draw (warp, reference path, speeds, start), `plan_and_refine` plans
-(`astar_plan`) and smooths the plan (`refine_trajectory`), and
-`generate_scene` finishes (place, crop, validate) or raises the attempt's
-error. `generate_dataset` keeps the scenes still to make in one queue per
+(`astar_plan`) and smooths the plan (`refine_trajectory`), each under
+the config's one set of parameters, and `generate_scene` finishes
+(place, crop, validate) or raises the attempt's error.
+`generate_dataset` keeps the scenes still to make in one queue per
 worker task (the whole to-do list with one worker, the chunks of
 `chunk_indices` with more) and runs each queue in rounds: a round takes
 up to `CHUNK_SCENES` attempts, the retries of the round before first and
@@ -40,7 +41,7 @@ import math
 import multiprocessing
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -65,15 +66,15 @@ from .maps import (
     parse_map_lines,
     write_text_atomic,
 )
-from .planner import CoarsePlan, PlannerNode, PlannerParams, astar_plan, sample_speed_targets
+from .planner import CoarsePlan, PlannerParams, astar_plan, sample_speed_targets
 from .refine import RefinedTrajectory, RefinementParams, refine_trajectory
 from . import maps as maps_mod
 from . import planner as planner_mod
 
-SCENE_SAMPLES = 50
 SCENE_DT = 0.1
 HISTORY_SAMPLES = 20
 FUTURE_SAMPLES = 30
+SCENE_SAMPLES = HISTORY_SAMPLES + FUTURE_SAMPLES
 
 # kinematic sanity bounds for emitted trajectories
 MAX_SPEED = 25.0
@@ -202,7 +203,12 @@ class GenerationConfig:
             raise ConfigError(
                 f"refinement dt_fine must be {SCENE_DT} to emit 10 Hz scenes"
             )
-        n_knots = int(math.floor(self.planner.t_g / self.planner.dt + 1e-9))
+        fine_step = self.refinement.k * self.refinement.dt_fine
+        if abs(fine_step - self.planner.dt) > 1e-12:
+            raise ConfigError(
+                f"k*dt_fine={fine_step} does not match the planner step dt={self.planner.dt}"
+            )
+        n_knots = planner_mod._n_steps(self.planner) - 1
         if n_knots * self.refinement.k + 1 < SCENE_SAMPLES:
             raise ConfigError(
                 "planner horizon too short for a full 50-sample scene"
@@ -300,21 +306,18 @@ def validate_scene(scene: Scene) -> None:
 @dataclass(frozen=True)
 class Draft:
     """What one attempt at a scene draws before planning: the metadata so
-    far, the (possibly warped) map, the reference path and the planner's
-    start state and parameters (with this scene's `v_d`)."""
+    far, the (possibly warped) map, the reference path, and the start
+    arc-length, start velocity and desired velocity that the planner takes
+    with the path."""
 
     scene_id: str
     city: str
     metadata: dict[str, str]
     work_map: SceneMap
     path: ReferencePath
-    start: PlannerNode
-    planner: PlannerParams
-
-    @property
-    def problem(self) -> tuple[ReferencePath, PlannerNode, PlannerParams]:
-        """The `astar_plan` problem of this draft."""
-        return self.path, self.start, self.planner
+    s0: float
+    v0: float
+    v_d: float
 
 
 def draw_scene(
@@ -362,7 +365,7 @@ def draw_scene(
     )
     v_d, v0 = sample_speed_targets(rng, cfg.v_d_range)
 
-    n_steps = planner_mod._n_steps(0.0, cfg.planner)
+    n_steps = planner_mod._n_steps(cfg.planner)
     t_end = n_steps * cfg.planner.dt
     max_accel = max(0.0, max(cfg.planner.action_set))
     # head margin keeps smoothing undershoot on the path; tail margin
@@ -376,10 +379,7 @@ def draw_scene(
         )
     s0 = float(candidates[int(rng.integers(candidates.size))])
     metadata.update({"v_d": repr(v_d), "v0": repr(v0), "s0": repr(s0)})
-    return Draft(
-        scene_id, base_map.city, metadata, work_map, path,
-        PlannerNode(s0, v0, 0.0), replace(cfg.planner, v_d=v_d),
-    )
+    return Draft(scene_id, base_map.city, metadata, work_map, path, s0, v0, v_d)
 
 
 Outcome = tuple[CoarsePlan, RefinedTrajectory] | SceneSynthError
@@ -387,14 +387,16 @@ Outcome = tuple[CoarsePlan, RefinedTrajectory] | SceneSynthError
 
 def plan_and_refine(drafts: list[Draft], cfg: GenerationConfig) -> list[Outcome]:
     """Plan the drafts in one `astar_plan` call and refine their plans in
-    one `refine_trajectory` call: per draft, its (plan, trajectory), or
-    the error that its planning or refinement ended in."""
-    outcomes: list[Outcome] = astar_plan([draft.problem for draft in drafts])
+    one `refine_trajectory` call, each under the config's one set of
+    parameters: per draft, its (plan, trajectory), or the error that its
+    planning or refinement ended in."""
+    outcomes: list[Outcome] = astar_plan(
+        [(d.path, d.s0, d.v0, d.v_d) for d in drafts], cfg.planner
+    )
     planned = [k for k, plan in enumerate(outcomes) if isinstance(plan, CoarsePlan)]
     if planned:
         refined = refine_trajectory(
-            [(outcomes[k], drafts[k].start.v, drafts[k].start.s) for k in planned],
-            cfg.refinement,
+            [(outcomes[k], drafts[k].v0, drafts[k].s0) for k in planned], cfg.refinement
         )
         for k, traj in zip(planned, refined):
             outcomes[k] = traj if isinstance(traj, RefinementError) else (outcomes[k], traj)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -38,13 +39,12 @@ from scenesynth.maps import (
     make_map,
     read_lines,
 )
-from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams
+from scenesynth.planner import CoarsePlan, PlannerParams
 from scenesynth.refine import (
     RefinementParams,
     _fine_steps,
     _quadratic_form,
     _solve_stacked,
-    _tracked_knots,
     accel_of,
     jerk_of,
 )
@@ -75,23 +75,43 @@ def wiggly_path(rng: np.random.Generator, length: float = 260.0, max_turn: float
     return _path_from_polyline(Polyline(xy), ("synthetic",), 1.0)
 
 
-def expand(n: PlannerNode, a: float, dt: float) -> PlannerNode:
+class Node(NamedTuple):
+    """One scalar search state: arc-length s (m), velocity v (m/s), time t (s)."""
+
+    s: float
+    v: float
+    t: float
+
+
+def expand(n: Node, a: float, dt: float) -> Node:
     """Constant-acceleration transition over one coarse step.
 
     Returns the raw kinematic result; negative velocities are rejected by
     the search, not here.
     """
-    return PlannerNode(
+    return Node(
         n.s + n.v * dt + 0.5 * a * dt * dt,
         n.v + a * dt,
         n.t + dt,
     )
 
 
+def plan_of_nodes(nodes, actions, total_cost: float, dt: float) -> CoarsePlan:
+    """The CoarsePlan whose states are `nodes`, reached by `actions`."""
+    return CoarsePlan(
+        tuple(float(n.s) for n in nodes),
+        tuple(float(n.v) for n in nodes),
+        tuple(actions),
+        total_cost,
+        dt,
+    )
+
+
 def transition_cost(
-    n_next: PlannerNode, a: float, path: ReferencePath, p: PlannerParams
+    n_next: Node, a: float, path: ReferencePath, p: PlannerParams, v_d: float
 ) -> float:
-    """Cost of arriving at n_next using acceleration a."""
+    """Cost of arriving at n_next using acceleration a, toward the desired
+    velocity v_d."""
     if n_next.s < -1e-9 or n_next.s > path.length + 1e-9:
         raise PathOverrunError(
             f"s={n_next.s:.3f} outside path [0, {path.length:.3f}]"
@@ -102,11 +122,11 @@ def transition_cost(
     return float(
         p.w1 * a * a
         + p.w2 * kap * n_next.v * n_next.v
-        + p.w3 * (n_next.v - p.v_d) * (n_next.v - p.v_d)
+        + p.w3 * (n_next.v - v_d) * (n_next.v - v_d)
     )
 
 
-def enumerate_plan_costs(path, s0, v0, params):
+def enumerate_plan_costs(path, s0, v0, v_d, params):
     """Exhaustive minimum plan cost over every action sequence.
 
     Vectorized direct transcription of the transition kinematics and cost;
@@ -136,7 +156,7 @@ def enumerate_plan_costs(path, s0, v0, params):
         total = total + (
             params.w1 * ak * ak
             + params.w2 * kap * v * v
-            + params.w3 * (v - params.v_d) * (v - params.v_d)
+            + params.w3 * (v - v_d) * (v - v_d)
         )
     if not alive.any():
         return math.inf, None
@@ -145,8 +165,9 @@ def enumerate_plan_costs(path, s0, v0, params):
     return float(total[best]), [float(x) for x in a[best]]
 
 
-def reference_plan(path, init, params):
-    """Unpruned layered DP over the action graph, the planner's reference.
+def reference_plan(path, s0, v0, v_d, params):
+    """Unpruned layered DP over the action graph from (s0, v0) at t = 0,
+    the planner's reference.
 
     Every layer expands every state, merges candidates on (s, v) rounded at
     1e-9 and keeps the cheapest of each, ties broken by parent then action
@@ -156,9 +177,9 @@ def reference_plan(path, init, params):
     """
     acts = np.asarray(params.action_set, dtype=float)
     n_actions = len(acts)
-    n_steps = int(math.floor((params.t_g - init.t) / params.dt + 1e-9)) + 1
+    n_steps = int(math.floor(params.t_g / params.dt + 1e-9)) + 1
     dt = params.dt
-    S, V, G = np.array([init.s]), np.array([init.v]), np.array([0.0])
+    S, V, G = np.array([float(s0)]), np.array([float(v0)]), np.array([0.0])
     trail = []
     overran = False
     for _ in range(n_steps):
@@ -177,7 +198,7 @@ def reference_plan(path, init, params):
         G2 = G[par] + (
             params.w1 * a * a
             + params.w2 * kap * V2 * V2
-            + params.w3 * (V2 - params.v_d) * (V2 - params.v_d)
+            + params.w3 * (V2 - v_d) * (V2 - v_d)
         )
         if not feas.any():
             if overran:
@@ -198,11 +219,13 @@ def reference_plan(path, init, params):
         picked.append(float(acts[chosen[idx]]))
         idx = int(parents[idx])
     picked.reverse()
-    nodes = [init]
+    nodes = [Node(float(s0), float(v0), 0.0)]
     for a in picked:
         nodes.append(expand(nodes[-1], a, dt))
-    total = sum(transition_cost(n, a, path, params) for n, a in zip(nodes[1:], picked))
-    return CoarsePlan(tuple(nodes), tuple(picked), total)
+    total = sum(
+        transition_cost(n, a, path, params, v_d) for n, a in zip(nodes[1:], picked)
+    )
+    return plan_of_nodes(nodes, picked, total, dt)
 
 
 def reference_sample_text(
@@ -281,10 +304,10 @@ def build_refinement_system(
 ) -> RefinementSystem:
     n = _fine_steps(coarse, p)
     dt = p.dt_fine
-    grid_t = coarse.nodes[0].t + np.arange(n + 1) * dt
+    grid_t = np.arange(n + 1) * dt
 
     knot_index = np.arange(1, n // p.k + 1) * p.k
-    sc_knots = np.array(_tracked_knots(coarse, n, p))
+    sc_knots = np.array(coarse.s[1 : n // p.k + 1])
     q = np.zeros(n + 1)
     q[knot_index] += p.omega3 * sc_knots
     const = float(p.omega3 * np.dot(sc_knots, sc_knots))
@@ -335,8 +358,7 @@ def reference_refine(coarse, p, v0, s0):
     dense Q assembled by a loop over every stencil entry, the banded
     system re-extracted from it, and `solveh_banded` for the solve and
     both polish steps. Returns the s values only; no checks."""
-    nodes = coarse.nodes
-    m_knots = len(nodes) - 2
+    m_knots = len(coarse.s) - 2
     n = m_knots * p.k
     dt = p.dt_fine
     Q = np.zeros((n + 1, n + 1))
@@ -355,7 +377,7 @@ def reference_refine(coarse, p, v0, s0):
                 for bcol, cb in zip(cols, c3):
                     Q[a, bcol] += p.omega2 * ca * cb
     knot_index = np.arange(1, m_knots + 1) * p.k
-    sc_knots = np.array([nodes[j].s for j in range(1, m_knots + 1)])
+    sc_knots = np.array([coarse.s[j] for j in range(1, m_knots + 1)])
     Q[knot_index, knot_index] += p.omega3
 
     n1 = n + 1
@@ -483,6 +505,11 @@ def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
     return make_map(city, lanes, path, lane_lines)
 
 
+def end_slope(p: TurnTransformParams) -> float:
+    """Displacement slope past the turn: alpha1 * alpha2 / s_t."""
+    return p.alpha1 * p.alpha2 / p.s_t
+
+
 def q_alpha(s_x: float, alpha1: float, alpha2: float, s_t: float) -> float:
     """Turn-shape profile alpha1 * (s_x / s_t) ** alpha2 on [0, s_t].
 
@@ -500,7 +527,7 @@ def f_single_turn(s_x: float, p: TurnTransformParams) -> float:
         return 0.0
     if s_x <= p.s_t:
         return p.alpha1 * (s_x / p.s_t) ** p.alpha2
-    return (s_x - p.s_t) * p.end_slope + p.alpha1
+    return (s_x - p.s_t) * end_slope(p) + p.alpha1
 
 
 def f_double_turn(s_x: float, p: TurnTransformParams) -> float:
@@ -516,7 +543,7 @@ def f_single_turn_slope(s_x: float, p: TurnTransformParams) -> float:
         return 0.0
     if s_x <= p.s_t:
         return p.alpha1 * p.alpha2 / p.s_t * (s_x / p.s_t) ** (p.alpha2 - 1.0)
-    return p.end_slope
+    return end_slope(p)
 
 
 def reference_apply_transform(m: SceneMap, p) -> SceneMap:

@@ -13,6 +13,7 @@ import numpy as np
 
 from oracles import (
     binomial_band,
+    Node,
     build_refinement_system,
     enumerate_plan_costs,
     expand,
@@ -22,6 +23,7 @@ from oracles import (
     forecast_metrics_loop,
     objective_gradient,
     objective_value,
+    plan_of_nodes,
     pointwise_l1_loop,
     q_alpha,
     solve_system,
@@ -32,7 +34,7 @@ from scenesynth.analysis import forecast_metrics
 from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame
 from scenesynth.geometry import Point2, Polyline
 from scenesynth.maps import LaneSegment, make_map, write_text_atomic
-from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams, plan_one
+from scenesynth.planner import PlannerParams, plan_one
 from scenesynth.pretrain import (
     ReconTask,
     draw_sample,
@@ -136,19 +138,19 @@ def test_criterion_2_planner_optimality():
                 w1=float(rng.uniform(0, 6)),
                 w2=float(rng.uniform(0, 6)),
                 w3=float(rng.uniform(0.1, 3)),
-                v_d=float(rng.uniform(4, 14)),
                 t_g=(steps - 1) * 0.5 + 0.25,
             )
-            v0 = float(rng.uniform(0, 1.2 * p.v_d))
-            plan = plan_one(path, PlannerNode(5.0, v0, 0.0), p)
-            best, _ = enumerate_plan_costs(path, 5.0, v0, p)
+            v_d = float(rng.uniform(4, 14))
+            v0 = float(rng.uniform(0, 1.2 * v_d))
+            plan = plan_one(path, 5.0, v0, v_d, p)
+            best, _ = enumerate_plan_costs(path, 5.0, v0, v_d, p)
             assert abs(plan.total_cost - best) < 1e-9, trial
         # flat path at the desired speed: the zero plan is optimal
         flat = Polyline([(0.0, 0.0), (400.0, 0.0)])
         from scenesynth.maps import _path_from_polyline
 
         path = _path_from_polyline(flat, ("L",), 1.0)
-        plan = plan_one(path, PlannerNode(0.0, 10.0, 0.0), PlannerParams(v_d=10.0))
+        plan = plan_one(path, 0.0, 10.0, 10.0, PlannerParams())
         assert plan.total_cost == 0.0
         assert all(a == 0.0 for a in plan.actions)
         assert time.perf_counter() - t0 < 30.0
@@ -160,7 +162,7 @@ def test_criterion_3_refinement_correctness():
         rng = np.random.default_rng(303)
         p = RefinementParams()
         for _ in range(50):
-            nodes = [PlannerNode(float(rng.uniform(0, 120)), float(rng.uniform(2, 15)), 0.0)]
+            nodes = [Node(float(rng.uniform(0, 120)), float(rng.uniform(2, 15)), 0.0)]
             acts = []
             for _ in range(11):
                 a = float(rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]))
@@ -168,7 +170,7 @@ def test_criterion_3_refinement_correctness():
                     a = 0.0
                 acts.append(a)
                 nodes.append(expand(nodes[-1], a, 0.5))
-            plan = CoarsePlan(tuple(nodes), tuple(acts), 0.0)
+            plan = plan_of_nodes(nodes, acts, 0.0, 0.5)
             v0 = float(rng.uniform(0, 16))
             s0 = nodes[0].s + float(rng.uniform(-0.5, 0.5))
             sys = build_refinement_system(plan, p, v0=v0, s0=s0)
@@ -188,10 +190,10 @@ def test_criterion_3_refinement_correctness():
                 fd = (objective_value(xp, sys) - objective_value(xm, sys)) / (2 * h)
                 assert abs(fd - grad[i]) / max(1.0, abs(grad[i])) < 1e-5
         # pure tracking with a consistent initial state reproduces the plan
-        nodes = [PlannerNode(3.0, 9.0, 0.0)]
+        nodes = [Node(3.0, 9.0, 0.0)]
         for a in (0.5, -0.5, 0.0, 1.0, -1.0, 0.5):
             nodes.append(expand(nodes[-1], a, 0.1))
-        plan = CoarsePlan(tuple(nodes), (0.5, -0.5, 0.0, 1.0, -1.0, 0.5), 0.0)
+        plan = plan_of_nodes(nodes, (0.5, -0.5, 0.0, 1.0, -1.0, 0.5), 0.0, 0.1)
         pt = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=1)
         v0 = (nodes[1].s - nodes[0].s) / 0.1
         traj = refine_one(plan, pt, v0=v0, s0=nodes[0].s)

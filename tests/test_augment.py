@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     assert_same_map,
     binomial_band,
+    end_slope,
     f_double_turn,
     f_single_turn,
     f_single_turn_slope,
@@ -105,7 +106,7 @@ def test_f_double_plateau_value_and_spread():
     assert vals.max() - vals.min() < 1e-9
     assert abs(vals[0] - expected) < 1e-9
     # algebraic check: the two linear branches cancel to beta * end slope
-    assert expected == pytest.approx(p.beta * p.end_slope)
+    assert expected == pytest.approx(p.beta * end_slope(p))
 
 
 def test_c1_continuity_at_branch_points():
@@ -300,7 +301,7 @@ def test_sample_params_slope_cap(corridors_map):
     rng = np.random.default_rng(5)
     for _ in range(200):
         p = sample_transform_params(rng, path, max_slope=6.0)
-        assert p.end_slope <= 6.0 + 1e-12
+        assert end_slope(p) <= 6.0 + 1e-12
 
 
 def test_frame_heading_must_be_finite():

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -196,6 +197,39 @@ def test_validate_compares_manifest_rows_with_scene_metadata(tmp_path, map_file,
     assert err.count("FAIL ") == 1
     assert err.startswith(f"FAIL {scenes / 'manifest.txt'}:{lineno}: ")
     assert cost in err and "0.123" in err
+
+
+def _row_of(name, line):
+    return line.startswith(f"{name},")
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda line: None if _row_of("scene_000001.csv", line) else line,
+         "no row lists scene_000001.csv"),
+        (lambda line: "scene_000002.csv,skipped,-,-,x" if _row_of("scene_000002.csv", line)
+         else line, "lists scene_000002.csv as skipped"),
+        (lambda line: "# count total: 4" if line.startswith("# count total:") else line,
+         "count total is 4; the rows tally 3"),
+        (lambda line: None if line.startswith("# count city MIA:") else line,
+         "count city MIA is missing; the rows tally 3"),
+    ],
+)
+def test_validate_checks_the_manifest_from_the_files_side(
+    tmp_path, map_file, capsys, edit, named
+):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+    manifest = scenes / "manifest.txt"
+    lines = [edit(line) for line in manifest.read_text().splitlines()]
+    manifest.write_text("".join(f"{line}\n" for line in lines if line is not None))
+    capsys.readouterr()
+    assert main(["validate", "--scenes", str(scenes)]) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert all(line.startswith(f"FAIL {manifest}") for line in err.splitlines())
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +589,13 @@ def test_generate_warp_slope_cap_below_every_warp_exits_2(tmp_path, map_file, ca
     assert "max_warp_slope must be >= 2.0" in capsys.readouterr().err
 
 
+def test_generate_coarse_step_other_than_k_fine_steps_exits_2(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, dt=0.4)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "k*dt_fine=0.5 does not match the planner step dt=0.4" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
 def test_generate_refuses_to_resume_another_seed(tmp_path, map_file, capsys):
     assert main(["generate", "--config", str(write_cfg(tmp_path, map_file, seed=1,
                                                         n_scenes=3))]) == 0
@@ -606,6 +647,14 @@ def test_demo_pipeline_runs(tmp_path, monkeypatch, capsys):
     runpy.run_path(str(script), run_name="__main__")
     assert "demo complete" in capsys.readouterr().out
     assert len(list((tmp_path / "demo" / "samples").glob("sample_*.txt"))) == 4
+
+
+def test_every_traced_site_is_a_callable_of_its_module():
+    sites = runpy.run_path(str(REPO / "perfbench" / "spans.py"), run_name="spans")["SITES"]
+    assert sites
+    for module, attr, _, _ in sites:
+        found = getattr(importlib.import_module(f"scenesynth.{module}"), attr, None)
+        assert callable(found), f"scenesynth.{module}.{attr}"
 
 
 def test_compare_outputs_same_tree_exits_0():

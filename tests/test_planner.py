@@ -1,10 +1,16 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import enumerate_plan_costs, expand, reference_plan, transition_cost, wiggly_path
+from oracles import (
+    Node,
+    enumerate_plan_costs,
+    expand,
+    reference_plan,
+    transition_cost,
+    wiggly_path,
+)
 from scenesynth import synthesis
 from scenesynth.errors import (
     PathOverrunError,
@@ -17,7 +23,6 @@ from scenesynth.geometry import Polyline
 from scenesynth.planner import (
     BEAM_WIDTH,
     CoarsePlan,
-    PlannerNode,
     PlannerParams,
     _Batch,
     _n_steps,
@@ -44,47 +49,46 @@ def constant_kappa_path(kappa, length=200.0):
 
 
 def test_expand_hand_value():
-    n = expand(PlannerNode(0.0, 10.0, 0.0), 1.0, 0.5)
+    n = expand(Node(0.0, 10.0, 0.0), 1.0, 0.5)
     assert (n.s, n.v, n.t) == (5.125, 10.5, 0.5)
 
 
 def test_expand_zero_acceleration():
-    n = expand(PlannerNode(3.0, 7.0, 1.0), 0.0, 0.5)
+    n = expand(Node(3.0, 7.0, 1.0), 0.0, 0.5)
     assert (n.s, n.v, n.t) == (3.0 + 7.0 * 0.5, 7.0, 1.5)
 
 
 def test_expand_returns_raw_negative_velocity():
-    n = expand(PlannerNode(0.0, 0.0, 0.0), -2.0, 0.5)
+    n = expand(Node(0.0, 0.0, 0.0), -2.0, 0.5)
     assert n.v == -1.0
 
 
 def test_transition_cost_hand_value():
     path = constant_kappa_path(0.05)
-    p = PlannerParams(w1=5.0, w2=5.0, w3=1.0, v_d=10.0)
-    c = transition_cost(PlannerNode(20.0, 10.5, 0.5), 1.0, path, p)
+    p = PlannerParams(w1=5.0, w2=5.0, w3=1.0)
+    c = transition_cost(Node(20.0, 10.5, 0.5), 1.0, path, p, 10.0)
     assert c == pytest.approx(32.8125, abs=1e-12)
 
 
 def test_transition_cost_zero_at_target():
     path = straight_path(200.0)
-    p = PlannerParams(v_d=10.0)
-    assert transition_cost(PlannerNode(10.0, 10.0, 0.5), 0.0, path, p) == 0.0
+    assert transition_cost(Node(10.0, 10.0, 0.5), 0.0, path, PlannerParams(), 10.0) == 0.0
 
 
 def test_transition_cost_signed_curvature_flag():
     path = constant_kappa_path(-0.05)
-    node = PlannerNode(20.0, 10.0, 0.5)
-    p_abs = PlannerParams(v_d=10.0, abs_curvature=True)
-    p_raw = PlannerParams(v_d=10.0, abs_curvature=False)
-    assert transition_cost(node, 0.0, path, p_abs) > 0
+    node = Node(20.0, 10.0, 0.5)
+    p_abs = PlannerParams(abs_curvature=True)
+    p_raw = PlannerParams(abs_curvature=False)
+    assert transition_cost(node, 0.0, path, p_abs, 10.0) > 0
     # signed curvature enters the formula as-is and may reduce the cost
-    assert transition_cost(node, 0.0, path, p_raw) < 0
+    assert transition_cost(node, 0.0, path, p_raw, 10.0) < 0
 
 
 def test_transition_cost_overrun():
     path = straight_path(200.0)
     with pytest.raises(PathOverrunError):
-        transition_cost(PlannerNode(201.0, 10.0, 0.5), 0.0, path, PlannerParams())
+        transition_cost(Node(201.0, 10.0, 0.5), 0.0, path, PlannerParams(), 10.0)
 
 
 def test_param_validation():
@@ -100,8 +104,7 @@ def test_param_validation():
 
 def test_plan_zero_cost_at_desired_velocity():
     path = straight_path(400.0)
-    p = PlannerParams(v_d=10.0, t_g=5.0)
-    plan = plan_one(path, PlannerNode(0.0, 10.0, 0.0), p)
+    plan = plan_one(path, 0.0, 10.0, 10.0, PlannerParams(t_g=5.0))
     assert plan.total_cost == 0.0
     assert all(a == 0.0 for a in plan.actions)
     assert len(plan.actions) == 11
@@ -109,9 +112,9 @@ def test_plan_zero_cost_at_desired_velocity():
 
 def test_plan_accelerates_from_standstill():
     path = straight_path(200.0)
-    p = PlannerParams(v_d=10.0, t_g=1.3, action_set=(-1.0, 0.0, 1.0))
-    plan = plan_one(path, PlannerNode(0.0, 0.0, 0.0), p)
-    best_cost, best_seq = enumerate_plan_costs(path, 0.0, 0.0, p)
+    p = PlannerParams(t_g=1.3, action_set=(-1.0, 0.0, 1.0))
+    plan = plan_one(path, 0.0, 0.0, 10.0, p)
+    best_cost, best_seq = enumerate_plan_costs(path, 0.0, 0.0, 10.0, p)
     assert plan.total_cost == pytest.approx(best_cost, abs=1e-9)
     assert plan.actions[0] == 1.0 == best_seq[0]
 
@@ -131,90 +134,92 @@ def test_plan_matches_enumeration_on_random_instances():
             w1=float(rng.uniform(0, 6)),
             w2=float(rng.uniform(0, 6)),
             w3=float(rng.uniform(0.1, 3)),
-            v_d=float(rng.uniform(4, 14)),
             t_g=(horizon_steps - 1) * 0.5 + 0.25,
         )
-        v0 = float(rng.uniform(0, 1.2 * p.v_d))
-        plan = plan_one(path, PlannerNode(5.0, v0, 0.0), p)
-        best_cost, _ = enumerate_plan_costs(path, 5.0, v0, p)
+        v_d = float(rng.uniform(4, 14))
+        v0 = float(rng.uniform(0, 1.2 * v_d))
+        plan = plan_one(path, 5.0, v0, v_d, p)
+        best_cost, _ = enumerate_plan_costs(path, 5.0, v0, v_d, p)
         assert plan.total_cost == pytest.approx(best_cost, abs=1e-9), trial
         assert len(plan.actions) == horizon_steps
 
 
 def test_plan_replay_reproduces_nodes_bit_exactly():
     path = wiggly_path(np.random.default_rng(7))
-    p = PlannerParams(v_d=9.0)
-    plan = plan_one(path, PlannerNode(3.0, 8.5, 0.0), p)
-    node = plan.nodes[0]
-    for a, expect in zip(plan.actions, plan.nodes[1:]):
-        node = expand(node, a, p.dt)
-        assert node == expect
+    p = PlannerParams()
+    plan = plan_one(path, 3.0, 8.5, 9.0, p)
+    nodes = [Node(plan.s[0], plan.v[0], 0.0)]
+    for a, s, v in zip(plan.actions, plan.s[1:], plan.v[1:]):
+        nodes.append(expand(nodes[-1], a, p.dt))
+        assert (nodes[-1].s, nodes[-1].v) == (s, v)
     costs = [
-        transition_cost(n, a, path, p)
-        for n, a in zip(plan.nodes[1:], plan.actions)
+        transition_cost(n, a, path, p, 9.0)
+        for n, a in zip(nodes[1:], plan.actions)
     ]
     assert plan.total_cost == sum(costs)
 
 
 def test_plan_monotone_time_and_horizon():
     path = straight_path(400.0)
-    p = PlannerParams(v_d=8.0, t_g=5.0)
-    plan = plan_one(path, PlannerNode(0.0, 8.0, 0.0), p)
-    times = plan.times()
-    assert np.allclose(np.diff(times), p.dt)
-    assert times[-1] > p.t_g
-    assert times[-1] - p.dt <= p.t_g
+    p = PlannerParams(t_g=5.0)
+    plan = plan_one(path, 0.0, 8.0, 8.0, p)
+    assert plan.dt == p.dt
+    assert len(plan.s) == len(plan.v) == len(plan.actions) + 1
+    t_end = len(plan.actions) * plan.dt
+    assert t_end > p.t_g
+    assert t_end - p.dt <= p.t_g
 
 
 def test_plan_actions_within_bounds():
     path = wiggly_path(np.random.default_rng(8))
-    plan = plan_one(path, PlannerNode(2.0, 12.0, 0.0), PlannerParams(v_d=6.0))
+    plan = plan_one(path, 2.0, 12.0, 6.0, PlannerParams())
     assert all(-2.0 <= a <= 1.0 for a in plan.actions)
 
 
 def test_plan_deterministic():
     rng = np.random.default_rng(55)
     path = wiggly_path(rng)
-    p = PlannerParams(v_d=11.0)
-    a = plan_one(path, PlannerNode(1.0, 10.0, 0.0), p)
-    b = plan_one(path, PlannerNode(1.0, 10.0, 0.0), p)
+    p = PlannerParams()
+    a = plan_one(path, 1.0, 10.0, 11.0, p)
+    b = plan_one(path, 1.0, 10.0, 11.0, p)
     assert a == b
+
+
+def test_plan_fields_are_python_floats():
+    plan = plan_one(wiggly_path(np.random.default_rng(9)), 1.0, 10.0, 11.0, PlannerParams())
+    for value in (*plan.s, *plan.v, *plan.actions, plan.total_cost, plan.dt):
+        assert type(value) is float
 
 
 def test_plan_overrun_error_on_short_path():
     path = straight_path(30.0)
     with pytest.raises(PathOverrunError):
-        plan_one(path, PlannerNode(0.0, 15.0, 0.0), PlannerParams(v_d=15.0))
+        plan_one(path, 0.0, 15.0, 15.0, PlannerParams())
 
 
 def test_plan_failure_when_all_pruned():
     path = straight_path(200.0)
-    p = PlannerParams(action_set=(-2.0,), v_d=5.0)
+    p = PlannerParams(action_set=(-2.0,))
     with pytest.raises(PlanningFailureError):
-        plan_one(path, PlannerNode(0.0, 0.0, 0.0), p)
+        plan_one(path, 0.0, 0.0, 5.0, p)
 
 
 def test_plan_rejects_negative_initial_velocity():
     path = straight_path(200.0)
     with pytest.raises(ValueError):
-        plan_one(path, PlannerNode(0.0, -1.0, 0.0), PlannerParams())
+        plan_one(path, 0.0, -1.0, 10.0, PlannerParams())
 
 
 def plan_to_global(plan, path):
-    """A plan's nodes as (t, x, y): its arc lengths placed on the path by
+    """A plan's states as (t, x, y): its arc lengths placed on the path by
     `ReferencePath.xy_at`, as synthesis places a refined plan."""
-    xy = path.xy_at(plan.s_values())
-    return [(node.t, float(x), float(y)) for node, (x, y) in zip(plan.nodes, xy)]
+    xy = path.xy_at(np.array(plan.s))
+    return [(i * plan.dt, float(x), float(y)) for i, (x, y) in enumerate(xy.tolist())]
 
 
 def test_plan_to_global_straight():
     path = straight_path(200.0)
-    nodes = (
-        PlannerNode(0.0, 10.0, 0.0),
-        PlannerNode(5.0, 10.0, 0.5),
-        PlannerNode(10.0, 10.0, 1.0),
-    )
-    plan = CoarsePlan(nodes, (0.0, 0.0), 0.0)
+    plan = CoarsePlan((0.0, 5.0, 10.0), (10.0, 10.0, 10.0), (0.0, 0.0), 0.0, 0.5)
     assert plan_to_global(plan, path) == [
         (0.0, 0.0, 0.0),
         (0.5, 5.0, 0.0),
@@ -226,15 +231,12 @@ def test_plan_to_global_sample_exact_and_dense_oracle():
     path = wiggly_path(np.random.default_rng(3))
     # a node exactly on a grid sample maps to that sample's coordinates
     idx = 17
-    nodes = (
-        PlannerNode(float(path.cum_s[idx]), 5.0, 0.0),
-        PlannerNode(float(path.cum_s[idx]) + 3.3, 5.0, 0.5),
-    )
-    plan = CoarsePlan(nodes, (0.0,), 0.0)
+    s_nodes = (float(path.cum_s[idx]), float(path.cum_s[idx]) + 3.3)
+    plan = CoarsePlan(s_nodes, (5.0, 5.0), (0.0,), 0.0, 0.5)
     pts = plan_to_global(plan, path)
     assert pts[0][1:] == tuple(path.samples.xy[idx])
     # independent scalar interpolation along the stored grid
-    s = nodes[1].s
+    s = s_nodes[1]
     i = int(np.searchsorted(path.cum_s, s, side="right")) - 1
     frac = (s - path.cum_s[i]) / (path.cum_s[i + 1] - path.cum_s[i])
     expect = path.samples.xy[i] * (1.0 - frac) + path.samples.xy[i + 1] * frac
@@ -244,27 +246,25 @@ def test_plan_to_global_sample_exact_and_dense_oracle():
 
 def test_plan_to_global_overrun():
     path = straight_path(100.0)
-    plan = CoarsePlan(
-        (PlannerNode(99.0, 10.0, 0.0), PlannerNode(104.0, 10.0, 0.5)), (0.0,), 0.0
-    )
+    plan = CoarsePlan((99.0, 104.0), (10.0, 10.0), (0.0,), 0.0, 0.5)
     with pytest.raises(PathOverrunError):
         plan_to_global(plan, path)
 
 
 
-
-
-def plan_or_error(path, init, p, plan=plan_one):
+def plan_or_error(problem, p, plan=plan_one):
+    """The plan of a `(path, s0, v0, v_d)` problem under `p`, or the class
+    of the PlanningError it ends in."""
     try:
-        return plan(path, init, p)
+        return plan(*problem, p)
     except PlanningError as exc:
         return type(exc)
 
 
-def assert_matches_reference(path, init, p):
+def assert_matches_reference(problem, p):
     """`plan_one` returns the reference plan or raises its error class."""
-    got = plan_or_error(path, init, p)
-    assert got == plan_or_error(path, init, p, reference_plan)
+    got = plan_or_error(problem, p)
+    assert got == plan_or_error(problem, p, reference_plan)
     return got
 
 
@@ -274,16 +274,17 @@ FRACTIONS = (165.0 / 370.0, 1.0)
 @pytest.fixture(scope="module")
 def oracle_instances(corridors_map):
     """For each warp fraction, the first 160 planner problems that
-    `make_scene` poses at seed 35, each with `reference_plan`'s plan or
-    error class. At index 18 both fractions draw a plan whose merge has an
-    exact cost tie, so the (parent, action) tie-break is checked too."""
+    `make_scene` poses at seed 35, each with its parameters and
+    `reference_plan`'s plan or error class. At index 18 both fractions
+    draw a plan whose merge has an exact cost tie, so the (parent, action)
+    tie-break is checked too."""
     instances = {}
     for fraction in FRACTIONS:
         calls = []
 
-        def record(problems):
-            calls.extend(problems)
-            return astar_plan(problems)
+        def record(problems, p):
+            calls.extend((problem, p) for problem in problems)
+            return astar_plan(problems, p)
 
         cfg = GenerationConfig(
             seed=35, n_scenes=1, output_dir="unused", augmented_fraction=fraction
@@ -298,15 +299,15 @@ def oracle_instances(corridors_map):
                     pass
                 index += 1
         instances[fraction] = [
-            (problem, plan_or_error(*problem, reference_plan)) for problem in calls
+            (problem, p, plan_or_error(problem, p, reference_plan)) for problem, p in calls
         ]
     return instances
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS)
 def test_plan_matches_reference_on_generated_instances(oracle_instances, fraction):
-    for problem, want in oracle_instances[fraction]:
-        assert plan_or_error(*problem) == want
+    for problem, p, want in oracle_instances[fraction]:
+        assert plan_or_error(problem, p) == want
 
 
 def outcome(result):
@@ -325,36 +326,34 @@ def test_batched_plans_match_reference(oracle_instances):
     for size in sizes:
         batch = [instances[k] for k in order[start : start + size]]
         start += size
-        got = astar_plan([problem for problem, _ in batch])
-        assert [outcome(r) for r in got] == [want for _, want in batch]
+        (p,) = {p for _, p, _ in batch}
+        got = astar_plan([problem for problem, _, _ in batch], p)
+        assert [outcome(r) for r in got] == [want for _, _, want in batch]
 
 
 def test_batch_mixing_feasible_overrunning_and_pruned_scenes():
     # only braking actions: a slow start runs out of speed, a fast start
     # runs off a short path, and one starts past the end of its path
     path, short = straight_path(200.0), straight_path(30.0)
-    p = PlannerParams(action_set=(-1.0, -0.5), v_d=8.0)
+    p = PlannerParams(action_set=(-1.0, -0.5))
     problems = [
-        (path, PlannerNode(0.0, 10.0, 0.0), p),
-        (short, PlannerNode(0.0, 10.0, 0.0), replace(p, v_d=10.0)),
-        (wiggly_path(np.random.default_rng(4)), PlannerNode(3.0, 9.0, 0.0), replace(p, v_d=6.0)),
-        (path, PlannerNode(0.0, 0.5, 0.0), replace(p, v_d=3.0)),
-        (path, PlannerNode(201.0, 5.0, 0.0), p),
+        (path, 0.0, 10.0, 8.0),
+        (short, 0.0, 10.0, 10.0),
+        (wiggly_path(np.random.default_rng(4)), 3.0, 9.0, 6.0),
+        (path, 0.0, 0.5, 3.0),
+        (path, 201.0, 5.0, 8.0),
     ]
-    got = [outcome(r) for r in astar_plan(problems)]
-    assert got == [plan_or_error(*problem, reference_plan) for problem in problems]
+    got = [outcome(r) for r in astar_plan(problems, p)]
+    assert got == [plan_or_error(problem, p, reference_plan) for problem in problems]
     assert isinstance(got[0], CoarsePlan) and isinstance(got[2], CoarsePlan)
     assert (got[1], got[3], got[4]) == (PathOverrunError, PlanningFailureError, PathOverrunError)
 
 
-def test_batch_must_share_all_but_desired_velocity():
+def test_batch_paths_must_share_one_grid():
     path = straight_path(200.0)
-    init = PlannerNode(0.0, 10.0, 0.0)
-    with pytest.raises(ValueError, match="only in v_d"):
-        astar_plan([(path, init, PlannerParams()), (path, init, PlannerParams(w1=4.0))])
     coarse = _path_from_polyline(Polyline([(0.0, 0.0), (100.0, 0.0)]), ("L",), 2.0)
     with pytest.raises(ValueError, match="one uniform grid"):
-        astar_plan([(path, init, PlannerParams()), (coarse, init, PlannerParams())])
+        astar_plan([(path, 0.0, 10.0, 10.0), (coarse, 0.0, 10.0, 10.0)], PlannerParams())
 
 
 def test_batched_curvature_lookup_is_np_interp_bit_for_bit():
@@ -383,8 +382,8 @@ def test_plan_matches_reference_on_tied_action_orders():
     # of the same actions costs the same
     path = straight_path(400.0)
     for actions in [(-0.5, 0.5), (-1.0, -0.5, 0.5, 1.0)]:
-        p = PlannerParams(action_set=actions, v_d=10.0, w3=0.0)
-        plan = assert_matches_reference(path, PlannerNode(0.0, 10.0, 0.0), p)
+        p = PlannerParams(action_set=actions, w3=0.0)
+        plan = assert_matches_reference((path, 0.0, 10.0, 10.0), p)
         assert isinstance(plan, CoarsePlan)
 
 
@@ -392,9 +391,9 @@ def test_plan_matches_reference_with_signed_curvature():
     rng = np.random.default_rng(41)
     for _ in range(10):
         path = wiggly_path(rng, max_turn=0.08)
-        p = PlannerParams(v_d=float(rng.uniform(6, 15)), abs_curvature=False)
-        init = PlannerNode(4.0, float(rng.uniform(5, 15)), 0.0)
-        assert_matches_reference(path, init, p)
+        v_d = float(rng.uniform(6, 15))
+        v0 = float(rng.uniform(5, 15))
+        assert_matches_reference((path, 4.0, v0, v_d), PlannerParams(abs_curvature=False))
 
 
 def test_plan_matches_reference_when_beam_pass_overruns():
@@ -402,9 +401,8 @@ def test_plan_matches_reference_when_beam_pass_overruns():
     # path; the bound falls back to infinity and the exact pass still
     # finds the braking plan
     path = straight_path(20.0)
-    init = PlannerNode(0.0, 4.0, 0.0)
-    p = PlannerParams(v_d=4.0)
-    batch = _Batch([path], p, np.array([p.v_d]))
-    ub = batch.beam_bounds(np.array([init.s]), np.array([init.v]), _n_steps(0.0, p), BEAM_WIDTH)
+    p = PlannerParams()
+    batch = _Batch([path], p, np.array([4.0]))
+    ub = batch.beam_bounds(np.array([0.0]), np.array([4.0]), _n_steps(p), BEAM_WIDTH)
     assert ub.tolist() == [math.inf]
-    assert isinstance(assert_matches_reference(path, init, p), CoarsePlan)
+    assert isinstance(assert_matches_reference((path, 0.0, 4.0, 4.0), p), CoarsePlan)

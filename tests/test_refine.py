@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Node,
     build_refinement_system,
     expand,
     objective_gradient,
     objective_value,
     reference_refine,
+    plan_of_nodes,
     solve_system,
     stationarity_residual,
 )
 from scenesynth import synthesis
 from scenesynth.errors import RefinementError, SceneSynthError
-from scenesynth.planner import CoarsePlan, PlannerNode, PlannerParams
+from scenesynth.planner import PlannerParams
 from scenesynth.refine import (
     RefinementParams,
     accel_of,
@@ -23,10 +25,10 @@ from scenesynth.refine import (
 
 
 def make_plan(actions, v0=10.0, s0=0.0, dt=0.5):
-    nodes = [PlannerNode(s0, v0, 0.0)]
+    nodes = [Node(s0, v0, 0.0)]
     for a in actions:
         nodes.append(expand(nodes[-1], a, dt))
-    return CoarsePlan(tuple(nodes), tuple(actions), 0.0)
+    return plan_of_nodes(nodes, actions, 0.0, dt)
 
 
 def random_plan(rng, n_actions=11):
@@ -116,9 +118,9 @@ def test_pure_tracking_reproduces_consistent_coarse():
     # velocity definition
     plan = make_plan([0.5, -0.5, 1.0, 0.0, -1.0, 0.5], v0=6.0, s0=1.0, dt=0.1)
     p = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=1)
-    v0_fd = (plan.nodes[1].s - plan.nodes[0].s) / p.dt_fine
+    v0_fd = (plan.s[1] - plan.s[0]) / p.dt_fine
     traj = refine_one(plan, p, v0=v0_fd, s0=1.0)
-    coarse_s = np.array([n.s for n in plan.nodes[:-1]])
+    coarse_s = np.array(plan.s[:-1])
     assert np.abs(traj.s_values - coarse_s).max() < 1e-8
 
 
@@ -135,7 +137,7 @@ def test_initial_constraints_hold_exactly():
     for _ in range(25):
         plan = random_plan(rng)
         v0 = float(rng.uniform(0.0, 16.0))
-        s0 = plan.nodes[0].s + float(rng.uniform(-1.0, 1.0))
+        s0 = plan.s[0] + float(rng.uniform(-1.0, 1.0))
         traj = refine_one(plan, p, v0=v0, s0=s0)
         assert abs(traj.s_values[0] - s0) < 1e-8
         assert abs((traj.s_values[1] - traj.s_values[0]) / 0.1 - v0) < 1e-8
@@ -146,7 +148,7 @@ def test_stationarity_residual_small():
     p = RefinementParams()
     for _ in range(10):
         plan = random_plan(rng)
-        sys = build_refinement_system(plan, p, v0=plan.nodes[0].v, s0=plan.nodes[0].s)
+        sys = build_refinement_system(plan, p, v0=plan.v[0], s0=plan.s[0])
         x, lam = solve_system(sys)
         assert stationarity_residual(x, lam, sys) < 1e-6
 
@@ -155,8 +157,8 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     plan = random_plan(rng)
     p = RefinementParams(omega1=0.7, omega2=1.3, omega3=4.0)
-    sys = build_refinement_system(plan, p, v0=plan.nodes[0].v, s0=plan.nodes[0].s)
-    x = plan.nodes[0].s + np.cumsum(rng.uniform(0.0, 1.2, size=sys.grid_t.size))
+    sys = build_refinement_system(plan, p, v0=plan.v[0], s0=plan.s[0])
+    x = plan.s[0] + np.cumsum(rng.uniform(0.0, 1.2, size=sys.grid_t.size))
     grad = objective_gradient(x, sys)
     h = 1e-6
     for i in rng.choice(x.size, size=12, replace=False):
@@ -172,7 +174,7 @@ def test_objective_value_matches_quadratic_form():
     rng = np.random.default_rng(6)
     plan = random_plan(rng)
     p = RefinementParams()
-    sys = build_refinement_system(plan, p, v0=plan.nodes[0].v, s0=plan.nodes[0].s)
+    sys = build_refinement_system(plan, p, v0=plan.v[0], s0=plan.s[0])
     x = rng.normal(size=sys.grid_t.size)
     direct = objective_value(x, sys)
     quad = float(x @ sys.Q @ x - 2.0 * sys.q @ x + sys.const)
@@ -183,7 +185,7 @@ def test_solution_is_local_minimum_along_feasible_directions():
     rng = np.random.default_rng(7)
     plan = random_plan(rng)
     p = RefinementParams()
-    sys = build_refinement_system(plan, p, v0=plan.nodes[0].v, s0=plan.nodes[0].s)
+    sys = build_refinement_system(plan, p, v0=plan.v[0], s0=plan.s[0])
     x, _ = solve_system(sys)
     f0 = objective_value(x, sys)
     for _ in range(100):
@@ -199,11 +201,11 @@ def test_solution_beats_corrected_interpolant():
     for _ in range(10):
         plan = random_plan(rng)
         v0 = float(rng.uniform(2.0, 14.0))
-        s0 = plan.nodes[0].s
+        s0 = plan.s[0]
         sys = build_refinement_system(plan, p, v0=v0, s0=s0)
         x, _ = solve_system(sys)
-        coarse_t = np.array([n.t for n in plan.nodes])
-        coarse_s = np.array([n.s for n in plan.nodes])
+        coarse_t = np.arange(len(plan.s)) * plan.dt
+        coarse_s = np.array(plan.s)
         candidate = np.interp(sys.grid_t, coarse_t, coarse_s)
         candidate[0] = s0
         candidate[1] = s0 + v0 * p.dt_fine
@@ -298,7 +300,7 @@ def test_refine_matches_reference_on_generated_plans(
 def test_mixed_batch_gives_each_failing_plan_its_own_error():
     rng = np.random.default_rng(9)
     plans = [random_plan(rng) for _ in range(4)]
-    problems = [(plan, plan.nodes[0].v, plan.nodes[0].s) for plan in plans]
+    problems = [(plan, plan.v[0], plan.s[0]) for plan in plans]
     coarse_step = make_plan([0.0] * 11, dt=0.4)  # k * dt_fine is 0.5, not 0.4
     mixed = [problems[0], (make_plan([0.0]), 10.0, 0.0), problems[1], problems[2],
              (coarse_step, 10.0, 0.0), problems[3]]

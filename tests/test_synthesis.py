@@ -46,6 +46,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         # horizon too short for 50 samples at 10 Hz
         GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(t_g=2.0))
+    with pytest.raises(ConfigError, match="does not match the planner step"):
+        # k * dt_fine is 0.5 s
+        GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=0.4))
 
 
 def test_scene_deterministic_bytes(corridors_map):
