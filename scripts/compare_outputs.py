@@ -25,13 +25,15 @@ bytes differ, or that only one tree wrote, and every scene, sample or log
 file of a two-worker run whose bytes differ from the one-worker run's;
 exits 1 if there is any, and 0 if every file is byte-identical. So a
 change in how the work is ordered must not reorder or change a logged
-record.
+record. For a text file whose bytes differ between the trees, it also
+prints the first line where they differ, as each tree wrote it. The
+manifests of the one- and two-worker runs differ only by their
+`output_dir` line, so they are not compared with each other.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shutil
 import subprocess
@@ -108,39 +110,50 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
 """
 
 
-def _digests(root: Path) -> dict[str, str]:
-    return {
-        str(f.relative_to(root)): hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in sorted(root.rglob("*"))
-        if f.is_file()
-    }
+def _contents(root: Path) -> dict[str, bytes]:
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
 
 
-def run_tree(tree: Path, work: Path, mode: str, seed: int, *args: str) -> dict[str, str]:
-    """sha256 of every file one tree writes for one case, by path: `mode`
-    is "generate" (args: scene count, fraction) or "augment" (args: kind)."""
+def run_tree(tree: Path, work: Path, mode: str, seed: int, *args: str) -> dict[str, bytes]:
+    """The bytes of every file one tree writes for one case, by path:
+    `mode` is "generate" (args: scene count, fraction) or "augment" (args:
+    kind)."""
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-c", RUN, mode, str(work), str(seed), *args]
     proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {proc.stderr.strip()}")
-    digests = _digests(work)
+    contents = _contents(work)
     shutil.rmtree(work)
-    return digests
+    return contents
 
 
-def worker_problems(label: str, digests: dict[str, str]) -> list[str]:
+def first_difference(old: bytes, new: bytes) -> str:
+    """The first line at which two UTF-8 texts differ, as each has it
+    (`<end of file>` past its last line), indented under the file's
+    problem line; empty when either is not text."""
+    try:
+        a, b = old.decode("utf-8").splitlines(), new.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return ""
+    i = 0
+    while i < min(len(a), len(b)) and a[i] == b[i]:
+        i += 1
+    side = [lines[i] if i < len(lines) else "<end of file>" for lines in (a, b)]
+    return f"\n    line {i + 1}, old: {side[0]}\n    line {i + 1}, new: {side[1]}"
+
+
+def worker_problems(label: str, contents: dict[str, bytes]) -> list[str]:
     """One line per scene, sample or log file of the two-worker run whose
     bytes differ from the one-worker run's, or that only one of the runs
-    wrote. The manifests differ by design: they echo `output_dir` and
-    `workers`."""
+    wrote. The manifests differ by design: they echo `output_dir`."""
     problems = []
     for one, two in (("scenes", "scenes_w2"), ("samples", "samples_w2"), ("logs", "logs_w2")):
         files = {
             run: {
-                path.partition("/")[2]: digest
-                for path, digest in digests.items()
+                path.partition("/")[2]: data
+                for path, data in contents.items()
                 if path.partition("/")[0] == run and not path.endswith("manifest.txt")
             }
             for run in (one, two)
@@ -170,7 +183,8 @@ def compare(old: Path, new: Path, n_scenes: int, work: Path) -> list[str]:
             elif path not in before:
                 problems.append(f"{name}/{path}: only in {new}")
             elif before[path] != after[path]:
-                problems.append(f"{name}/{path}: bytes differ")
+                detail = first_difference(before[path], after[path])
+                problems.append(f"{name}/{path}: bytes differ{detail}")
         print(f"{name}: {len(after)} files compared", flush=True)
     return problems
 

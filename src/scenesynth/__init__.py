@@ -22,14 +22,7 @@ from .planner import (
     astar_plan,
     plan_one,
 )
-from .refine import (
-    RefinedTrajectory,
-    RefinementParams,
-    accel_of,
-    jerk_of,
-    refine_one,
-    refine_trajectory,
-)
+from .refine import RefinementParams, refine_one, refine_trajectory
 from .synthesis import (
     GenerationConfig,
     Scene,

@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 data or validation failure, 2 usage/config error.
 
 Config file format: one `key = value` per line (`key: value`, as the
 manifest's `# config` lines write it, reads the same), `#` comments
-allowed, unknown keys rejected. Keys and defaults, one row each of
-`synthesis.CONFIG_KEYS`, whose defaults are the dataclass field defaults:
+allowed, unknown and repeated keys rejected, numbers finite. Keys and
+defaults, one row each of `synthesis.CONFIG_KEYS`, whose defaults are the
+`GenerationConfig` field defaults:
 
     seed = 0                  master seed; every scene derives its own stream
     n_scenes = 10             number of scenes to generate
@@ -25,7 +26,7 @@ allowed, unknown keys rejected. Keys and defaults, one row each of
     v_d_min = 6.0             desired-velocity sampling range
     v_d_max = 15.0
     action_set = -2.0,-1.0,-0.5,0.0,0.5,1.0
-    dt = 0.5                  coarse planning step (s)
+    dt = 0.5                  coarse planning step (s), a whole number of 0.1 s steps
     t_g = 5.0                 planning horizon (s)
     w1 = 5.0                  acceleration cost weight
     w2 = 5.0                  curvature cost weight
@@ -34,13 +35,15 @@ allowed, unknown keys rejected. Keys and defaults, one row each of
     omega1 = 1.0              smoothing acceleration weight
     omega2 = 1.0              smoothing jerk weight
     omega3 = 10.0             coarse-plan tracking weight
-    dt_fine = 0.1             fine grid step (s); 0.1 emits 10 Hz scenes
-    k = 5                     fine steps per coarse step (k * dt_fine = dt)
     path_min_length = 150.0   reference-path assembly target (m)
     path_spacing = 1.0        reference-path sample spacing (m)
     retry_budget = 5          regeneration attempts per failed scene
     max_warp_slope = none     optional cap on the post-turn lateral slope
-    map_files =               comma-separated map paths (required)
+    map_files =               comma-separated map paths (required by generate)
+
+Refinement smooths each plan onto the 10 Hz scene grid, k = dt / 0.1 fine
+steps per coarse step. The manifest's `# config` lines are the config
+itself: without their `# config ` prefix they read back as this file.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +64,7 @@ from .synthesis import (
     CONFIG_KEYS,
     GenerationConfig,
     generate_dataset,
+    manifest_counts,
     manifest_fields,
     read_scene,
     scene_to_text,
@@ -71,18 +75,13 @@ _CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
 _CONFIG_TYPES = {key: vtype for key, _, vtype in CONFIG_KEYS}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    generation: GenerationConfig
-    map_files: tuple[str, ...]
-
-
-def parse_run_config(path) -> RunConfig:
+def parse_run_config(path) -> GenerationConfig:
     try:
         lines = read_lines(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, object] = {}
+    set_at: dict[str, int] = {}  # line of each key set
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -93,6 +92,9 @@ def parse_run_config(path) -> RunConfig:
         key, text = match[1].strip(), match[2].strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_at:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_at[key]}")
+        set_at[key] = lineno
         vtype = _CONFIG_TYPES[key]
         try:
             values[key] = vtype.parse(text)
@@ -100,7 +102,7 @@ def parse_run_config(path) -> RunConfig:
             raise ConfigError(
                 f"{path}:{lineno}: {key}: expected {vtype.noun}, got {text!r}"
             ) from exc
-    return RunConfig(GenerationConfig.from_keys(values), values.get("map_files", ()))
+    return GenerationConfig.from_keys(values)
 
 
 def _scene_files(directory) -> list[Path]:
@@ -133,19 +135,11 @@ def cmd_augment_map(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    run = parse_run_config(args.config)
-    if not run.map_files:
+    cfg = parse_run_config(args.config)
+    if not cfg.map_files:
         raise ConfigError("config key map_files must list at least one map")
-    maps = [load_map(f) for f in run.map_files]
     manifest = generate_dataset(
-        maps,
-        run.generation,
-        workers=args.workers,
-        log=print,
-        extra_config=[
-            ("map_files", _CONFIG_TYPES["map_files"].format(run.map_files)),
-            ("workers", str(args.workers)),
-        ],
+        [load_map(f) for f in cfg.map_files], cfg, workers=args.workers, log=print
     )
     print(
         f"generated {len(manifest.records)} scenes in {manifest.elapsed_s:.1f} s "
@@ -229,7 +223,7 @@ def _manifest_problems(
     `# count` line that is missing or differs from the tally of the rows."""
     problems: list[str] = []
     unlisted = set(scene_names)
-    tally = {"total": 0, "original": 0, "augmented": 0, "skipped": 0}
+    fields: list[tuple[str, ...]] = []  # the (status, city, cost) of each row
     counts: dict[str, tuple[str, str]] = {}  # count key: (where, value)
     for lineno, line in enumerate(read_lines(manifest, ValidationError), start=1):
         where = f"{manifest}:{lineno}"
@@ -245,11 +239,7 @@ def _manifest_problems(
             problems.append(f"{where}: expected 'file,status,...', got {line!r}")
             continue
         unlisted.discard(name)
-        tally["total"] += 1
-        if listed[0] in ("original", "augmented", "skipped"):
-            tally[listed[0]] += 1
-        if listed[0] != "skipped" and len(listed) > 1:
-            tally[f"city {listed[1]}"] = tally.get(f"city {listed[1]}", 0) + 1
+        fields.append(listed)
         if listed[0] == "skipped":
             if name in scene_names:
                 problems.append(f"{where}: lists {name} as skipped; the file exists")
@@ -261,6 +251,7 @@ def _manifest_problems(
                 f"the file has {','.join(rows[name])}"
             )
     problems.extend(f"{manifest}: no row lists {name}" for name in sorted(unlisted))
+    tally = manifest_counts(fields)
     for key in sorted(tally.keys() | counts.keys()):
         where, value = counts.get(key, (str(manifest), "missing"))
         if value != str(tally.get(key, 0)):

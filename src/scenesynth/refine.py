@@ -1,6 +1,9 @@
-"""Trajectory smoothing onto a fine time grid.
+"""Trajectory smoothing onto the fine time grid.
 
-The coarse plan is refined by minimizing squared acceleration and jerk
+The fine grid is the 10 Hz grid that scenes are sampled on, so its step
+`FINE_DT` is the scene step, and a plan of coarse step dt has
+k = dt / FINE_DT fine steps per coarse step (`fine_steps_per`). The
+coarse plan is refined by minimizing squared acceleration and jerk
 (finite differences on the fine grid) plus a tracking penalty tying the
 fine trajectory to the coarse arc-lengths at every coarse knot, subject to
 exact initial position and initial velocity (forward difference). The
@@ -12,21 +15,22 @@ closed form from the eliminated stationarity rows. The constraints
 therefore hold exactly, not merely to solver precision.
 
 The quadratic form and its banded Cholesky factor depend only on the
-weights and the horizon, not on the plan or the initial state, so each
-is built once per (RefinementParams, horizon) and reused read-only by
+weights, k and the horizon, not on the plan or the initial state, so each
+is built once per (RefinementParams, k, horizon) and reused read-only by
 every later solve; a scene only forms its right-hand side and runs the
 two triangular solves.
 
 `refine_trajectory` refines a batch of plans at once, as `generate_dataset`
-asks for a whole round of plans: plans of one horizon are the
+asks for a whole round of plans: plans of one k and horizon are the
 right-hand-side columns of one banded solve per step, and every other
-step is one array operation over them. A trajectory's bits do not depend
-on which plans share its batch; `refine_one` refines one plan through
-the same code.
+step is one array operation over them. It returns each plan's fine
+arc-lengths, whose bits do not depend on which plans share its batch;
+`refine_one` refines one plan through the same code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,50 +41,31 @@ from .errors import RefinementError
 from .planner import CoarsePlan
 
 
+# the fine grid step (s): refined trajectories are the 10 Hz scene samples
+FINE_DT = 0.1
+
+
 @dataclass(frozen=True)
 class RefinementParams:
     omega1: float = 1.0
     omega2: float = 1.0
     omega3: float = 10.0
-    dt_fine: float = 0.1
-    k: int = 5  # fine steps per coarse step
 
     def __post_init__(self):
         if min(self.omega1, self.omega2) < 0:
             raise ValueError("smoothing weights must be nonnegative")
         if self.omega3 <= 0:
             raise ValueError("tracking weight must be positive")
-        if self.dt_fine <= 0:
-            raise ValueError("dt_fine must be positive")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
 
 
-@dataclass(frozen=True)
-class RefinedTrajectory:
-    timestamps: np.ndarray
-    s_values: np.ndarray
-    accel: np.ndarray
-    jerk: np.ndarray
-
-
-def accel_of(s: np.ndarray, dt_fine: float) -> np.ndarray:
-    """Central second difference per interior sample, along the last axis."""
-    s = np.asarray(s, dtype=float)
-    if s.shape[-1] < 3:
-        raise ValueError(f"need at least 3 samples, got {s.shape[-1]}")
-    return (s[..., 2:] - 2.0 * s[..., 1:-1] + s[..., :-2]) / (dt_fine * dt_fine)
-
-
-def jerk_of(s: np.ndarray, dt_fine: float) -> np.ndarray:
-    """Third difference (s[i+2] - 3 s[i+1] + 3 s[i] - s[i-1]) / dt^3, along
-    the last axis."""
-    s = np.asarray(s, dtype=float)
-    if s.shape[-1] < 4:
-        raise ValueError(f"need at least 4 samples, got {s.shape[-1]}")
-    return (s[..., 3:] - 3.0 * s[..., 2:-1] + 3.0 * s[..., 1:-2] - s[..., :-3]) / (
-        dt_fine * dt_fine * dt_fine
-    )
+def fine_steps_per(dt: float) -> int:
+    """The number k of fine steps in a coarse step `dt`; raises ValueError
+    when `dt` is not a whole number of FINE_DT steps."""
+    ratio = dt / FINE_DT
+    k = round(ratio) if math.isfinite(ratio) else 0
+    if k < 1 or abs(k * FINE_DT - dt) > 1e-12:
+        raise ValueError(f"dt={dt} is not a whole number of {FINE_DT} s steps")
+    return k
 
 
 def _add_stencil_gram(Q: np.ndarray, coeffs: np.ndarray, weight: float, centers) -> None:
@@ -95,11 +80,11 @@ def _add_stencil_gram(Q: np.ndarray, coeffs: np.ndarray, weight: float, centers)
 
 
 @lru_cache(maxsize=8)
-def _quadratic_form(p: RefinementParams, n: int) -> np.ndarray:
+def _quadratic_form(p: RefinementParams, k: int, n: int) -> np.ndarray:
     """The read-only (n+1, n+1) matrix Q of the objective x'Qx - 2 q'x +
     const: the acceleration and jerk stencils' Gram matrices plus the
     tracking weight on every k-th diagonal entry."""
-    dt = p.dt_fine
+    dt = FINE_DT
     Q = np.zeros((n + 1, n + 1))
     if p.omega1 > 0 and n >= 2:
         c2 = np.array([1.0, -2.0, 1.0]) / (dt * dt)
@@ -107,18 +92,18 @@ def _quadratic_form(p: RefinementParams, n: int) -> np.ndarray:
     if p.omega2 > 0 and n >= 3:
         c3 = np.array([-1.0, 3.0, -3.0, 1.0]) / (dt * dt * dt)
         _add_stencil_gram(Q, c3, p.omega2, range(1, n - 1))
-    knot_index = np.arange(1, n // p.k + 1) * p.k
+    knot_index = np.arange(1, n // k + 1) * k
     Q[knot_index, knot_index] += p.omega3
     Q.setflags(write=False)
     return Q
 
 
 @lru_cache(maxsize=8)
-def _banded_factor(p: RefinementParams, n: int) -> np.ndarray:
+def _banded_factor(p: RefinementParams, k: int, n: int) -> np.ndarray:
     """Upper banded Cholesky factor of Q[2:, 2:], the system left once the
     two constrained samples are eliminated; raises LinAlgError when that
     system is singular."""
-    h = _quadratic_form(p, n)[2:, 2:]
+    h = _quadratic_form(p, k, n)[2:, 2:]
     bw = min(3, h.shape[0] - 1)
     ab = np.zeros((bw + 1, h.shape[0]))
     for offset in range(bw + 1):
@@ -128,23 +113,25 @@ def _banded_factor(p: RefinementParams, n: int) -> np.ndarray:
     return factor
 
 
-def _fine_steps(coarse: CoarsePlan, p: RefinementParams) -> int:
-    """Index n of the last fine sample of the refined `coarse`; raises
-    RefinementError when the plan cannot be refined with `p`."""
+def _fine_steps(coarse: CoarsePlan) -> tuple[int, int]:
+    """The fine steps k per coarse step of `coarse` and the index n of the
+    last fine sample of its refinement; raises RefinementError when the
+    plan cannot be refined."""
     if len(coarse.s) < 3:
         raise RefinementError("coarse plan too short to refine")
-    if abs(p.k * p.dt_fine - coarse.dt) > 1e-12:
-        raise RefinementError(
-            f"k*dt_fine={p.k * p.dt_fine} does not match coarse step {coarse.dt}"
-        )
+    try:
+        k = fine_steps_per(coarse.dt)
+    except ValueError as exc:
+        raise RefinementError(str(exc)) from None
     # the final coarse state overshoots the horizon; refine up to the one before
-    return (len(coarse.s) - 2) * p.k
+    return k, (len(coarse.s) - 2) * k
 
 
 def _solve_stacked(
-    p: RefinementParams, n: int, s0: np.ndarray, v0: np.ndarray, sc_knots: np.ndarray
+    p: RefinementParams, k: int, n: int, s0: np.ndarray, v0: np.ndarray,
+    sc_knots: np.ndarray,
 ) -> tuple[np.ndarray | None, list[RefinementError | None]]:
-    """Solve the systems of one horizon n, one per row of the initial
+    """Solve the systems of one k and horizon n, one per row of the initial
     states `s0`, `v0` and the tracked arc-lengths `sc_knots` (rows, knots),
     with x0, x1 eliminated through the constraints. Returns the s values
     (rows, n + 1) and, per row, None or the RefinementError that row ends
@@ -176,15 +163,15 @@ def _solve_stacked(
     checks are per row.
     """
     rows = len(s0)
-    if p.omega1 == 0.0 and p.omega2 == 0.0 and p.k > 1:
+    if p.omega1 == 0.0 and p.omega2 == 0.0 and k > 1:
         exc = (
             "untracked interior knots with zero smoothing weights make the "
-            "system singular; set omega1/omega2 > 0 or k = 1"
+            "system singular; set omega1/omega2 > 0 or plan at dt = 0.1 (k = 1)"
         )
         return None, [RefinementError(exc) for _ in range(rows)]
-    Q = _quadratic_form(p, n)
-    dt = p.dt_fine
-    knot_index = np.arange(1, n // p.k + 1) * p.k
+    Q = _quadratic_form(p, k, n)
+    dt = FINE_DT
+    knot_index = np.arange(1, n // k + 1) * k
     X = s0[:, None] + np.arange(n + 1) * (v0 * dt)[:, None]
     X[:, 0] = s0
     errors: list[RefinementError | None] = [None] * rows
@@ -196,11 +183,11 @@ def _solve_stacked(
         kj = knot_index[tracked]
         rhs[:, kj - 2] = p.omega3 * (sc_knots[:, tracked] - X[:, kj])
         try:
-            factor = (_banded_factor(p, n), False)
+            factor = (_banded_factor(p, k, n), False)
         except np.linalg.LinAlgError:
             exc = (
                 "singular smoothing system; add acceleration or jerk weight, "
-                "or track every fine knot (k=1)"
+                "or track every fine knot (k = 1)"
             )
             return None, [RefinementError(exc) for _ in range(rows)]
         # a non-finite right-hand side gives a non-finite u, refused below
@@ -236,52 +223,46 @@ def _solve_stacked(
 
 def refine_trajectory(
     problems, p: RefinementParams
-) -> list[RefinedTrajectory | RefinementError]:
-    """For each `(coarse, v0, s0)` problem, the coarse plan smoothed onto
-    the fine grid from the state (s0, v0) at t = 0, or the RefinementError
-    that ends its refinement.
+) -> list[np.ndarray | RefinementError]:
+    """For each `(coarse, v0, s0)` problem, the (n + 1,) arc-lengths of
+    the coarse plan smoothed onto the fine grid from the state (s0, v0) at
+    t = 0, or the RefinementError that ends its refinement.
 
-    Plans with the same number of states are solved together, as rows of
-    `_solve_stacked`; every other step is elementwise over those rows, so
-    each trajectory has the bits of a refinement of its plan alone."""
-    out: list[RefinedTrajectory | RefinementError | None] = [None] * len(problems)
-    groups: dict[int, list[int]] = {}
+    Plans with the same k and number of states are solved together, as
+    rows of `_solve_stacked`; every other step is elementwise over those
+    rows, so each trajectory has the bits of a refinement of its plan
+    alone."""
+    out: list[np.ndarray | RefinementError | None] = [None] * len(problems)
+    groups: dict[tuple[int, int], list[int]] = {}
     for j, (coarse, _, _) in enumerate(problems):
         try:
-            groups.setdefault(_fine_steps(coarse, p), []).append(j)
+            groups.setdefault(_fine_steps(coarse), []).append(j)
         except RefinementError as exc:
             out[j] = exc
-    dt = p.dt_fine
-    for n, members in groups.items():
-        plans = [problems[j][0] for j in members]
+    for (k, n), members in groups.items():
         v0 = np.array([problems[j][1] for j in members], dtype=float)
         s0 = np.array([problems[j][2] for j in members], dtype=float)
         # fine samples k, 2k, ..., n track the plan's arc-lengths after its start
-        sc_knots = np.array([plan.s[1 : n // p.k + 1] for plan in plans])
-        X, errors = _solve_stacked(p, n, s0, v0, sc_knots)
+        sc_knots = np.array([problems[j][0].s[1 : n // k + 1] for j in members])
+        X, errors = _solve_stacked(p, k, n, s0, v0, sc_knots)
         if X is None:
             for j, exc in zip(members, errors):
                 out[j] = exc
             continue
-        moved = (np.abs(X[:, 0] - s0) > 1e-8) | (np.abs((X[:, 1] - X[:, 0]) / dt - v0) > 1e-8)
-        grid_t = np.arange(n + 1) * dt
-        grid_t.setflags(write=False)  # shared by the group's trajectories
-        accel = accel_of(X, dt) if n >= 2 else np.zeros((len(plans), 0))
-        jerk = jerk_of(X, dt) if n >= 3 else np.zeros((len(plans), 0))
+        moved = (np.abs(X[:, 0] - s0) > 1e-8) | (
+            np.abs((X[:, 1] - X[:, 0]) / FINE_DT - v0) > 1e-8
+        )
         for row, j in enumerate(members):
             if errors[row] is None and moved[row]:
                 errors[row] = RefinementError("initial-state constraints violated after solve")
-            out[j] = (
-                RefinedTrajectory(grid_t, X[row], accel[row], jerk[row])
-                if errors[row] is None else errors[row]
-            )
+            out[j] = X[row] if errors[row] is None else errors[row]
     return out
 
 
 def refine_one(
     coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
-) -> RefinedTrajectory:
-    """`refine_trajectory` of one problem: its trajectory, or its
+) -> np.ndarray:
+    """`refine_trajectory` of one problem: its arc-lengths, or its
     RefinementError raised."""
     (refined,) = refine_trajectory([(coarse, v0, s0)], p)
     if isinstance(refined, RefinementError):

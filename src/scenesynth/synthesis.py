@@ -16,7 +16,9 @@ samples) plus the local map crop. Scene files are self-contained::
 Trajectory coordinates carry 9 decimal places; metadata floats use repr
 and reload exactly. Every byte of a scene file is a deterministic function
 of (seed, config, maps), which keeps datasets reproducible across worker
-counts.
+counts. The manifest's config block is `GenerationConfig.echo()`, one
+line per `CONFIG_KEYS` row, and reads back as the same config; the worker
+count is a run detail that no output file records.
 
 An attempt at a scene has three phases: `draw_scene` makes every random
 draw (warp, reference path, speeds, start), `plan_and_refine` plans
@@ -32,7 +34,9 @@ them in one call each, and finishes each; a failed attempt is retried in
 the next round. Each attempt draws from its own `[seed, index, attempt]`
 stream, and neither a plan nor its refinement depends on its batch, so
 the bytes do not depend on the round size or the worker count.
-`make_scene` runs the three phases for one scene.
+`make_scene` runs the three phases for one scene. The refined
+trajectory is already on the scene grid: the fine step of refinement is
+`SCENE_DT`, and the planner step `dt` is a whole number of it.
 """
 
 from __future__ import annotations
@@ -67,11 +71,11 @@ from .maps import (
     write_text_atomic,
 )
 from .planner import CoarsePlan, PlannerParams, astar_plan, sample_speed_targets
-from .refine import RefinedTrajectory, RefinementParams, refine_trajectory
+from .refine import FINE_DT, RefinementParams, fine_steps_per, refine_trajectory
 from . import maps as maps_mod
 from . import planner as planner_mod
 
-SCENE_DT = 0.1
+SCENE_DT = FINE_DT
 HISTORY_SAMPLES = 20
 FUTURE_SAMPLES = 30
 SCENE_SAMPLES = HISTORY_SAMPLES + FUTURE_SAMPLES
@@ -107,27 +111,34 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _parse_finite(text: str) -> float:
+    """The number of every number key: nan and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 INT = ValueType("an integer", int, str)
-FLOAT = ValueType("a number", float, repr)
+FLOAT = ValueType("a finite number", _parse_finite, repr)
 TEXT = ValueType("text", str, str)
 BOOL = ValueType("true or false", _parse_bool, lambda v: str(v).lower())
 FLOATS = ValueType(
-    "comma-separated numbers",
-    lambda text: tuple(float(a) for a in _parse_list(text)),
+    "comma-separated finite numbers",
+    lambda text: tuple(_parse_finite(a) for a in _parse_list(text)),
     lambda v: ",".join(map(repr, v)),
 )
 PATHS = ValueType("comma-separated paths", lambda text: tuple(_parse_list(text)), ",".join)
 FLOAT_OR_NONE = ValueType(
-    "a number or none",
-    lambda text: None if text.lower() == "none" else float(text),
+    "a finite number or none",
+    lambda text: None if text.lower() == "none" else _parse_finite(text),
     lambda v: "none" if v is None else repr(v),
 )
 
 # One row per config key, in manifest order: the key, the GenerationConfig
 # field it sets (dotted into `planner`, `refinement` and the `v_d_range`
 # pair) and its value type. Defaults are the dataclass field defaults.
-# `map_files` names the map files, which no GenerationConfig holds.
-CONFIG_KEYS: tuple[tuple[str, str | None, ValueType], ...] = (
+CONFIG_KEYS: tuple[tuple[str, str, ValueType], ...] = (
     ("seed", "seed", INT),
     ("n_scenes", "n_scenes", INT),
     ("output_dir", "output_dir", TEXT),
@@ -145,13 +156,11 @@ CONFIG_KEYS: tuple[tuple[str, str | None, ValueType], ...] = (
     ("omega1", "refinement.omega1", FLOAT),
     ("omega2", "refinement.omega2", FLOAT),
     ("omega3", "refinement.omega3", FLOAT),
-    ("dt_fine", "refinement.dt_fine", FLOAT),
-    ("k", "refinement.k", INT),
     ("path_min_length", "path_min_length", FLOAT),
     ("path_spacing", "path_spacing", FLOAT),
     ("retry_budget", "retry_budget", INT),
     ("max_warp_slope", "max_warp_slope", FLOAT_OR_NONE),
-    ("map_files", None, PATHS),
+    ("map_files", "map_files", PATHS),
 )
 
 
@@ -174,9 +183,10 @@ class GenerationConfig:
     planner: PlannerParams = PlannerParams()
     refinement: RefinementParams = RefinementParams()
     path_min_length: float = 150.0
-    path_spacing: float = 1.0
+    path_spacing: float = maps_mod.REFERENCE_SPACING
     retry_budget: int = 5
     max_warp_slope: float | None = None
+    map_files: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.seed < 0:
@@ -199,17 +209,16 @@ class GenerationConfig:
                 f"max_warp_slope must be >= {MIN_WARP_SLOPE} or none, "
                 f"got {self.max_warp_slope}"
             )
-        if abs(self.refinement.dt_fine - SCENE_DT) > 1e-12:
-            raise ConfigError(
-                f"refinement dt_fine must be {SCENE_DT} to emit 10 Hz scenes"
-            )
-        fine_step = self.refinement.k * self.refinement.dt_fine
-        if abs(fine_step - self.planner.dt) > 1e-12:
-            raise ConfigError(
-                f"k*dt_fine={fine_step} does not match the planner step dt={self.planner.dt}"
-            )
+        if self.path_min_length <= 0:
+            raise ConfigError(f"path_min_length must be positive, got {self.path_min_length}")
+        if self.path_spacing <= 0:
+            raise ConfigError(f"path_spacing must be positive, got {self.path_spacing}")
+        try:
+            k = fine_steps_per(self.planner.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         n_knots = planner_mod._n_steps(self.planner) - 1
-        if n_knots * self.refinement.k + 1 < SCENE_SAMPLES:
+        if n_knots * k + 1 < SCENE_SAMPLES:
             raise ConfigError(
                 "planner horizon too short for a full 50-sample scene"
             )
@@ -221,10 +230,8 @@ class GenerationConfig:
         default = cls()
         groups: dict[str, dict[str, object]] = {}
         for key, path, _ in CONFIG_KEYS:
-            if path:
-                owner, _, name = path.rpartition(".")
-                value = values.get(key, config_field(default, path))
-                groups.setdefault(owner, {})[name] = value
+            owner, _, name = path.rpartition(".")
+            groups.setdefault(owner, {})[name] = values.get(key, config_field(default, path))
         try:
             planner = PlannerParams(**groups["planner"])
             refinement = RefinementParams(**groups["refinement"])
@@ -240,9 +247,7 @@ class GenerationConfig:
         """(key, value) in config syntax for each CONFIG_KEYS field, for the
         manifest; the lines read back through `cli.parse_run_config`."""
         return [
-            (key, vtype.format(config_field(self, path)))
-            for key, path, vtype in CONFIG_KEYS
-            if path
+            (key, vtype.format(config_field(self, path))) for key, path, vtype in CONFIG_KEYS
         ]
 
 
@@ -382,14 +387,15 @@ def draw_scene(
     return Draft(scene_id, base_map.city, metadata, work_map, path, s0, v0, v_d)
 
 
-Outcome = tuple[CoarsePlan, RefinedTrajectory] | SceneSynthError
+# a plan and its refined arc-lengths on the scene grid, or the attempt's error
+Outcome = tuple[CoarsePlan, np.ndarray] | SceneSynthError
 
 
 def plan_and_refine(drafts: list[Draft], cfg: GenerationConfig) -> list[Outcome]:
     """Plan the drafts in one `astar_plan` call and refine their plans in
     one `refine_trajectory` call, each under the config's one set of
-    parameters: per draft, its (plan, trajectory), or the error that its
-    planning or refinement ended in."""
+    parameters: per draft, its plan and refined arc-lengths, or the error
+    that its planning or refinement ended in."""
     outcomes: list[Outcome] = astar_plan(
         [(d.path, d.s0, d.v0, d.v_d) for d in drafts], cfg.planner
     )
@@ -398,8 +404,8 @@ def plan_and_refine(drafts: list[Draft], cfg: GenerationConfig) -> list[Outcome]
         refined = refine_trajectory(
             [(outcomes[k], drafts[k].v0, drafts[k].s0) for k in planned], cfg.refinement
         )
-        for k, traj in zip(planned, refined):
-            outcomes[k] = traj if isinstance(traj, RefinementError) else (outcomes[k], traj)
+        for k, s_fine in zip(planned, refined):
+            outcomes[k] = s_fine if isinstance(s_fine, RefinementError) else (outcomes[k], s_fine)
     return outcomes
 
 
@@ -410,10 +416,9 @@ def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig)
     validate the scene."""
     if isinstance(outcome, SceneSynthError):
         raise outcome
-    (plan, refined), path = outcome, draft.path
-    s_fine = refined.s_values[:SCENE_SAMPLES]
+    (plan, s_fine), path = outcome, draft.path
     timestamps = np.arange(SCENE_SAMPLES) * SCENE_DT
-    xy = path.xy_at(s_fine)
+    xy = path.xy_at(s_fine[:SCENE_SAMPLES])
 
     center = Point2(float(xy[SCENE_SAMPLES // 2, 0]), float(xy[SCENE_SAMPLES // 2, 1]))
     crop = crop_map(draft.work_map, center, cfg.crop_radius)
@@ -567,13 +572,34 @@ class SceneRecord:
     reason: str = ""
 
 
+def manifest_counts(rows) -> dict[str, int]:
+    """The `# count` lines of a manifest whose rows have the fields
+    (status, city, ...) `rows`, as {key: count} in manifest order: the
+    total, each status, then each city of the rows not skipped, by name. A
+    row of another status counts in the total and for its city, and a row
+    without a city field for no city."""
+    counts = {"total": 0, "original": 0, "augmented": 0, "skipped": 0}
+    cities: dict[str, int] = {}
+    for row in rows:
+        counts["total"] += 1
+        if row[0] in ("original", "augmented", "skipped"):
+            counts[row[0]] += 1
+        if row[0] != "skipped" and len(row) > 1:
+            cities[row[1]] = cities.get(row[1], 0) + 1
+    counts.update((f"city {city}", cities[city]) for city in sorted(cities))
+    return counts
+
+
 @dataclass
 class DatasetManifest:
     path: Path
     records: list[SceneRecord]
-    counts: dict[str, int]
-    per_city: dict[str, int]
     elapsed_s: float
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """`manifest_counts` of the records."""
+        return manifest_counts((rec.status, rec.city) for rec in self.records)
 
     @property
     def scenes_per_s(self) -> float:
@@ -704,25 +730,15 @@ def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
     return SceneRecord(index, path.name, *manifest_fields(meta), 0, 0.0)
 
 
-def manifest_text(
-    cfg: GenerationConfig,
-    maps: list[SceneMap],
-    manifest: DatasetManifest,
-    extra_config: list[tuple[str, str]] | None = None,
-) -> str:
+def manifest_text(cfg: GenerationConfig, maps: list[SceneMap], manifest: DatasetManifest) -> str:
     lines = ["# scenesynth dataset manifest"]
     for key, value in cfg.echo():
-        lines.append(f"# config {key}: {value}")
-    for key, value in extra_config or []:
         lines.append(f"# config {key}: {value}")
     lines.append(
         "# maps: " + ";".join(f"{m.city}={len(m.lanes)}" for m in maps)
     )
-    lines.append(f"# count total: {len(manifest.records)}")
-    for key in ("original", "augmented", "skipped"):
-        lines.append(f"# count {key}: {manifest.counts[key]}")
-    for city in sorted(manifest.per_city):
-        lines.append(f"# count city {city}: {manifest.per_city[city]}")
+    for key, value in manifest.counts.items():
+        lines.append(f"# count {key}: {value}")
     for rec in manifest.records:
         if rec.status == "skipped":
             lines.append(f"{rec.filename},skipped,-,-,{rec.reason}")
@@ -752,7 +768,6 @@ def generate_dataset(
     cfg: GenerationConfig,
     workers: int = 1,
     log=None,
-    extra_config: list[tuple[str, str]] | None = None,
 ) -> DatasetManifest:
     """Write `cfg.n_scenes` scene files plus a manifest into the output dir.
 
@@ -800,15 +815,8 @@ def generate_dataset(
                     _finish_record(rec, out_dir, log)
 
     ordered = [records[i] for i in range(cfg.n_scenes)]
-    elapsed = time.perf_counter() - t0
-    counts = {"original": 0, "augmented": 0, "skipped": 0}
-    per_city: dict[str, int] = {}
-    for rec in ordered:
-        counts[rec.status] += 1
-        if rec.status != "skipped":
-            per_city[rec.city] = per_city.get(rec.city, 0) + 1
-    manifest = DatasetManifest(out_dir / "manifest.txt", ordered, counts, per_city, elapsed)
-    write_text_atomic(manifest.path, manifest_text(cfg, maps, manifest, extra_config))
+    manifest = DatasetManifest(out_dir / "manifest.txt", ordered, time.perf_counter() - t0)
+    write_text_atomic(manifest.path, manifest_text(cfg, maps, manifest))
     return manifest
 
 

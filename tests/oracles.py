@@ -4,8 +4,9 @@ Everything here recomputes results from first principles (enumeration,
 densification, direct formulas) and deliberately avoids the code paths it
 is used to verify. The scalar statements of formulas that the package
 computes in array form also live here: the planner's `expand` and
-`transition_cost`, the warp profiles, and the refinement system with its
-gradient and stationarity residual. `solve_system` runs the package's
+`transition_cost`, the warp profiles, the acceleration and jerk stencils
+(`accel_of`, `jerk_of`), and the refinement system with its gradient and
+stationarity residual. `solve_system` runs the package's
 solver on that system and takes the multipliers from the two eliminated
 stationarity rows, so the residual and gradient checks test the solver's
 output against system data formed independently of it.
@@ -45,10 +46,8 @@ from scenesynth.refine import (
     _fine_steps,
     _quadratic_form,
     _solve_stacked,
-    accel_of,
-    jerk_of,
 )
-from scenesynth.synthesis import CSV_HEADER, SCENE_SAMPLES, Scene, validate_scene
+from scenesynth.synthesis import CSV_HEADER, SCENE_DT, SCENE_SAMPLES, Scene, validate_scene
 
 
 def binomial_band(n: int, p: float, z: float = 2.5758293035489004):
@@ -284,6 +283,25 @@ def reference_sample_text(
     return "\n".join(lines) + "\n"
 
 
+def accel_of(s: np.ndarray, dt_fine: float) -> np.ndarray:
+    """Central second difference per interior sample, along the last axis."""
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1] < 3:
+        raise ValueError(f"need at least 3 samples, got {s.shape[-1]}")
+    return (s[..., 2:] - 2.0 * s[..., 1:-1] + s[..., :-2]) / (dt_fine * dt_fine)
+
+
+def jerk_of(s: np.ndarray, dt_fine: float) -> np.ndarray:
+    """Third difference (s[i+2] - 3 s[i+1] + 3 s[i] - s[i-1]) / dt^3, along
+    the last axis."""
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1] < 4:
+        raise ValueError(f"need at least 4 samples, got {s.shape[-1]}")
+    return (s[..., 3:] - 3.0 * s[..., 2:-1] + 3.0 * s[..., 1:-2] - s[..., :-3]) / (
+        dt_fine * dt_fine * dt_fine
+    )
+
+
 @dataclass(frozen=True)
 class RefinementSystem:
     """Quadratic data: objective x'Qx - 2 q'x + const, constraints A x = b."""
@@ -297,17 +315,18 @@ class RefinementSystem:
     knot_index: np.ndarray
     sc_knots: np.ndarray
     params: RefinementParams
+    k: int  # fine steps per coarse step
 
 
 def build_refinement_system(
     coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
 ) -> RefinementSystem:
-    n = _fine_steps(coarse, p)
-    dt = p.dt_fine
+    k, n = _fine_steps(coarse)
+    dt = SCENE_DT
     grid_t = np.arange(n + 1) * dt
 
-    knot_index = np.arange(1, n // p.k + 1) * p.k
-    sc_knots = np.array(coarse.s[1 : n // p.k + 1])
+    knot_index = np.arange(1, n // k + 1) * k
+    sc_knots = np.array(coarse.s[1 : n // k + 1])
     q = np.zeros(n + 1)
     q[knot_index] += p.omega3 * sc_knots
     const = float(p.omega3 * np.dot(sc_knots, sc_knots))
@@ -318,7 +337,7 @@ def build_refinement_system(
     A[1, 1] = 1.0 / dt
     b = np.array([s0, v0])
     return RefinementSystem(
-        grid_t, _quadratic_form(p, n), q, const, A, b, knot_index, sc_knots, p
+        grid_t, _quadratic_form(p, k, n), q, const, A, b, knot_index, sc_knots, p, k
     )
 
 
@@ -344,23 +363,25 @@ def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
     solver `refine_trajectory` runs; returns (s values, multipliers), the
     multipliers taken from the two eliminated stationarity rows."""
     X, (exc,) = _solve_stacked(
-        sys.params, len(sys.grid_t) - 1, sys.b[:1], sys.b[1:], sys.sc_knots[None]
+        sys.params, sys.k, len(sys.grid_t) - 1, sys.b[:1], sys.b[1:], sys.sc_knots[None]
     )
     if exc is not None:
         raise exc
     x = X[0]
     grad = objective_gradient(x, sys)
-    return x, np.array([-grad[0] - grad[1], -sys.params.dt_fine * grad[1]])
+    return x, np.array([-grad[0] - grad[1], -SCENE_DT * grad[1]])
 
 
 def reference_refine(coarse, p, v0, s0):
     """Refined arc-lengths by the per-scene path `refine` replaced: the
     dense Q assembled by a loop over every stencil entry, the banded
     system re-extracted from it, and `solveh_banded` for the solve and
-    both polish steps. Returns the s values only; no checks."""
+    both polish steps, with k = coarse.dt / 0.1 fine steps of 0.1 s per
+    coarse step. Returns the s values only; no checks."""
+    dt = 0.1
+    k = round(coarse.dt / dt)
     m_knots = len(coarse.s) - 2
-    n = m_knots * p.k
-    dt = p.dt_fine
+    n = m_knots * k
     Q = np.zeros((n + 1, n + 1))
     if p.omega1 > 0 and n >= 2:
         c2 = np.array([1.0, -2.0, 1.0]) / (dt * dt)
@@ -376,7 +397,7 @@ def reference_refine(coarse, p, v0, s0):
             for a, ca in zip(cols, c3):
                 for bcol, cb in zip(cols, c3):
                     Q[a, bcol] += p.omega2 * ca * cb
-    knot_index = np.arange(1, m_knots + 1) * p.k
+    knot_index = np.arange(1, m_knots + 1) * k
     sc_knots = np.array([coarse.s[j] for j in range(1, m_knots + 1)])
     Q[knot_index, knot_index] += p.omega3
 
@@ -405,9 +426,9 @@ def objective_value(x: np.ndarray, sys: RefinementSystem) -> float:
     p = sys.params
     total = 0.0
     if x.size >= 3:
-        total += p.omega1 * float(np.sum(accel_of(x, p.dt_fine) ** 2))
+        total += p.omega1 * float(np.sum(accel_of(x, SCENE_DT) ** 2))
     if x.size >= 4:
-        total += p.omega2 * float(np.sum(jerk_of(x, p.dt_fine) ** 2))
+        total += p.omega2 * float(np.sum(jerk_of(x, SCENE_DT) ** 2))
     total += p.omega3 * float(np.sum((x[sys.knot_index] - sys.sc_knots) ** 2))
     return total
 

@@ -176,7 +176,7 @@ def test_criterion_3_refinement_correctness():
             sys = build_refinement_system(plan, p, v0=v0, s0=s0)
             x, lam = solve_system(sys)
             assert abs(x[0] - s0) < 1e-8
-            assert abs((x[1] - x[0]) / p.dt_fine - v0) < 1e-8
+            assert abs((x[1] - x[0]) / 0.1 - v0) < 1e-8
             assert stationarity_residual(x, lam, sys) < 1e-6
             # analytic gradient vs central differences at a random point
             probe = x + rng.normal(scale=0.1, size=x.size)
@@ -194,11 +194,11 @@ def test_criterion_3_refinement_correctness():
         for a in (0.5, -0.5, 0.0, 1.0, -1.0, 0.5):
             nodes.append(expand(nodes[-1], a, 0.1))
         plan = plan_of_nodes(nodes, (0.5, -0.5, 0.0, 1.0, -1.0, 0.5), 0.0, 0.1)
-        pt = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=1)
+        pt = RefinementParams(omega1=0.0, omega2=0.0)  # k = 1 at the plan's 0.1 s step
         v0 = (nodes[1].s - nodes[0].s) / 0.1
-        traj = refine_one(plan, pt, v0=v0, s0=nodes[0].s)
+        s = refine_one(plan, pt, v0=v0, s0=nodes[0].s)
         coarse = np.array([n.s for n in nodes[:-1]])
-        assert np.abs(traj.s_values - coarse).max() < 1e-8
+        assert np.abs(s - coarse).max() < 1e-8
         assert time.perf_counter() - t0 < 30.0
 
 

@@ -4,6 +4,7 @@ import io
 import os
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,6 +24,9 @@ from scenesynth.maps import LaneSegment, load_map, make_map, save_map
 from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
 from scenesynth.synthesis import (
     CONFIG_KEYS,
+    FLOAT,
+    FLOAT_OR_NONE,
+    FLOATS,
     GenerationConfig,
     config_field,
     generate_dataset,
@@ -125,9 +129,21 @@ def test_generate_manifest_echoes_each_config_key_once(tmp_path, map_file):
         ln[len("# config "):].split(": ", 1) for ln in lines if ln.startswith("# config ")
     )
     assert echoed["seed"] == "21"
-    assert echoed["workers"] == "2"
     assert echoed["map_files"] == str(map_file)
-    assert keys == [key for key, _, _ in CONFIG_KEYS] + ["workers"]
+    assert keys == [key for key, _, _ in CONFIG_KEYS]
+    assert list(echoed.items()) == parse_run_config(cfg).echo()
+
+
+def test_generate_manifests_of_one_and_two_workers_are_byte_identical(tmp_path, map_file):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=6)
+    scenes = tmp_path / "scenes"
+    written = []
+    for workers in ("1", "2"):
+        assert main(["generate", "--config", str(cfg), "--workers", workers]) == 0
+        written.append({f.name: f.read_bytes() for f in scenes.iterdir()})
+        shutil.rmtree(scenes)
+    assert "manifest.txt" in written[0]
+    assert written[0] == written[1]
 
 
 def test_generate_unknown_config_key_exits_2(tmp_path, map_file, capsys):
@@ -505,11 +521,11 @@ def test_plot_emits_tables_and_svg(tmp_path, map_file):
 def test_parse_run_config_defaults_and_echo(tmp_path, map_file):
     cfg = write_cfg(tmp_path, map_file)
     run = parse_run_config(cfg)
-    assert run.generation.seed == 21
-    assert run.generation.planner.dt == 0.5
-    assert run.generation.refinement.k == 5
-    assert run.generation.max_warp_slope is None
-    assert dict(run.generation.echo())["n_scenes"] == "8"
+    assert run.seed == 21
+    assert run.planner.dt == 0.5
+    assert run.max_warp_slope is None
+    assert run.map_files == (str(map_file),)
+    assert dict(run.echo())["n_scenes"] == "8"
 
 
 def test_parse_run_config_rejects_garbage_line(tmp_path):
@@ -529,24 +545,23 @@ def test_manifest_config_block_reads_back(tmp_path, map_file):
     )
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
     lines = (tmp_path / "scenes" / "manifest.txt").read_text().splitlines()
-    block = [ln[len("# config "):] for ln in lines
-             if ln.startswith("# config ") and not ln.startswith("# config workers:")]
+    block = [ln[len("# config "):] for ln in lines if ln.startswith("# config ")]
     keys = [ln.partition(":")[0] for ln in block]
     assert keys == [key for key, _, _ in CONFIG_KEYS]
     echo = tmp_path / "echo.cfg"
     echo.write_text("\n".join(block) + "\n")
     run, back = parse_run_config(cfg), parse_run_config(echo)
-    assert back.generation == run.generation
-    assert back.map_files == run.map_files == (str(map_file), str(other))
-    assert run.generation.max_warp_slope == 3.5
-    assert run.generation.planner.action_set == (-2.0, -1.0, 0.0, 1.0)
+    assert back == run
+    assert back.map_files == (str(map_file), str(other))
+    assert run.max_warp_slope == 3.5
+    assert run.planner.action_set == (-2.0, -1.0, 0.0, 1.0)
 
 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("# nothing set\n")
     run = parse_run_config(cfg)
-    assert run.generation == GenerationConfig()
+    assert run == GenerationConfig()
     assert run.map_files == ()
 
 
@@ -554,16 +569,15 @@ def test_docstring_lists_each_config_key_with_its_default():
     rows = re.findall(r"^    (\w+) = ?(.*?)(?: {2,}.*)?$", cli.__doc__, flags=re.M)
     default = GenerationConfig()
     expected = [
-        (key, vtype.format(config_field(default, path) if path else ()))
-        for key, path, vtype in CONFIG_KEYS
+        (key, vtype.format(config_field(default, path))) for key, path, vtype in CONFIG_KEYS
     ]
     assert rows == expected
-    assert len(rows) == 24
+    assert len(rows) == 22
 
 
 @pytest.mark.parametrize(
     "key", ["mask_ratio", "map_fraction", "speed_bin_width", "speed_max",
-            "miss_threshold"],
+            "miss_threshold", "k", "dt_fine"],
 )
 def test_removed_config_keys_exit_2(tmp_path, map_file, key, capsys):
     cfg = write_cfg(tmp_path, map_file, **{key: "0.5"})
@@ -573,7 +587,7 @@ def test_removed_config_keys_exit_2(tmp_path, map_file, key, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("action_set", "-1,fast"), ("dt", "x"), ("k", "1.5"),
+    [("action_set", "-1,fast"), ("dt", "x"), ("n_scenes", "1.5"),
      ("abs_curvature", "maybe"), ("max_warp_slope", "steep")],
 )
 def test_config_parse_error_names_the_key(tmp_path, map_file, key, value, capsys):
@@ -590,9 +604,58 @@ def test_generate_warp_slope_cap_below_every_warp_exits_2(tmp_path, map_file, ca
 
 
 def test_generate_coarse_step_other_than_k_fine_steps_exits_2(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, dt=0.45)
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "dt=0.45 is not a whole number of 0.1 s steps" in capsys.readouterr().err
+    # a whole number of steps, but 12 knots of 4 fine steps make 49 samples
     cfg = write_cfg(tmp_path, map_file, dt=0.4)
     assert main(["generate", "--config", str(cfg)]) == 2
-    assert "k*dt_fine=0.5 does not match the planner step dt=0.4" in capsys.readouterr().err
+    assert "planner horizon too short" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
+
+
+def test_generate_at_a_coarse_step_of_two_fine_steps(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=2, dt=0.2)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    assert main(["validate", "--scenes", str(tmp_path / "scenes")]) == 0
+    assert len(list((tmp_path / "scenes").glob("scene_*.csv"))) == 2
+
+
+NUMBER_KEYS = [key for key, _, vtype in CONFIG_KEYS if vtype in (FLOAT, FLOATS, FLOAT_OR_NONE)]
+
+
+def assert_config_error(argv, capsys):
+    """`argv` exits 2 with one `config error:` line and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", NUMBER_KEYS)
+def test_generate_non_finite_number_exits_2(tmp_path, map_file, key, value, capsys):
+    cfg = write_cfg(tmp_path, map_file, **{key: value})
+    assert_config_error(["generate", "--config", str(cfg)], capsys)
+    assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("path_spacing", "0"), ("path_spacing", "-1"), ("path_min_length", "0"),
+     ("path_min_length", "-5")],
+)
+def test_generate_non_positive_path_setting_exits_2(tmp_path, map_file, key, value, capsys):
+    cfg = write_cfg(tmp_path, map_file, **{key: value})
+    assert_config_error(["generate", "--config", str(cfg)], capsys)
+    assert not (tmp_path / "scenes").exists()
+
+
+def test_generate_repeated_config_key_exits_2(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file)
+    cfg.write_text(cfg.read_text() + "# a comment\nseed: 22\n")
+    assert_config_error(["generate", "--config", str(cfg)], capsys)
+    with pytest.raises(ConfigError, match=r"run.cfg:6: seed is already set on line 1$"):
+        parse_run_config(cfg)
     assert not (tmp_path / "scenes").exists()
 
 
@@ -683,3 +746,13 @@ def test_compare_outputs_names_files_that_differ_across_worker_counts():
         "T/scenes_w2/scene_000000.csv: differs from scenes/scene_000000.csv",
         "T/samples_w2/sample_000001.txt: differs from samples/sample_000001.txt",
     ]
+
+
+def test_compare_outputs_shows_the_first_line_that_differs():
+    script = runpy.run_path(str(REPO / "scripts" / "compare_outputs.py"), run_name="compare")
+    first = script["first_difference"]
+    assert first(b"a\nb\nc\n", b"a\nc\n") == "\n    line 2, old: b\n    line 2, new: c"
+    assert first(b"a\n", b"a\nb\n") == (
+        "\n    line 2, old: <end of file>\n    line 2, new: b"
+    )
+    assert first(b"\xff", b"a") == ""

@@ -3,8 +3,10 @@ import pytest
 
 from oracles import (
     Node,
+    accel_of,
     build_refinement_system,
     expand,
+    jerk_of,
     objective_gradient,
     objective_value,
     reference_refine,
@@ -15,13 +17,7 @@ from oracles import (
 from scenesynth import synthesis
 from scenesynth.errors import RefinementError, SceneSynthError
 from scenesynth.planner import PlannerParams
-from scenesynth.refine import (
-    RefinementParams,
-    accel_of,
-    jerk_of,
-    refine_one,
-    refine_trajectory,
-)
+from scenesynth.refine import RefinementParams, refine_one, refine_trajectory
 
 
 def make_plan(actions, v0=10.0, s0=0.0, dt=0.5):
@@ -81,35 +77,33 @@ def test_params_validation():
         RefinementParams(omega3=0.0)
     with pytest.raises(ValueError):
         RefinementParams(omega1=-1.0)
-    with pytest.raises(ValueError):
-        RefinementParams(k=0)
-    with pytest.raises(ValueError):
-        RefinementParams(dt_fine=0.0)
 
 
 def test_grid_and_knots_cover_horizon():
-    plan = make_plan([0.0] * 11)
-    p = RefinementParams()
-    traj = refine_one(plan, p, v0=10.0, s0=0.0)
-    assert traj.timestamps.shape == (51,)
-    assert traj.timestamps[0] == 0.0
-    assert traj.timestamps[-1] == pytest.approx(5.0)
-    assert np.allclose(np.diff(traj.timestamps), 0.1)
+    # a plan to a 5 s horizon has one state past it: 5 / dt knots of k
+    # fine steps, so the 0.1 s grid runs from 0 to 5 s at every step
+    for dt, k in ((0.5, 5), (0.2, 2), (0.1, 1)):
+        plan = make_plan([0.0] * (round(5.0 / dt) + 1), dt=dt)
+        s = refine_one(plan, RefinementParams(), v0=10.0, s0=0.0)
+        assert s.shape == (51,)
+        # every k-th fine sample is the constant-speed plan's state
+        assert np.abs(s[::k] - np.array(plan.s[:-1])).max() < 1e-8
 
 
 def test_k_dt_mismatch_rejected():
-    plan = make_plan([0.0] * 11)
-    with pytest.raises(RefinementError, match="coarse step"):
-        refine_one(plan, RefinementParams(dt_fine=0.1, k=4), 10.0, 0.0)
+    # a coarse step that is not a whole number of 0.1 s fine steps
+    plan = make_plan([0.0] * 11, dt=0.45)
+    with pytest.raises(RefinementError, match="dt=0.45 is not a whole number of 0.1 s steps"):
+        refine_one(plan, RefinementParams(), 10.0, 0.0)
 
 
 def test_constant_velocity_plan_refines_to_line():
     plan = make_plan([0.0] * 11, v0=8.0, s0=2.0)
-    traj = refine_one(plan, RefinementParams(), v0=8.0, s0=2.0)
-    expected = 2.0 + 8.0 * traj.timestamps
-    assert np.abs(traj.s_values - expected).max() < 1e-8
-    assert np.abs(traj.accel).max() < 1e-8
-    assert np.abs(traj.jerk).max() < 1e-7
+    s = refine_one(plan, RefinementParams(), v0=8.0, s0=2.0)
+    expected = 2.0 + 8.0 * np.arange(s.size) * 0.1
+    assert np.abs(s - expected).max() < 1e-8
+    assert np.abs(accel_of(s, 0.1)).max() < 1e-8
+    assert np.abs(jerk_of(s, 0.1)).max() < 1e-7
 
 
 def test_pure_tracking_reproduces_consistent_coarse():
@@ -117,16 +111,16 @@ def test_pure_tracking_reproduces_consistent_coarse():
     # state is consistent with the coarse plan under the forward-difference
     # velocity definition
     plan = make_plan([0.5, -0.5, 1.0, 0.0, -1.0, 0.5], v0=6.0, s0=1.0, dt=0.1)
-    p = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=1)
-    v0_fd = (plan.s[1] - plan.s[0]) / p.dt_fine
-    traj = refine_one(plan, p, v0=v0_fd, s0=1.0)
+    p = RefinementParams(omega1=0.0, omega2=0.0)
+    v0_fd = (plan.s[1] - plan.s[0]) / 0.1
+    s = refine_one(plan, p, v0=v0_fd, s0=1.0)
     coarse_s = np.array(plan.s[:-1])
-    assert np.abs(traj.s_values - coarse_s).max() < 1e-8
+    assert np.abs(s - coarse_s).max() < 1e-8
 
 
 def test_zero_smoothing_with_untracked_knots_raises():
     plan = make_plan([0.0] * 11)
-    p = RefinementParams(omega1=0.0, omega2=0.0, dt_fine=0.1, k=5)
+    p = RefinementParams(omega1=0.0, omega2=0.0)  # k = 5 at the plan's 0.5 s step
     with pytest.raises(RefinementError, match="singular"):
         refine_one(plan, p, 10.0, 0.0)
 
@@ -138,9 +132,9 @@ def test_initial_constraints_hold_exactly():
         plan = random_plan(rng)
         v0 = float(rng.uniform(0.0, 16.0))
         s0 = plan.s[0] + float(rng.uniform(-1.0, 1.0))
-        traj = refine_one(plan, p, v0=v0, s0=s0)
-        assert abs(traj.s_values[0] - s0) < 1e-8
-        assert abs((traj.s_values[1] - traj.s_values[0]) / 0.1 - v0) < 1e-8
+        s = refine_one(plan, p, v0=v0, s0=s0)
+        assert abs(s[0] - s0) < 1e-8
+        assert abs((s[1] - s[0]) / 0.1 - v0) < 1e-8
 
 
 def test_stationarity_residual_small():
@@ -208,15 +202,8 @@ def test_solution_beats_corrected_interpolant():
         coarse_s = np.array(plan.s)
         candidate = np.interp(sys.grid_t, coarse_t, coarse_s)
         candidate[0] = s0
-        candidate[1] = s0 + v0 * p.dt_fine
+        candidate[1] = s0 + v0 * 0.1
         assert objective_value(x, sys) <= objective_value(candidate, sys) + 1e-9
-
-
-def test_refined_accel_jerk_match_stencils():
-    plan = make_plan([1.0, -0.5, 0.5, 0.0, -1.0, 0.5, 1.0, 0.0, -0.5, 0.0, 0.5])
-    traj = refine_one(plan, RefinementParams(), v0=10.0, s0=0.0)
-    assert np.abs(traj.accel - accel_of(traj.s_values, 0.1)).max() < 1e-9
-    assert np.abs(traj.jerk - jerk_of(traj.s_values, 0.1)).max() < 1e-9
 
 
 @pytest.mark.parametrize("v0", [float("nan"), float("inf")])
@@ -256,12 +243,10 @@ def captured_refinements(corridors_map, monkeypatch, cfg, count):
     return calls[:count]
 
 
-# the default weights, no acceleration weight, one fine step per coarse step
-REFINE_PARAMS = [
-    RefinementParams(),
-    RefinementParams(omega1=0.0),
-    RefinementParams(dt_fine=0.5, k=1),
-]
+# the default weights and no acceleration weight; plans made with dt = 0.1
+# (`test_refine_matches_reference_on_one_step_plans`) have one fine step
+# per coarse step
+REFINE_PARAMS = [RefinementParams(), RefinementParams(omega1=0.0)]
 
 
 def random_batches(rng, n):
@@ -288,29 +273,46 @@ def test_refine_matches_reference_on_generated_plans(
         planner=PlannerParams(t_g=t_g),
     )
     problems = captured_refinements(corridors_map, monkeypatch, cfg, count)
-    rng = np.random.default_rng(count)
+    assert_batches_match_reference(problems, np.random.default_rng(count))
+
+
+def test_refine_matches_reference_on_one_step_plans(corridors_map, monkeypatch):
+    # three actions keep the 50-layer search at 0.1 s steps quick
+    cfg = synthesis.GenerationConfig(
+        output_dir="unused", planner=PlannerParams(dt=0.1, action_set=(-1.0, 0.0, 1.0))
+    )
+    problems = captured_refinements(corridors_map, monkeypatch, cfg, 16)
+    assert {plan.dt for plan, _, _ in problems} == {0.1}
+    assert_batches_match_reference(problems, np.random.default_rng(16))
+
+
+def assert_batches_match_reference(problems, rng):
+    """Refine `problems` in random batches under each of REFINE_PARAMS;
+    every trajectory has the bits of `reference_refine` of its plan."""
     for p in REFINE_PARAMS:
         for batch in random_batches(rng, len(problems)):
             got = refine_trajectory([problems[j] for j in batch], p)
-            for j, traj in zip(batch, got):
+            for j, s in zip(batch, got):
                 plan, v0, s0 = problems[j]
-                assert np.array_equal(traj.s_values, reference_refine(plan, p, v0, s0))
+                assert np.array_equal(s, reference_refine(plan, p, v0, s0))
 
 
 def test_mixed_batch_gives_each_failing_plan_its_own_error():
     rng = np.random.default_rng(9)
     plans = [random_plan(rng) for _ in range(4)]
     problems = [(plan, plan.v[0], plan.s[0]) for plan in plans]
-    coarse_step = make_plan([0.0] * 11, dt=0.4)  # k * dt_fine is 0.5, not 0.4
+    coarse_step = make_plan([0.0] * 11, dt=0.45)  # not a whole number of 0.1 s steps
+    fine_step = make_plan([0.0] * 51, dt=0.1)  # k = 1, in a group of its own
     mixed = [problems[0], (make_plan([0.0]), 10.0, 0.0), problems[1], problems[2],
-             (coarse_step, 10.0, 0.0), problems[3]]
+             (coarse_step, 10.0, 0.0), problems[3], (fine_step, 10.0, 0.0)]
     p = RefinementParams()
     got = refine_trajectory(mixed, p)
     assert isinstance(got[1], RefinementError) and str(got[1]) == "coarse plan too short to refine"
-    assert isinstance(got[4], RefinementError) and "does not match coarse step 0.4" in str(got[4])
-    for traj, (plan, v0, s0) in zip([got[k] for k in (0, 2, 3, 5)], problems):
-        assert np.array_equal(traj.s_values, refine_one(plan, p, v0, s0).s_values)
-        assert np.array_equal(traj.s_values, reference_refine(plan, p, v0, s0))
+    assert isinstance(got[4], RefinementError) and "dt=0.45 is not a whole number" in str(got[4])
+    problems.append((fine_step, 10.0, 0.0))
+    for s, (plan, v0, s0) in zip([got[k] for k in (0, 2, 3, 5, 6)], problems):
+        assert np.array_equal(s, refine_one(plan, p, v0, s0))
+        assert np.array_equal(s, reference_refine(plan, p, v0, s0))
 
 
 def test_cached_quadratic_form_refuses_writes():

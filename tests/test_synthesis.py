@@ -13,7 +13,6 @@ from scenesynth.geometry import Point2
 from scenesynth.maps import crop_map
 from scenesynth import synthesis
 from scenesynth.planner import PlannerParams
-from scenesynth.refine import RefinementParams
 from scenesynth.synthesis import (
     GenerationConfig,
     SCENE_SAMPLES,
@@ -38,17 +37,23 @@ def test_config_validation():
         GenerationConfig(seed=1, n_scenes=1, augmented_fraction=1.5)
     with pytest.raises(ConfigError):
         GenerationConfig(seed=1, n_scenes=1, crop_radius=0.0)
-    with pytest.raises(ConfigError):
-        GenerationConfig(
-            seed=1, n_scenes=1, refinement=RefinementParams(dt_fine=0.2, k=5),
-            planner=PlannerParams(dt=1.0),
-        )
+    for bad in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="path_spacing must be positive"):
+            GenerationConfig(seed=1, n_scenes=1, path_spacing=bad)
+        with pytest.raises(ConfigError, match="path_min_length must be positive"):
+            GenerationConfig(seed=1, n_scenes=1, path_min_length=bad)
     with pytest.raises(ConfigError):
         # horizon too short for 50 samples at 10 Hz
         GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(t_g=2.0))
-    with pytest.raises(ConfigError, match="does not match the planner step"):
-        # k * dt_fine is 0.5 s
+    for dt in (0.45, 0.05, 0.25):
+        with pytest.raises(ConfigError, match=f"dt={dt} is not a whole number of 0.1 s steps"):
+            GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=dt))
+    with pytest.raises(ConfigError, match="horizon too short"):
+        # 12 knots of 4 fine steps: 49 samples
         GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=0.4))
+    # 25 knots of 2 fine steps, and 50 of one
+    GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=0.2))
+    GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=0.1))
 
 
 def test_scene_deterministic_bytes(corridors_map):
@@ -360,7 +365,8 @@ def test_generate_dataset_counts_and_manifest(tmp_path, corridors_map):
     cfg = small_cfg(tmp_path, n=10)
     manifest = generate_dataset([corridors_map], cfg)
     assert len(manifest.records) == 10
-    assert sum(manifest.counts.values()) == 10
+    assert manifest.counts["total"] == 10
+    assert sum(manifest.counts[k] for k in ("original", "augmented", "skipped")) == 10
     text = manifest.path.read_text()
     assert "# count total: 10" in text
     assert "# config seed: 3" in text
@@ -440,6 +446,18 @@ def test_augmented_scene_records_transform(corridors_map):
     assert float(scene.metadata["transform_alpha1"]) >= 1.0
 
 
+def test_manifest_counts_tally_rows_in_manifest_order():
+    rows = [("original", "PIT", "1.0"), ("augmented", "MIA"), ("skipped", "-"),
+            ("unknown", "MIA"), ("original",)]
+    counts = synthesis.manifest_counts(rows)
+    # an unknown status counts in the total and for its city; a row
+    # without a city field for no city
+    assert list(counts.items()) == [
+        ("total", 5), ("original", 2), ("augmented", 1), ("skipped", 1),
+        ("city MIA", 2), ("city PIT", 1),
+    ]
+
+
 def test_multi_city_datasets_track_cities(tmp_path):
     maps = [
         generate_map_fixture("corridors", "MIA"),
@@ -447,8 +465,9 @@ def test_multi_city_datasets_track_cities(tmp_path):
     ]
     cfg = small_cfg(tmp_path, n=12, seed=8)
     manifest = generate_dataset(maps, cfg)
-    assert set(manifest.per_city) == {"MIA", "PIT"}
-    assert sum(manifest.per_city.values()) == 12 - manifest.counts["skipped"]
+    per_city = {k: n for k, n in manifest.counts.items() if k.startswith("city ")}
+    assert list(per_city) == ["city MIA", "city PIT"]
+    assert sum(per_city.values()) == 12 - manifest.counts["skipped"]
 
 
 def scene_files_digest(directory) -> str:
