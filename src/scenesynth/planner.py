@@ -86,12 +86,25 @@ def _n_steps(p: PlannerParams) -> int:
     return int(math.floor(p.t_g / p.dt + 1e-9)) + 1
 
 
+def _segment(grid: np.ndarray, spacing: float, x: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(grid, x, side="right") - 1` on the uniform grid
+    `arange(n) * spacing`: the last grid point at or before each x, -1
+    before the first. floor(x / spacing) is at most one off, as the
+    quotient and the grid points round, so one comparison each way against
+    `grid` corrects it; a NaN x maps past the end, as in `searchsorted`."""
+    top = len(grid) - 1
+    j = np.maximum(np.fmin(np.floor(x / spacing), top), 0).astype(np.intp)
+    j -= grid.take(j) > x
+    j += (j < top) & (grid.take(np.minimum(j + 1, top)) <= x)
+    return j
+
+
 class _Batch:
     """The scenes of one `astar_plan` call, as per-scene arrays.
 
     Every path's `cum_s` is a prefix of the grid `arange(n) * spacing`, so
-    one `searchsorted` on the longest grid finds the curvature segment of
-    any state of any scene; `kappa` and `slope` are per-scene tables on
+    one lookup on the longest grid (`_segment`) finds the curvature segment
+    of any state of any scene; `kappa` and `slope` are per-scene tables on
     that grid, padded to its length.
     """
 
@@ -104,7 +117,8 @@ class _Batch:
         self.v_d = v_d
         self.length = np.array([path.length for path in paths])
         sizes = [len(path.cum_s) for path in paths]
-        self.grid = np.arange(max(sizes)) * paths[0].spacing
+        self.spacing = paths[0].spacing
+        self.grid = np.arange(max(sizes)) * self.spacing
         self.last = np.array(sizes) - 1
         kappa = np.zeros((len(paths), len(self.grid)))
         for row, path, n in zip(kappa, paths, sizes):
@@ -121,7 +135,7 @@ class _Batch:
         bit: numpy's `slope * (x - xp[j]) + fp[j]`, but `fp[j]` itself at a
         grid point, the end value at or past the last point and the first
         value before the first."""
-        j = np.searchsorted(self.grid, x, side="right") - 1
+        j = _segment(self.grid, self.spacing, x)
         last = self.last[rows]
         jc = np.minimum(np.maximum(j, 0), last)
         flat = rows * self.kappa.shape[1] + jc

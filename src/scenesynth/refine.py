@@ -8,24 +8,29 @@ coarse plan is refined by minimizing squared acceleration and jerk
 fine trajectory to the coarse arc-lengths at every coarse knot, subject to
 exact initial position and initial velocity (forward difference). The
 problem is a convex quadratic with two equality constraints. Because the
-constraints pin the first two samples outright, the solver eliminates them
-and direct-factorizes the remaining banded positive-definite stationarity
-system (bandwidth 3 from the jerk stencil); the two multipliers follow in
-closed form from the eliminated stationarity rows. The constraints
-therefore hold exactly, not merely to solver precision.
+constraints pin the first two samples outright, the solver eliminates them;
+the two multipliers follow in closed form from the eliminated stationarity
+rows. The constraints therefore hold exactly, not merely to solver
+precision.
 
-The quadratic form and its banded Cholesky factor depend only on the
-weights, k and the horizon, not on the plan or the initial state, so each
-is built once per (RefinementParams, k, horizon) and reused read-only by
-every later solve; a scene only forms its right-hand side and runs the
-two triangular solves.
+What remains is linear in the knot mismatches: the refined arc-lengths are
+x_ref + G d, with x_ref the initial tangent line, d the tracking weight
+times each knot's mismatch against x_ref, and G the gain, the tracked
+columns of the inverse of the banded positive-definite system Q[2:, 2:]
+(bandwidth 3 from the jerk stencil). The quadratic form Q and the gain
+depend only on the weights, k and the horizon, not on the plan or the
+initial state, so each is built once per (RefinementParams, k, horizon)
+and reused read-only. The gain comes from a banded Cholesky factorization
+and solve in Python floats, with two polish steps on exact residuals, so
+its bits are the same on every machine.
 
 `refine_trajectory` refines a batch of plans at once, as `generate_dataset`
-asks for a whole round of plans: plans of one k and horizon are the
-right-hand-side columns of one banded solve per step, and every other
-step is one array operation over them. It returns each plan's fine
-arc-lengths, whose bits do not depend on which plans share its batch;
-`refine_one` refines one plan through the same code.
+asks for a whole round of plans: plans of one k and horizon are rows of
+one array, and every step is elementwise over those rows. No step uses a
+matrix product, whose summation order would depend on the BLAS kernel and
+on the batch, so each plan's fine arc-lengths have the same bits in any
+batch and on any machine; `refine_one` refines one plan through the same
+code.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import RefinementError
 from .planner import CoarsePlan
@@ -98,19 +102,120 @@ def _quadratic_form(p: RefinementParams, k: int, n: int) -> np.ndarray:
     return Q
 
 
+_SINGULAR = (
+    "singular smoothing system; add acceleration or jerk weight, "
+    "or track every fine knot (k = 1)"
+)
+
+
+def _cholesky(band: list[list[float]]) -> list[list[float]]:
+    """The lower Cholesky factor L of the symmetric matrix whose o-th
+    superdiagonal is `band[o]` (o = 0 .. w), in Python floats: `low[o][i]`
+    is L[i, i - o]. Raises RefinementError at a pivot that is not positive
+    and finite."""
+    m, w = len(band[0]), len(band) - 1
+    low = [[0.0] * m for _ in range(w + 1)]
+    for i in range(m):
+        for j in range(max(0, i - w), i + 1):
+            acc = band[i - j][j]
+            for c in range(max(0, i - w), j):
+                acc -= low[i - c][i] * low[j - c][j]
+            if j < i:
+                low[i - j][i] = acc / low[0][j]
+            elif 0.0 < acc < math.inf:
+                low[0][i] = math.sqrt(acc)
+            else:
+                raise RefinementError(_SINGULAR)
+    return low
+
+
+def _cholesky_solve(low: list[list[float]], rhs: list[float]) -> list[float]:
+    """x with L L' x = rhs, for `low` from `_cholesky`: forward, then back
+    substitution, in Python floats."""
+    m, w = len(rhs), len(low) - 1
+    y = list(rhs)
+    for i in range(m):
+        acc = y[i]
+        for c in range(max(0, i - w), i):
+            acc -= low[i - c][i] * y[c]
+        y[i] = acc / low[0][i]
+    for i in reversed(range(m)):
+        acc = y[i]
+        for r in range(i + 1, min(m, i + w + 1)):
+            acc -= low[r - i][r] * y[r]
+        y[i] = acc / low[0][i]
+    return y
+
+
+def _scaled(rows: list[list[float]]) -> tuple[list[list[int]], int]:
+    """Integers n[r][i] and one shift s with rows[r][i] == n[r][i] / 2**s
+    exactly: every float is an integer over a power of two."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    s = max(d.bit_length() for row in ratios for _, d in row) - 1
+    return [[n << (s + 1 - d.bit_length()) for n, d in row] for row in ratios], s
+
+
+def _residual(h: list[list[int]], sh: int, c: int, g: list[float]) -> list[float]:
+    """e_c - H g, with e_c the c-th unit vector and H the symmetric matrix
+    whose o-th superdiagonal is h[o] / 2**sh (`_scaled`): every product
+    and each row's sum are exact in integers, and the one division per row
+    rounds correctly."""
+    m = len(g)
+    (x,), sx = _scaled([g])
+    one = 1 << (sh + sx)
+    out = []
+    for i in range(m):
+        acc = (one if i == c else 0) - h[0][i] * x[i]
+        for o in range(1, len(h)):
+            if i + o < m:
+                acc -= h[o][i] * x[i + o]
+            if i >= o:
+                acc -= h[o][i - o] * x[i - o]
+        out.append(acc / one)
+    return out
+
+
 @lru_cache(maxsize=8)
-def _banded_factor(p: RefinementParams, k: int, n: int) -> np.ndarray:
-    """Upper banded Cholesky factor of Q[2:, 2:], the system left once the
-    two constrained samples are eliminated; raises LinAlgError when that
-    system is singular."""
-    h = _quadratic_form(p, k, n)[2:, 2:]
-    bw = min(3, h.shape[0] - 1)
-    ab = np.zeros((bw + 1, h.shape[0]))
-    for offset in range(bw + 1):
-        ab[bw - offset, offset:] = np.diagonal(h, offset)
-    factor = cholesky_banded(ab)
-    factor.setflags(write=False)
-    return factor
+def _gain(p: RefinementParams, k: int, n: int) -> np.ndarray:
+    """The read-only gain G, one row per knot sample kj >= 2 in knot
+    order: row j is column kj - 2 of the inverse of H = Q[2:, 2:], the
+    system left once the two constrained samples are eliminated. Each
+    column solves H g = e through `_cholesky`, then takes two polish steps
+    g += H^-1 (e - H g) with the residual exact (`_residual`), so G is
+    accurate to about its last bit. Raises RefinementError when H is
+    singular or a column leaves the float range."""
+    H = _quadratic_form(p, k, n)[2:, 2:]
+    m = H.shape[0]
+    band = [np.diagonal(H, o).tolist() for o in range(min(3, m - 1) + 1)]
+    low = _cholesky(band)
+    h, sh = _scaled(band)
+    rows = []
+    try:
+        for kj in range(k, n + 1, k):
+            if kj < 2:
+                continue
+            e = [0.0] * m
+            e[kj - 2] = 1.0
+            g = _cholesky_solve(low, e)
+            for _ in range(2):
+                step = _cholesky_solve(low, _residual(h, sh, kj - 2, g))
+                g = [gi + si for gi, si in zip(g, step)]
+            rows.append(g)
+    except (OverflowError, ValueError):  # a column past the float range
+        raise RefinementError(_SINGULAR) from None
+    G = np.array(rows)
+    G.setflags(write=False)
+    return G
+
+
+def _times_q(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Q x for each row x of X, from Q's seven diagonals, elementwise."""
+    QX = X * np.diagonal(Q)
+    for o in range(1, 4):
+        diag = np.diagonal(Q, o)
+        QX[:, :len(diag)] += diag * X[:, o:]
+        QX[:, o:] += diag * X[:, :len(diag)]
+    return QX
 
 
 def _fine_steps(coarse: CoarsePlan) -> tuple[int, int]:
@@ -149,18 +254,19 @@ def _solve_stacked(
     The solve works in deviations u from the initial tangent line
     x_ref_i = s0 + i * v0 * dt, which satisfies both constraints and is
     annihilated by the difference operators, so q - Q x_ref collapses to
-    the knot-level tracking mismatches. That keeps every number at the
-    scale of the smoothing correction instead of the absolute arc-length,
-    which the dt^-6 jerk stencil would otherwise amplify past the stated
-    tolerances. u solves the banded symmetric positive-definite system
-    Q[2:, 2:] u = (q - Q x_ref)[2:].
+    the knot-level tracking mismatches d_j = omega3 * (sc_j - x_ref_kj).
+    That keeps every number at the scale of the smoothing correction
+    instead of the absolute arc-length, which the dt^-6 jerk stencil would
+    otherwise amplify past the stated tolerances. u solves
+    Q[2:, 2:] u = (q - Q x_ref)[2:], whose right-hand side is d_j at each
+    knot sample kj >= 2 and zero elsewhere, so u = sum_j d_j G[j] with the
+    gain G of `_gain`.
 
-    Each row is a right-hand-side column of one `cho_solve_banded` call
-    for the solve and one for each polish step; LAPACK solves every
-    column on its own, so a row's bits do not depend on the others. The
-    products with Q stay one matrix-vector product per row, as a matrix
-    product would sum in another order. The finiteness and stationarity
-    checks are per row.
+    u is accumulated over the knots in knot order, one elementwise multiply
+    and add per knot, and Q x is summed over Q's diagonals elementwise
+    (`_times_q`): no step sums across rows or through BLAS, so a row's bits
+    do not depend on the others or on the machine. The finiteness and
+    stationarity checks are per row.
     """
     rows = len(s0)
     if p.omega1 == 0.0 and p.omega2 == 0.0 and k > 1:
@@ -176,32 +282,23 @@ def _solve_stacked(
     X[:, 0] = s0
     errors: list[RefinementError | None] = [None] * rows
     if n > 1:
-        h = Q[2:, 2:]
-        # D2 x_ref = D3 x_ref = 0 analytically, so only tracking remains
-        rhs = np.zeros((rows, n - 1))
-        tracked = knot_index >= 2
-        kj = knot_index[tracked]
-        rhs[:, kj - 2] = p.omega3 * (sc_knots[:, tracked] - X[:, kj])
         try:
-            factor = (_banded_factor(p, k, n), False)
-        except np.linalg.LinAlgError:
-            exc = (
-                "singular smoothing system; add acceleration or jerk weight, "
-                "or track every fine knot (k = 1)"
-            )
-            return None, [RefinementError(exc) for _ in range(rows)]
-        # a non-finite right-hand side gives a non-finite u, refused below
-        U = np.ascontiguousarray(cho_solve_banded(factor, rhs.T, check_finite=False).T)
-        # two fixed polish steps against the dt^-6 stencil scaling
-        for _ in range(2):
-            step = np.stack([r - h @ u for r, u in zip(rhs, U)])
-            U = U + cho_solve_banded(factor, step.T, check_finite=False).T
+            G = _gain(p, k, n)
+        except RefinementError as exc:
+            return None, [RefinementError(str(exc)) for _ in range(rows)]
+        # D2 x_ref = D3 x_ref = 0 analytically, so only tracking remains
+        tracked = knot_index >= 2
+        d = p.omega3 * (sc_knots[:, tracked] - X[:, knot_index[tracked]])
+        U = np.zeros((rows, n - 1))
+        for j, g in enumerate(G):
+            U += d[:, j, None] * g
+        # a non-finite mismatch gives a non-finite u, refused here
         for row in np.flatnonzero(~np.isfinite(U).all(axis=1)):
             errors[row] = RefinementError("smoothing solve produced non-finite values")
         X[:, 2:] += U
     q = np.zeros_like(X)
     q[:, knot_index] += p.omega3 * sc_knots
-    QX = np.stack([Q @ x for x in X])
+    QX = _times_q(Q, X)
     grad = 2.0 * (QX - q)
     lam = np.stack([-grad[:, 0] - grad[:, 1], -dt * grad[:, 1]], axis=1)
     # A' lam: the two constraint rows touch only x0 and x1

@@ -5,22 +5,25 @@ densification, direct formulas) and deliberately avoids the code paths it
 is used to verify. The scalar statements of formulas that the package
 computes in array form also live here: the planner's `expand` and
 `transition_cost`, the warp profiles, the acceleration and jerk stencils
-(`accel_of`, `jerk_of`), and the refinement system with its gradient and
-stationarity residual. `solve_system` runs the package's
-solver on that system and takes the multipliers from the two eliminated
-stationarity rows, so the residual and gradient checks test the solver's
-output against system data formed independently of it.
+(`accel_of`, `jerk_of`), the refinement system with its gradient and
+stationarity residual, and refinement's gain formula (`reference_gain`,
+`reference_refine`), written one scalar at a time over dense matrices.
+`solve_system` runs the package's solver on that system and takes the
+multipliers from the two eliminated stationarity rows, so the residual
+and gradient checks test the solver's output against system data formed
+independently of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
 
 from scenesynth.errors import (
     MapFormatError,
@@ -372,16 +375,15 @@ def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
     return x, np.array([-grad[0] - grad[1], -SCENE_DT * grad[1]])
 
 
-def reference_refine(coarse, p, v0, s0):
-    """Refined arc-lengths by the per-scene path `refine` replaced: the
-    dense Q assembled by a loop over every stencil entry, the banded
-    system re-extracted from it, and `solveh_banded` for the solve and
-    both polish steps, with k = coarse.dt / 0.1 fine steps of 0.1 s per
-    coarse step. Returns the s values only; no checks."""
+@lru_cache(maxsize=8)
+def reference_gain(p, k, n):
+    """The gain of `reference_refine`, one list per knot sample kj >= 2:
+    column kj - 2 of H^-1, H = Q[2:, 2:] with Q assembled by a loop over
+    every stencil entry and H read from its upper triangle. H = L L' is
+    factored in Python floats; each column solves H g = e by forward and
+    back substitution and takes two polish steps g += H^-1 (e - H g), the
+    residual exact in rationals and rounded once per entry."""
     dt = 0.1
-    k = round(coarse.dt / dt)
-    m_knots = len(coarse.s) - 2
-    n = m_knots * k
     Q = np.zeros((n + 1, n + 1))
     if p.omega1 > 0 and n >= 2:
         c2 = np.array([1.0, -2.0, 1.0]) / (dt * dt)
@@ -397,28 +399,78 @@ def reference_refine(coarse, p, v0, s0):
             for a, ca in zip(cols, c3):
                 for bcol, cb in zip(cols, c3):
                     Q[a, bcol] += p.omega2 * ca * cb
-    knot_index = np.arange(1, m_knots + 1) * k
-    sc_knots = np.array([coarse.s[j] for j in range(1, m_knots + 1)])
-    Q[knot_index, knot_index] += p.omega3
+    for kj in range(k, n + 1, k):
+        Q[kj, kj] += p.omega3
 
-    n1 = n + 1
-    x = s0 + np.arange(n1) * (v0 * dt)
-    x[0] = s0
-    if n1 > 2:
-        h = Q[2:, 2:]
-        rhs = np.zeros(n1 - 2)
-        for j, kj in enumerate(knot_index):
-            if kj >= 2:
-                rhs[kj - 2] = p.omega3 * (sc_knots[j] - x[kj])
-        bw = min(3, h.shape[0] - 1)
-        ab = np.zeros((bw + 1, h.shape[0]))
-        for offset in range(bw + 1):
-            ab[bw - offset, offset:] = np.diagonal(h, offset)
-        u = solveh_banded(ab, rhs)
+    m = n - 1
+    # the band of bandwidth 3, from the upper triangle
+    h = [[float(Q[2 + min(a, b), 2 + max(a, b)]) if abs(a - b) <= 3 else 0.0
+          for b in range(m)] for a in range(m)]
+    L = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(max(0, i - 3), i + 1):
+            acc = h[i][j]
+            for c in range(max(0, i - 3), j):
+                acc -= L[i][c] * L[j][c]
+            L[i][j] = acc / L[j][j] if j < i else math.sqrt(acc)
+
+    def solve(r):
+        y = list(r)
+        for i in range(m):
+            for c in range(max(0, i - 3), i):
+                y[i] -= L[i][c] * y[c]
+            y[i] /= L[i][i]
+        for i in reversed(range(m)):
+            for r_ in range(i + 1, min(m, i + 4)):
+                y[i] -= L[r_][i] * y[r_]
+            y[i] /= L[i][i]
+        return y
+
+    gain = []
+    for kj in range(k, n + 1, k):
+        if kj < 2:
+            continue
+        e = [0.0] * m
+        e[kj - 2] = 1.0
+        g = solve(e)
         for _ in range(2):
-            u = u + solveh_banded(ab, rhs - h @ u)
-        x[2:] += u
-    return x
+            residual = [
+                float(Fraction(e[i]) - sum(
+                    Fraction(h[i][c]) * Fraction(g[c])
+                    for c in range(max(0, i - 3), min(m, i + 4))
+                ))
+                for i in range(m)
+            ]
+            step = solve(residual)
+            g = [g[i] + step[i] for i in range(m)]
+        gain.append(g)
+    return gain
+
+
+def reference_refine(coarse, p, v0, s0):
+    """Refined arc-lengths by the scalar statement of `refine`'s formula,
+    with k = coarse.dt / 0.1 fine steps of 0.1 s per coarse step: the
+    initial tangent line x_ref plus, for each knot sample kj >= 2 in knot
+    order, its mismatch d = omega3 * (sc - x_ref[kj]) times its column of
+    `reference_gain`, accumulated one sample at a time. Returns the s
+    values only; no checks."""
+    dt = 0.1
+    k = round(coarse.dt / dt)
+    n = (len(coarse.s) - 2) * k
+    x = [s0 + i * (v0 * dt) for i in range(n + 1)]
+    x[0] = s0
+    if n > 1:
+        u = [0.0] * (n - 1)
+        gains = iter(reference_gain(p, k, n))
+        for j, kj in enumerate(range(k, n + 1, k)):
+            if kj < 2:
+                continue
+            d = p.omega3 * (coarse.s[j + 1] - x[kj])
+            for i, g in enumerate(next(gains)):
+                u[i] += d * g
+        for i in range(n - 1):
+            x[2 + i] += u[i]
+    return np.array(x)
 
 
 def objective_value(x: np.ndarray, sys: RefinementSystem) -> float:

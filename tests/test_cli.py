@@ -704,6 +704,23 @@ def test_malformed_input_exits_without_traceback(tmp_path, map_file, fault, comm
     assert proc.stderr.strip()
 
 
+def test_cli_import_loads_numpy_alone():
+    # every command starts by this import in a fresh interpreter; a second
+    # numerical library once took about half of its time and memory.
+    # multiprocessing registers the main module as `__mp_main__`
+    env = {**os.environ, "PYTHONPATH": str(Path(scenesynth.__file__).parent.parent)}
+    code = (
+        "import sys; before = set(sys.modules); import scenesynth.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['__mp_main__', 'numpy', 'scenesynth']"
+
+
 def test_demo_pipeline_runs(tmp_path, monkeypatch, capsys):
     script = REPO / "scripts" / "demo_pipeline.py"
     monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path / "demo"), "4"])

@@ -11,7 +11,7 @@ from oracles import (
     transition_cost,
     wiggly_path,
 )
-from scenesynth import synthesis
+from scenesynth import planner, synthesis
 from scenesynth.errors import (
     PathOverrunError,
     PlanningError,
@@ -26,6 +26,7 @@ from scenesynth.planner import (
     PlannerParams,
     _Batch,
     _n_steps,
+    _segment,
     astar_plan,
     plan_one,
 )
@@ -375,6 +376,35 @@ def test_batched_curvature_lookup_is_np_interp_bit_for_bit():
     got = batch.curvature(x, np.arange(3)[:, None])
     want = [np.interp(x[row], path.cum_s, path.kappa) for row, path in enumerate(paths)]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.3, 0.7, 1.0 / 3.0, 2.5])
+def test_segment_lookup_is_searchsorted_at_every_grid_point(spacing):
+    grid = np.arange(600) * spacing
+    x = np.concatenate([
+        grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+        [np.nan, np.inf, -np.inf, -0.0, 1e300],
+    ])
+    want = np.searchsorted(grid, x, side="right") - 1
+    assert np.array_equal(_segment(grid, spacing, x), want)
+
+
+def test_segment_lookup_is_searchsorted_on_planner_states(oracle_instances, monkeypatch):
+    seen = []
+    real = planner._segment
+
+    def record(grid, spacing, x):
+        seen.append((grid, spacing, x.copy()))
+        return real(grid, spacing, x)
+
+    monkeypatch.setattr(planner, "_segment", record)
+    for fraction in FRACTIONS:
+        instances = oracle_instances[fraction][:40]
+        astar_plan([problem for problem, _, _ in instances], instances[0][1])
+    assert sum(x.size for _, _, x in seen) > 10_000
+    for grid, spacing, x in seen:
+        want = np.searchsorted(grid, x, side="right") - 1
+        assert np.array_equal(real(grid, spacing, x), want)
 
 
 def test_plan_matches_reference_on_tied_action_orders():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,14 @@ from oracles import (
 from scenesynth import synthesis
 from scenesynth.errors import RefinementError, SceneSynthError
 from scenesynth.planner import PlannerParams
-from scenesynth.refine import RefinementParams, refine_one, refine_trajectory
+from scenesynth.refine import (
+    RefinementParams,
+    _cholesky,
+    _gain,
+    _quadratic_form,
+    refine_one,
+    refine_trajectory,
+)
 
 
 def make_plan(actions, v0=10.0, s0=0.0, dt=0.5):
@@ -122,6 +132,34 @@ def test_zero_smoothing_with_untracked_knots_raises():
     plan = make_plan([0.0] * 11)
     p = RefinementParams(omega1=0.0, omega2=0.0)  # k = 5 at the plan's 0.5 s step
     with pytest.raises(RefinementError, match="singular"):
+        refine_one(plan, p, 10.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "band",
+    [[[1.0, 1.0], [2.0]], [[1.0, 1.0], [1.0]], [[math.inf, 1.0], [0.0]], [[math.nan]]],
+    ids=["negative", "zero", "inf", "nan"],
+)
+def test_cholesky_refuses_a_pivot_that_is_not_positive_and_finite(band):
+    with pytest.raises(RefinementError, match="singular smoothing system"):
+        _cholesky(band)
+
+
+@pytest.mark.parametrize(
+    "p, dt",
+    [
+        # Q's acceleration entries overflow, so the first pivot is not finite
+        (RefinementParams(omega1=1e308), 0.5),
+        # tracking alone, at the smallest weight: the gain's columns overflow
+        (RefinementParams(omega1=0.0, omega2=0.0, omega3=5e-324), 0.1),
+    ],
+    ids=["pivot", "gain"],
+)
+def test_extreme_weights_are_a_singular_system(p, dt):
+    plan = make_plan([0.0] * (round(5.0 / dt) + 1), dt=dt)
+    with np.errstate(over="ignore"), pytest.raises(
+        RefinementError, match="singular smoothing system"
+    ):
         refine_one(plan, p, 10.0, 0.0)
 
 
@@ -322,3 +360,43 @@ def test_cached_quadratic_form_refuses_writes():
     assert again.Q is sys.Q
     with pytest.raises(ValueError, match="read-only"):
         sys.Q[3, 3] = 0.0
+    refine_one(plan, RefinementParams(), v0=10.0, s0=0.0)
+    G = _gain(RefinementParams(), 5, 50)
+    assert _gain(RefinementParams(), 5, 50) is G
+    with pytest.raises(ValueError, match="read-only"):
+        G[0, 3] = 0.0
+
+
+def test_refinement_matches_exact_rational_solve(corridors_map, monkeypatch):
+    # each plan's eliminated system H u = r, with H = Q[2:, 2:] and r its
+    # knot mismatches against the tangent line, both as the floats refine
+    # forms them, solved exactly in rationals
+    cfg = synthesis.GenerationConfig(output_dir="unused")
+    problems = captured_refinements(corridors_map, monkeypatch, cfg, 24)
+    p, dt = RefinementParams(), 0.1
+    assert {(plan.dt, len(plan.s)) for plan, _, _ in problems} == {(0.5, 12)}
+    k, n = 5, 50
+    m = n - 1
+    Q = _quadratic_form(p, k, n)
+    # H = L U without pivoting, band 3, L's multipliers stored below the diagonal
+    A = [[Fraction(float(Q[2 + a, 2 + b])) for b in range(m)] for a in range(m)]
+    for c in range(m):
+        for r in range(c + 1, min(m, c + 4)):
+            f = A[r][c] / A[c][c]
+            for cc in range(c + 1, min(m, c + 4)):
+                A[r][cc] -= f * A[c][cc]
+            A[r][c] = f
+    worst = 0.0
+    for (plan, v0, s0), x in zip(problems, refine_trajectory(problems, p)):
+        x_ref = [s0 + i * (v0 * dt) for i in range(n + 1)]
+        x_ref[0] = s0
+        u = [Fraction(0)] * m
+        for j in range(1, n // k + 1):
+            u[j * k - 2] = Fraction(p.omega3 * (plan.s[j] - x_ref[j * k]))
+        for r in range(m):
+            u[r] -= sum(A[r][c] * u[c] for c in range(max(0, r - 3), r))
+        for r in reversed(range(m)):
+            u[r] = (u[r] - sum(A[r][c] * u[c] for c in range(r + 1, min(m, r + 4)))) / A[r][r]
+        exact = [Fraction(v) for v in x_ref[:2]] + [Fraction(x_ref[i + 2]) + u[i] for i in range(m)]
+        worst = max(worst, max(abs(float(Fraction(float(a)) - b)) for a, b in zip(x, exact)))
+    assert worst <= 1e-9

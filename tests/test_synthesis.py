@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,21 +484,57 @@ def scene_files_digest(directory) -> str:
     return h.hexdigest()
 
 
-# recorded before the planner gained its beam bound; a change that alters
-# output bytes on purpose updates them and says so in CHANGES.md
+# recorded when refinement moved to its precomputed, BLAS-free gain; a
+# change that alters output bytes on purpose updates them and says so in
+# CHANGES.md
 @pytest.mark.parametrize(
     "seed, fraction, digest",
     [
         (3, 165.0 / 370.0,
-         "b28ada983d5bb705d6ff7aaa067e3df0bf7e77b3485555c8b88d4342d1d5dd98"),
+         "7f59eb848a970ec4df608f8e363229a6044ec345680bc768ea9b812b347843d9"),
         (5, 1.0,
-         "4922c9fc118649b559e31b90bd75bc1f55f8bfb618bfab7d42b60eaeb7ad5853"),
+         "5a992ca37392b7919e3a4c633c8327657e57b698ae6226aa45cca2e5662e0a65"),
     ],
 )
 def test_dataset_bytes_pinned(tmp_path, corridors_map, seed, fraction, digest):
     cfg = small_cfg(tmp_path, n=40, seed=seed, augmented_fraction=fraction)
     generate_dataset([corridors_map], cfg)
     assert scene_files_digest(tmp_path / "scenes") == digest
+
+
+def found_simd_features() -> str:
+    """The SIMD features numpy dispatches to on this CPU, as
+    `NPY_DISABLE_CPU_FEATURES` takes them; the baseline cannot be
+    disabled."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return ",".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"NPY_DISABLE_CPU_FEATURES": found_simd_features()},
+    ],
+    ids=["openblas-prescott", "openblas-haswell", "numpy-no-simd"],
+)
+def test_dataset_bytes_pinned_on_other_kernels(setting):
+    # the pinned digests in a fresh process that picks another BLAS kernel,
+    # or numpy's baseline code paths: a seed and a config give one dataset
+    src = str(Path(synthesis.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_dataset_bytes_pinned"],
+        capture_output=True, text=True, timeout=300, cwd=Path(__file__).parent,
+        env={**os.environ, **setting, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "2 passed" in proc.stdout
 
 
 def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
