@@ -8,7 +8,7 @@ the `corridors` MIA and PIT map files:
 
 - generate cases (the paper's 165/370 warped mix and an all-warped
   dataset, each at two fixed seeds): `generate` N scenes from the maps,
-  then `mask --task combined`; then the same again with
+  `validate` them, then `mask --task combined`; then the same again with
   `generate --workers 2`, into `scenes_w2/` and `samples_w2/`. The
   per-scene lines that `generate` logs, without their `wall_ms=` timing,
   go to `logs/generate.log` and `logs_w2/generate.log`;
@@ -28,7 +28,9 @@ change in how the work is ordered must not reorder or change a logged
 record. For a text file whose bytes differ between the trees, it also
 prints the first line where they differ, as each tree wrote it. The
 manifests of the one- and two-worker runs differ only by their
-`output_dir` line, so they are not compared with each other.
+`output_dir` line, so they are not compared with each other. A command
+that exits nonzero in either tree, such as a `validate` that finds a
+fault, stops the comparison: its stderr is printed and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ AUGMENT_CASES = (
 )
 
 # run in the tree's interpreter environment: write the maps, then
-# (generate) write a config, generate (keeping its scene log lines) and
-# mask through the CLI, or (augment) warp each map through the CLI
+# (generate) write a config, generate (keeping its scene log lines),
+# validate and mask through the CLI, or (augment) warp each map through
+# the CLI; a command's nonzero exit ends the run with its stderr
 RUN = """
 import contextlib
 import io
@@ -93,6 +96,7 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
     cfg.write_text("\\n".join(lines) + "\\n")
     for argv in (
         ["generate", "--config", str(cfg), "--workers", workers],
+        ["validate", "--scenes", str(scenes)],
         ["mask", "--scenes", str(scenes), "--task", "combined", "--seed", seed,
          "--out", str(work / f"samples{suffix}")],
     ):

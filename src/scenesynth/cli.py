@@ -12,11 +12,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage/config error.
 
-Config file format: one `key = value` per line (`key: value`, as the
-manifest's `# config` lines write it, reads the same), `#` comments
-allowed, unknown and repeated keys rejected, numbers finite. Keys and
-defaults, one row each of `synthesis.CONFIG_KEYS`, whose defaults are the
-`GenerationConfig` field defaults:
+Config file format (`GenerationConfig.from_lines`): one `key = value`
+per line (`key: value`, as the manifest writes it, reads the same), `#`
+comments allowed, unknown and repeated keys rejected, numbers finite.
+Keys and defaults, one row each of `synthesis.CONFIG_KEYS`, whose
+defaults are the `GenerationConfig` field defaults:
 
     seed = 0                  master seed; every scene derives its own stream
     n_scenes = 10             number of scenes to generate
@@ -42,14 +42,13 @@ defaults, one row each of `synthesis.CONFIG_KEYS`, whose defaults are the
     map_files =               comma-separated map paths (required by generate)
 
 Refinement smooths each plan onto the 10 Hz scene grid, k = dt / 0.1 fine
-steps per coarse step. The manifest's `# config` lines are the config
-itself: without their `# config ` prefix they read back as this file.
+steps per coarse step. `validate` checks each scene file, then the
+manifest against them (`manifest.manifest_problems`).
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,21 +57,10 @@ import numpy as np
 
 from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
-from .errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
+from .errors import ConfigError, MapFormatError, SceneSynthError
+from .manifest import manifest_fields, manifest_problems
 from .maps import build_reference_path, load_map, read_lines, save_map, write_text_atomic
-from .synthesis import (
-    CONFIG_KEYS,
-    GenerationConfig,
-    generate_dataset,
-    manifest_counts,
-    manifest_fields,
-    read_scene,
-    scene_to_text,
-)
-
-
-_CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
-_CONFIG_TYPES = {key: vtype for key, _, vtype in CONFIG_KEYS}
+from .synthesis import GenerationConfig, generate_dataset, read_scene, scene_to_text
 
 
 def parse_run_config(path) -> GenerationConfig:
@@ -80,29 +68,7 @@ def parse_run_config(path) -> GenerationConfig:
         lines = read_lines(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values: dict[str, object] = {}
-    set_at: dict[str, int] = {}  # line of each key set
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _CONFIG_LINE.fullmatch(line)
-        if not match:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value': {line!r}")
-        key, text = match[1].strip(), match[2].strip()
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in set_at:
-            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_at[key]}")
-        set_at[key] = lineno
-        vtype = _CONFIG_TYPES[key]
-        try:
-            values[key] = vtype.parse(text)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}:{lineno}: {key}: expected {vtype.noun}, got {text!r}"
-            ) from exc
-    return GenerationConfig.from_keys(values)
+    return GenerationConfig.from_lines(enumerate(lines, start=1), path)
 
 
 def _scene_files(directory) -> list[Path]:
@@ -213,52 +179,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _manifest_problems(
-    manifest: Path, scene_names: set[str], rows: dict[str, tuple[str, str, str]]
-) -> list[str]:
-    """Each fault of `manifest` against the scene files `scene_names`, of
-    which `rows` gives the (status, city, cost) of each that reads back,
-    as `where: problem`: a malformed row, a row whose file is missing or
-    disagrees with it, a file without a row or with a `skipped` row, and a
-    `# count` line that is missing or differs from the tally of the rows."""
-    problems: list[str] = []
-    unlisted = set(scene_names)
-    fields: list[tuple[str, ...]] = []  # the (status, city, cost) of each row
-    counts: dict[str, tuple[str, str]] = {}  # count key: (where, value)
-    for lineno, line in enumerate(read_lines(manifest, ValidationError), start=1):
-        where = f"{manifest}:{lineno}"
-        if line.startswith("# count "):
-            key, _, value = line[len("# count "):].partition(":")
-            counts[key.strip()] = (where, value.strip())
-            continue
-        if line.startswith("#") or not line.strip():
-            continue
-        name, sep, rest = line.partition(",")
-        listed = tuple(rest.split(",")[:3])
-        if not sep:
-            problems.append(f"{where}: expected 'file,status,...', got {line!r}")
-            continue
-        unlisted.discard(name)
-        fields.append(listed)
-        if listed[0] == "skipped":
-            if name in scene_names:
-                problems.append(f"{where}: lists {name} as skipped; the file exists")
-        elif name not in scene_names:
-            problems.append(f"{where}: listed file {name} missing")
-        elif name in rows and listed != rows[name]:
-            problems.append(
-                f"{where}: lists {name} as {','.join(listed)}; "
-                f"the file has {','.join(rows[name])}"
-            )
-    problems.extend(f"{manifest}: no row lists {name}" for name in sorted(unlisted))
-    tally = manifest_counts(fields)
-    for key in sorted(tally.keys() | counts.keys()):
-        where, value = counts.get(key, (str(manifest), "missing"))
-        if value != str(tally.get(key, 0)):
-            problems.append(f"{where}: count {key} is {value}; the rows tally {tally.get(key, 0)}")
-    return problems
-
-
 def cmd_validate(args) -> int:
     files = _scene_files(args.scenes)
     if not files:
@@ -279,7 +199,9 @@ def cmd_validate(args) -> int:
         rows[path.name] = manifest_fields(scene.metadata)
     manifest = Path(args.scenes) / "manifest.txt"
     if manifest.exists():
-        problems = _manifest_problems(manifest, {path.name for path in files}, rows)
+        problems = manifest_problems(
+            manifest, {path.name for path in files}, rows, GenerationConfig.from_lines
+        )
         for problem in problems:
             print(f"FAIL {problem}", file=sys.stderr)
         failures += len(problems)

@@ -54,6 +54,8 @@ class PlannerParams:
     def __post_init__(self):
         if self.dt <= 0 or self.t_g <= 0:
             raise ValueError("dt and t_g must be positive")
+        if not math.isfinite(self.t_g / self.dt):
+            raise ValueError(f"t_g={self.t_g} is too many steps of dt={self.dt}")
         if not self.action_set:
             raise ValueError("action set must not be empty")
         for a in self.action_set:

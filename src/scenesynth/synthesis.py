@@ -16,9 +16,10 @@ samples) plus the local map crop. Scene files are self-contained::
 Trajectory coordinates carry 9 decimal places; metadata floats use repr
 and reload exactly. Every byte of a scene file is a deterministic function
 of (seed, config, maps), which keeps datasets reproducible across worker
-counts. The manifest's config block is `GenerationConfig.echo()`, one
-line per `CONFIG_KEYS` row, and reads back as the same config; the worker
-count is a run detail that no output file records.
+counts. Config syntax is read by `GenerationConfig.from_lines` and
+written by `GenerationConfig.echo`, one line per `CONFIG_KEYS` row: the
+manifest's config block (module `manifest`), which reads back as the same
+config. The worker count is a run detail that no output file records.
 
 An attempt at a scene has three phases: `draw_scene` makes every random
 draw (warp, reference path, speeds, start), `plan_and_refine` plans
@@ -43,11 +44,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import re
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point2
+from .manifest import manifest_counts, manifest_fields, manifest_text
 from .maps import (
     ReferencePath,
     SceneMap,
@@ -162,6 +165,8 @@ CONFIG_KEYS: tuple[tuple[str, str, ValueType], ...] = (
     ("max_warp_slope", "max_warp_slope", FLOAT_OR_NONE),
     ("map_files", "map_files", PATHS),
 )
+_KEY_TYPES = {key: vtype for key, _, vtype in CONFIG_KEYS}
+_CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
 
 
 def config_field(cfg: GenerationConfig, path: str):
@@ -224,9 +229,32 @@ class GenerationConfig:
             )
 
     @classmethod
-    def from_keys(cls, values: dict[str, object]) -> GenerationConfig:
-        """The config that sets each CONFIG_KEYS key in `values` to its
-        parsed value; every other field keeps its default."""
+    def from_lines(cls, lines: Iterable[tuple[int, str]], where) -> GenerationConfig:
+        """The config that (file line, text) `lines` set, each key at most
+        once, by `key = value` or `key: value`; blank and `#` lines are
+        skipped, and unset fields keep their defaults. Raises ConfigError,
+        naming `where` and the line for a faulty line."""
+        values: dict[str, object] = {}
+        set_at: dict[str, int] = {}  # line of each key set
+        for lineno, raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            match = _CONFIG_LINE.fullmatch(line)
+            if not match:
+                raise ConfigError(f"expected 'key = value': {line!r}", where, lineno)
+            key, text = match[1].strip(), match[2].strip()
+            if key not in _KEY_TYPES:
+                raise ConfigError(f"unknown config key {key!r}", where, lineno)
+            if key in set_at:
+                raise ConfigError(f"{key} is already set on line {set_at[key]}", where, lineno)
+            set_at[key] = lineno
+            vtype = _KEY_TYPES[key]
+            try:
+                values[key] = vtype.parse(text)
+            except ValueError as exc:
+                msg = f"{key}: expected {vtype.noun}, got {text!r}"
+                raise ConfigError(msg, where, lineno) from exc
         default = cls()
         groups: dict[str, dict[str, object]] = {}
         for key, path, _ in CONFIG_KEYS:
@@ -245,7 +273,7 @@ class GenerationConfig:
 
     def echo(self) -> list[tuple[str, str]]:
         """(key, value) in config syntax for each CONFIG_KEYS field, for the
-        manifest; the lines read back through `cli.parse_run_config`."""
+        manifest; as `key: value` lines they read back through `from_lines`."""
         return [
             (key, vtype.format(config_field(self, path))) for key, path, vtype in CONFIG_KEYS
         ]
@@ -572,24 +600,6 @@ class SceneRecord:
     reason: str = ""
 
 
-def manifest_counts(rows) -> dict[str, int]:
-    """The `# count` lines of a manifest whose rows have the fields
-    (status, city, ...) `rows`, as {key: count} in manifest order: the
-    total, each status, then each city of the rows not skipped, by name. A
-    row of another status counts in the total and for its city, and a row
-    without a city field for no city."""
-    counts = {"total": 0, "original": 0, "augmented": 0, "skipped": 0}
-    cities: dict[str, int] = {}
-    for row in rows:
-        counts["total"] += 1
-        if row[0] in ("original", "augmented", "skipped"):
-            counts[row[0]] += 1
-        if row[0] != "skipped" and len(row) > 1:
-            cities[row[1]] = cities.get(row[1], 0) + 1
-    counts.update((f"city {city}", cities[city]) for city in sorted(cities))
-    return counts
-
-
 @dataclass
 class DatasetManifest:
     path: Path
@@ -702,13 +712,6 @@ def _pool_build(indices):
     return list(_build_scene_records(maps, cfg, indices))
 
 
-def manifest_fields(meta: dict[str, str]) -> tuple[str, str, str]:
-    """The status, city and cost that the manifest row of a written scene
-    lists, from the scene's metadata."""
-    status = "augmented" if meta.get("augmented") == "true" else "original"
-    return status, meta.get("city", "-"), meta.get("plan_cost", "-")
-
-
 def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
     """Recover manifest data from an already-written scene file; a file made
     with another seed raises ConfigError instead of joining this dataset."""
@@ -728,23 +731,6 @@ def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
             "use another output_dir or delete the old scenes"
         )
     return SceneRecord(index, path.name, *manifest_fields(meta), 0, 0.0)
-
-
-def manifest_text(cfg: GenerationConfig, maps: list[SceneMap], manifest: DatasetManifest) -> str:
-    lines = ["# scenesynth dataset manifest"]
-    for key, value in cfg.echo():
-        lines.append(f"# config {key}: {value}")
-    lines.append(
-        "# maps: " + ";".join(f"{m.city}={len(m.lanes)}" for m in maps)
-    )
-    for key, value in manifest.counts.items():
-        lines.append(f"# count {key}: {value}")
-    for rec in manifest.records:
-        if rec.status == "skipped":
-            lines.append(f"{rec.filename},skipped,-,-,{rec.reason}")
-        else:
-            lines.append(f"{rec.filename},{rec.status},{rec.city},{rec.cost},")
-    return "\n".join(lines) + "\n"
 
 
 def chunk_indices(todo: list[int], workers: int) -> list[list[int]]:

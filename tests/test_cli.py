@@ -20,6 +20,7 @@ from scenesynth import cli
 from scenesynth.cli import main, parse_run_config
 from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
+from scenesynth.manifest import read_manifest
 from scenesynth.maps import LaneSegment, load_map, make_map, save_map
 from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
 from scenesynth.synthesis import (
@@ -121,13 +122,12 @@ def test_generate_and_validate_roundtrip(tmp_path, map_file, capsys):
 def test_generate_manifest_echoes_each_config_key_once(tmp_path, map_file):
     cfg = write_cfg(tmp_path, map_file, n_scenes=2)
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
-    lines = (tmp_path / "scenes" / "manifest.txt").read_text().splitlines()
-    keys = [ln[len("# config "):].partition(":")[0] for ln in lines
-            if ln.startswith("# config ")]
+    manifest = read_manifest(tmp_path / "scenes" / "manifest.txt")
+    assert GenerationConfig.from_lines(manifest.config, manifest.path) == parse_run_config(cfg)
+    block = [text for _, text in manifest.config]
+    keys = [text.partition(":")[0] for text in block]
     assert len(keys) == len(set(keys))
-    echoed = dict(
-        ln[len("# config "):].split(": ", 1) for ln in lines if ln.startswith("# config ")
-    )
+    echoed = dict(text.split(": ", 1) for text in block)
     assert echoed["seed"] == "21"
     assert echoed["map_files"] == str(map_file)
     assert keys == [key for key, _, _ in CONFIG_KEYS]
@@ -219,6 +219,20 @@ def _row_of(name, line):
     return line.startswith(f"{name},")
 
 
+# manifest lines of a 3-scene, one-city dataset: the header, the config
+# block and the maps line, then five count lines, then the rows
+FIRST_COUNT = 2 + len(CONFIG_KEYS) + 1
+FIRST_ROW = FIRST_COUNT + 5
+
+
+def _list_twice(line):
+    """Each row twice, with the count lines doubled to match."""
+    if line.startswith("# count "):
+        key, _, value = line.rpartition(": ")
+        return f"{key}: {2 * int(value)}"
+    return f"{line}\n{line}" if line.startswith("scene_") else line
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -230,6 +244,15 @@ def _row_of(name, line):
          "count total is 4; the rows tally 3"),
         (lambda line: None if line.startswith("# count city MIA:") else line,
          "count city MIA is missing; the rows tally 3"),
+        (lambda line: f"# count total: 99\n{line}" if line.startswith("# count total:")
+         else line, f":{FIRST_COUNT + 1}: count total repeats line {FIRST_COUNT}"),
+        (_list_twice, f":{FIRST_ROW + 1}: row of scene_000000.csv repeats line {FIRST_ROW}"),
+        (lambda line: "# config seed: banana" if line.startswith("# config seed:") else line,
+         ":2: seed: expected an integer, got 'banana'"),
+        (lambda line: None if line.startswith("# config n_scenes:") else line,
+         ":3: config echoes 'n_scenes: 10'; the block has 'output_dir: "),
+        (lambda line: "# config n_scenes: 7" if line.startswith("# config n_scenes:") else line,
+         ":3: n_scenes is 7; the manifest has 3 rows"),
     ],
 )
 def test_validate_checks_the_manifest_from_the_files_side(
@@ -544,17 +567,32 @@ def test_manifest_config_block_reads_back(tmp_path, map_file):
         retry_budget=3,
     )
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
-    lines = (tmp_path / "scenes" / "manifest.txt").read_text().splitlines()
-    block = [ln[len("# config "):] for ln in lines if ln.startswith("# config ")]
-    keys = [ln.partition(":")[0] for ln in block]
+    manifest = read_manifest(tmp_path / "scenes" / "manifest.txt")
+    keys = [text.partition(":")[0] for _, text in manifest.config]
     assert keys == [key for key, _, _ in CONFIG_KEYS]
-    echo = tmp_path / "echo.cfg"
-    echo.write_text("\n".join(block) + "\n")
-    run, back = parse_run_config(cfg), parse_run_config(echo)
+    assert [lineno for lineno, _ in manifest.config] == list(range(2, 2 + len(CONFIG_KEYS)))
+    run = parse_run_config(cfg)
+    back = GenerationConfig.from_lines(manifest.config, manifest.path)
     assert back == run
     assert back.map_files == (str(map_file), str(other))
     assert run.max_warp_slope == 3.5
     assert run.planner.action_set == (-2.0, -1.0, 0.0, 1.0)
+
+
+def test_read_manifest_gives_each_part_with_its_line(tmp_path, map_file):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=2)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    path = tmp_path / "scenes" / "manifest.txt"
+    manifest = read_manifest(path)
+    lines = path.read_text().splitlines()
+    rebuilt = {1: lines[0]}  # the header line
+    rebuilt.update((n, f"# config {text}") for n, text in manifest.config)
+    rebuilt[manifest.maps[0]] = f"# maps: {manifest.maps[1]}"
+    rebuilt.update((n, f"# count {key}: {value}") for n, key, value in manifest.counts)
+    rebuilt.update((n, ",".join(fields)) for n, fields in manifest.rows)
+    assert rebuilt == dict(enumerate(lines, start=1))
+    assert manifest.maps[1] == "MIA=9"
+    assert [fields[0] for _, fields in manifest.rows] == ["scene_000000.csv", "scene_000001.csv"]
 
 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path):
@@ -634,6 +672,15 @@ def assert_config_error(argv, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", NUMBER_KEYS)
 def test_generate_non_finite_number_exits_2(tmp_path, map_file, key, value, capsys):
+    cfg = write_cfg(tmp_path, map_file, **{key: value})
+    assert_config_error(["generate", "--config", str(cfg)], capsys)
+    assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize("key, value", [("t_g", "1e308"), ("dt", "5e-324")])
+def test_generate_horizon_of_overflowing_step_count_exits_2(
+    tmp_path, map_file, key, value, capsys
+):
     cfg = write_cfg(tmp_path, map_file, **{key: value})
     assert_config_error(["generate", "--config", str(cfg)], capsys)
     assert not (tmp_path / "scenes").exists()
@@ -737,6 +784,34 @@ def test_every_traced_site_is_a_callable_of_its_module():
         assert callable(found), f"scenesynth.{module}.{attr}"
 
 
+def test_every_traced_site_records_a_span(tmp_path, map_file):
+    """A small pipeline under the benchmark's tracer reaches every traced
+    site, so a moved call site cannot leave a per-layer figure empty."""
+    spans = runpy.run_path(str(REPO / "perfbench" / "spans.py"), run_name="spans")
+    modules = {m: importlib.import_module(f"scenesynth.{m}") for m, _, _, _ in spans["SITES"]}
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3, augmented_fraction=1.0)
+    scenes, out = str(tmp_path / "scenes"), tmp_path / "out"
+    tracer = spans["Tracer"]()
+    tracer.install(modules)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["generate", "--config", str(cfg)],
+                ["validate", "--scenes", scenes],
+                ["mask", "--scenes", scenes, "--task", "map", "--seed", "1",
+                 "--out", str(out / "map")],
+                ["mask", "--scenes", scenes, "--task", "traj", "--seed", "1",
+                 "--out", str(out / "traj")],
+                ["stats", "--scenes", scenes, "--ref", scenes],
+                ["plot", "--scenes", scenes, "--out", str(out / "plot"), "--svg"],
+            ):
+                assert main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    recorded = {span.name for span in tracer.spans}
+    assert sorted({name for _, _, name, _ in spans["SITES"]} - recorded) == []
+
+
 def test_compare_outputs_same_tree_exits_0():
     script = REPO / "scripts" / "compare_outputs.py"
     proc = subprocess.run(
@@ -745,6 +820,25 @@ def test_compare_outputs_same_tree_exits_0():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 files differ" in proc.stdout
+
+
+def test_compare_outputs_reports_a_dataset_that_fails_validate(tmp_path):
+    # a tree whose manifests end in a second total line
+    tree = tmp_path / "tree"
+    shutil.copytree(REPO / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    module = tree / "src" / "scenesynth" / "manifest.py"
+    module.write_text(module.read_text() + (
+        "\n_text = manifest_text\n\n\ndef manifest_text(cfg, maps, manifest):\n"
+        "    return _text(cfg, maps, manifest) + '# count total: 0\\n'\n"
+    ))
+    script = REPO / "scripts" / "compare_outputs.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(REPO), str(tree), "--scenes", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "count total repeats line" in proc.stderr
+    assert "scenesynth validate exited 1" in proc.stderr
 
 
 def test_compare_outputs_names_files_that_differ_across_worker_counts():

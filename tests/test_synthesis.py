@@ -15,7 +15,7 @@ from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, Vali
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2
 from scenesynth.maps import crop_map
-from scenesynth import synthesis
+from scenesynth import manifest, synthesis
 from scenesynth.planner import PlannerParams
 from scenesynth.synthesis import (
     GenerationConfig,
@@ -453,7 +453,7 @@ def test_augmented_scene_records_transform(corridors_map):
 def test_manifest_counts_tally_rows_in_manifest_order():
     rows = [("original", "PIT", "1.0"), ("augmented", "MIA"), ("skipped", "-"),
             ("unknown", "MIA"), ("original",)]
-    counts = synthesis.manifest_counts(rows)
+    counts = manifest.manifest_counts(rows)
     # an unknown status counts in the total and for its city; a row
     # without a city field for no city
     assert list(counts.items()) == [
