@@ -7,7 +7,9 @@ PYTHONPATH, in a fresh process and into the same paths, after writing
 the `corridors` MIA and PIT map files:
 
 - generate cases (the paper's 165/370 warped mix and an all-warped
-  dataset, each at two fixed seeds): `generate` N scenes from the maps,
+  dataset, each at two fixed seeds, and the mix planned at `dt = 1.0`
+  to `t_g = 7.0`, a second refinement shape of k = 10 fine steps per
+  coarse step and n = 70, at one seed): `generate` N scenes from the maps,
   `validate` them, then `mask --task combined`; then the same again with
   `generate --workers 2`, into `scenes_w2/` and `samples_w2/`. The
   per-scene lines that `generate` logs, without their `wall_ms=` timing,
@@ -43,12 +45,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (name, augmented_fraction or None for the default mix, seed)
+# (name, seed, config lines besides seed, n_scenes, output_dir and map_files)
 CASES = (
-    ("mixed-1000", None, 1000),
-    ("mixed-271828000", None, 271828000),
-    ("warped-1000", 1.0, 1000),
-    ("warped-271828000", 1.0, 271828000),
+    ("mixed-1000", 1000, ()),
+    ("mixed-271828000", 271828000, ()),
+    ("warped-1000", 1000, ("augmented_fraction = 1.0",)),
+    ("warped-271828000", 271828000, ("augmented_fraction = 1.0",)),
+    ("mixed-dt1-1000", 1000, ("dt = 1.0", "t_g = 7.0")),
 )
 
 # (name, augment-map --kind, seed)
@@ -86,13 +89,11 @@ if mode == "augment":
         if code != 0:
             sys.exit(f"scenesynth augment-map exited {code}")
     sys.exit(0)
-n_scenes, fraction = sys.argv[4], sys.argv[5]
+n_scenes, settings = sys.argv[4], sys.argv[5:]
 for suffix, workers in (("", "1"), ("_w2", "2")):
     scenes, cfg = work / f"scenes{suffix}", work / f"generate{suffix}.cfg"
     lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {scenes}",
-             "map_files = " + ",".join(maps)]
-    if fraction != "default":
-        lines.append(f"augmented_fraction = {fraction}")
+             "map_files = " + ",".join(maps), *settings]
     cfg.write_text("\\n".join(lines) + "\\n")
     for argv in (
         ["generate", "--config", str(cfg), "--workers", workers],
@@ -120,8 +121,8 @@ def _contents(root: Path) -> dict[str, bytes]:
 
 def run_tree(tree: Path, work: Path, mode: str, seed: int, *args: str) -> dict[str, bytes]:
     """The bytes of every file one tree writes for one case, by path:
-    `mode` is "generate" (args: scene count, fraction) or "augment" (args:
-    kind)."""
+    `mode` is "generate" (args: scene count, then config lines) or
+    "augment" (args: kind)."""
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-c", RUN, mode, str(work), str(seed), *args]
@@ -173,8 +174,7 @@ def compare(old: Path, new: Path, n_scenes: int, work: Path) -> list[str]:
     a tree's one- and two-worker runs."""
     problems = []
     runs = [
-        (name, "generate", seed, str(n_scenes), "default" if fraction is None else repr(fraction))
-        for name, fraction, seed in CASES
+        (name, "generate", seed, str(n_scenes), *settings) for name, seed, settings in CASES
     ] + [(name, "augment", seed, kind) for name, kind, seed in AUGMENT_CASES]
     for name, *case in runs:
         before = run_tree(old, work / name, *case)

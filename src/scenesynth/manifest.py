@@ -71,7 +71,7 @@ class ManifestLines:
 
     path: Path
     config: list[tuple[int, str]]  # (line, `key: value`) of each `# config` line
-    maps: tuple[int, str] | None  # (line, text) of the `# maps:` line
+    maps: list[tuple[int, str]]  # (line, text) of each `# maps:` line
     counts: list[tuple[int, str, str]]  # (line, key, value) of each `# count` line
     rows: list[tuple[int, list[str]]]  # (line, comma-split fields) of each row
 
@@ -79,8 +79,7 @@ class ManifestLines:
 def read_manifest(path) -> ManifestLines:
     """The parts of the manifest at `path`; other `#` lines and blank lines
     are skipped. Bytes that are not UTF-8 raise ValidationError."""
-    config, counts, rows = [], [], []
-    maps = None
+    config, maps, counts, rows = [], [], [], []
     for lineno, line in enumerate(read_lines(path, ValidationError), start=1):
         if line.startswith(CONFIG):
             config.append((lineno, line[len(CONFIG):]))
@@ -88,7 +87,7 @@ def read_manifest(path) -> ManifestLines:
             key, _, value = line[len(COUNT):].partition(":")
             counts.append((lineno, key.strip(), value.strip()))
         elif line.startswith(MAPS):
-            maps = (lineno, line[len(MAPS):])
+            maps.append((lineno, line[len(MAPS):]))
         elif line.strip() and not line.startswith("#"):
             rows.append((lineno, line.split(",")))
     return ManifestLines(Path(path), config, maps, counts, rows)
@@ -113,15 +112,40 @@ def _config_problems(m: ManifestLines, read_config, n_rows: int) -> list[str]:
     return []
 
 
+def _maps_problems(m: ManifestLines, fields: list[tuple[str, ...]]) -> list[str]:
+    """The `# maps:` line must be there once, each `;` entry `CITY=N` with
+    N a lane count, and it must name the city of every row not skipped.
+    The lane counts are not checked against the maps."""
+    if not m.maps:
+        return [f"{m.path}: maps line is missing"]
+    (lineno, text), *again = m.maps
+    where = f"{m.path}:{lineno}"
+    problems = [f"{m.path}:{n}: maps line repeats line {lineno}" for n, _ in again]
+    cities = set()
+    for entry in text.split(";"):
+        city, eq, lanes = entry.partition("=")
+        if not (city and eq and lanes.isascii() and lanes.isdigit()):
+            problems.append(f"{where}: maps entry {entry!r} is not CITY=N")
+        cities.add(city)
+    listed = {row[1] for row in fields if len(row) > 1 and row[0] != "skipped"}
+    problems.extend(
+        f"{where}: no maps entry for city {city}, which a row lists"
+        for city in sorted(listed - cities)
+    )
+    return problems
+
+
 def manifest_problems(
     path, scene_names: set[str], rows: dict[str, tuple[str, str, str]], read_config
 ) -> list[str]:
     """Each fault of the manifest at `path`, as `where: problem`, against
     the scene files `scene_names`, of which `rows` gives the (status, city,
     cost) of each that reads back: a config block at fault (as
-    `read_config(numbered_lines, where)` reads it); a malformed or repeated
-    row, or one that disagrees with its file; a file without a row or with
-    a `skipped` one; a count line repeated, missing or off the tally."""
+    `read_config(numbered_lines, where)` reads it); a maps line missing,
+    repeated, malformed or without the city of a row; a malformed or
+    repeated row, or one that disagrees with its file; a file without a
+    row or with a `skipped` one; a count line repeated, missing or off the
+    tally."""
     m = read_manifest(path)
     problems: list[str] = []
     listed_at: dict[str, int] = {}  # first line of each file's row
@@ -146,7 +170,7 @@ def manifest_problems(
                 f"{where}: lists {name} as {','.join(listed)}; "
                 f"the file has {','.join(rows[name])}"
             )
-    problems[:0] = _config_problems(m, read_config, len(fields))
+    problems[:0] = _config_problems(m, read_config, len(fields)) + _maps_problems(m, fields)
     problems.extend(
         f"{m.path}: no row lists {name}" for name in sorted(scene_names - listed_at.keys())
     )

@@ -275,14 +275,18 @@ def read_lines(path, error=MapFormatError) -> list[str]:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via temp file + rename; skip the replace when bytes match."""
+    """Write via temp file + rename; skip the replace when bytes match. An
+    OSError names `path`, not the temp file."""
     path = os.fspath(path)
     data = text.encode("utf-8")
     if os.path.exists(path):
         with open(path, "rb") as fh:
             if fh.read() == data:
                 return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

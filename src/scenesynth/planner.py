@@ -64,6 +64,12 @@ class PlannerParams:
         if min(self.w1, self.w2, self.w3) < 0:
             raise ValueError("cost weights must be nonnegative")
 
+    @property
+    def n_steps(self) -> int:
+        """Number of transitions from t = 0 until time first exceeds the
+        horizon; a plan has one more state."""
+        return int(math.floor(self.t_g / self.dt + 1e-9)) + 1
+
 
 @dataclass(frozen=True)
 class CoarsePlan:
@@ -81,11 +87,6 @@ class CoarsePlan:
     actions: tuple[float, ...]
     total_cost: float
     dt: float
-
-
-def _n_steps(p: PlannerParams) -> int:
-    """Number of transitions from t = 0 until time first exceeds the horizon."""
-    return int(math.floor(p.t_g / p.dt + 1e-9)) + 1
 
 
 def _segment(grid: np.ndarray, spacing: float, x: np.ndarray) -> np.ndarray:
@@ -279,7 +280,7 @@ def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
             live.append(k)
     if not live:
         return out
-    n_steps = _n_steps(p)
+    n_steps = p.n_steps
     paths, S, V, v_d = zip(*(problems[k] for k in live))
     batch = _Batch(paths, p, np.array(v_d, dtype=float))
     S, V = np.array(S, dtype=float), np.array(V, dtype=float)

@@ -24,13 +24,15 @@ and reused read-only. The gain comes from a banded Cholesky factorization
 and solve in Python floats, with two polish steps on exact residuals, so
 its bits are the same on every machine.
 
-`refine_trajectory` refines a batch of plans at once, as `generate_dataset`
-asks for a whole round of plans: plans of one k and horizon are rows of
-one array, and every step is elementwise over those rows. No step uses a
-matrix product, whose summation order would depend on the BLAS kernel and
-on the batch, so each plan's fine arc-lengths have the same bits in any
-batch and on any machine; `refine_one` refines one plan through the same
-code.
+`refine_trajectory` refines a round of plans at once. Like the plans of
+one `astar_plan` call, they share one dt and one number of states, so one
+system (`refinement_shape` derives its k and n, checks it and builds its
+gain; a fault of it raises one RefinementError for the call), and each
+plan is a row of one array. Every step is elementwise over the rows. No
+step uses a matrix product, whose summation order would depend on the
+BLAS kernel and on the batch, so each plan's fine arc-lengths have the
+same bits in any batch and on any machine; `refine_one` refines one plan
+through the same code.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def _add_stencil_gram(Q: np.ndarray, coeffs: np.ndarray, weight: float, centers)
     in `centers`, in increasing i: each entry then sums its terms in the
     order an entry-by-entry loop does, which keeps Q, and so the refined
     trajectories, the same as that loop's to the last bit."""
-    block = weight * coeffs[:, None] * coeffs[None, :]
+    with np.errstate(over="ignore"):  # an overflowed Q is refused by `_cholesky`
+        block = weight * coeffs[:, None] * coeffs[None, :]
     width = len(coeffs)
     for i in centers:
         Q[i - 1:i - 1 + width, i - 1:i - 1 + width] += block
@@ -208,6 +211,32 @@ def _gain(p: RefinementParams, k: int, n: int) -> np.ndarray:
     return G
 
 
+def refinement_shape(p: RefinementParams, dt: float, states: int) -> tuple[int, int]:
+    """The fine steps k per coarse step and the index n of the last fine
+    sample of the refinement of plans of step `dt` with `states` states
+    under `p`, once their shared system is checked and its gain built
+    (`_gain`, cached). Raises RefinementError when no such plan can be
+    refined: fewer than three states, a `dt` that is not a whole number of
+    FINE_DT steps, zero smoothing weights with untracked fine samples
+    (k > 1), or a singular gain."""
+    if states < 3:
+        raise RefinementError("coarse plan too short to refine")
+    try:
+        k = fine_steps_per(dt)
+    except ValueError as exc:
+        raise RefinementError(str(exc)) from None
+    if p.omega1 == 0.0 and p.omega2 == 0.0 and k > 1:
+        raise RefinementError(
+            "untracked interior knots with zero smoothing weights make the "
+            "system singular; set omega1/omega2 > 0 or plan at dt = 0.1 (k = 1)"
+        )
+    # the final coarse state overshoots the horizon; refine up to the one before
+    n = (states - 2) * k
+    if n > 1:
+        _gain(p, k, n)
+    return k, n
+
+
 def _times_q(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Q x for each row x of X, from Q's seven diagonals, elementwise."""
     QX = X * np.diagonal(Q)
@@ -218,29 +247,18 @@ def _times_q(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     return QX
 
 
-def _fine_steps(coarse: CoarsePlan) -> tuple[int, int]:
-    """The fine steps k per coarse step of `coarse` and the index n of the
-    last fine sample of its refinement; raises RefinementError when the
-    plan cannot be refined."""
-    if len(coarse.s) < 3:
-        raise RefinementError("coarse plan too short to refine")
-    try:
-        k = fine_steps_per(coarse.dt)
-    except ValueError as exc:
-        raise RefinementError(str(exc)) from None
-    # the final coarse state overshoots the horizon; refine up to the one before
-    return k, (len(coarse.s) - 2) * k
+def refine_trajectory(
+    problems, p: RefinementParams
+) -> list[np.ndarray | RefinementError]:
+    """For each `(coarse, v0, s0)` problem, the (n + 1,) arc-lengths of
+    the coarse plan smoothed onto the fine grid from the state (s0, v0) at
+    t = 0, or the RefinementError that ends its refinement.
 
-
-def _solve_stacked(
-    p: RefinementParams, k: int, n: int, s0: np.ndarray, v0: np.ndarray,
-    sc_knots: np.ndarray,
-) -> tuple[np.ndarray | None, list[RefinementError | None]]:
-    """Solve the systems of one k and horizon n, one per row of the initial
-    states `s0`, `v0` and the tracked arc-lengths `sc_knots` (rows, knots),
-    with x0, x1 eliminated through the constraints. Returns the s values
-    (rows, n + 1) and, per row, None or the RefinementError that row ends
-    in; no values when the system itself is singular.
+    The plans share one system: they must have one dt and one number of
+    states, as the plans of one `astar_plan` call do, or ValueError is
+    raised. A fault of that system (`refinement_shape`) raises one
+    RefinementError for the whole call; a row's non-finite solve, its
+    stationarity residual or a moved initial state is that row's error.
 
     A row's system: minimize x'Qx - 2 q'x + const over the fine samples
     x_0 .. x_n (Q from `_quadratic_form`; q = omega3 * sc at the knot
@@ -264,41 +282,36 @@ def _solve_stacked(
 
     u is accumulated over the knots in knot order, one elementwise multiply
     and add per knot, and Q x is summed over Q's diagonals elementwise
-    (`_times_q`): no step sums across rows or through BLAS, so a row's bits
-    do not depend on the others or on the machine. The finiteness and
-    stationarity checks are per row.
+    (`_times_q`): no step sums across rows or through BLAS, so each
+    trajectory has the bits of a refinement of its plan alone, on any
+    machine.
     """
-    rows = len(s0)
-    if p.omega1 == 0.0 and p.omega2 == 0.0 and k > 1:
-        exc = (
-            "untracked interior knots with zero smoothing weights make the "
-            "system singular; set omega1/omega2 > 0 or plan at dt = 0.1 (k = 1)"
-        )
-        return None, [RefinementError(exc) for _ in range(rows)]
-    Q = _quadratic_form(p, k, n)
+    if not problems:
+        return []
+    plans, v0, s0 = zip(*problems)
+    shape, *others = {(coarse.dt, len(coarse.s)) for coarse in plans}
+    if others:
+        raise ValueError("plans refined together must share one dt and number of states")
+    k, n = refinement_shape(p, *shape)
+    rows = len(plans)
+    v0, s0 = np.array(v0, dtype=float), np.array(s0, dtype=float)
+    # fine samples k, 2k, ..., n track the plan's arc-lengths after its start
+    sc_knots = np.array([coarse.s[1 : n // k + 1] for coarse in plans])
     dt = FINE_DT
     knot_index = np.arange(1, n // k + 1) * k
     X = s0[:, None] + np.arange(n + 1) * (v0 * dt)[:, None]
     X[:, 0] = s0
-    errors: list[RefinementError | None] = [None] * rows
     if n > 1:
-        try:
-            G = _gain(p, k, n)
-        except RefinementError as exc:
-            return None, [RefinementError(str(exc)) for _ in range(rows)]
         # D2 x_ref = D3 x_ref = 0 analytically, so only tracking remains
         tracked = knot_index >= 2
         d = p.omega3 * (sc_knots[:, tracked] - X[:, knot_index[tracked]])
         U = np.zeros((rows, n - 1))
-        for j, g in enumerate(G):
+        for j, g in enumerate(_gain(p, k, n)):
             U += d[:, j, None] * g
-        # a non-finite mismatch gives a non-finite u, refused here
-        for row in np.flatnonzero(~np.isfinite(U).all(axis=1)):
-            errors[row] = RefinementError("smoothing solve produced non-finite values")
         X[:, 2:] += U
     q = np.zeros_like(X)
     q[:, knot_index] += p.omega3 * sc_knots
-    QX = _times_q(Q, X)
+    QX = _times_q(_quadratic_form(p, k, n), X)
     grad = 2.0 * (QX - q)
     lam = np.stack([-grad[:, 0] - grad[:, 1], -dt * grad[:, 1]], axis=1)
     # A' lam: the two constraint rows touch only x0 and x1
@@ -312,48 +325,18 @@ def _solve_stacked(
         np.abs(a_lam).max(axis=1),
     ])
     residual = np.abs(grad + a_lam).max(axis=1) / scale
-    for row in np.flatnonzero(residual > 1e-6):
-        if errors[row] is None:
-            errors[row] = RefinementError("stationarity residual too large after solve")
-    return X, errors
-
-
-def refine_trajectory(
-    problems, p: RefinementParams
-) -> list[np.ndarray | RefinementError]:
-    """For each `(coarse, v0, s0)` problem, the (n + 1,) arc-lengths of
-    the coarse plan smoothed onto the fine grid from the state (s0, v0) at
-    t = 0, or the RefinementError that ends its refinement.
-
-    Plans with the same k and number of states are solved together, as
-    rows of `_solve_stacked`; every other step is elementwise over those
-    rows, so each trajectory has the bits of a refinement of its plan
-    alone."""
-    out: list[np.ndarray | RefinementError | None] = [None] * len(problems)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for j, (coarse, _, _) in enumerate(problems):
-        try:
-            groups.setdefault(_fine_steps(coarse), []).append(j)
-        except RefinementError as exc:
-            out[j] = exc
-    for (k, n), members in groups.items():
-        v0 = np.array([problems[j][1] for j in members], dtype=float)
-        s0 = np.array([problems[j][2] for j in members], dtype=float)
-        # fine samples k, 2k, ..., n track the plan's arc-lengths after its start
-        sc_knots = np.array([problems[j][0].s[1 : n // k + 1] for j in members])
-        X, errors = _solve_stacked(p, k, n, s0, v0, sc_knots)
-        if X is None:
-            for j, exc in zip(members, errors):
-                out[j] = exc
-            continue
-        moved = (np.abs(X[:, 0] - s0) > 1e-8) | (
-            np.abs((X[:, 1] - X[:, 0]) / FINE_DT - v0) > 1e-8
-        )
-        for row, j in enumerate(members):
-            if errors[row] is None and moved[row]:
-                errors[row] = RefinementError("initial-state constraints violated after solve")
-            out[j] = X[row] if errors[row] is None else errors[row]
-    return out
+    moved = (np.abs(X[:, 0] - s0) > 1e-8) | (np.abs((X[:, 1] - X[:, 0]) / dt - v0) > 1e-8)
+    faults = (
+        "smoothing solve produced non-finite values",  # a non-finite mismatch, say
+        "stationarity residual too large after solve",
+        "initial-state constraints violated after solve",
+    )
+    # each row's first fault in that order, -1 for none: later writes win
+    first = np.full(rows, -1)
+    first[moved] = 2
+    first[residual > 1e-6] = 1
+    first[~np.isfinite(X).all(axis=1)] = 0
+    return [x if f < 0 else RefinementError(faults[f]) for x, f in zip(X, first.tolist())]
 
 
 def refine_one(

@@ -35,7 +35,12 @@ them in one call each, and finishes each; a failed attempt is retried in
 the next round. Each attempt draws from its own `[seed, index, attempt]`
 stream, and neither a plan nor its refinement depends on its batch, so
 the bytes do not depend on the round size or the worker count.
-`make_scene` runs the three phases for one scene. The refined
+Every plan of a round has the config's `dt` and `n_steps + 1` states, so
+one smoothing system refines the round. `generate_dataset` checks it and
+builds its gain (`refinement_shape`) before it creates the output
+directory: a config whose system cannot be solved is a ConfigError
+before the first scene. `make_scene` runs the three phases for one
+scene, and raises such a config's RefinementError. The refined
 trajectory is already on the scene grid: the fine step of refinement is
 `SCENE_DT`, and the planner step `dt` is a whole number of it.
 """
@@ -74,9 +79,8 @@ from .maps import (
     write_text_atomic,
 )
 from .planner import CoarsePlan, PlannerParams, astar_plan, sample_speed_targets
-from .refine import FINE_DT, RefinementParams, fine_steps_per, refine_trajectory
+from .refine import FINE_DT, RefinementParams, fine_steps_per, refine_trajectory, refinement_shape
 from . import maps as maps_mod
-from . import planner as planner_mod
 
 SCENE_DT = FINE_DT
 HISTORY_SAMPLES = 20
@@ -222,7 +226,7 @@ class GenerationConfig:
             k = fine_steps_per(self.planner.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        n_knots = planner_mod._n_steps(self.planner) - 1
+        n_knots = self.planner.n_steps - 1
         if n_knots * k + 1 < SCENE_SAMPLES:
             raise ConfigError(
                 "planner horizon too short for a full 50-sample scene"
@@ -398,8 +402,7 @@ def draw_scene(
     )
     v_d, v0 = sample_speed_targets(rng, cfg.v_d_range)
 
-    n_steps = planner_mod._n_steps(cfg.planner)
-    t_end = n_steps * cfg.planner.dt
+    t_end = cfg.planner.n_steps * cfg.planner.dt
     max_accel = max(0.0, max(cfg.planner.action_set))
     # head margin keeps smoothing undershoot on the path; tail margin
     # covers the farthest kinematically reachable arc-length
@@ -763,10 +766,15 @@ def generate_dataset(
     ones before it are done; more workers make the chunks of
     `chunk_indices`, one queue and one pool task each. Records are written
     and logged in index order. Output bytes do not depend on `workers` or
-    on `CHUNK_SCENES`.
+    on `CHUNK_SCENES`. A config whose smoothing system cannot be solved
+    raises ConfigError before anything is written.
     """
     if not maps:
         raise ConfigError("need at least one map")
+    try:
+        refinement_shape(cfg.refinement, cfg.planner.dt, cfg.planner.n_steps + 1)
+    except RefinementError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -46,9 +46,9 @@ from scenesynth.maps import (
 from scenesynth.planner import CoarsePlan, PlannerParams
 from scenesynth.refine import (
     RefinementParams,
-    _fine_steps,
     _quadratic_form,
-    _solve_stacked,
+    refine_one,
+    refinement_shape,
 )
 from scenesynth.synthesis import CSV_HEADER, SCENE_DT, SCENE_SAMPLES, Scene, validate_scene
 
@@ -318,13 +318,13 @@ class RefinementSystem:
     knot_index: np.ndarray
     sc_knots: np.ndarray
     params: RefinementParams
-    k: int  # fine steps per coarse step
+    coarse: CoarsePlan  # the plan whose knots are tracked
 
 
 def build_refinement_system(
     coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
 ) -> RefinementSystem:
-    k, n = _fine_steps(coarse)
+    k, n = refinement_shape(p, coarse.dt, len(coarse.s))
     dt = SCENE_DT
     grid_t = np.arange(n + 1) * dt
 
@@ -340,7 +340,7 @@ def build_refinement_system(
     A[1, 1] = 1.0 / dt
     b = np.array([s0, v0])
     return RefinementSystem(
-        grid_t, _quadratic_form(p, k, n), q, const, A, b, knot_index, sc_knots, p, k
+        grid_t, _quadratic_form(p, k, n), q, const, A, b, knot_index, sc_knots, p, coarse
     )
 
 
@@ -362,15 +362,11 @@ def stationarity_residual(x: np.ndarray, lam: np.ndarray, sys: RefinementSystem)
 
 
 def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the stationarity system through `refine._solve_stacked`, the
-    solver `refine_trajectory` runs; returns (s values, multipliers), the
-    multipliers taken from the two eliminated stationarity rows."""
-    X, (exc,) = _solve_stacked(
-        sys.params, sys.k, len(sys.grid_t) - 1, sys.b[:1], sys.b[1:], sys.sc_knots[None]
-    )
-    if exc is not None:
-        raise exc
-    x = X[0]
+    """Solve the stationarity system through `refine.refine_one`; returns
+    (s values, multipliers), the multipliers taken from the two eliminated
+    stationarity rows."""
+    s0, v0 = sys.b
+    x = refine_one(sys.coarse, sys.params, v0=float(v0), s0=float(s0))
     grad = objective_gradient(x, sys)
     return x, np.array([-grad[0] - grad[1], -SCENE_DT * grad[1]])
 

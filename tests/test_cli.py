@@ -253,6 +253,13 @@ def _list_twice(line):
          ":3: config echoes 'n_scenes: 10'; the block has 'output_dir: "),
         (lambda line: "# config n_scenes: 7" if line.startswith("# config n_scenes:") else line,
          ":3: n_scenes is 7; the manifest has 3 rows"),
+        (lambda line: f"{line}\n# maps: MIA=12" if line.startswith("# maps:") else line,
+         f":{FIRST_COUNT}: maps line repeats line {FIRST_COUNT - 1}"),
+        (lambda line: None if line.startswith("# maps:") else line, "maps line is missing"),
+        (lambda line: "# maps: banana" if line.startswith("# maps:") else line,
+         f":{FIRST_COUNT - 1}: maps entry 'banana' is not CITY=N"),
+        (lambda line: "# maps: PIT=12" if line.startswith("# maps:") else line,
+         f":{FIRST_COUNT - 1}: no maps entry for city MIA, which a row lists"),
     ],
 )
 def test_validate_checks_the_manifest_from_the_files_side(
@@ -529,6 +536,13 @@ def test_augment_map_graph_fault_names_file_and_lane_line(
     assert not (tmp_path / "a.map").exists()
 
 
+def test_augment_map_into_a_missing_directory_names_the_output(tmp_path, map_file, capsys):
+    out = tmp_path / "missing" / "x.map"
+    code = main(["augment-map", "--map", str(map_file), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"io error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 def test_plot_emits_tables_and_svg(tmp_path, map_file):
     cfg = write_cfg(tmp_path, map_file, n_scenes=4)
     main(["generate", "--config", str(cfg)])
@@ -587,11 +601,11 @@ def test_read_manifest_gives_each_part_with_its_line(tmp_path, map_file):
     lines = path.read_text().splitlines()
     rebuilt = {1: lines[0]}  # the header line
     rebuilt.update((n, f"# config {text}") for n, text in manifest.config)
-    rebuilt[manifest.maps[0]] = f"# maps: {manifest.maps[1]}"
+    rebuilt.update((n, f"# maps: {text}") for n, text in manifest.maps)
     rebuilt.update((n, f"# count {key}: {value}") for n, key, value in manifest.counts)
     rebuilt.update((n, ",".join(fields)) for n, fields in manifest.rows)
     assert rebuilt == dict(enumerate(lines, start=1))
-    assert manifest.maps[1] == "MIA=9"
+    assert manifest.maps == [(FIRST_COUNT - 1, "MIA=9")]
     assert [fields[0] for _, fields in manifest.rows] == ["scene_000000.csv", "scene_000001.csv"]
 
 
@@ -683,6 +697,27 @@ def test_generate_horizon_of_overflowing_step_count_exits_2(
 ):
     cfg = write_cfg(tmp_path, map_file, **{key: value})
     assert_config_error(["generate", "--config", str(cfg)], capsys)
+    assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"omega1": "0", "omega2": "0"}, {"omega1": "1e308"}],
+    ids=["zero-smoothing", "overflowing-weight"],
+)
+def test_generate_unsolvable_smoothing_system_exits_2(tmp_path, map_file, overrides):
+    # at the default dt = 0.5 the system has untracked fine samples; a
+    # weight of 1e308 overflows its quadratic form. A fresh process, so
+    # that no cached form hides a warning on stderr
+    cfg = write_cfg(tmp_path, map_file, **overrides)
+    env = {**os.environ, "PYTHONPATH": str(Path(scenesynth.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "scenesynth.cli", "generate", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "singular" in proc.stderr
     assert not (tmp_path / "scenes").exists()
 
 

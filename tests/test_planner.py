@@ -25,7 +25,6 @@ from scenesynth.planner import (
     CoarsePlan,
     PlannerParams,
     _Batch,
-    _n_steps,
     _segment,
     astar_plan,
     plan_one,
@@ -433,6 +432,6 @@ def test_plan_matches_reference_when_beam_pass_overruns():
     path = straight_path(20.0)
     p = PlannerParams()
     batch = _Batch([path], p, np.array([4.0]))
-    ub = batch.beam_bounds(np.array([0.0]), np.array([4.0]), _n_steps(p), BEAM_WIDTH)
+    ub = batch.beam_bounds(np.array([0.0]), np.array([4.0]), p.n_steps, BEAM_WIDTH)
     assert ub.tolist() == [math.inf]
     assert isinstance(assert_matches_reference((path, 0.0, 4.0, 4.0), p), CoarsePlan)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -335,22 +336,31 @@ def assert_batches_match_reference(problems, rng):
                 assert np.array_equal(s, reference_refine(plan, p, v0, s0))
 
 
-def test_mixed_batch_gives_each_failing_plan_its_own_error():
+@pytest.mark.parametrize(
+    "other",
+    [make_plan([0.0] * 6, dt=1.0), make_plan([0.0] * 12)],
+    ids=["dt", "states"],
+)
+def test_plans_of_two_shapes_are_refused(other):
+    # one call is one system: plans of another dt (6 steps of 1 s reach the
+    # same 5 s horizon) or of another state count cannot share it
+    plan = make_plan([0.0] * 11)
+    with pytest.raises(ValueError, match="share one dt and number of states"):
+        refine_trajectory([(plan, 10.0, 0.0), (other, 10.0, 0.0)], RefinementParams())
+
+
+def test_a_non_finite_knot_is_the_error_of_its_row_alone():
     rng = np.random.default_rng(9)
-    plans = [random_plan(rng) for _ in range(4)]
-    problems = [(plan, plan.v[0], plan.s[0]) for plan in plans]
-    coarse_step = make_plan([0.0] * 11, dt=0.45)  # not a whole number of 0.1 s steps
-    fine_step = make_plan([0.0] * 51, dt=0.1)  # k = 1, in a group of its own
-    mixed = [problems[0], (make_plan([0.0]), 10.0, 0.0), problems[1], problems[2],
-             (coarse_step, 10.0, 0.0), problems[3], (fine_step, 10.0, 0.0)]
+    problems = [(plan, plan.v[0], plan.s[0]) for plan in (random_plan(rng) for _ in range(5))]
+    plan, v0, s0 = problems[2]
+    problems[2] = (replace(plan, s=plan.s[:4] + (math.nan,) + plan.s[5:]), v0, s0)
     p = RefinementParams()
-    got = refine_trajectory(mixed, p)
-    assert isinstance(got[1], RefinementError) and str(got[1]) == "coarse plan too short to refine"
-    assert isinstance(got[4], RefinementError) and "dt=0.45 is not a whole number" in str(got[4])
-    problems.append((fine_step, 10.0, 0.0))
-    for s, (plan, v0, s0) in zip([got[k] for k in (0, 2, 3, 5, 6)], problems):
-        assert np.array_equal(s, refine_one(plan, p, v0, s0))
-        assert np.array_equal(s, reference_refine(plan, p, v0, s0))
+    got = refine_trajectory(problems, p)
+    assert isinstance(got[2], RefinementError) and "non-finite" in str(got[2])
+    for k in (0, 1, 3, 4):
+        plan, v0, s0 = problems[k]
+        assert np.array_equal(got[k], refine_one(plan, p, v0, s0))
+        assert np.array_equal(got[k], reference_refine(plan, p, v0, s0))
 
 
 def test_cached_quadratic_form_refuses_writes():

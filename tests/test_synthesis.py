@@ -486,18 +486,24 @@ def scene_files_digest(directory) -> str:
 
 # recorded when refinement moved to its precomputed, BLAS-free gain; a
 # change that alters output bytes on purpose updates them and says so in
-# CHANGES.md
+# CHANGES.md. The third case refines at a second shape: k = 10 fine steps
+# per coarse step, n = 70 fine steps
 @pytest.mark.parametrize(
-    "seed, fraction, digest",
+    "seed, fraction, digest, planner",
     [
         (3, 165.0 / 370.0,
-         "7f59eb848a970ec4df608f8e363229a6044ec345680bc768ea9b812b347843d9"),
+         "7f59eb848a970ec4df608f8e363229a6044ec345680bc768ea9b812b347843d9",
+         PlannerParams()),
         (5, 1.0,
-         "5a992ca37392b7919e3a4c633c8327657e57b698ae6226aa45cca2e5662e0a65"),
+         "5a992ca37392b7919e3a4c633c8327657e57b698ae6226aa45cca2e5662e0a65",
+         PlannerParams()),
+        (7, 165.0 / 370.0,
+         "62c5c1063dad8cc99665961b871fd4489456b0e09a594ff53c23cdc758702e62",
+         PlannerParams(dt=1.0, t_g=7.0)),
     ],
 )
-def test_dataset_bytes_pinned(tmp_path, corridors_map, seed, fraction, digest):
-    cfg = small_cfg(tmp_path, n=40, seed=seed, augmented_fraction=fraction)
+def test_dataset_bytes_pinned(tmp_path, corridors_map, seed, fraction, digest, planner):
+    cfg = small_cfg(tmp_path, n=40, seed=seed, augmented_fraction=fraction, planner=planner)
     generate_dataset([corridors_map], cfg)
     assert scene_files_digest(tmp_path / "scenes") == digest
 
@@ -534,7 +540,7 @@ def test_dataset_bytes_pinned_on_other_kernels(setting):
         env={**os.environ, **setting, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "2 passed" in proc.stdout
+    assert "3 passed" in proc.stdout
 
 
 def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
