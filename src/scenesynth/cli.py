@@ -122,8 +122,9 @@ def cmd_mask(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_map = 0
+    crops = {}  # parsed map blocks of this call (`read_scene`)
     for path in files:
-        scene = read_scene(path)
+        scene = read_scene(path, crops)
         # keyed on the scene id, so a sample does not depend on which other
         # scene files sit in the directory
         if not (scene.scene_id.isascii() and scene.scene_id.isdigit()):
@@ -148,18 +149,21 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _load_scenes(directory):
+def _load_scenes(directory, crops):
+    """Every scene of `directory`, map blocks parsed through the
+    command's `crops` dict (`read_scene`)."""
     files = _scene_files(directory)
     if not files:
         raise SceneSynthError(f"no scene files in {directory}")
-    return [read_scene(f) for f in files]
+    return [read_scene(f, crops) for f in files]
 
 
 def cmd_stats(args) -> int:
-    scenes = _load_scenes(args.scenes)
+    crops = {}  # shared by both directories
+    scenes = _load_scenes(args.scenes, crops)
     # the same directory under another spelling is read once
     same = Path(args.ref).resolve() == Path(args.scenes).resolve()
-    ref = scenes if same else _load_scenes(args.ref)
+    ref = scenes if same else _load_scenes(args.ref, crops)
     sp1 = analysis.speed_distribution(scenes)
     sp2 = analysis.speed_distribution(ref)
     hd1 = analysis.heading_distribution(scenes)
@@ -187,9 +191,10 @@ def cmd_validate(args) -> int:
     failures = 0
     # the (status, city, cost) manifest row of each scene that reads back
     rows: dict[str, tuple[str, str, str]] = {}
+    crops = {}  # parsed map blocks of this call (`read_scene`)
     for path in files:
         try:
-            scene = read_scene(path)
+            scene = read_scene(path, crops)
             if scene_to_text(scene).encode("utf-8") != path.read_bytes():
                 raise SceneSynthError("file bytes differ from canonical serialization")
         except SceneSynthError as exc:
@@ -210,7 +215,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    scenes = _load_scenes(args.scenes)
+    scenes = _load_scenes(args.scenes, {})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     speeds = analysis.speed_distribution(scenes)

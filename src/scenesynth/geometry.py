@@ -14,6 +14,11 @@ import numpy as np
 # Consecutive polyline points closer than this are considered coincident.
 COINCIDENT_TOL = 1e-9
 
+# The largest coordinate magnitude (m) of a polyline: about the square root
+# of the float range, so squared coordinate differences and arc-lengths stay
+# finite.
+COORDINATE_LIMIT = 1e150
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -31,7 +36,8 @@ class Polyline:
     """Ordered 2-D points with strictly increasing arc-length.
 
     `xy` is an (n, 2) read-only array, `cum_s` the chord-length cumulative
-    arc-length per point (cum_s[0] == 0).
+    arc-length per point (cum_s[0] == 0). Coordinates must be finite and
+    at most `COORDINATE_LIMIT` in magnitude.
     """
 
     __slots__ = ("xy", "cum_s", "_pt_lines")
@@ -40,8 +46,13 @@ class Polyline:
         arr = np.array(xy, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
             raise ValueError("polyline needs at least two 2-D points")
-        if not np.isfinite(arr).all():
-            raise ValueError("polyline has non-finite coordinates")
+        peak = np.abs(arr).max()  # nan if any coordinate is nan
+        if not peak <= COORDINATE_LIMIT:
+            if not math.isfinite(peak):
+                raise ValueError("polyline has non-finite coordinates")
+            raise ValueError(
+                f"polyline coordinate magnitude {float(peak)!r} exceeds {COORDINATE_LIMIT!r} m"
+            )
         seg = np.hypot(*(arr[1:] - arr[:-1]).T)
         if (seg <= COINCIDENT_TOL).any():
             i = int(np.flatnonzero(seg <= COINCIDENT_TOL)[0])

@@ -299,33 +299,36 @@ def refine_trajectory(
     sc_knots = np.array([coarse.s[1 : n // k + 1] for coarse in plans])
     dt = FINE_DT
     knot_index = np.arange(1, n // k + 1) * k
-    X = s0[:, None] + np.arange(n + 1) * (v0 * dt)[:, None]
-    X[:, 0] = s0
-    if n > 1:
-        # D2 x_ref = D3 x_ref = 0 analytically, so only tracking remains
-        tracked = knot_index >= 2
-        d = p.omega3 * (sc_knots[:, tracked] - X[:, knot_index[tracked]])
-        U = np.zeros((rows, n - 1))
-        for j, g in enumerate(_gain(p, k, n)):
-            U += d[:, j, None] * g
-        X[:, 2:] += U
-    q = np.zeros_like(X)
-    q[:, knot_index] += p.omega3 * sc_knots
-    QX = _times_q(_quadratic_form(p, k, n), X)
-    grad = 2.0 * (QX - q)
-    lam = np.stack([-grad[:, 0] - grad[:, 1], -dt * grad[:, 1]], axis=1)
-    # A' lam: the two constraint rows touch only x0 and x1
-    a_lam = np.zeros_like(X)
-    a_lam[:, 0] = lam[:, 0] - lam[:, 1] / dt
-    a_lam[:, 1] = lam[:, 1] / dt
-    scale = np.maximum.reduce([
-        np.ones(rows),
-        np.abs(2.0 * QX).max(axis=1),
-        np.abs(2.0 * q).max(axis=1, initial=0.0),
-        np.abs(a_lam).max(axis=1),
-    ])
-    residual = np.abs(grad + a_lam).max(axis=1) / scale
-    moved = (np.abs(X[:, 0] - s0) > 1e-8) | (np.abs((X[:, 1] - X[:, 0]) / dt - v0) > 1e-8)
+    # a row that overflows (a huge weight, a non-finite state) fails the
+    # checks below instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = s0[:, None] + np.arange(n + 1) * (v0 * dt)[:, None]
+        X[:, 0] = s0
+        if n > 1:
+            # D2 x_ref = D3 x_ref = 0 analytically, so only tracking remains
+            tracked = knot_index >= 2
+            d = p.omega3 * (sc_knots[:, tracked] - X[:, knot_index[tracked]])
+            U = np.zeros((rows, n - 1))
+            for j, g in enumerate(_gain(p, k, n)):
+                U += d[:, j, None] * g
+            X[:, 2:] += U
+        q = np.zeros_like(X)
+        q[:, knot_index] += p.omega3 * sc_knots
+        QX = _times_q(_quadratic_form(p, k, n), X)
+        grad = 2.0 * (QX - q)
+        lam = np.stack([-grad[:, 0] - grad[:, 1], -dt * grad[:, 1]], axis=1)
+        # A' lam: the two constraint rows touch only x0 and x1
+        a_lam = np.zeros_like(X)
+        a_lam[:, 0] = lam[:, 0] - lam[:, 1] / dt
+        a_lam[:, 1] = lam[:, 1] / dt
+        scale = np.maximum.reduce([
+            np.ones(rows),
+            np.abs(2.0 * QX).max(axis=1),
+            np.abs(2.0 * q).max(axis=1, initial=0.0),
+            np.abs(a_lam).max(axis=1),
+        ])
+        residual = np.abs(grad + a_lam).max(axis=1) / scale
+        moved = (np.abs(X[:, 0] - s0) > 1e-8) | (np.abs((X[:, 1] - X[:, 0]) / dt - v0) > 1e-8)
     faults = (
         "smoothing solve produced non-finite values",  # a non-finite mismatch, say
         "stationarity residual too large after solve",
@@ -334,7 +337,7 @@ def refine_trajectory(
     # each row's first fault in that order, -1 for none: later writes win
     first = np.full(rows, -1)
     first[moved] = 2
-    first[residual > 1e-6] = 1
+    first[~(residual <= 1e-6)] = 1  # a NaN residual fails too
     first[~np.isfinite(X).all(axis=1)] = 0
     return [x if f < 0 else RefinementError(faults[f]) for x, f in zip(X, first.tolist())]
 

@@ -97,6 +97,10 @@ CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 # most scene indices per pool task; output bytes do not depend on it
 CHUNK_SCENES = 16
 
+# map blocks that `read_scene` keeps parsed in a caller's `crops` dict, the
+# least recently used dropped first
+CROP_CACHE_SIZE = 64
+
 
 class ValueType(NamedTuple):
     """How one config value reads from and writes back to config syntax."""
@@ -518,7 +522,7 @@ def _trajectory_table(rows: list[str], tokens: list[str], row_lines: list[int], 
     raise AssertionError("rows that pass every per-row check did not convert")
 
 
-def read_scene(path) -> Scene:
+def read_scene(path, crops: dict[str, SceneMap] | None = None) -> Scene:
     """Parse and validate a scene file. Malformed input raises
     MapFormatError naming the file line at fault, or ValidationError.
 
@@ -528,6 +532,16 @@ def read_scene(path) -> Scene:
     in the order a line-by-line reader meets them, map faults after the
     metadata and row checks. Every row's track id and city must be the
     metadata's; the ValidationError names the first row that differs.
+
+    `crops`, when given, is the caller's cache of parsed map blocks,
+    keyed on the exact text of a file's `# map: ` lines and holding the
+    last `CROP_CACHE_SIZE` of them: files of the same block get the same
+    SceneMap object. A parse depends only on its lines (the path and line
+    numbers only label faults) and only a parse that succeeded is kept,
+    so a hit raises no fault that a parse would have raised, and
+    `validate_scene` still checks every scene. The caller owns the dict
+    and keeps it for one pass over a dataset; it is not module state, so
+    no call sees the maps of another.
     """
     metadata: dict[str, str] = {}
     map_lines: list[str] = []
@@ -574,10 +588,18 @@ def read_scene(path) -> Scene:
             if tokens[6 * k + 1] != sid or tokens[6 * k + 5] != city
         )
         raise ValidationError("row identity differs from metadata", path, row_at[k])
+    crops = {} if crops is None else crops
+    key = "\n".join(map_lines)
+    crop = crops.pop(key, None)
+    if crop is None:
+        crop = parse_map_lines(map_lines, path=path, line_numbers=map_at)
+        if len(crops) >= CROP_CACHE_SIZE:
+            del crops[next(iter(crops))]
+    crops[key] = crop
     scene = Scene(
         scene_id=metadata["scene_id"],
         city=metadata["city"],
-        map_crop=parse_map_lines(map_lines, path=path, line_numbers=map_at),
+        map_crop=crop,
         timestamps=table[:, 0],
         trajectory=table[:, 1:3],
         metadata=metadata,

@@ -7,6 +7,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,10 +22,12 @@ from scenesynth.cli import main, parse_run_config
 from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.manifest import read_manifest
-from scenesynth.maps import LaneSegment, load_map, make_map, save_map
+from scenesynth.maps import LaneSegment, load_map, make_map, read_lines, save_map
 from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
+from scenesynth import synthesis
 from scenesynth.synthesis import (
     CONFIG_KEYS,
+    CSV_HEADER,
     FLOAT,
     FLOAT_OR_NONE,
     FLOATS,
@@ -485,6 +488,59 @@ def test_stats_self_comparison_reports_zero(tmp_path, map_file, capsys):
     assert "speed_overlap=1.000000" in out
 
 
+def map_blocks(scenes) -> dict[str, list[Path]]:
+    """The scene files of each map block (its `# map: ` lines), in order."""
+    blocks: dict[str, list[Path]] = {}
+    for f in sorted(scenes.glob("scene_*.csv")):
+        block = "\n".join(line for line in read_lines(f) if line.startswith("# map: "))
+        blocks.setdefault(block, []).append(f)
+    return blocks
+
+
+@pytest.mark.parametrize("edit", ["pt", "row"])
+def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
+    tmp_path, map_file, monkeypatch, capsys, edit
+):
+    """The second file of a map block is edited: a `# map: pt` line that no
+    longer parses, or a row that breaks the speed bound under the block
+    that its twin left parsed. validate prints what it prints with every
+    block parsed afresh, and parses each distinct block once."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=12)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+    victim = next(files for files in map_blocks(scenes).values() if len(files) > 1)[1]
+    lines = victim.read_text().split("\n")
+    if edit == "pt":
+        i = next(i for i, line in enumerate(lines) if line.startswith("# map: pt "))
+        lines[i] = "# map: pt 1.0 one"
+        fault = f"FAIL {victim}: {victim}:{i + 1}: bad coordinate: pt 1.0 one\n"
+    else:
+        i = lines.index(CSV_HEADER) + 5
+        fields = lines[i].split(",")
+        fields[3] = repr(float(fields[3]) + 100.0)
+        lines[i] = ",".join(fields)
+        fault = f"FAIL {victim}: scene {victim.stem[6:]}: speed "
+    victim.write_text("\n".join(lines))
+    parses = []
+    parse = synthesis.parse_map_lines
+    monkeypatch.setattr(
+        synthesis, "parse_map_lines", lambda *a, **kw: parses.append(1) or parse(*a, **kw)
+    )
+    capsys.readouterr()
+
+    def validate():
+        code = main(["validate", "--scenes", str(scenes)])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cached = validate()
+    assert len(parses) == len(map_blocks(scenes)) < len(list(scenes.glob("scene_*.csv")))
+    monkeypatch.setattr(cli, "read_scene", lambda path, crops: read_scene(path))
+    assert validate() == cached
+    assert cached[0] == 1
+    assert cached[2].startswith(fault)
+
+
 def test_stats_against_its_own_directory_reads_each_file_once(
     tmp_path, map_file, monkeypatch, capsys
 ):
@@ -500,9 +556,9 @@ def test_stats_against_its_own_directory_reads_each_file_once(
     want = capsys.readouterr().out
     reads = []
 
-    def counted(path):
+    def counted(path, *args, **kwargs):
         reads.append(Path(path).name)
-        return read_scene(path)
+        return read_scene(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "read_scene", counted)
     # another spelling of the same directory
@@ -533,6 +589,19 @@ def test_augment_map_graph_fault_names_file_and_lane_line(
                  "--out", str(tmp_path / "a.map")])
     assert code == 1
     assert capsys.readouterr().err.strip() == f"error: {bad}:{line + 1}: {message}"
+    assert not (tmp_path / "a.map").exists()
+
+
+def test_augment_map_of_an_overflowing_lane_length_names_the_lane_line(tmp_path, capsys):
+    bad = tmp_path / "big.map"
+    bad.write_text("city MIA\nlane A\npt 0 0\npt 1e308 0\npt -1e308 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        code = main(["augment-map", "--map", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "a.map")])
+    assert code == 1
+    message = "lane 'A': polyline coordinate magnitude 1e+308 exceeds 1e+150 m"
+    assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
     assert not (tmp_path / "a.map").exists()
 
 

@@ -222,6 +222,8 @@ def test_parse_map_lines_matches_reference_on_several_edited_lines(edits):
         ("pt 50.0 0.0\npt 100.0 0.0\n", "", "has 1 points"),
         ("pt 50.0 0.0\n", "pt 0.0 0.0\n", "coincident"),
         ("pt 50.0 0.0\n", "pt 50.0 nan\n", "non-finite"),
+        # finite, but its arc-length would overflow
+        ("pt 50.0 0.0\npt 100.0 0.0\n", "pt 1e308 0\npt -1e308 0\n", "exceeds 1e\\+150 m"),
     ],
 )
 def test_lane_fault_names_its_lane_line(tmp_path, old, new, message):

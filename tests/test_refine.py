@@ -164,6 +164,13 @@ def test_extreme_weights_are_a_singular_system(p, dt):
         refine_one(plan, p, 10.0, 0.0)
 
 
+def test_an_overflowing_weight_fails_the_stationarity_residual():
+    # the gain is built, but Q x overflows: the residual is NaN, not a pass
+    p = RefinementParams(omega1=1e303)
+    with pytest.raises(RefinementError, match="stationarity residual too large"):
+        refine_one(make_plan([0.0] * 11), p, 10.0, 0.0)
+
+
 def test_initial_constraints_hold_exactly():
     rng = np.random.default_rng(3)
     p = RefinementParams()

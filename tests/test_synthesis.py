@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import subprocess
@@ -10,11 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_same_outcome, reference_read_scene, reference_scene_text
+from oracles import (
+    assert_same_outcome,
+    assert_same_scene,
+    reference_read_scene,
+    reference_scene_text,
+)
 from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2
-from scenesynth.maps import crop_map
+from scenesynth.maps import crop_map, read_lines
 from scenesynth import manifest, synthesis
 from scenesynth.planner import PlannerParams
 from scenesynth.synthesis import (
@@ -32,6 +38,21 @@ def small_cfg(tmp_path, n=6, seed=3, **kw):
     return GenerationConfig(
         seed=seed, n_scenes=n, output_dir=str(tmp_path / "scenes"), **kw
     )
+
+
+def warm_read_scene(scene, directory):
+    """`read_scene` through a `crops` dict that has read the unedited file
+    of `scene`, so that its map block is a hit."""
+    clean = directory / "clean.csv"
+    clean.write_text(scene_to_text(scene), encoding="utf-8")
+    crops = {}
+    read_scene(clean, crops)
+    return functools.partial(read_scene, crops=crops)
+
+
+def map_block(path) -> str:
+    """The `# map: ` lines of a scene file."""
+    return "\n".join(line for line in read_lines(path) if line.startswith("# map: "))
 
 
 def test_config_validation():
@@ -195,6 +216,7 @@ def test_read_scene_fuzz_any_line_raises_only_scenesynth_errors(
     f = tmp_path_factory.mktemp("fuzz") / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_same_outcome(read_scene, reference_read_scene, f)
+    assert_same_outcome(warm_read_scene(demo_scene, f.parent), reference_read_scene, f)
     try:
         scene = read_scene(f)
     except SceneSynthError:
@@ -233,6 +255,7 @@ def test_read_scene_matches_reference_on_several_edited_lines(
     f = tmp_path_factory.mktemp("edits") / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_same_outcome(read_scene, reference_read_scene, f)
+    assert_same_outcome(warm_read_scene(demo_scene, f.parent), reference_read_scene, f)
 
 
 def _scene_line(lines, where):
@@ -267,6 +290,7 @@ def test_read_scene_raises_the_first_fault(demo_scene, tmp_path, edits, fault):
     f = tmp_path / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_same_outcome(read_scene, reference_read_scene, f)
+    assert_same_outcome(warm_read_scene(demo_scene, tmp_path), reference_read_scene, f)
     with pytest.raises(MapFormatError) as exc:
         read_scene(f)
     assert exc.value.line == want
@@ -276,6 +300,7 @@ def test_read_scene_raises_the_first_fault(demo_scene, tmp_path, edits, fault):
 def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
     cfg = GenerationConfig(output_dir="unused", augmented_fraction=fraction)
     f = tmp_path / "scene_000000.csv"
+    warm = functools.partial(read_scene, crops={})
     read = 0
     index = 0
     while read < 200:
@@ -286,6 +311,8 @@ def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
             continue
         f.write_text(scene_to_text(scene), encoding="utf-8")
         assert_same_outcome(read_scene, reference_read_scene, f)
+        warm(f)  # the next read of f is a hit
+        assert_same_outcome(warm, reference_read_scene, f)
         read += 1
 
 
@@ -323,6 +350,19 @@ def test_read_scene_lane_fault_names_its_lane_line(demo_scene, tmp_path):
     assert exc.value.line == i + 1
 
 
+def test_read_scene_lane_of_overflowing_length_names_its_lane_line(demo_scene, tmp_path):
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    lanes = [i for i, line in enumerate(lines) if line.startswith("# map: lane ")]
+    i = lanes[1]
+    # finite points whose differences and arc-length would overflow
+    lines[i + 1 : i + 3] = ["# map: pt 1e308 0", "# map: pt -1e308 0"]
+    f = tmp_path / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MapFormatError, match="exceeds 1e\\+150 m") as exc:
+        read_scene(f)
+    assert exc.value.line == i + 1
+
+
 @pytest.mark.parametrize("column, value", [(1, "000999"), (5, "PIT")])
 def test_read_scene_row_identity_names_first_row_at_fault(
     demo_scene, tmp_path, column, value
@@ -339,6 +379,7 @@ def test_read_scene_row_identity_names_first_row_at_fault(
         read_scene(f)
     assert exc.value.line == header + 12
     assert_same_outcome(read_scene, reference_read_scene, f)
+    assert_same_outcome(warm_read_scene(demo_scene, tmp_path), reference_read_scene, f)
 
 
 @pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
@@ -356,6 +397,38 @@ def test_scene_text_matches_reference(corridors_map, fraction):
         assert scene_to_text(scene) == reference_scene_text(scene)
         assert scene_to_text(scene) == reference_scene_text(scene)
         texts += 1
+
+
+def test_warm_crops_read_the_scenes_of_a_mixed_dataset_unchanged(tmp_path, corridors_map):
+    """Every scene read through a warm `crops` dict is the scene read
+    without one, and the files of one map block share one SceneMap."""
+    generate_dataset([corridors_map], small_cfg(tmp_path, n=60, seed=11))
+    files = sorted((tmp_path / "scenes").glob("scene_*.csv"))
+    assert len(files) < synthesis.CROP_CACHE_SIZE  # no block is dropped
+    crops = {}
+    for f in files:
+        read_scene(f, crops)
+    shared = {}  # map block -> the SceneMap of its first file
+    for f in files:
+        got = read_scene(f, crops)
+        assert_same_scene(got, read_scene(f))
+        assert shared.setdefault(map_block(f), got.map_crop) is got.map_crop
+    assert len(crops) == len(shared) < len(files)
+
+
+def test_crops_keep_the_last_blocks_up_to_their_bound(tmp_path, corridors_map, monkeypatch):
+    monkeypatch.setattr(synthesis, "CROP_CACHE_SIZE", 3)
+    generate_dataset([corridors_map], small_cfg(tmp_path, n=12, seed=11))
+    by_block = {}  # the first file of each map block
+    for f in sorted((tmp_path / "scenes").glob("scene_*.csv")):
+        by_block.setdefault(map_block(f), f)
+    a, b, c, d = list(by_block.values())[:4]
+    crops = {}
+    recent = []  # the distinct maps read, least recently read first
+    for f in (a, b, a, c, d, b):  # the hit on a keeps it past the read of d
+        crop = read_scene(f, crops).map_crop
+        recent = [m for m in recent if m != crop] + [crop]
+        assert list(crops.values()) == recent[-3:]
 
 
 def test_crop_keeps_nearby_lanes_and_prunes_links(corridors_map):
