@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import rotate
 from .maps import read_lines, write_text_atomic
 from .synthesis import SCENE_DT, Scene
 
@@ -70,12 +71,7 @@ def heading_normalize(traj: np.ndarray) -> np.ndarray:
         raise ValidationError("all-stationary trajectory has no heading")
     dx, dy = deltas[moving[0]]
     ang = math.atan2(dy, dx)
-    c, s = math.cos(-ang), math.sin(-ang)
-    rel = traj - traj[0]
-    out = np.empty_like(rel)
-    out[:, 0] = c * rel[:, 0] - s * rel[:, 1]
-    out[:, 1] = s * rel[:, 0] + c * rel[:, 1]
-    return out + traj[0]
+    return rotate(traj - traj[0], -ang) + traj[0]
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:

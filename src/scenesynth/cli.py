@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 data or validation failure, 2 usage/config error.
 Config file format (`GenerationConfig.from_lines`): one `key = value`
 per line (`key: value`, as the manifest writes it, reads the same), `#`
 comments allowed, unknown and repeated keys rejected, numbers finite.
-Keys and defaults, one row each of `synthesis.CONFIG_KEYS`, whose
-defaults are the `GenerationConfig` field defaults:
+Keys and defaults, one row per `GenerationConfig` field, in the order of
+the fields and of the manifest's config block:
 
     seed = 0                  master seed; every scene derives its own stream
     n_scenes = 10             number of scenes to generate
@@ -72,7 +72,12 @@ def parse_run_config(path) -> GenerationConfig:
 
 
 def _scene_files(directory) -> list[Path]:
-    return sorted(Path(directory).glob("scene_*.csv"))
+    """The scene files of `directory`, in name order; raises
+    SceneSynthError when there are none."""
+    files = sorted(Path(directory).glob("scene_*.csv"))
+    if not files:
+        raise SceneSynthError(f"no scene files in {directory}")
+    return files
 
 
 def cmd_augment_map(args) -> int:
@@ -117,8 +122,6 @@ def cmd_generate(args) -> int:
 
 def cmd_mask(args) -> int:
     files = _scene_files(args.scenes)
-    if not files:
-        raise SceneSynthError(f"no scene files in {args.scenes}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_map = 0
@@ -152,10 +155,7 @@ def cmd_mask(args) -> int:
 def _load_scenes(directory, crops):
     """Every scene of `directory`, map blocks parsed through the
     command's `crops` dict (`read_scene`)."""
-    files = _scene_files(directory)
-    if not files:
-        raise SceneSynthError(f"no scene files in {directory}")
-    return [read_scene(f, crops) for f in files]
+    return [read_scene(f, crops) for f in _scene_files(directory)]
 
 
 def cmd_stats(args) -> int:
@@ -185,9 +185,6 @@ def cmd_stats(args) -> int:
 
 def cmd_validate(args) -> int:
     files = _scene_files(args.scenes)
-    if not files:
-        print(f"no scene files in {args.scenes}", file=sys.stderr)
-        return 1
     failures = 0
     # the (status, city, cost) manifest row of each scene that reads back
     rows: dict[str, tuple[str, str, str]] = {}

@@ -52,17 +52,21 @@ class PlannerParams:
     abs_curvature: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_g <= 0:
-            raise ValueError("dt and t_g must be positive")
+        for name in ("dt", "t_g"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not math.isfinite(self.t_g / self.dt):
             raise ValueError(f"t_g={self.t_g} is too many steps of dt={self.dt}")
         if not self.action_set:
-            raise ValueError("action set must not be empty")
+            raise ValueError("action_set must not be empty")
         for a in self.action_set:
             if not ACTION_RANGE[0] <= a <= ACTION_RANGE[1]:
-                raise ValueError(f"action {a} outside {ACTION_RANGE}")
-        if min(self.w1, self.w2, self.w3) < 0:
-            raise ValueError("cost weights must be nonnegative")
+                raise ValueError(f"action_set entry {a} outside {ACTION_RANGE}")
+        for name in ("w1", "w2", "w3"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"cost weight {name} must be nonnegative, got {getattr(self, name)}"
+                )
 
     @property
     def n_steps(self) -> int:

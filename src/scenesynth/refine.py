@@ -58,10 +58,13 @@ class RefinementParams:
     omega3: float = 10.0
 
     def __post_init__(self):
-        if min(self.omega1, self.omega2) < 0:
-            raise ValueError("smoothing weights must be nonnegative")
+        for name in ("omega1", "omega2"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"smoothing weight {name} must be nonnegative, got {getattr(self, name)}"
+                )
         if self.omega3 <= 0:
-            raise ValueError("tracking weight must be positive")
+            raise ValueError(f"tracking weight omega3 must be positive, got {self.omega3}")
 
 
 def fine_steps_per(dt: float) -> int:

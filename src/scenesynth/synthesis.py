@@ -17,9 +17,10 @@ Trajectory coordinates carry 9 decimal places; metadata floats use repr
 and reload exactly. Every byte of a scene file is a deterministic function
 of (seed, config, maps), which keeps datasets reproducible across worker
 counts. Config syntax is read by `GenerationConfig.from_lines` and
-written by `GenerationConfig.echo`, one line per `CONFIG_KEYS` row: the
-manifest's config block (module `manifest`), which reads back as the same
-config. The worker count is a run detail that no output file records.
+written by `GenerationConfig.echo`, one line per config key (an init
+field of `GenerationConfig`, in field order): the manifest's config
+block (module `manifest`), which reads back as the same config. The
+worker count is a run detail that no output file records.
 
 An attempt at a scene has three phases: `draw_scene` makes every random
 draw (warp, reference path, speeds, start), `plan_and_refine` plans
@@ -52,7 +53,7 @@ import multiprocessing
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -146,62 +147,55 @@ FLOAT_OR_NONE = ValueType(
     lambda v: "none" if v is None else repr(v),
 )
 
-# One row per config key, in manifest order: the key, the GenerationConfig
-# field it sets (dotted into `planner`, `refinement` and the `v_d_range`
-# pair) and its value type. Defaults are the dataclass field defaults.
-CONFIG_KEYS: tuple[tuple[str, str, ValueType], ...] = (
-    ("seed", "seed", INT),
-    ("n_scenes", "n_scenes", INT),
-    ("output_dir", "output_dir", TEXT),
-    ("augmented_fraction", "augmented_fraction", FLOAT),
-    ("crop_radius", "crop_radius", FLOAT),
-    ("v_d_min", "v_d_range.0", FLOAT),
-    ("v_d_max", "v_d_range.1", FLOAT),
-    ("action_set", "planner.action_set", FLOATS),
-    ("dt", "planner.dt", FLOAT),
-    ("t_g", "planner.t_g", FLOAT),
-    ("w1", "planner.w1", FLOAT),
-    ("w2", "planner.w2", FLOAT),
-    ("w3", "planner.w3", FLOAT),
-    ("abs_curvature", "planner.abs_curvature", BOOL),
-    ("omega1", "refinement.omega1", FLOAT),
-    ("omega2", "refinement.omega2", FLOAT),
-    ("omega3", "refinement.omega3", FLOAT),
-    ("path_min_length", "path_min_length", FLOAT),
-    ("path_spacing", "path_spacing", FLOAT),
-    ("retry_budget", "retry_budget", INT),
-    ("max_warp_slope", "max_warp_slope", FLOAT_OR_NONE),
-    ("map_files", "map_files", PATHS),
-)
-_KEY_TYPES = {key: vtype for key, _, vtype in CONFIG_KEYS}
 _CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
 
 
-def config_field(cfg: GenerationConfig, path: str):
-    """The value at a dotted CONFIG_KEYS field path."""
-    value = cfg
-    for part in path.split("."):
-        value = value[int(part)] if part.isdigit() else getattr(value, part)
-    return value
+def _key(default, vtype: ValueType):
+    """A GenerationConfig field that is a config key of value type `vtype`."""
+    return field(default=default, metadata={"type": vtype})
 
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    seed: int = 0
-    n_scenes: int = 10
-    output_dir: str = "out/scenes"
-    augmented_fraction: float = 165.0 / 370.0
-    crop_radius: float = 100.0
-    v_d_range: tuple[float, float] = (6.0, 15.0)
-    planner: PlannerParams = PlannerParams()
-    refinement: RefinementParams = RefinementParams()
-    path_min_length: float = 150.0
-    path_spacing: float = maps_mod.REFERENCE_SPACING
-    retry_budget: int = 5
-    max_warp_slope: float | None = None
-    map_files: tuple[str, ...] = ()
+    """A run's config. Each init field is one config key, in manifest
+    order, with its default and its `ValueType` (field metadata "type");
+    the planner and smoothing keys default to those of `PlannerParams`
+    and `RefinementParams`, which `__post_init__` builds from them once
+    per config as `planner` and `refinement`. A value check names the
+    keys at fault in its message."""
+
+    seed: int = _key(0, INT)
+    n_scenes: int = _key(10, INT)
+    output_dir: str = _key("out/scenes", TEXT)
+    augmented_fraction: float = _key(165.0 / 370.0, FLOAT)
+    crop_radius: float = _key(100.0, FLOAT)
+    v_d_min: float = _key(6.0, FLOAT)
+    v_d_max: float = _key(15.0, FLOAT)
+    action_set: tuple[float, ...] = _key(PlannerParams.action_set, FLOATS)
+    dt: float = _key(PlannerParams.dt, FLOAT)
+    t_g: float = _key(PlannerParams.t_g, FLOAT)
+    w1: float = _key(PlannerParams.w1, FLOAT)
+    w2: float = _key(PlannerParams.w2, FLOAT)
+    w3: float = _key(PlannerParams.w3, FLOAT)
+    abs_curvature: bool = _key(PlannerParams.abs_curvature, BOOL)
+    omega1: float = _key(RefinementParams.omega1, FLOAT)
+    omega2: float = _key(RefinementParams.omega2, FLOAT)
+    omega3: float = _key(RefinementParams.omega3, FLOAT)
+    path_min_length: float = _key(150.0, FLOAT)
+    path_spacing: float = _key(maps_mod.REFERENCE_SPACING, FLOAT)
+    retry_budget: int = _key(5, INT)
+    max_warp_slope: float | None = _key(None, FLOAT_OR_NONE)
+    map_files: tuple[str, ...] = _key((), PATHS)
+    planner: PlannerParams = field(init=False, repr=False, compare=False)
+    refinement: RefinementParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            for name, params in (("planner", PlannerParams), ("refinement", RefinementParams)):
+                values = {f.name: getattr(self, f.name) for f in fields(params)}
+                object.__setattr__(self, name, params(**values))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_scenes < 1:
@@ -211,12 +205,13 @@ class GenerationConfig:
                 f"augmented_fraction must lie in [0, 1], got {self.augmented_fraction}"
             )
         if self.crop_radius <= 0:
-            raise ConfigError("crop_radius must be positive")
-        lo, hi = self.v_d_range
-        if not 0 < lo <= hi:
-            raise ConfigError(f"invalid v_d_range {self.v_d_range}")
+            raise ConfigError(f"crop_radius must be positive, got {self.crop_radius}")
+        if not 0 < self.v_d_min <= self.v_d_max:
+            raise ConfigError(
+                f"v_d_min must lie in (0, v_d_max], got {self.v_d_min} and {self.v_d_max}"
+            )
         if self.retry_budget < 0:
-            raise ConfigError("retry_budget must be nonnegative")
+            raise ConfigError(f"retry_budget must be nonnegative, got {self.retry_budget}")
         if self.max_warp_slope is not None and not self.max_warp_slope >= MIN_WARP_SLOPE:
             raise ConfigError(
                 f"max_warp_slope must be >= {MIN_WARP_SLOPE} or none, "
@@ -227,21 +222,24 @@ class GenerationConfig:
         if self.path_spacing <= 0:
             raise ConfigError(f"path_spacing must be positive, got {self.path_spacing}")
         try:
-            k = fine_steps_per(self.planner.dt)
+            k = fine_steps_per(self.dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         n_knots = self.planner.n_steps - 1
         if n_knots * k + 1 < SCENE_SAMPLES:
             raise ConfigError(
-                "planner horizon too short for a full 50-sample scene"
+                "planner horizon too short for a full 50-sample scene: "
+                f"t_g={self.t_g} at dt={self.dt}"
             )
 
     @classmethod
     def from_lines(cls, lines: Iterable[tuple[int, str]], where) -> GenerationConfig:
         """The config that (file line, text) `lines` set, each key at most
         once, by `key = value` or `key: value`; blank and `#` lines are
-        skipped, and unset fields keep their defaults. Raises ConfigError,
-        naming `where` and the line for a faulty line."""
+        skipped, and unset keys keep their defaults. Raises ConfigError,
+        naming `where` and the line for a faulty line, and for a faulty
+        value the line of the first key at fault that `lines` set."""
+        types = {f.name: f.metadata["type"] for f in fields(cls) if f.init}
         values: dict[str, object] = {}
         set_at: dict[str, int] = {}  # line of each key set
         for lineno, raw in lines:
@@ -252,38 +250,30 @@ class GenerationConfig:
             if not match:
                 raise ConfigError(f"expected 'key = value': {line!r}", where, lineno)
             key, text = match[1].strip(), match[2].strip()
-            if key not in _KEY_TYPES:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}", where, lineno)
             if key in set_at:
                 raise ConfigError(f"{key} is already set on line {set_at[key]}", where, lineno)
             set_at[key] = lineno
-            vtype = _KEY_TYPES[key]
             try:
-                values[key] = vtype.parse(text)
+                values[key] = types[key].parse(text)
             except ValueError as exc:
-                msg = f"{key}: expected {vtype.noun}, got {text!r}"
+                msg = f"{key}: expected {types[key].noun}, got {text!r}"
                 raise ConfigError(msg, where, lineno) from exc
-        default = cls()
-        groups: dict[str, dict[str, object]] = {}
-        for key, path, _ in CONFIG_KEYS:
-            owner, _, name = path.rpartition(".")
-            groups.setdefault(owner, {})[name] = values.get(key, config_field(default, path))
         try:
-            planner = PlannerParams(**groups["planner"])
-            refinement = RefinementParams(**groups["refinement"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        v_d = groups["v_d_range"]
-        return cls(
-            **groups[""], v_d_range=(v_d["0"], v_d["1"]), planner=planner,
-            refinement=refinement,
-        )
+            return cls(**values)
+        except ConfigError as exc:
+            named = [word for word in re.findall(r"\w+", str(exc)) if word in set_at]
+            if not named:
+                raise
+            raise ConfigError(str(exc), where, set_at[named[0]]) from None
 
     def echo(self) -> list[tuple[str, str]]:
-        """(key, value) in config syntax for each CONFIG_KEYS field, for the
+        """(key, value) in config syntax for each config key, for the
         manifest; as `key: value` lines they read back through `from_lines`."""
         return [
-            (key, vtype.format(config_field(self, path))) for key, path, vtype in CONFIG_KEYS
+            (f.name, f.metadata["type"].format(getattr(self, f.name)))
+            for f in fields(self) if f.init
         ]
 
 
@@ -404,10 +394,10 @@ def draw_scene(
     path = maps_mod.build_reference_path(
         work_map, drive_lane, cfg.path_min_length, rng, cfg.path_spacing
     )
-    v_d, v0 = sample_speed_targets(rng, cfg.v_d_range)
+    v_d, v0 = sample_speed_targets(rng, (cfg.v_d_min, cfg.v_d_max))
 
-    t_end = cfg.planner.n_steps * cfg.planner.dt
-    max_accel = max(0.0, max(cfg.planner.action_set))
+    t_end = cfg.planner.n_steps * cfg.dt
+    max_accel = max(0.0, max(cfg.action_set))
     # head margin keeps smoothing undershoot on the path; tail margin
     # covers the farthest kinematically reachable arc-length
     reach = v0 * t_end + 0.5 * max_accel * t_end * t_end + 1.0
@@ -794,7 +784,7 @@ def generate_dataset(
     if not maps:
         raise ConfigError("need at least one map")
     try:
-        refinement_shape(cfg.refinement, cfg.planner.dt, cfg.planner.n_steps + 1)
+        refinement_shape(cfg.refinement, cfg.dt, cfg.planner.n_steps + 1)
     except RefinementError as exc:
         raise ConfigError(str(exc)) from None
     out_dir = Path(cfg.output_dir)

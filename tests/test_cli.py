@@ -8,7 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +26,20 @@ from scenesynth.maps import LaneSegment, load_map, make_map, read_lines, save_ma
 from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
 from scenesynth import synthesis
 from scenesynth.synthesis import (
-    CONFIG_KEYS,
     CSV_HEADER,
     FLOAT,
     FLOAT_OR_NONE,
     FLOATS,
     GenerationConfig,
-    config_field,
     generate_dataset,
     read_scene,
     scene_to_text,
 )
 
 REPO = Path(__file__).resolve().parent.parent
+
+# the config keys, in manifest order: the init fields of GenerationConfig
+KEY_FIELDS = [f for f in fields(GenerationConfig) if f.init]
 
 
 @pytest.fixture()
@@ -133,7 +134,7 @@ def test_generate_manifest_echoes_each_config_key_once(tmp_path, map_file):
     echoed = dict(text.split(": ", 1) for text in block)
     assert echoed["seed"] == "21"
     assert echoed["map_files"] == str(map_file)
-    assert keys == [key for key, _, _ in CONFIG_KEYS]
+    assert keys == [f.name for f in KEY_FIELDS]
     assert list(echoed.items()) == parse_run_config(cfg).echo()
 
 
@@ -224,7 +225,7 @@ def _row_of(name, line):
 
 # manifest lines of a 3-scene, one-city dataset: the header, the config
 # block and the maps line, then five count lines, then the rows
-FIRST_COUNT = 2 + len(CONFIG_KEYS) + 1
+FIRST_COUNT = 2 + len(KEY_FIELDS) + 1
 FIRST_ROW = FIRST_COUNT + 5
 
 
@@ -263,6 +264,12 @@ def _list_twice(line):
          f":{FIRST_COUNT - 1}: maps entry 'banana' is not CITY=N"),
         (lambda line: "# maps: PIT=12" if line.startswith("# maps:") else line,
          f":{FIRST_COUNT - 1}: no maps entry for city MIA, which a row lists"),
+        (lambda line: "# config seed: -1" if line.startswith("# config seed:") else line,
+         ":2: seed must be >= 0, got -1"),
+        (lambda line: "# config omega3: 0.0" if line.startswith("# config omega3:") else line,
+         ":18: tracking weight omega3 must be positive, got 0.0"),
+        (lambda line: "# config v_d_min: 20.0" if line.startswith("# config v_d_min:")
+         else line, ":7: v_d_min must lie in (0, v_d_max], got 20.0 and 15.0"),
     ],
 )
 def test_validate_checks_the_manifest_from_the_files_side(
@@ -319,6 +326,21 @@ def test_validate_empty_dir_exits_1(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
     assert main(["validate", "--scenes", str(empty)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["mask", "--task", "map", "--seed", "1", "--out", "OUT"],
+     ["stats", "--ref", "EMPTY"], ["plot", "--out", "OUT"]],
+    ids=["validate", "mask", "stats", "plot"],
+)
+def test_read_command_on_empty_dir_prints_one_error(tmp_path, argv, capsys):
+    empty = tmp_path / "none"
+    empty.mkdir()
+    paths = {"EMPTY": str(empty), "OUT": str(tmp_path / "out")}
+    argv = [argv[0], "--scenes", str(empty)] + [paths.get(a, a) for a in argv[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: no scene files in {empty}\n"
 
 
 def test_mask_map_task_files(tmp_path, map_file):
@@ -652,8 +674,8 @@ def test_manifest_config_block_reads_back(tmp_path, map_file):
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
     manifest = read_manifest(tmp_path / "scenes" / "manifest.txt")
     keys = [text.partition(":")[0] for _, text in manifest.config]
-    assert keys == [key for key, _, _ in CONFIG_KEYS]
-    assert [lineno for lineno, _ in manifest.config] == list(range(2, 2 + len(CONFIG_KEYS)))
+    assert keys == [f.name for f in KEY_FIELDS]
+    assert [lineno for lineno, _ in manifest.config] == list(range(2, 2 + len(KEY_FIELDS)))
     run = parse_run_config(cfg)
     back = GenerationConfig.from_lines(manifest.config, manifest.path)
     assert back == run
@@ -690,7 +712,7 @@ def test_docstring_lists_each_config_key_with_its_default():
     rows = re.findall(r"^    (\w+) = ?(.*?)(?: {2,}.*)?$", cli.__doc__, flags=re.M)
     default = GenerationConfig()
     expected = [
-        (key, vtype.format(config_field(default, path))) for key, path, vtype in CONFIG_KEYS
+        (f.name, f.metadata["type"].format(getattr(default, f.name))) for f in KEY_FIELDS
     ]
     assert rows == expected
     assert len(rows) == 22
@@ -742,7 +764,34 @@ def test_generate_at_a_coarse_step_of_two_fine_steps(tmp_path, map_file, capsys)
     assert len(list((tmp_path / "scenes").glob("scene_*.csv"))) == 2
 
 
-NUMBER_KEYS = [key for key, _, vtype in CONFIG_KEYS if vtype in (FLOAT, FLOATS, FLOAT_OR_NONE)]
+@pytest.mark.parametrize(
+    "overrides, named, message",
+    [({"seed": "-1"}, "seed", "seed must be >= 0, got -1"),
+     ({"omega3": "0"}, "omega3", "tracking weight omega3 must be positive, got 0.0"),
+     ({"v_d_min": "20"}, "v_d_min", "v_d_min must lie in (0, v_d_max], got 20.0 and 15.0"),
+     ({"v_d_max": "3"}, "v_d_max", "v_d_min must lie in (0, v_d_max], got 6.0 and 3.0"),
+     ({"w1": "1", "w2": "-1"}, "w2", "cost weight w2 must be nonnegative, got -1.0"),
+     ({"action_set": "-3"}, "action_set", "action_set entry -3.0 outside"),
+     # the check names t_g first, which the file leaves at its default
+     ({"dt": "0.4"}, "dt", "planner horizon too short for a full 50-sample scene: "
+      "t_g=5.0 at dt=0.4"),
+     ({"dt": "0.4", "t_g": "5"}, "t_g", "planner horizon too short")],
+    ids=["seed", "omega3", "v_d_min", "v_d_max", "w2", "action_set", "dt", "t_g"],
+)
+def test_generate_config_value_error_names_the_line_of_its_key(
+    tmp_path, map_file, overrides, named, message, capsys
+):
+    cfg = write_cfg(tmp_path, map_file, **overrides)
+    lines = cfg.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, 1) if line.startswith(f"{named} ="))
+    assert main(["generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{lineno}: {message}"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "scenes").exists()
+
+
+NUMBER_KEYS = [f.name for f in KEY_FIELDS if f.metadata["type"] in (FLOAT, FLOATS, FLOAT_OR_NONE)]
 
 
 def assert_config_error(argv, capsys):

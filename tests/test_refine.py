@@ -20,7 +20,6 @@ from oracles import (
 )
 from scenesynth import synthesis
 from scenesynth.errors import RefinementError, SceneSynthError
-from scenesynth.planner import PlannerParams
 from scenesynth.refine import (
     RefinementParams,
     _cholesky,
@@ -315,8 +314,7 @@ def test_refine_matches_reference_on_generated_plans(
     corridors_map, monkeypatch, fraction, t_g, count
 ):
     cfg = synthesis.GenerationConfig(
-        output_dir="unused", augmented_fraction=fraction,
-        planner=PlannerParams(t_g=t_g),
+        output_dir="unused", augmented_fraction=fraction, t_g=t_g,
     )
     problems = captured_refinements(corridors_map, monkeypatch, cfg, count)
     assert_batches_match_reference(problems, np.random.default_rng(count))
@@ -325,7 +323,7 @@ def test_refine_matches_reference_on_generated_plans(
 def test_refine_matches_reference_on_one_step_plans(corridors_map, monkeypatch):
     # three actions keep the 50-layer search at 0.1 s steps quick
     cfg = synthesis.GenerationConfig(
-        output_dir="unused", planner=PlannerParams(dt=0.1, action_set=(-1.0, 0.0, 1.0))
+        output_dir="unused", dt=0.1, action_set=(-1.0, 0.0, 1.0)
     )
     problems = captured_refinements(corridors_map, monkeypatch, cfg, 16)
     assert {plan.dt for plan, _, _ in problems} == {0.1}

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,8 +22,9 @@ from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, Vali
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import Point2
 from scenesynth.maps import crop_map, read_lines
-from scenesynth import manifest, synthesis
 from scenesynth.planner import PlannerParams
+from scenesynth.refine import RefinementParams
+from scenesynth import manifest, synthesis
 from scenesynth.synthesis import (
     GenerationConfig,
     SCENE_SAMPLES,
@@ -69,16 +71,42 @@ def test_config_validation():
             GenerationConfig(seed=1, n_scenes=1, path_min_length=bad)
     with pytest.raises(ConfigError):
         # horizon too short for 50 samples at 10 Hz
-        GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(t_g=2.0))
+        GenerationConfig(seed=1, n_scenes=1, t_g=2.0)
     for dt in (0.45, 0.05, 0.25):
         with pytest.raises(ConfigError, match=f"dt={dt} is not a whole number of 0.1 s steps"):
-            GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=dt))
+            GenerationConfig(seed=1, n_scenes=1, dt=dt)
     with pytest.raises(ConfigError, match="horizon too short"):
         # 12 knots of 4 fine steps: 49 samples
-        GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=0.4))
+        GenerationConfig(seed=1, n_scenes=1, dt=0.4)
     # 25 knots of 2 fine steps, and 50 of one
-    GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=0.2))
-    GenerationConfig(seed=1, n_scenes=1, planner=PlannerParams(dt=0.1))
+    GenerationConfig(seed=1, n_scenes=1, dt=0.2)
+    GenerationConfig(seed=1, n_scenes=1, dt=0.1)
+
+
+def test_replaced_config_rebuilds_its_planner_and_refinement():
+    cfg = replace(GenerationConfig(), dt=1.0, t_g=7.0, omega3=4.0)
+    assert (cfg.planner.dt, cfg.planner.t_g) == (1.0, 7.0)
+    assert cfg.planner == PlannerParams(dt=1.0, t_g=7.0)
+    assert cfg.refinement == RefinementParams(omega3=4.0)
+    assert GenerationConfig().planner == PlannerParams()
+
+
+def test_config_survives_a_pickle_round_trip():
+    # as the pool's workers receive it
+    cfg = GenerationConfig(seed=4, dt=1.0, t_g=7.0, omega1=0.5, map_files=("a.map",))
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg
+    assert back.planner == cfg.planner and back.refinement == cfg.refinement
+    assert back.echo() == cfg.echo()
+
+
+def test_config_takes_no_planner_or_refinement_argument():
+    with pytest.raises(TypeError):
+        GenerationConfig(planner=PlannerParams())
+    with pytest.raises(TypeError):
+        GenerationConfig(refinement=RefinementParams())
+    with pytest.raises(TypeError):
+        GenerationConfig(v_d_range=(6.0, 15.0))
 
 
 def test_scene_deterministic_bytes(corridors_map):
@@ -560,23 +588,24 @@ def scene_files_digest(directory) -> str:
 # recorded when refinement moved to its precomputed, BLAS-free gain; a
 # change that alters output bytes on purpose updates them and says so in
 # CHANGES.md. The third case refines at a second shape: k = 10 fine steps
-# per coarse step, n = 70 fine steps
+# per coarse step, n = 70 fine steps. `planner` holds the planner keys
+# that differ from their defaults
 @pytest.mark.parametrize(
     "seed, fraction, digest, planner",
     [
         (3, 165.0 / 370.0,
          "7f59eb848a970ec4df608f8e363229a6044ec345680bc768ea9b812b347843d9",
-         PlannerParams()),
+         {}),
         (5, 1.0,
          "5a992ca37392b7919e3a4c633c8327657e57b698ae6226aa45cca2e5662e0a65",
-         PlannerParams()),
+         {}),
         (7, 165.0 / 370.0,
          "62c5c1063dad8cc99665961b871fd4489456b0e09a594ff53c23cdc758702e62",
-         PlannerParams(dt=1.0, t_g=7.0)),
+         {"dt": 1.0, "t_g": 7.0}),
     ],
 )
 def test_dataset_bytes_pinned(tmp_path, corridors_map, seed, fraction, digest, planner):
-    cfg = small_cfg(tmp_path, n=40, seed=seed, augmented_fraction=fraction, planner=planner)
+    cfg = small_cfg(tmp_path, n=40, seed=seed, augmented_fraction=fraction, **planner)
     generate_dataset([corridors_map], cfg)
     assert scene_files_digest(tmp_path / "scenes") == digest
 
