@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .geometry import Point2, Polyline, rotate
 from .maps import LanePoints, LaneSegment, ReferencePath, SceneMap
 
@@ -118,7 +119,8 @@ def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
     of those points. Every other point is copied bit-identically, and a
     lane with no point past b is kept as the same LaneSegment object;
     connectivity and point counts never change. The warped map's `points`
-    is the warped array.
+    is the warped array. A warped lane that is no valid `Polyline` (one
+    stretched past `geometry.LENGTH_LIMIT`, say) raises ValidationError.
     """
     ids, xy, offsets = m.points
     origin = np.array([p.frame.origin.x, p.frame.origin.y])
@@ -134,12 +136,11 @@ def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
     for k, lane_id in enumerate(ids):
         lane = m.lanes[lane_id]
         if hit[k]:
-            lane = LaneSegment(
-                lane_id,
-                Polyline(new_xy[offsets[k] : offsets[k + 1]]),
-                lane.predecessors,
-                lane.successors,
-            )
+            try:
+                poly = Polyline(new_xy[offsets[k] : offsets[k + 1]])
+            except ValueError as exc:  # e.g. warped past `geometry.LENGTH_LIMIT`
+                raise ValidationError(f"warped lane {lane_id!r}: {exc}") from None
+            lane = LaneSegment(lane_id, poly, lane.predecessors, lane.successors)
         lanes[lane_id] = lane
     out = SceneMap(city=m.city, lanes=lanes)
     out.validate()

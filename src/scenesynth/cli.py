@@ -11,6 +11,8 @@ Subcommands::
     scenesynth plot        --scenes DIR --out DIR [--svg]
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage/config error.
+A scene that `generate` skips after its retries is not a failure: the
+run exits 0, and its summary line counts the scenes made and skipped.
 
 Config file format (`GenerationConfig.from_lines`): one `key = value`
 per line (`key: value`, as the manifest writes it, reads the same), `#`
@@ -112,9 +114,10 @@ def cmd_generate(args) -> int:
     manifest = generate_dataset(
         [load_map(f) for f in cfg.map_files], cfg, workers=args.workers, log=print
     )
+    skipped = manifest.counts["skipped"]
     print(
-        f"generated {len(manifest.records)} scenes in {manifest.elapsed_s:.1f} s "
-        f"({manifest.scenes_per_s:.2f} scenes/s)"
+        f"generated {len(manifest.records) - skipped} scenes and skipped {skipped} "
+        f"in {manifest.elapsed_s:.1f} s ({manifest.scenes_per_s:.2f} scenes/s)"
     )
     print(f"manifest: {manifest.path}")
     return 0

@@ -19,6 +19,11 @@ COINCIDENT_TOL = 1e-9
 # finite.
 COORDINATE_LIMIT = 1e150
 
+# The longest polyline (m). A reference path resamples its whole chain of
+# lanes at its spacing, so this bounds the samples of one lane; real lane
+# segments are metres to kilometres long.
+LENGTH_LIMIT = 1e5
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -37,7 +42,8 @@ class Polyline:
 
     `xy` is an (n, 2) read-only array, `cum_s` the chord-length cumulative
     arc-length per point (cum_s[0] == 0). Coordinates must be finite and
-    at most `COORDINATE_LIMIT` in magnitude.
+    at most `COORDINATE_LIMIT` in magnitude, and the length at most
+    `LENGTH_LIMIT`.
     """
 
     __slots__ = ("xy", "cum_s", "_pt_lines")
@@ -59,6 +65,10 @@ class Polyline:
             raise ValueError(f"coincident polyline points at indices {i}, {i + 1}")
         arr.setflags(write=False)
         cum = np.concatenate(([0.0], np.cumsum(seg)))
+        if not cum[-1] <= LENGTH_LIMIT:
+            raise ValueError(
+                f"polyline length {float(cum[-1])!r} m exceeds {LENGTH_LIMIT!r} m"
+            )
         cum.setflags(write=False)
         self.xy = arr
         self.cum_s = cum
@@ -73,10 +83,12 @@ class Polyline:
         return int(self.xy.shape[0])
 
     def pt_lines(self) -> tuple[str, ...]:
-        """One map-file `pt x y` line per point, 9 decimals each; formatted
-        on first use and kept, since the points never change."""
+        """One map-file `pt x y` line per point, 9 decimals each (the
+        strings of `f"{v:.9f}"`), from one `%` template; formatted on first
+        use and kept, since the points never change."""
         if self._pt_lines is None:
-            self._pt_lines = tuple(f"pt {x:.9f} {y:.9f}" for x, y in self.xy.tolist())
+            text = ("pt %.9f %.9f\n" * len(self.xy)) % tuple(self.xy.ravel().tolist())
+            self._pt_lines = tuple(text.split("\n")[:-1])
         return self._pt_lines
 
     def point_at(self, s) -> np.ndarray:

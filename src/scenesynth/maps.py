@@ -28,7 +28,8 @@ One `lane` record per lane segment; vertex order follows travel
 direction; write coordinates with at least 6 significant digits (9
 decimals are written). Successor endpoints must touch their
 predecessor's last vertex to within 0.5 m (`CONNECTIVITY_TOL`) or
-validation rejects the file.
+validation rejects the file. A lane is at most 1e5 m long
+(`geometry.LENGTH_LIMIT`).
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
 
     `line_numbers[i]` is the file line of `lines[i]` (default `i + 1`).
     A MapFormatError names the line at fault; a lane with too few,
-    coincident or non-finite points names its `lane` line, and so does the
+    coincident or non-finite points, or longer than
+    `geometry.LENGTH_LIMIT`, names its `lane` line, and so does the
     ValidationError of a graph fault (a duplicate lane id, a missing or
     disconnected successor or predecessor). Faults are
     raised in the order a line-by-line reader meets them: a lane is
@@ -379,7 +381,8 @@ def build_reference_path(
 
     The walk picks a uniformly random unvisited successor at each fork and
     stops when the graph is exhausted, so the result can be shorter than
-    `min_length` on small maps.
+    `min_length` on small maps. A chain longer than `geometry.LENGTH_LIMIT`
+    raises ValidationError.
 
     A path is a function of its chain of lanes and `spacing`, so the last
     `PATH_CACHE_SIZE` paths are kept by the identity of their
@@ -407,7 +410,11 @@ def build_reference_path(
     key = (type(spacing), spacing, *map(id, chain))
     hit = _PATH_CACHE.pop(key, None)
     if hit is None:
-        poly = _concat_centerlines([ln.centerline for ln in chain])
+        try:
+            poly = _concat_centerlines([ln.centerline for ln in chain])
+        except ValueError as exc:  # a chain longer than `geometry.LENGTH_LIMIT`
+            lanes = ", ".join(ln.lane_id for ln in chain)
+            raise ValidationError(f"reference path through lanes {lanes}: {exc}") from None
         hit = (tuple(chain), _path_from_polyline(poly, [ln.lane_id for ln in chain], spacing))
         if len(_PATH_CACHE) >= PATH_CACHE_SIZE:
             del _PATH_CACHE[next(iter(_PATH_CACHE))]

@@ -111,8 +111,9 @@ class _Batch:
 
     Every path's `cum_s` is a prefix of the grid `arange(n) * spacing`, so
     one lookup on the longest grid (`_segment`) finds the curvature segment
-    of any state of any scene; `kappa` and `slope` are per-scene tables on
-    that grid, padded to its length.
+    of any state of any scene. `kappa` and `slope` are ragged tables: every
+    path's samples one after another, scene `b`'s from `start[b]`, so they
+    hold the sum of the path lengths, not scenes times the longest path.
     """
 
     def __init__(self, paths, p: PlannerParams, v_d: np.ndarray):
@@ -123,19 +124,21 @@ class _Batch:
         self.a_cost = p.w1 * self.actions * self.actions
         self.v_d = v_d
         self.length = np.array([path.length for path in paths])
-        sizes = [len(path.cum_s) for path in paths]
+        sizes = np.array([len(path.cum_s) for path in paths])
         self.spacing = paths[0].spacing
-        self.grid = np.arange(max(sizes)) * self.spacing
-        self.last = np.array(sizes) - 1
-        kappa = np.zeros((len(paths), len(self.grid)))
-        for row, path, n in zip(kappa, paths, sizes):
+        self.grid = np.arange(sizes.max()) * self.spacing
+        for path, n in zip(paths, sizes.tolist()):
             if not (path.cum_s == self.grid[:n]).all():
                 raise ValueError("paths planned together must share one uniform grid")
-            row[:n] = path.kappa
-        # np.interp's slope on each segment, (fp[j+1] - fp[j]) / (xp[j+1] - xp[j])
-        self.slope = np.zeros_like(kappa)
-        self.slope[:, :-1] = np.diff(kappa, axis=1) / np.diff(self.grid)
-        self.kappa = kappa
+        self.last = sizes - 1
+        self.start = np.cumsum(sizes) - sizes
+        self.kappa = np.concatenate([path.kappa for path in paths])
+        # np.interp's slope on each segment, (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]),
+        # with j each sample's own index on the grid; `curvature` never uses
+        # the slope at a path's last sample
+        local = np.arange(len(self.kappa)) - np.repeat(self.start, sizes)
+        step = np.append(np.diff(self.grid), 1.0)
+        self.slope = np.append(np.diff(self.kappa), 0.0) / step.take(local)
 
     def curvature(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """`np.interp(x, cum_s, kappa)` on the path of each x's row, bit for
@@ -145,7 +148,7 @@ class _Batch:
         j = _segment(self.grid, self.spacing, x)
         last = self.last[rows]
         jc = np.minimum(np.maximum(j, 0), last)
-        flat = rows * self.kappa.shape[1] + jc
+        flat = self.start[rows] + jc
         y = self.kappa.take(flat)
         xp = self.grid.take(jc)
         inner = self.slope.take(flat) * (x - xp) + y

@@ -29,13 +29,14 @@ the config's one set of parameters, and `generate_scene` finishes
 (place, crop, validate) or raises the attempt's error.
 `generate_dataset` keeps the scenes still to make in one queue per
 worker task (the whole to-do list with one worker, the chunks of
-`chunk_indices` with more) and runs each queue in rounds: a round takes
-up to `CHUNK_SCENES` attempts, the retries of the round before first and
-then the next scenes of the queue, draws each, plans and refines all of
-them in one call each, and finishes each; a failed attempt is retried in
-the next round. Each attempt draws from its own `[seed, index, attempt]`
-stream, and neither a plan nor its refinement depends on its batch, so
-the bytes do not depend on the round size or the worker count.
+`chunk_indices` with more, each of at most `CHUNK_SCENES`) and runs each
+queue in rounds: a round takes up to `ROUND_SCENES` attempts, the
+retries of the round before first and then the next scenes of the
+queue, draws each, plans and refines all of them in one call each, and
+finishes each; a failed attempt is retried in the next round. Each
+attempt draws from its own `[seed, index, attempt]` stream, and neither
+a plan nor its refinement depends on its batch, so the bytes do not
+depend on the round size or the worker count.
 Every plan of a round has the config's `dt` and `n_steps + 1` states, so
 one smoothing system refines the round. `generate_dataset` checks it and
 builds its gain (`refinement_shape`) before it creates the output
@@ -94,8 +95,13 @@ ACCEL_BOUNDS = (-5.0, 3.0)
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
-# the most attempts that one round plans and refines together, and the
-# most scene indices per pool task; output bytes do not depend on it
+# the most attempts that one round plans and refines together: each planner
+# call has a fixed cost (about 1.7 ms on a 2-core Xeon), which a larger round
+# shares among more scenes. Output bytes do not depend on it
+ROUND_SCENES = 64
+
+# the most scene indices per pool task (so with N > 1 workers also the
+# largest round); output bytes do not depend on it
 CHUNK_SCENES = 16
 
 # map blocks that `read_scene` keeps parsed in a caller's `crops` dict, the
@@ -476,15 +482,16 @@ def make_scene(
 
 
 def scene_to_text(scene: Scene) -> str:
+    """The scene file's text. The trajectory rows are one `%` template,
+    `TIMESTAMP %.1f` and `X`, `Y` `%.9f` (the strings of `f"{v:.1f}"` and
+    `f"{v:.9f}"`), the scene id and city escaped into it."""
     lines = [f"# {k}: {v}" for k, v in scene.metadata.items()]
     lines.append("# map: " + "\n# map: ".join(map_to_lines(scene.map_crop)))
     lines.append(CSV_HEADER)
-    sid, city = scene.scene_id, scene.city
-    lines.extend(
-        f"{t:.1f},{sid},AGENT,{x:.9f},{y:.9f},{city}"
-        for t, (x, y) in zip(scene.timestamps.tolist(), scene.trajectory.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    sid, city = (text.replace("%", "%%") for text in (scene.scene_id, scene.city))
+    values = np.column_stack((scene.timestamps, scene.trajectory)).ravel().tolist()
+    rows = (f"%.1f,{sid},AGENT,%.9f,%.9f,{city}\n" * len(scene.timestamps)) % tuple(values)
+    return "\n".join(lines) + "\n" + rows
 
 
 def _trajectory_table(rows: list[str], tokens: list[str], row_lines: list[int], path) -> np.ndarray:
@@ -640,7 +647,7 @@ def _build_scene_records(
 
     The map choice and augmentation coin come from a per-scene stream that
     retries do not consume, so failed attempts cannot bias the
-    original/augmented mix. Each round takes up to `CHUNK_SCENES`
+    original/augmented mix. Each round takes up to `ROUND_SCENES`
     attempts: the retries of the round before, then the next scenes of
     `indices`. Attempt r of a scene draws from its own `[seed, index, r]`
     stream; the round plans and refines all of its drafts through one
@@ -660,7 +667,7 @@ def _build_scene_records(
     done: dict[int, SceneRecord] = {}
     emitted = 0
     while retries or queue:
-        fresh = min(CHUNK_SCENES - len(retries), len(queue))
+        fresh = min(ROUND_SCENES - len(retries), len(queue))
         attempts = retries + [(queue.popleft(), 0) for _ in range(fresh)]
         retries = []
         drafts: dict[int, Draft] = {}
@@ -777,9 +784,9 @@ def generate_dataset(
     scenes still to make as one queue, writing each record as soon as the
     ones before it are done; more workers make the chunks of
     `chunk_indices`, one queue and one pool task each. Records are written
-    and logged in index order. Output bytes do not depend on `workers` or
-    on `CHUNK_SCENES`. A config whose smoothing system cannot be solved
-    raises ConfigError before anything is written.
+    and logged in index order. Output bytes do not depend on `workers`,
+    `ROUND_SCENES` or `CHUNK_SCENES`. A config whose smoothing system
+    cannot be solved raises ConfigError before anything is written.
     """
     if not maps:
         raise ConfigError("need at least one map")

@@ -307,3 +307,11 @@ def test_sample_params_slope_cap(corridors_map):
 def test_frame_heading_must_be_finite():
     with pytest.raises(ValueError):
         WarpFrame(Point2(0.0, 0.0), math.inf)
+
+
+def test_lane_warped_past_the_length_limit_is_a_validation_error():
+    # a straight lane just inside the limit, lengthened by the turn
+    xs = [*range(0, 99_001, 1000), 99_999]
+    m = make_map("MIA", [LaneSegment("A", Polyline([(x, 0.0) for x in xs]))])
+    with pytest.raises(ValidationError, match="warped lane 'A': polyline length .* exceeds"):
+        apply_transform(m, single(b=50_000.0))

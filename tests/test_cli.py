@@ -123,6 +123,25 @@ def test_generate_and_validate_roundtrip(tmp_path, map_file, capsys):
     assert main(["validate", "--scenes", str(tmp_path / "scenes")]) == 0
 
 
+@pytest.mark.parametrize(
+    "overrides, made, skipped",
+    [({}, 8, 0), ({"n_scenes": 3, "omega1": "1e8"}, 0, 3)],
+    ids=["all-made", "all-skipped"],
+)
+def test_generate_summary_counts_made_and_skipped_scenes_apart(
+    tmp_path, map_file, capsys, overrides, made, skipped
+):
+    # a smoothing weight of 1e8 fails every refinement: each scene is
+    # skipped after its retries, which is not a failure of the run
+    cfg = write_cfg(tmp_path, map_file, **overrides)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-2]
+    assert summary.startswith(f"generated {made} scenes and skipped {skipped} in ")
+    lines = read_manifest(tmp_path / "scenes" / "manifest.txt").counts
+    counts = {key: int(value) for _, key, value in lines}
+    assert (counts["total"] - counts["skipped"], counts["skipped"]) == (made, skipped)
+
+
 def test_generate_manifest_echoes_each_config_key_once(tmp_path, map_file):
     cfg = write_cfg(tmp_path, map_file, n_scenes=2)
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
@@ -624,6 +643,34 @@ def test_augment_map_of_an_overflowing_lane_length_names_the_lane_line(tmp_path,
     assert code == 1
     message = "lane 'A': polyline coordinate magnitude 1e+308 exceeds 1e+150 m"
     assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+    assert not (tmp_path / "a.map").exists()
+
+
+def test_augment_map_of_a_lane_past_the_length_limit_names_the_lane_line(tmp_path, capsys):
+    bad = tmp_path / "long.map"
+    bad.write_text("city MIA\nlane A\npt 0 0\npt 1e150 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        code = main(["augment-map", "--map", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "a.map")])
+    assert code == 1
+    message = "lane 'A': polyline length 1e+150 m exceeds 100000.0 m"
+    assert capsys.readouterr().err == f"error: {bad}:2: {message}\n"
+    assert not (tmp_path / "a.map").exists()
+
+
+def test_augment_map_that_warps_a_lane_past_the_length_limit_prints_one_error(
+    tmp_path, capsys
+):
+    # the lane is inside the limit, and seed 2's warp lengthens it past
+    long_map = tmp_path / "long.map"
+    points = "".join(f"pt {x} 0\n" for x in [*range(0, 99_001, 1000), 99_999])
+    long_map.write_text("city MIA\nlane A\n" + points)
+    code = main(["augment-map", "--map", str(long_map), "--seed", "2",
+                 "--out", str(tmp_path / "a.map")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: warped lane 'A': polyline length ") and err.count("\n") == 1
     assert not (tmp_path / "a.map").exists()
 
 

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import circle_points
 from scenesynth.geometry import (
+    COORDINATE_LIMIT,
+    LENGTH_LIMIT,
     Point2,
     Polyline,
     curvature_profile,
@@ -27,6 +31,31 @@ def test_polyline_rejects_coincident_points():
 def test_polyline_needs_two_points():
     with pytest.raises(ValueError):
         Polyline([(0, 0)])
+
+
+@given(
+    st.floats(-COORDINATE_LIMIT, COORDINATE_LIMIT),
+    st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=40, unique=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_pt_lines_are_the_per_point_f_strings(a, bs):
+    # a constant coordinate of any magnitude in either column; the other
+    # column's values are apart, so the points are too
+    bs = sorted(bs)
+    if min(np.diff(bs)) <= 1e-6:
+        return
+    column = np.full(len(bs), a)
+    for xy in (np.column_stack([column, bs]), np.column_stack([bs, column])):
+        want = tuple(f"pt {x:.9f} {y:.9f}" for x, y in xy.tolist())
+        poly = Polyline(xy)
+        assert poly.pt_lines() == want
+        assert poly.pt_lines() is poly.pt_lines()
+
+
+def test_polyline_rejects_a_length_past_the_limit():
+    Polyline([(0, 0), (LENGTH_LIMIT, 0)])
+    with pytest.raises(ValueError, match="polyline length 100000.00001 m exceeds 100000.0 m"):
+        Polyline([(0, 0), (60000, 0), (LENGTH_LIMIT + 0.00001, 0)])
 
 
 def test_polyline_arclength_strictly_increasing():

@@ -224,6 +224,9 @@ def test_parse_map_lines_matches_reference_on_several_edited_lines(edits):
         ("pt 50.0 0.0\n", "pt 50.0 nan\n", "non-finite"),
         # finite, but its arc-length would overflow
         ("pt 50.0 0.0\npt 100.0 0.0\n", "pt 1e308 0\npt -1e308 0\n", "exceeds 1e\\+150 m"),
+        # within the coordinate bound, but too long to resample
+        ("pt 50.0 0.0\npt 100.0 0.0\n", "pt 1e150 0\n", "length 1e\\+150 m exceeds 100000.0 m"),
+        ("pt 50.0 0.0\npt 100.0 0.0\n", "pt 100000.5 0\n", "length 100000.5 m exceeds"),
     ],
 )
 def test_lane_fault_names_its_lane_line(tmp_path, old, new, message):
@@ -232,6 +235,17 @@ def test_lane_fault_names_its_lane_line(tmp_path, old, new, message):
     with pytest.raises(MapFormatError, match=message) as exc:
         load_map(f)
     assert exc.value.line == 2  # `lane L1`, not the `lane L2` line that closes it
+
+
+def test_reference_path_longer_than_the_length_limit_is_a_validation_error():
+    m = make_map("MIA", [
+        LaneSegment("A", Polyline([(0.0, 0.0), (60000.0, 0.0)]), (), ("B",)),
+        LaneSegment("B", Polyline([(60000.0, 0.0), (120000.0, 0.0)]), ("A",), ()),
+    ])
+    with pytest.raises(ValidationError, match="reference path through lanes A, B: polyline "
+                       "length 120000.0 m exceeds"):
+        build_reference_path(m, "A", 70000.0, np.random.default_rng(0))
+    assert build_reference_path(m, "A", 150.0, np.random.default_rng(0)).length == 60000.0
 
 
 def test_map_points_are_one_read_only_array_kept_with_the_map():

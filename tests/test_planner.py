@@ -358,23 +358,34 @@ def test_batch_paths_must_share_one_grid():
 
 def test_batched_curvature_lookup_is_np_interp_bit_for_bit():
     rng = np.random.default_rng(5)
-    paths = [wiggly_path(rng, length=n, max_turn=0.08) for n in (40.0, 260.0, 117.0)]
-    batch = _Batch(paths, PlannerParams(), np.zeros(len(paths)))
-    for row, path in enumerate(paths):
-        end = path.length
-        x = np.concatenate([
-            path.cum_s,
-            [end, np.nextafter(end, np.inf), np.nextafter(end, -np.inf), end + 3.5],
-            rng.uniform(0.0, end, 5000),
-            [-0.5, -0.0],
-        ])
-        got = batch.curvature(x, np.full(x.shape, row))
-        assert got.tobytes() == np.interp(x, path.cum_s, path.kappa).tobytes()
-    # padded (scene, state) layout, as the beam pass asks for it
-    x = rng.uniform(0.0, 45.0, (3, 500))
-    got = batch.curvature(x, np.arange(3)[:, None])
-    want = [np.interp(x[row], path.cum_s, path.kappa) for row, path in enumerate(paths)]
-    assert got.tobytes() == np.array(want).tobytes()
+    for spacing in (1.0, 0.3, 1.0 / 3.0, 2.5):
+        # one long path next to short ones, on one grid of `spacing`
+        paths = [
+            _path_from_polyline(
+                wiggly_path(rng, length=n, max_turn=0.08).samples, ("synthetic",), spacing
+            )
+            for n in (40.0, 900.0, 117.0, 12.0)
+        ]
+        batch = _Batch(paths, PlannerParams(), np.zeros(len(paths)))
+        # ragged tables: the sum of the path lengths, not scenes x longest
+        assert batch.kappa.size == batch.slope.size == sum(len(p.cum_s) for p in paths)
+        for row, path in enumerate(paths):
+            end = path.length
+            x = np.concatenate([
+                path.cum_s,
+                np.nextafter(path.cum_s, np.inf),
+                np.nextafter(path.cum_s, -np.inf),
+                [end, end + 3.5, end + 1000.0],
+                rng.uniform(0.0, end, 5000),
+                [-0.5, -0.0],
+            ])
+            got = batch.curvature(x, np.full(x.shape, row))
+            assert got.tobytes() == np.interp(x, path.cum_s, path.kappa).tobytes()
+        # padded (scene, state) layout, as the beam pass asks for it
+        x = rng.uniform(-1.0, 950.0, (len(paths), 500))
+        got = batch.curvature(x, np.arange(len(paths))[:, None])
+        want = [np.interp(x[row], path.cum_s, path.kappa) for row, path in enumerate(paths)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("spacing", [1.0, 0.3, 0.7, 1.0 / 3.0, 2.5])

@@ -20,14 +20,15 @@ from oracles import (
 )
 from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.geometry import Point2
-from scenesynth.maps import crop_map, read_lines
+from scenesynth.geometry import COORDINATE_LIMIT, Point2, Polyline
+from scenesynth.maps import LaneSegment, SceneMap, crop_map, read_lines
 from scenesynth.planner import PlannerParams
 from scenesynth.refine import RefinementParams
 from scenesynth import manifest, synthesis
 from scenesynth.synthesis import (
     GenerationConfig,
     SCENE_SAMPLES,
+    Scene,
     generate_dataset,
     make_scene,
     read_scene,
@@ -391,6 +392,19 @@ def test_read_scene_lane_of_overflowing_length_names_its_lane_line(demo_scene, t
     assert exc.value.line == i + 1
 
 
+def test_read_scene_lane_longer_than_the_length_limit_names_its_lane_line(demo_scene, tmp_path):
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    lanes = [i for i, line in enumerate(lines) if line.startswith("# map: lane ")]
+    i = lanes[1]
+    # within the coordinate bound, but too long to resample
+    lines[i + 1 : i + 3] = ["# map: pt 0 0", "# map: pt 1e150 0"]
+    f = tmp_path / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MapFormatError, match="polyline length .* exceeds 100000.0 m") as exc:
+        read_scene(f)
+    assert exc.value.line == i + 1
+
+
 @pytest.mark.parametrize("column, value", [(1, "000999"), (5, "PIT")])
 def test_read_scene_row_identity_names_first_row_at_fault(
     demo_scene, tmp_path, column, value
@@ -425,6 +439,34 @@ def test_scene_text_matches_reference(corridors_map, fraction):
         assert scene_to_text(scene) == reference_scene_text(scene)
         assert scene_to_text(scene) == reference_scene_text(scene)
         texts += 1
+
+
+# -0.0 and tiny negatives print as -0.000000000 (and -0.0 at one decimal),
+# rounding halves, and magnitudes near the coordinate limit print every digit
+EDGE_VALUES = (
+    0.0, -0.0, -1e-12, 1e-12, -4.9e-10, -5e-10, 5e-10, -5.000000001e-10, 0.1 + 0.2,
+    -123.4567891235, -0.04, 0.05, 0.15, -0.25, 2.5e-300, -2.5e-300,
+    9.999999999999999e149, -COORDINATE_LIMIT, COORDINATE_LIMIT,
+)
+
+
+def test_scene_text_templates_match_reference_on_edge_values():
+    lanes = {}
+    for k, v in enumerate(EDGE_VALUES):
+        # a short lane along each axis at the value, with tiny negative points
+        for lane_id, xy in ((f"X%{k}", [(v, -1e-12), (v, 1.0), (v, -0.0)]),
+                            (f"Y%{k}", [(-1e-12, v), (1.0, v), (-0.0, v)])):
+            lanes[lane_id] = LaneSegment(lane_id, Polyline(xy))
+    values = np.array(EDGE_VALUES)
+    grid = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1, 2)
+    for city, sid in (("M%sA%", "0%d%%1"), ("%", "%(x)s"), ("MIA", "000001")):
+        scene = Scene(
+            sid, city, SceneMap(city, lanes), np.resize(values, len(grid)), grid,
+            {"scene_id": sid, "city": city, "note": "50% %s"},
+        )
+        # twice: the second pass reads the pt lines kept on each Polyline
+        assert scene_to_text(scene) == reference_scene_text(scene)
+        assert scene_to_text(scene) == reference_scene_text(scene)
 
 
 def test_warm_crops_read_the_scenes_of_a_mixed_dataset_unchanged(tmp_path, corridors_map):
@@ -648,8 +690,9 @@ def test_dataset_bytes_pinned_on_other_kernels(setting):
 def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
     tmp_path, corridors_map, monkeypatch
 ):
-    # every third scene fails its first two attempts and scene 7 every one,
-    # so retries join later rounds and one scene ends skipped
+    # one worker in rounds of one attempt and of ROUND_SCENES: every third
+    # scene fails its first two attempts and scene 7 every one, so retries
+    # join later rounds and one scene ends skipped
     real_validate = synthesis.validate_scene
 
     def flaky(scene):
@@ -671,15 +714,17 @@ def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
 
     monkeypatch.setattr(synthesis, "validate_scene", flaky)
     runs = {}
-    for chunk in (1, synthesis.CHUNK_SCENES):
-        monkeypatch.setattr(synthesis, "CHUNK_SCENES", chunk)
+    full = synthesis.ROUND_SCENES
+    n = 150  # more than two full rounds
+    for size in (1, full):
+        monkeypatch.setattr(synthesis, "ROUND_SCENES", size)
         with monkeypatch.context() as mp:
             for name in calls:
                 calls[name] = []
                 mp.setattr(synthesis, name, counted(name))
             log = []
             cfg = small_cfg(
-                tmp_path / str(chunk), n=40, seed=6, augmented_fraction=1.0, retry_budget=3
+                tmp_path / str(size), n=n, seed=6, augmented_fraction=1.0, retry_budget=3
             )
             manifest = generate_dataset([corridors_map], cfg, log=log.append)
         records = [
@@ -687,23 +732,25 @@ def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
         ]
         # one finishing call per attempt, as the traced benchmark counts them
         assert len(calls["generate_scene"]) == sum(r.attempts for r in manifest.records)
-        runs[chunk] = (
-            scene_files_digest(tmp_path / str(chunk) / "scenes"),
+        runs[size] = (
+            scene_files_digest(tmp_path / str(size) / "scenes"),
             records,
             [line.partition(" wall_ms=")[0] for line in log],
             calls["astar_plan"],
         )
-    one, rolled = runs[1], runs[synthesis.CHUNK_SCENES]
+    one, rolled = runs[1], runs[full]
     assert rolled[:3] == one[:3]
+    assert set(one[3]) == {1}
     # one worker runs one queue, and retries join the next round, so only
     # the last round that takes new scenes and the rounds of retries after
-    # it plan fewer than CHUNK_SCENES problems
-    short = [size for size in rolled[3] if size != synthesis.CHUNK_SCENES]
+    # it plan fewer than ROUND_SCENES problems
+    assert rolled[3][:2] == [full, full]
+    short = [size for size in rolled[3] if size != full]
     assert len(short) <= cfg.retry_budget + 1
     assert sum(rolled[3]) == sum(one[3])
     records = one[1]
     assert records[7][1:4] == ("skipped", "-", 4) and "forced failure 7/3" in records[7][4]
-    assert all(records[i][3] >= 3 for i in range(0, 40, 3) if i != 7)
+    assert all(records[i][3] >= 3 for i in range(0, n, 3) if i != 7)
     assert [line.partition(" ")[0] for line in one[2]] == [
         f"scene={r[0]}" for r in records
     ]
@@ -711,5 +758,5 @@ def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
     cfg = small_cfg(tmp_path, seed=6, augmented_fraction=1.0)
     rng = np.random.default_rng([6, 3, 2])
     scene = make_scene(corridors_map, rng, cfg, "000003", "6/3/2", force_augmented=True)
-    kept = tmp_path / str(synthesis.CHUNK_SCENES) / "scenes" / "scene_000003.csv"
+    kept = tmp_path / str(full) / "scenes" / "scene_000003.csv"
     assert kept.read_text() == scene_to_text(scene)
