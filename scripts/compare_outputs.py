@@ -10,10 +10,14 @@ the `corridors` MIA and PIT map files:
   dataset, each at two fixed seeds, and the mix planned at `dt = 1.0`
   to `t_g = 7.0`, a second refinement shape of k = 10 fine steps per
   coarse step and n = 70, at one seed): `generate` N scenes from the maps,
-  `validate` them, then `mask --task combined`; then the same again with
-  `generate --workers 2`, into `scenes_w2/` and `samples_w2/`. The
-  per-scene lines that `generate` logs, without their `wall_ms=` timing,
-  go to `logs/generate.log` and `logs_w2/generate.log`;
+  `validate` them, then `mask --task combined` into `samples/`, `stats`
+  of the dataset against itself into `tables/` and `plot --svg` into
+  `plot/`; then the same again with `generate --workers 2`, into
+  `scenes_w2/`, `samples_w2/`, `tables_w2/` and `plot_w2/`. The per-scene
+  lines that `generate` logs, without their `wall_ms=` timing, go to
+  `logs/generate.log` and `logs_w2/generate.log`, and what each of the
+  four read commands prints, its run's own directories named as in the
+  one-worker run, to `logs/<command>.out` and `logs_w2/<command>.out`;
 - augment-map cases (`--kind single` and `--kind double`, each at two
   fixed seeds): `augment-map` on each map, which writes the warped map
   and its `.params` file.
@@ -22,9 +26,10 @@ The manifest echoes the output and map paths, so both trees must write
 to the same paths for their bytes to be comparable; the second tree runs
 after the first one's files are recorded and removed.
 
-Prints every map, scene, manifest, sample, log or `.params` file whose
-bytes differ, or that only one tree wrote, and every scene, sample or log
-file of a two-worker run whose bytes differ from the one-worker run's;
+Prints every map, scene, manifest, sample, table, plot, log or `.params`
+file whose bytes differ, or that only one tree wrote, and every scene,
+sample, table, plot or log file of a two-worker run whose bytes differ
+from the one-worker run's;
 exits 1 if there is any, and 0 if every file is byte-identical. So a
 change in how the work is ordered must not reorder or change a logged
 record. For a text file whose bytes differ between the trees, it also
@@ -63,9 +68,10 @@ AUGMENT_CASES = (
 )
 
 # run in the tree's interpreter environment: write the maps, then
-# (generate) write a config, generate (keeping its scene log lines),
-# validate and mask through the CLI, or (augment) warp each map through
-# the CLI; a command's nonzero exit ends the run with its stderr
+# (generate) write a config, generate (keeping its scene log lines), then
+# validate, mask, stats and plot (keeping what each prints) through the
+# CLI, or (augment) warp each map through the CLI; a command's nonzero exit
+# ends the run with its stderr
 RUN = """
 import contextlib
 import io
@@ -91,15 +97,19 @@ if mode == "augment":
     sys.exit(0)
 n_scenes, settings = sys.argv[4], sys.argv[5:]
 for suffix, workers in (("", "1"), ("_w2", "2")):
-    scenes, cfg = work / f"scenes{suffix}", work / f"generate{suffix}.cfg"
-    lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {scenes}",
+    run = {name: str(work / f"{name}{suffix}") for name in ("scenes", "samples", "tables", "plot")}
+    cfg, logs = work / f"generate{suffix}.cfg", work / f"logs{suffix}"
+    logs.mkdir()
+    lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {run['scenes']}",
              "map_files = " + ",".join(maps), *settings]
     cfg.write_text("\\n".join(lines) + "\\n")
     for argv in (
         ["generate", "--config", str(cfg), "--workers", workers],
-        ["validate", "--scenes", str(scenes)],
-        ["mask", "--scenes", str(scenes), "--task", "combined", "--seed", seed,
-         "--out", str(work / f"samples{suffix}")],
+        ["validate", "--scenes", run["scenes"]],
+        ["mask", "--scenes", run["scenes"], "--task", "combined", "--seed", seed,
+         "--out", run["samples"]],
+        ["stats", "--scenes", run["scenes"], "--ref", run["scenes"], "--out", run["tables"]],
+        ["plot", "--scenes", run["scenes"], "--out", run["plot"], "--svg"],
     ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -107,11 +117,14 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
         if code != 0:
             sys.exit(f"scenesynth {argv[0]} exited {code}")
         if argv[0] == "generate":
-            logs = work / f"logs{suffix}"
-            logs.mkdir()
             lines = [line.partition(" wall_ms=")[0] for line in out.getvalue().splitlines()
                      if line.startswith("scene=")]
             (logs / "generate.log").write_text("\\n".join(lines) + "\\n")
+        else:
+            text = out.getvalue()
+            for name, path in run.items():
+                text = text.replace(path, name)
+            (logs / f"{argv[0]}.out").write_text(text)
 """
 
 
@@ -150,11 +163,13 @@ def first_difference(old: bytes, new: bytes) -> str:
 
 
 def worker_problems(label: str, contents: dict[str, bytes]) -> list[str]:
-    """One line per scene, sample or log file of the two-worker run whose
-    bytes differ from the one-worker run's, or that only one of the runs
-    wrote. The manifests differ by design: they echo `output_dir`."""
+    """One line per scene, sample, table, plot or log file of the
+    two-worker run whose bytes differ from the one-worker run's, or that
+    only one of the runs wrote. The manifests differ by design: they echo
+    `output_dir`."""
     problems = []
-    for one, two in (("scenes", "scenes_w2"), ("samples", "samples_w2"), ("logs", "logs_w2")):
+    for one in ("scenes", "samples", "tables", "plot", "logs"):
+        two = f"{one}_w2"
         files = {
             run: {
                 path.partition("/")[2]: data

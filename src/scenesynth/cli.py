@@ -128,9 +128,9 @@ def cmd_mask(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_map = 0
-    crops = {}  # parsed map blocks of this call (`read_scene`)
+    lanes = {}  # parsed lane records of this call (`read_scene`)
     for path in files:
-        scene = read_scene(path, crops)
+        scene = read_scene(path, lanes)
         # keyed on the scene id, so a sample does not depend on which other
         # scene files sit in the directory
         if not (scene.scene_id.isascii() and scene.scene_id.isdigit()):
@@ -155,18 +155,18 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _load_scenes(directory, crops):
-    """Every scene of `directory`, map blocks parsed through the
-    command's `crops` dict (`read_scene`)."""
-    return [read_scene(f, crops) for f in _scene_files(directory)]
+def _load_scenes(directory, lanes):
+    """Every scene of `directory`, lane records parsed through the
+    command's `lanes` dict (`read_scene`)."""
+    return [read_scene(f, lanes) for f in _scene_files(directory)]
 
 
 def cmd_stats(args) -> int:
-    crops = {}  # shared by both directories
-    scenes = _load_scenes(args.scenes, crops)
+    lanes = {}  # shared by both directories
+    scenes = _load_scenes(args.scenes, lanes)
     # the same directory under another spelling is read once
     same = Path(args.ref).resolve() == Path(args.scenes).resolve()
-    ref = scenes if same else _load_scenes(args.ref, crops)
+    ref = scenes if same else _load_scenes(args.ref, lanes)
     sp1 = analysis.speed_distribution(scenes)
     sp2 = analysis.speed_distribution(ref)
     hd1 = analysis.heading_distribution(scenes)
@@ -191,10 +191,10 @@ def cmd_validate(args) -> int:
     failures = 0
     # the (status, city, cost) manifest row of each scene that reads back
     rows: dict[str, tuple[str, str, str]] = {}
-    crops = {}  # parsed map blocks of this call (`read_scene`)
+    lanes = {}  # parsed lane records of this call (`read_scene`)
     for path in files:
         try:
-            scene = read_scene(path, crops)
+            scene = read_scene(path, lanes)
             if scene_to_text(scene).encode("utf-8") != path.read_bytes():
                 raise SceneSynthError("file bytes differ from canonical serialization")
         except SceneSynthError as exc:

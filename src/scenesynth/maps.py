@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -61,6 +62,10 @@ REFERENCE_SPACING = 1.0
 # Reference paths that `build_reference_path` keeps for reuse, the least
 # recently used dropped first.
 PATH_CACHE_SIZE = 64
+
+# Parsed lane records that `parse_map_lines` keeps in a caller's `lanes`
+# dict, the least recently used dropped first.
+LANE_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -158,24 +163,15 @@ def _line_fault(fields: list[str], in_lane: bool) -> str:
     return f"unknown directive {tag!r}"
 
 
-def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
-    """Parse the map schema from a list of text lines.
-
-    `line_numbers[i]` is the file line of `lines[i]` (default `i + 1`).
-    A MapFormatError names the line at fault; a lane with too few,
-    coincident or non-finite points, or longer than
-    `geometry.LENGTH_LIMIT`, names its `lane` line, and so does the
-    ValidationError of a graph fault (a duplicate lane id, a missing or
-    disconnected successor or predecessor). Faults are
-    raised in the order a line-by-line reader meets them: a lane is
-    checked once the next `lane` line (or the end) closes it.
+def _parse_lanes(lines, path, line_numbers):
+    """The (index in `lines`, label) of each `city` line, the lanes, and
+    the index in `lines` of each lane's `lane` line, in order; raises the
+    faults of `parse_map_lines` but for the graph checks.
 
     One pass splits each line once; the `pt` coordinates of every lane
     then convert in one call and the lanes are cut out by row.
     """
-    if line_numbers is None:
-        line_numbers = range(1, len(lines) + 1)
-    city = "UNKNOWN"
+    cities: list[tuple[int, str]] = []
     heads: list[tuple[str, int, int]] = []  # lane id, index in lines, first pt row
     links: list[tuple[list[str], list[str]]] = []  # (pred, succ) ids per lane
     coords: list[str] = []  # "pt", x, y of every pt line
@@ -199,7 +195,7 @@ def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
         elif (tag == "succ" or tag == "pred") and n == 2 and heads:
             links[-1][tag == "succ"].append(fields[1])
         elif tag == "city" and n == 2:
-            city = fields[1]
+            cities.append((i, fields[1]))
         else:
             fault = (i, _line_fault(fields, bool(heads)))
             break
@@ -236,7 +232,97 @@ def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
         lanes.append(LaneSegment(lane_id, poly, tuple(pred), tuple(succ)))
     if fault is not None:
         raise MapFormatError(fault[1], path, line_numbers[fault[0]])
-    return make_map(city, lanes, path, [line_numbers[i] for _, i, _ in heads])
+    return cities, lanes, [i for _, i, _ in heads]
+
+
+def _parse_cached(lines, path, line_numbers, cache: dict[str, LaneSegment]):
+    """`_parse_lanes` of `lines`, each lane record found in `cache` reused
+    instead of parsed again.
+
+    A record runs from a line that starts with `lane ` to the line before
+    the next one, and its key is its text: its lines joined by newlines.
+    The lines before the first record and the records not found are
+    parsed together, in order. A record found parsed without fault on its
+    own, and its parse depends only on its text, so the faults and their
+    order are those of a parse of every line. Then, in file order, each
+    record found and each record parsed that defines exactly one lane and
+    sets no city moves to the back of `cache`, which keeps the last
+    `LANE_CACHE_SIZE` of them. Lines that hold a newline are parsed
+    without the cache.
+    """
+    text = "\n".join(lines)
+    offsets = [0] if text.startswith("lane ") else []  # of each record in `text`
+    at_char = text.find("\nlane ")
+    while at_char >= 0:
+        offsets.append(at_char + 1)
+        at_char = text.find("\nlane ", at_char + 1)
+    starts, seen, at_char = [], 0, 0  # the index in `lines` of each record
+    for offset in offsets:
+        seen += text.count("\n", at_char, offset)
+        starts.append(seen)
+        at_char = offset
+    if seen + text.count("\n", at_char) != len(lines) - 1:  # a line holds a newline
+        return _parse_lanes(lines, path, line_numbers)
+    ends = starts[1:] + [len(lines)]
+    bounds = offsets + [len(text) + 1]
+    keys = [text[a : b - 1] for a, b in zip(bounds, bounds[1:])]
+    hits = {a: cache[key] for a, key in zip(starts, keys) if key in cache}
+    # the lines to parse, with their file lines and their indices in `lines`
+    head = starts[0] if starts else len(lines)
+    todo, sub, sub_numbers = list(range(head)), lines[:head], list(line_numbers[:head])
+    for a, b in zip(starts, ends):
+        if a not in hits:
+            todo += range(a, b)
+            sub += lines[a:b]
+            sub_numbers += line_numbers[a:b]
+    cities, found, at = _parse_lanes(sub, path, sub_numbers)
+    cities = [(todo[j], label) for j, label in cities]
+    city_at = [i for i, _ in cities]
+    at = [todo[j] for j in at]
+    parsed = dict(zip(at, found))
+    for a, b, key in zip(starts, ends, keys):
+        lane = hits.get(a)
+        if lane is None:
+            lanes_in = bisect_left(at, b) - bisect_left(at, a)
+            if lanes_in != 1 or bisect_left(city_at, b) > bisect_left(city_at, a):
+                continue
+            lane = parsed[a]
+        cache.pop(key, None)
+        if len(cache) >= LANE_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = lane
+    lanes = sorted({**parsed, **hits}.items())
+    return cities, [lane for _, lane in lanes], [i for i, _ in lanes]
+
+
+def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap:
+    """Parse the map schema from a list of text lines.
+
+    `line_numbers[i]` is the file line of `lines[i]` (default `i + 1`).
+    A MapFormatError names the line at fault; a lane with too few,
+    coincident or non-finite points, or longer than
+    `geometry.LENGTH_LIMIT`, names its `lane` line, and so does the
+    ValidationError of a graph fault (a duplicate lane id, a missing or
+    disconnected successor or predecessor). Faults are
+    raised in the order a line-by-line reader meets them: a lane is
+    checked once the next `lane` line (or the end) closes it.
+
+    `lanes`, when given, is the caller's cache of parsed lane records
+    (`_parse_cached`), so that the lanes that many files share are parsed
+    once and those files share each such LaneSegment (and its Polyline).
+    A parse depends only on the text: the path and line numbers only label
+    faults. The graph checks run on every call. The caller owns the dict
+    and keeps it for one pass over a dataset; it is not module state, so
+    no call sees the lanes of another.
+    """
+    if line_numbers is None:
+        line_numbers = range(1, len(lines) + 1)
+    if lanes is None:
+        cities, found, at = _parse_lanes(lines, path, line_numbers)
+    else:
+        cities, found, at = _parse_cached(lines, path, line_numbers, lanes)
+    city = cities[-1][1] if cities else "UNKNOWN"
+    return make_map(city, found, path, [line_numbers[i] for i in at])
 
 
 def load_map(path) -> SceneMap:
@@ -262,15 +348,20 @@ def save_map(m: SceneMap, path) -> None:
     write_text_atomic(path, "\n".join(map_to_lines(m)) + "\n")
 
 
-def read_lines(path, error=MapFormatError) -> list[str]:
-    """The lines of a UTF-8 text file without their newlines, as iterating
-    the open file gives them. Bytes that are not UTF-8 raise `error`, the
+def read_text(path, error=MapFormatError) -> str:
+    """The text of a UTF-8 file, each line ending in "\\n" as iterating
+    the open file gives it. Bytes that are not UTF-8 raise `error`, the
     caller's SceneSynthError subclass, not UnicodeDecodeError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_lines(path, error=MapFormatError) -> list[str]:
+    """The lines of a UTF-8 text file (`read_text`) without their newlines."""
+    lines = read_text(path, error).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -26,13 +26,13 @@ its bits are the same on every machine.
 
 `refine_trajectory` refines a round of plans at once. Like the plans of
 one `astar_plan` call, they share one dt and one number of states, so one
-system (`refinement_shape` derives its k and n, checks it and builds its
-gain; a fault of it raises one RefinementError for the call), and each
-plan is a row of one array. Every step is elementwise over the rows. No
-step uses a matrix product, whose summation order would depend on the
-BLAS kernel and on the batch, so each plan's fine arc-lengths have the
-same bits in any batch and on any machine; `refine_one` refines one plan
-through the same code.
+system (`refinement_shape` derives its k and n, checks it, builds its
+gain and refines a probe plan; a fault of it raises one RefinementError
+for the call), and each plan is a row of one array. Every step is
+elementwise over the rows. No step uses a matrix product, whose summation
+order would depend on the BLAS kernel and on the batch, so each plan's
+fine arc-lengths have the same bits in any batch and on any machine;
+`refine_one` refines one plan through the same code.
 """
 
 from __future__ import annotations
@@ -217,11 +217,13 @@ def _gain(p: RefinementParams, k: int, n: int) -> np.ndarray:
 def refinement_shape(p: RefinementParams, dt: float, states: int) -> tuple[int, int]:
     """The fine steps k per coarse step and the index n of the last fine
     sample of the refinement of plans of step `dt` with `states` states
-    under `p`, once their shared system is checked and its gain built
-    (`_gain`, cached). Raises RefinementError when no such plan can be
-    refined: fewer than three states, a `dt` that is not a whole number of
-    FINE_DT steps, zero smoothing weights with untracked fine samples
-    (k > 1), or a singular gain."""
+    under `p`, once their shared system is checked, its gain built
+    (`_gain`, cached) and a probe plan refined (`_probe`, cached). Raises
+    RefinementError when no such plan can be refined: fewer than three
+    states, a `dt` that is not a whole number of FINE_DT steps, zero
+    smoothing weights with untracked fine samples (k > 1), a singular
+    gain, or weights under which the probe fails a row check of
+    `refine_trajectory`."""
     if states < 3:
         raise RefinementError("coarse plan too short to refine")
     try:
@@ -235,9 +237,30 @@ def refinement_shape(p: RefinementParams, dt: float, states: int) -> tuple[int, 
         )
     # the final coarse state overshoots the horizon; refine up to the one before
     n = (states - 2) * k
+    weights = f"omega1={p.omega1!r}, omega2={p.omega2!r}, omega3={p.omega3!r}"
     if n > 1:
-        _gain(p, k, n)
+        try:
+            _gain(p, k, n)
+        except RefinementError as exc:
+            raise RefinementError(f"{exc}; weights {weights}") from None
+    fault = _probe(p, dt, states, k, n)
+    if fault is not None:
+        raise RefinementError(
+            f"weights {weights} refine no plan: a constant-speed plan with "
+            f"its first knot 1 m ahead fails with {fault}"
+        )
     return k, n
+
+
+@lru_cache(maxsize=8)
+def _probe(p: RefinementParams, dt: float, states: int, k: int, n: int) -> str | None:
+    """The fault, if any, of the refinement of one probe plan of the
+    system: 10 m/s from s = 0, its first knot after the start 1 m ahead."""
+    s = [10.0 * dt * j for j in range(states)]
+    s[1] += 1.0
+    probe = CoarsePlan(tuple(s), (10.0,) * states, (0.0,) * (states - 1), 0.0, dt)
+    (refined,) = _refine_rows([probe], (10.0,), (0.0,), p, k, n)
+    return str(refined) if isinstance(refined, RefinementError) else None
 
 
 def _times_q(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -295,7 +318,12 @@ def refine_trajectory(
     shape, *others = {(coarse.dt, len(coarse.s)) for coarse in plans}
     if others:
         raise ValueError("plans refined together must share one dt and number of states")
-    k, n = refinement_shape(p, *shape)
+    return _refine_rows(plans, v0, s0, p, *refinement_shape(p, *shape))
+
+
+def _refine_rows(plans, v0, s0, p: RefinementParams, k: int, n: int):
+    """`refine_trajectory` of plans whose system (`refinement_shape`) is
+    (k, n) with its gain built: each plan's row checked."""
     rows = len(plans)
     v0, s0 = np.array(v0, dtype=float), np.array(s0, dtype=float)
     # fine samples k, 2k, ..., n track the plan's arc-lengths after its start

@@ -38,12 +38,12 @@ attempt draws from its own `[seed, index, attempt]` stream, and neither
 a plan nor its refinement depends on its batch, so the bytes do not
 depend on the round size or the worker count.
 Every plan of a round has the config's `dt` and `n_steps + 1` states, so
-one smoothing system refines the round. `generate_dataset` checks it and
-builds its gain (`refinement_shape`) before it creates the output
-directory: a config whose system cannot be solved is a ConfigError
-before the first scene. `make_scene` runs the three phases for one
-scene, and raises such a config's RefinementError. The refined
-trajectory is already on the scene grid: the fine step of refinement is
+one smoothing system refines the round. `GenerationConfig` checks it,
+builds its gain and refines a probe plan (`refinement_shape`) with its
+other value checks: a config whose system cannot be solved, or that
+refines no plan, is a ConfigError, which `from_lines` gives the line of
+a key that its message names. `make_scene` runs the three phases for
+one scene. The refined trajectory is already on the scene grid: the fine step of refinement is
 `SCENE_DT`, and the planner step `dt` is a whole number of it.
 """
 
@@ -73,6 +73,7 @@ from .errors import (
 from .geometry import Point2
 from .manifest import manifest_counts, manifest_fields, manifest_text
 from .maps import (
+    LaneSegment,
     ReferencePath,
     SceneMap,
     crop_map,
@@ -103,10 +104,6 @@ ROUND_SCENES = 64
 # the most scene indices per pool task (so with N > 1 workers also the
 # largest round); output bytes do not depend on it
 CHUNK_SCENES = 16
-
-# map blocks that `read_scene` keeps parsed in a caller's `crops` dict, the
-# least recently used dropped first
-CROP_CACHE_SIZE = 64
 
 
 class ValueType(NamedTuple):
@@ -167,8 +164,9 @@ class GenerationConfig:
     order, with its default and its `ValueType` (field metadata "type");
     the planner and smoothing keys default to those of `PlannerParams`
     and `RefinementParams`, which `__post_init__` builds from them once
-    per config as `planner` and `refinement`. A value check names the
-    keys at fault in its message."""
+    per config as `planner` and `refinement`, and their smoothing system
+    must refine a plan (`refinement_shape`). A value check names the keys
+    at fault in its message."""
 
     seed: int = _key(0, INT)
     n_scenes: int = _key(10, INT)
@@ -237,6 +235,10 @@ class GenerationConfig:
                 "planner horizon too short for a full 50-sample scene: "
                 f"t_g={self.t_g} at dt={self.dt}"
             )
+        try:
+            refinement_shape(self.refinement, self.dt, self.planner.n_steps + 1)
+        except RefinementError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_lines(cls, lines: Iterable[tuple[int, str]], where) -> GenerationConfig:
@@ -519,27 +521,45 @@ def _trajectory_table(rows: list[str], tokens: list[str], row_lines: list[int], 
     raise AssertionError("rows that pass every per-row check did not convert")
 
 
-def read_scene(path, crops: dict[str, SceneMap] | None = None) -> Scene:
-    """Parse and validate a scene file. Malformed input raises
-    MapFormatError naming the file line at fault, or ValidationError.
+def _layout_parts(text: str):
+    """The parts of a scene file cut at the block boundaries of
+    `scene_to_text`'s layout (metadata, one contiguous `# map: ` block, the
+    header, then the rows): metadata, map lines, their file lines, rows,
+    their file lines, and no fault. None when the text departs from the
+    layout: a line before the block that is not a `#` metadata line with a
+    ':', or a line inside it without the prefix."""
+    start = text.find("\n# map: ")
+    end = text.find(f"\n{CSV_HEADER}\n", start)
+    if start < 0 or end < 0 or text.startswith("# map: "):
+        return None
+    head = text[:start].split("\n")
+    metadata: dict[str, str] = {}
+    for line in head:
+        key, sep, value = line[1:].strip().partition(":")
+        if line[:1] != "#" or not sep:
+            return None
+        metadata[key.strip()] = value.strip()
+    block = text[start + 8 : end]
+    map_lines = block.split("\n# map: ")
+    if block.count("\n") != len(map_lines) - 1:
+        return None
+    rows = text[end + len(CSV_HEADER) + 2 :].split("\n")
+    if rows[-1] == "":
+        rows.pop()
+    first = len(head) + 1  # file line of the first map line
+    header = first + len(map_lines)
+    row_at = range(header + 1, header + 1 + len(rows))
+    return metadata, map_lines, range(first, header), rows, row_at, None
 
-    One pass sorts the lines by prefix into metadata, map lines and
-    trajectory rows, keeping each line's number; the map block and the
-    rows then convert their numbers in one call each. Faults are raised
-    in the order a line-by-line reader meets them, map faults after the
-    metadata and row checks. Every row's track id and city must be the
-    metadata's; the ValidationError names the first row that differs.
 
-    `crops`, when given, is the caller's cache of parsed map blocks,
-    keyed on the exact text of a file's `# map: ` lines and holding the
-    last `CROP_CACHE_SIZE` of them: files of the same block get the same
-    SceneMap object. A parse depends only on its lines (the path and line
-    numbers only label faults) and only a parse that succeeded is kept,
-    so a hit raises no fault that a parse would have raised, and
-    `validate_scene` still checks every scene. The caller owns the dict
-    and keeps it for one pass over a dataset; it is not module state, so
-    no call sees the maps of another.
-    """
+def _sorted_parts(text: str):
+    """The parts of `_layout_parts` from any text, sorted line by line by
+    prefix (the lines of `maps.read_lines`), keeping each line's number,
+    with the (file line, message) of the first malformed line, after
+    which nothing is read."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     metadata: dict[str, str] = {}
     map_lines: list[str] = []
     map_at: list[int] = []  # file line of each map line
@@ -547,7 +567,7 @@ def read_scene(path, crops: dict[str, SceneMap] | None = None) -> Scene:
     row_at: list[int] = []  # file line of each row
     header_seen = False
     fault = None  # (file line, message) of the first malformed line
-    for lineno, line in enumerate(maps_mod.read_lines(path), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line.startswith("# map: "):
             map_lines.append(line[7:])
             map_at.append(lineno)
@@ -567,6 +587,11 @@ def read_scene(path, crops: dict[str, SceneMap] | None = None) -> Scene:
         else:
             fault = (lineno, "data row before column header")
             break
+    return metadata, map_lines, map_at, rows, row_at, fault
+
+
+def _scene_from_parts(path, lanes, metadata, map_lines, map_at, rows, row_at, fault) -> Scene:
+    """The validated scene of a file's parts; raises its first fault."""
     # every row read lies before the fault, so a bad row is met first
     tokens = ",".join(rows).split(",") if rows else []
     table = _trajectory_table(rows, tokens, row_at, path)
@@ -585,24 +610,44 @@ def read_scene(path, crops: dict[str, SceneMap] | None = None) -> Scene:
             if tokens[6 * k + 1] != sid or tokens[6 * k + 5] != city
         )
         raise ValidationError("row identity differs from metadata", path, row_at[k])
-    crops = {} if crops is None else crops
-    key = "\n".join(map_lines)
-    crop = crops.pop(key, None)
-    if crop is None:
-        crop = parse_map_lines(map_lines, path=path, line_numbers=map_at)
-        if len(crops) >= CROP_CACHE_SIZE:
-            del crops[next(iter(crops))]
-    crops[key] = crop
     scene = Scene(
-        scene_id=metadata["scene_id"],
-        city=metadata["city"],
-        map_crop=crop,
+        scene_id=sid,
+        city=city,
+        map_crop=parse_map_lines(map_lines, path=path, line_numbers=map_at, lanes=lanes),
         timestamps=table[:, 0],
         trajectory=table[:, 1:3],
         metadata=metadata,
     )
     validate_scene(scene)
     return scene
+
+
+def read_scene(path, lanes: dict[str, LaneSegment] | None = None) -> Scene:
+    """Parse and validate a scene file. Malformed input raises
+    MapFormatError naming the file line at fault, or ValidationError.
+
+    The text is read once. A file in `scene_to_text`'s layout is cut at
+    its block boundaries (`_layout_parts`: a few `str.find`s and one split
+    of the map block); any other file, and any file whose read faults,
+    is sorted line by line (`_sorted_parts`), so every fault, its line
+    and the fault order are those of a line-by-line reader. The map block
+    and the rows then convert their numbers in one call each; map faults
+    come after the metadata and row checks. Every row's track id and city
+    must be the metadata's; the ValidationError names the first row that
+    differs.
+
+    `lanes`, when given, is the caller's cache of parsed lane records
+    (`maps.parse_map_lines`): files that share a lane share its
+    LaneSegment. `validate_scene` still checks every scene.
+    """
+    text = maps_mod.read_text(path)
+    parts = _layout_parts(text)
+    if parts is not None:
+        try:
+            return _scene_from_parts(path, lanes, *parts)
+        except SceneSynthError:
+            pass  # sorted line by line below, which raises the first fault
+    return _scene_from_parts(path, lanes, *_sorted_parts(text))
 
 
 def scene_filename(index: int) -> str:
@@ -785,15 +830,10 @@ def generate_dataset(
     ones before it are done; more workers make the chunks of
     `chunk_indices`, one queue and one pool task each. Records are written
     and logged in index order. Output bytes do not depend on `workers`,
-    `ROUND_SCENES` or `CHUNK_SCENES`. A config whose smoothing system
-    cannot be solved raises ConfigError before anything is written.
+    `ROUND_SCENES` or `CHUNK_SCENES`.
     """
     if not maps:
         raise ConfigError("need at least one map")
-    try:
-        refinement_shape(cfg.refinement, cfg.dt, cfg.planner.n_steps + 1)
-    except RefinementError as exc:
-        raise ConfigError(str(exc)) from None
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

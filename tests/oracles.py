@@ -761,6 +761,21 @@ def jsd_direct(c1, c2):
     return out
 
 
+def lane_records(path) -> list[str]:
+    """The lane records of a scene file's `# map: ` lines, in file order,
+    each as the cache of `maps.parse_map_lines` keys it: from a line that
+    starts with `lane ` to the line before the next, joined by newlines."""
+    records: list[list[str]] = []
+    for line in read_lines(path):
+        if not line.startswith("# map: "):
+            continue
+        if line.startswith("# map: lane "):
+            records.append([])
+        if records:
+            records[-1].append(line[len("# map: "):])
+    return ["\n".join(record) for record in records]
+
+
 def assert_same_map(got: SceneMap, want: SceneMap) -> None:
     """Same city, lane order, point bits and links."""
     assert got.city == want.city

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lane_records
+
 import scenesynth
 from scenesynth import cli
 from scenesynth.cli import main, parse_run_config
@@ -24,7 +26,7 @@ from scenesynth.fixtures import generate_map_fixture
 from scenesynth.manifest import read_manifest
 from scenesynth.maps import LaneSegment, load_map, make_map, read_lines, save_map
 from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
-from scenesynth import synthesis
+from scenesynth import maps
 from scenesynth.synthesis import (
     CSV_HEADER,
     FLOAT,
@@ -125,14 +127,14 @@ def test_generate_and_validate_roundtrip(tmp_path, map_file, capsys):
 
 @pytest.mark.parametrize(
     "overrides, made, skipped",
-    [({}, 8, 0), ({"n_scenes": 3, "omega1": "1e8"}, 0, 3)],
+    [({}, 8, 0), ({"n_scenes": 3, "crop_radius": "0.01"}, 0, 3)],
     ids=["all-made", "all-skipped"],
 )
 def test_generate_summary_counts_made_and_skipped_scenes_apart(
     tmp_path, map_file, capsys, overrides, made, skipped
 ):
-    # a smoothing weight of 1e8 fails every refinement: each scene is
-    # skipped after its retries, which is not a failure of the run
+    # every trajectory leaves a crop radius of 1 cm: each scene is skipped
+    # after its retries, which is not a failure of the run
     cfg = write_cfg(tmp_path, map_file, **overrides)
     assert main(["generate", "--config", str(cfg)]) == 0
     summary = capsys.readouterr().out.splitlines()[-2]
@@ -289,6 +291,11 @@ def _list_twice(line):
          ":18: tracking weight omega3 must be positive, got 0.0"),
         (lambda line: "# config v_d_min: 20.0" if line.startswith("# config v_d_min:")
          else line, ":7: v_d_min must lie in (0, v_d_max], got 20.0 and 15.0"),
+        # a smoothing system that cannot be solved: the line of the first
+        # weight that its message names
+        (lambda line: line.partition(":")[0] + ": 0.0"
+         if line.startswith(("# config omega1:", "# config omega2:")) else line,
+         ":16: untracked interior knots with zero smoothing weights"),
     ],
 )
 def test_validate_checks_the_manifest_from_the_files_side(
@@ -543,9 +550,9 @@ def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
     tmp_path, map_file, monkeypatch, capsys, edit
 ):
     """The second file of a map block is edited: a `# map: pt` line that no
-    longer parses, or a row that breaks the speed bound under the block
+    longer parses, or a row that breaks the speed bound under the lanes
     that its twin left parsed. validate prints what it prints with every
-    block parsed afresh, and parses each distinct block once."""
+    lane parsed afresh, and parses each distinct lane record once."""
     cfg = write_cfg(tmp_path, map_file, n_scenes=12)
     assert main(["generate", "--config", str(cfg)]) == 0
     scenes = tmp_path / "scenes"
@@ -562,11 +569,9 @@ def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
         lines[i] = ",".join(fields)
         fault = f"FAIL {victim}: scene {victim.stem[6:]}: speed "
     victim.write_text("\n".join(lines))
-    parses = []
-    parse = synthesis.parse_map_lines
-    monkeypatch.setattr(
-        synthesis, "parse_map_lines", lambda *a, **kw: parses.append(1) or parse(*a, **kw)
-    )
+    built = []  # one entry per lane parsed
+    polyline = maps.Polyline
+    monkeypatch.setattr(maps, "Polyline", lambda xy: built.append(1) or polyline(xy))
     capsys.readouterr()
 
     def validate():
@@ -575,11 +580,42 @@ def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
         return code, out.out, out.err
 
     cached = validate()
-    assert len(parses) == len(map_blocks(scenes)) < len(list(scenes.glob("scene_*.csv")))
-    monkeypatch.setattr(cli, "read_scene", lambda path, crops: read_scene(path))
+    # the victim's records are its twin's, but for the edited one, which
+    # faults before its lane is built
+    records = [r for f in scenes.glob("scene_*.csv") if f != victim for r in lane_records(f)]
+    assert len(built) == len(set(records)) < len(records)
+    monkeypatch.setattr(cli, "read_scene", lambda path, lanes: read_scene(path))
     assert validate() == cached
     assert cached[0] == 1
     assert cached[2].startswith(fault)
+
+
+def test_read_commands_write_the_same_bytes_at_any_lane_cache_size(
+    tmp_path, map_file, monkeypatch, capsys
+):
+    """validate, mask, stats and plot print and write the same with a lane
+    cache of one record as with the default."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=12, augmented_fraction="0.5")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = str(tmp_path / "scenes")
+    runs = []
+    for size in (maps.LANE_CACHE_SIZE, 1):
+        monkeypatch.setattr(maps, "LANE_CACHE_SIZE", size)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for argv in (
+            ["validate", "--scenes", scenes],
+            ["mask", "--scenes", scenes, "--task", "combined", "--seed", "3",
+             "--out", str(out / "samples")],
+            ["stats", "--scenes", scenes, "--ref", scenes, "--out", str(out / "tables")],
+            ["plot", "--scenes", scenes, "--out", str(out / "plot"), "--svg"],
+        ):
+            assert main(argv) == 0
+        files = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        runs.append((capsys.readouterr(), files))
+        shutil.rmtree(out)
+    assert len(runs[0][1]) > 12
+    assert runs[0] == runs[1]
 
 
 def test_stats_against_its_own_directory_reads_each_file_once(
@@ -866,14 +902,17 @@ def test_generate_horizon_of_overflowing_step_count_exits_2(
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [{"omega1": "0", "omega2": "0"}, {"omega1": "1e308"}],
-    ids=["zero-smoothing", "overflowing-weight"],
+    "overrides, text",
+    [({"omega1": "0", "omega2": "0"}, "singular"), ({"omega1": "1e308"}, "singular"),
+     ({"omega1": "1e8"}, "refine no plan")],
+    ids=["zero-smoothing", "overflowing-weight", "refines-no-plan"],
 )
-def test_generate_unsolvable_smoothing_system_exits_2(tmp_path, map_file, overrides):
+def test_generate_unsolvable_smoothing_system_exits_2(tmp_path, map_file, overrides, text):
     # at the default dt = 0.5 the system has untracked fine samples; a
-    # weight of 1e308 overflows its quadratic form. A fresh process, so
-    # that no cached form hides a warning on stderr
+    # weight of 1e308 overflows its quadratic form; under a weight of 1e8
+    # no plan passes the stationarity check. The fault names the line of
+    # omega1, the fifth. A fresh process, so that no cached form hides a
+    # warning on stderr
     cfg = write_cfg(tmp_path, map_file, **overrides)
     env = {**os.environ, "PYTHONPATH": str(Path(scenesynth.__file__).parent.parent)}
     proc = subprocess.run(
@@ -881,8 +920,10 @@ def test_generate_unsolvable_smoothing_system_exits_2(tmp_path, map_file, overri
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "singular" in proc.stderr
+    assert proc.stderr.startswith(f"config error: {cfg}:5: ") and proc.stderr.count("\n") == 1, (
+        proc.stderr
+    )
+    assert text in proc.stderr
     assert not (tmp_path / "scenes").exists()
 
 

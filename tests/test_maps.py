@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,7 +182,7 @@ def test_parse_map_lines_fuzz_any_line_raises_only_scenesynth_errors(line, cut, 
     lines = map_to_lines(generate_map_fixture("chain3"))
     i = line % len(lines)
     lines[i] = lines[i][:cut] + junk
-    assert_same_outcome(parse_map_lines, reference_parse_map_lines, lines)
+    assert_parses_as_reference(lines)
     try:
         m = parse_map_lines(lines)
     except SceneSynthError:
@@ -188,12 +190,30 @@ def test_parse_map_lines_fuzz_any_line_raises_only_scenesynth_errors(line, cut, 
     m.validate()
 
 
-# well- and ill-formed lines; several of them in one map make faults meet
+# well- and ill-formed lines; several of them in one map make faults meet.
+# An indented lane line, a city line or a newline inside a lane record
+# makes a record that a lane cache must not keep
 MAP_LINES = [
     "", "# note", "city PIT", "city", "lane L9", "lane", "lane L1 L2", "pt 0.0 0.0",
     "pt 40.0 nan", "pt 1_0 \uff12", "pt x 0", "pt 0", "succ L2", "succ", "pred L9",
-    "pred", "bogus", "\x1c",
+    "pred", "bogus", "\x1c", " lane L8", "pt 60.0 1.0\npt 70.0 1.0", "lane L7\npt 0 9",
 ]
+
+
+def assert_parses_as_reference(lines):
+    """`parse_map_lines` parses `lines` as the reference does: without a
+    lane cache, with a cold one, with one that has parsed the unedited
+    `chain3` map, and with one that has parsed `lines` themselves."""
+    assert_same_outcome(parse_map_lines, reference_parse_map_lines, lines)
+    cold, clean, warm = {}, {}, {}
+    parse_map_lines(map_to_lines(generate_map_fixture("chain3")), lanes=clean)
+    try:
+        parse_map_lines(lines, lanes=warm)
+    except SceneSynthError:
+        pass
+    for lanes in (cold, clean, warm):
+        parse = functools.partial(parse_map_lines, lanes=lanes)
+        assert_same_outcome(parse, reference_parse_map_lines, lines)
 
 
 @given(
@@ -213,7 +233,38 @@ def test_parse_map_lines_matches_reference_on_several_edited_lines(edits):
             lines.insert(line % (len(lines) + 1), text)
         else:
             lines[line % len(lines)] = text
-    assert_same_outcome(parse_map_lines, reference_parse_map_lines, lines)
+    assert_parses_as_reference(lines)
+
+
+def _inside_second_lane(*inserted):
+    """An edit that puts `inserted` after the second point of the second
+    lane record of a map."""
+
+    def edit(lines):
+        i = [k for k, line in enumerate(lines) if line.startswith("lane ")][1] + 3
+        return lines[:i] + list(inserted) + lines[i:]
+
+    return edit
+
+
+def _join_two_points(lines):
+    """The first two point lines of the second lane as one line that holds
+    a newline: joined, the map's text is unchanged."""
+    i = [k for k, line in enumerate(lines) if line.startswith("lane ")][1] + 1
+    return lines[:i] + [lines[i] + "\n" + lines[i + 1]] + lines[i + 2 :]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_inside_second_lane("city PIT"), _inside_second_lane(" lane L8", "pt 500 0", "pt 501 0"),
+     _join_two_points],
+    ids=["city", "indented-lane", "newline"],
+)
+def test_parse_map_lines_keeps_no_record_that_a_reuse_would_change(edit):
+    """A record that sets the city, defines a second lane, or holds a
+    newline inside a line is parsed afresh each time."""
+    lines = edit(map_to_lines(generate_map_fixture("chain3")))
+    assert_parses_as_reference(lines)
 
 
 @pytest.mark.parametrize(

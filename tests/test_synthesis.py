@@ -15,16 +15,17 @@ from hypothesis import strategies as st
 from oracles import (
     assert_same_outcome,
     assert_same_scene,
+    lane_records,
     reference_read_scene,
     reference_scene_text,
 )
 from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.geometry import COORDINATE_LIMIT, Point2, Polyline
-from scenesynth.maps import LaneSegment, SceneMap, crop_map, read_lines
+from scenesynth.maps import LaneSegment, SceneMap, crop_map
 from scenesynth.planner import PlannerParams
 from scenesynth.refine import RefinementParams
-from scenesynth import manifest, synthesis
+from scenesynth import manifest, maps, synthesis
 from scenesynth.synthesis import (
     GenerationConfig,
     SCENE_SAMPLES,
@@ -44,18 +45,30 @@ def small_cfg(tmp_path, n=6, seed=3, **kw):
 
 
 def warm_read_scene(scene, directory):
-    """`read_scene` through a `crops` dict that has read the unedited file
-    of `scene`, so that its map block is a hit."""
+    """`read_scene` through a `lanes` dict that has read the unedited file
+    of `scene`, so that each of its lane records is a hit."""
     clean = directory / "clean.csv"
     clean.write_text(scene_to_text(scene), encoding="utf-8")
-    crops = {}
-    read_scene(clean, crops)
-    return functools.partial(read_scene, crops=crops)
+    lanes = {}
+    read_scene(clean, lanes)
+    return functools.partial(read_scene, lanes=lanes)
 
 
-def map_block(path) -> str:
-    """The `# map: ` lines of a scene file."""
-    return "\n".join(line for line in read_lines(path) if line.startswith("# map: "))
+def assert_reads_as_reference(f, scene):
+    """`read_scene` reads `f` as `reference_read_scene` does: without a
+    `lanes` dict, with a cold one, with one that has read `f` itself, and
+    with one that has read the unedited file of `scene`, whose lane records
+    are those of `f` but for the edited ones (which must fault as they do
+    afresh)."""
+    assert_same_outcome(read_scene, reference_read_scene, f)
+    assert_same_outcome(functools.partial(read_scene, lanes={}), reference_read_scene, f)
+    warm = {}
+    try:
+        read_scene(f, warm)
+    except SceneSynthError:
+        pass
+    assert_same_outcome(functools.partial(read_scene, lanes=warm), reference_read_scene, f)
+    assert_same_outcome(warm_read_scene(scene, f.parent), reference_read_scene, f)
 
 
 def test_config_validation():
@@ -244,8 +257,7 @@ def test_read_scene_fuzz_any_line_raises_only_scenesynth_errors(
     lines[i] = lines[i][:cut] + junk
     f = tmp_path_factory.mktemp("fuzz") / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert_same_outcome(read_scene, reference_read_scene, f)
-    assert_same_outcome(warm_read_scene(demo_scene, f.parent), reference_read_scene, f)
+    assert_reads_as_reference(f, demo_scene)
     try:
         scene = read_scene(f)
     except SceneSynthError:
@@ -283,8 +295,7 @@ def test_read_scene_matches_reference_on_several_edited_lines(
             lines[line % len(lines)] = text
     f = tmp_path_factory.mktemp("edits") / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert_same_outcome(read_scene, reference_read_scene, f)
-    assert_same_outcome(warm_read_scene(demo_scene, f.parent), reference_read_scene, f)
+    assert_reads_as_reference(f, demo_scene)
 
 
 def _scene_line(lines, where):
@@ -318,18 +329,69 @@ def test_read_scene_raises_the_first_fault(demo_scene, tmp_path, edits, fault):
         lines[_scene_line(lines, where)] = text
     f = tmp_path / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert_same_outcome(read_scene, reference_read_scene, f)
-    assert_same_outcome(warm_read_scene(demo_scene, tmp_path), reference_read_scene, f)
+    assert_reads_as_reference(f, demo_scene)
     with pytest.raises(MapFormatError) as exc:
         read_scene(f)
     assert exc.value.line == want
+
+
+def _move_last_lane_after_rows(lines):
+    """The last lane record of the map block moved to the end of the file."""
+    last = max(i for i, line in enumerate(lines) if line.startswith("# map: lane "))
+    end = lines.index("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME")
+    return lines[:last] + lines[end:] + lines[last:end]
+
+
+def _insert_in_block(text):
+    """An edit that puts `text` on the second point line of the first lane."""
+
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith("# map: lane ")) + 2
+        return lines[:i] + [text] + lines[i:]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, reads",
+    [
+        (_insert_in_block(""), True),
+        (_insert_in_block("   "), True),
+        (_insert_in_block("# note: inside the map block"), True),
+        (_insert_in_block("# no colon"), False),
+        # a point line cut in two: each half is a fault
+        (_insert_in_block("# map: pt 1.0\n2.0"), False),
+        # a metadata line without its '#'
+        (lambda lines: lines[:2] + ["note: no hash"] + lines[2:], False),
+        (_move_last_lane_after_rows, True),
+        # the map's city line moved before the metadata
+        (lambda lines: sorted(lines, key=lambda line: not line.startswith("# map: city ")), True),
+        # a blank line and a metadata line after the rows
+        (lambda lines: lines + ["", "# note: after the rows"], True),
+        (lambda lines: lines + ["# map: lane Z9"], False),
+    ],
+    ids=["blank", "spaces", "comment", "no-colon", "split-point", "no-hash", "lane-after-rows",
+         "map-line-first", "metadata-after-rows", "lane-line-after-rows"],
+)
+def test_read_scene_off_the_layout_reads_as_the_reference(demo_scene, tmp_path, edit, reads):
+    """A file that departs from `scene_to_text`'s layout is sorted line by
+    line, and reads (or fails) as a line-by-line reader reads it."""
+    lines = edit(scene_to_text(demo_scene).rstrip("\n").split("\n"))
+    f = tmp_path / "scene_000000.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_reads_as_reference(f, demo_scene)
+    if reads:
+        assert_same_scene(read_scene(f), reference_read_scene(f))
+    else:
+        with pytest.raises(SceneSynthError):
+            read_scene(f)
 
 
 @pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
 def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
     cfg = GenerationConfig(output_dir="unused", augmented_fraction=fraction)
     f = tmp_path / "scene_000000.csv"
-    warm = functools.partial(read_scene, crops={})
+    warm = functools.partial(read_scene, lanes={})
     read = 0
     index = 0
     while read < 200:
@@ -340,6 +402,7 @@ def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
             continue
         f.write_text(scene_to_text(scene), encoding="utf-8")
         assert_same_outcome(read_scene, reference_read_scene, f)
+        assert_same_outcome(functools.partial(read_scene, lanes={}), reference_read_scene, f)
         warm(f)  # the next read of f is a hit
         assert_same_outcome(warm, reference_read_scene, f)
         read += 1
@@ -420,8 +483,7 @@ def test_read_scene_row_identity_names_first_row_at_fault(
     with pytest.raises(ValidationError, match=f":{header + 12}: row identity") as exc:
         read_scene(f)
     assert exc.value.line == header + 12
-    assert_same_outcome(read_scene, reference_read_scene, f)
-    assert_same_outcome(warm_read_scene(demo_scene, tmp_path), reference_read_scene, f)
+    assert_reads_as_reference(f, demo_scene)
 
 
 @pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
@@ -469,36 +531,43 @@ def test_scene_text_templates_match_reference_on_edge_values():
         assert scene_to_text(scene) == reference_scene_text(scene)
 
 
-def test_warm_crops_read_the_scenes_of_a_mixed_dataset_unchanged(tmp_path, corridors_map):
-    """Every scene read through a warm `crops` dict is the scene read
-    without one, and the files of one map block share one SceneMap."""
+def test_warm_lanes_read_the_scenes_of_a_mixed_dataset_unchanged(tmp_path, corridors_map):
+    """Every scene read through a warm `lanes` dict is the scene read
+    without one, and the files of one lane record share one LaneSegment."""
     generate_dataset([corridors_map], small_cfg(tmp_path, n=60, seed=11))
     files = sorted((tmp_path / "scenes").glob("scene_*.csv"))
-    assert len(files) < synthesis.CROP_CACHE_SIZE  # no block is dropped
-    crops = {}
+    records = [lane_records(f) for f in files]
+    assert len({r for rs in records for r in rs}) < maps.LANE_CACHE_SIZE  # none is dropped
+    lanes = {}
     for f in files:
-        read_scene(f, crops)
-    shared = {}  # map block -> the SceneMap of its first file
-    for f in files:
-        got = read_scene(f, crops)
+        read_scene(f, lanes)
+    shared = {}  # lane record -> the LaneSegment of its first file
+    for f, file_records in zip(files, records):
+        got = read_scene(f, lanes)
         assert_same_scene(got, read_scene(f))
-        assert shared.setdefault(map_block(f), got.map_crop) is got.map_crop
-    assert len(crops) == len(shared) < len(files)
+        assert len(file_records) == len(got.map_crop.lanes)
+        for record, lane in zip(file_records, got.map_crop.lanes.values()):
+            assert shared.setdefault(record, lane) is lane
+    assert len(lanes) == len(shared) < sum(map(len, records))
 
 
-def test_crops_keep_the_last_blocks_up_to_their_bound(tmp_path, corridors_map, monkeypatch):
-    monkeypatch.setattr(synthesis, "CROP_CACHE_SIZE", 3)
-    generate_dataset([corridors_map], small_cfg(tmp_path, n=12, seed=11))
-    by_block = {}  # the first file of each map block
-    for f in sorted((tmp_path / "scenes").glob("scene_*.csv")):
-        by_block.setdefault(map_block(f), f)
-    a, b, c, d = list(by_block.values())[:4]
-    crops = {}
-    recent = []  # the distinct maps read, least recently read first
+def test_lanes_keep_the_last_records_up_to_their_bound(tmp_path, demo_scene, corridors_map,
+                                                      monkeypatch):
+    monkeypatch.setattr(maps, "LANE_CACHE_SIZE", 3)
+    files = []  # scene files of one lane record each
+    for lane_id in corridors_map.sorted_ids()[:4]:
+        lone = replace(corridors_map.lanes[lane_id], predecessors=(), successors=())
+        f = tmp_path / f"scene_{lane_id}.csv"
+        crop = SceneMap(demo_scene.city, {lane_id: lone})
+        f.write_text(scene_to_text(replace(demo_scene, map_crop=crop)), encoding="utf-8")
+        files.append(f)
+    a, b, c, d = files
+    lanes = {}
+    recent = []  # the distinct lanes read, least recently read first
     for f in (a, b, a, c, d, b):  # the hit on a keeps it past the read of d
-        crop = read_scene(f, crops).map_crop
-        recent = [m for m in recent if m != crop] + [crop]
-        assert list(crops.values()) == recent[-3:]
+        (lane,) = read_scene(f, lanes).map_crop.lanes.values()
+        recent = [m for m in recent if m is not lane] + [lane]
+        assert list(lanes.values()) == recent[-3:]
 
 
 def test_crop_keeps_nearby_lanes_and_prunes_links(corridors_map):
