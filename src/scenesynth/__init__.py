@@ -20,15 +20,13 @@ from .planner import (
     CoarsePlan,
     PlannerParams,
     astar_plan,
-    plan_one,
 )
-from .refine import RefinementParams, refine_one, refine_trajectory
+from .refine import RefinementParams, refine_trajectory
 from .synthesis import (
     GenerationConfig,
     Scene,
     generate_dataset,
     generate_scene,
-    make_scene,
     read_scene,
     validate_scene,
 )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import rotate
-from .maps import read_lines, write_text_atomic
+from .maps import write_text_atomic
 from .synthesis import SCENE_DT, Scene
 
 SPEED_BIN_WIDTH = 0.5
@@ -80,33 +80,27 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return -(out - math.pi)
 
 
-def trajectory_stats(traj: np.ndarray, dt: float = SCENE_DT) -> TrajectoryStats:
+def trajectory_stats(traj: np.ndarray) -> TrajectoryStats:
     rotated = heading_normalize(traj)
     deltas = np.diff(rotated, axis=0)
     norms = np.hypot(deltas[:, 0], deltas[:, 1])
-    speeds = norms / dt
+    speeds = norms / SCENE_DT
     moving = norms > 1e-12
     headings = _wrap_angle(np.arctan2(deltas[moving, 1], deltas[moving, 0]))
     return TrajectoryStats(speeds, headings, rotated[-1].copy())
 
 
-def speed_histogram_edges(
-    bin_width: float = SPEED_BIN_WIDTH, v_range: tuple[float, float] = SPEED_RANGE
-) -> np.ndarray:
-    n = int(round((v_range[1] - v_range[0]) / bin_width))
-    return v_range[0] + np.arange(n + 1) * bin_width
+def speed_histogram_edges() -> np.ndarray:
+    n = int(round((SPEED_RANGE[1] - SPEED_RANGE[0]) / SPEED_BIN_WIDTH))
+    return SPEED_RANGE[0] + np.arange(n + 1) * SPEED_BIN_WIDTH
 
 
-def speed_distribution(
-    scenes: list[Scene],
-    bin_width: float = SPEED_BIN_WIDTH,
-    v_range: tuple[float, float] = SPEED_RANGE,
-) -> Histogram:
+def speed_distribution(scenes: list[Scene]) -> Histogram:
     """Histogram of finite-difference speeds pooled over scenes; samples
-    outside the range are dropped."""
+    outside `SPEED_RANGE` are dropped."""
     if not scenes:
         raise ValueError("need at least one scene")
-    edges = speed_histogram_edges(bin_width, v_range)
+    edges = speed_histogram_edges()
     speeds = np.concatenate(
         [
             np.hypot(*np.diff(sc.trajectory, axis=0).T) / SCENE_DT
@@ -117,13 +111,11 @@ def speed_distribution(
     return Histogram(edges, counts)
 
 
-def heading_distribution(
-    scenes: list[Scene], bin_width: float = HEADING_BIN_WIDTH
-) -> Histogram:
+def heading_distribution(scenes: list[Scene]) -> Histogram:
     """Histogram of step headings after rotation normalization."""
     if not scenes:
         raise ValueError("need at least one scene")
-    n = int(round(2.0 * math.pi / bin_width))
+    n = int(round(2.0 * math.pi / HEADING_BIN_WIDTH))
     edges = -math.pi + np.arange(n + 1) * (2.0 * math.pi / n)
     headings = np.concatenate(
         [trajectory_stats(sc.trajectory).headings for sc in scenes]
@@ -189,42 +181,6 @@ def write_histogram_table(h: Histogram, path) -> None:
     for lo, hi, c in zip(h.edges[:-1], h.edges[1:], h.counts):
         lines.append(f"{float(lo)!r},{float(hi)!r},{int(c)}")
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def read_histogram_table(path) -> Histogram:
-    """Read a `write_histogram_table` file. Each row must start at the
-    previous row's bin_hi, end above its own bin_lo, and count >= 0."""
-    edges: list[float] = []
-    counts: list[int] = []
-    lines = read_lines(path, ValidationError)
-    header = lines[0].strip() if lines else ""
-    if header != "bin_lo,bin_hi,count":
-        raise ValidationError(f"{path}: unexpected header {header!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            lo_text, hi_text, c_text = line.strip().split(",")
-            lo, hi, c = float(lo_text), float(hi_text), int(c_text)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{path}:{lineno}: bad row {line.strip()!r}, "
-                "expected 'bin_lo,bin_hi,count'"
-            ) from exc
-        if edges and lo != edges[-1]:
-            raise ValidationError(
-                f"{path}:{lineno}: bin_lo {lo!r} is not the previous bin_hi {edges[-1]!r}"
-            )
-        if not lo < hi or c < 0:
-            raise ValidationError(
-                f"{path}:{lineno}: need bin_lo < bin_hi and count >= 0, "
-                f"got {line.strip()!r}"
-            )
-        if not edges:
-            edges.append(lo)
-        edges.append(hi)
-        counts.append(c)
-    if not counts:
-        return Histogram(np.zeros(0), np.zeros(0, dtype=int))
-    return Histogram(np.array(edges), np.array(counts, dtype=int))
 
 
 def write_endpoint_cloud(points: np.ndarray, path) -> None:

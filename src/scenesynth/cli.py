@@ -11,8 +11,9 @@ Subcommands::
     scenesynth plot        --scenes DIR --out DIR [--svg]
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage/config error.
-A scene that `generate` skips after its retries is not a failure: the
-run exits 0, and its summary line counts the scenes made and skipped.
+A scene that `generate` skips after its retries is not a failure, and
+the summary line counts the scenes made and skipped; a run whose every
+scene is skipped made no data, and exits 1 after writing its manifest.
 
 Config file format (`GenerationConfig.from_lines`): one `key = value`
 per line (`key: value`, as the manifest writes it, reads the same), `#`
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,16 +113,17 @@ def cmd_generate(args) -> int:
     cfg = parse_run_config(args.config)
     if not cfg.map_files:
         raise ConfigError("config key map_files must list at least one map")
-    manifest = generate_dataset(
-        [load_map(f) for f in cfg.map_files], cfg, workers=args.workers, log=print
-    )
-    skipped = manifest.counts["skipped"]
+    maps = [load_map(f) for f in cfg.map_files]
+    t0 = time.perf_counter()
+    records = generate_dataset(maps, cfg, workers=args.workers, log=print)
+    elapsed = time.perf_counter() - t0
+    skipped = sum(rec.status == "skipped" for rec in records)
     print(
-        f"generated {len(manifest.records) - skipped} scenes and skipped {skipped} "
-        f"in {manifest.elapsed_s:.1f} s ({manifest.scenes_per_s:.2f} scenes/s)"
+        f"generated {len(records) - skipped} scenes and skipped {skipped} "
+        f"in {elapsed:.1f} s ({len(records) / elapsed:.2f} scenes/s)"
     )
-    print(f"manifest: {manifest.path}")
-    return 0
+    print(f"manifest: {Path(cfg.output_dir) / 'manifest.txt'}")
+    return 1 if skipped == len(records) else 0
 
 
 def cmd_mask(args) -> int:

@@ -50,14 +50,15 @@ def manifest_counts(rows) -> dict[str, int]:
     return counts
 
 
-def manifest_text(cfg, maps, manifest) -> str:
-    """The manifest of the `DatasetManifest` `manifest`, made from `cfg`
-    and `maps`."""
+def manifest_text(cfg, maps, records) -> str:
+    """The manifest of the scene records `records`, in index order, made
+    from `cfg` and `maps`."""
+    counts = manifest_counts((rec.status, rec.city) for rec in records)
     lines = ["# scenesynth dataset manifest"]
     lines.extend(f"{CONFIG}{key}: {value}" for key, value in cfg.echo())
     lines.append(MAPS + ";".join(f"{m.city}={len(m.lanes)}" for m in maps))
-    lines.extend(f"{COUNT}{key}: {value}" for key, value in manifest.counts.items())
-    for rec in manifest.records:
+    lines.extend(f"{COUNT}{key}: {value}" for key, value in counts.items())
+    for rec in records:
         if rec.status == "skipped":
             lines.append(f"{rec.filename},skipped,-,-,{rec.reason}")
         else:

@@ -308,19 +308,16 @@ def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap
     checked once the next `lane` line (or the end) closes it.
 
     `lanes`, when given, is the caller's cache of parsed lane records
-    (`_parse_cached`), so that the lanes that many files share are parsed
-    once and those files share each such LaneSegment (and its Polyline).
-    A parse depends only on the text: the path and line numbers only label
-    faults. The graph checks run on every call. The caller owns the dict
-    and keeps it for one pass over a dataset; it is not module state, so
-    no call sees the lanes of another.
+    (`_parse_cached`; a fresh one otherwise), so that the lanes that many
+    files share are parsed once and those files share each such
+    LaneSegment (and its Polyline). A parse depends only on the text: the
+    path and line numbers only label faults. The graph checks run on
+    every call. The caller owns the dict and keeps it for one pass over a
+    dataset; it is not module state, so no call sees the lanes of another.
     """
     if line_numbers is None:
         line_numbers = range(1, len(lines) + 1)
-    if lanes is None:
-        cities, found, at = _parse_lanes(lines, path, line_numbers)
-    else:
-        cities, found, at = _parse_cached(lines, path, line_numbers, lanes)
+    cities, found, at = _parse_cached(lines, path, line_numbers, {} if lanes is None else lanes)
     city = cities[-1][1] if cities else "UNKNOWN"
     return make_map(city, found, path, [line_numbers[i] for i in at])
 

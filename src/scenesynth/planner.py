@@ -21,8 +21,7 @@ batch of problems at once, as the dataset driver asks for a whole round
 of drafts: each layer of each pass is one set of array operations over
 every scene, which saves the per-call numpy overhead that dominates a
 single small search. A scene's plan, and so every output byte, does not
-depend on which scenes share its batch; `plan_one` plans one problem
-through the same code.
+depend on which scenes share its batch.
 """
 
 from __future__ import annotations
@@ -312,16 +311,6 @@ def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
     ):
         out[live[b]] = CoarsePlan(tuple(s_b), tuple(v_b), tuple(acts), cost, p.dt)
     return out
-
-
-def plan_one(
-    path: ReferencePath, s0: float, v0: float, v_d: float, p: PlannerParams
-) -> CoarsePlan:
-    """`astar_plan` of one problem: its plan, or its PlanningError raised."""
-    (plan,) = astar_plan([(path, s0, v0, v_d)], p)
-    if isinstance(plan, PlanningError):
-        raise plan
-    return plan
 
 
 def sample_speed_targets(

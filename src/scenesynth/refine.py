@@ -31,8 +31,7 @@ gain and refines a probe plan; a fault of it raises one RefinementError
 for the call), and each plan is a row of one array. Every step is
 elementwise over the rows. No step uses a matrix product, whose summation
 order would depend on the BLAS kernel and on the batch, so each plan's
-fine arc-lengths have the same bits in any batch and on any machine;
-`refine_one` refines one plan through the same code.
+fine arc-lengths have the same bits in any batch and on any machine.
 """
 
 from __future__ import annotations
@@ -371,14 +370,3 @@ def _refine_rows(plans, v0, s0, p: RefinementParams, k: int, n: int):
     first[~(residual <= 1e-6)] = 1  # a NaN residual fails too
     first[~np.isfinite(X).all(axis=1)] = 0
     return [x if f < 0 else RefinementError(faults[f]) for x, f in zip(X, first.tolist())]
-
-
-def refine_one(
-    coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
-) -> np.ndarray:
-    """`refine_trajectory` of one problem: its arc-lengths, or its
-    RefinementError raised."""
-    (refined,) = refine_trajectory([(coarse, v0, s0)], p)
-    if isinstance(refined, RefinementError):
-        raise refined
-    return refined

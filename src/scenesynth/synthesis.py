@@ -42,9 +42,9 @@ one smoothing system refines the round. `GenerationConfig` checks it,
 builds its gain and refines a probe plan (`refinement_shape`) with its
 other value checks: a config whose system cannot be solved, or that
 refines no plan, is a ConfigError, which `from_lines` gives the line of
-a key that its message names. `make_scene` runs the three phases for
-one scene. The refined trajectory is already on the scene grid: the fine step of refinement is
-`SCENE_DT`, and the planner step `dt` is a whole number of it.
+a key that its message names. The refined trajectory is already on the
+scene grid: the fine step of refinement is `SCENE_DT`, and the planner
+step `dt` is a whole number of it.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point2
-from .manifest import manifest_counts, manifest_fields, manifest_text
+from .manifest import manifest_fields, manifest_text
 from .maps import (
     LaneSegment,
     ReferencePath,
@@ -294,14 +294,6 @@ class Scene:
     trajectory: np.ndarray  # (50, 2)
     metadata: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def history(self) -> np.ndarray:
-        return self.trajectory[:HISTORY_SAMPLES]
-
-    @property
-    def future(self) -> np.ndarray:
-        return self.trajectory[HISTORY_SAMPLES:]
-
 
 def validate_scene(scene: Scene) -> None:
     """Check every scene invariant; raises ValidationError."""
@@ -363,28 +355,24 @@ def draw_scene(
     base_map: SceneMap,
     rng: np.random.Generator,
     cfg: GenerationConfig,
-    scene_id: str = "000000",
-    rng_key: str = "",
-    force_augmented: bool | None = None,
+    scene_id: str,
+    rng_key: str,
+    augmented: bool,
 ) -> Draft:
-    """Make every draw of one attempt at a scene on `base_map`.
+    """Make every draw of one attempt at a scene on `base_map`, warped when
+    `augmented` (a coin the dataset layer draws once per scene, so that
+    retries cannot bias the original/augmented mix).
 
-    Draw order from `rng`: augmentation coin (skipped when
-    `force_augmented` pins it, as the dataset layer does to keep the
-    original/augmented mix unbiased across retries), then (if augmenting)
-    the anchor lane, anchor walk, and warp parameters, then the driven
-    lane and its walk, the speed targets, and the start position.
-    Identical inputs always yield an identical draft.
+    Draw order from `rng`: (if augmenting) the anchor lane, anchor walk,
+    and warp parameters, then the driven lane and its walk, the speed
+    targets, and the start position. Identical inputs always yield an
+    identical draft.
     """
-    if force_augmented is None:
-        augmented = bool(rng.random() < cfg.augmented_fraction)
-    else:
-        augmented = force_augmented
     metadata: dict[str, str] = {
         "scene_id": scene_id,
         "city": base_map.city,
         "augmented": "true" if augmented else "false",
-        "rng_key": rng_key or "unseeded",
+        "rng_key": rng_key,
     }
     work_map = base_map
     if augmented:
@@ -466,21 +454,6 @@ def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig)
     scene = Scene(draft.scene_id, draft.city, crop, timestamps, xy, metadata)
     validate_scene(scene)
     return scene
-
-
-def make_scene(
-    base_map: SceneMap,
-    rng: np.random.Generator,
-    cfg: GenerationConfig,
-    scene_id: str = "000000",
-    rng_key: str = "",
-    force_augmented: bool | None = None,
-) -> Scene:
-    """One attempt at one scene: draw, plan and refine alone, finish.
-    Raises the attempt's error; a dataset makes the same scene from the
-    same draws."""
-    draft = draw_scene(base_map, rng, cfg, scene_id, rng_key, force_augmented)
-    return generate_scene(draft, plan_and_refine([draft], cfg)[0], cfg)
 
 
 def scene_to_text(scene: Scene) -> str:
@@ -667,22 +640,6 @@ class SceneRecord:
     reason: str = ""
 
 
-@dataclass
-class DatasetManifest:
-    path: Path
-    records: list[SceneRecord]
-    elapsed_s: float
-
-    @property
-    def counts(self) -> dict[str, int]:
-        """`manifest_counts` of the records."""
-        return manifest_counts((rec.status, rec.city) for rec in self.records)
-
-    @property
-    def scenes_per_s(self) -> float:
-        return len(self.records) / self.elapsed_s if self.elapsed_s > 0 else math.inf
-
-
 def _build_scene_records(
     maps: list[SceneMap], cfg: GenerationConfig, indices: list[int]
 ) -> Iterator[SceneRecord]:
@@ -728,8 +685,7 @@ def _build_scene_records(
             rng = np.random.default_rng([cfg.seed, index, attempt])
             try:
                 drafts[index] = draw_scene(
-                    base_map, rng, cfg, scene_id=f"{index:06d}",
-                    rng_key=f"{cfg.seed}/{index}/{attempt}", force_augmented=augmented,
+                    base_map, rng, cfg, f"{index:06d}", f"{cfg.seed}/{index}/{attempt}", augmented
                 )
             except (PlanningError, RefinementError, ValidationError) as exc:
                 outcomes[index] = exc
@@ -821,8 +777,9 @@ def generate_dataset(
     cfg: GenerationConfig,
     workers: int = 1,
     log=None,
-) -> DatasetManifest:
-    """Write `cfg.n_scenes` scene files plus a manifest into the output dir.
+) -> list[SceneRecord]:
+    """Write `cfg.n_scenes` scene files plus a manifest into the output dir,
+    and return the record of each scene in index order.
 
     Already-written scene ids are skipped, so interrupted runs resume; a
     rerun over a complete dataset rewrites nothing. One worker makes the
@@ -843,7 +800,6 @@ def generate_dataset(
     except OSError as exc:
         raise ConfigError(f"output dir {out_dir} not writable: {exc}") from exc
 
-    t0 = time.perf_counter()
     records: dict[int, SceneRecord] = {}
     todo: list[int] = []
     for index in range(cfg.n_scenes):
@@ -868,9 +824,8 @@ def generate_dataset(
                     _finish_record(rec, out_dir, log)
 
     ordered = [records[i] for i in range(cfg.n_scenes)]
-    manifest = DatasetManifest(out_dir / "manifest.txt", ordered, time.perf_counter() - t0)
-    write_text_atomic(manifest.path, manifest_text(cfg, maps, manifest))
-    return manifest
+    write_text_atomic(out_dir / "manifest.txt", manifest_text(cfg, maps, ordered))
+    return ordered
 
 
 def _finish_record(rec: SceneRecord, out_dir: Path, log) -> None:

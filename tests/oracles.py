@@ -12,6 +12,10 @@ stationarity residual, and refinement's gain formula (`reference_gain`,
 multipliers from the two eliminated stationarity rows, so the residual
 and gradient checks test the solver's output against system data formed
 independently of it.
+
+`plan_one`, `refine_one` and `make_scene` are no oracles: they run the
+package's batched planner, refinement and scene attempt on one problem
+and raise its error, the single-problem form that most tests call.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from scenesynth import synthesis
 from scenesynth.errors import (
     MapFormatError,
     MaskingError,
     PathOverrunError,
+    PlanningError,
     PlanningFailureError,
+    RefinementError,
     SceneSynthError,
     ValidationError,
 )
@@ -43,14 +50,61 @@ from scenesynth.maps import (
     make_map,
     read_lines,
 )
-from scenesynth.planner import CoarsePlan, PlannerParams
+from scenesynth.planner import CoarsePlan, PlannerParams, astar_plan
 from scenesynth.refine import (
     RefinementParams,
     _quadratic_form,
-    refine_one,
+    refine_trajectory,
     refinement_shape,
 )
-from scenesynth.synthesis import CSV_HEADER, SCENE_DT, SCENE_SAMPLES, Scene, validate_scene
+from scenesynth.synthesis import (
+    CSV_HEADER,
+    SCENE_DT,
+    SCENE_SAMPLES,
+    GenerationConfig,
+    Scene,
+    validate_scene,
+)
+
+
+def plan_one(
+    path: ReferencePath, s0: float, v0: float, v_d: float, p: PlannerParams
+) -> CoarsePlan:
+    """`astar_plan` of one problem: its plan, or its PlanningError raised."""
+    (plan,) = astar_plan([(path, s0, v0, v_d)], p)
+    if isinstance(plan, PlanningError):
+        raise plan
+    return plan
+
+
+def refine_one(
+    coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
+) -> np.ndarray:
+    """`refine_trajectory` of one problem: its arc-lengths, or its
+    RefinementError raised."""
+    (refined,) = refine_trajectory([(coarse, v0, s0)], p)
+    if isinstance(refined, RefinementError):
+        raise refined
+    return refined
+
+
+def make_scene(
+    base_map: SceneMap,
+    rng: np.random.Generator,
+    cfg: GenerationConfig,
+    scene_id: str = "000000",
+    rng_key: str = "unseeded",
+    force_augmented: bool | None = None,
+) -> Scene:
+    """One attempt at one scene: draw, plan and refine alone, finish.
+    Raises the attempt's error. Unless `force_augmented` pins it, the
+    augmentation coin is the first draw from `rng`; a dataset draws it
+    from the scene's own stream and makes the same scene from the same
+    draws. The phases are looked up in `synthesis`, where tests patch them."""
+    if force_augmented is None:
+        force_augmented = bool(rng.random() < cfg.augmented_fraction)
+    draft = synthesis.draw_scene(base_map, rng, cfg, scene_id, rng_key, force_augmented)
+    return synthesis.generate_scene(draft, synthesis.plan_and_refine([draft], cfg)[0], cfg)
 
 
 def binomial_band(n: int, p: float, z: float = 2.5758293035489004):
@@ -362,7 +416,7 @@ def stationarity_residual(x: np.ndarray, lam: np.ndarray, sys: RefinementSystem)
 
 
 def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the stationarity system through `refine.refine_one`; returns
+    """Solve the stationarity system through `refine_one`; returns
     (s values, multipliers), the multipliers taken from the two eliminated
     stationarity rows."""
     s0, v0 = sys.b

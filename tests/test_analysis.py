@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from scenesynth.analysis import (
     forecast_metrics,
     heading_distribution,
     heading_normalize,
-    read_histogram_table,
     render_histogram_svg,
     speed_distribution,
     speed_histogram_edges,
@@ -21,7 +21,7 @@ from scenesynth.analysis import (
     write_endpoint_cloud,
     write_histogram_table,
 )
-from scenesynth.errors import SceneSynthError, ValidationError
+from scenesynth.errors import ValidationError
 from scenesynth.synthesis import Scene
 
 
@@ -164,7 +164,7 @@ def test_compare_is_symmetric_exactly():
 
 def test_compare_rejects_binning_mismatch():
     h1 = Histogram(speed_histogram_edges(), np.ones(60, dtype=int))
-    h2 = Histogram(speed_histogram_edges(0.25), np.ones(120, dtype=int))
+    h2 = Histogram(np.arange(121) * 0.25, np.ones(120, dtype=int))
     with pytest.raises(ValidationError):
         compare_distributions(h1, h2)
 
@@ -225,61 +225,19 @@ def test_histogram_table_roundtrip(tmp_path):
     h = Histogram(speed_histogram_edges(), np.arange(60))
     f = tmp_path / "hist.csv"
     write_histogram_table(h, f)
-    back = read_histogram_table(f)
-    assert np.array_equal(back.edges, h.edges)
-    assert np.array_equal(back.counts, h.counts)
+    rows = f.read_text().split("\n")
+    assert rows[0] == "bin_lo,bin_hi,count"
+    assert rows[-1] == ""  # the last row ends in a newline
+    lo, hi, counts = zip(*(row.split(",") for row in rows[1:-1]))
+    assert np.array_equal([float(v) for v in lo], h.edges[:-1])
+    assert np.array_equal([float(v) for v in hi], h.edges[1:])
+    assert list(counts) == [str(c) for c in h.counts]
 
 
 def test_empty_histogram_table_headers_only(tmp_path):
     f = tmp_path / "empty.csv"
     write_histogram_table(Histogram(np.zeros(1), np.zeros(0, dtype=int)), f)
     assert f.read_text() == "bin_lo,bin_hi,count\n"
-    back = read_histogram_table(f)
-    assert back.counts.size == 0
-
-
-@pytest.mark.parametrize("row", ["0.0,0.5", "0.0,0.5,1,2", "0.0,0.5,many"])
-def test_histogram_table_bad_row_names_line(tmp_path, row):
-    f = tmp_path / "bad.csv"
-    f.write_text(f"bin_lo,bin_hi,count\n0.0,0.5,3\n{row}\n")
-    with pytest.raises(ValidationError, match=r"bad\.csv:3:"):
-        read_histogram_table(f)
-
-
-@pytest.mark.parametrize(
-    "row, problem",
-    [("0.6,1.0,2", "not the previous bin_hi"), ("0.5,0.5,2", "bin_lo < bin_hi"),
-     ("0.5,nan,2", "bin_lo < bin_hi"), ("0.5,1.0,-2", "count >= 0")],
-)
-def test_histogram_table_refuses_row_that_is_no_bin(tmp_path, row, problem):
-    f = tmp_path / "bad.csv"
-    f.write_text(f"bin_lo,bin_hi,count\n0.0,0.5,3\n{row}\n")
-    with pytest.raises(ValidationError, match=problem):
-        read_histogram_table(f)
-
-
-@given(
-    line=st.integers(0, 10_000),
-    cut=st.integers(0, 30),
-    junk=st.one_of(st.text(max_size=40), st.floats().map(repr)),
-)
-@settings(max_examples=200, deadline=None)
-def test_read_histogram_table_fuzz_any_line_raises_only_scenesynth_errors(
-    line, cut, junk, tmp_path_factory
-):
-    """Any one line cut short and followed by arbitrary text."""
-    f = tmp_path_factory.mktemp("fuzz") / "hist.csv"
-    write_histogram_table(Histogram(speed_histogram_edges()[:6], np.arange(5)), f)
-    lines = f.read_text().rstrip("\n").split("\n")
-    i = line % len(lines)
-    lines[i] = lines[i][:cut] + junk
-    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    try:
-        h = read_histogram_table(f)
-    except SceneSynthError:
-        return
-    assert h.edges.size == h.counts.size + 1 or h.counts.size == 0
-    assert (np.diff(h.edges) > 0).all() and (h.counts >= 0).all()
 
 
 def test_endpoint_cloud_roundtrip(tmp_path):
@@ -306,10 +264,10 @@ def test_generated_speeds_span_sampling_range(dataset_1k):
     # range with slack on both sides from the initial-speed spread
     from scenesynth.synthesis import read_scene
 
-    manifest, _, _ = dataset_1k
+    records, _, cfg, _ = dataset_1k
     scenes = [
-        read_scene(manifest.path.parent / rec.filename)
-        for rec in manifest.records[:400]
+        read_scene(Path(cfg.output_dir) / rec.filename)
+        for rec in records[:400]
         if rec.status != "skipped"
     ]
     h = speed_distribution(scenes)

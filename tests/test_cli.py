@@ -126,17 +126,20 @@ def test_generate_and_validate_roundtrip(tmp_path, map_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides, made, skipped",
-    [({}, 8, 0), ({"n_scenes": 3, "crop_radius": "0.01"}, 0, 3)],
-    ids=["all-made", "all-skipped"],
+    "overrides, runs, made, skipped, code",
+    [({}, 1, 8, 0, 0), ({"n_scenes": 3, "crop_radius": "0.01"}, 1, 0, 3, 1),
+     ({"n_scenes": 3}, 2, 3, 0, 0)],
+    ids=["all-made", "all-skipped", "resumed-complete"],
 )
 def test_generate_summary_counts_made_and_skipped_scenes_apart(
-    tmp_path, map_file, capsys, overrides, made, skipped
+    tmp_path, map_file, capsys, overrides, runs, made, skipped, code
 ):
     # every trajectory leaves a crop radius of 1 cm: each scene is skipped
-    # after its retries, which is not a failure of the run
+    # after its retries, and a run that made no scene is a data failure;
+    # a rerun over a complete dataset keeps every scene and succeeds
     cfg = write_cfg(tmp_path, map_file, **overrides)
-    assert main(["generate", "--config", str(cfg)]) == 0
+    for _ in range(runs):
+        assert main(["generate", "--config", str(cfg)]) == code
     summary = capsys.readouterr().out.splitlines()[-2]
     assert summary.startswith(f"generated {made} scenes and skipped {skipped} in ")
     lines = read_manifest(tmp_path / "scenes" / "manifest.txt").counts

@@ -7,6 +7,8 @@ from oracles import (
     Node,
     enumerate_plan_costs,
     expand,
+    make_scene,
+    plan_one,
     reference_plan,
     transition_cost,
     wiggly_path,
@@ -27,9 +29,8 @@ from scenesynth.planner import (
     _Batch,
     _segment,
     astar_plan,
-    plan_one,
 )
-from scenesynth.synthesis import GenerationConfig, make_scene
+from scenesynth.synthesis import GenerationConfig
 
 
 def straight_path(length=400.0):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_band, pointwise_l1_loop, reference_sample_text
+from oracles import binomial_band, make_scene, pointwise_l1_loop, reference_sample_text
 from scenesynth.errors import MapFormatError, MaskingError, SceneSynthError
 from scenesynth.pretrain import (
     LANE,
@@ -21,7 +21,7 @@ from scenesynth.pretrain import (
     vectorize_scene,
     write_sample,
 )
-from scenesynth.synthesis import GenerationConfig, Scene, make_scene
+from scenesynth.synthesis import GenerationConfig, Scene
 
 
 def toy_scene(n_lanes=4, city="MIA"):

@@ -11,10 +11,12 @@ from oracles import (
     build_refinement_system,
     expand,
     jerk_of,
+    make_scene,
     objective_gradient,
     objective_value,
     reference_refine,
     plan_of_nodes,
+    refine_one,
     solve_system,
     stationarity_residual,
 )
@@ -25,7 +27,6 @@ from scenesynth.refine import (
     _cholesky,
     _gain,
     _quadratic_form,
-    refine_one,
     refine_trajectory,
 )
 
@@ -278,7 +279,7 @@ def captured_refinements(corridors_map, monkeypatch, cfg, count):
         if len(calls) >= count:
             break
         try:
-            synthesis.make_scene(
+            make_scene(
                 corridors_map, np.random.default_rng([44, index]), cfg
             )
         except SceneSynthError:

