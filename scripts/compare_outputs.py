@@ -17,7 +17,16 @@ the `corridors` MIA and PIT map files:
   lines that `generate` logs, without their `wall_ms=` timing, go to
   `logs/generate.log` and `logs_w2/generate.log`, and what each of the
   four read commands prints, its run's own directories named as in the
-  one-worker run, to `logs/<command>.out` and `logs_w2/<command>.out`;
+  one-worker run, to `logs/<command>.out` and `logs_w2/<command>.out`.
+  In the first case, each run also copies its first eight scene files to
+  `faulty/` (`faulty_w2/`) and edits five of them, one fault each, so
+  that both of `read_scene`'s read paths meet a fault: a `# map: pt`
+  coordinate that is not a number, a `# map: lane` line with two ids, a
+  metadata line moved below the column header (out of `scene_to_text`'s
+  layout), the rows cut short, and a row whose city is not the
+  metadata's. `validate` of that copy must exit 1, and what it prints
+  on stdout and stderr goes to `logs/validate_faulty.out` (and
+  `logs_w2/`);
 - augment-map cases (`--kind single` and `--kind double`, each at two
   fixed seeds): `augment-map` on each map, which writes the warped map
   and its `.params` file.
@@ -37,7 +46,8 @@ prints the first line where they differ, as each tree wrote it. The
 manifests of the one- and two-worker runs differ only by their
 `output_dir` line, so they are not compared with each other. A command
 that exits nonzero in either tree, such as a `validate` that finds a
-fault, stops the comparison: its stderr is printed and the exit code is 2.
+fault, stops the comparison, and so does a `validate` of the faulty copy
+that does not exit 1: its stderr is printed and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -70,8 +80,9 @@ AUGMENT_CASES = (
 # run in the tree's interpreter environment: write the maps, then
 # (generate) write a config, generate (keeping its scene log lines), then
 # validate, mask, stats and plot (keeping what each prints) through the
-# CLI, or (augment) warp each map through the CLI; a command's nonzero exit
-# ends the run with its stderr
+# CLI, and (faulty) validate an edited copy of a few scene files, or
+# (augment) warp each map through the CLI; a command's nonzero exit, or
+# the faulty copy's exit other than 1, ends the run with its stderr
 RUN = """
 import contextlib
 import io
@@ -80,6 +91,36 @@ from pathlib import Path
 from scenesynth.cli import main
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.maps import save_map
+from scenesynth.synthesis import CSV_HEADER
+
+
+def bad_pt(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("# map: pt "))
+    lines[i] = "# map: pt 1.0 one"
+
+
+def bad_lane(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("# map: lane "))
+    lines[i] += " X"
+
+
+def metadata_below_header(lines):
+    first = lines.pop(0)
+    lines.insert(lines.index(CSV_HEADER) + 1, first)
+
+
+def short_rows(lines):
+    del lines[-10:]
+    lines[-1] = lines[-1][:20]
+
+
+def other_city(lines):
+    i = lines.index(CSV_HEADER) + 5
+    lines[i] = lines[i].rpartition(",")[0] + ",XXX"
+
+
+# the edit of each of the first eight scene files, None for a copy
+FAULTS = (None, bad_pt, bad_lane, metadata_below_header, short_rows, other_city, None, None)
 
 mode, work, seed = sys.argv[1], Path(sys.argv[2]), sys.argv[3]
 maps = []
@@ -125,6 +166,20 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
             for name, path in run.items():
                 text = text.replace(path, name)
             (logs / f"{argv[0]}.out").write_text(text)
+    if mode == "faulty":
+        faulty = work / f"faulty{suffix}"
+        faulty.mkdir()
+        for path, edit in zip(sorted(Path(run["scenes"]).glob("scene_*.csv")), FAULTS):
+            lines = path.read_text().splitlines()
+            if edit is not None:
+                edit(lines)
+            (faulty / path.name).write_text("\\n".join(lines) + "\\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["validate", "--scenes", str(faulty)])
+        if code != 1:
+            sys.exit(f"scenesynth validate of the faulty copy exited {code}, expected 1")
+        (logs / "validate_faulty.out").write_text(out.getvalue().replace(str(faulty), "faulty"))
 """
 
 
@@ -134,8 +189,8 @@ def _contents(root: Path) -> dict[str, bytes]:
 
 def run_tree(tree: Path, work: Path, mode: str, seed: int, *args: str) -> dict[str, bytes]:
     """The bytes of every file one tree writes for one case, by path:
-    `mode` is "generate" (args: scene count, then config lines) or
-    "augment" (args: kind)."""
+    `mode` is "generate" or "faulty" (args: scene count, then config
+    lines) or "augment" (args: kind)."""
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-c", RUN, mode, str(work), str(seed), *args]
@@ -189,7 +244,8 @@ def compare(old: Path, new: Path, n_scenes: int, work: Path) -> list[str]:
     a tree's one- and two-worker runs."""
     problems = []
     runs = [
-        (name, "generate", seed, str(n_scenes), *settings) for name, seed, settings in CASES
+        (name, "faulty" if k == 0 else "generate", seed, str(n_scenes), *settings)
+        for k, (name, seed, settings) in enumerate(CASES)
     ] + [(name, "augment", seed, kind) for name, kind, seed in AUGMENT_CASES]
     for name, *case in runs:
         before = run_tree(old, work / name, *case)

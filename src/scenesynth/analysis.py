@@ -29,7 +29,6 @@ FORECAST_MODES = 6
 class TrajectoryStats:
     """Per-trajectory summaries in the rotation-normalized frame."""
 
-    speeds: np.ndarray
     headings: np.ndarray
     endpoint: np.ndarray
 
@@ -83,11 +82,9 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 def trajectory_stats(traj: np.ndarray) -> TrajectoryStats:
     rotated = heading_normalize(traj)
     deltas = np.diff(rotated, axis=0)
-    norms = np.hypot(deltas[:, 0], deltas[:, 1])
-    speeds = norms / SCENE_DT
-    moving = norms > 1e-12
+    moving = np.hypot(deltas[:, 0], deltas[:, 1]) > 1e-12
     headings = _wrap_angle(np.arctan2(deltas[moving, 1], deltas[moving, 0]))
-    return TrajectoryStats(speeds, headings, rotated[-1].copy())
+    return TrajectoryStats(headings, rotated[-1].copy())
 
 
 def speed_histogram_edges() -> np.ndarray:

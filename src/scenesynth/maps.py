@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -164,14 +163,14 @@ def _line_fault(fields: list[str], in_lane: bool) -> str:
 
 
 def _parse_lanes(lines, path, line_numbers):
-    """The (index in `lines`, label) of each `city` line, the lanes, and
-    the index in `lines` of each lane's `lane` line, in order; raises the
-    faults of `parse_map_lines` but for the graph checks.
+    """The label of each `city` line, and each lane with the file line of
+    its `lane` line, in order; raises the faults of `parse_map_lines` but
+    for the graph checks.
 
     One pass splits each line once; the `pt` coordinates of every lane
     then convert in one call and the lanes are cut out by row.
     """
-    cities: list[tuple[int, str]] = []
+    cities: list[str] = []
     heads: list[tuple[str, int, int]] = []  # lane id, index in lines, first pt row
     links: list[tuple[list[str], list[str]]] = []  # (pred, succ) ids per lane
     coords: list[str] = []  # "pt", x, y of every pt line
@@ -195,7 +194,7 @@ def _parse_lanes(lines, path, line_numbers):
         elif (tag == "succ" or tag == "pred") and n == 2 and heads:
             links[-1][tag == "succ"].append(fields[1])
         elif tag == "city" and n == 2:
-            cities.append((i, fields[1]))
+            cities.append(fields[1])
         else:
             fault = (i, _line_fault(fields, bool(heads)))
             break
@@ -217,7 +216,7 @@ def _parse_lanes(lines, path, line_numbers):
     ends = [first for _, i, first in heads[1:] if i < stop]
     if fault is None and heads:
         ends.append(len(pt_at))
-    lanes: list[LaneSegment] = []
+    lanes: list[tuple[LaneSegment, int]] = []
     for (lane_id, i, first), end, (pred, succ) in zip(heads, ends, links):
         if end - first < 2:
             raise MapFormatError(
@@ -229,70 +228,10 @@ def _parse_lanes(lines, path, line_numbers):
             poly = Polyline(xy[first:end])
         except ValueError as exc:
             raise MapFormatError(f"lane {lane_id!r}: {exc}", path, line_numbers[i]) from exc
-        lanes.append(LaneSegment(lane_id, poly, tuple(pred), tuple(succ)))
+        lanes.append((LaneSegment(lane_id, poly, tuple(pred), tuple(succ)), line_numbers[i]))
     if fault is not None:
         raise MapFormatError(fault[1], path, line_numbers[fault[0]])
-    return cities, lanes, [i for _, i, _ in heads]
-
-
-def _parse_cached(lines, path, line_numbers, cache: dict[str, LaneSegment]):
-    """`_parse_lanes` of `lines`, each lane record found in `cache` reused
-    instead of parsed again.
-
-    A record runs from a line that starts with `lane ` to the line before
-    the next one, and its key is its text: its lines joined by newlines.
-    The lines before the first record and the records not found are
-    parsed together, in order. A record found parsed without fault on its
-    own, and its parse depends only on its text, so the faults and their
-    order are those of a parse of every line. Then, in file order, each
-    record found and each record parsed that defines exactly one lane and
-    sets no city moves to the back of `cache`, which keeps the last
-    `LANE_CACHE_SIZE` of them. Lines that hold a newline are parsed
-    without the cache.
-    """
-    text = "\n".join(lines)
-    offsets = [0] if text.startswith("lane ") else []  # of each record in `text`
-    at_char = text.find("\nlane ")
-    while at_char >= 0:
-        offsets.append(at_char + 1)
-        at_char = text.find("\nlane ", at_char + 1)
-    starts, seen, at_char = [], 0, 0  # the index in `lines` of each record
-    for offset in offsets:
-        seen += text.count("\n", at_char, offset)
-        starts.append(seen)
-        at_char = offset
-    if seen + text.count("\n", at_char) != len(lines) - 1:  # a line holds a newline
-        return _parse_lanes(lines, path, line_numbers)
-    ends = starts[1:] + [len(lines)]
-    bounds = offsets + [len(text) + 1]
-    keys = [text[a : b - 1] for a, b in zip(bounds, bounds[1:])]
-    hits = {a: cache[key] for a, key in zip(starts, keys) if key in cache}
-    # the lines to parse, with their file lines and their indices in `lines`
-    head = starts[0] if starts else len(lines)
-    todo, sub, sub_numbers = list(range(head)), lines[:head], list(line_numbers[:head])
-    for a, b in zip(starts, ends):
-        if a not in hits:
-            todo += range(a, b)
-            sub += lines[a:b]
-            sub_numbers += line_numbers[a:b]
-    cities, found, at = _parse_lanes(sub, path, sub_numbers)
-    cities = [(todo[j], label) for j, label in cities]
-    city_at = [i for i, _ in cities]
-    at = [todo[j] for j in at]
-    parsed = dict(zip(at, found))
-    for a, b, key in zip(starts, ends, keys):
-        lane = hits.get(a)
-        if lane is None:
-            lanes_in = bisect_left(at, b) - bisect_left(at, a)
-            if lanes_in != 1 or bisect_left(city_at, b) > bisect_left(city_at, a):
-                continue
-            lane = parsed[a]
-        cache.pop(key, None)
-        if len(cache) >= LANE_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = lane
-    lanes = sorted({**parsed, **hits}.items())
-    return cities, [lane for _, lane in lanes], [i for i, _ in lanes]
+    return cities, lanes
 
 
 def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap:
@@ -307,19 +246,62 @@ def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap
     raised in the order a line-by-line reader meets them: a lane is
     checked once the next `lane` line (or the end) closes it.
 
-    `lanes`, when given, is the caller's cache of parsed lane records
-    (`_parse_cached`; a fresh one otherwise), so that the lanes that many
-    files share are parsed once and those files share each such
-    LaneSegment (and its Polyline). A parse depends only on the text: the
-    path and line numbers only label faults. The graph checks run on
-    every call. The caller owns the dict and keeps it for one pass over a
-    dataset; it is not module state, so no call sees the lanes of another.
+    The lines parse one record at a time, in file order: the lines
+    before the first record, then each record, from a line that starts
+    with `lane ` and splits into two fields to the line before the next
+    such line. A record closes the lane of the one before it, as a
+    line-by-line reader does; a malformed `lane` line cuts nothing, so it
+    faults before the lane above it is checked. Lines that hold a newline
+    form one record.
+
+    `lanes`, when given, is the caller's cache of parsed lane records (a
+    fresh one otherwise), keyed by a record's lines as a tuple, so that
+    the lanes that many files share are parsed once and those files
+    share each such LaneSegment (and its Polyline). A record found there
+    is reused, its lane named by the record's first line; any other is
+    parsed on its own (`_parse_lanes`) and kept if it defines exactly one
+    lane, sets no city and begins with its header. A parse depends only
+    on the lines: the path and line numbers only label faults. Each
+    record found or kept moves to the back of `lanes`, which keeps the
+    last `LANE_CACHE_SIZE` of them. The graph checks run on every call.
+    The caller owns the dict and keeps it for one pass over a dataset; it
+    is not module state, so no call sees the lanes of another.
     """
     if line_numbers is None:
         line_numbers = range(1, len(lines) + 1)
-    cities, found, at = _parse_cached(lines, path, line_numbers, {} if lanes is None else lanes)
-    city = cities[-1][1] if cities else "UNKNOWN"
-    return make_map(city, found, path, [line_numbers[i] for i in at])
+    cache = {} if lanes is None else lanes
+    text = "\n".join(lines)
+    cuts = [0]  # the index in `lines` where each record begins
+    if text.count("\n") == len(lines) - 1:  # no line holds a newline
+        row, seen = 0, 0
+        at_char = text.find("\nlane ")
+        while at_char >= 0:
+            row += text.count("\n", seen, at_char + 1)
+            seen = at_char + 1
+            if len(lines[row].split()) == 2:
+                cuts.append(row)
+            at_char = text.find("\nlane ", seen)
+    cuts.append(len(lines))
+    cities: list[str] = []
+    found: list[tuple[LaneSegment, int]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        record = lines[a:b]
+        key = tuple(record)
+        lane = cache.pop(key, None)
+        if lane is not None:
+            found.append((lane, line_numbers[a]))
+        else:
+            labels, parsed = _parse_lanes(record, path, line_numbers[a:b])
+            cities += labels
+            found += parsed
+            if labels or len(parsed) != 1 or not lines[a].startswith("lane "):
+                continue
+            lane = parsed[0][0]
+        if len(cache) >= LANE_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = lane
+    city = cities[-1] if cities else "UNKNOWN"
+    return make_map(city, [lane for lane, _ in found], path, [line for _, line in found])
 
 
 def load_map(path) -> SceneMap:

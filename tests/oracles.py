@@ -817,8 +817,9 @@ def jsd_direct(c1, c2):
 
 def lane_records(path) -> list[str]:
     """The lane records of a scene file's `# map: ` lines, in file order,
-    each as the cache of `maps.parse_map_lines` keys it: from a line that
-    starts with `lane ` to the line before the next, joined by newlines."""
+    each as `maps.parse_map_lines` cuts it in a generated file: from a
+    line that starts with `lane ` to the line before the next, its lines
+    joined by newlines."""
     records: list[list[str]] = []
     for line in read_lines(path):
         if not line.startswith("# map: "):

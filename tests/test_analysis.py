@@ -89,7 +89,6 @@ def test_trajectory_stats_headings_wrapped():
     stats = trajectory_stats(traj)
     assert (stats.headings > -math.pi).all()
     assert (stats.headings <= math.pi).all()
-    assert (stats.speeds >= 0).all()
     # initial heading maps to angle zero
     assert abs(stats.headings[0]) < 1e-12
 

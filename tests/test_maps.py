@@ -254,15 +254,25 @@ def _join_two_points(lines):
     return lines[:i] + [lines[i] + "\n" + lines[i + 1]] + lines[i + 2 :]
 
 
+def _one_point_lane_before_a_bad_header(lines):
+    """The first lane cut to one point and followed by the second lane's
+    `lane` line with a second id: a line-by-line reader faults on that
+    line before it closes the first lane."""
+    heads = [k for k, line in enumerate(lines) if line.startswith("lane ")]
+    return lines[: heads[0] + 2] + [lines[heads[1]] + " X"] + lines[heads[1] + 1 :]
+
+
 @pytest.mark.parametrize(
     "edit",
     [_inside_second_lane("city PIT"), _inside_second_lane(" lane L8", "pt 500 0", "pt 501 0"),
-     _join_two_points],
-    ids=["city", "indented-lane", "newline"],
+     _inside_second_lane("lane\tL8", "pt 500 0", "pt 501 0"), _join_two_points,
+     _one_point_lane_before_a_bad_header],
+    ids=["city", "indented-lane", "tab-lane", "newline", "bad-lane-closes-nothing"],
 )
 def test_parse_map_lines_keeps_no_record_that_a_reuse_would_change(edit):
     """A record that sets the city, defines a second lane, or holds a
-    newline inside a line is parsed afresh each time."""
+    newline inside a line is parsed afresh each time, and a malformed
+    `lane` line does not close the lane before it."""
     lines = edit(map_to_lines(generate_map_fixture("chain3")))
     assert_parses_as_reference(lines)
 
