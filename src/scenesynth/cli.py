@@ -39,7 +39,7 @@ the fields and of the manifest's config block:
     omega2 = 1.0              smoothing jerk weight
     omega3 = 10.0             coarse-plan tracking weight
     path_min_length = 150.0   reference-path assembly target (m)
-    path_spacing = 1.0        reference-path sample spacing (m)
+    path_spacing = 1.0        reference-path sample spacing (m), at least 0.01
     retry_budget = 5          regeneration attempts per failed scene
     max_warp_slope = none     optional cap on the post-turn lateral slope
     map_files =               comma-separated map paths (required by generate)

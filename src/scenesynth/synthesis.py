@@ -36,7 +36,11 @@ queue, draws each, plans and refines all of them in one call each, and
 finishes each; a failed attempt is retried in the next round. Each
 attempt draws from its own `[seed, index, attempt]` stream, and neither
 a plan nor its refinement depends on its batch, so the bytes do not
-depend on the round size or the worker count.
+depend on the round size or the worker count. The queue's own loop (the
+worker's, with more than one) writes each scene file as it emits the
+scene's record, in index order; the parent holds only indices and
+records without text, logs them and writes the manifest in index order,
+and on a resume reads each kept scene file through `read_scene`.
 Every plan of a round has the config's `dt` and `n_steps + 1` states, so
 one smoothing system refines the round. `GenerationConfig` checks it,
 builds its gain and refines a probe plan (`refinement_shape`) with its
@@ -54,6 +58,7 @@ import multiprocessing
 import re
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -223,8 +228,10 @@ class GenerationConfig:
             )
         if self.path_min_length <= 0:
             raise ConfigError(f"path_min_length must be positive, got {self.path_min_length}")
-        if self.path_spacing <= 0:
-            raise ConfigError(f"path_spacing must be positive, got {self.path_spacing}")
+        if not self.path_spacing >= 0.01:  # a 320 m path has 32,000 samples at 0.01 m
+            raise ConfigError(
+                f"path_spacing must be positive and at least 0.01 m, got {self.path_spacing}"
+            )
         try:
             k = fine_steps_per(self.dt)
         except ValueError as exc:
@@ -636,7 +643,6 @@ class SceneRecord:
     cost: str
     attempts: int
     wall_ms: float  # own draw and finish time, plus a round share of planning and refinement
-    text: str | None = None
     reason: str = ""
 
 
@@ -644,29 +650,32 @@ def _build_scene_records(
     maps: list[SceneMap], cfg: GenerationConfig, indices: list[int]
 ) -> Iterator[SceneRecord]:
     """Generate the scenes `indices` with bounded retries, in rounds, and
-    yield their records in index order; each scene is pure in (maps, cfg,
-    index), whatever else shares its rounds.
+    yield their records in index order, writing each made scene's file into
+    `cfg.output_dir` just before its record is yielded; each scene is pure
+    in (maps, cfg, index), whatever else shares its rounds.
 
-    The map choice and augmentation coin come from a per-scene stream that
-    retries do not consume, so failed attempts cannot bias the
-    original/augmented mix. Each round takes up to `ROUND_SCENES`
-    attempts: the retries of the round before, then the next scenes of
-    `indices`. Attempt r of a scene draws from its own `[seed, index, r]`
-    stream; the round plans and refines all of its drafts through one
-    `plan_and_refine` call, then finishes each attempt through one
-    `generate_scene` call, and a failed attempt with budget left joins the
-    next round. A round's retries are at most its size, so they all fit in
-    the next round: a scene is done `retry_budget` rounds after its first
-    attempt at the latest, and a record waits at most `retry_budget + 1`
-    rounds for the scenes before it. A scene's `wall_ms` is its own draw
-    and finish time plus, for each round it was planned in, the planning
-    and refinement time over the number of drafts planned.
+    Every attempt takes the map choice and augmentation coin from the first
+    two draws of the scene's own `[seed, index]` stream, the same values
+    each time, so failed attempts cannot bias the original/augmented mix.
+    A made scene's text waits beside its record until the record is
+    emitted. Each round takes up to `ROUND_SCENES` attempts: the retries
+    of the round before, then the next scenes of `indices`. Attempt r of
+    a scene draws from its own `[seed, index, r]` stream; the round plans
+    and refines all of its drafts through one `plan_and_refine` call, then
+    finishes each attempt through one `generate_scene` call, and a failed
+    attempt with budget left joins the next round. A round's retries are
+    at most its size, so they all fit in the next round: a scene is done
+    `retry_budget` rounds after its first attempt at the latest, and a
+    record waits at most `retry_budget + 1` rounds for the scenes before
+    it. A scene's `wall_ms` is its own draw and finish time plus, for each
+    round it was planned in, the planning and refinement time over the
+    number of drafts planned; serializing and writing the scene are not
+    part of it.
     """
     queue = deque(indices)
     retries: list[tuple[int, int]] = []  # (index, attempt) for the next round
-    picks: dict[int, tuple[SceneMap, bool]] = {}  # map and augmentation coin
     wall: dict[int, float] = {}  # ms
-    done: dict[int, SceneRecord] = {}
+    done: dict[int, tuple[SceneRecord, str | None]] = {}  # record and scene text
     emitted = 0
     while retries or queue:
         fresh = min(ROUND_SCENES - len(retries), len(queue))
@@ -676,12 +685,9 @@ def _build_scene_records(
         outcomes: dict[int, Outcome] = {}
         for index, attempt in attempts:
             t0 = time.perf_counter()
-            if attempt == 0:
-                scene_rng = np.random.default_rng([cfg.seed, index])
-                map_idx = int(scene_rng.integers(len(maps)))
-                picks[index] = (maps[map_idx], bool(scene_rng.random() < cfg.augmented_fraction))
-                wall[index] = 0.0
-            base_map, augmented = picks[index]
+            scene_rng = np.random.default_rng([cfg.seed, index])
+            base_map = maps[int(scene_rng.integers(len(maps)))]
+            augmented = bool(scene_rng.random() < cfg.augmented_fraction)
             rng = np.random.default_rng([cfg.seed, index, attempt])
             try:
                 drafts[index] = draw_scene(
@@ -689,7 +695,7 @@ def _build_scene_records(
                 )
             except (PlanningError, RefinementError, ValidationError) as exc:
                 outcomes[index] = exc
-            wall[index] += (time.perf_counter() - t0) * 1e3
+            wall[index] = wall.get(index, 0.0) + (time.perf_counter() - t0) * 1e3
         if drafts:
             t0 = time.perf_counter()
             outcomes.update(zip(drafts, plan_and_refine(list(drafts.values()), cfg)))
@@ -705,20 +711,21 @@ def _build_scene_records(
             wall[index] += (time.perf_counter() - t0) * 1e3
             if scene is None and attempt < cfg.retry_budget:
                 retries.append((index, attempt + 1))
-                continue
-            del picks[index]
-            if scene is None:
+            elif scene is None:
                 done[index] = SceneRecord(
                     index, scene_filename(index), "skipped", "-", "-",
-                    attempt + 1, wall.pop(index), text=None, reason=reason,
-                )
+                    attempt + 1, wall.pop(index), reason,
+                ), None
             else:
                 done[index] = SceneRecord(
                     index, scene_filename(index), *manifest_fields(scene.metadata),
-                    attempt + 1, wall.pop(index), text=scene_to_text(scene),
-                )
+                    attempt + 1, wall.pop(index),
+                ), scene_to_text(scene)
         while emitted < len(indices) and indices[emitted] in done:
-            yield done.pop(indices[emitted])
+            rec, text = done.pop(indices[emitted])
+            if text is not None:
+                write_text_atomic(Path(cfg.output_dir) / rec.filename, text)
+            yield rec
             emitted += 1
 
 
@@ -733,27 +740,6 @@ def _pool_init(maps, cfg):
 def _pool_build(indices):
     maps, cfg = _POOL_STATE
     return list(_build_scene_records(maps, cfg, indices))
-
-
-def _peek_record(out_dir: Path, index: int, seed: int) -> SceneRecord | None:
-    """Recover manifest data from an already-written scene file; a file made
-    with another seed raises ConfigError instead of joining this dataset."""
-    path = out_dir / scene_filename(index)
-    if not path.exists():
-        return None
-    meta: dict[str, str] = {}
-    for line in maps_mod.read_lines(path):
-        if not line.startswith("#") or line.startswith("# map: "):
-            break
-        key, _, value = line[1:].partition(":")
-        meta[key.strip()] = value.strip()
-    rng_key = meta.get("rng_key", "")
-    if rng_key.partition("/")[0] != str(seed):
-        raise ConfigError(
-            f"{path} has rng_key {rng_key!r}, not from seed {seed}; "
-            "use another output_dir or delete the old scenes"
-        )
-    return SceneRecord(index, path.name, *manifest_fields(meta), 0, 0.0)
 
 
 def chunk_indices(todo: list[int], workers: int) -> list[list[int]]:
@@ -781,13 +767,19 @@ def generate_dataset(
     """Write `cfg.n_scenes` scene files plus a manifest into the output dir,
     and return the record of each scene in index order.
 
-    Already-written scene ids are skipped, so interrupted runs resume; a
-    rerun over a complete dataset rewrites nothing. One worker makes the
-    scenes still to make as one queue, writing each record as soon as the
-    ones before it are done; more workers make the chunks of
-    `chunk_indices`, one queue and one pool task each. Records are written
-    and logged in index order. Output bytes do not depend on `workers`,
-    `ROUND_SCENES` or `CHUNK_SCENES`.
+    Already-written scene ids are kept, so interrupted runs resume; a
+    rerun over a complete dataset rewrites nothing. Each kept file is read
+    and validated in full (`read_scene`, one lane cache for the scan), and
+    then its seed is checked: a file that no longer reads stops the run
+    with its read error, and a file made with another seed with a
+    ConfigError, before anything is written.
+
+    One worker makes the scenes still to make as one queue; more workers
+    make the chunks of `chunk_indices`, one queue and one pool task each.
+    The queue's loop (`_build_scene_records`) writes each scene file in
+    index order as it emits the record; this loop stores and logs the
+    records in index order, and writes the manifest. Output bytes do not
+    depend on `workers`, `ROUND_SCENES` or `CHUNK_SCENES`.
     """
     if not maps:
         raise ConfigError("need at least one map")
@@ -802,38 +794,37 @@ def generate_dataset(
 
     records: dict[int, SceneRecord] = {}
     todo: list[int] = []
+    lanes = {}  # parsed lane records of the kept files (`read_scene`)
     for index in range(cfg.n_scenes):
-        cached = _peek_record(out_dir, index, cfg.seed)
-        if cached is not None:
-            records[index] = cached
-        else:
+        path = out_dir / scene_filename(index)
+        if not path.exists():
             todo.append(index)
+            continue
+        meta = read_scene(path, lanes).metadata
+        rng_key = meta.get("rng_key", "")
+        if rng_key.partition("/")[0] != str(cfg.seed):
+            raise ConfigError(
+                f"{path} has rng_key {rng_key!r}, not from seed {cfg.seed}; "
+                "use another output_dir or delete the old scenes"
+            )
+        records[index] = SceneRecord(index, path.name, *manifest_fields(meta), 0, 0.0)
 
     chunks = chunk_indices(todo, workers) if workers > 1 else [todo]
-    if len(chunks) <= 1:
-        for rec in _build_scene_records(maps, cfg, todo):
+    pooled = len(chunks) > 1
+    pool = multiprocessing.Pool(workers, _pool_init, (maps, cfg)) if pooled else nullcontext()
+    with pool:
+        built = (
+            (rec for recs in pool.imap(_pool_build, chunks) for rec in recs)
+            if pooled else _build_scene_records(maps, cfg, todo)
+        )
+        for rec in built:
             records[rec.index] = rec
-            _finish_record(rec, out_dir, log)
-    else:
-        with multiprocessing.Pool(
-            processes=workers, initializer=_pool_init, initargs=(maps, cfg)
-        ) as pool:
-            for built in pool.imap(_pool_build, chunks):
-                for rec in built:
-                    records[rec.index] = rec
-                    _finish_record(rec, out_dir, log)
+            if log is not None:
+                log(
+                    f"scene={rec.filename} status={rec.status} cost={rec.cost} "
+                    f"attempts={rec.attempts} wall_ms={rec.wall_ms:.1f}"
+                )
 
     ordered = [records[i] for i in range(cfg.n_scenes)]
     write_text_atomic(out_dir / "manifest.txt", manifest_text(cfg, maps, ordered))
     return ordered
-
-
-def _finish_record(rec: SceneRecord, out_dir: Path, log) -> None:
-    if rec.text is not None:
-        write_text_atomic(out_dir / rec.filename, rec.text)
-        rec.text = None
-    if log is not None:
-        log(
-            f"scene={rec.filename} status={rec.status} cost={rec.cost} "
-            f"attempts={rec.attempts} wall_ms={rec.wall_ms:.1f}"
-        )

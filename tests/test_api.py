@@ -10,6 +10,8 @@ tests call belongs in the tests.
 """
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +71,14 @@ def test_every_package_definition_is_named_by_the_program():
             if path != PACKAGE / "__init__.py":
                 used |= _used(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(defined - used - PROMISED) == []
+
+
+def test_every_perfbench_traced_site_is_a_function_of_its_module():
+    # the benchmark wraps each site by name; a rename or a move would
+    # otherwise show only when the traced benchmark runs
+    sites = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))["SITES"]
+    missing = [
+        f"{module}.{attr}" for module, attr, *_ in sites
+        if not callable(getattr(importlib.import_module(f"scenesynth.{module}"), attr, None))
+    ]
+    assert sites and missing == []

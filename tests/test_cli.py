@@ -941,6 +941,18 @@ def test_generate_non_positive_path_setting_exits_2(tmp_path, map_file, key, val
     assert not (tmp_path / "scenes").exists()
 
 
+@pytest.mark.parametrize("value", ["1e-300", "0.001"])
+def test_generate_path_spacing_below_a_centimetre_exits_2(tmp_path, map_file, value, capsys):
+    # a spacing of 1e-300 once asked np.arange for more samples than fit
+    cfg = write_cfg(tmp_path, map_file, path_spacing=value)
+    assert_config_error(["generate", "--config", str(cfg)], capsys)
+    with pytest.raises(ConfigError, match=rf"run.cfg:5: path_spacing .* got {value}$"):
+        parse_run_config(cfg)
+    assert not (tmp_path / "scenes").exists()
+    cfg = write_cfg(tmp_path, map_file, path_spacing="0.01")
+    assert parse_run_config(cfg).path_spacing == 0.01
+
+
 def test_generate_repeated_config_key_exits_2(tmp_path, map_file, capsys):
     cfg = write_cfg(tmp_path, map_file)
     cfg.write_text(cfg.read_text() + "# a comment\nseed: 22\n")
@@ -960,6 +972,22 @@ def test_generate_refuses_to_resume_another_seed(tmp_path, map_file, capsys):
     cfg = write_cfg(tmp_path, map_file, seed=2, n_scenes=3)
     assert main(["generate", "--config", str(cfg)]) == 2
     assert "rng_key '1/0/0'" in capsys.readouterr().err
+    assert (kept.read_bytes(), kept.stat().st_mtime_ns) == before
+    assert (tmp_path / "scenes" / "manifest.txt").read_bytes() == manifest
+
+
+def test_generate_refuses_to_resume_a_kept_file_that_no_longer_reads(tmp_path, map_file, capsys):
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    kept = tmp_path / "scenes" / "scene_000001.csv"
+    kept.write_text(kept.read_text().rsplit("\n", 2)[0] + "\n")  # lose the last row
+    before = (kept.read_bytes(), kept.stat().st_mtime_ns)
+    manifest = (tmp_path / "scenes" / "manifest.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["generate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {kept}: 49 trajectory rows, expected 50\n"
+    assert "scene=" not in captured.out
     assert (kept.read_bytes(), kept.stat().st_mtime_ns) == before
     assert (tmp_path / "scenes" / "manifest.txt").read_bytes() == manifest
 
