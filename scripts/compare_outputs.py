@@ -26,7 +26,11 @@ the `corridors` MIA and PIT map files:
   layout), the rows cut short, and a row whose city is not the
   metadata's. `validate` of that copy must exit 1, and what it prints
   on stdout and stderr goes to `logs/validate_faulty.out` (and
-  `logs_w2/`);
+  `logs_w2/`). That case also generates an all-warped dataset of the
+  same seed into `cross/warped/`, with one worker, and runs `stats` of
+  its one-worker scenes against it into `cross/tables/`, with what it
+  prints in `cross/stats.out`: two directories, so each is histogrammed
+  on its own and the overlap and divergence are not trivial;
 - augment-map cases (`--kind single` and `--kind double`, each at two
   fixed seeds): `augment-map` on each map, which writes the warped map
   and its `.params` file.
@@ -80,8 +84,9 @@ AUGMENT_CASES = (
 # run in the tree's interpreter environment: write the maps, then
 # (generate) write a config, generate (keeping its scene log lines), then
 # validate, mask, stats and plot (keeping what each prints) through the
-# CLI, and (faulty) validate an edited copy of a few scene files, or
-# (augment) warp each map through the CLI; a command's nonzero exit, or
+# CLI, and (faulty) validate an edited copy of a few scene files and run
+# stats against an all-warped dataset, or (augment) warp each map
+# through the CLI; a command's nonzero exit, or
 # the faulty copy's exit other than 1, ends the run with its stderr
 RUN = """
 import contextlib
@@ -137,13 +142,29 @@ if mode == "augment":
             sys.exit(f"scenesynth augment-map exited {code}")
     sys.exit(0)
 n_scenes, settings = sys.argv[4], sys.argv[5:]
+
+
+def write_config(path, output_dir, settings):
+    lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {output_dir}",
+             "map_files = " + ",".join(maps), *settings]
+    path.write_text("\\n".join(lines) + "\\n")
+
+
+# what a command prints; its nonzero exit ends the run
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        sys.exit(f"scenesynth {argv[0]} exited {code}")
+    return out.getvalue()
+
+
 for suffix, workers in (("", "1"), ("_w2", "2")):
     run = {name: str(work / f"{name}{suffix}") for name in ("scenes", "samples", "tables", "plot")}
     cfg, logs = work / f"generate{suffix}.cfg", work / f"logs{suffix}"
     logs.mkdir()
-    lines = [f"seed = {seed}", f"n_scenes = {n_scenes}", f"output_dir = {run['scenes']}",
-             "map_files = " + ",".join(maps), *settings]
-    cfg.write_text("\\n".join(lines) + "\\n")
+    write_config(cfg, run["scenes"], settings)
     for argv in (
         ["generate", "--config", str(cfg), "--workers", workers],
         ["validate", "--scenes", run["scenes"]],
@@ -152,17 +173,12 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
         ["stats", "--scenes", run["scenes"], "--ref", run["scenes"], "--out", run["tables"]],
         ["plot", "--scenes", run["scenes"], "--out", run["plot"], "--svg"],
     ):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        if code != 0:
-            sys.exit(f"scenesynth {argv[0]} exited {code}")
+        text = call(argv)
         if argv[0] == "generate":
-            lines = [line.partition(" wall_ms=")[0] for line in out.getvalue().splitlines()
+            lines = [line.partition(" wall_ms=")[0] for line in text.splitlines()
                      if line.startswith("scene=")]
             (logs / "generate.log").write_text("\\n".join(lines) + "\\n")
         else:
-            text = out.getvalue()
             for name, path in run.items():
                 text = text.replace(path, name)
             (logs / f"{argv[0]}.out").write_text(text)
@@ -180,6 +196,15 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
         if code != 1:
             sys.exit(f"scenesynth validate of the faulty copy exited {code}, expected 1")
         (logs / "validate_faulty.out").write_text(out.getvalue().replace(str(faulty), "faulty"))
+if mode == "faulty":
+    # stats of two directories: the paper-mix scenes against an all-warped
+    # dataset of the same seed, each histogrammed on its own
+    cross = work / "cross"
+    write_config(work / "warped.cfg", cross / "warped", ["augmented_fraction = 1.0"])
+    call(["generate", "--config", str(work / "warped.cfg")])
+    text = call(["stats", "--scenes", str(work / "scenes"), "--ref", str(cross / "warped"),
+                "--out", str(cross / "tables")])
+    (cross / "stats.out").write_text(text.replace(str(cross / "tables"), "tables"))
 """
 
 

@@ -43,7 +43,6 @@ from .analysis import (
     Histogram,
     compare_distributions,
     forecast_metrics,
-    heading_normalize,
     speed_distribution,
 )
 

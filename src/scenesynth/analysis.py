@@ -14,23 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import rotate
 from .maps import write_text_atomic
-from .synthesis import SCENE_DT, Scene
+from .synthesis import SCENE_DT
 
 SPEED_BIN_WIDTH = 0.5
 SPEED_RANGE = (0.0, 30.0)
 HEADING_BIN_WIDTH = math.pi / 36  # 5 degrees
 DEFAULT_MISS_THRESHOLD = 2.0
 FORECAST_MODES = 6
-
-
-@dataclass(frozen=True)
-class TrajectoryStats:
-    """Per-trajectory summaries in the rotation-normalized frame."""
-
-    headings: np.ndarray
-    endpoint: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,37 +45,41 @@ class DivergenceReport:
     jsd: float
 
 
-def heading_normalize(traj: np.ndarray) -> np.ndarray:
-    """Rotate about the first point so the initial displacement points +x.
-
-    A zero first displacement falls back to the first nonzero one; an
-    all-stationary trajectory is an error. Distances are preserved.
-    """
-    traj = np.asarray(traj, dtype=float)
-    if traj.ndim != 2 or traj.shape[1] != 2 or traj.shape[0] < 2:
-        raise ValueError("trajectory must be (n >= 2, 2)")
-    deltas = np.diff(traj, axis=0)
-    norms = np.hypot(deltas[:, 0], deltas[:, 1])
-    moving = np.flatnonzero(norms > 1e-12)
-    if moving.size == 0:
-        raise ValidationError("all-stationary trajectory has no heading")
-    dx, dy = deltas[moving[0]]
-    ang = math.atan2(dy, dx)
-    return rotate(traj - traj[0], -ang) + traj[0]
-
-
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
     """Wrap to (-pi, pi]."""
     out = np.mod(-a + math.pi, 2.0 * math.pi)
     return -(out - math.pi)
 
 
-def trajectory_stats(traj: np.ndarray) -> TrajectoryStats:
-    rotated = heading_normalize(traj)
-    deltas = np.diff(rotated, axis=0)
-    moving = np.hypot(deltas[:, 0], deltas[:, 1]) > 1e-12
-    headings = _wrap_angle(np.arctan2(deltas[moving, 1], deltas[moving, 0]))
-    return TrajectoryStats(headings, rotated[-1].copy())
+def normalize_headings(trajectories: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each (m, 2) trajectory of an (n, m, 2) array about its first
+    point so that its first nonzero step points +x. Returns the wrapped
+    headings of the moving steps, in trajectory order, and the (n, 2)
+    endpoints. Distances are preserved.
+
+    An all-stationary trajectory has no heading: ValidationError naming
+    its entry of `paths`, one per trajectory. Each angle comes from scalar
+    `math.atan2`, `math.cos` and `math.sin`, and the rotation keeps
+    `geometry.rotate`'s products, so every value has the bits of rotating
+    one trajectory at a time.
+    """
+    x, y = trajectories[..., 0], trajectories[..., 1]
+    dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
+    moving = np.hypot(dx, dy) > 1e-12
+    still = ~moving.any(axis=1)
+    if still.any():
+        raise ValidationError("all-stationary trajectory has no heading", paths[still.argmax()])
+    first = (np.arange(len(trajectories)), moving.argmax(axis=1))
+    angles = [-math.atan2(b, a) for a, b in zip(dx[first].tolist(), dy[first].tolist())]
+    c = np.array([math.cos(a) for a in angles])[:, None]
+    s = np.array([math.sin(a) for a in angles])[:, None]
+    x0, y0 = x[:, :1], y[:, :1]
+    rx, ry = x - x0, y - y0
+    x, y = c * rx - s * ry + x0, s * rx + c * ry + y0
+    dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
+    moving = np.hypot(dx, dy) > 1e-12
+    headings = _wrap_angle(np.arctan2(dy[moving], dx[moving]))
+    return headings, np.column_stack([x[:, -1], y[:, -1]])
 
 
 def speed_histogram_edges() -> np.ndarray:
@@ -92,32 +87,25 @@ def speed_histogram_edges() -> np.ndarray:
     return SPEED_RANGE[0] + np.arange(n + 1) * SPEED_BIN_WIDTH
 
 
-def speed_distribution(scenes: list[Scene]) -> Histogram:
-    """Histogram of finite-difference speeds pooled over scenes; samples
-    outside `SPEED_RANGE` are dropped."""
-    if not scenes:
-        raise ValueError("need at least one scene")
+def speed_distribution(trajectories: np.ndarray) -> Histogram:
+    """Histogram of the finite-difference speeds of an (n, 50, 2)
+    trajectory array; samples outside `SPEED_RANGE` are dropped."""
+    if len(trajectories) == 0:
+        raise ValueError("need at least one trajectory")
     edges = speed_histogram_edges()
-    speeds = np.concatenate(
-        [
-            np.hypot(*np.diff(sc.trajectory, axis=0).T) / SCENE_DT
-            for sc in scenes
-        ]
-    )
-    counts, _ = np.histogram(speeds, bins=edges)
+    steps = np.diff(trajectories, axis=1)
+    counts, _ = np.histogram(np.hypot(steps[..., 0], steps[..., 1]) / SCENE_DT, bins=edges)
     return Histogram(edges, counts)
 
 
-def heading_distribution(scenes: list[Scene]) -> Histogram:
-    """Histogram of step headings after rotation normalization."""
-    if not scenes:
-        raise ValueError("need at least one scene")
+def heading_distribution(trajectories: np.ndarray, paths) -> Histogram:
+    """Histogram of the step headings of an (n, 50, 2) trajectory array
+    after rotation normalization (`normalize_headings`)."""
+    if len(trajectories) == 0:
+        raise ValueError("need at least one trajectory")
     n = int(round(2.0 * math.pi / HEADING_BIN_WIDTH))
     edges = -math.pi + np.arange(n + 1) * (2.0 * math.pi / n)
-    headings = np.concatenate(
-        [trajectory_stats(sc.trajectory).headings for sc in scenes]
-    )
-    counts, _ = np.histogram(headings, bins=edges)
+    counts, _ = np.histogram(normalize_headings(trajectories, paths)[0], bins=edges)
     return Histogram(edges, counts)
 
 

@@ -64,7 +64,7 @@ from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transfo
 from .errors import ConfigError, MapFormatError, SceneSynthError
 from .manifest import manifest_fields, manifest_problems
 from .maps import build_reference_path, load_map, read_lines, save_map, write_text_atomic
-from .synthesis import GenerationConfig, generate_dataset, read_scene, scene_to_text
+from .synthesis import SCENE_SAMPLES, GenerationConfig, generate_dataset, read_scene, scene_to_text
 
 
 def parse_run_config(path) -> GenerationConfig:
@@ -158,22 +158,32 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _load_scenes(directory, lanes):
-    """Every scene of `directory`, lane records parsed through the
-    command's `lanes` dict (`read_scene`)."""
-    return [read_scene(f, lanes) for f in _scene_files(directory)]
+def _load_trajectories(directory, lanes) -> tuple[list[Path], np.ndarray]:
+    """The scene files of `directory` and their (n, 50, 2) trajectories,
+    lane records parsed through the command's `lanes` dict (`read_scene`)."""
+    files = _scene_files(directory)
+    trajectories = np.empty((len(files), SCENE_SAMPLES, 2))
+    for row, path in enumerate(files):
+        trajectories[row] = read_scene(path, lanes).trajectory
+    return files, trajectories
+
+
+def _histograms(files, trajectories) -> tuple[analysis.Histogram, analysis.Histogram]:
+    """The speed and heading histograms of one directory's trajectories."""
+    return (
+        analysis.speed_distribution(trajectories),
+        analysis.heading_distribution(trajectories, files),
+    )
 
 
 def cmd_stats(args) -> int:
     lanes = {}  # shared by both directories
-    scenes = _load_scenes(args.scenes, lanes)
-    # the same directory under another spelling is read once
+    scenes = _load_trajectories(args.scenes, lanes)
+    # the same directory under another spelling is read and histogrammed once
     same = Path(args.ref).resolve() == Path(args.scenes).resolve()
-    ref = scenes if same else _load_scenes(args.ref, lanes)
-    sp1 = analysis.speed_distribution(scenes)
-    sp2 = analysis.speed_distribution(ref)
-    hd1 = analysis.heading_distribution(scenes)
-    hd2 = analysis.heading_distribution(ref)
+    ref = scenes if same else _load_trajectories(args.ref, lanes)
+    sp1, hd1 = _histograms(*scenes)
+    sp2, hd2 = (sp1, hd1) if same else _histograms(*ref)
     speed_rep = analysis.compare_distributions(sp1, sp2)
     head_rep = analysis.compare_distributions(hd1, hd2)
     print(f"speed_overlap={speed_rep.overlap:.6f} speed_jsd={speed_rep.jsd:.6f}")
@@ -218,14 +228,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    scenes = _load_scenes(args.scenes, {})
+    files, trajectories = _load_trajectories(args.scenes, {})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    speeds = analysis.speed_distribution(scenes)
-    headings = analysis.heading_distribution(scenes)
-    endpoints = np.array(
-        [analysis.trajectory_stats(sc.trajectory).endpoint for sc in scenes]
-    )
+    speeds, headings = _histograms(files, trajectories)
+    _, endpoints = analysis.normalize_headings(trajectories, files)
     analysis.write_histogram_table(speeds, out_dir / "speed_hist.csv")
     analysis.write_histogram_table(headings, out_dir / "heading_hist.csv")
     analysis.write_endpoint_cloud(endpoints, out_dir / "endpoints.csv")

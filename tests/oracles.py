@@ -11,7 +11,9 @@ stationarity residual, and refinement's gain formula (`reference_gain`,
 `solve_system` runs the package's solver on that system and takes the
 multipliers from the two eliminated stationarity rows, so the residual
 and gradient checks test the solver's output against system data formed
-independently of it.
+independently of it. `heading_normalize` and `trajectory_stats` rotate
+one trajectory at a time, the form that `analysis.normalize_headings`
+computes for a whole array.
 
 `plan_one`, `refine_one` and `make_scene` are no oracles: they run the
 package's batched planner, refinement and scene attempt on one problem
@@ -813,6 +815,46 @@ def jsd_direct(c1, c2):
         if qi > 0:
             out += 0.5 * qi * math.log2(qi / mi)
     return out
+
+
+@dataclass(frozen=True)
+class TrajectoryStats:
+    """Per-trajectory summaries in the rotation-normalized frame."""
+
+    headings: np.ndarray
+    endpoint: np.ndarray
+
+
+def heading_normalize(traj: np.ndarray) -> np.ndarray:
+    """Rotate one trajectory about its first point so the initial
+    displacement points +x, the per-trajectory form that
+    `analysis.normalize_headings` replaced.
+
+    A zero first displacement falls back to the first nonzero one; an
+    all-stationary trajectory is an error. Distances are preserved.
+    """
+    traj = np.asarray(traj, dtype=float)
+    if traj.ndim != 2 or traj.shape[1] != 2 or traj.shape[0] < 2:
+        raise ValueError("trajectory must be (n >= 2, 2)")
+    deltas = np.diff(traj, axis=0)
+    norms = np.hypot(deltas[:, 0], deltas[:, 1])
+    moving = np.flatnonzero(norms > 1e-12)
+    if moving.size == 0:
+        raise ValidationError("all-stationary trajectory has no heading")
+    dx, dy = deltas[moving[0]]
+    ang = math.atan2(dy, dx)
+    return rotate(traj - traj[0], -ang) + traj[0]
+
+
+def trajectory_stats(traj: np.ndarray) -> TrajectoryStats:
+    """The step headings, wrapped to (-pi, pi], and the endpoint of one
+    trajectory after `heading_normalize`."""
+    rotated = heading_normalize(traj)
+    deltas = np.diff(rotated, axis=0)
+    moving = np.hypot(deltas[:, 0], deltas[:, 1]) > 1e-12
+    headings = np.arctan2(deltas[moving, 1], deltas[moving, 0])
+    headings = -(np.mod(-headings + math.pi, 2.0 * math.pi) - math.pi)
+    return TrajectoryStats(headings, rotated[-1].copy())
 
 
 def lane_records(path) -> list[str]:

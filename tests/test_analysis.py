@@ -7,41 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import forecast_metrics_loop, jsd_direct
+from oracles import (
+    forecast_metrics_loop,
+    heading_normalize,
+    jsd_direct,
+    trajectory_stats,
+)
 from scenesynth.analysis import (
     Histogram,
     compare_distributions,
     forecast_metrics,
     heading_distribution,
-    heading_normalize,
+    normalize_headings,
     render_histogram_svg,
     speed_distribution,
     speed_histogram_edges,
-    trajectory_stats,
     write_endpoint_cloud,
     write_histogram_table,
 )
 from scenesynth.errors import ValidationError
-from scenesynth.synthesis import Scene
+from scenesynth.fixtures import generate_map_fixture
+from scenesynth.synthesis import SCENE_DT, GenerationConfig, generate_dataset, read_scene
 
 
-def constant_speed_scene(speed=10.0, heading=0.0, city="MIA"):
-    from scenesynth.geometry import Polyline
-    from scenesynth.maps import LaneSegment, make_map
-
-    t = np.arange(50) * 0.1
+def constant_speed_trajectory(speed=10.0, heading=0.0):
     # step-first construction keeps the finite-difference speeds exact
     d = np.arange(50, dtype=float) * (speed * 0.1)
-    traj = np.column_stack([d * math.cos(heading), d * math.sin(heading)])
-    lane = LaneSegment("L0", Polyline([(-10.0, 0.0), (60.0, 0.0)]))
-    meta = {
-        "scene_id": "s",
-        "city": city,
-        "crop_center_x": "0.0",
-        "crop_center_y": "0.0",
-        "crop_radius": "100.0",
-    }
-    return Scene("s", city, make_map(city, [lane]), t, traj, meta)
+    return np.column_stack([d * math.cos(heading), d * math.sin(heading)])
 
 
 def test_heading_normalize_along_x_unchanged():
@@ -93,26 +85,92 @@ def test_trajectory_stats_headings_wrapped():
     assert abs(stats.headings[0]) < 1e-12
 
 
+def crafted_trajectories() -> np.ndarray:
+    """Edge cases of rotation normalization, each (50, 2): a zero first
+    step, out along +x and back at raw headings of -pi and +pi, a first
+    step along -x, a random walk, and a first step under the 1e-12 m
+    threshold near the origin, where the second step taken relative to
+    the first point is not the same float as the step itself."""
+    out_and_back = np.concatenate([np.arange(26.0), np.arange(24.0, 0.0, -1.0)])
+    tiny = np.zeros(50)
+    tiny[26:] = np.where(np.arange(24) % 2, 1e-300, -1e-300)
+    start = np.array([0.09438950975437521, 0.6006676972887692])
+    turn = np.array([-0.9128577466663447, -0.21839920446296457])
+    onward = turn + np.outer(np.arange(48.0), (-1.0, 0.5))
+    creep = np.array([start, start + (4e-13, -3e-13), *onward])
+    return np.array([
+        np.column_stack([np.full(50, 3.0), np.maximum(np.arange(50.0) - 1.0, 0.0) - 2.0]),
+        np.column_stack([out_and_back + 7.0, tiny - 1.0]),
+        np.column_stack([-np.arange(50.0), np.zeros(50)]),
+        np.cumsum(np.random.default_rng(4).uniform(-1, 1, size=(50, 2)), axis=0),
+        creep,
+    ])
+
+
+@pytest.fixture(scope="module", params=["mixed", "warped"])
+def workload_trajectories(request, tmp_path_factory):
+    """The (n, 50, 2) trajectories of a generated 120-scene dataset of the
+    paper's warped mix or of an all-warped one, read back."""
+    out = tmp_path_factory.mktemp(request.param)
+    maps = [generate_map_fixture("corridors", city) for city in ("MIA", "PIT")]
+    fraction = {"mixed": GenerationConfig.augmented_fraction, "warped": 1.0}[request.param]
+    cfg = GenerationConfig(
+        seed=2026, n_scenes=120, output_dir=str(out), augmented_fraction=fraction
+    )
+    records = generate_dataset(maps, cfg)
+    return np.array([
+        read_scene(out / rec.filename).trajectory for rec in records if rec.status != "skipped"
+    ])
+
+
+def test_normalize_headings_matches_the_one_trajectory_oracle_bit_for_bit(
+    workload_trajectories,
+):
+    trajectories = np.concatenate([crafted_trajectories(), workload_trajectories])
+    paths = [f"scene_{i:06d}.csv" for i in range(len(trajectories))]
+    headings, endpoints = normalize_headings(trajectories, paths)
+    stats = [trajectory_stats(traj) for traj in trajectories]
+    want = np.concatenate([one.headings for one in stats])
+    assert headings.tobytes() == want.tobytes()
+    assert endpoints.tobytes() == np.array([one.endpoint for one in stats]).tobytes()
+    h = heading_distribution(trajectories, paths)
+    assert np.array_equal(h.counts, np.histogram(want, bins=h.edges)[0])
+    speeds = np.concatenate(
+        [np.hypot(*np.diff(traj, axis=0).T) / SCENE_DT for traj in trajectories]
+    )
+    h = speed_distribution(trajectories)
+    assert np.array_equal(h.counts, np.histogram(speeds, bins=h.edges)[0])
+    # the out-and-back trajectory reaches the wrap point from both sides
+    assert (stats[1].headings[25:] == math.pi).all()
+    # an all-stationary trajectory raises the oracle's error, naming its path
+    still = np.insert(trajectories, 2, np.full((50, 2), 4.0), axis=0)
+    with pytest.raises(ValidationError) as want:
+        trajectory_stats(still[2])
+    with pytest.raises(ValidationError) as got:
+        normalize_headings(still, [*paths[:2], "still.csv", *paths[2:]])
+    assert got.value.path == "still.csv"
+    assert str(got.value) == f"still.csv: {want.value}"
+
+
 def test_speed_distribution_constant_scene_single_bin():
-    h = speed_distribution([constant_speed_scene(10.0)])
+    h = speed_distribution(constant_speed_trajectory(10.0)[None])
     occupied = np.flatnonzero(h.counts)
     assert occupied.tolist() == [20]  # [10.0, 10.5)
     assert h.counts[20] == 49
 
 
 def test_speed_distribution_mass_equals_samples():
-    scenes = [constant_speed_scene(v) for v in (3.0, 8.0, 14.0)]
-    h = speed_distribution(scenes)
+    h = speed_distribution(np.array([constant_speed_trajectory(v) for v in (3.0, 8.0, 14.0)]))
     assert h.total == 3 * 49
 
 
 def test_speed_distribution_needs_scenes():
     with pytest.raises(ValueError):
-        speed_distribution([])
+        speed_distribution(np.empty((0, 50, 2)))
 
 
 def test_heading_distribution_straight_scene_at_zero():
-    h = heading_distribution([constant_speed_scene(10.0, heading=1.1)])
+    h = heading_distribution(constant_speed_trajectory(10.0, heading=1.1)[None], ["s"])
     centers = 0.5 * (h.edges[:-1] + h.edges[1:])
     assert abs(centers[np.argmax(h.counts)]) < math.pi / 36
 
@@ -261,15 +319,13 @@ def test_rendered_svg_is_valid_xml(tmp_path):
 def test_generated_speeds_span_sampling_range(dataset_1k):
     # speeds across a 1000-scene run cover the sampled desired-velocity
     # range with slack on both sides from the initial-speed spread
-    from scenesynth.synthesis import read_scene
-
     records, _, cfg, _ = dataset_1k
-    scenes = [
-        read_scene(Path(cfg.output_dir) / rec.filename)
+    trajectories = np.array([
+        read_scene(Path(cfg.output_dir) / rec.filename).trajectory
         for rec in records[:400]
         if rec.status != "skipped"
-    ]
-    h = speed_distribution(scenes)
+    ])
+    h = speed_distribution(trajectories)
     occupied = h.counts > 0
     lo_bin = int(np.searchsorted(h.edges, 5.0))
     hi_bin = int(np.searchsorted(h.edges, 16.0)) - 1

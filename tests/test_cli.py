@@ -732,6 +732,31 @@ def test_plot_emits_tables_and_svg(tmp_path, map_file):
         assert (out / name).exists()
 
 
+def test_stats_and_plot_name_the_file_of_an_all_stationary_trajectory(
+    tmp_path, map_file, capsys
+):
+    """A scene whose 50 rows all sit at its crop center is canonical and
+    passes validate, but it has no heading: stats and plot exit 1 with a
+    ValidationError that names its file."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=4)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+    victim = sorted(scenes.glob("scene_*.csv"))[2]
+    scene = read_scene(victim)
+    center = [float(scene.metadata[key]) for key in ("crop_center_x", "crop_center_y")]
+    victim.write_text(scene_to_text(replace(scene, trajectory=np.tile(center, (50, 1)))))
+    assert main(["validate", "--scenes", str(scenes)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["stats", "--scenes", str(scenes), "--ref", str(scenes)],
+        ["plot", "--scenes", str(scenes), "--out", str(tmp_path / "plot")],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {victim}: all-stationary trajectory has no heading\n"
+        )
+
+
 def test_parse_run_config_defaults_and_echo(tmp_path, map_file):
     cfg = write_cfg(tmp_path, map_file)
     run = parse_run_config(cfg)
