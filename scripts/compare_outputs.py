@@ -10,14 +10,20 @@ the `corridors` MIA and PIT map files:
   dataset, each at two fixed seeds, and the mix planned at `dt = 1.0`
   to `t_g = 7.0`, a second refinement shape of k = 10 fine steps per
   coarse step and n = 70, at one seed): `generate` N scenes from the maps,
-  `validate` them, then `mask --task combined` into `samples/`, `stats`
-  of the dataset against itself into `tables/` and `plot --svg` into
+  `validate` them, then `mask --task combined` into `samples/`, `mask
+  --task map --mask-ratio 0.3` of the scenes with two lanes or more (map
+  masking refuses a crop of one lane) into `samples_map/` and `mask
+  --task traj --map-fraction 0.2` (which the traj task ignores) into
+  `samples_traj/`, so that every masking path is compared, `stats` of
+  the dataset against itself into `tables/` and `plot --svg` into
   `plot/`; then the same again with `generate --workers 2`, into
-  `scenes_w2/`, `samples_w2/`, `tables_w2/` and `plot_w2/`. The per-scene
-  lines that `generate` logs, without their `wall_ms=` timing, go to
-  `logs/generate.log` and `logs_w2/generate.log`, and what each of the
-  four read commands prints, its run's own directories named as in the
-  one-worker run, to `logs/<command>.out` and `logs_w2/<command>.out`.
+  `scenes_w2/`, `samples_w2/`, `samples_map_w2/`, `samples_traj_w2/`,
+  `tables_w2/` and `plot_w2/`.
+  The per-scene lines that `generate` logs, without their `wall_ms=`
+  timing, go to `logs/generate.log` and `logs_w2/generate.log`, and what
+  each read command prints, its run's own directories named as in the
+  one-worker run, to `logs/<command>.out` (`mask_map.out` and
+  `mask_traj.out` for the two other `mask` runs) and `logs_w2/`.
   In the first case, each run also copies its first eight scene files to
   `faulty/` (`faulty_w2/`) and edits five of them, one fault each, so
   that both of `read_scene`'s read paths meet a fault: a `# map: pt`
@@ -73,6 +79,9 @@ CASES = (
     ("mixed-dt1-1000", 1000, ("dt = 1.0", "t_g = 7.0")),
 )
 
+# the directories of a generate case's run, `_w2` added for two workers
+RUN_DIRS = ("scenes", "samples", "samples_map", "samples_traj", "tables", "plot")
+
 # (name, augment-map --kind, seed)
 AUGMENT_CASES = (
     ("augment-single-1000", "single", 1000),
@@ -91,6 +100,7 @@ AUGMENT_CASES = (
 RUN = """
 import contextlib
 import io
+import shutil
 import sys
 from pathlib import Path
 from scenesynth.cli import main
@@ -161,27 +171,41 @@ def call(argv):
 
 
 for suffix, workers in (("", "1"), ("_w2", "2")):
-    run = {name: str(work / f"{name}{suffix}") for name in ("scenes", "samples", "tables", "plot")}
+    run = {name: str(work / f"{name}{suffix}") for name in RUN_DIRS}
     cfg, logs = work / f"generate{suffix}.cfg", work / f"logs{suffix}"
     logs.mkdir()
     write_config(cfg, run["scenes"], settings)
-    for argv in (
-        ["generate", "--config", str(cfg), "--workers", workers],
-        ["validate", "--scenes", run["scenes"]],
-        ["mask", "--scenes", run["scenes"], "--task", "combined", "--seed", seed,
-         "--out", run["samples"]],
-        ["stats", "--scenes", run["scenes"], "--ref", run["scenes"], "--out", run["tables"]],
-        ["plot", "--scenes", run["scenes"], "--out", run["plot"], "--svg"],
+    text = call(["generate", "--config", str(cfg), "--workers", workers])
+    lines = [line.partition(" wall_ms=")[0] for line in text.splitlines()
+             if line.startswith("scene=")]
+    (logs / "generate.log").write_text("\\n".join(lines) + "\\n")
+    # map masking refuses a crop of one lane, so its run reads a copy of
+    # the scene files that hold two lanes or more
+    multi_lane = work / f"multi_lane{suffix}"
+    multi_lane.mkdir()
+    for path in Path(run["scenes"]).glob("scene_*.csv"):
+        if path.read_text().count("\\n# map: lane ") >= 2:
+            shutil.copy(path, multi_lane)
+    for log, argv in (
+        ("validate.out", ["validate", "--scenes", run["scenes"]]),
+        ("mask.out", ["mask", "--scenes", run["scenes"], "--task", "combined",
+                      "--seed", seed, "--out", run["samples"]]),
+        ("mask_map.out", ["mask", "--scenes", str(multi_lane), "--task", "map",
+                          "--seed", seed, "--mask-ratio", "0.3",
+                          "--out", run["samples_map"]]),
+        ("mask_traj.out", ["mask", "--scenes", run["scenes"], "--task", "traj",
+                           "--seed", seed, "--map-fraction", "0.2",
+                           "--out", run["samples_traj"]]),
+        ("stats.out", ["stats", "--scenes", run["scenes"], "--ref", run["scenes"],
+                       "--out", run["tables"]]),
+        ("plot.out", ["plot", "--scenes", run["scenes"], "--out", run["plot"], "--svg"]),
     ):
         text = call(argv)
-        if argv[0] == "generate":
-            lines = [line.partition(" wall_ms=")[0] for line in text.splitlines()
-                     if line.startswith("scene=")]
-            (logs / "generate.log").write_text("\\n".join(lines) + "\\n")
-        else:
-            for name, path in run.items():
-                text = text.replace(path, name)
-            (logs / f"{argv[0]}.out").write_text(text)
+        # the longest first, so that `samples` leaves `samples_map` whole
+        for name, path in sorted(run.items(), key=lambda item: -len(item[1])):
+            text = text.replace(path, name)
+        (logs / log).write_text(text)
+    shutil.rmtree(multi_lane)
     if mode == "faulty":
         faulty = work / f"faulty{suffix}"
         faulty.mkdir()
@@ -218,7 +242,8 @@ def run_tree(tree: Path, work: Path, mode: str, seed: int, *args: str) -> dict[s
     lines) or "augment" (args: kind)."""
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", RUN, mode, str(work), str(seed), *args]
+    program = f"RUN_DIRS = {RUN_DIRS!r}\n{RUN}"
+    argv = [sys.executable, "-c", program, mode, str(work), str(seed), *args]
     proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {proc.stderr.strip()}")
@@ -248,7 +273,7 @@ def worker_problems(label: str, contents: dict[str, bytes]) -> list[str]:
     only one of the runs wrote. The manifests differ by design: they echo
     `output_dir`."""
     problems = []
-    for one in ("scenes", "samples", "tables", "plot", "logs"):
+    for one in (*RUN_DIRS, "logs"):
         two = f"{one}_w2"
         files = {
             run: {

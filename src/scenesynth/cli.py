@@ -61,10 +61,17 @@ import numpy as np
 
 from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
-from .errors import ConfigError, MapFormatError, SceneSynthError
+from .errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from .manifest import manifest_fields, manifest_problems
 from .maps import build_reference_path, load_map, read_lines, save_map, write_text_atomic
-from .synthesis import SCENE_SAMPLES, GenerationConfig, generate_dataset, read_scene, scene_to_text
+from .synthesis import (
+    SCENE_SAMPLES,
+    GenerationConfig,
+    Scene,
+    generate_dataset,
+    read_scene,
+    scene_to_text,
+)
 
 
 def parse_run_config(path) -> GenerationConfig:
@@ -82,6 +89,17 @@ def _scene_files(directory) -> list[Path]:
     if not files:
         raise SceneSynthError(f"no scene files in {directory}")
     return files
+
+
+def _read_scene(path, lanes) -> Scene:
+    """`read_scene(path, lanes)`; a scene invariant's ValidationError,
+    which names only the scene id, is raised again naming `path` too."""
+    try:
+        return read_scene(path, lanes)
+    except ValidationError as exc:
+        if exc.path is not None:
+            raise
+        raise ValidationError(str(exc), path) from exc
 
 
 def cmd_augment_map(args) -> int:
@@ -132,8 +150,9 @@ def cmd_mask(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     n_map = 0
     lanes = {}  # parsed lane records of this call (`read_scene`)
+    texts = {}  # formatted point blocks of this call (`pretrain.sample_to_text`)
     for path in files:
-        scene = read_scene(path, lanes)
+        scene = _read_scene(path, lanes)
         # keyed on the scene id, so a sample does not depend on which other
         # scene files sit in the directory
         if not (scene.scene_id.isascii() and scene.scene_id.isdigit()):
@@ -150,7 +169,9 @@ def cmd_mask(args) -> int:
             )
         if sample.task is pretrain.ReconTask.MAP:
             n_map += 1
-        pretrain.write_sample(sample, out_dir / pretrain.sample_filename(scene.scene_id))
+        pretrain.write_sample(
+            sample, out_dir / pretrain.sample_filename(scene.scene_id), texts
+        )
     print(
         f"masked {len(files)} scenes -> {out_dir} "
         f"(map={n_map}, traj={len(files) - n_map})"
@@ -164,7 +185,7 @@ def _load_trajectories(directory, lanes) -> tuple[list[Path], np.ndarray]:
     files = _scene_files(directory)
     trajectories = np.empty((len(files), SCENE_SAMPLES, 2))
     for row, path in enumerate(files):
-        trajectories[row] = read_scene(path, lanes).trajectory
+        trajectories[row] = _read_scene(path, lanes).trajectory
     return files, trajectories
 
 

@@ -38,11 +38,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import MapFormatError, MaskingError
-from .maps import read_lines, write_text_atomic
+from .maps import LANE_CACHE_SIZE, read_lines, write_text_atomic
 from .synthesis import Scene
 
 TRAJ_MODES = 6
@@ -176,33 +177,66 @@ def traj_recon_loss(
     return float(losses[best] + reg_weight * rest.mean()), best
 
 
-def sample_to_text(sample: PretrainSample) -> str:
+def _pairs_text(pairs: np.ndarray, texts: dict[bytes, str]) -> str:
+    """The `x,y` lines of a (k, 2) float array, each ended by a newline,
+    through the LRU dict `texts`, keyed on the array's bits."""
+    key = pairs.tobytes()
+    text = texts.pop(key, None)
+    if text is None:
+        text = ("%r,%r\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+        if len(texts) >= LANE_CACHE_SIZE:
+            del texts[next(iter(texts))]
+    texts[key] = text
+    return text
+
+
+def sample_to_text(sample: PretrainSample, texts: dict[bytes, str] | None = None) -> str:
+    """The sample file text of `sample`.
+
+    The visible rows are cut into runs: rows of one kind and polyline id
+    in which each row's start has the bits of the previous row's end. A
+    run's points (its starts, then its last end) and its attribute pairs
+    are formatted as whole `x,y` blocks, and so is each masked polyline's
+    target, through `texts`: the caller's LRU dict of such blocks (a
+    fresh one otherwise), keyed on the (k, 2) array's bits, so that the
+    lanes many samples share are formatted once and 0.0 and -0.0 keep
+    their own text. It keeps the last `LANE_CACHE_SIZE` blocks. A lane
+    whose run is visible in one sample and masked in another has one key
+    for both. The text does not depend on what `texts` holds.
+    """
+    if texts is None:
+        texts = {}
+    vis = sample.visible
     lines = [
         "# format: scenesynth-sample v1",
         f"# task: {sample.task.value}",
         "# masked: " + ";".join(str(p) for p in sample.masked),
         "# columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1",
     ]
-    # a row whose start is the previous row's end reuses that text; compared
-    # as bits, since 0.0 == -0.0 but their reprs differ
-    coords = np.ascontiguousarray(sample.visible[:, 2:6]).view(np.int64)
-    chained = np.zeros(len(coords), dtype=bool)
-    chained[1:] = (coords[1:, 0:2] == coords[:-1, 2:4]).all(axis=1)
-    end = ""
-    for (kind, pid, x0, y0, x1, y1, a0, a1), same in zip(
-        sample.visible.tolist(), chained.tolist()
-    ):
-        start = end if same else f"{x0!r},{y0!r}"
-        end = f"{x1!r},{y1!r}"
-        lines.append(f"{KIND_NAMES[int(kind)]},{int(pid)},{start},{end},{a0!r},{a1!r}")
+    # a run starts where the kind, the id or the chain of points breaks,
+    # compared as bits, since 0.0 == -0.0 but their reprs differ
+    bits = np.ascontiguousarray(vis[:, :6]).view(np.int64)
+    breaks = np.ones(len(vis), dtype=bool)
+    breaks[1:] = (bits[1:, :4] != bits[:-1, [0, 1, 4, 5]]).any(axis=1)
+    starts = np.flatnonzero(breaks).tolist()
+    heads = ["%s,%d" % (KIND_NAMES[int(kind)], pid) for kind, pid in vis[starts, :2].tolist()]
+    for head, a, b in zip(heads, starts, starts[1:] + [len(vis)]):
+        points = np.concatenate((vis[a:b, 2:4], vis[b - 1 : b, 4:6]))
+        pts = _pairs_text(points, texts).splitlines()
+        pairs = _pairs_text(vis[a:b, 6:8], texts).splitlines()
+        lines += map(",".join, zip(repeat(head), pts, pts[1:], pairs))
     lines.append("# targets")
-    for pid, points in zip(sample.masked, sample.targets):
-        lines.extend(f"target,{pid},{x!r},{y!r}" for x, y in points.tolist())
+    for pid, target in zip(sample.masked, sample.targets):
+        text = _pairs_text(target, texts)
+        if text:  # a target of no points has no rows
+            prefix = f"target,{pid},"
+            lines.append(prefix + text[:-1].replace("\n", "\n" + prefix))
     return "\n".join(lines) + "\n"
 
 
-def write_sample(sample: PretrainSample, path) -> None:
-    write_text_atomic(path, sample_to_text(sample))
+def write_sample(sample: PretrainSample, path, texts: dict[bytes, str] | None = None) -> None:
+    """Write `sample` to `path`; `texts` is `sample_to_text`'s dict."""
+    write_text_atomic(path, sample_to_text(sample, texts))
 
 
 def read_sample(path) -> PretrainSample:

@@ -316,7 +316,13 @@ def validate_scene(scene: Scene) -> None:
         raise ValidationError(f"scene {sid}: timestamps not {SCENE_DT} s apart")
     if not np.isfinite(scene.trajectory).all():
         raise ValidationError(f"scene {sid}: non-finite trajectory")
-    speeds = np.hypot(*np.diff(scene.trajectory, axis=0).T) / SCENE_DT
+    steps = np.hypot(*np.diff(scene.trajectory, axis=0).T)
+    # the step length that `analysis.normalize_headings` counts as moving
+    if not (steps > 1e-12).any():
+        raise ValidationError(
+            f"scene {sid}: all-stationary trajectory, no step longer than 1e-12 m"
+        )
+    speeds = steps / SCENE_DT
     if speeds.max() > MAX_SPEED + 1e-9 or speeds.min() < -1e-9:
         raise ValidationError(
             f"scene {sid}: speed {speeds.max():.2f} outside [0, {MAX_SPEED}]"

@@ -53,6 +53,7 @@ from scenesynth.maps import (
     read_lines,
 )
 from scenesynth.planner import CoarsePlan, PlannerParams, astar_plan
+from scenesynth.pretrain import KIND_NAMES
 from scenesynth.refine import (
     RefinementParams,
     _quadratic_form,
@@ -339,6 +340,26 @@ def reference_sample_text(
         seq = [v for v in vectors if v[1] == pid]
         points = [(v[2], v[3]) for v in seq] + [(seq[-1][4], seq[-1][5])]
         lines.extend(f"target,{pid},{x!r},{y!r}" for x, y in points)
+    return "\n".join(lines) + "\n"
+
+
+def sample_to_text_loop(sample) -> str:
+    """Sample file text of a `PretrainSample`, one f-string per row and
+    one `repr` per number, the form that `pretrain.sample_to_text`
+    builds from whole-polyline blocks."""
+    lines = [
+        "# format: scenesynth-sample v1",
+        f"# task: {sample.task.value}",
+        "# masked: " + ";".join(str(p) for p in sample.masked),
+        "# columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1",
+    ]
+    for kind, pid, x0, y0, x1, y1, a0, a1 in sample.visible.tolist():
+        lines.append(
+            f"{KIND_NAMES[int(kind)]},{int(pid)},{x0!r},{y0!r},{x1!r},{y1!r},{a0!r},{a1!r}"
+        )
+    lines.append("# targets")
+    for pid, points in zip(sample.masked, sample.targets):
+        lines.extend(f"target,{pid},{x!r},{y!r}" for x, y in points.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -732,12 +732,9 @@ def test_plot_emits_tables_and_svg(tmp_path, map_file):
         assert (out / name).exists()
 
 
-def test_stats_and_plot_name_the_file_of_an_all_stationary_trajectory(
-    tmp_path, map_file, capsys
-):
-    """A scene whose 50 rows all sit at its crop center is canonical and
-    passes validate, but it has no heading: stats and plot exit 1 with a
-    ValidationError that names its file."""
+def write_stationary_scene(tmp_path, map_file):
+    """Generate 4 scenes and put the 50 rows of the third at its crop
+    center, in canonical text; returns (the scenes directory, that file)."""
     cfg = write_cfg(tmp_path, map_file, n_scenes=4)
     assert main(["generate", "--config", str(cfg)]) == 0
     scenes = tmp_path / "scenes"
@@ -745,16 +742,49 @@ def test_stats_and_plot_name_the_file_of_an_all_stationary_trajectory(
     scene = read_scene(victim)
     center = [float(scene.metadata[key]) for key in ("crop_center_x", "crop_center_y")]
     victim.write_text(scene_to_text(replace(scene, trajectory=np.tile(center, (50, 1)))))
-    assert main(["validate", "--scenes", str(scenes)]) == 0
+    return scenes, victim
+
+
+STATIONARY = "scene 000002: all-stationary trajectory, no step longer than 1e-12 m"
+
+
+def test_validate_fails_an_all_stationary_trajectory_naming_its_file(
+    tmp_path, map_file, capsys
+):
+    scenes, victim = write_stationary_scene(tmp_path, map_file)
+    capsys.readouterr()
+    assert main(["validate", "--scenes", str(scenes)]) == 1
+    out = capsys.readouterr()
+    assert out.err == f"FAIL {victim}: {STATIONARY}\n"
+    assert out.out == "validated 4 scenes, 1 failures\n"
+
+
+def test_mask_fails_an_all_stationary_trajectory_naming_its_file(
+    tmp_path, map_file, capsys
+):
+    scenes, victim = write_stationary_scene(tmp_path, map_file)
+    capsys.readouterr()
+    for task in ("map", "traj", "combined"):
+        argv = ["mask", "--scenes", str(scenes), "--task", task, "--seed", "1",
+                "--out", str(tmp_path / task)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {victim}: {STATIONARY}\n"
+
+
+def test_stats_and_plot_name_the_file_of_an_all_stationary_trajectory(
+    tmp_path, map_file, capsys
+):
+    """A scene whose 50 rows all sit at its crop center is canonical, but
+    it has no heading: stats and plot exit 1 with the ValidationError that
+    `validate` reports for it, naming its file."""
+    scenes, victim = write_stationary_scene(tmp_path, map_file)
     capsys.readouterr()
     for argv in (
         ["stats", "--scenes", str(scenes), "--ref", str(scenes)],
         ["plot", "--scenes", str(scenes), "--out", str(tmp_path / "plot")],
     ):
         assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: {victim}: all-stationary trajectory has no heading\n"
-        )
+        assert capsys.readouterr().err == f"error: {victim}: {STATIONARY}\n"
 
 
 def test_parse_run_config_defaults_and_echo(tmp_path, map_file):

@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binomial_band, make_scene, pointwise_l1_loop, reference_sample_text
+from oracles import (
+    binomial_band,
+    make_scene,
+    pointwise_l1_loop,
+    reference_sample_text,
+    sample_to_text_loop,
+)
 from scenesynth.errors import MapFormatError, MaskingError, SceneSynthError
+from scenesynth.maps import LANE_CACHE_SIZE
 from scenesynth.pretrain import (
     LANE,
     TRAJECTORY,
+    PretrainSample,
     ReconTask,
     draw_sample,
     map_recon_loss,
@@ -328,8 +336,9 @@ def test_demo_scene_has_enough_lanes_for_masking(demo_scene):
     assert len(demo_scene.map_crop.lanes) >= 2
 
 
-def array_sample_text(scene, task, rng, map_fraction=0.7, mask_ratio=0.5):
-    """Sample text the way `scenesynth mask --task <task>` makes it."""
+def array_sample_text(scene, task, rng, map_fraction=0.7, mask_ratio=0.5, texts=None):
+    """Sample text the way `scenesynth mask --task <task>` makes it, with
+    the command's `texts` dict; the one-row-at-a-time oracle agrees."""
     vectors = vectorize_scene(scene)
     if task == "map":
         sample = mask_map(vectors, mask_ratio, rng)
@@ -337,7 +346,9 @@ def array_sample_text(scene, task, rng, map_fraction=0.7, mask_ratio=0.5):
         sample = mask_trajectory(vectors)
     else:
         sample = draw_sample(vectors, map_fraction, mask_ratio, rng)
-    return sample_to_text(sample)
+    text = sample_to_text(sample, texts)
+    assert text == sample_to_text_loop(sample)
+    return text
 
 
 def generated_scenes(corridors_map, fraction, n, seed=44):
@@ -364,6 +375,7 @@ def generated_scenes(corridors_map, fraction, n, seed=44):
 def test_sample_matches_reference_on_generated_scenes(corridors_map, fraction):
     scenes = generated_scenes(corridors_map, fraction, 100)
     n_map = 0
+    texts = {}  # one dict for every scene and task, as one `mask` call keeps
     for i, scene in enumerate(scenes):
         for task in ("map", "traj", "combined"):
             try:
@@ -373,11 +385,12 @@ def test_sample_matches_reference_on_generated_scenes(corridors_map, fraction):
                 with pytest.raises(MaskingError):
                     array_sample_text(scene, task, np.random.default_rng([9, i]))
                 continue
-            got = array_sample_text(scene, task, np.random.default_rng([9, i]))
+            got = array_sample_text(scene, task, np.random.default_rng([9, i]), texts=texts)
             assert got == want, (i, task)
             n_map += task == "combined" and "# task: map_recon" in got
-    # the combined draws took both branches
+    # the combined draws took both branches, and the dict filled
     assert 0 < n_map < len(scenes)
+    assert len(texts) == LANE_CACHE_SIZE
 
 
 def test_sample_matches_reference_on_one_lane_crop(demo_scene):
@@ -404,6 +417,73 @@ def test_sample_matches_reference_on_one_lane_crop(demo_scene):
     for text in (reference_sample_text, array_sample_text):
         with pytest.raises(MaskingError, match="needs >= 2 lanes, got 1"):
             text(one_lane, "map", np.random.default_rng(0))
+
+
+# numbers whose bits differ where their values compare equal (0.0, -0.0),
+# or that compare unequal to themselves (nan)
+SAMPLE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, 0.1, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
+)
+
+
+@st.composite
+def pretrain_samples(draw):
+    """A PretrainSample of any shape `read_sample` returns: rows of either
+    kind with ids that repeat and need not be contiguous, starts that take
+    the end of the row above, or that end with each zero's sign flipped,
+    or neither, and targets of 0 to 4 points."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        head = [float(draw(st.integers(LANE, TRAJECTORY))), float(draw(st.integers(0, 3)))]
+        start = [draw(SAMPLE_FLOATS), draw(SAMPLE_FLOATS)]
+        if rows and draw(st.booleans()):
+            head = rows[-1][:2]  # the polyline of the row above
+            link = draw(st.sampled_from(["end", "flipped zeros", "none"]))
+            if link == "end":
+                start = rows[-1][4:6]
+            elif link == "flipped zeros":
+                start = [-v if v == 0.0 else v for v in rows[-1][4:6]]
+        rest = [draw(SAMPLE_FLOATS) for _ in range(4)]
+        rows.append([*head, *start, *rest])
+    masked = tuple(sorted(draw(st.sets(st.integers(0, 5), max_size=3))))
+    targets = tuple(
+        np.array(
+            [[draw(SAMPLE_FLOATS), draw(SAMPLE_FLOATS)] for _ in range(draw(st.integers(0, 4)))]
+        ).reshape(-1, 2)
+        for _ in masked
+    )
+    task = draw(st.sampled_from(ReconTask))
+    return PretrainSample(np.array(rows).reshape(-1, 8), masked, targets, task)
+
+
+@given(samples=st.lists(pretrain_samples(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_sample_to_text_matches_the_row_loop_whatever_the_dict_holds(samples):
+    texts = {}  # filled by the samples before each, and then by all of them
+    for _ in range(2):
+        for sample in samples:
+            want = sample_to_text_loop(sample)
+            assert sample_to_text(sample, texts) == want
+            assert sample_to_text(sample) == want
+
+
+def test_sample_text_dict_keeps_the_last_lane_cache_size_blocks():
+    texts = {}
+    for i in range(LANE_CACHE_SIZE + 40):
+        visible = np.array([[LANE, 0, i, 0.0, i + 1, 0.0, 0.0, 1.0]])
+        sample = PretrainSample(visible, (1,), (np.array([[-i, 1.0]]),), ReconTask.MAP)
+        sample_to_text(sample, texts)
+        assert len(texts) <= LANE_CACHE_SIZE
+    assert len(texts) == LANE_CACHE_SIZE
+    # in order of last use: the attribute block that every sample uses was
+    # used by the last one, between its points and its target, and the
+    # first sample's points are gone
+    assert list(texts)[-3:] == [
+        np.array([[i, 0.0], [i + 1, 0.0]]).tobytes(),
+        np.array([[0.0, 1.0]]).tobytes(),
+        np.array([[-i, 1.0]]).tobytes(),
+    ]
+    assert np.array([[0.0, 0.0], [1.0, 0.0]]).tobytes() not in texts
 
 
 def test_sample_masked_header_must_match_targets(demo_scene, tmp_path):

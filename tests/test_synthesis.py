@@ -225,6 +225,27 @@ def test_validate_scene_catches_crop_violation(demo_scene):
         validate_scene(bad)
 
 
+@pytest.mark.parametrize("step", [0.0, 5e-13, 2e-12])
+def test_validate_scene_refuses_what_normalize_headings_cannot_turn(demo_scene, step):
+    """A trajectory at the crop center whose only move is `step` along x
+    is a valid scene exactly when it has a heading."""
+    from scenesynth.analysis import normalize_headings
+
+    center = [float(demo_scene.metadata[k]) for k in ("crop_center_x", "crop_center_y")]
+    trajectory = np.tile(center, (50, 1))
+    trajectory[25:, 0] += step
+    scene = replace(demo_scene, trajectory=trajectory)
+    try:
+        normalize_headings(trajectory[None], ["scene"])
+    except ValidationError:
+        with pytest.raises(ValidationError, match="all-stationary trajectory"):
+            validate_scene(scene)
+        assert step < 1e-12
+    else:
+        validate_scene(scene)
+        assert step > 1e-12
+
+
 @pytest.mark.parametrize("key", ["crop_center_x", "crop_center_y", "crop_radius"])
 @pytest.mark.parametrize("value", [None, "far"])
 def test_validate_scene_bad_crop_metadata_is_validation_error(demo_scene, key, value):
