@@ -25,12 +25,13 @@ the `corridors` MIA and PIT map files:
   one-worker run, to `logs/<command>.out` (`mask_map.out` and
   `mask_traj.out` for the two other `mask` runs) and `logs_w2/`.
   In the first case, each run also copies its first eight scene files to
-  `faulty/` (`faulty_w2/`) and edits five of them, one fault each, so
-  that both of `read_scene`'s read paths meet a fault: a `# map: pt`
-  coordinate that is not a number, a `# map: lane` line with two ids, a
-  metadata line moved below the column header (out of `scene_to_text`'s
-  layout), the rows cut short, and a row whose city is not the
-  metadata's. `validate` of that copy must exit 1, and what it prints
+  `faulty/` (`faulty_w2/`) and edits six of them, one fault each, so
+  that `read_scene`'s one reader meets a fault of each kind: a
+  `# map: pt` coordinate that is not a number, a `# map: lane` line with
+  two ids, a metadata line moved below the column header and a blank
+  line inside the `# map: ` block (each off `scene_to_text`'s layout),
+  the rows cut short, and a row whose city is not the metadata's.
+  `validate` of that copy must exit 1, and what it prints
   on stdout and stderr goes to `logs/validate_faulty.out` (and
   `logs_w2/`). That case also generates an all-warped dataset of the
   same seed into `cross/warped/`, with one worker, and runs `stats` of
@@ -124,6 +125,11 @@ def metadata_below_header(lines):
     lines.insert(lines.index(CSV_HEADER) + 1, first)
 
 
+def blank_in_map_block(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("# map: lane "))
+    lines.insert(i + 1, "")
+
+
 def short_rows(lines):
     del lines[-10:]
     lines[-1] = lines[-1][:20]
@@ -135,7 +141,9 @@ def other_city(lines):
 
 
 # the edit of each of the first eight scene files, None for a copy
-FAULTS = (None, bad_pt, bad_lane, metadata_below_header, short_rows, other_city, None, None)
+FAULTS = (
+    None, bad_pt, bad_lane, metadata_below_header, short_rows, other_city, blank_in_map_block, None
+)
 
 mode, work, seed = sys.argv[1], Path(sys.argv[2]), sys.argv[3]
 maps = []

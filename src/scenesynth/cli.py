@@ -61,13 +61,12 @@ import numpy as np
 
 from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
-from .errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
+from .errors import ConfigError, MapFormatError, SceneSynthError
 from .manifest import manifest_fields, manifest_problems
 from .maps import build_reference_path, load_map, read_lines, save_map, write_text_atomic
 from .synthesis import (
     SCENE_SAMPLES,
     GenerationConfig,
-    Scene,
     generate_dataset,
     read_scene,
     scene_to_text,
@@ -89,17 +88,6 @@ def _scene_files(directory) -> list[Path]:
     if not files:
         raise SceneSynthError(f"no scene files in {directory}")
     return files
-
-
-def _read_scene(path, lanes) -> Scene:
-    """`read_scene(path, lanes)`; a scene invariant's ValidationError,
-    which names only the scene id, is raised again naming `path` too."""
-    try:
-        return read_scene(path, lanes)
-    except ValidationError as exc:
-        if exc.path is not None:
-            raise
-        raise ValidationError(str(exc), path) from exc
 
 
 def cmd_augment_map(args) -> int:
@@ -152,7 +140,7 @@ def cmd_mask(args) -> int:
     lanes = {}  # parsed lane records of this call (`read_scene`)
     texts = {}  # formatted point blocks of this call (`pretrain.sample_to_text`)
     for path in files:
-        scene = _read_scene(path, lanes)
+        scene = read_scene(path, lanes)
         # keyed on the scene id, so a sample does not depend on which other
         # scene files sit in the directory
         if not (scene.scene_id.isascii() and scene.scene_id.isdigit()):
@@ -185,7 +173,7 @@ def _load_trajectories(directory, lanes) -> tuple[list[Path], np.ndarray]:
     files = _scene_files(directory)
     trajectories = np.empty((len(files), SCENE_SAMPLES, 2))
     for row, path in enumerate(files):
-        trajectories[row] = _read_scene(path, lanes).trajectory
+        trajectories[row] = read_scene(path, lanes).trajectory
     return files, trajectories
 
 
@@ -230,10 +218,10 @@ def cmd_validate(args) -> int:
         try:
             scene = read_scene(path, lanes)
             if scene_to_text(scene).encode("utf-8") != path.read_bytes():
-                raise SceneSynthError("file bytes differ from canonical serialization")
-        except SceneSynthError as exc:
+                raise SceneSynthError("file bytes differ from canonical serialization", path)
+        except SceneSynthError as exc:  # each names its file
             failures += 1
-            print(f"FAIL {path}: {exc}", file=sys.stderr)
+            print(f"FAIL {exc}", file=sys.stderr)
             continue
         rows[path.name] = manifest_fields(scene.metadata)
     manifest = Path(args.scenes) / "manifest.txt"

@@ -335,7 +335,7 @@ def read_text(path, error=MapFormatError) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+        raise error(f"not UTF-8 text: {exc}", path) from exc
 
 
 def read_lines(path, error=MapFormatError) -> list[str]:

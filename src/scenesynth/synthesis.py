@@ -507,88 +507,99 @@ def _trajectory_table(rows: list[str], tokens: list[str], row_lines: list[int], 
     raise AssertionError("rows that pass every per-row check did not convert")
 
 
-def _layout_parts(text: str):
+def _layout_fault(text: str, path) -> MapFormatError:
+    """The MapFormatError of the first line of `text` that departs from
+    `scene_to_text`'s layout, met line by line: before the map block, a
+    line that is not a `#` metadata line with a ':'; inside it, a line
+    without the `# map: ` prefix that is not the header. A text that ends
+    before the block or the header names no line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    in_block = False
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("# map: "):
+            in_block = True
+        elif in_block and line == CSV_HEADER:
+            raise AssertionError("a scene file in the layout was not cut")
+        elif in_block:
+            return MapFormatError(
+                f"expected a '# map: ' line or the column header, got {line!r}", path, lineno
+            )
+        elif line[:1] != "#" or ":" not in line:
+            return MapFormatError(
+                f"expected a '# key: value' line or the map block, got {line!r}", path, lineno
+            )
+    return MapFormatError(
+        "missing column header after the map block" if in_block else "missing map block", path
+    )
+
+
+def _layout_parts(text: str, path):
     """The parts of a scene file cut at the block boundaries of
-    `scene_to_text`'s layout (metadata, one contiguous `# map: ` block, the
-    header, then the rows): metadata, map lines, their file lines, rows,
-    their file lines, and no fault. None when the text departs from the
-    layout: a line before the block that is not a `#` metadata line with a
-    ':', or a line inside it without the prefix."""
-    start = text.find("\n# map: ")
-    end = text.find(f"\n{CSV_HEADER}\n", start)
-    if start < 0 or end < 0 or text.startswith("# map: "):
-        return None
-    head = text[:start].split("\n")
+    `scene_to_text`'s layout (`#` metadata lines with a ':', one
+    contiguous `# map: ` block, the header, then the rows): metadata, map
+    lines, their file lines, rows and their file lines. Raises the
+    `_layout_fault` of a text that departs from the layout."""
+    opens = text.startswith("# map: ")
+    start = -1 if opens else text.find("\n# map: ")  # the newline before the block
+    end = text.find(f"\n{CSV_HEADER}\n", max(start, 0))
+    if end < 0 and text.endswith(f"\n{CSV_HEADER}"):  # no row after the header
+        end = len(text) - len(CSV_HEADER) - 1
+    if (start < 0 and not opens) or end < 0:
+        raise _layout_fault(text, path)
+    head = text[:start].split("\n") if start >= 0 else []
     metadata: dict[str, str] = {}
     for line in head:
         key, sep, value = line[1:].strip().partition(":")
         if line[:1] != "#" or not sep:
-            return None
+            raise _layout_fault(text, path)
         metadata[key.strip()] = value.strip()
     block = text[start + 8 : end]
     map_lines = block.split("\n# map: ")
     if block.count("\n") != len(map_lines) - 1:
-        return None
+        raise _layout_fault(text, path)
     rows = text[end + len(CSV_HEADER) + 2 :].split("\n")
     if rows[-1] == "":
         rows.pop()
     first = len(head) + 1  # file line of the first map line
     header = first + len(map_lines)
     row_at = range(header + 1, header + 1 + len(rows))
-    return metadata, map_lines, range(first, header), rows, row_at, None
+    return metadata, map_lines, range(first, header), rows, row_at
 
 
-def _sorted_parts(text: str):
-    """The parts of `_layout_parts` from any text, sorted line by line by
-    prefix (the lines of `maps.read_lines`), keeping each line's number,
-    with the (file line, message) of the first malformed line, after
-    which nothing is read."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    metadata: dict[str, str] = {}
-    map_lines: list[str] = []
-    map_at: list[int] = []  # file line of each map line
-    rows: list[str] = []
-    row_at: list[int] = []  # file line of each row
-    header_seen = False
-    fault = None  # (file line, message) of the first malformed line
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("# map: "):
-            map_lines.append(line[7:])
-            map_at.append(lineno)
-        elif line.startswith("#"):
-            key, sep, value = line[1:].strip().partition(":")
-            if not sep:
-                fault = (lineno, "metadata line without ':'")
-                break
-            metadata[key.strip()] = value.strip()
-        elif line == CSV_HEADER:
-            header_seen = True
-        elif not line.strip():
-            continue
-        elif header_seen:
-            rows.append(line)
-            row_at.append(lineno)
-        else:
-            fault = (lineno, "data row before column header")
-            break
-    return metadata, map_lines, map_at, rows, row_at, fault
+def read_scene(path, lanes: dict[str, LaneSegment] | None = None) -> Scene:
+    """Parse and validate a scene file in `scene_to_text`'s layout. Every
+    fault is a MapFormatError or a ValidationError that names `path`, and
+    the file line at fault where there is one.
 
+    The layout is the read contract: `#` metadata lines with a ':', then
+    one contiguous block of `# map: ` lines, then the `CSV_HEADER` line;
+    every line after the header is a trajectory row. The text is read
+    once and cut at its block boundaries (`_layout_parts`: a few
+    `str.find`s and one split of the map block); the first line that
+    departs from the layout (a blank or comment line, a metadata line
+    after the block, a row before the header) is a MapFormatError naming
+    it. Faults then come in file order: missing `scene_id`/`city`
+    metadata; the map block, in the order of `maps.parse_map_lines`; the
+    rows (a row's column count, `OBJECT_TYPE` or number, then the row
+    count, then the first row whose track id or city is not the
+    metadata's); last `validate_scene`. The map block and the rows convert
+    their numbers in one call each.
 
-def _scene_from_parts(path, lanes, metadata, map_lines, map_at, rows, row_at, fault) -> Scene:
-    """The validated scene of a file's parts; raises its first fault."""
-    # every row read lies before the fault, so a bad row is met first
-    tokens = ",".join(rows).split(",") if rows else []
-    table = _trajectory_table(rows, tokens, row_at, path)
-    if fault is not None:
-        raise MapFormatError(fault[1], path, fault[0])
+    `lanes`, when given, is the caller's cache of parsed lane records
+    (`maps.parse_map_lines`): files that share a lane share its
+    LaneSegment. `validate_scene` still checks every scene.
+    """
+    text = maps_mod.read_text(path)
+    metadata, map_lines, map_at, rows, row_at = _layout_parts(text, path)
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)
+    map_crop = parse_map_lines(map_lines, path=path, line_numbers=map_at, lanes=lanes)
+    tokens = ",".join(rows).split(",") if rows else []
+    table = _trajectory_table(rows, tokens, row_at, path)
     if len(rows) != SCENE_SAMPLES:
-        raise ValidationError(
-            f"{path}: {len(rows)} trajectory rows, expected {SCENE_SAMPLES}"
-        )
+        raise ValidationError(f"{len(rows)} trajectory rows, expected {SCENE_SAMPLES}", path)
     sid, city = metadata["scene_id"], metadata["city"]
     if tokens[1::6] != [sid] * SCENE_SAMPLES or tokens[5::6] != [city] * SCENE_SAMPLES:
         k = next(
@@ -596,44 +607,12 @@ def _scene_from_parts(path, lanes, metadata, map_lines, map_at, rows, row_at, fa
             if tokens[6 * k + 1] != sid or tokens[6 * k + 5] != city
         )
         raise ValidationError("row identity differs from metadata", path, row_at[k])
-    scene = Scene(
-        scene_id=sid,
-        city=city,
-        map_crop=parse_map_lines(map_lines, path=path, line_numbers=map_at, lanes=lanes),
-        timestamps=table[:, 0],
-        trajectory=table[:, 1:3],
-        metadata=metadata,
-    )
-    validate_scene(scene)
+    scene = Scene(sid, city, map_crop, table[:, 0], table[:, 1:3], metadata)
+    try:
+        validate_scene(scene)
+    except ValidationError as exc:  # a scene invariant names only the scene id
+        raise ValidationError(str(exc), path) from None
     return scene
-
-
-def read_scene(path, lanes: dict[str, LaneSegment] | None = None) -> Scene:
-    """Parse and validate a scene file. Malformed input raises
-    MapFormatError naming the file line at fault, or ValidationError.
-
-    The text is read once. A file in `scene_to_text`'s layout is cut at
-    its block boundaries (`_layout_parts`: a few `str.find`s and one split
-    of the map block); any other file, and any file whose read faults,
-    is sorted line by line (`_sorted_parts`), so every fault, its line
-    and the fault order are those of a line-by-line reader. The map block
-    and the rows then convert their numbers in one call each; map faults
-    come after the metadata and row checks. Every row's track id and city
-    must be the metadata's; the ValidationError names the first row that
-    differs.
-
-    `lanes`, when given, is the caller's cache of parsed lane records
-    (`maps.parse_map_lines`): files that share a lane share its
-    LaneSegment. `validate_scene` still checks every scene.
-    """
-    text = maps_mod.read_text(path)
-    parts = _layout_parts(text)
-    if parts is not None:
-        try:
-            return _scene_from_parts(path, lanes, *parts)
-        except SceneSynthError:
-            pass  # sorted line by line below, which raises the first fault
-    return _scene_from_parts(path, lanes, *_sorted_parts(text))
 
 
 def scene_filename(index: int) -> str:

@@ -742,64 +742,79 @@ def reference_crop_map(m: SceneMap, center, radius: float) -> SceneMap:
 
 
 def reference_read_scene(path) -> Scene:
-    """A scene file read one line at a time, by the loop that the batched
-    `synthesis.read_scene` replaced; map lines keep their file lines."""
+    """A scene file read one line at a time, by a strict state machine
+    over `scene_to_text`'s layout: metadata, then the map block, then the
+    header, then the rows. The first line off the layout raises; then the
+    content faults in file order: the metadata, the map block (the
+    line-by-line map oracle), each row, the row count, the row identity,
+    and last `validate_scene`, whose fault is raised naming the file."""
+    state = "metadata"  # then "map", then "rows"
     metadata: dict[str, str] = {}
     map_lines: list[str] = []
     map_at: list[int] = []
-    rows: list[tuple[float, float, float]] = []
-    header_seen = False
-    identities: list[tuple[str, str, int]] = []  # track id, city, line per row
+    rows: list[tuple[str, int]] = []  # (text, file line) of each row
     for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("# map: "):
+        if state == "rows":
+            rows.append((line, lineno))
+        elif line.startswith("# map: "):
+            state = "map"
             map_lines.append(line[len("# map: "):])
             map_at.append(lineno)
-        elif line.startswith("#"):
-            body = line[1:].strip()
-            key, sep, value = body.partition(":")
-            if not sep:
-                raise MapFormatError("metadata line without ':'", path, lineno)
-            metadata[key.strip()] = value.strip()
-        elif line == CSV_HEADER:
-            header_seen = True
+        elif state == "map":
+            if line != CSV_HEADER:
+                raise MapFormatError(
+                    f"expected a '# map: ' line or the column header, got {line!r}",
+                    path,
+                    lineno,
+                )
+            state = "rows"
         else:
-            if not header_seen:
-                raise MapFormatError("data row before column header", path, lineno)
-            fields = line.split(",")
-            if len(fields) != 6:
+            key, sep, value = line[1:].strip().partition(":")
+            if not line.startswith("#") or not sep:
                 raise MapFormatError(
-                    f"expected 6 columns, got {len(fields)}", path, lineno
+                    f"expected a '# key: value' line or the map block, got {line!r}",
+                    path,
+                    lineno,
                 )
-            if fields[2] != "AGENT":
-                raise MapFormatError(
-                    f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno
-                )
-            try:
-                rows.append((float(fields[0]), float(fields[3]), float(fields[4])))
-            except ValueError as exc:
-                raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
-            identities.append((fields[1], fields[5], lineno))
+            metadata[key.strip()] = value.strip()
+    if state == "metadata":
+        raise MapFormatError("missing map block", path)
+    if state == "map":
+        raise MapFormatError("missing column header after the map block", path)
+
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)
+    crop = reference_parse_map_lines(map_lines, path=path, line_numbers=map_at)
+    values: list[tuple[float, float, float]] = []
+    for line, lineno in rows:
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise MapFormatError(f"expected 6 columns, got {len(fields)}", path, lineno)
+        if fields[2] != "AGENT":
+            raise MapFormatError(f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno)
+        try:
+            values.append((float(fields[0]), float(fields[3]), float(fields[4])))
+        except ValueError as exc:
+            raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
     if len(rows) != SCENE_SAMPLES:
-        raise ValidationError(
-            f"{path}: {len(rows)} trajectory rows, expected {SCENE_SAMPLES}"
-        )
-    for track_id, city_col, lineno in identities:
-        if track_id != metadata["scene_id"] or city_col != metadata["city"]:
+        raise ValidationError(f"{len(rows)} trajectory rows, expected {SCENE_SAMPLES}", path)
+    for line, lineno in rows:
+        fields = line.split(",")
+        if fields[1] != metadata["scene_id"] or fields[5] != metadata["city"]:
             raise ValidationError("row identity differs from metadata", path, lineno)
-    arr = np.array(rows)
+    arr = np.array(values)
     scene = Scene(
         scene_id=metadata["scene_id"],
         city=metadata["city"],
-        map_crop=reference_parse_map_lines(map_lines, path=path, line_numbers=map_at),
+        map_crop=crop,
         timestamps=arr[:, 0],
         trajectory=arr[:, 1:3],
         metadata=metadata,
     )
-    validate_scene(scene)
+    try:
+        validate_scene(scene)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), path) from None
     return scene
 
 

@@ -564,7 +564,7 @@ def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
     if edit == "pt":
         i = next(i for i, line in enumerate(lines) if line.startswith("# map: pt "))
         lines[i] = "# map: pt 1.0 one"
-        fault = f"FAIL {victim}: {victim}:{i + 1}: bad coordinate: pt 1.0 one\n"
+        fault = f"FAIL {victim}:{i + 1}: bad coordinate: pt 1.0 one\n"
     else:
         i = lines.index(CSV_HEADER) + 5
         fields = lines[i].split(",")
@@ -732,17 +732,93 @@ def test_plot_emits_tables_and_svg(tmp_path, map_file):
         assert (out / name).exists()
 
 
-def write_stationary_scene(tmp_path, map_file):
-    """Generate 4 scenes and put the 50 rows of the third at its crop
-    center, in canonical text; returns (the scenes directory, that file)."""
+def write_edited_scene(tmp_path, map_file, edit):
+    """Generate 4 scenes and `edit` the file of the third; returns (the
+    scenes directory, that file)."""
     cfg = write_cfg(tmp_path, map_file, n_scenes=4)
     assert main(["generate", "--config", str(cfg)]) == 0
     scenes = tmp_path / "scenes"
     victim = sorted(scenes.glob("scene_*.csv"))[2]
+    edit(victim)
+    return scenes, victim
+
+
+def make_stationary(victim):
+    """Put the 50 rows of the scene at its crop center, in canonical text."""
     scene = read_scene(victim)
     center = [float(scene.metadata[key]) for key in ("crop_center_x", "crop_center_y")]
     victim.write_text(scene_to_text(replace(scene, trajectory=np.tile(center, (50, 1)))))
-    return scenes, victim
+
+
+def write_stationary_scene(tmp_path, map_file):
+    return write_edited_scene(tmp_path, map_file, make_stationary)
+
+
+def read_commands(scenes, out):
+    """The argv of each command that reads the scene files of `scenes`."""
+    return [
+        ["validate", "--scenes", str(scenes)],
+        ["mask", "--scenes", str(scenes), "--task", "combined", "--seed", "1",
+         "--out", str(out / "samples")],
+        ["stats", "--scenes", str(scenes), "--ref", str(scenes)],
+        ["plot", "--scenes", str(scenes), "--out", str(out / "plot")],
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda victim: victim.write_text(victim.read_text().rsplit("\n", 5)[0] + "\n"),
+        lambda victim: victim.write_bytes(b"\xff" + victim.read_bytes()),
+        make_stationary,
+    ],
+    ids=["46-rows", "not-utf8", "all-stationary"],
+)
+def test_each_read_command_names_a_faulty_file_once(tmp_path, map_file, capsys, edit):
+    scenes, victim = write_edited_scene(tmp_path, map_file, edit)
+    for argv in read_commands(scenes, tmp_path):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.count(victim.name) == 1, (argv[0], err)
+
+
+def _blank_metadata_line(victim):
+    lines = victim.read_text().split("\n")
+    victim.write_text("\n".join(lines[:3] + [""] + lines[3:]))
+
+
+def _metadata_below_header(victim):
+    lines = victim.read_text().split("\n")
+    v0 = next(line for line in lines if line.startswith("# v0: "))
+    lines.remove(v0)
+    lines.insert(lines.index(CSV_HEADER) + 1, v0)
+    victim.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "edit, departs",
+    [
+        (_blank_metadata_line, lambda lines: 4),
+        (_metadata_below_header, lambda lines: lines.index(CSV_HEADER) + 2),
+    ],
+    ids=["blank-metadata-line", "metadata-below-header"],
+)
+def test_the_read_commands_agree_on_what_a_scene_file_is(
+    tmp_path, map_file, capsys, edit, departs
+):
+    """A file off `scene_to_text`'s layout fails validate, mask, stats and
+    plot alike, each naming the same line: `departs` of the file's lines."""
+    scenes, victim = write_edited_scene(tmp_path, map_file, edit)
+    line = departs(victim.read_text().split("\n"))
+    faults = []
+    for argv in read_commands(scenes, tmp_path):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        faults.append(err.partition(" ")[2])
+    assert faults[0].startswith(f"{victim}:{line}: ")
+    assert faults == [faults[0]] * 4
 
 
 STATIONARY = "scene 000002: all-stationary trajectory, no step longer than 1e-12 m"

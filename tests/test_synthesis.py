@@ -301,8 +301,8 @@ SCENE_LINES = [
 def test_read_scene_matches_reference_on_several_edited_lines(
     demo_scene, edits, tmp_path_factory
 ):
-    """Several lines replaced or inserted: the first fault a line-by-line
-    reader meets is the one raised."""
+    """Several lines replaced or inserted: the first fault of the strict
+    line-by-line reader is the one raised."""
     lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
     for line, insert, text in edits:
         if insert:
@@ -327,12 +327,12 @@ def _scene_line(lines, where):
 @pytest.mark.parametrize(
     "edits, fault",
     [
-        # a bad row before a metadata line without ':'
+        # a bad row before a '#' line among the rows
         ([(("row", 3), "0.3,000000,AGENT,x,0.0,MIA"), (("row", 40), "# no colon")], ("row", 3)),
         # a metadata line without ':' before a bad row
         ([(("meta", 2), "# no colon"), (("row", 3), "0.3,000000,AGENT,x,0.0,MIA")], ("meta", 2)),
-        # a bad map coordinate is met after every row
-        ([(("pt", 0), "# map: pt x 0"), (("row", 3), "0.3,000000,CAR,1,0,MIA")], ("row", 3)),
+        # a bad map coordinate is met before any row
+        ([(("pt", 0), "# map: pt x 0"), (("row", 3), "0.3,000000,CAR,1,0,MIA")], ("pt", 0)),
         # a row's last field moved onto the next row: both have 6 fields joined
         ([(("row", 3), "0.3,000000,AGENT,1.0,2.0"), (("row", 4), "MIA,0.4,000000,AGENT,1.0,2.0,MIA")],
          ("row", 3)),
@@ -369,38 +369,47 @@ def _insert_in_block(text):
 
 
 @pytest.mark.parametrize(
-    "edit, reads",
+    "edit, departs",
     [
-        (_insert_in_block(""), True),
-        (_insert_in_block("   "), True),
-        (_insert_in_block("# note: inside the map block"), True),
-        (_insert_in_block("# no colon"), False),
-        # a point line cut in two: each half is a fault
-        (_insert_in_block("# map: pt 1.0\n2.0"), False),
+        (_insert_in_block(""), ""),
+        (_insert_in_block("   "), "   "),
+        (_insert_in_block("# note: inside the map block"), "# note: inside the map block"),
+        (_insert_in_block("# no colon"), "# no colon"),
+        # a point line cut in two: its second half departs
+        (_insert_in_block("# map: pt 1.0\n2.0"), "2.0"),
         # a metadata line without its '#'
-        (lambda lines: lines[:2] + ["note: no hash"] + lines[2:], False),
-        (_move_last_lane_after_rows, True),
-        # the map's city line moved before the metadata
-        (lambda lines: sorted(lines, key=lambda line: not line.startswith("# map: city ")), True),
-        # a blank line and a metadata line after the rows
-        (lambda lines: lines + ["", "# note: after the rows"], True),
-        (lambda lines: lines + ["# map: lane Z9"], False),
+        (lambda lines: lines[:2] + ["note: no hash"] + lines[2:], "note: no hash"),
+        # the moved lines are rows, but the block, read before the rows,
+        # still names the moved lane
+        (_move_last_lane_after_rows, None),
+        # the map's city line moved before the metadata: the block opens the
+        # file, and the first metadata line departs from it
+        (lambda lines: sorted(lines, key=lambda line: not line.startswith("# map: city ")),
+         "# scene_id: 000000"),
+        # a blank line and a metadata line after the rows: each is a row
+        (lambda lines: lines + ["", "# note: after the rows"], ""),
+        (lambda lines: lines + ["# map: lane Z9"], "# map: lane Z9"),
     ],
     ids=["blank", "spaces", "comment", "no-colon", "split-point", "no-hash", "lane-after-rows",
          "map-line-first", "metadata-after-rows", "lane-line-after-rows"],
 )
-def test_read_scene_off_the_layout_reads_as_the_reference(demo_scene, tmp_path, edit, reads):
-    """A file that departs from `scene_to_text`'s layout is sorted line by
-    line, and reads (or fails) as a line-by-line reader reads it."""
-    lines = edit(scene_to_text(demo_scene).rstrip("\n").split("\n"))
+def test_read_scene_off_the_layout_reads_as_the_reference(demo_scene, tmp_path, edit, departs):
+    """A file that departs from `scene_to_text`'s layout does not read: it
+    fails as the strict line-by-line reader fails it, with a MapFormatError
+    naming the line `departs`, the first line off the layout or the first
+    bad row; or (None) with the map block's graph fault."""
+    text = "\n".join(edit(scene_to_text(demo_scene).rstrip("\n").split("\n")))
+    lines = text.split("\n")
     f = tmp_path / "scene_000000.csv"
-    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    f.write_text(text + "\n", encoding="utf-8")
     assert_reads_as_reference(f, demo_scene)
-    if reads:
-        assert_same_scene(read_scene(f), reference_read_scene(f))
-    else:
-        with pytest.raises(SceneSynthError):
+    if departs is None:
+        with pytest.raises(ValidationError, match="references missing lane"):
             read_scene(f)
+    else:
+        with pytest.raises(MapFormatError) as exc:
+            read_scene(f)
+        assert exc.value.line == lines.index(departs) + 1
 
 
 @pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0])
