@@ -11,8 +11,8 @@ the `corridors` MIA and PIT map files:
   to `t_g = 7.0`, a second refinement shape of k = 10 fine steps per
   coarse step and n = 70, at one seed): `generate` N scenes from the maps,
   `validate` them, then `mask --task combined` into `samples/`, `mask
-  --task map --mask-ratio 0.3` of the scenes with two lanes or more (map
-  masking refuses a crop of one lane) into `samples_map/` and `mask
+  --task map --mask-ratio 0.3` of the scenes with two lanes or more
+  (older trees stop at a crop of one lane) into `samples_map/` and `mask
   --task traj --map-fraction 0.2` (which the traj task ignores) into
   `samples_traj/`, so that every masking path is compared, `stats` of
   the dataset against itself into `tables/` and `plot --svg` into
@@ -187,8 +187,9 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
     lines = [line.partition(" wall_ms=")[0] for line in text.splitlines()
              if line.startswith("scene=")]
     (logs / "generate.log").write_text("\\n".join(lines) + "\\n")
-    # map masking refuses a crop of one lane, so its run reads a copy of
-    # the scene files that hold two lanes or more
+    # a tree whose `mask --task map` stops at a crop of one lane (before it
+    # fell back to the trajectory sample) must be comparable, so the run
+    # reads a copy of the scene files that hold two lanes or more
     multi_lane = work / f"multi_lane{suffix}"
     multi_lane.mkdir()
     for path in Path(run["scenes"]).glob("scene_*.csv"):

@@ -22,8 +22,8 @@ from .planner import (
     astar_plan,
 )
 from .refine import RefinementParams, refine_trajectory
+from .config import GenerationConfig
 from .synthesis import (
-    GenerationConfig,
     Scene,
     generate_dataset,
     generate_scene,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .maps import write_text_atomic
-from .synthesis import SCENE_DT
+from .synthesis import MOVING_STEP, SCENE_DT
 
 SPEED_BIN_WIDTH = 0.5
 SPEED_RANGE = (0.0, 30.0)
@@ -53,9 +53,9 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 
 def normalize_headings(trajectories: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each (m, 2) trajectory of an (n, m, 2) array about its first
-    point so that its first nonzero step points +x. Returns the wrapped
-    headings of the moving steps, in trajectory order, and the (n, 2)
-    endpoints. Distances are preserved.
+    point so that its first step longer than `MOVING_STEP` points +x. Returns
+    the wrapped headings of the moving steps, in trajectory order, and the
+    (n, 2) endpoints. Distances are preserved.
 
     An all-stationary trajectory has no heading: ValidationError naming
     its entry of `paths`, one per trajectory. Each angle comes from scalar
@@ -65,7 +65,7 @@ def normalize_headings(trajectories: np.ndarray, paths) -> tuple[np.ndarray, np.
     """
     x, y = trajectories[..., 0], trajectories[..., 1]
     dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
-    moving = np.hypot(dx, dy) > 1e-12
+    moving = np.hypot(dx, dy) > MOVING_STEP
     still = ~moving.any(axis=1)
     if still.any():
         raise ValidationError("all-stationary trajectory has no heading", paths[still.argmax()])
@@ -77,7 +77,7 @@ def normalize_headings(trajectories: np.ndarray, paths) -> tuple[np.ndarray, np.
     rx, ry = x - x0, y - y0
     x, y = c * rx - s * ry + x0, s * rx + c * ry + y0
     dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
-    moving = np.hypot(dx, dy) > 1e-12
+    moving = np.hypot(dx, dy) > MOVING_STEP
     headings = _wrap_angle(np.arctan2(dy[moving], dx[moving]))
     return headings, np.column_stack([x[:, -1], y[:, -1]])
 

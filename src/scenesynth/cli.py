@@ -15,9 +15,10 @@ A scene that `generate` skips after its retries is not a failure, and
 the summary line counts the scenes made and skipped; a run whose every
 scene is skipped made no data, and exits 1 after writing its manifest.
 
-Config file format (`GenerationConfig.from_lines`): one `key = value`
-per line (`key: value`, as the manifest writes it, reads the same), `#`
-comments allowed, unknown and repeated keys rejected, numbers finite.
+Config file format (module `config`: `parse_run_config` reads the file
+through `GenerationConfig.from_lines`): one `key = value` per line
+(`key: value`, as the manifest writes it, reads the same), `#` comments
+allowed, unknown and repeated keys rejected, numbers finite.
 Keys and defaults, one row per `GenerationConfig` field, in the order of
 the fields and of the manifest's config block:
 
@@ -61,24 +62,11 @@ import numpy as np
 
 from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
+from .config import GenerationConfig, parse_run_config
 from .errors import ConfigError, MapFormatError, SceneSynthError
 from .manifest import manifest_fields, manifest_problems
-from .maps import build_reference_path, load_map, read_lines, save_map, write_text_atomic
-from .synthesis import (
-    SCENE_SAMPLES,
-    GenerationConfig,
-    generate_dataset,
-    read_scene,
-    scene_to_text,
-)
-
-
-def parse_run_config(path) -> GenerationConfig:
-    try:
-        lines = read_lines(path, ConfigError)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return GenerationConfig.from_lines(enumerate(lines, start=1), path)
+from .maps import build_reference_path, load_map, save_map, write_text_atomic
+from .synthesis import SCENE_SAMPLES, generate_dataset, read_scene, scene_to_text
 
 
 def _scene_files(directory) -> list[Path]:
@@ -147,14 +135,14 @@ def cmd_mask(args) -> int:
             raise MapFormatError(f"scene id {scene.scene_id!r} is not a number", path)
         rng = np.random.default_rng([args.seed, int(scene.scene_id)])
         vectors = pretrain.vectorize_scene(scene)
-        if args.task == "map":
-            sample = pretrain.mask_map(vectors, args.mask_ratio, rng)
-        elif args.task == "traj":
-            sample = pretrain.mask_trajectory(vectors)
-        else:
+        if args.task == "combined":
             sample = pretrain.draw_sample(
                 vectors, args.map_fraction, args.mask_ratio, rng
             )
+        elif args.task == "map" and len(scene.map_crop.lanes) >= 2:
+            sample = pretrain.mask_map(vectors, args.mask_ratio, rng)
+        else:  # traj, or a crop of one lane, which cannot be map-masked (`draw_sample`)
+            sample = pretrain.mask_trajectory(vectors)
         if sample.task is pretrain.ReconTask.MAP:
             n_map += 1
         pretrain.write_sample(
@@ -226,9 +214,7 @@ def cmd_validate(args) -> int:
         rows[path.name] = manifest_fields(scene.metadata)
     manifest = Path(args.scenes) / "manifest.txt"
     if manifest.exists():
-        problems = manifest_problems(
-            manifest, {path.name for path in files}, rows, GenerationConfig.from_lines
-        )
+        problems = manifest_problems(manifest, {path.name for path in files}, rows)
         for problem in problems:
             print(f"FAIL {problem}", file=sys.stderr)
         failures += len(problems)

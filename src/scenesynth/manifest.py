@@ -9,7 +9,7 @@
 
 It holds no timing or worker count, so its bytes are a function of
 (seed, config, maps). The config lines, numbered by `read_manifest`, read
-back through `GenerationConfig.from_lines`.
+back through `GenerationConfig.from_lines` (module `config`).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import GenerationConfig
 from .errors import ConfigError, ValidationError
 from .maps import read_lines
 
@@ -94,11 +95,12 @@ def read_manifest(path) -> ManifestLines:
     return ManifestLines(Path(path), config, maps, counts, rows)
 
 
-def _config_problems(m: ManifestLines, read_config, n_rows: int) -> list[str]:
-    """The config block must read back through `read_config`, be that
-    config's echo line for line, and have n_scenes equal to `n_rows`."""
+def _config_problems(m: ManifestLines, n_rows: int) -> list[str]:
+    """The config block must read back through
+    `GenerationConfig.from_lines`, be that config's echo line for line, and
+    have n_scenes equal to `n_rows`."""
     try:
-        cfg = read_config(m.config, m.path)
+        cfg = GenerationConfig.from_lines(m.config, m.path)
     except ConfigError as exc:
         return [str(exc) if exc.line is not None else f"{m.path}: config block: {exc}"]
     block = [repr(text) for _, text in m.config] + ["no line"]
@@ -137,12 +139,12 @@ def _maps_problems(m: ManifestLines, fields: list[tuple[str, ...]]) -> list[str]
 
 
 def manifest_problems(
-    path, scene_names: set[str], rows: dict[str, tuple[str, str, str]], read_config
+    path, scene_names: set[str], rows: dict[str, tuple[str, str, str]]
 ) -> list[str]:
     """Each fault of the manifest at `path`, as `where: problem`, against
     the scene files `scene_names`, of which `rows` gives the (status, city,
     cost) of each that reads back: a config block at fault (as
-    `read_config(numbered_lines, where)` reads it); a maps line missing,
+    `GenerationConfig.from_lines` reads it); a maps line missing,
     repeated, malformed or without the city of a row; a malformed or
     repeated row, or one that disagrees with its file; a file without a
     row or with a `skipped` one; a count line repeated, missing or off the
@@ -171,7 +173,7 @@ def manifest_problems(
                 f"{where}: lists {name} as {','.join(listed)}; "
                 f"the file has {','.join(rows[name])}"
             )
-    problems[:0] = _config_problems(m, read_config, len(fields)) + _maps_problems(m, fields)
+    problems[:0] = _config_problems(m, len(fields)) + _maps_problems(m, fields)
     problems.extend(
         f"{m.path}: no row lists {name}" for name in sorted(scene_names - listed_at.keys())
     )

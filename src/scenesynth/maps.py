@@ -327,12 +327,13 @@ def save_map(m: SceneMap, path) -> None:
     write_text_atomic(path, "\n".join(map_to_lines(m)) + "\n")
 
 
-def read_text(path, error=MapFormatError) -> str:
+def read_text(path, error=MapFormatError, newline=None) -> str:
     """The text of a UTF-8 file, each line ending in "\\n" as iterating
-    the open file gives it. Bytes that are not UTF-8 raise `error`, the
-    caller's SceneSynthError subclass, not UnicodeDecodeError."""
+    the open file gives it, or with `newline=""` each line end as the
+    bytes have it. Bytes that are not UTF-8 raise `error`, the caller's
+    SceneSynthError subclass, not UnicodeDecodeError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8 text: {exc}", path) from exc

@@ -48,6 +48,10 @@ from .planner import CoarsePlan
 
 # the fine grid step (s): refined trajectories are the 10 Hz scene samples
 FINE_DT = 0.1
+# the scene grid: 20 history and 30 future samples, FINE_DT apart
+HISTORY_SAMPLES = 20
+FUTURE_SAMPLES = 30
+SCENE_SAMPLES = HISTORY_SAMPLES + FUTURE_SAMPLES
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,8 @@ samples) plus the local map crop. Scene files are self-contained::
 Trajectory coordinates carry 9 decimal places; metadata floats use repr
 and reload exactly. Every byte of a scene file is a deterministic function
 of (seed, config, maps), which keeps datasets reproducible across worker
-counts. Config syntax is read by `GenerationConfig.from_lines` and
-written by `GenerationConfig.echo`, one line per config key (an init
-field of `GenerationConfig`, in field order): the manifest's config
-block (module `manifest`), which reads back as the same config. The
-worker count is a run detail that no output file records.
+counts. The config, its syntax and its checks live in module `config`;
+the worker count is a run detail that no output file records.
 
 An attempt at a scene has three phases: `draw_scene` makes every random
 draw (warp, reference path, speeds, start), `plan_and_refine` plans
@@ -42,30 +39,26 @@ scene's record, in index order; the parent holds only indices and
 records without text, logs them and writes the manifest in index order,
 and on a resume reads each kept scene file through `read_scene`.
 Every plan of a round has the config's `dt` and `n_steps + 1` states, so
-one smoothing system refines the round. `GenerationConfig` checks it,
-builds its gain and refines a probe plan (`refinement_shape`) with its
-other value checks: a config whose system cannot be solved, or that
-refines no plan, is a ConfigError, which `from_lines` gives the line of
-a key that its message names. The refined trajectory is already on the
-scene grid: the fine step of refinement is `SCENE_DT`, and the planner
-step `dt` is a whole number of it.
+one smoothing system, which `GenerationConfig` checks, refines the round.
+The refined trajectory is already on the scene grid of `SCENE_SAMPLES`
+(module `refine`): the fine step of refinement is `SCENE_DT`, and the
+planner step `dt` is a whole number of it.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
-import re
 import time
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .augment import MIN_WARP_SLOPE, apply_transform, sample_transform_params
+from .augment import apply_transform, sample_transform_params
+from .config import GenerationConfig
 from .errors import (
     ConfigError,
     MapFormatError,
@@ -86,18 +79,18 @@ from .maps import (
     parse_map_lines,
     write_text_atomic,
 )
-from .planner import CoarsePlan, PlannerParams, astar_plan, sample_speed_targets
-from .refine import FINE_DT, RefinementParams, fine_steps_per, refine_trajectory, refinement_shape
+from .planner import CoarsePlan, astar_plan, sample_speed_targets
+from .refine import FINE_DT, SCENE_SAMPLES, refine_trajectory
 from . import maps as maps_mod
 
 SCENE_DT = FINE_DT
-HISTORY_SAMPLES = 20
-FUTURE_SAMPLES = 30
-SCENE_SAMPLES = HISTORY_SAMPLES + FUTURE_SAMPLES
 
 # kinematic sanity bounds for emitted trajectories
 MAX_SPEED = 25.0
 ACCEL_BOUNDS = (-5.0, 3.0)
+# the step length (m) that counts as moving: a trajectory needs one, and
+# `analysis.normalize_headings` takes headings from such steps only
+MOVING_STEP = 1e-12
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
@@ -109,187 +102,6 @@ ROUND_SCENES = 64
 # the most scene indices per pool task (so with N > 1 workers also the
 # largest round); output bytes do not depend on it
 CHUNK_SCENES = 16
-
-
-class ValueType(NamedTuple):
-    """How one config value reads from and writes back to config syntax."""
-
-    noun: str
-    parse: Callable[[str], object]
-    format: Callable[[object], str]
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(text)
-
-
-def _parse_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _parse_finite(text: str) -> float:
-    """The number of every number key: nan and infinities are refused."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-INT = ValueType("an integer", int, str)
-FLOAT = ValueType("a finite number", _parse_finite, repr)
-TEXT = ValueType("text", str, str)
-BOOL = ValueType("true or false", _parse_bool, lambda v: str(v).lower())
-FLOATS = ValueType(
-    "comma-separated finite numbers",
-    lambda text: tuple(_parse_finite(a) for a in _parse_list(text)),
-    lambda v: ",".join(map(repr, v)),
-)
-PATHS = ValueType("comma-separated paths", lambda text: tuple(_parse_list(text)), ",".join)
-FLOAT_OR_NONE = ValueType(
-    "a finite number or none",
-    lambda text: None if text.lower() == "none" else _parse_finite(text),
-    lambda v: "none" if v is None else repr(v),
-)
-
-_CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
-
-
-def _key(default, vtype: ValueType):
-    """A GenerationConfig field that is a config key of value type `vtype`."""
-    return field(default=default, metadata={"type": vtype})
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    """A run's config. Each init field is one config key, in manifest
-    order, with its default and its `ValueType` (field metadata "type");
-    the planner and smoothing keys default to those of `PlannerParams`
-    and `RefinementParams`, which `__post_init__` builds from them once
-    per config as `planner` and `refinement`, and their smoothing system
-    must refine a plan (`refinement_shape`). A value check names the keys
-    at fault in its message."""
-
-    seed: int = _key(0, INT)
-    n_scenes: int = _key(10, INT)
-    output_dir: str = _key("out/scenes", TEXT)
-    augmented_fraction: float = _key(165.0 / 370.0, FLOAT)
-    crop_radius: float = _key(100.0, FLOAT)
-    v_d_min: float = _key(6.0, FLOAT)
-    v_d_max: float = _key(15.0, FLOAT)
-    action_set: tuple[float, ...] = _key(PlannerParams.action_set, FLOATS)
-    dt: float = _key(PlannerParams.dt, FLOAT)
-    t_g: float = _key(PlannerParams.t_g, FLOAT)
-    w1: float = _key(PlannerParams.w1, FLOAT)
-    w2: float = _key(PlannerParams.w2, FLOAT)
-    w3: float = _key(PlannerParams.w3, FLOAT)
-    abs_curvature: bool = _key(PlannerParams.abs_curvature, BOOL)
-    omega1: float = _key(RefinementParams.omega1, FLOAT)
-    omega2: float = _key(RefinementParams.omega2, FLOAT)
-    omega3: float = _key(RefinementParams.omega3, FLOAT)
-    path_min_length: float = _key(150.0, FLOAT)
-    path_spacing: float = _key(maps_mod.REFERENCE_SPACING, FLOAT)
-    retry_budget: int = _key(5, INT)
-    max_warp_slope: float | None = _key(None, FLOAT_OR_NONE)
-    map_files: tuple[str, ...] = _key((), PATHS)
-    planner: PlannerParams = field(init=False, repr=False, compare=False)
-    refinement: RefinementParams = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        try:
-            for name, params in (("planner", PlannerParams), ("refinement", RefinementParams)):
-                values = {f.name: getattr(self, f.name) for f in fields(params)}
-                object.__setattr__(self, name, params(**values))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.n_scenes < 1:
-            raise ConfigError(f"n_scenes must be >= 1, got {self.n_scenes}")
-        if not 0.0 <= self.augmented_fraction <= 1.0:
-            raise ConfigError(
-                f"augmented_fraction must lie in [0, 1], got {self.augmented_fraction}"
-            )
-        if self.crop_radius <= 0:
-            raise ConfigError(f"crop_radius must be positive, got {self.crop_radius}")
-        if not 0 < self.v_d_min <= self.v_d_max:
-            raise ConfigError(
-                f"v_d_min must lie in (0, v_d_max], got {self.v_d_min} and {self.v_d_max}"
-            )
-        if self.retry_budget < 0:
-            raise ConfigError(f"retry_budget must be nonnegative, got {self.retry_budget}")
-        if self.max_warp_slope is not None and not self.max_warp_slope >= MIN_WARP_SLOPE:
-            raise ConfigError(
-                f"max_warp_slope must be >= {MIN_WARP_SLOPE} or none, "
-                f"got {self.max_warp_slope}"
-            )
-        if self.path_min_length <= 0:
-            raise ConfigError(f"path_min_length must be positive, got {self.path_min_length}")
-        if not self.path_spacing >= 0.01:  # a 320 m path has 32,000 samples at 0.01 m
-            raise ConfigError(
-                f"path_spacing must be positive and at least 0.01 m, got {self.path_spacing}"
-            )
-        try:
-            k = fine_steps_per(self.dt)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        n_knots = self.planner.n_steps - 1
-        if n_knots * k + 1 < SCENE_SAMPLES:
-            raise ConfigError(
-                "planner horizon too short for a full 50-sample scene: "
-                f"t_g={self.t_g} at dt={self.dt}"
-            )
-        try:
-            refinement_shape(self.refinement, self.dt, self.planner.n_steps + 1)
-        except RefinementError as exc:
-            raise ConfigError(str(exc)) from None
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[tuple[int, str]], where) -> GenerationConfig:
-        """The config that (file line, text) `lines` set, each key at most
-        once, by `key = value` or `key: value`; blank and `#` lines are
-        skipped, and unset keys keep their defaults. Raises ConfigError,
-        naming `where` and the line for a faulty line, and for a faulty
-        value the line of the first key at fault that `lines` set."""
-        types = {f.name: f.metadata["type"] for f in fields(cls) if f.init}
-        values: dict[str, object] = {}
-        set_at: dict[str, int] = {}  # line of each key set
-        for lineno, raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            match = _CONFIG_LINE.fullmatch(line)
-            if not match:
-                raise ConfigError(f"expected 'key = value': {line!r}", where, lineno)
-            key, text = match[1].strip(), match[2].strip()
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r}", where, lineno)
-            if key in set_at:
-                raise ConfigError(f"{key} is already set on line {set_at[key]}", where, lineno)
-            set_at[key] = lineno
-            try:
-                values[key] = types[key].parse(text)
-            except ValueError as exc:
-                msg = f"{key}: expected {types[key].noun}, got {text!r}"
-                raise ConfigError(msg, where, lineno) from exc
-        try:
-            return cls(**values)
-        except ConfigError as exc:
-            named = [word for word in re.findall(r"\w+", str(exc)) if word in set_at]
-            if not named:
-                raise
-            raise ConfigError(str(exc), where, set_at[named[0]]) from None
-
-    def echo(self) -> list[tuple[str, str]]:
-        """(key, value) in config syntax for each config key, for the
-        manifest; as `key: value` lines they read back through `from_lines`."""
-        return [
-            (f.name, f.metadata["type"].format(getattr(self, f.name)))
-            for f in fields(self) if f.init
-        ]
 
 
 @dataclass(frozen=True)
@@ -317,10 +129,9 @@ def validate_scene(scene: Scene) -> None:
     if not np.isfinite(scene.trajectory).all():
         raise ValidationError(f"scene {sid}: non-finite trajectory")
     steps = np.hypot(*np.diff(scene.trajectory, axis=0).T)
-    # the step length that `analysis.normalize_headings` counts as moving
-    if not (steps > 1e-12).any():
+    if not (steps > MOVING_STEP).any():
         raise ValidationError(
-            f"scene {sid}: all-stationary trajectory, no step longer than 1e-12 m"
+            f"scene {sid}: all-stationary trajectory, no step longer than {MOVING_STEP} m"
         )
     speeds = steps / SCENE_DT
     if speeds.max() > MAX_SPEED + 1e-9 or speeds.min() < -1e-9:
@@ -576,7 +387,9 @@ def read_scene(path, lanes: dict[str, LaneSegment] | None = None) -> Scene:
     The layout is the read contract: `#` metadata lines with a ':', then
     one contiguous block of `# map: ` lines, then the `CSV_HEADER` line;
     every line after the header is a trajectory row. The text is read
-    once and cut at its block boundaries (`_layout_parts`: a few
+    once, without newline translation (a `\\r` before a line's `\\n` is
+    part of the line, so a CRLF file departs from the layout at its
+    header), and cut at its block boundaries (`_layout_parts`: a few
     `str.find`s and one split of the map block); the first line that
     departs from the layout (a blank or comment line, a metadata line
     after the block, a row before the header) is a MapFormatError naming
@@ -591,7 +404,7 @@ def read_scene(path, lanes: dict[str, LaneSegment] | None = None) -> Scene:
     (`maps.parse_map_lines`): files that share a lane share its
     LaneSegment. `validate_scene` still checks every scene.
     """
-    text = maps_mod.read_text(path)
+    text = maps_mod.read_text(path, newline="")
     metadata, map_lines, map_at, rows, row_at = _layout_parts(text, path)
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)

@@ -51,6 +51,7 @@ from scenesynth.maps import (
     _path_from_polyline,
     make_map,
     read_lines,
+    read_text,
 )
 from scenesynth.planner import CoarsePlan, PlannerParams, astar_plan
 from scenesynth.pretrain import KIND_NAMES
@@ -747,13 +748,17 @@ def reference_read_scene(path) -> Scene:
     header, then the rows. The first line off the layout raises; then the
     content faults in file order: the metadata, the map block (the
     line-by-line map oracle), each row, the row count, the row identity,
-    and last `validate_scene`, whose fault is raised naming the file."""
+    and last `validate_scene`, whose fault is raised naming the file.
+    Lines end at each "\\n" only: a "\\r" is part of its line."""
     state = "metadata"  # then "map", then "rows"
     metadata: dict[str, str] = {}
     map_lines: list[str] = []
     map_at: list[int] = []
     rows: list[tuple[str, int]] = []  # (text, file line) of each row
-    for lineno, line in enumerate(read_lines(path), start=1):
+    lines = read_text(path, newline="").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
         if state == "rows":
             rows.append((line, lineno))
         elif line.startswith("# map: "):

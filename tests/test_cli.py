@@ -27,16 +27,8 @@ from scenesynth.manifest import read_manifest
 from scenesynth.maps import LaneSegment, load_map, make_map, read_lines, save_map
 from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
 from scenesynth import maps
-from scenesynth.synthesis import (
-    CSV_HEADER,
-    FLOAT,
-    FLOAT_OR_NONE,
-    FLOATS,
-    GenerationConfig,
-    generate_dataset,
-    read_scene,
-    scene_to_text,
-)
+from scenesynth.config import FLOAT, FLOAT_OR_NONE, FLOATS, GenerationConfig
+from scenesynth.synthesis import CSV_HEADER, generate_dataset, read_scene, scene_to_text
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -461,8 +453,41 @@ def test_mask_combined_falls_back_on_one_lane_crop(tmp_path, map_file, capsys):
     assert [f.name for f in before] == [f.name for f in after]
     assert read_sample(after[0]).task is ReconTask.TRAJECTORY
     assert [f.read_bytes() for f in before[1:]] == [f.read_bytes() for f in after[1:]]
-    assert mask("map", "map_only") == 1
-    assert "map masking needs >= 2 lanes" in capsys.readouterr().err
+    # the map task falls back alike: the same trajectory sample
+    assert mask("map", "map_only") == 0
+    assert (tmp_path / "map_only" / after[0].name).read_bytes() == after[0].read_bytes()
+
+
+def test_mask_map_writes_the_trajectory_sample_of_a_one_lane_crop(
+    tmp_path, map_file, capsys
+):
+    """A one-lane crop amid the dataset gets its trajectory sample, counted
+    under traj=; the samples before and after it keep their bytes."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=4)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+
+    def mask(out):
+        capsys.readouterr()
+        assert main(
+            ["mask", "--scenes", str(scenes), "--task", "map", "--seed", "7",
+             "--out", str(tmp_path / out)]
+        ) == 0
+        return capsys.readouterr().out, sorted((tmp_path / out).glob("sample_*.txt"))
+
+    _, before = mask("before")
+    victim = sorted(scenes.glob("scene_*.csv"))[1]
+    scene = read_scene(victim)
+    lane = scene.map_crop.lanes[scene.map_crop.sorted_ids()[0]]
+    one_lane = make_map(scene.city, [LaneSegment(lane.lane_id, lane.centerline)])
+    victim.write_text(scene_to_text(replace(scene, map_crop=one_lane)))
+
+    out, after = mask("after")
+    assert out.endswith("(map=3, traj=1)\n")
+    assert [f.name for f in after] == [f.name for f in before]
+    assert read_sample(after[1]).task is ReconTask.TRAJECTORY
+    kept = [0, 2, 3]
+    assert [after[i].read_bytes() for i in kept] == [before[i].read_bytes() for i in kept]
 
 
 def test_mask_sample_depends_only_on_its_scene(tmp_path, map_file):
@@ -796,13 +821,20 @@ def _metadata_below_header(victim):
     victim.write_text("\n".join(lines))
 
 
+def _crlf(victim):
+    victim.write_bytes(victim.read_bytes().replace(b"\n", b"\r\n"))
+
+
 @pytest.mark.parametrize(
     "edit, departs",
     [
         (_blank_metadata_line, lambda lines: 4),
         (_metadata_below_header, lambda lines: lines.index(CSV_HEADER) + 2),
+        # a CRLF file departs at its header line, the first line that is
+        # compared whole
+        (_crlf, lambda lines: lines.index(CSV_HEADER) + 1),
     ],
-    ids=["blank-metadata-line", "metadata-below-header"],
+    ids=["blank-metadata-line", "metadata-below-header", "crlf"],
 )
 def test_the_read_commands_agree_on_what_a_scene_file_is(
     tmp_path, map_file, capsys, edit, departs
