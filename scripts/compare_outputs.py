@@ -55,7 +55,11 @@ change in how the work is ordered must not reorder or change a logged
 record. For a text file whose bytes differ between the trees, it also
 prints the first line where they differ, as each tree wrote it. The
 manifests of the one- and two-worker runs differ only by their
-`output_dir` line, so they are not compared with each other. A command
+`output_dir` line, and the samples manifest that `mask` writes into each
+samples directory (`samples/manifest.txt` and the like) names its run's
+scenes directory (`../scenes` or `../scenes_w2`), so no file whose name
+ends in `manifest.txt` is compared between the runs; between the trees,
+every file is. A command
 that exits nonzero in either tree, such as a `validate` that finds a
 fault, stops the comparison, and so does a `validate` of the faulty copy
 that does not exit 1: its stderr is printed and the exit code is 2.
@@ -279,8 +283,9 @@ def first_difference(old: bytes, new: bytes) -> str:
 def worker_problems(label: str, contents: dict[str, bytes]) -> list[str]:
     """One line per scene, sample, table, plot or log file of the
     two-worker run whose bytes differ from the one-worker run's, or that
-    only one of the runs wrote. The manifests differ by design: they echo
-    `output_dir`."""
+    only one of the runs wrote. The manifests differ by design: the
+    dataset manifests echo `output_dir`, and the samples manifests name
+    their run's scenes directory."""
     problems = []
     for one in (*RUN_DIRS, "logs"):
         two = f"{one}_w2"

@@ -63,10 +63,16 @@ import numpy as np
 from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
 from .config import GenerationConfig, parse_run_config
-from .errors import ConfigError, MapFormatError, SceneSynthError
+from .errors import ConfigError, SceneSynthError
 from .manifest import manifest_fields, manifest_problems
 from .maps import build_reference_path, load_map, save_map, write_text_atomic
-from .synthesis import SCENE_SAMPLES, generate_dataset, read_scene, scene_to_text
+from .synthesis import (
+    SCENE_SAMPLES,
+    generate_dataset,
+    read_scene,
+    read_scene_text,
+    scene_to_text,
+)
 
 
 def _scene_files(directory) -> list[Path]:
@@ -121,33 +127,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    files = _scene_files(args.scenes)
-    out_dir = Path(args.out)
+    scenes_dir, out_dir = Path(args.scenes), Path(args.out)
+    if out_dir.resolve() == scenes_dir.resolve():
+        # the samples manifest would replace the dataset's manifest
+        raise ConfigError(f"--out {args.out} is the --scenes directory; give samples their own")
+    files = _scene_files(scenes_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    pretrain.write_samples_manifest(out_dir, scenes_dir)
+    settings = pretrain.MaskSettings(args.seed, args.task, args.map_fraction, args.mask_ratio)
     n_map = 0
     lanes = {}  # parsed lane records of this call (`read_scene`)
-    texts = {}  # formatted point blocks of this call (`pretrain.sample_to_text`)
     for path in files:
-        scene = read_scene(path, lanes)
-        # keyed on the scene id, so a sample does not depend on which other
-        # scene files sit in the directory
-        if not (scene.scene_id.isascii() and scene.scene_id.isdigit()):
-            raise MapFormatError(f"scene id {scene.scene_id!r} is not a number", path)
-        rng = np.random.default_rng([args.seed, int(scene.scene_id)])
-        vectors = pretrain.vectorize_scene(scene)
-        if args.task == "combined":
-            sample = pretrain.draw_sample(
-                vectors, args.map_fraction, args.mask_ratio, rng
-            )
-        elif args.task == "map" and len(scene.map_crop.lanes) >= 2:
-            sample = pretrain.mask_map(vectors, args.mask_ratio, rng)
-        else:  # traj, or a crop of one lane, which cannot be map-masked (`draw_sample`)
-            sample = pretrain.mask_trajectory(vectors)
-        if sample.task is pretrain.ReconTask.MAP:
-            n_map += 1
-        pretrain.write_sample(
-            sample, out_dir / pretrain.sample_filename(scene.scene_id), texts
-        )
+        text = read_scene_text(path)
+        scene = read_scene(path, lanes, text)
+        task, masked = pretrain.draw_masked(settings, scene, path)
+        n_map += task is pretrain.ReconTask.MAP
+        ref = pretrain.SampleRef(path.name, pretrain.scene_sha256(text), settings, task, masked)
+        pretrain.write_sample(ref, out_dir / pretrain.sample_filename(scene.scene_id))
     print(
         f"masked {len(files)} scenes -> {out_dir} "
         f"(map={n_map}, traj={len(files) - n_map})"
@@ -204,8 +200,9 @@ def cmd_validate(args) -> int:
     lanes = {}  # parsed lane records of this call (`read_scene`)
     for path in files:
         try:
-            scene = read_scene(path, lanes)
-            if scene_to_text(scene).encode("utf-8") != path.read_bytes():
+            text = read_scene_text(path)  # read once: the parse and the compare see one text
+            scene = read_scene(path, lanes, text)
+            if scene_to_text(scene) != text:
                 raise SceneSynthError("file bytes differ from canonical serialization", path)
         except SceneSynthError as exc:  # each names its file
             failures += 1
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask", help="emit masked-reconstruction samples")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--task", required=True, choices=("map", "traj", "combined"))
+    p.add_argument("--task", required=True, choices=pretrain.MASK_TASKS)
     p.add_argument("--seed", required=True, type=_seed)
     p.add_argument("--out", required=True)
     p.add_argument("--map-fraction", type=_fraction, default=pretrain.DEFAULT_MAP_FRACTION)

@@ -13,47 +13,59 @@ are contiguous, so their starts plus the last end reassemble it exactly.
 
 A sample splits the rows by polyline id into visible rows and masked
 polylines, whose full points are kept aside as reconstruction targets; a
-masked polyline's placeholder is its target's first point. The format
+masked polyline's placeholder is its target's first point. The sample
 carries the visible/masked partition explicitly (no in-band mask tokens),
 so a trainer can choose whether placeholders ever reach its encoder.
 
-Sample file format::
+A sample is a pure function of its scene and the `mask` settings, so its
+file holds no floats: it names the scene and the settings, and the task
+and masked ids drawn from them (`draw_masked`)::
 
-    # format: scenesynth-sample v1
+    # format: scenesynth-sample v2
+    # scene: scene_000002.csv
+    # scene_sha256: 9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08
+    # seed: 7
+    # mask_task: combined
+    # map_fraction: 0.7
+    # mask_ratio: 0.5
     # task: map_recon
     # masked: 2;5
-    # columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1
-    lane,0,0.0,0.0,2.0,0.0,0.0,1.0
-    ...
-    # targets
-    target,2,0.0,4.0
-    target,2,2.0,4.0
 
-`kind` is written by name (`lane` or `trajectory`). Floats are written
-with repr and reload bit-exactly.
+Values are in config syntax (module `config`), floats written with repr;
+`scene_sha256` is the hash of the scene file's bytes. The scene is found
+through the samples manifest, `manifest.txt` beside the samples, whose
+`# scenes: ` line names the scenes directory relative to the samples
+directory. `read_sample` remakes the sample from the scene, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
+import os
 from dataclasses import dataclass
-from itertools import repeat
+from pathlib import Path, PurePath
 
 import numpy as np
 
-from .errors import MapFormatError, MaskingError
-from .maps import LANE_CACHE_SIZE, read_lines, write_text_atomic
-from .synthesis import Scene
+from .config import FLOAT, INT
+from .errors import MapFormatError, MaskingError, ValidationError
+from .maps import read_lines, write_text_atomic
+from .synthesis import Scene, read_scene, read_scene_text
 
 TRAJ_MODES = 6
 DEFAULT_MASK_RATIO = 0.5
 DEFAULT_MAP_FRACTION = 0.7
 DEFAULT_REG_WEIGHT = 0.05
 
-# values of the `kind` column, and their names in sample files
+# values of the `kind` column
 LANE, TRAJECTORY = 0, 1
-KIND_NAMES = ("lane", "trajectory")
+
+MASK_TASKS = ("map", "traj", "combined")
+SAMPLE_FORMAT = "scenesynth-sample v2"
+SAMPLES_MANIFEST = "manifest.txt"
+SAMPLES_MANIFEST_FORMAT = "scenesynth-samples v1"
 
 
 class ReconTask(enum.Enum):
@@ -67,6 +79,28 @@ class PretrainSample:
     masked: tuple[int, ...]  # sorted ids of the masked polylines
     targets: tuple[np.ndarray, ...]  # (k, 2) points of each, in `masked` order
     task: ReconTask
+
+
+@dataclass(frozen=True)
+class MaskSettings:
+    """The settings of one `mask` run; with a scene they fix its sample."""
+
+    seed: int
+    mask_task: str  # one of MASK_TASKS
+    map_fraction: float
+    mask_ratio: float
+
+
+@dataclass(frozen=True)
+class SampleRef:
+    """What a sample file holds: its scene's file name and the sha256 of
+    its bytes, the settings, and the task and sorted masked ids drawn."""
+
+    scene: str
+    scene_sha256: str
+    settings: MaskSettings
+    task: ReconTask
+    masked: tuple[int, ...]
 
 
 def vectorize_scene(scene: Scene) -> np.ndarray:
@@ -112,18 +146,24 @@ def _split(vectors: np.ndarray, masked_ids, task: ReconTask) -> PretrainSample:
     return PretrainSample(visible, masked, tuple(targets), task)
 
 
-def mask_map(vectors: np.ndarray, ratio: float, rng: np.random.Generator) -> PretrainSample:
-    """Mask round(ratio * n_lanes) lane polylines uniformly at random
-    (half rounds up), and at least one, so that every sample has a
-    target; the trajectory stays visible."""
+def _map_draw(n_lanes: int, ratio: float, rng: np.random.Generator) -> list[int]:
+    """The indices of round(ratio * n_lanes) of `n_lanes` lanes, drawn
+    uniformly at random (half rounds up), and at least one, so that every
+    sample has a target."""
     if not 0.0 <= ratio <= 1.0:
         raise MaskingError(f"mask ratio must lie in [0, 1], got {ratio}")
+    if n_lanes < 2:
+        raise MaskingError(f"map masking needs >= 2 lanes, got {n_lanes}")
+    n_mask = max(1, int(math.floor(ratio * n_lanes + 0.5)))
+    return rng.choice(n_lanes, size=n_mask, replace=False).tolist()
+
+
+def mask_map(vectors: np.ndarray, ratio: float, rng: np.random.Generator) -> PretrainSample:
+    """Mask round(ratio * n_lanes) lane polylines (`_map_draw`); the
+    trajectory stays visible."""
     lane_ids = _polyline_ids(vectors, LANE)
-    if len(lane_ids) < 2:
-        raise MaskingError(f"map masking needs >= 2 lanes, got {len(lane_ids)}")
-    n_mask = max(1, int(math.floor(ratio * len(lane_ids) + 0.5)))
-    chosen = rng.choice(lane_ids, size=n_mask, replace=False)
-    return _split(vectors, chosen.tolist(), ReconTask.MAP)
+    chosen = [lane_ids[i] for i in _map_draw(len(lane_ids), ratio, rng)]
+    return _split(vectors, chosen, ReconTask.MAP)
 
 
 def mask_trajectory(vectors: np.ndarray) -> PretrainSample:
@@ -136,18 +176,30 @@ def mask_trajectory(vectors: np.ndarray) -> PretrainSample:
     return _split(vectors, traj_ids, ReconTask.TRAJECTORY)
 
 
-def draw_sample(
-    vectors: np.ndarray,
-    map_fraction: float,
-    mask_ratio: float,
-    rng: np.random.Generator,
-) -> PretrainSample:
-    """Map reconstruction with probability `map_fraction`, trajectory
-    reconstruction otherwise. A scene with fewer than two lanes cannot be
-    map-masked and falls back to trajectory reconstruction."""
-    if rng.random() < map_fraction and len(_polyline_ids(vectors, LANE)) >= 2:
-        return mask_map(vectors, mask_ratio, rng)
-    return mask_trajectory(vectors)
+def draw_masked(
+    settings: MaskSettings, scene: Scene, path=None
+) -> tuple[ReconTask, tuple[int, ...]]:
+    """The task and sorted masked polyline ids of `scene`'s sample.
+
+    The rng is keyed on `[seed, scene id]`, so a sample does not depend
+    on which other scene files sit beside its scene; a scene id that is
+    not a number is a MapFormatError naming `path`. `combined` draws the
+    map task with probability `map_fraction`; a crop of fewer than two
+    lanes cannot be map-masked, so under every task it gets the
+    trajectory sample, whose id is the crop's lane count.
+    """
+    sid = scene.scene_id
+    if not (sid.isascii() and sid.isdigit()):
+        raise MapFormatError(f"scene id {sid!r} is not a number", path)
+    rng = np.random.default_rng([settings.seed, int(sid)])
+    n_lanes = len(scene.map_crop.lanes)
+    if settings.mask_task == "combined":
+        use_map = rng.random() < settings.map_fraction and n_lanes >= 2
+    else:
+        use_map = settings.mask_task == "map" and n_lanes >= 2
+    if use_map:
+        return ReconTask.MAP, tuple(sorted(_map_draw(n_lanes, settings.mask_ratio, rng)))
+    return ReconTask.TRAJECTORY, (n_lanes,)
 
 
 def _pointwise_l1(pred: np.ndarray, target: np.ndarray) -> float:
@@ -177,119 +229,163 @@ def traj_recon_loss(
     return float(losses[best] + reg_weight * rest.mean()), best
 
 
-def _pairs_text(pairs: np.ndarray, texts: dict[bytes, str]) -> str:
-    """The `x,y` lines of a (k, 2) float array, each ended by a newline,
-    through the LRU dict `texts`, keyed on the array's bits."""
-    key = pairs.tobytes()
-    text = texts.pop(key, None)
-    if text is None:
-        text = ("%r,%r\n" * len(pairs)) % tuple(pairs.ravel().tolist())
-        if len(texts) >= LANE_CACHE_SIZE:
-            del texts[next(iter(texts))]
-    texts[key] = text
+def scene_sha256(text: str) -> str:
+    """The sha256 of a scene file's bytes, from the text that `read_scene`
+    parsed (`read_scene_text`), which encodes back to those bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _format(text: str) -> str:
+    if text != SAMPLE_FORMAT:
+        raise ValueError(f"{text!r} is not {SAMPLE_FORMAT!r}; re-run `scenesynth mask`")
     return text
 
 
-def sample_to_text(sample: PretrainSample, texts: dict[bytes, str] | None = None) -> str:
-    """The sample file text of `sample`.
-
-    The visible rows are cut into runs: rows of one kind and polyline id
-    in which each row's start has the bits of the previous row's end. A
-    run's points (its starts, then its last end) and its attribute pairs
-    are formatted as whole `x,y` blocks, and so is each masked polyline's
-    target, through `texts`: the caller's LRU dict of such blocks (a
-    fresh one otherwise), keyed on the (k, 2) array's bits, so that the
-    lanes many samples share are formatted once and 0.0 and -0.0 keep
-    their own text. It keeps the last `LANE_CACHE_SIZE` blocks. A lane
-    whose run is visible in one sample and masked in another has one key
-    for both. The text does not depend on what `texts` holds.
-    """
-    if texts is None:
-        texts = {}
-    vis = sample.visible
-    lines = [
-        "# format: scenesynth-sample v1",
-        f"# task: {sample.task.value}",
-        "# masked: " + ";".join(str(p) for p in sample.masked),
-        "# columns: kind,polyline_id,x0,y0,x1,y1,attr0,attr1",
-    ]
-    # a run starts where the kind, the id or the chain of points breaks,
-    # compared as bits, since 0.0 == -0.0 but their reprs differ
-    bits = np.ascontiguousarray(vis[:, :6]).view(np.int64)
-    breaks = np.ones(len(vis), dtype=bool)
-    breaks[1:] = (bits[1:, :4] != bits[:-1, [0, 1, 4, 5]]).any(axis=1)
-    starts = np.flatnonzero(breaks).tolist()
-    heads = ["%s,%d" % (KIND_NAMES[int(kind)], pid) for kind, pid in vis[starts, :2].tolist()]
-    for head, a, b in zip(heads, starts, starts[1:] + [len(vis)]):
-        points = np.concatenate((vis[a:b, 2:4], vis[b - 1 : b, 4:6]))
-        pts = _pairs_text(points, texts).splitlines()
-        pairs = _pairs_text(vis[a:b, 6:8], texts).splitlines()
-        lines += map(",".join, zip(repeat(head), pts, pts[1:], pairs))
-    lines.append("# targets")
-    for pid, target in zip(sample.masked, sample.targets):
-        text = _pairs_text(target, texts)
-        if text:  # a target of no points has no rows
-            prefix = f"target,{pid},"
-            lines.append(prefix + text[:-1].replace("\n", "\n" + prefix))
-    return "\n".join(lines) + "\n"
+def _scene_name(text: str) -> str:
+    if not (text.startswith("scene_") and text.endswith(".csv")) or "/" in text or "\0" in text:
+        raise ValueError(f"{text!r} is not a scene file name")
+    return text
 
 
-def write_sample(sample: PretrainSample, path, texts: dict[bytes, str] | None = None) -> None:
-    """Write `sample` to `path`; `texts` is `sample_to_text`'s dict."""
-    write_text_atomic(path, sample_to_text(sample, texts))
+def _sha256(text: str) -> str:
+    if len(text) != 64 or text.strip("0123456789abcdef"):
+        raise ValueError(f"{text!r} is not 64 lowercase hex digits")
+    return text
+
+
+def _seed(text: str) -> int:
+    value = INT.parse(text)
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _mask_task(text: str) -> str:
+    if text not in MASK_TASKS:
+        raise ValueError(f"{text!r} is not one of {', '.join(MASK_TASKS)}")
+    return text
+
+
+def _fraction(text: str) -> float:
+    value = FLOAT.parse(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {text}")
+    return value
+
+
+def _ids(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(";"))
+
+
+# the key of each line of a sample file, in file order, and its value's parser
+_HEADER = (
+    ("format", _format),
+    ("scene", _scene_name),
+    ("scene_sha256", _sha256),
+    ("seed", _seed),
+    ("mask_task", _mask_task),
+    ("map_fraction", _fraction),
+    ("mask_ratio", _fraction),
+    ("task", ReconTask),
+    ("masked", _ids),
+)
+_LINE = {key: lineno for lineno, (key, _) in enumerate(_HEADER, start=1)}
+
+
+def sample_to_text(ref: SampleRef) -> str:
+    """The sample file text of `ref`: one `# key: value` line per field."""
+    s = ref.settings
+    values = (
+        SAMPLE_FORMAT, ref.scene, ref.scene_sha256, INT.format(s.seed), s.mask_task,
+        FLOAT.format(s.map_fraction), FLOAT.format(s.mask_ratio), ref.task.value,
+        ";".join(map(str, ref.masked)),
+    )
+    return "".join(f"# {key}: {value}\n" for (key, _), value in zip(_HEADER, values))
+
+
+def write_sample(ref: SampleRef, path) -> None:
+    write_text_atomic(path, sample_to_text(ref))
+
+
+def write_samples_manifest(samples_dir, scenes_dir) -> None:
+    """Write the samples manifest of `samples_dir`, which names `scenes_dir`
+    relative to it, both resolved, in POSIX form."""
+    rel = os.path.relpath(Path(scenes_dir).resolve(), Path(samples_dir).resolve())
+    write_text_atomic(
+        Path(samples_dir) / SAMPLES_MANIFEST,
+        f"# format: {SAMPLES_MANIFEST_FORMAT}\n# scenes: {PurePath(rel).as_posix()}\n",
+    )
+
+
+def _scenes_dir(sample_path) -> Path:
+    """The scenes directory that the samples manifest beside `sample_path`
+    names; raises MapFormatError when it cannot be read or is malformed."""
+    samples_dir = Path(sample_path).resolve().parent
+    manifest = samples_dir / SAMPLES_MANIFEST
+    try:
+        lines = read_lines(manifest)
+    except OSError as exc:
+        raise MapFormatError(f"samples manifest {manifest}: {exc.strerror}", sample_path) from None
+    if lines[:1] != [f"# format: {SAMPLES_MANIFEST_FORMAT}"]:
+        raise MapFormatError(f"format line is not '{SAMPLES_MANIFEST_FORMAT}'", manifest, 1)
+    if len(lines) != 2 or not lines[1].startswith("# scenes: ") or lines[1] == "# scenes: ":
+        raise MapFormatError("expected one '# scenes: <directory>' line", manifest, 2)
+    return (samples_dir / lines[1][len("# scenes: "):]).resolve()
+
+
+def _read_ref(path) -> SampleRef:
+    """The header of a sample file. Each fault is a MapFormatError naming
+    its line: a missing, misnamed or extra line, a value that does not
+    parse, or a line that is not as `sample_to_text` writes it."""
+    lines = read_lines(path)
+    values = []
+    for lineno, (key, parse) in enumerate(_HEADER, start=1):
+        if lineno > len(lines):
+            raise MapFormatError(f"missing '# {key}:' line", path, lineno)
+        name, colon, text = lines[lineno - 1].partition(":")
+        if name != f"# {key}" or not colon:
+            raise MapFormatError(f"expected a '# {key}:' line", path, lineno)
+        try:
+            values.append(parse(text.strip()))
+        except ValueError as exc:
+            raise MapFormatError(f"bad {key}: {exc}", path, lineno) from None
+    if len(lines) > len(_HEADER):
+        raise MapFormatError("line after the sample header", path, len(_HEADER) + 1)
+    _, scene, sha, seed, mask_task, map_fraction, mask_ratio, task, masked = values
+    ref = SampleRef(scene, sha, MaskSettings(seed, mask_task, map_fraction, mask_ratio),
+                    task, masked)
+    for lineno, (line, want) in enumerate(zip(lines, sample_to_text(ref).splitlines()), 1):
+        if line != want:
+            raise MapFormatError(f"not as written: expected {want!r}", path, lineno)
+    return ref
 
 
 def read_sample(path) -> PretrainSample:
-    """Parse a sample file; raises MapFormatError, with the offending line
-    number where there is one, on malformed input."""
-    task = None
-    header_ids = None
-    rows: list[list[float]] = []
-    target_pts: dict[int, list[tuple[float, float]]] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                if key.strip() == "task":
-                    name = value.strip()
-                    if name not in {t.value for t in ReconTask}:
-                        raise ValueError(f"unknown task {name!r}")
-                    task = ReconTask(name)
-                elif key.strip() == "masked":
-                    header_ids = tuple(int(p) for p in value.split(";") if p.strip())
-                continue
-            fields = line.split(",")
-            if fields[0] == "target":
-                if len(fields) != 4:
-                    raise ValueError("target row needs 4 columns")
-                point = (float(fields[2]), float(fields[3]))
-                target_pts.setdefault(int(fields[1]), []).append(point)
-            else:
-                if len(fields) != 8:
-                    raise ValueError("vector row needs 8 columns")
-                if fields[0] not in KIND_NAMES:
-                    raise ValueError(f"unknown kind {fields[0]!r}")
-                rows.append(
-                    [float(KIND_NAMES.index(fields[0])), float(int(fields[1]))]
-                    + [float(f) for f in fields[2:]]
-                )
-        except (ValueError, OverflowError) as exc:
-            raise MapFormatError(str(exc), path, lineno) from exc
-    if task is None:
-        raise MapFormatError("missing task header", path)
-    if not target_pts:
-        raise MapFormatError("sample has no targets", path)
-    masked = tuple(target_pts)
-    if header_ids is not None and header_ids != masked:
-        raise MapFormatError(
-            f"masked header lists {header_ids}, targets are {masked}", path
+    """Remake the sample of a sample file from its scene, bit for bit.
+
+    Checks, in order: the header (`_read_ref`); that the samples manifest
+    and the scene file can be read; the scene bytes' sha256; the scene
+    (`read_scene`); that the task and masked ids drawn on it
+    (`draw_masked`) are the header's. Each fault is a SceneSynthError."""
+    ref = _read_ref(path)
+    scene_path = _scenes_dir(path) / ref.scene
+    try:
+        text = read_scene_text(scene_path)
+    except OSError as exc:
+        raise MapFormatError(f"scene file {scene_path}: {exc.strerror}", path) from None
+    if scene_sha256(text) != ref.scene_sha256:
+        raise ValidationError(f"scene {scene_path} is not the scene that was masked", path,
+                              _LINE["scene_sha256"])
+    scene = read_scene(scene_path, None, text)
+    task, masked = draw_masked(ref.settings, scene, scene_path)
+    if (task, masked) != (ref.task, ref.masked):
+        raise ValidationError(
+            f"task and masked ids differ from those drawn on scene {scene_path}: "
+            f"{task.value} {';'.join(map(str, masked))}",
+            path,
+            _LINE["task" if task is not ref.task else "masked"],
         )
-    visible = np.array(rows, dtype=float).reshape(-1, 8)
-    targets = tuple(np.array(pts) for pts in target_pts.values())
-    return PretrainSample(visible, masked, targets, task)
+    return _split(vectorize_scene(scene), masked, task)
 
 
 def sample_filename(scene_id: str) -> str:

@@ -379,7 +379,15 @@ def _layout_parts(text: str, path):
     return metadata, map_lines, range(first, header), rows, row_at
 
 
-def read_scene(path, lanes: dict[str, LaneSegment] | None = None) -> Scene:
+def read_scene_text(path) -> str:
+    """The text of a scene file as `read_scene` parses it: read once,
+    without newline translation, so it encodes back to the file's bytes."""
+    return maps_mod.read_text(path, newline="")
+
+
+def read_scene(
+    path, lanes: dict[str, LaneSegment] | None = None, text: str | None = None
+) -> Scene:
     """Parse and validate a scene file in `scene_to_text`'s layout. Every
     fault is a MapFormatError or a ValidationError that names `path`, and
     the file line at fault where there is one.
@@ -402,9 +410,12 @@ def read_scene(path, lanes: dict[str, LaneSegment] | None = None) -> Scene:
 
     `lanes`, when given, is the caller's cache of parsed lane records
     (`maps.parse_map_lines`): files that share a lane share its
-    LaneSegment. `validate_scene` still checks every scene.
+    LaneSegment. `validate_scene` still checks every scene. `text`, when
+    given, is the file's `read_scene_text`, which the caller read once to
+    use it besides the parse; the file is then not read again.
     """
-    text = maps_mod.read_text(path, newline="")
+    if text is None:
+        text = read_scene_text(path)
     metadata, map_lines, map_at, rows, row_at = _layout_parts(text, path)
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)

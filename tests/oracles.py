@@ -15,6 +15,11 @@ independently of it. `heading_normalize` and `trajectory_stats` rotate
 one trajectory at a time, the form that `analysis.normalize_headings`
 computes for a whole array.
 
+`sample_to_text_v1` and `read_sample_v1` are the v1 sample format,
+whose files held the floats that `pretrain.read_sample` now remakes from
+the scene, and `reference_sample_text` writes v1 text from first
+principles.
+
 `plan_one`, `refine_one` and `make_scene` are no oracles: they run the
 package's batched planner, refinement and scene attempt on one problem
 and raise its error, the single-problem form that most tests call.
@@ -54,7 +59,7 @@ from scenesynth.maps import (
     read_text,
 )
 from scenesynth.planner import CoarsePlan, PlannerParams, astar_plan
-from scenesynth.pretrain import KIND_NAMES
+from scenesynth.pretrain import PretrainSample, ReconTask
 from scenesynth.refine import (
     RefinementParams,
     _quadratic_form,
@@ -292,10 +297,11 @@ def reference_sample_text(
     scene, task: str, rng: np.random.Generator,
     map_fraction: float = 0.7, mask_ratio: float = 0.5,
 ) -> str:
-    """Sample file text for `scene` by the per-segment path the array code
-    in `pretrain` replaced: one tuple per segment, a rescan of every
-    segment per masked polyline, and one f-string per row. `task` is the
-    CLI's map|traj|combined; `rng` is consumed as `mask` consumes it."""
+    """The v1 sample file text for `scene`, from first principles: one
+    tuple per segment, a rescan of every segment per masked polyline, and
+    one f-string per row. `task` is the CLI's map|traj|combined; `rng`
+    is consumed as `mask` consumes it. A map draw on a crop of one lane
+    raises MaskingError; `mask` writes the trajectory sample instead."""
     vectors = []
     for pid, lane_id in enumerate(scene.map_crop.sorted_ids()):
         lane = scene.map_crop.lanes[lane_id]
@@ -344,10 +350,16 @@ def reference_sample_text(
     return "\n".join(lines) + "\n"
 
 
-def sample_to_text_loop(sample) -> str:
-    """Sample file text of a `PretrainSample`, one f-string per row and
-    one `repr` per number, the form that `pretrain.sample_to_text`
-    builds from whole-polyline blocks."""
+# the names of the `kind` column's values (`pretrain.LANE`, `TRAJECTORY`)
+# in v1 sample files
+KIND_NAMES = ("lane", "trajectory")
+
+
+def sample_to_text_v1(sample) -> str:
+    """The v1 sample file text of a `PretrainSample`: its header, the
+    visible rows and the target points as floats, one f-string per row
+    and one `repr` per number. v1 files held the sample itself; v2 files
+    name its scene and the draw, and `pretrain.read_sample` remakes it."""
     lines = [
         "# format: scenesynth-sample v1",
         f"# task: {sample.task.value}",
@@ -362,6 +374,43 @@ def sample_to_text_loop(sample) -> str:
     for pid, points in zip(sample.masked, sample.targets):
         lines.extend(f"target,{pid},{x!r},{y!r}" for x, y in points.tolist())
     return "\n".join(lines) + "\n"
+
+
+def read_sample_v1(text: str) -> PretrainSample:
+    """The `PretrainSample` of v1 sample text, its floats read back
+    bit-exactly: the v1 reader, for well-formed text."""
+    task = None
+    rows: list[list[float]] = []
+    target_pts: dict[int, list[tuple[float, float]]] = {}
+    for line in text.splitlines():
+        if line.startswith("# task:"):
+            task = ReconTask(line.partition(":")[2].strip())
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if fields[0] == "target":
+            target_pts.setdefault(int(fields[1]), []).append(
+                (float(fields[2]), float(fields[3]))
+            )
+        else:
+            rows.append(
+                [float(KIND_NAMES.index(fields[0])), float(int(fields[1]))]
+                + [float(f) for f in fields[2:]]
+            )
+    visible = np.array(rows, dtype=float).reshape(-1, 8)
+    targets = tuple(np.array(pts) for pts in target_pts.values())
+    return PretrainSample(visible, tuple(target_pts), targets, task)
+
+
+def assert_same_sample(got: PretrainSample, want: PretrainSample) -> None:
+    """Bit-identical arrays, the same masked ids and the same task."""
+    assert got.task is want.task
+    assert got.masked == want.masked
+    assert got.visible.shape == want.visible.shape
+    assert got.visible.tobytes() == want.visible.tobytes()
+    assert len(got.targets) == len(want.targets)
+    for a, b in zip(got.targets, want.targets):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def accel_of(s: np.ndarray, dt_fine: float) -> np.ndarray:

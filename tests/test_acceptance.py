@@ -8,6 +8,7 @@ dataset fixture is generated single-worker and timed.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,9 @@ from scenesynth.manifest import manifest_counts
 from scenesynth.maps import LaneSegment, make_map, write_text_atomic
 from scenesynth.planner import PlannerParams
 from scenesynth.pretrain import (
+    MaskSettings,
     ReconTask,
-    draw_sample,
+    draw_masked,
     map_recon_loss,
     mask_map,
     mask_trajectory,
@@ -256,10 +258,13 @@ def test_criterion_6_masking_contracts():
             float(scene.trajectory[0, 0]),
             float(scene.trajectory[0, 1]),
         )
-        scenes = [small_scene(4)] * 10_000
-        rng = np.random.default_rng(616)
-        samples = [draw_sample(vectorize_scene(s), 0.7, 0.5, rng) for s in scenes]
-        n_map = sum(s.task is ReconTask.MAP for s in samples)
+        # one draw per scene id, as `mask --task combined --seed 616` draws
+        settings = MaskSettings(616, "combined", 0.7, 0.5)
+        scene = small_scene(4)
+        n_map = sum(
+            draw_masked(settings, replace(scene, scene_id=str(i)))[0] is ReconTask.MAP
+            for i in range(10_000)
+        )
         lo, hi = binomial_band(10_000, 0.7)
         assert lo <= n_map <= hi, n_map
 

@@ -25,7 +25,7 @@ from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
 from scenesynth.manifest import read_manifest
 from scenesynth.maps import LaneSegment, load_map, make_map, read_lines, save_map
-from scenesynth.pretrain import ReconTask, read_sample, sample_to_text
+from scenesynth.pretrain import ReconTask, read_sample
 from scenesynth import maps
 from scenesynth.config import FLOAT, FLOAT_OR_NONE, FLOATS, GenerationConfig
 from scenesynth.synthesis import CSV_HEADER, generate_dataset, read_scene, scene_to_text
@@ -408,9 +408,10 @@ def test_mask_combined_task_mixes(tmp_path, map_file):
     assert len(files) == 12
     tasks = {read_sample(f).task for f in files}
     assert ReconTask.MAP in tasks  # 12 draws at 0.7 hit the map task w.h.p.
-    # every sample reloads to the bytes it was written from
+    # a sample file names its scene and the draw, and holds no float row
     for f in files:
-        assert sample_to_text(read_sample(f)) == f.read_text(encoding="utf-8")
+        lines = f.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# format: scenesynth-sample v2" and len(lines) == 9
 
 
 @pytest.mark.parametrize("task", ["map", "combined"])
@@ -453,9 +454,13 @@ def test_mask_combined_falls_back_on_one_lane_crop(tmp_path, map_file, capsys):
     assert [f.name for f in before] == [f.name for f in after]
     assert read_sample(after[0]).task is ReconTask.TRAJECTORY
     assert [f.read_bytes() for f in before[1:]] == [f.read_bytes() for f in after[1:]]
-    # the map task falls back alike: the same trajectory sample
+    # the map task falls back alike: the same trajectory sample, in a file
+    # that names the other task
     assert mask("map", "map_only") == 0
-    assert (tmp_path / "map_only" / after[0].name).read_bytes() == after[0].read_bytes()
+    map_only = read_sample(tmp_path / "map_only" / after[0].name)
+    combined = read_sample(after[0])
+    assert (map_only.task, map_only.masked) == (combined.task, combined.masked)
+    assert map_only.visible.tobytes() == combined.visible.tobytes()
 
 
 def test_mask_map_writes_the_trajectory_sample_of_a_one_lane_crop(
@@ -507,6 +512,65 @@ def test_mask_sample_depends_only_on_its_scene(tmp_path, map_file):
     after = mask("after")
     assert len(before) == 6
     assert after == {k: v for k, v in before.items() if k != "sample_000000.txt"}
+
+
+def test_mask_out_at_the_scenes_directory_exits_2(tmp_path, map_file, capsys):
+    """Samples written into the scenes directory would replace the
+    dataset manifest with theirs: a usage error, and nothing is written."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=2)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+    before = {f.name: f.read_bytes() for f in scenes.iterdir()}
+    capsys.readouterr()
+    spelled = str(tmp_path / "scenes" / ".." / "scenes")
+    assert main(
+        ["mask", "--scenes", str(scenes), "--task", "traj", "--seed", "1", "--out", spelled]
+    ) == 2
+    assert "is the --scenes directory" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in scenes.iterdir()} == before
+
+
+def test_samples_reload_from_another_working_directory(tmp_path, map_file, monkeypatch):
+    """The samples manifest names the scenes directory relative to the
+    samples, so a sample reloads whatever the working directory, and with
+    both directories moved together."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["mask", "--scenes", "scenes", "--task", "combined", "--seed", "1",
+         "--out", "data/samples"]
+    ) == 0
+    manifest = tmp_path / "data" / "samples" / "manifest.txt"
+    assert manifest.read_text() == "# format: scenesynth-samples v1\n# scenes: ../../scenes\n"
+    samples = sorted((tmp_path / "data" / "samples").glob("sample_*.txt"))
+    want = [read_sample(f) for f in samples]
+    assert len(want) == 3
+    moved = tmp_path / "elsewhere"
+    moved.mkdir()
+    (tmp_path / "data").rename(moved / "data")
+    shutil.move(str(tmp_path / "scenes"), str(moved / "scenes"))
+    monkeypatch.chdir(moved / "data")
+    for f, sample in zip(sorted(Path("samples").glob("sample_*.txt")), want):
+        got = read_sample(f)
+        assert got.masked == sample.masked
+        assert got.visible.tobytes() == sample.visible.tobytes()
+
+
+def test_perfbench_check_mask_passes_on_a_v2_dataset(tmp_path, map_file):
+    """The benchmark's mask check, loaded as it is, reloads every sample of
+    a dataset whose samples sit apart from its scenes."""
+    check_mask = runpy.run_path(str(REPO / "perfbench" / "checks.py"))["check_mask"]
+    cfg = write_cfg(tmp_path, map_file, n_scenes=4)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes, samples = tmp_path / "scenes", tmp_path / "run" / "samples"
+    assert main(
+        ["mask", "--scenes", str(scenes), "--task", "combined", "--seed", "5",
+         "--out", str(samples)]
+    ) == 0
+    problems, sample_bytes = check_mask(0, scenes, samples)
+    assert problems == []
+    assert sorted(sample_bytes) == [f"sample_{i:06d}.txt" for i in range(4)]
 
 
 def test_mask_rejects_non_numeric_scene_id(tmp_path, map_file, capsys):
@@ -612,7 +676,9 @@ def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
     # faults before its lane is built
     records = [r for f in scenes.glob("scene_*.csv") if f != victim for r in lane_records(f)]
     assert len(built) == len(set(records)) < len(records)
-    monkeypatch.setattr(cli, "read_scene", lambda path, lanes: read_scene(path))
+    monkeypatch.setattr(
+        cli, "read_scene", lambda path, lanes, text: read_scene(path, None, text)
+    )
     assert validate() == cached
     assert cached[0] == 1
     assert cached[2].startswith(fault)
@@ -1220,8 +1286,12 @@ def test_every_traced_site_is_a_callable_of_its_module():
 
 
 def test_every_traced_site_records_a_span(tmp_path, map_file):
-    """A small pipeline under the benchmark's tracer reaches every traced
-    site, so a moved call site cannot leave a per-layer figure empty."""
+    """A small pipeline under the benchmark's tracer, with the reload of
+    each sample that the benchmark's mask check makes, reaches every
+    traced site, so a moved call site cannot leave a per-layer figure
+    empty; but for `mask_map` and `mask_trajectory`, which `mask` left
+    when its samples came to name their draw instead of holding its rows
+    (`draw_masked` draws the ids from the lane count)."""
     spans = runpy.run_path(str(REPO / "perfbench" / "spans.py"), run_name="spans")
     modules = {m: importlib.import_module(f"scenesynth.{m}") for m, _, _, _ in spans["SITES"]}
     cfg = write_cfg(tmp_path, map_file, n_scenes=3, augmented_fraction=1.0)
@@ -1241,10 +1311,14 @@ def test_every_traced_site_records_a_span(tmp_path, map_file):
                 ["plot", "--scenes", scenes, "--out", str(out / "plot"), "--svg"],
             ):
                 assert main(argv) == 0, argv
+            for sample in sorted(out.glob("*/sample_*.txt")):
+                read_sample(sample)
     finally:
         tracer.uninstall()
     recorded = {span.name for span in tracer.spans}
-    assert sorted({name for _, _, name, _ in spans["SITES"]} - recorded) == []
+    assert sorted({name for _, _, name, _ in spans["SITES"]} - recorded) == [
+        "pretrain.mask_map", "pretrain.mask_trajectory"
+    ]
 
 
 def test_compare_outputs_same_tree_exits_0():

@@ -6,30 +6,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assert_same_sample,
     binomial_band,
     make_scene,
     pointwise_l1_loop,
+    read_sample_v1,
     reference_sample_text,
-    sample_to_text_loop,
+    sample_to_text_v1,
 )
-from scenesynth.errors import MapFormatError, MaskingError, SceneSynthError
-from scenesynth.maps import LANE_CACHE_SIZE
+from scenesynth.cli import main
+from scenesynth.errors import MapFormatError, MaskingError, SceneSynthError, ValidationError
+from scenesynth.fixtures import generate_map_fixture
 from scenesynth.pretrain import (
     LANE,
     TRAJECTORY,
-    PretrainSample,
+    MaskSettings,
     ReconTask,
-    draw_sample,
+    SampleRef,
+    draw_masked,
     map_recon_loss,
     mask_map,
     mask_trajectory,
     read_sample,
     sample_to_text,
+    scene_sha256,
     traj_recon_loss,
     vectorize_scene,
     write_sample,
+    write_samples_manifest,
 )
-from scenesynth.synthesis import GenerationConfig, Scene
+from scenesynth.synthesis import (
+    GenerationConfig,
+    Scene,
+    generate_dataset,
+    read_scene,
+    scene_to_text,
+)
 
 
 def toy_scene(n_lanes=4, city="MIA"):
@@ -198,29 +210,31 @@ def test_mask_trajectory_requires_exactly_one():
         mask_trajectory(no_traj)
 
 
-def draw_tasks(scenes, map_fraction, rng):
-    """One `draw_sample` per scene, all from one `rng`, as `mask --task
-    combined` draws them."""
-    return [draw_sample(vectorize_scene(s), map_fraction, 0.5, rng) for s in scenes]
+def draw_tasks(scenes, map_fraction, seed):
+    """The (task, masked ids) of each scene as `mask --task combined
+    --seed <seed>` draws them, the i-th scene taking the id i."""
+    settings = MaskSettings(seed, "combined", map_fraction, 0.5)
+    return [
+        draw_masked(settings, dataclasses.replace(s, scene_id=str(i)))
+        for i, s in enumerate(scenes)
+    ]
 
 
 def test_assign_tasks_extremes_and_determinism():
     scenes = [toy_scene(4)] * 20
-    all_map = draw_tasks(scenes, 1.0, np.random.default_rng(0))
-    assert all(s.task is ReconTask.MAP for s in all_map)
+    all_map = draw_tasks(scenes, 1.0, 0)
+    assert all(task is ReconTask.MAP for task, _ in all_map)
     # one lane cannot be map-masked: the scene falls back to its trajectory
-    one_lane = draw_tasks([toy_scene(1)], 1.0, np.random.default_rng(0))
-    assert one_lane[0].task is ReconTask.TRAJECTORY
-    a = draw_tasks(scenes, 0.7, np.random.default_rng(5))
-    b = draw_tasks(scenes, 0.7, np.random.default_rng(5))
-    assert [s.task for s in a] == [s.task for s in b]
-    assert [sorted(s.masked) for s in a] == [sorted(s.masked) for s in b]
+    assert draw_tasks([toy_scene(1)], 1.0, 0) == [(ReconTask.TRAJECTORY, (1,))]
+    a = draw_tasks(scenes, 0.7, 5)
+    assert a == draw_tasks(scenes, 0.7, 5)
+    assert {task for task, _ in a} == set(ReconTask)
+    assert all(masked == tuple(sorted(masked)) for _, masked in a)
 
 
 def test_assign_tasks_frequency_in_binomial_band():
     scenes = [toy_scene(4)] * 10_000
-    samples = draw_tasks(scenes, 0.7, np.random.default_rng(11))
-    n_map = sum(s.task is ReconTask.MAP for s in samples)
+    n_map = sum(task is ReconTask.MAP for task, _ in draw_tasks(scenes, 0.7, 11))
     lo, hi = binomial_band(len(scenes), 0.7)
     assert lo <= n_map <= hi
 
@@ -305,209 +319,206 @@ def test_traj_recon_loss_bounded_by_modes():
     assert loss <= min(per_mode) + 0.05 * max(per_mode)
 
 
-def test_sample_file_roundtrip_lossless(demo_scene, tmp_path):
-    vectors = vectorize_scene(demo_scene)
-    for sample in (
-        mask_map(vectors, 0.5, np.random.default_rng(1)),
-        mask_trajectory(vectors),
-    ):
-        f = tmp_path / f"sample_{sample.task.value}.txt"
-        write_sample(sample, f)
-        back = read_sample(f)
-        assert back.task is sample.task
-        assert back.visible.tobytes() == sample.visible.tobytes()
-        assert back.masked == sample.masked
-        assert len(back.targets) == len(sample.targets)
-        for t1, t2 in zip(back.targets, sample.targets):
-            assert t1.tobytes() == t2.tobytes()
-        assert sample_to_text(back) == f.read_text()
-
-
-def test_sample_unknown_task_names_line(demo_scene, tmp_path):
-    f = tmp_path / "sample.txt"
-    write_sample(mask_trajectory(vectorize_scene(demo_scene)), f)
-    f.write_text(f.read_text().replace("# task: traj_recon", "# task: lane_recon"))
-    with pytest.raises(MapFormatError, match=r"sample\.txt:2: unknown task"):
-        read_sample(f)
-
-
 def test_demo_scene_has_enough_lanes_for_masking(demo_scene):
     # generation-scale crops comfortably exceed the two-lane minimum
     assert len(demo_scene.map_crop.lanes) >= 2
 
 
-def array_sample_text(scene, task, rng, map_fraction=0.7, mask_ratio=0.5, texts=None):
-    """Sample text the way `scenesynth mask --task <task>` makes it, with
-    the command's `texts` dict; the one-row-at-a-time oracle agrees."""
-    vectors = vectorize_scene(scene)
-    if task == "map":
-        sample = mask_map(vectors, mask_ratio, rng)
-    elif task == "traj":
-        sample = mask_trajectory(vectors)
-    else:
-        sample = draw_sample(vectors, map_fraction, mask_ratio, rng)
-    text = sample_to_text(sample, texts)
-    assert text == sample_to_text_loop(sample)
-    return text
+def mask_one(directory, scene, settings, name="sample.txt"):
+    """Write `scene` to `directory/scenes` and its sample to
+    `directory/samples/<name>`, beside the samples manifest, as `mask`
+    writes them; returns the sample's path and the scene read back from
+    its file, whose coordinates are those of the file's text."""
+    scenes, samples = directory / "scenes", directory / "samples"
+    scenes.mkdir(parents=True, exist_ok=True)
+    samples.mkdir(exist_ok=True)
+    text = scene_to_text(scene)
+    scene_file = scenes / f"scene_{scene.scene_id}.csv"
+    scene_file.write_bytes(text.encode("utf-8"))
+    write_samples_manifest(samples, scenes)
+    task, masked = draw_masked(settings, scene)
+    write_sample(SampleRef(scene_file.name, scene_sha256(text), settings, task, masked),
+                 samples / name)
+    return samples / name, read_scene(scene_file)
 
 
-def generated_scenes(corridors_map, fraction, n, seed=44):
-    cfg = GenerationConfig(
-        seed=seed, n_scenes=1, output_dir="unused", augmented_fraction=fraction
-    )
-    scenes = []
-    index = 0
-    while len(scenes) < n:
-        try:
-            scenes.append(
-                make_scene(
-                    corridors_map, np.random.default_rng([seed, index]), cfg,
-                    f"{index:06d}",
-                )
-            )
-        except SceneSynthError:
-            pass
-        index += 1
-    return scenes
-
-
-@pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0], ids=["mixed", "warped"])
-def test_sample_matches_reference_on_generated_scenes(corridors_map, fraction):
-    scenes = generated_scenes(corridors_map, fraction, 100)
-    n_map = 0
-    texts = {}  # one dict for every scene and task, as one `mask` call keeps
-    for i, scene in enumerate(scenes):
-        for task in ("map", "traj", "combined"):
-            try:
-                want = reference_sample_text(scene, task, np.random.default_rng([9, i]))
-            except MaskingError:
-                # a crop of one lane: map masking must refuse it too
-                with pytest.raises(MaskingError):
-                    array_sample_text(scene, task, np.random.default_rng([9, i]))
-                continue
-            got = array_sample_text(scene, task, np.random.default_rng([9, i]), texts=texts)
-            assert got == want, (i, task)
-            n_map += task == "combined" and "# task: map_recon" in got
-    # the combined draws took both branches, and the dict filled
-    assert 0 < n_map < len(scenes)
-    assert len(texts) == LANE_CACHE_SIZE
-
-
-def test_sample_matches_reference_on_one_lane_crop(demo_scene):
+def one_lane_crop(scene):
     from scenesynth.maps import LaneSegment, make_map
 
-    lane = demo_scene.map_crop.lanes[demo_scene.map_crop.sorted_ids()[0]]
-    one_lane = dataclasses.replace(
-        demo_scene,
-        map_crop=make_map(demo_scene.city, [LaneSegment(lane.lane_id, lane.centerline)]),
+    lane = scene.map_crop.lanes[scene.map_crop.sorted_ids()[0]]
+    return dataclasses.replace(
+        scene, map_crop=make_map(scene.city, [LaneSegment(lane.lane_id, lane.centerline)])
     )
-    for seed in range(5):
-        # a map draw on a one-lane crop falls back to trajectory masking
-        want = reference_sample_text(
-            one_lane, "combined", np.random.default_rng(seed), map_fraction=1.0
-        )
-        got = array_sample_text(
-            one_lane, "combined", np.random.default_rng(seed), map_fraction=1.0
-        )
-        assert got == want
-        assert "# task: traj_recon" in got
-    assert array_sample_text(one_lane, "traj", None) == reference_sample_text(
-        one_lane, "traj", None
-    )
-    for text in (reference_sample_text, array_sample_text):
-        with pytest.raises(MaskingError, match="needs >= 2 lanes, got 1"):
-            text(one_lane, "map", np.random.default_rng(0))
 
 
-# numbers whose bits differ where their values compare equal (0.0, -0.0),
-# or that compare unequal to themselves (nan)
-SAMPLE_FLOATS = st.sampled_from(
-    [0.0, -0.0, 1.0, -2.5, 0.1, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")]
-)
+def test_sample_file_roundtrip_lossless(demo_scene, tmp_path):
+    for task in ("map", "traj"):
+        f, scene = mask_one(tmp_path / task, demo_scene, MaskSettings(1, task, 0.7, 0.5))
+        vectors = vectorize_scene(scene)
+        if task == "map":
+            want = mask_map(vectors, 0.5, np.random.default_rng([1, 0]))
+        else:
+            want = mask_trajectory(vectors)
+        assert_same_sample(read_sample(f), want)
+        # the file names the scene and the draw, and holds no float row
+        lines = f.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "# format: scenesynth-sample v2"
+        assert lines[-2:] == [f"# task: {want.task.value}",
+                              "# masked: " + ";".join(map(str, want.masked))]
+        assert len(lines) == 9
 
 
-@st.composite
-def pretrain_samples(draw):
-    """A PretrainSample of any shape `read_sample` returns: rows of either
-    kind with ids that repeat and need not be contiguous, starts that take
-    the end of the row above, or that end with each zero's sign flipped,
-    or neither, and targets of 0 to 4 points."""
-    rows = []
-    for _ in range(draw(st.integers(0, 10))):
-        head = [float(draw(st.integers(LANE, TRAJECTORY))), float(draw(st.integers(0, 3)))]
-        start = [draw(SAMPLE_FLOATS), draw(SAMPLE_FLOATS)]
-        if rows and draw(st.booleans()):
-            head = rows[-1][:2]  # the polyline of the row above
-            link = draw(st.sampled_from(["end", "flipped zeros", "none"]))
-            if link == "end":
-                start = rows[-1][4:6]
-            elif link == "flipped zeros":
-                start = [-v if v == 0.0 else v for v in rows[-1][4:6]]
-        rest = [draw(SAMPLE_FLOATS) for _ in range(4)]
-        rows.append([*head, *start, *rest])
-    masked = tuple(sorted(draw(st.sets(st.integers(0, 5), max_size=3))))
-    targets = tuple(
-        np.array(
-            [[draw(SAMPLE_FLOATS), draw(SAMPLE_FLOATS)] for _ in range(draw(st.integers(0, 4)))]
-        ).reshape(-1, 2)
-        for _ in masked
-    )
-    task = draw(st.sampled_from(ReconTask))
-    return PretrainSample(np.array(rows).reshape(-1, 8), masked, targets, task)
-
-
-@given(samples=st.lists(pretrain_samples(), min_size=1, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_sample_to_text_matches_the_row_loop_whatever_the_dict_holds(samples):
-    texts = {}  # filled by the samples before each, and then by all of them
-    for _ in range(2):
-        for sample in samples:
-            want = sample_to_text_loop(sample)
-            assert sample_to_text(sample, texts) == want
-            assert sample_to_text(sample) == want
-
-
-def test_sample_text_dict_keeps_the_last_lane_cache_size_blocks():
-    texts = {}
-    for i in range(LANE_CACHE_SIZE + 40):
-        visible = np.array([[LANE, 0, i, 0.0, i + 1, 0.0, 0.0, 1.0]])
-        sample = PretrainSample(visible, (1,), (np.array([[-i, 1.0]]),), ReconTask.MAP)
-        sample_to_text(sample, texts)
-        assert len(texts) <= LANE_CACHE_SIZE
-    assert len(texts) == LANE_CACHE_SIZE
-    # in order of last use: the attribute block that every sample uses was
-    # used by the last one, between its points and its target, and the
-    # first sample's points are gone
-    assert list(texts)[-3:] == [
-        np.array([[i, 0.0], [i + 1, 0.0]]).tobytes(),
-        np.array([[0.0, 1.0]]).tobytes(),
-        np.array([[-i, 1.0]]).tobytes(),
-    ]
-    assert np.array([[0.0, 0.0], [1.0, 0.0]]).tobytes() not in texts
-
-
-def test_sample_masked_header_must_match_targets(demo_scene, tmp_path):
-    f = tmp_path / "sample.txt"
-    write_sample(mask_trajectory(vectorize_scene(demo_scene)), f)
-    traj_id = len(demo_scene.map_crop.lanes)
-    f.write_text(
-        f.read_text().replace(f"# masked: {traj_id}", f"# masked: {traj_id + 1}")
-    )
-    with pytest.raises(MapFormatError, match="masked header"):
+def test_sample_unknown_task_names_line(demo_scene, tmp_path):
+    f, _ = mask_one(tmp_path, demo_scene, MaskSettings(1, "traj", 0.7, 0.5))
+    f.write_text(f.read_text().replace("# task: traj_recon", "# task: lane_recon"))
+    fault = r"sample\.txt:8: bad task: 'lane_recon' is not a valid ReconTask"
+    with pytest.raises(MapFormatError, match=fault):
         read_sample(f)
 
 
-# one bad line of each kind the reader must name; `line` picks a row of the
-# sample below and `junk` is text that no number parses from
+# the `mask` runs of scripts/compare_outputs.py: --task, --map-fraction, --mask-ratio
+COMPARE_OUTPUTS_MASKS = (("combined", 0.7, 0.5), ("map", 0.7, 0.3), ("traj", 0.2, 0.5))
+
+
+@pytest.mark.parametrize("fraction", [165.0 / 370.0, 1.0], ids=["mixed", "warped"])
+def test_sample_matches_reference_on_generated_scenes(tmp_path, fraction):
+    """At each `mask` task and setting that compare_outputs.py runs, every
+    sample of a dataset is a v2 header that reloads bit-identical to the
+    v1 oracle's text read back."""
+    seed = 1000
+    scenes = tmp_path / "scenes"
+    maps = [generate_map_fixture("corridors", city) for city in ("MIA", "PIT")]
+    cfg = GenerationConfig(
+        seed=seed, n_scenes=60, output_dir=str(scenes), augmented_fraction=fraction
+    )
+    generate_dataset(maps, cfg)
+    files = sorted(scenes.glob("scene_*.csv"))
+    for task, map_fraction, mask_ratio in COMPARE_OUTPUTS_MASKS:
+        out = tmp_path / f"samples_{task}"
+        assert main(
+            ["mask", "--scenes", str(scenes), "--task", task, "--seed", str(seed),
+             "--out", str(out), "--map-fraction", repr(map_fraction),
+             "--mask-ratio", repr(mask_ratio)]
+        ) == 0
+        tasks = set()
+        for path in files:
+            scene = read_scene(path)
+            f = out / f"sample_{scene.scene_id}.txt"
+            lines = f.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == "# format: scenesynth-sample v2" and len(lines) == 9
+            # a crop of one lane gets its trajectory sample under every task
+            want_task = "traj" if task == "map" and len(scene.map_crop.lanes) < 2 else task
+            rng = np.random.default_rng([seed, int(scene.scene_id)])
+            want = reference_sample_text(scene, want_task, rng, map_fraction, mask_ratio)
+            got = read_sample(f)
+            assert_same_sample(got, read_sample_v1(want))
+            tasks.add(got.task)
+        assert tasks == set(ReconTask) if task == "combined" else len(tasks) >= 1
+
+
+def test_sample_matches_reference_on_one_lane_crop(demo_scene, tmp_path):
+    for seed in range(5):
+        # a map draw on a one-lane crop falls back to trajectory masking
+        f, one_lane = mask_one(
+            tmp_path / str(seed), one_lane_crop(demo_scene),
+            MaskSettings(seed, "combined", 1.0, 0.5),
+        )
+        want = read_sample_v1(reference_sample_text(
+            one_lane, "combined", np.random.default_rng([seed, 0]), map_fraction=1.0
+        ))
+        assert_same_sample(read_sample(f), want)
+        assert want.task is ReconTask.TRAJECTORY
+    # the map task falls back alike
+    f, _ = mask_one(tmp_path / "map", one_lane, MaskSettings(0, "map", 0.7, 0.5))
+    want = read_sample_v1(reference_sample_text(one_lane, "traj", None))
+    assert_same_sample(read_sample(f), want)
+    with pytest.raises(MaskingError, match="needs >= 2 lanes, got 1"):
+        reference_sample_text(one_lane, "map", np.random.default_rng(0))
+    with pytest.raises(MaskingError, match="needs >= 2 lanes, got 1"):
+        mask_map(vectorize_scene(one_lane), 0.5, np.random.default_rng(0))
+
+
+def test_sample_masked_header_must_match_targets(demo_scene, tmp_path):
+    """A hand-edited `# masked:` line differs from the ids drawn on the
+    scene: the error names the sample, its line, and the scene."""
+    f, _ = mask_one(tmp_path, demo_scene, MaskSettings(1, "map", 0.7, 0.5))
+    lines = f.read_text().splitlines()
+    ids = [int(p) for p in lines[8].partition(": ")[2].split(";")]
+    spare = next(i for i in range(len(demo_scene.map_crop.lanes)) if i not in ids)
+    lines[8] = "# masked: " + ";".join(map(str, sorted(ids[1:] + [spare])))
+    f.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as exc:
+        read_sample(f)
+    assert str(exc.value).startswith(f"{f}:9: task and masked ids differ")
+    assert str((tmp_path / "scenes" / "scene_000000.csv").resolve()) in str(exc.value)
+
+
+def test_read_sample_fails_on_a_scene_edited_after_masking(demo_scene, tmp_path):
+    f, _ = mask_one(tmp_path, demo_scene, MaskSettings(1, "combined", 0.7, 0.5))
+    scene_file = tmp_path / "scenes" / "scene_000000.csv"
+    # still a valid scene file, but not the one masked
+    scene_file.write_text(scene_to_text(one_lane_crop(demo_scene)), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        read_sample(f)
+    assert str(exc.value) == (
+        f"{f}:3: scene {scene_file.resolve()} is not the scene that was masked"
+    )
+
+
+def test_read_sample_names_the_missing_scene_of_a_moved_samples_directory(
+    demo_scene, tmp_path
+):
+    mask_one(tmp_path / "a", demo_scene, MaskSettings(1, "traj", 0.7, 0.5))
+    moved = tmp_path / "b" / "samples"
+    moved.parent.mkdir()
+    (tmp_path / "a" / "samples").rename(moved)
+    missing = (tmp_path / "b" / "scenes" / "scene_000000.csv").resolve()
+    with pytest.raises(MapFormatError, match=f"scene file {missing}: No such file"):
+        read_sample(moved / "sample.txt")
+    # a sample without its samples manifest names the manifest it looked for
+    (moved / "manifest.txt").unlink()
+    manifest = (moved / "manifest.txt").resolve()
+    with pytest.raises(MapFormatError, match=f"samples manifest {manifest}: No such file"):
+        read_sample(moved / "sample.txt")
+
+
+def test_read_sample_refuses_a_v1_file_at_its_format_line(demo_scene, tmp_path):
+    f, _ = mask_one(tmp_path, demo_scene, MaskSettings(1, "traj", 0.7, 0.5))
+    f.write_text(sample_to_text_v1(mask_trajectory(vectorize_scene(demo_scene))))
+    with pytest.raises(MapFormatError) as exc:
+        read_sample(f)
+    assert str(exc.value) == (
+        f"{f}:1: bad format: 'scenesynth-sample v1' is not 'scenesynth-sample v2'; "
+        "re-run `scenesynth mask`"
+    )
+
+
+def test_sample_to_text_is_the_header_in_config_syntax():
+    ref = SampleRef("scene_000012.csv", "ab" * 32, MaskSettings(7, "combined", 0.1, 1.0),
+                    ReconTask.MAP, (2, 5))
+    assert sample_to_text(ref) == (
+        "# format: scenesynth-sample v2\n"
+        "# scene: scene_000012.csv\n"
+        f"# scene_sha256: {'ab' * 32}\n"
+        "# seed: 7\n"
+        "# mask_task: combined\n"
+        "# map_fraction: 0.1\n"
+        "# mask_ratio: 1.0\n"
+        "# task: map_recon\n"
+        "# masked: 2;5\n"
+    )
+
+
+# one header fault of each kind the reader must name; `line` picks the
+# header line and `junk` is text that no value parses from
 READER_FAULTS = (
-    "unknown kind",
-    "column count",
-    "non-numeric field",
-    "missing task header",
-    "no targets",
-    "unknown task",
+    "v1 format",
+    "misnamed key",
+    "missing line",
+    "extra line",
+    "bad value",
+    "not as written",
     "not UTF-8",
-    "id too large for a float",
 )
 
 
@@ -518,48 +529,45 @@ READER_FAULTS = (
 )
 @settings(max_examples=150, deadline=None)
 def test_read_sample_fuzz_faults_raise_map_format_error(
-    fault, line, junk, tmp_path_factory
+    fault, line, junk, demo_scene, tmp_path_factory
 ):
-    text = sample_to_text(
-        mask_map(vectorize_scene(toy_scene(3)), 0.5, np.random.default_rng(0))
-    )
-    lines = text.rstrip("\n").split("\n")
-    vector_rows = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
-    i = vector_rows[line % len(vector_rows)]
-    fields = lines[i].split(",")
-    if fault == "unknown kind":
-        fields[0] = "x" + junk
-    elif fault == "column count":
-        fields = fields[:-1] if line % 2 else fields + ["0.0"]
-    elif fault == "non-numeric field":
-        fields[1 + line % (len(fields) - 1)] = junk
-    elif fault == "id too large for a float":
-        fields[1] = "9" * 400
-    lines[i] = ",".join(fields)
-    if fault == "missing task header":
-        lines = [ln for ln in lines if not ln.startswith("# task:")]
-    elif fault == "no targets":
-        lines = [ln for ln in lines if not ln.startswith("target,")]
-    elif fault == "unknown task":
-        lines = [f"# task: {junk}" if ln.startswith("# task:") else ln for ln in lines]
+    f, _ = mask_one(tmp_path_factory.mktemp("fuzz"), demo_scene,
+                    MaskSettings(3, "combined", 0.7, 0.5))
+    lines = f.read_text(encoding="utf-8").splitlines()
+    i = line % len(lines)
+    want = i + 1  # the file line the fault must name
+    if fault == "v1 format":
+        lines[0], want = "# format: scenesynth-sample v1", 1
+    elif fault == "misnamed key":
+        lines[i] = "# " + junk + lines[i][lines[i].index(":"):]
+    elif fault == "missing line":
+        del lines[i]
+    elif fault == "extra line":
+        lines.append(junk)
+        want = len(lines)
+    elif fault == "bad value":
+        lines[i] = lines[i].partition(":")[0] + ": " + junk
+    elif fault == "not as written":
+        lines[i] += " "
     data = ("\n".join(lines) + "\n").encode("utf-8")
     if fault == "not UTF-8":
         data = data.replace(b"\n", b"\n\xff", 1 + line % 3)
-    f = tmp_path_factory.mktemp("fuzz") / "sample.txt"
     f.write_bytes(data)
-    with pytest.raises(MapFormatError):
+    with pytest.raises(MapFormatError) as exc:
         read_sample(f)
+    if fault != "not UTF-8":
+        assert exc.value.line == want
 
 
 @given(line=st.integers(0, 10_000), junk=st.text(max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_read_sample_fuzz_any_line_raises_only_scenesynth_errors(
-    line, junk, tmp_path_factory
+    line, junk, demo_scene, tmp_path_factory
 ):
-    text = sample_to_text(mask_trajectory(vectorize_scene(toy_scene(2))))
-    lines = text.rstrip("\n").split("\n")
+    f, _ = mask_one(tmp_path_factory.mktemp("fuzz"), demo_scene,
+                    MaskSettings(3, "map", 0.7, 0.5))
+    lines = f.read_text(encoding="utf-8").splitlines()
     lines[line % len(lines)] = junk
-    f = tmp_path_factory.mktemp("fuzz") / "sample.txt"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
         sample = read_sample(f)
