@@ -239,12 +239,20 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy's generators take no negative seed."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def _usage(parse):
+    """The argparse type that parses with `parse` (`pretrain.parse_seed`,
+    `pretrain.parse_fraction`) and reports its ValueError as the usage error."""
+
+    def parse_arg(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_arg
+
+
+_seed, _fraction = _usage(pretrain.parse_seed), _usage(pretrain.parse_fraction)
 
 
 def _workers(text: str) -> int:
@@ -252,14 +260,6 @@ def _workers(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"workers must be >= 1, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    """argparse type of --map-fraction and --mask-ratio: a number in [0, 1]."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
 
 

@@ -252,8 +252,7 @@ def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap
     such line. A record closes the lane of the one before it, as a
     line-by-line reader does; a malformed `lane` line cuts nothing, so it
     faults before the lane above it is checked. Lines that hold a newline
-    form one record. A record of one line that splits into `city` and a
-    label (a map block's leading record) sets the city without a parse.
+    form one record.
 
     `lanes`, when given, is the caller's cache of parsed lane records (a
     fresh one otherwise), keyed by a record's lines as a tuple, so that
@@ -287,10 +286,6 @@ def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap
     found: list[tuple[LaneSegment, int]] = []
     for a, b in zip(cuts, cuts[1:]):
         record = lines[a:b]
-        fields = record[0].split() if b - a == 1 else ()
-        if len(fields) == 2 and fields[0] == "city":
-            cities.append(fields[1])
-            continue
         key = tuple(record)
         lane = cache.pop(key, None)
         if lane is not None:

@@ -176,17 +176,15 @@ def mask_trajectory(vectors: np.ndarray) -> PretrainSample:
     return _split(vectors, traj_ids, ReconTask.TRAJECTORY)
 
 
-def draw_masked(
-    settings: MaskSettings, scene: Scene, path=None
-) -> tuple[ReconTask, tuple[int, ...]]:
-    """The task and sorted masked polyline ids of `scene`'s sample.
+def _draw_task(settings: MaskSettings, scene: Scene, path) -> tuple[bool, np.random.Generator]:
+    """Whether `scene`'s sample masks the map, and the rng after that draw.
 
     The rng is keyed on `[seed, scene id]`, so a sample does not depend
     on which other scene files sit beside its scene; a scene id that is
     not a number is a MapFormatError naming `path`. `combined` draws the
     map task with probability `map_fraction`; a crop of fewer than two
     lanes cannot be map-masked, so under every task it gets the
-    trajectory sample, whose id is the crop's lane count.
+    trajectory sample.
     """
     sid = scene.scene_id
     if not (sid.isascii() and sid.isdigit()):
@@ -194,9 +192,18 @@ def draw_masked(
     rng = np.random.default_rng([settings.seed, int(sid)])
     n_lanes = len(scene.map_crop.lanes)
     if settings.mask_task == "combined":
-        use_map = rng.random() < settings.map_fraction and n_lanes >= 2
-    else:
-        use_map = settings.mask_task == "map" and n_lanes >= 2
+        return rng.random() < settings.map_fraction and n_lanes >= 2, rng
+    return settings.mask_task == "map" and n_lanes >= 2, rng
+
+
+def draw_masked(
+    settings: MaskSettings, scene: Scene, path=None
+) -> tuple[ReconTask, tuple[int, ...]]:
+    """The task and sorted masked polyline ids of `scene`'s sample, drawn
+    from its lane count (`_draw_task`, then `_map_draw` as in `mask_map`);
+    the trajectory's id is the crop's lane count."""
+    use_map, rng = _draw_task(settings, scene, path)
+    n_lanes = len(scene.map_crop.lanes)
     if use_map:
         return ReconTask.MAP, tuple(sorted(_map_draw(n_lanes, settings.mask_ratio, rng)))
     return ReconTask.TRAJECTORY, (n_lanes,)
@@ -247,14 +254,9 @@ def _scene_name(text: str) -> str:
     return text
 
 
-def _sha256(text: str) -> str:
-    if len(text) != 64 or text.strip("0123456789abcdef"):
-        raise ValueError(f"{text!r} is not 64 lowercase hex digits")
-    return text
-
-
-def _seed(text: str) -> int:
-    value = INT.parse(text)
+def parse_seed(text: str) -> int:
+    """A seed: numpy's generators take no negative seed."""
+    value = int(text)
     if value < 0:
         raise ValueError(f"seed must be >= 0, got {value}")
     return value
@@ -266,8 +268,9 @@ def _mask_task(text: str) -> str:
     return text
 
 
-def _fraction(text: str) -> float:
-    value = FLOAT.parse(text)
+def parse_fraction(text: str) -> float:
+    """A map fraction or mask ratio: a number in [0, 1] (not nan)."""
+    value = float(text)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"must lie in [0, 1], got {text}")
     return value
@@ -281,11 +284,11 @@ def _ids(text: str) -> tuple[int, ...]:
 _HEADER = (
     ("format", _format),
     ("scene", _scene_name),
-    ("scene_sha256", _sha256),
-    ("seed", _seed),
+    ("scene_sha256", str),  # any other hash fails the comparison in `read_sample`
+    ("seed", parse_seed),
     ("mask_task", _mask_task),
-    ("map_fraction", _fraction),
-    ("mask_ratio", _fraction),
+    ("map_fraction", parse_fraction),
+    ("mask_ratio", parse_fraction),
     ("task", ReconTask),
     ("masked", _ids),
 )
@@ -365,27 +368,33 @@ def read_sample(path) -> PretrainSample:
 
     Checks, in order: the header (`_read_ref`); that the samples manifest
     and the scene file can be read; the scene bytes' sha256; the scene
-    (`read_scene`); that the task and masked ids drawn on it
-    (`draw_masked`) are the header's. Each fault is a SceneSynthError."""
+    (`read_scene`); that the task and masked ids drawn on it (`_draw_task`,
+    then `mask_map` or `mask_trajectory`) are the header's. Each fault is
+    a SceneSynthError naming the sample file."""
     ref = _read_ref(path)
     scene_path = _scenes_dir(path) / ref.scene
     try:
         text = read_scene_text(scene_path)
     except OSError as exc:
         raise MapFormatError(f"scene file {scene_path}: {exc.strerror}", path) from None
+    except MapFormatError as exc:  # not UTF-8: it names the scene alone
+        raise MapFormatError(f"scene file {exc}", path) from None
     if scene_sha256(text) != ref.scene_sha256:
         raise ValidationError(f"scene {scene_path} is not the scene that was masked", path,
                               _LINE["scene_sha256"])
     scene = read_scene(scene_path, None, text)
-    task, masked = draw_masked(ref.settings, scene, scene_path)
-    if (task, masked) != (ref.task, ref.masked):
+    use_map, rng = _draw_task(ref.settings, scene, scene_path)
+    vectors = vectorize_scene(scene)
+    sample = (mask_map(vectors, ref.settings.mask_ratio, rng) if use_map
+              else mask_trajectory(vectors))
+    if (sample.task, sample.masked) != (ref.task, ref.masked):
         raise ValidationError(
             f"task and masked ids differ from those drawn on scene {scene_path}: "
-            f"{task.value} {';'.join(map(str, masked))}",
+            f"{sample.task.value} {';'.join(map(str, sample.masked))}",
             path,
-            _LINE["task" if task is not ref.task else "masked"],
+            _LINE["task" if sample.task is not ref.task else "masked"],
         )
-    return _split(vectorize_scene(scene), masked, task)
+    return sample
 
 
 def sample_filename(scene_id: str) -> str:

@@ -1289,9 +1289,7 @@ def test_every_traced_site_records_a_span(tmp_path, map_file):
     """A small pipeline under the benchmark's tracer, with the reload of
     each sample that the benchmark's mask check makes, reaches every
     traced site, so a moved call site cannot leave a per-layer figure
-    empty; but for `mask_map` and `mask_trajectory`, which `mask` left
-    when its samples came to name their draw instead of holding its rows
-    (`draw_masked` draws the ids from the lane count)."""
+    empty."""
     spans = runpy.run_path(str(REPO / "perfbench" / "spans.py"), run_name="spans")
     modules = {m: importlib.import_module(f"scenesynth.{m}") for m, _, _, _ in spans["SITES"]}
     cfg = write_cfg(tmp_path, map_file, n_scenes=3, augmented_fraction=1.0)
@@ -1316,9 +1314,7 @@ def test_every_traced_site_records_a_span(tmp_path, map_file):
     finally:
         tracer.uninstall()
     recorded = {span.name for span in tracer.spans}
-    assert sorted({name for _, _, name, _ in spans["SITES"]} - recorded) == [
-        "pretrain.mask_map", "pretrain.mask_trajectory"
-    ]
+    assert sorted({name for _, _, name, _ in spans["SITES"]} - recorded) == []
 
 
 def test_compare_outputs_same_tree_exits_0():

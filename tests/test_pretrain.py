@@ -463,6 +463,11 @@ def test_read_sample_fails_on_a_scene_edited_after_masking(demo_scene, tmp_path)
     assert str(exc.value) == (
         f"{f}:3: scene {scene_file.resolve()} is not the scene that was masked"
     )
+    # a scene that is not UTF-8 fails before its hash, naming the sample too
+    scene_file.write_bytes(b"\xff")
+    with pytest.raises(MapFormatError) as exc:
+        read_sample(f)
+    assert str(exc.value).startswith(f"{f}: scene file {scene_file.resolve()}: not UTF-8")
 
 
 def test_read_sample_names_the_missing_scene_of_a_moved_samples_directory(
@@ -553,7 +558,11 @@ def test_read_sample_fuzz_faults_raise_map_format_error(
     if fault == "not UTF-8":
         data = data.replace(b"\n", b"\n\xff", 1 + line % 3)
     f.write_bytes(data)
-    with pytest.raises(MapFormatError) as exc:
+    error = MapFormatError
+    if fault == "bad value" and i == 2:
+        # any hash is read as written, and one that is not the scene's fails on it
+        error = (MapFormatError, ValidationError)
+    with pytest.raises(error) as exc:
         read_sample(f)
     if fault != "not UTF-8":
         assert exc.value.line == want
