@@ -11,10 +11,11 @@ the `corridors` MIA and PIT map files:
   to `t_g = 7.0`, a second refinement shape of k = 10 fine steps per
   coarse step and n = 70, at one seed): `generate` N scenes from the maps,
   `validate` them, then `mask --task combined` into `samples/`, `mask
-  --task map --mask-ratio 0.3` of the scenes with two lanes or more
-  (older trees stop at a crop of one lane) into `samples_map/` and `mask
-  --task traj --map-fraction 0.2` (which the traj task ignores) into
-  `samples_traj/`, so that every masking path is compared, `stats` of
+  --task map --mask-ratio 0.3` (a crop of one lane falls back to its
+  trajectory sample) into `samples_map/` and `mask --task traj
+  --map-fraction 0.2` (which the traj task ignores) into
+  `samples_traj/`, each of the whole dataset, so that every masking path
+  is compared, `stats` of
   the dataset against itself into `tables/` and `plot --svg` into
   `plot/`; then the same again with `generate --workers 2`, into
   `scenes_w2/`, `samples_w2/`, `samples_map_w2/`, `samples_traj_w2/`,
@@ -105,7 +106,6 @@ AUGMENT_CASES = (
 RUN = """
 import contextlib
 import io
-import shutil
 import sys
 from pathlib import Path
 from scenesynth.cli import main
@@ -191,19 +191,11 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
     lines = [line.partition(" wall_ms=")[0] for line in text.splitlines()
              if line.startswith("scene=")]
     (logs / "generate.log").write_text("\\n".join(lines) + "\\n")
-    # a tree whose `mask --task map` stops at a crop of one lane (before it
-    # fell back to the trajectory sample) must be comparable, so the run
-    # reads a copy of the scene files that hold two lanes or more
-    multi_lane = work / f"multi_lane{suffix}"
-    multi_lane.mkdir()
-    for path in Path(run["scenes"]).glob("scene_*.csv"):
-        if path.read_text().count("\\n# map: lane ") >= 2:
-            shutil.copy(path, multi_lane)
     for log, argv in (
         ("validate.out", ["validate", "--scenes", run["scenes"]]),
         ("mask.out", ["mask", "--scenes", run["scenes"], "--task", "combined",
                       "--seed", seed, "--out", run["samples"]]),
-        ("mask_map.out", ["mask", "--scenes", str(multi_lane), "--task", "map",
+        ("mask_map.out", ["mask", "--scenes", run["scenes"], "--task", "map",
                           "--seed", seed, "--mask-ratio", "0.3",
                           "--out", run["samples_map"]]),
         ("mask_traj.out", ["mask", "--scenes", run["scenes"], "--task", "traj",
@@ -218,7 +210,6 @@ for suffix, workers in (("", "1"), ("_w2", "2")):
         for name, path in sorted(run.items(), key=lambda item: -len(item[1])):
             text = text.replace(path, name)
         (logs / log).write_text(text)
-    shutil.rmtree(multi_lane)
     if mode == "faulty":
         faulty = work / f"faulty{suffix}"
         faulty.mkdir()

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import MOVING_STEP
 from .maps import write_text_atomic
-from .synthesis import MOVING_STEP, SCENE_DT
+from .refine import FINE_DT
 
 SPEED_BIN_WIDTH = 0.5
 SPEED_RANGE = (0.0, 30.0)
@@ -51,24 +52,25 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return -(out - math.pi)
 
 
-def normalize_headings(trajectories: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
+def normalize_headings(trajectories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each (m, 2) trajectory of an (n, m, 2) array about its first
     point so that its first step longer than `MOVING_STEP` points +x. Returns
     the wrapped headings of the moving steps, in trajectory order, and the
     (n, 2) endpoints. Distances are preserved.
 
     An all-stationary trajectory has no heading: ValidationError naming
-    its entry of `paths`, one per trajectory. Each angle comes from scalar
-    `math.atan2`, `math.cos` and `math.sin`, and the rotation keeps
-    `geometry.rotate`'s products, so every value has the bits of rotating
-    one trajectory at a time.
+    its index. Each angle comes from scalar `math.atan2`, `math.cos` and
+    `math.sin`, and the rotation keeps `geometry.rotate`'s products, so
+    every value has the bits of rotating one trajectory at a time.
     """
     x, y = trajectories[..., 0], trajectories[..., 1]
     dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
     moving = np.hypot(dx, dy) > MOVING_STEP
     still = ~moving.any(axis=1)
     if still.any():
-        raise ValidationError("all-stationary trajectory has no heading", paths[still.argmax()])
+        raise ValidationError(
+            f"trajectory {still.argmax()}: all-stationary trajectory has no heading"
+        )
     first = (np.arange(len(trajectories)), moving.argmax(axis=1))
     angles = [-math.atan2(b, a) for a, b in zip(dx[first].tolist(), dy[first].tolist())]
     c = np.array([math.cos(a) for a in angles])[:, None]
@@ -94,18 +96,17 @@ def speed_distribution(trajectories: np.ndarray) -> Histogram:
         raise ValueError("need at least one trajectory")
     edges = speed_histogram_edges()
     steps = np.diff(trajectories, axis=1)
-    counts, _ = np.histogram(np.hypot(steps[..., 0], steps[..., 1]) / SCENE_DT, bins=edges)
+    counts, _ = np.histogram(np.hypot(steps[..., 0], steps[..., 1]) / FINE_DT, bins=edges)
     return Histogram(edges, counts)
 
 
-def heading_distribution(trajectories: np.ndarray, paths) -> Histogram:
-    """Histogram of the step headings of an (n, 50, 2) trajectory array
-    after rotation normalization (`normalize_headings`)."""
-    if len(trajectories) == 0:
-        raise ValueError("need at least one trajectory")
+def heading_distribution(headings: np.ndarray) -> Histogram:
+    """Histogram of the step headings that `normalize_headings` returns."""
+    if len(headings) == 0:
+        raise ValueError("need at least one heading")
     n = int(round(2.0 * math.pi / HEADING_BIN_WIDTH))
     edges = -math.pi + np.arange(n + 1) * (2.0 * math.pi / n)
-    counts, _ = np.histogram(normalize_headings(trajectories, paths)[0], bins=edges)
+    counts, _ = np.histogram(headings, bins=edges)
     return Histogram(edges, counts)
 
 

@@ -136,10 +136,9 @@ def cmd_mask(args) -> int:
     pretrain.write_samples_manifest(out_dir, scenes_dir)
     settings = pretrain.MaskSettings(args.seed, args.task, args.map_fraction, args.mask_ratio)
     n_map = 0
-    lanes = {}  # parsed lane records of this call (`read_scene`)
     for path in files:
         text = read_scene_text(path)
-        scene = read_scene(path, lanes, text)
+        scene = read_scene(path, text)
         task, masked = pretrain.draw_masked(settings, scene, path)
         n_map += task is pretrain.ReconTask.MAP
         ref = pretrain.SampleRef(path.name, pretrain.scene_sha256(text), settings, task, masked)
@@ -151,32 +150,33 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _load_trajectories(directory, lanes) -> tuple[list[Path], np.ndarray]:
-    """The scene files of `directory` and their (n, 50, 2) trajectories,
-    lane records parsed through the command's `lanes` dict (`read_scene`)."""
+def _load_trajectories(directory) -> np.ndarray:
+    """The (n, 50, 2) trajectories of the scene files of `directory`."""
     files = _scene_files(directory)
     trajectories = np.empty((len(files), SCENE_SAMPLES, 2))
     for row, path in enumerate(files):
-        trajectories[row] = read_scene(path, lanes).trajectory
-    return files, trajectories
+        trajectories[row] = read_scene(path).trajectory
+    return trajectories
 
 
-def _histograms(files, trajectories) -> tuple[analysis.Histogram, analysis.Histogram]:
-    """The speed and heading histograms of one directory's trajectories."""
+def _histograms(directory):
+    """The speed and heading histograms of the trajectories of
+    `directory`, and their endpoints after `analysis.normalize_headings`,
+    which rotates each trajectory once."""
+    trajectories = _load_trajectories(directory)
+    headings, endpoints = analysis.normalize_headings(trajectories)
     return (
         analysis.speed_distribution(trajectories),
-        analysis.heading_distribution(trajectories, files),
+        analysis.heading_distribution(headings),
+        endpoints,
     )
 
 
 def cmd_stats(args) -> int:
-    lanes = {}  # shared by both directories
-    scenes = _load_trajectories(args.scenes, lanes)
+    scenes = _histograms(args.scenes)
     # the same directory under another spelling is read and histogrammed once
     same = Path(args.ref).resolve() == Path(args.scenes).resolve()
-    ref = scenes if same else _load_trajectories(args.ref, lanes)
-    sp1, hd1 = _histograms(*scenes)
-    sp2, hd2 = (sp1, hd1) if same else _histograms(*ref)
+    (sp1, hd1, _), (sp2, hd2, _) = scenes, scenes if same else _histograms(args.ref)
     speed_rep = analysis.compare_distributions(sp1, sp2)
     head_rep = analysis.compare_distributions(hd1, hd2)
     print(f"speed_overlap={speed_rep.overlap:.6f} speed_jsd={speed_rep.jsd:.6f}")
@@ -197,11 +197,10 @@ def cmd_validate(args) -> int:
     failures = 0
     # the (status, city, cost) manifest row of each scene that reads back
     rows: dict[str, tuple[str, str, str]] = {}
-    lanes = {}  # parsed lane records of this call (`read_scene`)
     for path in files:
         try:
             text = read_scene_text(path)  # read once: the parse and the compare see one text
-            scene = read_scene(path, lanes, text)
+            scene = read_scene(path, text)
             if scene_to_text(scene) != text:
                 raise SceneSynthError("file bytes differ from canonical serialization", path)
         except SceneSynthError as exc:  # each names its file
@@ -220,11 +219,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    files, trajectories = _load_trajectories(args.scenes, {})
+    speeds, headings, endpoints = _histograms(args.scenes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    speeds, headings = _histograms(files, trajectories)
-    _, endpoints = analysis.normalize_headings(trajectories, files)
     analysis.write_histogram_table(speeds, out_dir / "speed_hist.csv")
     analysis.write_histogram_table(headings, out_dir / "heading_hist.csv")
     analysis.write_endpoint_cloud(endpoints, out_dir / "endpoints.csv")

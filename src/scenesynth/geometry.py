@@ -14,6 +14,11 @@ import numpy as np
 # Consecutive polyline points closer than this are considered coincident.
 COINCIDENT_TOL = 1e-9
 
+# The step length (m) that counts as moving: a scene's trajectory needs one
+# (`synthesis.validate_scene`), and `analysis.normalize_headings` takes
+# headings from such steps only.
+MOVING_STEP = 1e-12
+
 # The largest coordinate magnitude (m) of a polyline: about the square root
 # of the float range, so squared coordinate differences and arc-lengths stay
 # finite.

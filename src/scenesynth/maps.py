@@ -62,8 +62,8 @@ REFERENCE_SPACING = 1.0
 # recently used dropped first.
 PATH_CACHE_SIZE = 64
 
-# Parsed lane records that `parse_map_lines` keeps in a caller's `lanes`
-# dict, the least recently used dropped first.
+# Parsed lane records that `parse_map_lines` keeps for reuse (`_LANE_CACHE`),
+# the least recently used dropped first.
 LANE_CACHE_SIZE = 256
 
 
@@ -234,7 +234,11 @@ def _parse_lanes(lines, path, line_numbers):
     return cities, lanes
 
 
-def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap:
+# a lane record's lines as a tuple -> its LaneSegment, least recently used first
+_LANE_CACHE: dict[tuple[str, ...], LaneSegment] = {}
+
+
+def parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
     """Parse the map schema from a list of text lines.
 
     `line_numbers[i]` is the file line of `lines[i]` (default `i + 1`).
@@ -254,22 +258,20 @@ def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap
     faults before the lane above it is checked. Lines that hold a newline
     form one record.
 
-    `lanes`, when given, is the caller's cache of parsed lane records (a
-    fresh one otherwise), keyed by a record's lines as a tuple, so that
-    the lanes that many files share are parsed once and those files
-    share each such LaneSegment (and its Polyline). A record found there
-    is reused, its lane named by the record's first line; any other is
-    parsed on its own (`_parse_lanes`) and kept if it defines exactly one
-    lane, sets no city and begins with its header. A parse depends only
-    on the lines: the path and line numbers only label faults. Each
-    record found or kept moves to the back of `lanes`, which keeps the
-    last `LANE_CACHE_SIZE` of them. The graph checks run on every call.
-    The caller owns the dict and keeps it for one pass over a dataset; it
-    is not module state, so no call sees the lanes of another.
+    Parsed lane records are kept in `_LANE_CACHE`, keyed by a record's
+    lines as a tuple, so that the lanes that many files share are parsed
+    once and those files share each such LaneSegment (and its Polyline).
+    A record found there is reused, its lane named by the record's first
+    line; any other is parsed on its own (`_parse_lanes`) and kept if it
+    defines exactly one lane, sets no city and begins with its header.
+    Each record found or kept moves to the back of the cache, which keeps
+    the last `LANE_CACHE_SIZE` of them. A parse depends only on the
+    lines (the path and line numbers only label faults) and the graph
+    checks run on every call, so what the cache holds cannot change a
+    result or a fault.
     """
     if line_numbers is None:
         line_numbers = range(1, len(lines) + 1)
-    cache = {} if lanes is None else lanes
     text = "\n".join(lines)
     cuts = [0]  # the index in `lines` where each record begins
     if text.count("\n") == len(lines) - 1:  # no line holds a newline
@@ -287,7 +289,7 @@ def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap
     for a, b in zip(cuts, cuts[1:]):
         record = lines[a:b]
         key = tuple(record)
-        lane = cache.pop(key, None)
+        lane = _LANE_CACHE.pop(key, None)
         if lane is not None:
             found.append((lane, line_numbers[a]))
         else:
@@ -297,9 +299,9 @@ def parse_map_lines(lines, path=None, line_numbers=None, lanes=None) -> SceneMap
             if labels or len(parsed) != 1 or not lines[a].startswith("lane "):
                 continue
             lane = parsed[0][0]
-        if len(cache) >= LANE_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = lane
+        if len(_LANE_CACHE) >= LANE_CACHE_SIZE:
+            del _LANE_CACHE[next(iter(_LANE_CACHE))]
+        _LANE_CACHE[key] = lane
     city = cities[-1] if cities else "UNKNOWN"
     return make_map(city, [lane for lane, _ in found], path, [line for _, line in found])
 

@@ -382,7 +382,7 @@ def read_sample(path) -> PretrainSample:
     if scene_sha256(text) != ref.scene_sha256:
         raise ValidationError(f"scene {scene_path} is not the scene that was masked", path,
                               _LINE["scene_sha256"])
-    scene = read_scene(scene_path, None, text)
+    scene = read_scene(scene_path, text)
     use_map, rng = _draw_task(ref.settings, scene, scene_path)
     vectors = vectorize_scene(scene)
     sample = (mask_map(vectors, ref.settings.mask_ratio, rng) if use_map

@@ -41,7 +41,7 @@ and on a resume reads each kept scene file through `read_scene`.
 Every plan of a round has the config's `dt` and `n_steps + 1` states, so
 one smoothing system, which `GenerationConfig` checks, refines the round.
 The refined trajectory is already on the scene grid of `SCENE_SAMPLES`
-(module `refine`): the fine step of refinement is `SCENE_DT`, and the
+(module `refine`): the fine step of refinement is `FINE_DT`, and the
 planner step `dt` is a whole number of it.
 """
 
@@ -68,10 +68,9 @@ from .errors import (
     SceneSynthError,
     ValidationError,
 )
-from .geometry import Point2
+from .geometry import MOVING_STEP, Point2
 from .manifest import manifest_fields, manifest_text
 from .maps import (
-    LaneSegment,
     ReferencePath,
     SceneMap,
     crop_map,
@@ -83,14 +82,9 @@ from .planner import CoarsePlan, astar_plan, sample_speed_targets
 from .refine import FINE_DT, SCENE_SAMPLES, refine_trajectory
 from . import maps as maps_mod
 
-SCENE_DT = FINE_DT
-
 # kinematic sanity bounds for emitted trajectories
 MAX_SPEED = 25.0
 ACCEL_BOUNDS = (-5.0, 3.0)
-# the step length (m) that counts as moving: a trajectory needs one, and
-# `analysis.normalize_headings` takes headings from such steps only
-MOVING_STEP = 1e-12
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
@@ -124,8 +118,8 @@ def validate_scene(scene: Scene) -> None:
     if scene.trajectory.shape != (SCENE_SAMPLES, 2):
         raise ValidationError(f"scene {sid}: trajectory shape {scene.trajectory.shape}")
     gaps = np.diff(scene.timestamps)
-    if np.abs(gaps - SCENE_DT).max() > 1e-9:
-        raise ValidationError(f"scene {sid}: timestamps not {SCENE_DT} s apart")
+    if np.abs(gaps - FINE_DT).max() > 1e-9:
+        raise ValidationError(f"scene {sid}: timestamps not {FINE_DT} s apart")
     if not np.isfinite(scene.trajectory).all():
         raise ValidationError(f"scene {sid}: non-finite trajectory")
     steps = np.hypot(*np.diff(scene.trajectory, axis=0).T)
@@ -133,12 +127,12 @@ def validate_scene(scene: Scene) -> None:
         raise ValidationError(
             f"scene {sid}: all-stationary trajectory, no step longer than {MOVING_STEP} m"
         )
-    speeds = steps / SCENE_DT
+    speeds = steps / FINE_DT
     if speeds.max() > MAX_SPEED + 1e-9 or speeds.min() < -1e-9:
         raise ValidationError(
             f"scene {sid}: speed {speeds.max():.2f} outside [0, {MAX_SPEED}]"
         )
-    accels = np.diff(speeds) / SCENE_DT
+    accels = np.diff(speeds) / FINE_DT
     if accels.min() < ACCEL_BOUNDS[0] - 1e-9 or accels.max() > ACCEL_BOUNDS[1] + 1e-9:
         raise ValidationError(
             f"scene {sid}: acceleration outside {ACCEL_BOUNDS}"
@@ -262,7 +256,7 @@ def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig)
     if isinstance(outcome, SceneSynthError):
         raise outcome
     (plan, s_fine), path = outcome, draft.path
-    timestamps = np.arange(SCENE_SAMPLES) * SCENE_DT
+    timestamps = np.arange(SCENE_SAMPLES) * FINE_DT
     xy = path.xy_at(s_fine[:SCENE_SAMPLES])
 
     center = Point2(float(xy[SCENE_SAMPLES // 2, 0]), float(xy[SCENE_SAMPLES // 2, 1]))
@@ -385,9 +379,7 @@ def read_scene_text(path) -> str:
     return maps_mod.read_text(path, newline="")
 
 
-def read_scene(
-    path, lanes: dict[str, LaneSegment] | None = None, text: str | None = None
-) -> Scene:
+def read_scene(path, text: str | None = None) -> Scene:
     """Parse and validate a scene file in `scene_to_text`'s layout. Every
     fault is a MapFormatError or a ValidationError that names `path`, and
     the file line at fault where there is one.
@@ -408,18 +400,18 @@ def read_scene(
     metadata's); last `validate_scene`. The map block and the rows convert
     their numbers in one call each.
 
-    `lanes`, when given, is the caller's cache of parsed lane records
-    (`maps.parse_map_lines`): files that share a lane share its
-    LaneSegment. `validate_scene` still checks every scene. `text`, when
-    given, is the file's `read_scene_text`, which the caller read once to
-    use it besides the parse; the file is then not read again.
+    Files that share a lane record share its LaneSegment, through the
+    lane cache of `maps.parse_map_lines`; `validate_scene` still checks
+    every scene. `text`, when given, is the file's `read_scene_text`,
+    which the caller read once to use it besides the parse; the file is
+    then not read again.
     """
     if text is None:
         text = read_scene_text(path)
     metadata, map_lines, map_at, rows, row_at = _layout_parts(text, path)
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)
-    map_crop = parse_map_lines(map_lines, path=path, line_numbers=map_at, lanes=lanes)
+    map_crop = parse_map_lines(map_lines, path=path, line_numbers=map_at)
     tokens = ",".join(rows).split(",") if rows else []
     table = _trajectory_table(rows, tokens, row_at, path)
     if len(rows) != SCENE_SAMPLES:
@@ -578,10 +570,10 @@ def generate_dataset(
 
     Already-written scene ids are kept, so interrupted runs resume; a
     rerun over a complete dataset rewrites nothing. Each kept file is read
-    and validated in full (`read_scene`, one lane cache for the scan), and
-    then its seed is checked: a file that no longer reads stops the run
-    with its read error, and a file made with another seed with a
-    ConfigError, before anything is written.
+    and validated in full (`read_scene`), and then its seed is checked: a
+    file that no longer reads stops the run with its read error, and a
+    file made with another seed with a ConfigError, before anything is
+    written.
 
     One worker makes the scenes still to make as one queue; more workers
     make the chunks of `chunk_indices`, one queue and one pool task each.
@@ -603,13 +595,12 @@ def generate_dataset(
 
     records: dict[int, SceneRecord] = {}
     todo: list[int] = []
-    lanes = {}  # parsed lane records of the kept files (`read_scene`)
     for index in range(cfg.n_scenes):
         path = out_dir / scene_filename(index)
         if not path.exists():
             todo.append(index)
             continue
-        meta = read_scene(path, lanes).metadata
+        meta = read_scene(path).metadata
         rng_key = meta.get("rng_key", "")
         if rng_key.partition("/")[0] != str(cfg.seed):
             raise ConfigError(

@@ -23,6 +23,7 @@ principles.
 `plan_one`, `refine_one` and `make_scene` are no oracles: they run the
 package's batched planner, refinement and scene attempt on one problem
 and raise its error, the single-problem form that most tests call.
+`with_lane_cache` runs a read under a lane cache that the test holds.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from scenesynth import synthesis
+from scenesynth import maps, synthesis
 from scenesynth.errors import (
     MapFormatError,
     MaskingError,
@@ -61,6 +62,7 @@ from scenesynth.maps import (
 from scenesynth.planner import CoarsePlan, PlannerParams, astar_plan
 from scenesynth.pretrain import PretrainSample, ReconTask
 from scenesynth.refine import (
+    FINE_DT,
     RefinementParams,
     _quadratic_form,
     refine_trajectory,
@@ -68,7 +70,6 @@ from scenesynth.refine import (
 )
 from scenesynth.synthesis import (
     CSV_HEADER,
-    SCENE_DT,
     SCENE_SAMPLES,
     GenerationConfig,
     Scene,
@@ -452,7 +453,7 @@ def build_refinement_system(
     coarse: CoarsePlan, p: RefinementParams, v0: float, s0: float
 ) -> RefinementSystem:
     k, n = refinement_shape(p, coarse.dt, len(coarse.s))
-    dt = SCENE_DT
+    dt = FINE_DT
     grid_t = np.arange(n + 1) * dt
 
     knot_index = np.arange(1, n // k + 1) * k
@@ -495,7 +496,7 @@ def solve_system(sys: RefinementSystem) -> tuple[np.ndarray, np.ndarray]:
     s0, v0 = sys.b
     x = refine_one(sys.coarse, sys.params, v0=float(v0), s0=float(s0))
     grad = objective_gradient(x, sys)
-    return x, np.array([-grad[0] - grad[1], -SCENE_DT * grad[1]])
+    return x, np.array([-grad[0] - grad[1], -FINE_DT * grad[1]])
 
 
 @lru_cache(maxsize=8)
@@ -601,9 +602,9 @@ def objective_value(x: np.ndarray, sys: RefinementSystem) -> float:
     p = sys.params
     total = 0.0
     if x.size >= 3:
-        total += p.omega1 * float(np.sum(accel_of(x, SCENE_DT) ** 2))
+        total += p.omega1 * float(np.sum(accel_of(x, FINE_DT) ** 2))
     if x.size >= 4:
-        total += p.omega2 * float(np.sum(jerk_of(x, SCENE_DT) ** 2))
+        total += p.omega2 * float(np.sum(jerk_of(x, FINE_DT) ** 2))
     total += p.omega3 * float(np.sum((x[sys.knot_index] - sys.sc_knots) ** 2))
     return total
 
@@ -997,3 +998,15 @@ def assert_same_outcome(read, reference, *args) -> None:
         assert_same_scene(got, want)
     else:
         assert_same_map(got, want)
+
+
+def with_lane_cache(read, cache: dict):
+    """`read` run with `cache` as the lane cache of `maps.parse_map_lines`
+    (`maps._LANE_CACHE`); the module's own cache is back after each call."""
+
+    def call(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maps, "_LANE_CACHE", cache)
+            return read(*args)
+
+    return call

@@ -27,7 +27,8 @@ from scenesynth.analysis import (
 )
 from scenesynth.errors import ValidationError
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.synthesis import SCENE_DT, GenerationConfig, generate_dataset, read_scene
+from scenesynth.refine import FINE_DT
+from scenesynth.synthesis import GenerationConfig, generate_dataset, read_scene
 
 
 def constant_speed_trajectory(speed=10.0, heading=0.0):
@@ -127,29 +128,28 @@ def test_normalize_headings_matches_the_one_trajectory_oracle_bit_for_bit(
     workload_trajectories,
 ):
     trajectories = np.concatenate([crafted_trajectories(), workload_trajectories])
-    paths = [f"scene_{i:06d}.csv" for i in range(len(trajectories))]
-    headings, endpoints = normalize_headings(trajectories, paths)
+    headings, endpoints = normalize_headings(trajectories)
     stats = [trajectory_stats(traj) for traj in trajectories]
     want = np.concatenate([one.headings for one in stats])
     assert headings.tobytes() == want.tobytes()
     assert endpoints.tobytes() == np.array([one.endpoint for one in stats]).tobytes()
-    h = heading_distribution(trajectories, paths)
+    h = heading_distribution(headings)
     assert np.array_equal(h.counts, np.histogram(want, bins=h.edges)[0])
     speeds = np.concatenate(
-        [np.hypot(*np.diff(traj, axis=0).T) / SCENE_DT for traj in trajectories]
+        [np.hypot(*np.diff(traj, axis=0).T) / FINE_DT for traj in trajectories]
     )
     h = speed_distribution(trajectories)
     assert np.array_equal(h.counts, np.histogram(speeds, bins=h.edges)[0])
     # the out-and-back trajectory reaches the wrap point from both sides
     assert (stats[1].headings[25:] == math.pi).all()
-    # an all-stationary trajectory raises the oracle's error, naming its path
+    # an all-stationary trajectory raises the oracle's error, naming its index
     still = np.insert(trajectories, 2, np.full((50, 2), 4.0), axis=0)
     with pytest.raises(ValidationError) as want:
         trajectory_stats(still[2])
     with pytest.raises(ValidationError) as got:
-        normalize_headings(still, [*paths[:2], "still.csv", *paths[2:]])
-    assert got.value.path == "still.csv"
-    assert str(got.value) == f"still.csv: {want.value}"
+        normalize_headings(still)
+    assert got.value.path is None
+    assert str(got.value) == f"trajectory 2: {want.value}"
 
 
 def test_speed_distribution_constant_scene_single_bin():
@@ -170,7 +170,8 @@ def test_speed_distribution_needs_scenes():
 
 
 def test_heading_distribution_straight_scene_at_zero():
-    h = heading_distribution(constant_speed_trajectory(10.0, heading=1.1)[None], ["s"])
+    headings, _ = normalize_headings(constant_speed_trajectory(10.0, heading=1.1)[None])
+    h = heading_distribution(headings)
     centers = 0.5 * (h.edges[:-1] + h.edges[1:])
     assert abs(centers[np.argmax(h.counts)]) < math.pi / 36
 

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lane_records
+from oracles import lane_records, trajectory_stats, with_lane_cache
 
 import scenesynth
-from scenesynth import cli
+from scenesynth import analysis, cli
 from scenesynth.cli import main, parse_run_config
 from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
@@ -664,6 +664,7 @@ def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
     built = []  # one entry per lane parsed
     polyline = maps.Polyline
     monkeypatch.setattr(maps, "Polyline", lambda xy: built.append(1) or polyline(xy))
+    monkeypatch.setattr(maps, "_LANE_CACHE", {})
     capsys.readouterr()
 
     def validate():
@@ -677,7 +678,7 @@ def test_validate_fails_a_file_whose_twin_was_read_first_as_without_the_cache(
     records = [r for f in scenes.glob("scene_*.csv") if f != victim for r in lane_records(f)]
     assert len(built) == len(set(records)) < len(records)
     monkeypatch.setattr(
-        cli, "read_scene", lambda path, lanes, text: read_scene(path, None, text)
+        cli, "read_scene", lambda path, text: with_lane_cache(read_scene, {})(path, text)
     )
     assert validate() == cached
     assert cached[0] == 1
@@ -695,6 +696,7 @@ def test_read_commands_write_the_same_bytes_at_any_lane_cache_size(
     runs = []
     for size in (maps.LANE_CACHE_SIZE, 1):
         monkeypatch.setattr(maps, "LANE_CACHE_SIZE", size)
+        monkeypatch.setattr(maps, "_LANE_CACHE", {})
         out = tmp_path / "out"
         capsys.readouterr()
         for argv in (
@@ -821,6 +823,48 @@ def test_plot_emits_tables_and_svg(tmp_path, map_file):
     for name in ("speed_hist.csv", "heading_hist.csv", "endpoints.csv",
                  "speed_hist.svg", "heading_hist.svg"):
         assert (out / name).exists()
+
+
+def test_plot_rotates_each_trajectory_once_and_writes_the_one_trajectory_bytes(
+    tmp_path, map_file, monkeypatch
+):
+    """plot makes one `normalize_headings` call, for both its heading
+    histogram and its endpoints, and writes what the one-trajectory oracle
+    (`trajectory_stats`) gives: the same table and SVG bytes."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=12, augmented_fraction="0.5")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    scenes = tmp_path / "scenes"
+    calls = []
+    normalize = analysis.normalize_headings
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return normalize(*args)
+
+    monkeypatch.setattr(analysis, "normalize_headings", counted)
+    out = tmp_path / "plot"
+    assert main(["plot", "--scenes", str(scenes), "--out", str(out), "--svg"]) == 0
+    files = sorted(scenes.glob("scene_*.csv"))
+    assert calls == [len(files)]
+
+    trajectories = np.array([read_scene(f).trajectory for f in files])
+    stats = [trajectory_stats(traj) for traj in trajectories]
+    headings = np.concatenate([one.headings for one in stats])
+    edges = analysis.heading_distribution(headings).edges
+    speeds = analysis.speed_distribution(trajectories)
+    heading_hist = analysis.Histogram(edges, np.histogram(headings, bins=edges)[0])
+    want = tmp_path / "want"
+    want.mkdir()
+    analysis.write_histogram_table(speeds, want / "speed_hist.csv")
+    analysis.write_histogram_table(heading_hist, want / "heading_hist.csv")
+    endpoints = np.array([one.endpoint for one in stats])
+    analysis.write_endpoint_cloud(endpoints, want / "endpoints.csv")
+    analysis.render_histogram_svg(speeds, want / "speed_hist.svg", title="speed (m/s)")
+    analysis.render_histogram_svg(heading_hist, want / "heading_hist.svg", title="heading (rad)")
+    names = sorted(f.name for f in want.iterdir())
+    assert sorted(f.name for f in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def write_edited_scene(tmp_path, map_file, edit):
@@ -1275,14 +1319,6 @@ def test_demo_pipeline_runs(tmp_path, monkeypatch, capsys):
     runpy.run_path(str(script), run_name="__main__")
     assert "demo complete" in capsys.readouterr().out
     assert len(list((tmp_path / "demo" / "samples").glob("sample_*.txt"))) == 4
-
-
-def test_every_traced_site_is_a_callable_of_its_module():
-    sites = runpy.run_path(str(REPO / "perfbench" / "spans.py"), run_name="spans")["SITES"]
-    assert sites
-    for module, attr, _, _ in sites:
-        found = getattr(importlib.import_module(f"scenesynth.{module}"), attr, None)
-        assert callable(found), f"scenesynth.{module}.{attr}"
 
 
 def test_every_traced_site_records_a_span(tmp_path, map_file):

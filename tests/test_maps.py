@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from oracles import (
     assert_same_outcome,
     reference_crop_map,
     reference_parse_map_lines,
+    with_lane_cache,
 )
 from scenesynth import maps
 from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame, apply_transform
@@ -201,18 +200,19 @@ MAP_LINES = [
 
 
 def assert_parses_as_reference(lines):
-    """`parse_map_lines` parses `lines` as the reference does: without a
-    lane cache, with a cold one, with one that has parsed the unedited
-    `chain3` map, and with one that has parsed `lines` themselves."""
+    """`parse_map_lines` parses `lines` as the reference does: with the
+    lane cache as earlier parses left it, with a cold one, with one that
+    has parsed the unedited `chain3` map, and with one that has parsed
+    `lines` themselves."""
     assert_same_outcome(parse_map_lines, reference_parse_map_lines, lines)
     cold, clean, warm = {}, {}, {}
-    parse_map_lines(map_to_lines(generate_map_fixture("chain3")), lanes=clean)
+    with_lane_cache(parse_map_lines, clean)(map_to_lines(generate_map_fixture("chain3")))
     try:
-        parse_map_lines(lines, lanes=warm)
+        with_lane_cache(parse_map_lines, warm)(lines)
     except SceneSynthError:
         pass
     for lanes in (cold, clean, warm):
-        parse = functools.partial(parse_map_lines, lanes=lanes)
+        parse = with_lane_cache(parse_map_lines, lanes)
         assert_same_outcome(parse, reference_parse_map_lines, lines)
 
 

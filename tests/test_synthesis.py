@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import os
 import pickle
@@ -19,6 +18,7 @@ from oracles import (
     make_scene,
     reference_read_scene,
     reference_scene_text,
+    with_lane_cache,
 )
 from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
@@ -45,29 +45,29 @@ def small_cfg(tmp_path, n=6, seed=3, **kw):
 
 
 def warm_read_scene(scene, directory):
-    """`read_scene` through a `lanes` dict that has read the unedited file
+    """`read_scene` through a lane cache that has read the unedited file
     of `scene`, so that each of its lane records is a hit."""
     clean = directory / "clean.csv"
     clean.write_text(scene_to_text(scene), encoding="utf-8")
-    lanes = {}
-    read_scene(clean, lanes)
-    return functools.partial(read_scene, lanes=lanes)
+    read = with_lane_cache(read_scene, {})
+    read(clean)
+    return read
 
 
 def assert_reads_as_reference(f, scene):
-    """`read_scene` reads `f` as `reference_read_scene` does: without a
-    `lanes` dict, with a cold one, with one that has read `f` itself, and
-    with one that has read the unedited file of `scene`, whose lane records
-    are those of `f` but for the edited ones (which must fault as they do
-    afresh)."""
+    """`read_scene` reads `f` as `reference_read_scene` does: with the lane
+    cache as earlier reads left it, with a cold one, with one that has
+    read `f` itself, and with one that has read the unedited file of
+    `scene`, whose lane records are those of `f` but for the edited ones
+    (which must fault as they do afresh)."""
     assert_same_outcome(read_scene, reference_read_scene, f)
-    assert_same_outcome(functools.partial(read_scene, lanes={}), reference_read_scene, f)
-    warm = {}
+    assert_same_outcome(with_lane_cache(read_scene, {}), reference_read_scene, f)
+    warm = with_lane_cache(read_scene, {})
     try:
-        read_scene(f, warm)
+        warm(f)
     except SceneSynthError:
         pass
-    assert_same_outcome(functools.partial(read_scene, lanes=warm), reference_read_scene, f)
+    assert_same_outcome(warm, reference_read_scene, f)
     assert_same_outcome(warm_read_scene(scene, f.parent), reference_read_scene, f)
 
 
@@ -236,7 +236,7 @@ def test_validate_scene_refuses_what_normalize_headings_cannot_turn(demo_scene, 
     trajectory[25:, 0] += step
     scene = replace(demo_scene, trajectory=trajectory)
     try:
-        normalize_headings(trajectory[None], ["scene"])
+        normalize_headings(trajectory[None])
     except ValidationError:
         with pytest.raises(ValidationError, match="all-stationary trajectory"):
             validate_scene(scene)
@@ -416,7 +416,7 @@ def test_read_scene_off_the_layout_reads_as_the_reference(demo_scene, tmp_path, 
 def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
     cfg = GenerationConfig(output_dir="unused", augmented_fraction=fraction)
     f = tmp_path / "scene_000000.csv"
-    warm = functools.partial(read_scene, lanes={})
+    warm = with_lane_cache(read_scene, {})
     read = 0
     index = 0
     while read < 200:
@@ -427,7 +427,7 @@ def test_read_scene_matches_reference(corridors_map, fraction, tmp_path):
             continue
         f.write_text(scene_to_text(scene), encoding="utf-8")
         assert_same_outcome(read_scene, reference_read_scene, f)
-        assert_same_outcome(functools.partial(read_scene, lanes={}), reference_read_scene, f)
+        assert_same_outcome(with_lane_cache(read_scene, {}), reference_read_scene, f)
         warm(f)  # the next read of f is a hit
         assert_same_outcome(warm, reference_read_scene, f)
         read += 1
@@ -557,23 +557,40 @@ def test_scene_text_templates_match_reference_on_edge_values():
 
 
 def test_warm_lanes_read_the_scenes_of_a_mixed_dataset_unchanged(tmp_path, corridors_map):
-    """Every scene read through a warm `lanes` dict is the scene read
-    without one, and the files of one lane record share one LaneSegment."""
+    """Every scene read through a warm lane cache is the scene read through
+    a cold one, and the files of one lane record share one LaneSegment."""
     generate_dataset([corridors_map], small_cfg(tmp_path, n=60, seed=11))
     files = sorted((tmp_path / "scenes").glob("scene_*.csv"))
     records = [lane_records(f) for f in files]
     assert len({r for rs in records for r in rs}) < maps.LANE_CACHE_SIZE  # none is dropped
     lanes = {}
+    read = with_lane_cache(read_scene, lanes)
     for f in files:
-        read_scene(f, lanes)
+        read(f)
     shared = {}  # lane record -> the LaneSegment of its first file
     for f, file_records in zip(files, records):
-        got = read_scene(f, lanes)
-        assert_same_scene(got, read_scene(f))
+        got = read(f)
+        assert_same_scene(got, with_lane_cache(read_scene, {})(f))
         assert len(file_records) == len(got.map_crop.lanes)
         for record, lane in zip(file_records, got.map_crop.lanes.values()):
             assert shared.setdefault(record, lane) is lane
     assert len(lanes) == len(shared) < sum(map(len, records))
+
+
+def test_read_scene_calls_share_the_lane_of_a_shared_record(tmp_path, demo_scene):
+    """Two scene files with one map crop: each lane of the second read is
+    the LaneSegment object of the first read, with no cache passed in, and
+    the module's lane cache holds it."""
+    sid = "000001"
+    twin = replace(demo_scene, scene_id=sid, metadata={**demo_scene.metadata, "scene_id": sid})
+    first, second = tmp_path / "scene_000000.csv", tmp_path / "scene_000001.csv"
+    first.write_text(scene_to_text(demo_scene), encoding="utf-8")
+    second.write_text(scene_to_text(twin), encoding="utf-8")
+    a, b = read_scene(first).map_crop.lanes, read_scene(second).map_crop.lanes
+    assert list(a) == list(b) and len(a) >= 2
+    for lane_id, lane in a.items():
+        assert b[lane_id] is lane
+    assert set(map(id, a.values())) <= set(map(id, maps._LANE_CACHE.values()))
 
 
 def test_lanes_keep_the_last_records_up_to_their_bound(tmp_path, demo_scene, corridors_map,
@@ -588,9 +605,10 @@ def test_lanes_keep_the_last_records_up_to_their_bound(tmp_path, demo_scene, cor
         files.append(f)
     a, b, c, d = files
     lanes = {}
+    monkeypatch.setattr(maps, "_LANE_CACHE", lanes)
     recent = []  # the distinct lanes read, least recently read first
     for f in (a, b, a, c, d, b):  # the hit on a keeps it past the read of d
-        (lane,) = read_scene(f, lanes).map_crop.lanes.values()
+        (lane,) = read_scene(f).map_crop.lanes.values()
         recent = [m for m in recent if m is not lane] + [lane]
         assert list(lanes.values()) == recent[-3:]
 
