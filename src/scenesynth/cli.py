@@ -61,13 +61,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, pretrain
-from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform, sample_transform_params
+from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform
 from .config import GenerationConfig, parse_run_config
 from .errors import ConfigError, SceneSynthError
-from .manifest import manifest_fields, manifest_problems
-from .maps import build_reference_path, load_map, save_map, write_text_atomic
+from .manifest import MANIFEST_FILE, manifest_fields, manifest_problems
+from .maps import load_map, save_map, write_text_atomic
 from .synthesis import (
     SCENE_SAMPLES,
+    draw_warp,
     generate_dataset,
     read_scene,
     read_scene_text,
@@ -86,11 +87,7 @@ def _scene_files(directory) -> list[Path]:
 
 def cmd_augment_map(args) -> int:
     m = load_map(args.map)
-    rng = np.random.default_rng([args.seed])
-    lane_ids = m.sorted_ids()
-    seed_lane = lane_ids[int(rng.integers(len(lane_ids)))]
-    path = build_reference_path(m, seed_lane, GenerationConfig.path_min_length, rng)
-    params = sample_transform_params(rng, path)
+    params = draw_warp(m, np.random.default_rng([args.seed]), GenerationConfig())
     if args.kind is not None:
         kind = TurnKind.SINGLE if args.kind == "single" else TurnKind.DOUBLE
         params = replace(
@@ -122,7 +119,7 @@ def cmd_generate(args) -> int:
         f"generated {len(records) - skipped} scenes and skipped {skipped} "
         f"in {elapsed:.1f} s ({len(records) / elapsed:.2f} scenes/s)"
     )
-    print(f"manifest: {Path(cfg.output_dir) / 'manifest.txt'}")
+    print(f"manifest: {Path(cfg.output_dir) / MANIFEST_FILE}")
     return 1 if skipped == len(records) else 0
 
 
@@ -208,7 +205,7 @@ def cmd_validate(args) -> int:
             print(f"FAIL {exc}", file=sys.stderr)
             continue
         rows[path.name] = manifest_fields(scene.metadata)
-    manifest = Path(args.scenes) / "manifest.txt"
+    manifest = Path(args.scenes) / MANIFEST_FILE
     if manifest.exists():
         problems = manifest_problems(manifest, {path.name for path in files}, rows)
         for problem in problems:

@@ -21,6 +21,8 @@ from .config import GenerationConfig
 from .errors import ConfigError, ValidationError
 from .maps import read_lines
 
+MANIFEST_FILE = "manifest.txt"  # in the dataset's output_dir
+
 CONFIG = "# config "
 MAPS = "# maps: "
 COUNT = "# count "

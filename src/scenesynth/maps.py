@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import MapFormatError, PathOverrunError, ValidationError
 from .geometry import (
+    COINCIDENT_TOL,
     Point2,
     Polyline,
     curvature_profile,
@@ -416,7 +417,7 @@ def _concat_centerlines(polys: list[Polyline]) -> Polyline:
     pieces = [polys[0].xy]
     for poly in polys[1:]:
         xy = poly.xy
-        if float(np.hypot(*(xy[0] - pieces[-1][-1]))) <= 1e-9:
+        if float(np.hypot(*(xy[0] - pieces[-1][-1]))) <= COINCIDENT_TOL:
             xy = xy[1:]
         pieces.append(xy)
     return Polyline(np.concatenate(pieces, axis=0))

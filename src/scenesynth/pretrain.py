@@ -49,12 +49,12 @@ from pathlib import Path, PurePath
 
 import numpy as np
 
+from .analysis import FORECAST_MODES
 from .config import FLOAT, INT
 from .errors import MapFormatError, MaskingError, ValidationError
 from .maps import read_lines, write_text_atomic
-from .synthesis import Scene, read_scene, read_scene_text
+from .synthesis import SCENE_TIMES, Scene, read_scene, read_scene_text
 
-TRAJ_MODES = 6
 DEFAULT_MASK_RATIO = 0.5
 DEFAULT_MAP_FRACTION = 0.7
 DEFAULT_REG_WEIGHT = 0.05
@@ -125,9 +125,7 @@ def vectorize_scene(scene: Scene) -> np.ndarray:
         [(len(lane.predecessors), len(lane.successors)) for lane in lanes], float
     ).reshape(-1, 2)
     out[:n_lane_rows, 6:8] = np.repeat(links, n_segments[:-1], axis=0)
-    t = scene.timestamps
-    out[n_lane_rows:, 6] = t[:-1]
-    out[n_lane_rows:, 7] = t[1:]
+    out[n_lane_rows:, 6], out[n_lane_rows:, 7] = SCENE_TIMES[:-1], SCENE_TIMES[1:]
     return out
 
 
@@ -227,8 +225,8 @@ def traj_recon_loss(
     """Best-of-6 point-wise L1 plus `reg_weight` times the mean L1 of the
     remaining modes. Returns (loss, best mode index; ties take the lowest)."""
     preds = [np.asarray(p, float) for p in preds]
-    if len(preds) != TRAJ_MODES:
-        raise ValueError(f"need exactly {TRAJ_MODES} candidate modes, got {len(preds)}")
+    if len(preds) != FORECAST_MODES:
+        raise ValueError(f"need exactly {FORECAST_MODES} candidate modes, got {len(preds)}")
     target = np.asarray(target, float)
     losses = np.array([_pointwise_l1(p, target) for p in preds])
     best = int(np.argmin(losses))

@@ -57,7 +57,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .augment import apply_transform, sample_transform_params
+from .augment import TurnTransformParams, apply_transform, sample_transform_params
 from .config import GenerationConfig
 from .errors import (
     ConfigError,
@@ -69,7 +69,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import MOVING_STEP, Point2
-from .manifest import manifest_fields, manifest_text
+from .manifest import MANIFEST_FILE, manifest_fields, manifest_text
 from .maps import (
     ReferencePath,
     SceneMap,
@@ -88,6 +88,12 @@ ACCEL_BOUNDS = (-5.0, 3.0)
 
 CSV_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 
+# the scene grid, a constant of the format: the TIMESTAMP text of each row,
+# and its floats as parsed from that text (0.3, not 3 * 0.1)
+TIMESTAMP_TEXT = tuple(f"{k * FINE_DT:.1f}" for k in range(SCENE_SAMPLES))
+SCENE_TIMES = np.array(TIMESTAMP_TEXT, float)
+SCENE_TIMES.setflags(write=False)
+
 # the most attempts that one round plans and refines together: each planner
 # call has a fixed cost (about 1.7 ms on a 2-core Xeon), which a larger round
 # shares among more scenes. Output bytes do not depend on it
@@ -103,23 +109,15 @@ class Scene:
     scene_id: str
     city: str
     map_crop: SceneMap
-    timestamps: np.ndarray  # (50,)
-    trajectory: np.ndarray  # (50, 2)
+    trajectory: np.ndarray  # (50, 2), at SCENE_TIMES
     metadata: dict[str, str] = field(default_factory=dict)
 
 
 def validate_scene(scene: Scene) -> None:
     """Check every scene invariant; raises ValidationError."""
     sid = scene.scene_id
-    if scene.timestamps.shape != (SCENE_SAMPLES,):
-        raise ValidationError(
-            f"scene {sid}: {scene.timestamps.shape[0]} samples, expected {SCENE_SAMPLES}"
-        )
     if scene.trajectory.shape != (SCENE_SAMPLES, 2):
         raise ValidationError(f"scene {sid}: trajectory shape {scene.trajectory.shape}")
-    gaps = np.diff(scene.timestamps)
-    if np.abs(gaps - FINE_DT).max() > 1e-9:
-        raise ValidationError(f"scene {sid}: timestamps not {FINE_DT} s apart")
     if not np.isfinite(scene.trajectory).all():
         raise ValidationError(f"scene {sid}: non-finite trajectory")
     steps = np.hypot(*np.diff(scene.trajectory, axis=0).T)
@@ -150,6 +148,17 @@ def validate_scene(scene: Scene) -> None:
     d = np.hypot(scene.trajectory[:, 0] - cx, scene.trajectory[:, 1] - cy)
     if d.max() > radius + 1e-6:
         raise ValidationError(f"scene {sid}: trajectory leaves the crop radius")
+
+
+def draw_warp(base_map: SceneMap, rng, cfg: GenerationConfig) -> TurnTransformParams:
+    """The warp of `base_map` drawn from `rng`: the anchor lane, its
+    reference path, then the warp parameters on that path."""
+    lane_ids = base_map.sorted_ids()
+    anchor_lane = lane_ids[int(rng.integers(len(lane_ids)))]
+    anchor_path = maps_mod.build_reference_path(
+        base_map, anchor_lane, cfg.path_min_length, rng, cfg.path_spacing
+    )
+    return sample_transform_params(rng, anchor_path, cfg.max_warp_slope)
 
 
 @dataclass(frozen=True)
@@ -194,12 +203,7 @@ def draw_scene(
     }
     work_map = base_map
     if augmented:
-        lane_ids = base_map.sorted_ids()
-        anchor_lane = lane_ids[int(rng.integers(len(lane_ids)))]
-        anchor_path = maps_mod.build_reference_path(
-            base_map, anchor_lane, cfg.path_min_length, rng, cfg.path_spacing
-        )
-        params = sample_transform_params(rng, anchor_path, cfg.max_warp_slope)
+        params = draw_warp(base_map, rng, cfg)
         work_map = apply_transform(base_map, params)
         metadata.update(params.metadata())
 
@@ -256,7 +260,6 @@ def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig)
     if isinstance(outcome, SceneSynthError):
         raise outcome
     (plan, s_fine), path = outcome, draft.path
-    timestamps = np.arange(SCENE_SAMPLES) * FINE_DT
     xy = path.xy_at(s_fine[:SCENE_SAMPLES])
 
     center = Point2(float(xy[SCENE_SAMPLES // 2, 0]), float(xy[SCENE_SAMPLES // 2, 1]))
@@ -269,44 +272,38 @@ def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig)
         "crop_center_y": repr(center.y),
         "crop_radius": repr(cfg.crop_radius),
     }
-    scene = Scene(draft.scene_id, draft.city, crop, timestamps, xy, metadata)
+    scene = Scene(draft.scene_id, draft.city, crop, xy, metadata)
     validate_scene(scene)
     return scene
 
 
 def scene_to_text(scene: Scene) -> str:
-    """The scene file's text. The trajectory rows are one `%` template,
-    `TIMESTAMP %.1f` and `X`, `Y` `%.9f` (the strings of `f"{v:.1f}"` and
-    `f"{v:.9f}"`), the scene id and city escaped into it."""
+    """The scene file's text. The trajectory rows are one `%` template of
+    `TIMESTAMP_TEXT`, the escaped scene id and city, and `X`, `Y` `%.9f`
+    (the strings of `f"{v:.9f}"`)."""
     lines = [f"# {k}: {v}" for k, v in scene.metadata.items()]
     lines.append("# map: " + "\n# map: ".join(map_to_lines(scene.map_crop)))
     lines.append(CSV_HEADER)
     sid, city = (text.replace("%", "%%") for text in (scene.scene_id, scene.city))
-    values = np.column_stack((scene.timestamps, scene.trajectory)).ravel().tolist()
-    rows = (f"%.1f,{sid},AGENT,%.9f,%.9f,{city}\n" * len(scene.timestamps)) % tuple(values)
+    template = "".join(f"{t},{sid},AGENT,%.9f,%.9f,{city}\n" for t in TIMESTAMP_TEXT)
+    rows = template % tuple(scene.trajectory.ravel().tolist())
     return "\n".join(lines) + "\n" + rows
 
 
 def _trajectory_table(rows: list[str], tokens: list[str], row_lines: list[int], path) -> np.ndarray:
-    """The (n, 3) TIMESTAMP, X, Y values of CSV rows, whose comma-split
-    `tokens` run on across rows, converted in one call; MapFormatError
-    names the first row at fault."""
-    n = len(rows)
-    if [row.count(",") for row in rows] == [5] * n and tokens[2::6] == ["AGENT"] * n:
+    """The (n, 2) X, Y values of CSV rows (`tokens`: the rows comma-split as
+    one), converted in one call; MapFormatError names the first row at fault."""
+    if [row.count(",") for row in rows] == [5] * len(rows):
         try:
-            return np.array([tokens[0::6], tokens[3::6], tokens[4::6]], float).T.copy()
+            return np.array([tokens[3::6], tokens[4::6]], float).T.copy()
         except ValueError:
             pass
     for row, lineno in zip(rows, row_lines):
         fields = row.split(",")
         if len(fields) != 6:
             raise MapFormatError(f"expected 6 columns, got {len(fields)}", path, lineno)
-        if fields[2] != "AGENT":
-            raise MapFormatError(
-                f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno
-            )
         try:
-            float(fields[0]), float(fields[3]), float(fields[4])
+            float(fields[3]), float(fields[4])
         except ValueError as exc:
             raise MapFormatError(f"bad numeric field: {row}", path, lineno) from exc
     raise AssertionError("rows that pass every per-row check did not convert")
@@ -395,10 +392,11 @@ def read_scene(path, text: str | None = None) -> Scene:
     after the block, a row before the header) is a MapFormatError naming
     it. Faults then come in file order: missing `scene_id`/`city`
     metadata; the map block, in the order of `maps.parse_map_lines`; the
-    rows (a row's column count, `OBJECT_TYPE` or number, then the row
-    count, then the first row whose track id or city is not the
-    metadata's); last `validate_scene`. The map block and the rows convert
-    their numbers in one call each.
+    rows (a row's column count or X/Y number, then the row count, then
+    the first row whose TIMESTAMP, TRACK_ID, OBJECT_TYPE or CITY_NAME is
+    not `TIMESTAMP_TEXT`'s, the metadata's scene id, `AGENT` or the city);
+    last `validate_scene`. The rows and the map block convert their
+    numbers in one call each.
 
     Files that share a lane record share its LaneSegment, through the
     lane cache of `maps.parse_map_lines`; `validate_scene` still checks
@@ -416,14 +414,16 @@ def read_scene(path, text: str | None = None) -> Scene:
     table = _trajectory_table(rows, tokens, row_at, path)
     if len(rows) != SCENE_SAMPLES:
         raise ValidationError(f"{len(rows)} trajectory rows, expected {SCENE_SAMPLES}", path)
-    sid, city = metadata["scene_id"], metadata["city"]
-    if tokens[1::6] != [sid] * SCENE_SAMPLES or tokens[5::6] != [city] * SCENE_SAMPLES:
-        k = next(
-            k for k in range(SCENE_SAMPLES)
-            if tokens[6 * k + 1] != sid or tokens[6 * k + 5] != city
-        )
-        raise ValidationError("row identity differs from metadata", path, row_at[k])
-    scene = Scene(sid, city, map_crop, table[:, 0], table[:, 1:3], metadata)
+    sid, city, n = metadata["scene_id"], metadata["city"], SCENE_SAMPLES
+    # the text of each fixed column in each row, by column index
+    fixed = {0: TIMESTAMP_TEXT, 1: (sid,) * n, 2: ("AGENT",) * n, 5: (city,) * n}
+    faults = [(k, c) for c, texts in fixed.items() if tuple(tokens[c::6]) != texts
+              for k in range(n) if tokens[6 * k + c] != texts[k]]
+    if faults:
+        k, c = min(faults)  # the first row at fault, and its first column
+        got, name = tokens[6 * k + c], CSV_HEADER.split(",")[c]
+        raise ValidationError(f"{name} {got!r}, expected {fixed[c][k]!r}", path, row_at[k])
+    scene = Scene(sid, city, map_crop, table, metadata)
     try:
         validate_scene(scene)
     except ValidationError as exc:  # a scene invariant names only the scene id
@@ -626,5 +626,5 @@ def generate_dataset(
                 )
 
     ordered = [records[i] for i in range(cfg.n_scenes)]
-    write_text_atomic(out_dir / "manifest.txt", manifest_text(cfg, maps, ordered))
+    write_text_atomic(out_dir / MANIFEST_FILE, manifest_text(cfg, maps, ordered))
     return ordered

@@ -314,7 +314,8 @@ def reference_sample_text(
                  float(xy[i + 1, 0]), float(xy[i + 1, 1])) + attrs
             )
     traj_id = len(scene.map_crop.lanes)
-    xy, t = scene.trajectory, scene.timestamps
+    xy = scene.trajectory
+    t = [float(f"{k * FINE_DT:.1f}") for k in range(len(xy))]  # as the file's text reads
     for i in range(xy.shape[0] - 1):
         vectors.append(
             ("trajectory", traj_id, float(xy[i, 0]), float(xy[i, 1]),
@@ -625,7 +626,8 @@ def reference_scene_text(scene) -> str:
         for succ in sorted(lane.successors):
             lines.append(f"# map: succ {succ}")
     lines.append("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME")
-    for t, (x, y) in zip(scene.timestamps, scene.trajectory):
+    for k, (x, y) in enumerate(scene.trajectory):
+        t = k * FINE_DT
         lines.append(f"{t:.1f},{scene.scene_id},AGENT,{x:.9f},{y:.9f},{scene.city}")
     return "\n".join(lines) + "\n"
 
@@ -797,8 +799,10 @@ def reference_read_scene(path) -> Scene:
     over `scene_to_text`'s layout: metadata, then the map block, then the
     header, then the rows. The first line off the layout raises; then the
     content faults in file order: the metadata, the map block (the
-    line-by-line map oracle), each row, the row count, the row identity,
-    and last `validate_scene`, whose fault is raised naming the file.
+    line-by-line map oracle), each row's column count and X, Y numbers,
+    the row count, then row by row its TIMESTAMP (the 10 Hz grid at one
+    decimal), TRACK_ID, OBJECT_TYPE (`AGENT`) and CITY_NAME, and last
+    `validate_scene`, whose fault is raised naming the file.
     Lines end at each "\\n" only: a "\\r" is part of its line."""
     state = "metadata"  # then "map", then "rows"
     metadata: dict[str, str] = {}
@@ -840,30 +844,32 @@ def reference_read_scene(path) -> Scene:
     if "scene_id" not in metadata or "city" not in metadata:
         raise MapFormatError("missing scene_id/city metadata", path)
     crop = reference_parse_map_lines(map_lines, path=path, line_numbers=map_at)
-    values: list[tuple[float, float, float]] = []
+    values: list[tuple[float, float]] = []
     for line, lineno in rows:
         fields = line.split(",")
         if len(fields) != 6:
             raise MapFormatError(f"expected 6 columns, got {len(fields)}", path, lineno)
-        if fields[2] != "AGENT":
-            raise MapFormatError(f"OBJECT_TYPE must be AGENT, got {fields[2]!r}", path, lineno)
         try:
-            values.append((float(fields[0]), float(fields[3]), float(fields[4])))
+            values.append((float(fields[3]), float(fields[4])))
         except ValueError as exc:
             raise MapFormatError(f"bad numeric field: {line}", path, lineno) from exc
     if len(rows) != SCENE_SAMPLES:
         raise ValidationError(f"{len(rows)} trajectory rows, expected {SCENE_SAMPLES}", path)
-    for line, lineno in rows:
+    for k, (line, lineno) in enumerate(rows):
         fields = line.split(",")
-        if fields[1] != metadata["scene_id"] or fields[5] != metadata["city"]:
-            raise ValidationError("row identity differs from metadata", path, lineno)
-    arr = np.array(values)
+        for column, got, want in (
+            ("TIMESTAMP", fields[0], f"{k * FINE_DT:.1f}"),
+            ("TRACK_ID", fields[1], metadata["scene_id"]),
+            ("OBJECT_TYPE", fields[2], "AGENT"),
+            ("CITY_NAME", fields[5], metadata["city"]),
+        ):
+            if got != want:
+                raise ValidationError(f"{column} {got!r}, expected {want!r}", path, lineno)
     scene = Scene(
         scene_id=metadata["scene_id"],
         city=metadata["city"],
         map_crop=crop,
-        timestamps=arr[:, 0],
-        trajectory=arr[:, 1:3],
+        trajectory=np.array(values),
         metadata=metadata,
     )
     try:
@@ -976,7 +982,6 @@ def assert_same_map(got: SceneMap, want: SceneMap) -> None:
 def assert_same_scene(got: Scene, want: Scene) -> None:
     """Same metadata, array bits and map."""
     assert (got.scene_id, got.city, got.metadata) == (want.scene_id, want.city, want.metadata)
-    assert got.timestamps.tobytes() == want.timestamps.tobytes()
     assert got.trajectory.tobytes() == want.trajectory.tobytes()
     assert_same_map(got.map_crop, want.map_crop)
 

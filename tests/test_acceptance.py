@@ -80,7 +80,6 @@ def small_scene(n_lanes, city="MIA"):
         )
         for i in range(n_lanes)
     ]
-    t = np.arange(50) * 0.1
     traj = np.column_stack([np.arange(50, dtype=float), np.zeros(50)])
     meta = {
         "scene_id": "acc000",
@@ -89,7 +88,7 @@ def small_scene(n_lanes, city="MIA"):
         "crop_center_y": "0.0",
         "crop_radius": "100.0",
     }
-    return Scene("acc000", city, make_map(city, lanes), t, traj, meta)
+    return Scene("acc000", city, make_map(city, lanes), traj, meta)
 
 
 def test_criterion_1_warp_correctness():

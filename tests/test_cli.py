@@ -963,6 +963,43 @@ def test_the_read_commands_agree_on_what_a_scene_file_is(
     assert faults == [faults[0]] * 4
 
 
+def _shift_timestamps(victim):
+    """Every TIMESTAMP 5.0 s later, each still at one decimal."""
+    lines = victim.read_text().split("\n")
+    for i in range(lines.index(CSV_HEADER) + 1, len(lines) - 1):
+        t, _, rest = lines[i].partition(",")
+        lines[i] = f"{float(t) + 5.0:.1f},{rest}"
+    victim.write_text("\n".join(lines))
+
+
+def _timestamp_at_two_decimals(victim):
+    victim.write_text(victim.read_text().replace("\n0.3,", "\n0.30,", 1))
+
+
+@pytest.mark.parametrize(
+    "edit, row, fault",
+    [
+        (_shift_timestamps, 0, "TIMESTAMP '5.0', expected '0.0'"),
+        (_timestamp_at_two_decimals, 3, "TIMESTAMP '0.30', expected '0.3'"),
+    ],
+    ids=["shifted-5s", "two-decimals"],
+)
+def test_the_read_commands_refuse_a_timestamp_off_the_grid(
+    tmp_path, map_file, capsys, edit, row, fault
+):
+    """The scene grid is a constant of the format: a TIMESTAMP whose text
+    is not the grid's fails validate, mask, stats and plot alike, each
+    naming the file and the line of the first row at fault."""
+    scenes, victim = write_edited_scene(tmp_path, map_file, edit)
+    line = victim.read_text().split("\n").index(CSV_HEADER) + 2 + row
+    for argv in read_commands(scenes, tmp_path):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, (argv[0], err)
+        assert err.partition(" ")[2] == f"{victim}:{line}: {fault}\n", (argv[0], err)
+
+
 STATIONARY = "scene 000002: all-stationary trajectory, no step longer than 1e-12 m"
 
 

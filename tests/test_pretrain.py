@@ -65,7 +65,7 @@ def toy_scene(n_lanes=4, city="MIA"):
         "crop_center_y": "0.0",
         "crop_radius": "100.0",
     }
-    return Scene("toy000", city, make_map(city, lanes), t, traj, meta)
+    return Scene("toy000", city, make_map(city, lanes), traj, meta)
 
 
 def rows_of(vectors, kind):
@@ -109,7 +109,6 @@ def test_vectorize_eleven_point_lane_gives_ten_vectors():
         scene.scene_id,
         scene.city,
         make_map("MIA", [lane]),
-        scene.timestamps,
         scene.trajectory,
         scene.metadata,
     )
@@ -124,6 +123,8 @@ def test_vectorize_trajectory_attributes_are_timestamps():
     traj_vecs = rows_of(vectors, TRAJECTORY)
     assert tuple(traj_vecs[0, 6:8]) == (0.0, pytest.approx(0.1))
     assert traj_vecs[-1, 7] == pytest.approx(4.9)
+    # the grid as a scene file's text reads, whatever the in-memory scene
+    assert traj_vecs[3, 6] == 0.3 and traj_vecs[2, 7] == 0.3
 
 
 def test_vectorize_reassembles_polylines_exactly(demo_scene):

@@ -28,8 +28,11 @@ from scenesynth.planner import PlannerParams
 from scenesynth.refine import RefinementParams
 from scenesynth import manifest, maps, synthesis
 from scenesynth.synthesis import (
+    CSV_HEADER,
     GenerationConfig,
     SCENE_SAMPLES,
+    SCENE_TIMES,
+    TIMESTAMP_TEXT,
     Scene,
     generate_dataset,
     read_scene,
@@ -131,11 +134,20 @@ def test_scene_deterministic_bytes(corridors_map):
 
 
 def test_scene_shape_and_split(demo_scene):
-    assert demo_scene.timestamps.shape == (SCENE_SAMPLES,)
+    assert SCENE_TIMES.shape == (SCENE_SAMPLES,) and not SCENE_TIMES.flags.writeable
     assert demo_scene.trajectory.shape == (SCENE_SAMPLES, 2)
-    assert demo_scene.timestamps[0] == 0.0
-    assert demo_scene.timestamps[19] == pytest.approx(1.9)  # last history sample
-    assert demo_scene.timestamps[-1] == pytest.approx(4.9)
+    # the floats of the grid's text, as a scene file reads
+    assert SCENE_TIMES[0] == 0.0
+    assert SCENE_TIMES[3] == 0.3
+    assert SCENE_TIMES[19] == 1.9  # last history sample
+    assert SCENE_TIMES[-1] == 4.9
+
+
+def test_scene_text_writes_the_grid_text_as_its_first_column(demo_scene):
+    lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
+    rows = lines[lines.index(CSV_HEADER) + 1:]
+    assert tuple(row.partition(",")[0] for row in rows) == TIMESTAMP_TEXT
+    assert TIMESTAMP_TEXT == tuple(f"{k / 10:.1f}" for k in range(SCENE_SAMPLES))
 
 
 def test_unaugmented_scene_follows_straight_lane():
@@ -166,7 +178,6 @@ def test_scene_file_roundtrip(demo_scene, tmp_path):
     assert back.city == demo_scene.city
     assert back.metadata == demo_scene.metadata
     assert np.abs(back.trajectory - demo_scene.trajectory).max() < 1e-9
-    assert np.abs(back.timestamps - demo_scene.timestamps).max() < 1e-9
     assert sorted(back.map_crop.lanes) == sorted(demo_scene.map_crop.lanes)
     for lane_id, lane in demo_scene.map_crop.lanes.items():
         assert (
@@ -189,8 +200,9 @@ def test_scene_with_bad_spacing_rejected(demo_scene, tmp_path):
     f = tmp_path / "scene_bad.csv"
     text = scene_to_text(demo_scene).replace("\n4.9,", "\n5.1,")
     f.write_text(text)
-    with pytest.raises(ValidationError, match="0.1"):
+    with pytest.raises(ValidationError, match="TIMESTAMP '5.1', expected '4.9'") as exc:
         read_scene(f)
+    assert exc.value.line == len(text.split("\n")) - 1  # the last row
 
 
 def test_scene_malformed_row_names_line(demo_scene, tmp_path):
@@ -205,9 +217,11 @@ def test_scene_malformed_row_names_line(demo_scene, tmp_path):
 
 def test_scene_wrong_object_type_rejected(demo_scene, tmp_path):
     f = tmp_path / "scene_bad.csv"
-    f.write_text(scene_to_text(demo_scene).replace("AGENT", "CYCLIST"))
-    with pytest.raises(MapFormatError, match="AGENT"):
+    text = scene_to_text(demo_scene)
+    f.write_text(text.replace("AGENT", "CYCLIST"))
+    with pytest.raises(ValidationError, match="OBJECT_TYPE 'CYCLIST', expected 'AGENT'") as exc:
         read_scene(f)
+    assert exc.value.line == text.split("\n").index(CSV_HEADER) + 2  # the first row
 
 
 def test_validate_scene_catches_crop_violation(demo_scene):
@@ -217,7 +231,6 @@ def test_validate_scene_catches_crop_violation(demo_scene):
         demo_scene.scene_id,
         demo_scene.city,
         demo_scene.map_crop,
-        demo_scene.timestamps,
         demo_scene.trajectory,
         meta,
     )
@@ -499,13 +512,15 @@ def test_read_scene_row_identity_names_first_row_at_fault(
 ):
     lines = scene_to_text(demo_scene).rstrip("\n").split("\n")
     header = lines.index("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME")
+    want = (demo_scene.scene_id, demo_scene.city)[column == 5]
+    message = f"{CSV_HEADER.split(',')[column]} {value!r}, expected {want!r}"
     for i in (header + 11, header + 30):
         fields = lines[i].split(",")
         fields[column] = value
         lines[i] = ",".join(fields)
     f = tmp_path / "scene_000000.csv"
     f.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match=f":{header + 12}: row identity") as exc:
+    with pytest.raises(ValidationError, match=f":{header + 12}: {message}$") as exc:
         read_scene(f)
     assert exc.value.line == header + 12
     assert_reads_as_reference(f, demo_scene)
@@ -528,8 +543,8 @@ def test_scene_text_matches_reference(corridors_map, fraction):
         texts += 1
 
 
-# -0.0 and tiny negatives print as -0.000000000 (and -0.0 at one decimal),
-# rounding halves, and magnitudes near the coordinate limit print every digit
+# -0.0 and tiny negatives print as -0.000000000, rounding halves, and
+# magnitudes near the coordinate limit print every digit
 EDGE_VALUES = (
     0.0, -0.0, -1e-12, 1e-12, -4.9e-10, -5e-10, 5e-10, -5.000000001e-10, 0.1 + 0.2,
     -123.4567891235, -0.04, 0.05, 0.15, -0.25, 2.5e-300, -2.5e-300,
@@ -546,14 +561,17 @@ def test_scene_text_templates_match_reference_on_edge_values():
             lanes[lane_id] = LaneSegment(lane_id, Polyline(xy))
     values = np.array(EDGE_VALUES)
     grid = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1, 2)
-    for city, sid in (("M%sA%", "0%d%%1"), ("%", "%(x)s"), ("MIA", "000001")):
-        scene = Scene(
-            sid, city, SceneMap(city, lanes), np.resize(values, len(grid)), grid,
-            {"scene_id": sid, "city": city, "note": "50% %s"},
-        )
-        # twice: the second pass reads the pt lines kept on each Polyline
-        assert scene_to_text(scene) == reference_scene_text(scene)
-        assert scene_to_text(scene) == reference_scene_text(scene)
+    # every pair of values in some scene's trajectory, 50 rows each
+    for start in range(0, len(grid), SCENE_SAMPLES):
+        trajectory = np.resize(grid[start:start + SCENE_SAMPLES], (SCENE_SAMPLES, 2))
+        for city, sid in (("M%sA%", "0%d%%1"), ("%", "%(x)s"), ("MIA", "000001")):
+            scene = Scene(
+                sid, city, SceneMap(city, lanes), trajectory,
+                {"scene_id": sid, "city": city, "note": "50% %s"},
+            )
+            # twice: the second pass reads the pt lines kept on each Polyline
+            assert scene_to_text(scene) == reference_scene_text(scene)
+            assert scene_to_text(scene) == reference_scene_text(scene)
 
 
 def test_warm_lanes_read_the_scenes_of_a_mixed_dataset_unchanged(tmp_path, corridors_map):
