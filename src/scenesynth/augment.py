@@ -23,8 +23,6 @@ DEFAULT_ALPHA2 = 20.0
 DEFAULT_TURN_LENGTH = 10.0  # s_t
 DEFAULT_TURN_GAP = 20.0  # beta
 DEFAULT_ONSET = 10.0  # b
-# the smallest max_slope that leaves an alpha1 to draw
-MIN_WARP_SLOPE = ALPHA1_RANGE[0] * DEFAULT_ALPHA2 / DEFAULT_TURN_LENGTH
 
 
 class TurnKind(enum.Enum):
@@ -148,25 +146,15 @@ def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
     return out
 
 
-def sample_transform_params(
-    rng: np.random.Generator,
-    path: ReferencePath,
-    max_slope: float | None = None,
-) -> TurnTransformParams:
+def sample_transform_params(rng: np.random.Generator, path: ReferencePath) -> TurnTransformParams:
     """Draw warp parameters and anchor the frame on a reference path.
 
-    The kind is a fair coin, alpha1 uniform over its range, and the frame
-    sits at a uniformly chosen sample of the path, headed along the local
-    tangent. `max_slope` optionally caps the post-turn displacement slope
-    alpha1*alpha2/s_t by shrinking the alpha1 range (uncapped by default).
+    The kind is a fair coin, alpha1 uniform over `ALPHA1_RANGE`, and the
+    frame sits at a uniformly chosen sample of the path, headed along the
+    local tangent.
     """
     kind = TurnKind.SINGLE if int(rng.integers(2)) == 0 else TurnKind.DOUBLE
-    lo, hi = ALPHA1_RANGE
-    if max_slope is not None:
-        hi = min(hi, max_slope * DEFAULT_TURN_LENGTH / DEFAULT_ALPHA2)
-        if hi < lo:
-            raise ValueError(f"max_slope {max_slope} leaves no valid alpha1")
-    alpha1 = float(rng.uniform(lo, hi))
+    alpha1 = float(rng.uniform(*ALPHA1_RANGE))
     k = int(rng.integers(path.samples.n_points))
     origin = Point2(float(path.samples.xy[k, 0]), float(path.samples.xy[k, 1]))
     frame = WarpFrame(origin, path.tangent_at_index(k))

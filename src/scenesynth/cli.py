@@ -35,14 +35,11 @@ the fields and of the manifest's config block:
     w1 = 5.0                  acceleration cost weight
     w2 = 5.0                  curvature cost weight
     w3 = 1.0                  velocity-tracking cost weight
-    abs_curvature = true      cost curvature by magnitude (false: signed)
     omega1 = 1.0              smoothing acceleration weight
     omega2 = 1.0              smoothing jerk weight
     omega3 = 10.0             coarse-plan tracking weight
     path_min_length = 150.0   reference-path assembly target (m)
-    path_spacing = 1.0        reference-path sample spacing (m), at least 0.01
     retry_budget = 5          regeneration attempts per failed scene
-    max_warp_slope = none     optional cap on the post-turn lateral slope
     map_files =               comma-separated map paths (required by generate)
 
 Refinement smooths each plan onto the 10 Hz scene grid, k = dt / 0.1 fine

@@ -28,9 +28,8 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple
 
-from .augment import MIN_WARP_SLOPE
 from .errors import ConfigError, RefinementError
-from .maps import REFERENCE_SPACING, read_lines
+from .maps import read_lines
 from .planner import PlannerParams
 from .refine import SCENE_SAMPLES, RefinementParams, fine_steps_per, refinement_shape
 
@@ -41,14 +40,6 @@ class ValueType(NamedTuple):
     noun: str
     parse: Callable[[str], object]
     format: Callable[[object], str]
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(text)
 
 
 def _parse_list(text: str) -> list[str]:
@@ -66,18 +57,12 @@ def _parse_finite(text: str) -> float:
 INT = ValueType("an integer", int, str)
 FLOAT = ValueType("a finite number", _parse_finite, repr)
 TEXT = ValueType("text", str, str)
-BOOL = ValueType("true or false", _parse_bool, lambda v: str(v).lower())
 FLOATS = ValueType(
     "comma-separated finite numbers",
     lambda text: tuple(_parse_finite(a) for a in _parse_list(text)),
     lambda v: ",".join(map(repr, v)),
 )
 PATHS = ValueType("comma-separated paths", lambda text: tuple(_parse_list(text)), ",".join)
-FLOAT_OR_NONE = ValueType(
-    "a finite number or none",
-    lambda text: None if text.lower() == "none" else _parse_finite(text),
-    lambda v: "none" if v is None else repr(v),
-)
 
 _CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
 
@@ -110,14 +95,11 @@ class GenerationConfig:
     w1: float = _key(PlannerParams.w1, FLOAT)
     w2: float = _key(PlannerParams.w2, FLOAT)
     w3: float = _key(PlannerParams.w3, FLOAT)
-    abs_curvature: bool = _key(PlannerParams.abs_curvature, BOOL)
     omega1: float = _key(RefinementParams.omega1, FLOAT)
     omega2: float = _key(RefinementParams.omega2, FLOAT)
     omega3: float = _key(RefinementParams.omega3, FLOAT)
     path_min_length: float = _key(150.0, FLOAT)
-    path_spacing: float = _key(REFERENCE_SPACING, FLOAT)
     retry_budget: int = _key(5, INT)
-    max_warp_slope: float | None = _key(None, FLOAT_OR_NONE)
     map_files: tuple[str, ...] = _key((), PATHS)
     planner: PlannerParams = field(init=False, repr=False, compare=False)
     refinement: RefinementParams = field(init=False, repr=False, compare=False)
@@ -145,17 +127,8 @@ class GenerationConfig:
             )
         if self.retry_budget < 0:
             raise ConfigError(f"retry_budget must be nonnegative, got {self.retry_budget}")
-        if self.max_warp_slope is not None and not self.max_warp_slope >= MIN_WARP_SLOPE:
-            raise ConfigError(
-                f"max_warp_slope must be >= {MIN_WARP_SLOPE} or none, "
-                f"got {self.max_warp_slope}"
-            )
         if self.path_min_length <= 0:
             raise ConfigError(f"path_min_length must be positive, got {self.path_min_length}")
-        if not self.path_spacing >= 0.01:  # a 320 m path has 32,000 samples at 0.01 m
-            raise ConfigError(
-                f"path_spacing must be positive and at least 0.01 m, got {self.path_spacing}"
-            )
         try:
             k = fine_steps_per(self.dt)
         except ValueError as exc:

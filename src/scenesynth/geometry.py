@@ -25,7 +25,7 @@ MOVING_STEP = 1e-12
 COORDINATE_LIMIT = 1e150
 
 # The longest polyline (m). A reference path resamples its whole chain of
-# lanes at its spacing, so this bounds the samples of one lane; real lane
+# lanes every 1 m, so this bounds the samples of one lane; real lane
 # segments are metres to kilometres long.
 LENGTH_LIMIT = 1e5
 

@@ -9,9 +9,12 @@ Map file schema (line oriented, one record per lane)::
     succ L2
     pred L0
 
-`city` is optional and defaults to "UNKNOWN". Coordinates are meters and
-are written back with 9 decimal places. Blank lines and lines starting
-with `#` are ignored.
+`city` is optional and defaults to "UNKNOWN". Its label may not hold
+`,`, `;` or `=` (`CITY_FORBIDDEN`): the label is a CSV column of every
+scene row and manifest row, and the manifest's `# maps:` line joins
+`CITY=N` entries with `;`. Coordinates are meters and are written back
+with 9 decimal places. Blank lines and lines starting with `#` are
+ignored.
 
 Argoverse-style HD maps translate onto this schema one lane segment at a
 time (the converter itself is out of scope)::
@@ -52,11 +55,17 @@ from .geometry import (
     resample_polyline,
 )
 
+# Characters that a `city` label may not hold, as the files that name it
+# use them as separators.
+CITY_FORBIDDEN = frozenset(",;=")
+
 # Digitization noise allowed between a lane's last point and its
 # successor's first point.
 CONNECTIVITY_TOL = 0.5
 
-# Arc-length spacing of reference-path samples.
+# Arc-length spacing of reference-path samples: a path's `cum_s` is the
+# integer grid 0, 1, 2, ..., which the planner's curvature lookup
+# (`planner._segment`) assumes.
 REFERENCE_SPACING = 1.0
 
 # Reference paths that `build_reference_path` keeps for reuse, the least
@@ -153,6 +162,9 @@ def _line_fault(fields: list[str], in_lane: bool) -> str:
     """Why a non-blank, non-comment map line is malformed."""
     tag = fields[0]
     if tag == "city":
+        if len(fields) == 2:
+            bad = next(c for c in fields[1] if c in CITY_FORBIDDEN)
+            return f"city label {fields[1]!r} holds {bad!r}, a scene and manifest separator"
         return "city line needs one label"
     if tag == "lane":
         return "lane line needs one id"
@@ -194,7 +206,7 @@ def _parse_lanes(lines, path, line_numbers):
             links.append(([], []))
         elif (tag == "succ" or tag == "pred") and n == 2 and heads:
             links[-1][tag == "succ"].append(fields[1])
-        elif tag == "city" and n == 2:
+        elif tag == "city" and n == 2 and CITY_FORBIDDEN.isdisjoint(fields[1]):
             cities.append(fields[1])
         else:
             fault = (i, _line_fault(fields, bool(heads)))
@@ -375,17 +387,16 @@ def write_text_atomic(path, text: str) -> None:
 
 @dataclass(frozen=True)
 class ReferencePath:
-    """A drivable path resampled at uniform spacing.
+    """A drivable path resampled every `REFERENCE_SPACING` (1 m).
 
-    `cum_s` is the uniform sampling grid (exact multiples of `spacing`),
-    which parameterizes planning; `samples` holds the matching points and
+    `cum_s` is the sampling grid `0, 1, 2, ...` (float), which
+    parameterizes planning; `samples` holds the matching points and
     `kappa` the signed curvature per sample.
     """
 
     samples: Polyline
     cum_s: np.ndarray
     kappa: np.ndarray
-    spacing: float
     lane_ids: tuple[str, ...]
 
     @property
@@ -423,24 +434,23 @@ def _concat_centerlines(polys: list[Polyline]) -> Polyline:
     return Polyline(np.concatenate(pieces, axis=0))
 
 
-def _path_from_polyline(poly: Polyline, lane_ids, spacing: float) -> ReferencePath:
-    resampled = resample_polyline(poly, spacing)
+def _path_from_polyline(poly: Polyline, lane_ids) -> ReferencePath:
+    resampled = resample_polyline(poly, REFERENCE_SPACING)
     # drop a trailing partial segment so the grid is exactly uniform
     if resampled.n_points > 2:
         last_gap = resampled.cum_s[-1] - resampled.cum_s[-2]
-        if last_gap < spacing - 1e-9:
+        if last_gap < REFERENCE_SPACING - 1e-9:
             resampled = Polyline(resampled.xy[:-1])
     n = resampled.n_points
-    cum_s = np.arange(n) * spacing
+    cum_s = np.arange(n, dtype=float)  # the grid of REFERENCE_SPACING
     cum_s.setflags(write=False)
     kappa = curvature_profile(resampled) if n >= 3 else np.zeros(n)
     kappa.setflags(write=False)
-    return ReferencePath(resampled, cum_s, kappa, spacing, tuple(lane_ids))
+    return ReferencePath(resampled, cum_s, kappa, tuple(lane_ids))
 
 
-# (spacing and its type, id of each chain lane) -> (the chain's lanes, its
-# path); holding the lanes keeps their ids from being reused while the entry
-# is cached
+# id of each chain lane -> (the chain's lanes, its path); holding the lanes
+# keeps their ids from being reused while the entry is cached
 _PATH_CACHE: dict[tuple, tuple[tuple[LaneSegment, ...], ReferencePath]] = {}
 
 
@@ -449,22 +459,22 @@ def build_reference_path(
     seed_lane: str,
     min_length: float,
     rng: np.random.Generator,
-    spacing: float = REFERENCE_SPACING,
 ) -> ReferencePath:
-    """Walk successor edges from one lane until `min_length` is reached.
+    """Walk successor edges from one lane until `min_length` is reached,
+    and sample the chain's centerline every `REFERENCE_SPACING` (1 m).
 
     The walk picks a uniformly random unvisited successor at each fork and
     stops when the graph is exhausted, so the result can be shorter than
     `min_length` on small maps. A chain longer than `geometry.LENGTH_LIMIT`
     raises ValidationError.
 
-    A path is a function of its chain of lanes and `spacing`, so the last
+    A path is a function of its chain of lanes, so the last
     `PATH_CACHE_SIZE` paths are kept by the identity of their
-    `LaneSegment` objects: a chain of the very same objects at the same
-    spacing returns the path already built (immutable, with read-only
-    arrays), whatever map holds them. A warped lane is a new object, so a
-    chain through it is never served from its unwarped twin. The walk and
-    its rng draws are the same on a hit.
+    `LaneSegment` objects: a chain of the very same objects returns the
+    path already built (immutable, with read-only arrays), whatever map
+    holds them. A warped lane is a new object, so a chain through it is
+    never served from its unwarped twin. The walk and its rng draws are
+    the same on a hit.
     """
     if min_length <= 0:
         raise ValueError("min_length must be positive")
@@ -481,7 +491,7 @@ def build_reference_path(
         lane = m.lanes[nxt]
         chain.append(lane)
         total += lane.centerline.length
-    key = (type(spacing), spacing, *map(id, chain))
+    key = tuple(map(id, chain))
     hit = _PATH_CACHE.pop(key, None)
     if hit is None:
         try:
@@ -489,7 +499,7 @@ def build_reference_path(
         except ValueError as exc:  # a chain longer than `geometry.LENGTH_LIMIT`
             lanes = ", ".join(ln.lane_id for ln in chain)
             raise ValidationError(f"reference path through lanes {lanes}: {exc}") from None
-        hit = (tuple(chain), _path_from_polyline(poly, [ln.lane_id for ln in chain], spacing))
+        hit = (tuple(chain), _path_from_polyline(poly, [ln.lane_id for ln in chain]))
         if len(_PATH_CACHE) >= PATH_CACHE_SIZE:
             del _PATH_CACHE[next(iter(_PATH_CACHE))]
     _PATH_CACHE[key] = hit

@@ -10,9 +10,10 @@ The search is a layered dynamic program: states are expanded one time
 layer at a time and merged on exact (arc-length, velocity) agreement, so
 the returned plan is the true optimum over the reachable action graph.
 Merging uses keys rounded at 1e-9 purely to absorb floating-point noise.
-When all transition costs are nonnegative (the default absolute-curvature
-mode), a beam pass through the same layer loop first bounds the optimum,
-and the exact pass discards states costlier than that bound.
+Curvature enters the cost by magnitude and every weight is nonnegative,
+so no transition cost is negative: a beam pass through the same layer
+loop first bounds the optimum, and the exact pass discards states
+costlier than that bound.
 
 A planning problem is `(path, s0, v0, v_d)`: a reference path, the
 start arc-length and velocity at t = 0 and the desired velocity, planned
@@ -48,7 +49,6 @@ class PlannerParams:
     w2: float = 5.0
     w3: float = 1.0
     t_g: float = 5.0
-    abs_curvature: bool = True
 
     def __post_init__(self):
         for name in ("dt", "t_g"):
@@ -92,27 +92,24 @@ class CoarsePlan:
     dt: float
 
 
-def _segment(grid: np.ndarray, spacing: float, x: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(grid, x, side="right") - 1` on the uniform grid
-    `arange(n) * spacing`: the last grid point at or before each x, -1
-    before the first. floor(x / spacing) is at most one off, as the
-    quotient and the grid points round, so one comparison each way against
-    `grid` corrects it; a NaN x maps past the end, as in `searchsorted`."""
-    top = len(grid) - 1
-    j = np.maximum(np.fmin(np.floor(x / spacing), top), 0).astype(np.intp)
-    j -= grid.take(j) > x
-    j += (j < top) & (grid.take(np.minimum(j + 1, top)) <= x)
-    return j
+def _segment(x: np.ndarray, top: int) -> np.ndarray:
+    """`np.searchsorted(arange(top + 1), x, side="right") - 1` on the
+    integer grid of reference-path samples: the last grid point at or
+    before each x, -1 before the first, and `top` at or past the last and
+    for a NaN x, as in `searchsorted`."""
+    return np.fmax(np.fmin(np.floor(x), top), -1).astype(np.intp)
 
 
 class _Batch:
     """The scenes of one `astar_plan` call, as per-scene arrays.
 
-    Every path's `cum_s` is a prefix of the grid `arange(n) * spacing`, so
-    one lookup on the longest grid (`_segment`) finds the curvature segment
-    of any state of any scene. `kappa` and `slope` are ragged tables: every
-    path's samples one after another, scene `b`'s from `start[b]`, so they
-    hold the sum of the path lengths, not scenes times the longest path.
+    Every path's `cum_s` is a prefix of the integer grid `arange(n)` (one
+    sample every `maps.REFERENCE_SPACING`), so one lookup on the longest
+    grid (`_segment`) finds the curvature segment of any state of any
+    scene, and grid point `j` is `j` itself. `kappa` and `slope` are ragged
+    tables: every path's samples one after another, scene `b`'s from
+    `start[b]`, so they hold the sum of the path lengths, not scenes times
+    the longest path.
     """
 
     def __init__(self, paths, p: PlannerParams, v_d: np.ndarray):
@@ -124,34 +121,27 @@ class _Batch:
         self.v_d = v_d
         self.length = np.array([path.length for path in paths])
         sizes = np.array([len(path.cum_s) for path in paths])
-        self.spacing = paths[0].spacing
-        self.grid = np.arange(sizes.max()) * self.spacing
-        for path, n in zip(paths, sizes.tolist()):
-            if not (path.cum_s == self.grid[:n]).all():
-                raise ValueError("paths planned together must share one uniform grid")
+        self.top = int(sizes.max()) - 1
         self.last = sizes - 1
         self.start = np.cumsum(sizes) - sizes
         self.kappa = np.concatenate([path.kappa for path in paths])
         # np.interp's slope on each segment, (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]),
-        # with j each sample's own index on the grid; `curvature` never uses
-        # the slope at a path's last sample
-        local = np.arange(len(self.kappa)) - np.repeat(self.start, sizes)
-        step = np.append(np.diff(self.grid), 1.0)
-        self.slope = np.append(np.diff(self.kappa), 0.0) / step.take(local)
+        # over a step of exactly 1; `curvature` never uses the slope at a
+        # path's last sample
+        self.slope = np.append(np.diff(self.kappa), 0.0)
 
     def curvature(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """`np.interp(x, cum_s, kappa)` on the path of each x's row, bit for
         bit: numpy's `slope * (x - xp[j]) + fp[j]`, but `fp[j]` itself at a
         grid point, the end value at or past the last point and the first
-        value before the first."""
-        j = _segment(self.grid, self.spacing, x)
+        value before the first; a NaN x gives NaN."""
+        j = _segment(x, self.top)
         last = self.last[rows]
         jc = np.minimum(np.maximum(j, 0), last)
         flat = self.start[rows] + jc
         y = self.kappa.take(flat)
-        xp = self.grid.take(jc)
-        inner = self.slope.take(flat) * (x - xp) + y
-        return np.where((x == xp) | (jc == last) | (j < 0), y, inner)
+        inner = self.slope.take(flat) * (x - jc) + y
+        return np.where((x == jc) | (x >= last) | (j < 0), y, inner)
 
     def expand(self, S, V, G, rows):
         """Every action from every state: (S2, V2, G2, over, feas) on grids
@@ -160,18 +150,16 @@ class _Batch:
 
         Action a takes (s, v, t) at constant acceleration over one step dt
         to s' = s + v dt + a dt^2 / 2, v' = v + a dt, t' = t + dt, at the
-        cost w1 a^2 + w2 kappa(s') v'^2 + w3 (v' - v_d)^2, kappa(s') taken
-        by magnitude unless `abs_curvature` is off; G2 adds that cost to
-        G. `over` flags an s' past the path end and `feas` the expansions
-        the search keeps: v' >= 0 and not over."""
+        cost w1 a^2 + w2 |kappa(s')| v'^2 + w3 (v' - v_d)^2, which is never
+        negative; G2 adds that cost to G. `over` flags an s' past the path
+        end and `feas` the expansions the search keeps: v' >= 0 and not
+        over."""
         p = self.p
         S2 = S[..., None] + V[..., None] * p.dt + self.half_a_dt2
         V2 = V[..., None] + self.a_dt
         over = S2 > self.length[rows]
         feas = (V2 >= 0.0) & ~over
-        kap = self.curvature(S2, rows)
-        if p.abs_curvature:
-            kap = np.abs(kap)
+        kap = np.abs(self.curvature(S2, rows))
         dv = V2 - self.v_d[rows]
         G2 = G[..., None] + (self.a_cost + p.w2 * kap * V2 * V2 + p.w3 * dv * dv)
         return S2, V2, G2, over, feas
@@ -264,16 +252,15 @@ def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
     All problems run together under `p`: one beam pass over padded
     `(scene, state)` arrays, then one exact pass over flat state arrays
     that carry a scene key, merged with `lexsort((G2, key_v, key_s,
-    scene))`. The paths must share one grid spacing. With nonnegative
-    costs, the beam pass keeps `BEAM_WIDTH` states per scene and layer;
+    scene))`. The beam pass keeps `BEAM_WIDTH` states per scene and layer;
     the cheapest plan it finds is feasible, so its cost `ub` bounds that
     scene's optimum, and the exact pass drops the scene's states costlier
-    than `ub + 1e-9`. A state's cost never falls along a
-    path, so a dropped state could not have won a merge or the final pick:
-    each plan, and its bytes, are those of the unpruned single-scene
-    search, whatever else shares the batch (a tie at the beam cut may
-    change `ub`, never the plan). A scene whose beam pass fails drops
-    nothing.
+    than `ub + 1e-9`. No transition cost is negative, so a state's cost
+    never falls along a path, and a dropped state could not have won a
+    merge or the final pick: each plan, and its bytes, are those of the
+    unpruned single-scene search, whatever else shares the batch (a tie
+    at the beam cut may change `ub`, never the plan). A scene whose beam
+    pass fails drops nothing.
     """
     out: list[CoarsePlan | PlanningError | None] = [None] * len(problems)
     live: list[int] = []  # problems that start on their path
@@ -290,9 +277,7 @@ def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
     paths, S, V, v_d = zip(*(problems[k] for k in live))
     batch = _Batch(paths, p, np.array(v_d, dtype=float))
     S, V = np.array(S, dtype=float), np.array(V, dtype=float)
-    ub = np.full(len(live), np.inf)
-    if p.abs_curvature:
-        ub = batch.beam_bounds(S, V, n_steps, BEAM_WIDTH)
+    ub = batch.beam_bounds(S, V, n_steps, BEAM_WIDTH)
     scenes, idx, costs, layers, errors = batch.exact(S, V, n_steps, ub)
     for b, exc in errors.items():
         out[live[b]] = exc

@@ -155,10 +155,8 @@ def draw_warp(base_map: SceneMap, rng, cfg: GenerationConfig) -> TurnTransformPa
     reference path, then the warp parameters on that path."""
     lane_ids = base_map.sorted_ids()
     anchor_lane = lane_ids[int(rng.integers(len(lane_ids)))]
-    anchor_path = maps_mod.build_reference_path(
-        base_map, anchor_lane, cfg.path_min_length, rng, cfg.path_spacing
-    )
-    return sample_transform_params(rng, anchor_path, cfg.max_warp_slope)
+    anchor_path = maps_mod.build_reference_path(base_map, anchor_lane, cfg.path_min_length, rng)
+    return sample_transform_params(rng, anchor_path)
 
 
 @dataclass(frozen=True)
@@ -209,9 +207,7 @@ def draw_scene(
 
     lane_ids = work_map.sorted_ids()
     drive_lane = lane_ids[int(rng.integers(len(lane_ids)))]
-    path = maps_mod.build_reference_path(
-        work_map, drive_lane, cfg.path_min_length, rng, cfg.path_spacing
-    )
+    path = maps_mod.build_reference_path(work_map, drive_lane, cfg.path_min_length, rng)
     v_d, v0 = sample_speed_targets(rng, (cfg.v_d_min, cfg.v_d_max))
 
     t_end = cfg.planner.n_steps * cfg.dt

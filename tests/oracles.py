@@ -138,7 +138,7 @@ def wiggly_path(rng: np.random.Generator, length: float = 260.0, max_turn: float
     xy = np.zeros((n + 1, 2))
     xy[1:, 0] = np.cumsum(np.cos(headings))
     xy[1:, 1] = np.cumsum(np.sin(headings))
-    return _path_from_polyline(Polyline(xy), ("synthetic",), 1.0)
+    return _path_from_polyline(Polyline(xy), ("synthetic",))
 
 
 class Node(NamedTuple):
@@ -182,9 +182,7 @@ def transition_cost(
         raise PathOverrunError(
             f"s={n_next.s:.3f} outside path [0, {path.length:.3f}]"
         )
-    kap = np.interp(n_next.s, path.cum_s, path.kappa)
-    if p.abs_curvature:
-        kap = np.abs(kap)
+    kap = np.abs(np.interp(n_next.s, path.cum_s, path.kappa))
     return float(
         p.w1 * a * a
         + p.w2 * kap * n_next.v * n_next.v
@@ -216,9 +214,7 @@ def enumerate_plan_costs(path, s0, v0, v_d, params):
         s = s + v * params.dt + 0.5 * ak * params.dt * params.dt
         v = v + ak * params.dt
         alive &= (v >= 0.0) & (s <= path.length)
-        kap = np.interp(s, path.cum_s, path.kappa)
-        if params.abs_curvature:
-            kap = np.abs(kap)
+        kap = np.abs(np.interp(s, path.cum_s, path.kappa))
         total = total + (
             params.w1 * ak * ak
             + params.w2 * kap * v * v
@@ -257,9 +253,7 @@ def reference_plan(path, s0, v0, v_d, params):
         over = S2 > path.length
         overran |= bool(over.any())
         feas = (V2 >= 0.0) & ~over
-        kap = np.interp(S2, path.cum_s, path.kappa)
-        if params.abs_curvature:
-            kap = np.abs(kap)
+        kap = np.abs(np.interp(S2, path.cum_s, path.kappa))
         a = acts[act]
         G2 = G[par] + (
             params.w1 * a * a

@@ -154,7 +154,7 @@ def test_criterion_2_planner_optimality():
         flat = Polyline([(0.0, 0.0), (400.0, 0.0)])
         from scenesynth.maps import _path_from_polyline
 
-        path = _path_from_polyline(flat, ("L",), 1.0)
+        path = _path_from_polyline(flat, ("L",))
         plan = plan_one(path, 0.0, 10.0, 10.0, PlannerParams())
         assert plan.total_cost == 0.0
         assert all(a == 0.0 for a in plan.actions)

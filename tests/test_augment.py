@@ -294,16 +294,6 @@ def test_sample_params_ranges_and_kind_frequency(corridors_map):
     assert 0.45 <= doubles / n <= 0.55
 
 
-def test_sample_params_slope_cap(corridors_map):
-    path = build_reference_path(
-        corridors_map, "H0_0", 150.0, np.random.default_rng(4)
-    )
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        p = sample_transform_params(rng, path, max_slope=6.0)
-        assert end_slope(p) <= 6.0 + 1e-12
-
-
 def test_frame_heading_must_be_finite():
     with pytest.raises(ValueError):
         WarpFrame(Point2(0.0, 0.0), math.inf)

@@ -27,7 +27,7 @@ from scenesynth.manifest import read_manifest
 from scenesynth.maps import LaneSegment, load_map, make_map, read_lines, save_map
 from scenesynth.pretrain import ReconTask, read_sample
 from scenesynth import maps
-from scenesynth.config import FLOAT, FLOAT_OR_NONE, FLOATS, GenerationConfig
+from scenesynth.config import FLOAT, FLOATS, GenerationConfig
 from scenesynth.synthesis import CSV_HEADER, generate_dataset, read_scene, scene_to_text
 
 REPO = Path(__file__).resolve().parent.parent
@@ -185,6 +185,22 @@ def test_generate_requires_map_files(tmp_path, map_file, capsys):
     assert "map_files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("city", ["MI,A", "MI;A", "MI=A"])
+def test_generate_refuses_a_city_label_that_scene_files_cannot_hold(
+    tmp_path, map_file, city, capsys
+):
+    # the city is a CSV column of every scene row and manifest row, and the
+    # manifest's `# maps:` line joins `CITY=N` entries with `;`
+    text = map_file.read_text()
+    assert text.startswith("city MIA\n")
+    map_file.write_text(f"city {city}\n" + text.removeprefix("city MIA\n"))
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 1
+    message = f"{map_file}:1: city label {city!r} holds {city[2]!r}, a scene and manifest separator"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("scenes/scene_*.csv"))
+
+
 def test_generate_worker_counts_agree(tmp_path, map_file):
     cfg1 = write_cfg(tmp_path, map_file, output_dir=str(tmp_path / "w1"))
     assert main(["generate", "--config", str(cfg1), "--workers", "1"]) == 0
@@ -240,7 +256,9 @@ def _row_of(name, line):
 
 
 # manifest lines of a 3-scene, one-city dataset: the header, the config
-# block and the maps line, then five count lines, then the rows
+# block (one line per key, `CONFIG_LINE`) and the maps line, then five
+# count lines, then the rows
+CONFIG_LINE = {f.name: 2 + k for k, f in enumerate(KEY_FIELDS)}
 FIRST_COUNT = 2 + len(KEY_FIELDS) + 1
 FIRST_ROW = FIRST_COUNT + 5
 
@@ -283,14 +301,14 @@ def _list_twice(line):
         (lambda line: "# config seed: -1" if line.startswith("# config seed:") else line,
          ":2: seed must be >= 0, got -1"),
         (lambda line: "# config omega3: 0.0" if line.startswith("# config omega3:") else line,
-         ":18: tracking weight omega3 must be positive, got 0.0"),
+         f":{CONFIG_LINE['omega3']}: tracking weight omega3 must be positive, got 0.0"),
         (lambda line: "# config v_d_min: 20.0" if line.startswith("# config v_d_min:")
          else line, ":7: v_d_min must lie in (0, v_d_max], got 20.0 and 15.0"),
         # a smoothing system that cannot be solved: the line of the first
         # weight that its message names
         (lambda line: line.partition(":")[0] + ": 0.0"
          if line.startswith(("# config omega1:", "# config omega2:")) else line,
-         ":16: untracked interior knots with zero smoothing weights"),
+         f":{CONFIG_LINE['omega1']}: untracked interior knots with zero smoothing weights"),
     ],
 )
 def test_validate_checks_the_manifest_from_the_files_side(
@@ -1047,7 +1065,7 @@ def test_parse_run_config_defaults_and_echo(tmp_path, map_file):
     run = parse_run_config(cfg)
     assert run.seed == 21
     assert run.planner.dt == 0.5
-    assert run.max_warp_slope is None
+    assert run.path_min_length == 150.0
     assert run.map_files == (str(map_file),)
     assert dict(run.echo())["n_scenes"] == "8"
 
@@ -1063,9 +1081,8 @@ def test_manifest_config_block_reads_back(tmp_path, map_file):
     other = tmp_path / "pit.map"
     save_map(generate_map_fixture("corridors", "PIT"), other)
     cfg = write_cfg(
-        tmp_path, f"{map_file}, {other}", n_scenes=2, max_warp_slope=3.5,
-        abs_curvature="false", action_set="-2, -1, 0, 1", v_d_min=7,
-        retry_budget=3,
+        tmp_path, f"{map_file}, {other}", n_scenes=2, w1=4.5,
+        action_set="-2, -1, 0, 1", v_d_min=7, retry_budget=3,
     )
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
     manifest = read_manifest(tmp_path / "scenes" / "manifest.txt")
@@ -1076,7 +1093,7 @@ def test_manifest_config_block_reads_back(tmp_path, map_file):
     back = GenerationConfig.from_lines(manifest.config, manifest.path)
     assert back == run
     assert back.map_files == (str(map_file), str(other))
-    assert run.max_warp_slope == 3.5
+    assert run.w1 == 4.5
     assert run.planner.action_set == (-2.0, -1.0, 0.0, 1.0)
 
 
@@ -1111,7 +1128,7 @@ def test_docstring_lists_each_config_key_with_its_default():
         (f.name, f.metadata["type"].format(getattr(default, f.name))) for f in KEY_FIELDS
     ]
     assert rows == expected
-    assert len(rows) == 22
+    assert len(rows) == 19
 
 
 @pytest.mark.parametrize(
@@ -1125,21 +1142,30 @@ def test_removed_config_keys_exit_2(tmp_path, map_file, key, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, value", [("abs_curvature", "true"), ("max_warp_slope", "3.5"), ("path_spacing", "1.0")]
+)
+def test_removed_cost_warp_and_spacing_keys_exit_2_at_their_line(
+    tmp_path, map_file, key, value, capsys
+):
+    # curvature always enters the cost by magnitude, alpha1 is drawn over its
+    # whole range and reference paths are sampled every 1 m, so a config
+    # that sets one of these keys, even to its old default, is refused at
+    # the key's line
+    cfg = write_cfg(tmp_path, map_file, **{key: value})
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:5: unknown config key {key!r}\n"
+    assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
-    [("action_set", "-1,fast"), ("dt", "x"), ("n_scenes", "1.5"),
-     ("abs_curvature", "maybe"), ("max_warp_slope", "steep")],
+    [("action_set", "-1,fast"), ("dt", "x"), ("n_scenes", "1.5")],
 )
 def test_config_parse_error_names_the_key(tmp_path, map_file, key, value, capsys):
     cfg = write_cfg(tmp_path, map_file, **{key: value})
     assert main(["generate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"{key}: expected" in err and repr(value) in err
-
-
-def test_generate_warp_slope_cap_below_every_warp_exits_2(tmp_path, map_file, capsys):
-    cfg = write_cfg(tmp_path, map_file, max_warp_slope=0.25, augmented_fraction=1.0)
-    assert main(["generate", "--config", str(cfg)]) == 2
-    assert "max_warp_slope must be >= 2.0" in capsys.readouterr().err
 
 
 def test_generate_coarse_step_other_than_k_fine_steps_exits_2(tmp_path, map_file, capsys):
@@ -1187,7 +1213,7 @@ def test_generate_config_value_error_names_the_line_of_its_key(
     assert not (tmp_path / "scenes").exists()
 
 
-NUMBER_KEYS = [f.name for f in KEY_FIELDS if f.metadata["type"] in (FLOAT, FLOATS, FLOAT_OR_NONE)]
+NUMBER_KEYS = [f.name for f in KEY_FIELDS if f.metadata["type"] in (FLOAT, FLOATS)]
 
 
 def assert_config_error(argv, capsys):
@@ -1242,25 +1268,12 @@ def test_generate_unsolvable_smoothing_system_exits_2(tmp_path, map_file, overri
 
 @pytest.mark.parametrize(
     "key, value",
-    [("path_spacing", "0"), ("path_spacing", "-1"), ("path_min_length", "0"),
-     ("path_min_length", "-5")],
+    [("path_min_length", "0"), ("path_min_length", "-5")],
 )
 def test_generate_non_positive_path_setting_exits_2(tmp_path, map_file, key, value, capsys):
     cfg = write_cfg(tmp_path, map_file, **{key: value})
     assert_config_error(["generate", "--config", str(cfg)], capsys)
     assert not (tmp_path / "scenes").exists()
-
-
-@pytest.mark.parametrize("value", ["1e-300", "0.001"])
-def test_generate_path_spacing_below_a_centimetre_exits_2(tmp_path, map_file, value, capsys):
-    # a spacing of 1e-300 once asked np.arange for more samples than fit
-    cfg = write_cfg(tmp_path, map_file, path_spacing=value)
-    assert_config_error(["generate", "--config", str(cfg)], capsys)
-    with pytest.raises(ConfigError, match=rf"run.cfg:5: path_spacing .* got {value}$"):
-        parse_run_config(cfg)
-    assert not (tmp_path / "scenes").exists()
-    cfg = write_cfg(tmp_path, map_file, path_spacing="0.01")
-    assert parse_run_config(cfg).path_spacing == 0.01
 
 
 def test_generate_repeated_config_key_exits_2(tmp_path, map_file, capsys):

@@ -2,8 +2,10 @@
 `src/scenesynth/`: scene generation (`synthesis`) imports the config
 syntax (`config`) and the manifest, which imports the config syntax, so
 neither of those may reach `synthesis`, and `config` may not reach the
-manifest. Each would make an import cycle. `analysis` works on arrays
-alone, so it reaches neither scene generation nor the command line."""
+manifest. Each would make an import cycle. No config key sets a warp, so
+`config` does not reach the warps (`augment`) either. `analysis` works on
+arrays alone, so it reaches neither scene generation nor the command
+line."""
 
 import ast
 from pathlib import Path
@@ -59,6 +61,11 @@ def test_the_import_reader_sees_each_form_of_import():
 def test_config_and_manifest_do_not_import_scene_generation(module, below):
     assert (PACKAGE / f"{module}.py").exists()
     assert _reaches(module) & below == set()
+
+
+def test_config_does_not_import_the_warps():
+    assert (PACKAGE / "augment.py").exists()
+    assert "augment" not in _reaches("config")
 
 
 def test_analysis_imports_neither_scene_generation_nor_the_command_line():

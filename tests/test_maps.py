@@ -132,8 +132,9 @@ def test_reference_path_chain_concatenates():
     path = build_reference_path(m, "L1", 100.0, rng)
     assert path.lane_ids == ("L1", "L2", "L3")
     assert path.length == pytest.approx(120.0)
-    # uniform grid with the configured spacing
+    # the 1 m grid of REFERENCE_SPACING, exactly
     assert np.allclose(np.diff(path.cum_s), 1.0)
+    assert path.cum_s.tobytes() == np.arange(len(path.cum_s), dtype=float).tobytes()
 
 
 def test_reference_path_fork_deterministic():
@@ -386,17 +387,17 @@ def path_cache(monkeypatch):
     return cache
 
 
-def uncached_path(m, lane_id, min_length, seed, monkeypatch, spacing=1.0):
+def uncached_path(m, lane_id, min_length, seed, monkeypatch):
     """The path built with an empty cache, and the rng state after it."""
     rng = np.random.default_rng(seed)
     with monkeypatch.context() as mp:
         mp.setattr(maps, "_PATH_CACHE", {})
-        path = build_reference_path(m, lane_id, min_length, rng, spacing)
+        path = build_reference_path(m, lane_id, min_length, rng)
     return path, rng.bit_generator.state
 
 
 def assert_same_path(got, want):
-    assert got.lane_ids == want.lane_ids and got.spacing == want.spacing
+    assert got.lane_ids == want.lane_ids
     for a, b in ((got.samples.xy, want.samples.xy), (got.cum_s, want.cum_s),
                  (got.kappa, want.kappa)):
         assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
@@ -414,12 +415,7 @@ def test_repeated_chain_returns_the_cached_path_with_uncached_bits(path_cache, m
         again = build_reference_path(m, lane_id, 150.0, rng)
         assert again is first and rng.bit_generator.state == want_state
         assert_same_path(again, want)
-    # other spacings, and an equal map made of other objects, are other keys
-    for spacing in (2.0, 2):
-        want, _ = uncached_path(m, "H0_0", 150.0, 0, monkeypatch, spacing)
-        got = build_reference_path(m, "H0_0", 150.0, np.random.default_rng(0), spacing)
-        assert got is not first and type(got.spacing) is type(spacing)
-        assert_same_path(got, want)
+    # an equal map made of other objects is another key
     twin = generate_map_fixture("corridors")
     first = build_reference_path(m, "A0_0", 150.0, np.random.default_rng(0))
     assert build_reference_path(twin, "A0_0", 150.0, np.random.default_rng(0)) is not first
@@ -467,5 +463,5 @@ def test_path_cache_never_exceeds_its_bound(path_cache, monkeypatch):
         cached = [path for _, path in path_cache.values()]
         assert (kept in cached) == (k < 2 * PATH_CACHE_SIZE - 3)
     for key, (lanes, path) in path_cache.items():
-        assert key[2:] == tuple(map(id, lanes))
+        assert key == tuple(map(id, lanes))
         assert path.lane_ids == tuple(lane.lane_id for lane in lanes)

@@ -35,7 +35,7 @@ from scenesynth.synthesis import GenerationConfig
 
 def straight_path(length=400.0):
     poly = Polyline([(0.0, 0.0), (length, 0.0)])
-    return _path_from_polyline(poly, ("L",), 1.0)
+    return _path_from_polyline(poly, ("L",))
 
 
 def constant_kappa_path(kappa, length=200.0):
@@ -44,7 +44,6 @@ def constant_kappa_path(kappa, length=200.0):
         base.samples,
         base.cum_s,
         np.full_like(base.kappa, kappa),
-        base.spacing,
         base.lane_ids,
     )
 
@@ -74,16 +73,6 @@ def test_transition_cost_hand_value():
 def test_transition_cost_zero_at_target():
     path = straight_path(200.0)
     assert transition_cost(Node(10.0, 10.0, 0.5), 0.0, path, PlannerParams(), 10.0) == 0.0
-
-
-def test_transition_cost_signed_curvature_flag():
-    path = constant_kappa_path(-0.05)
-    node = Node(20.0, 10.0, 0.5)
-    p_abs = PlannerParams(abs_curvature=True)
-    p_raw = PlannerParams(abs_curvature=False)
-    assert transition_cost(node, 0.0, path, p_abs, 10.0) > 0
-    # signed curvature enters the formula as-is and may reduce the cost
-    assert transition_cost(node, 0.0, path, p_raw, 10.0) < 0
 
 
 def test_transition_cost_overrun():
@@ -350,72 +339,58 @@ def test_batch_mixing_feasible_overrunning_and_pruned_scenes():
     assert (got[1], got[3], got[4]) == (PathOverrunError, PlanningFailureError, PathOverrunError)
 
 
-def test_batch_paths_must_share_one_grid():
-    path = straight_path(200.0)
-    coarse = _path_from_polyline(Polyline([(0.0, 0.0), (100.0, 0.0)]), ("L",), 2.0)
-    with pytest.raises(ValueError, match="one uniform grid"):
-        astar_plan([(path, 0.0, 10.0, 10.0), (coarse, 0.0, 10.0, 10.0)], PlannerParams())
-
-
 def test_batched_curvature_lookup_is_np_interp_bit_for_bit():
     rng = np.random.default_rng(5)
-    for spacing in (1.0, 0.3, 1.0 / 3.0, 2.5):
-        # one long path next to short ones, on one grid of `spacing`
-        paths = [
-            _path_from_polyline(
-                wiggly_path(rng, length=n, max_turn=0.08).samples, ("synthetic",), spacing
-            )
-            for n in (40.0, 900.0, 117.0, 12.0)
-        ]
-        batch = _Batch(paths, PlannerParams(), np.zeros(len(paths)))
-        # ragged tables: the sum of the path lengths, not scenes x longest
-        assert batch.kappa.size == batch.slope.size == sum(len(p.cum_s) for p in paths)
-        for row, path in enumerate(paths):
-            end = path.length
-            x = np.concatenate([
-                path.cum_s,
-                np.nextafter(path.cum_s, np.inf),
-                np.nextafter(path.cum_s, -np.inf),
-                [end, end + 3.5, end + 1000.0],
-                rng.uniform(0.0, end, 5000),
-                [-0.5, -0.0],
-            ])
-            got = batch.curvature(x, np.full(x.shape, row))
-            assert got.tobytes() == np.interp(x, path.cum_s, path.kappa).tobytes()
-        # padded (scene, state) layout, as the beam pass asks for it
-        x = rng.uniform(-1.0, 950.0, (len(paths), 500))
-        got = batch.curvature(x, np.arange(len(paths))[:, None])
-        want = [np.interp(x[row], path.cum_s, path.kappa) for row, path in enumerate(paths)]
-        assert got.tobytes() == np.array(want).tobytes()
+    # one long path next to short ones, on the 1 m grid
+    paths = [wiggly_path(rng, length=n, max_turn=0.08) for n in (40.0, 900.0, 117.0, 12.0)]
+    batch = _Batch(paths, PlannerParams(), np.zeros(len(paths)))
+    # ragged tables: the sum of the path lengths, not scenes x longest
+    assert batch.kappa.size == batch.slope.size == sum(len(p.cum_s) for p in paths)
+    for row, path in enumerate(paths):
+        end = path.length
+        x = np.concatenate([
+            path.cum_s,
+            np.nextafter(path.cum_s, np.inf),
+            np.nextafter(path.cum_s, -np.inf),
+            [end, end + 3.5, end + 1000.0, np.nan],
+            rng.uniform(0.0, end, 5000),
+            [-0.5, -0.0, -1e300],
+        ])
+        got = batch.curvature(x, np.full(x.shape, row))
+        assert got.tobytes() == np.interp(x, path.cum_s, path.kappa).tobytes()
+    # padded (scene, state) layout, as the beam pass asks for it
+    x = rng.uniform(-1.0, 950.0, (len(paths), 500))
+    got = batch.curvature(x, np.arange(len(paths))[:, None])
+    want = [np.interp(x[row], path.cum_s, path.kappa) for row, path in enumerate(paths)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("spacing", [1.0, 0.3, 0.7, 1.0 / 3.0, 2.5])
-def test_segment_lookup_is_searchsorted_at_every_grid_point(spacing):
-    grid = np.arange(600) * spacing
+def test_segment_lookup_is_searchsorted_at_every_grid_point():
+    grid = np.arange(600, dtype=float)
     x = np.concatenate([
         grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
-        [np.nan, np.inf, -np.inf, -0.0, 1e300],
+        [np.nan, np.inf, -np.inf, -0.0, -0.5, -1.0, -1e300, 599.5, 1e300],
     ])
     want = np.searchsorted(grid, x, side="right") - 1
-    assert np.array_equal(_segment(grid, spacing, x), want)
+    assert np.array_equal(_segment(x, len(grid) - 1), want)
 
 
 def test_segment_lookup_is_searchsorted_on_planner_states(oracle_instances, monkeypatch):
     seen = []
     real = planner._segment
 
-    def record(grid, spacing, x):
-        seen.append((grid, spacing, x.copy()))
-        return real(grid, spacing, x)
+    def record(x, top):
+        seen.append((x.copy(), top))
+        return real(x, top)
 
     monkeypatch.setattr(planner, "_segment", record)
     for fraction in FRACTIONS:
         instances = oracle_instances[fraction][:40]
         astar_plan([problem for problem, _, _ in instances], instances[0][1])
-    assert sum(x.size for _, _, x in seen) > 10_000
-    for grid, spacing, x in seen:
-        want = np.searchsorted(grid, x, side="right") - 1
-        assert np.array_equal(real(grid, spacing, x), want)
+    assert sum(x.size for x, _ in seen) > 10_000
+    for x, top in seen:
+        want = np.searchsorted(np.arange(top + 1.0), x, side="right") - 1
+        assert np.array_equal(real(x, top), want)
 
 
 def test_plan_matches_reference_on_tied_action_orders():
@@ -426,15 +401,6 @@ def test_plan_matches_reference_on_tied_action_orders():
         p = PlannerParams(action_set=actions, w3=0.0)
         plan = assert_matches_reference((path, 0.0, 10.0, 10.0), p)
         assert isinstance(plan, CoarsePlan)
-
-
-def test_plan_matches_reference_with_signed_curvature():
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        path = wiggly_path(rng, max_turn=0.08)
-        v_d = float(rng.uniform(6, 15))
-        v0 = float(rng.uniform(5, 15))
-        assert_matches_reference((path, 4.0, v0, v_d), PlannerParams(abs_curvature=False))
 
 
 def test_plan_matches_reference_when_beam_pass_overruns():

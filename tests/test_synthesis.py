@@ -82,8 +82,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         GenerationConfig(seed=1, n_scenes=1, crop_radius=0.0)
     for bad in (0.0, -1.0):
-        with pytest.raises(ConfigError, match="path_spacing must be positive"):
-            GenerationConfig(seed=1, n_scenes=1, path_spacing=bad)
         with pytest.raises(ConfigError, match="path_min_length must be positive"):
             GenerationConfig(seed=1, n_scenes=1, path_min_length=bad)
     with pytest.raises(ConfigError):
