@@ -9,7 +9,8 @@ the `corridors` MIA and PIT map files:
 - generate cases (the paper's 165/370 warped mix and an all-warped
   dataset, each at two fixed seeds, and the mix planned at `dt = 1.0`
   to `t_g = 7.0`, a second refinement shape of k = 10 fine steps per
-  coarse step and n = 70, at one seed): `generate` N scenes from the maps,
+  coarse step and n = 70, on reference paths of at least 400 m, at one
+  seed): `generate` N scenes from the maps,
   `validate` them, then `mask --task combined` into `samples/`, `mask
   --task map --mask-ratio 0.3` (a crop of one lane falls back to its
   trajectory sample) into `samples_map/` and `mask --task traj
@@ -42,6 +43,13 @@ the `corridors` MIA and PIT map files:
 - augment-map cases (`--kind single` and `--kind double`, each at two
   fixed seeds): `augment-map` on each map, which writes the warped map
   and its `.params` file.
+
+Every `corridors` lane but the ramp `R0_0` is 160 m long, more than the
+default `path_min_length` of 150 m, and the ramp has no successor, so
+at the default a reference path is one lane. The `dt = 1.0` case asks
+for 400 m: each walk then goes on from a `*_0` lane to its `*_1` lane,
+joining two centerlines, and a walk from `H0_0` draws between `H0_1`
+and the ramp at their fork.
 
 The manifest echoes the output and map paths, so both trees must write
 to the same paths for their bytes to be comparable; the second tree runs
@@ -82,7 +90,7 @@ CASES = (
     ("mixed-271828000", 271828000, ()),
     ("warped-1000", 1000, ("augmented_fraction = 1.0",)),
     ("warped-271828000", 271828000, ("augmented_fraction = 1.0",)),
-    ("mixed-dt1-1000", 1000, ("dt = 1.0", "t_g = 7.0")),
+    ("mixed-dt1-1000", 1000, ("dt = 1.0", "t_g = 7.0", "path_min_length = 400.0")),
 )
 
 # the directories of a generate case's run, `_w2` added for two workers

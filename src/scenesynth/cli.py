@@ -43,8 +43,9 @@ the fields and of the manifest's config block:
     map_files =               comma-separated map paths (required by generate)
 
 Refinement smooths each plan onto the 10 Hz scene grid, k = dt / 0.1 fine
-steps per coarse step. `validate` checks each scene file, then the
-manifest against them (`manifest.manifest_problems`).
+steps per coarse step. `validate` checks each scene file, then that the
+manifest is the text that `manifest.manifest_text` makes from its own
+config block and maps line and the scene files (`manifest.manifest_problems`).
 """
 
 from __future__ import annotations

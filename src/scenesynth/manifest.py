@@ -1,4 +1,5 @@
-"""The dataset manifest, `manifest.txt`: write it, read it back, check it.
+"""The dataset manifest, `manifest.txt`: write it, and check it against
+the scene files.
 
     # scenesynth dataset manifest
     # config seed: 0           GenerationConfig.echo(), one line per key
@@ -8,24 +9,33 @@
     scene_000001.csv,skipped,-,-,reason
 
 It holds no timing or worker count, so its bytes are a function of
-(seed, config, maps). The config lines, numbered by `read_manifest`, read
-back through `GenerationConfig.from_lines` (module `config`).
+(seed, config, maps). `manifest_text` is its one writer, and the check
+(`manifest_problems`) renders it again: from the file's own config block,
+read back through `GenerationConfig.from_lines` (module `config`), the
+file's maps line and a row per scene from the scene files. A manifest is
+valid only when it is that text, byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+import re
+from itertools import zip_longest
 
 from .config import GenerationConfig
 from .errors import ConfigError, ValidationError
-from .maps import read_lines
+from .maps import read_text
 
 MANIFEST_FILE = "manifest.txt"  # in the dataset's output_dir
 
+HEADER = "# scenesynth dataset manifest"
 CONFIG = "# config "
 MAPS = "# maps: "
 COUNT = "# count "
+UNKNOWN = "..."  # a row field that no scene file gives
+
+
+def scene_filename(index: int) -> str:
+    return f"scene_{index:06d}.csv"
 
 
 def manifest_fields(meta: dict[str, str]) -> tuple[str, str, str]:
@@ -53,143 +63,95 @@ def manifest_counts(rows) -> dict[str, int]:
     return counts
 
 
-def manifest_text(cfg, maps, records) -> str:
-    """The manifest of the scene records `records`, in index order, made
-    from `cfg` and `maps`."""
-    counts = manifest_counts((rec.status, rec.city) for rec in records)
-    lines = ["# scenesynth dataset manifest"]
+def manifest_text(cfg, maps_text: str, rows: list[tuple[str, ...]]) -> str:
+    """The manifest of `cfg` with the maps line `maps_text` and the rows
+    `rows`, in index order, each the tuple of its comma-separated fields:
+    (file, status, city, cost, reason), with the reason empty for a made
+    scene and the city and cost `-` for a skipped one."""
+    lines = [HEADER]
     lines.extend(f"{CONFIG}{key}: {value}" for key, value in cfg.echo())
-    lines.append(MAPS + ";".join(f"{m.city}={len(m.lanes)}" for m in maps))
+    lines.append(MAPS + maps_text)
+    counts = manifest_counts(row[1:] for row in rows)
     lines.extend(f"{COUNT}{key}: {value}" for key, value in counts.items())
-    for rec in records:
-        if rec.status == "skipped":
-            lines.append(f"{rec.filename},skipped,-,-,{rec.reason}")
-        else:
-            lines.append(f"{rec.filename},{rec.status},{rec.city},{rec.cost},")
+    lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ManifestLines:
-    """A manifest's parts, each with its file line."""
-
-    path: Path
-    config: list[tuple[int, str]]  # (line, `key: value`) of each `# config` line
-    maps: list[tuple[int, str]]  # (line, text) of each `# maps:` line
-    counts: list[tuple[int, str, str]]  # (line, key, value) of each `# count` line
-    rows: list[tuple[int, list[str]]]  # (line, comma-split fields) of each row
-
-
-def read_manifest(path) -> ManifestLines:
-    """The parts of the manifest at `path`; other `#` lines and blank lines
-    are skipped. Bytes that are not UTF-8 raise ValidationError."""
-    config, maps, counts, rows = [], [], [], []
-    for lineno, line in enumerate(read_lines(path, ValidationError), start=1):
-        if line.startswith(CONFIG):
-            config.append((lineno, line[len(CONFIG):]))
-        elif line.startswith(COUNT):
-            key, _, value = line[len(COUNT):].partition(":")
-            counts.append((lineno, key.strip(), value.strip()))
-        elif line.startswith(MAPS):
-            maps.append((lineno, line[len(MAPS):]))
-        elif line.strip() and not line.startswith("#"):
-            rows.append((lineno, line.split(",")))
-    return ManifestLines(Path(path), config, maps, counts, rows)
-
-
-def _config_problems(m: ManifestLines, n_rows: int) -> list[str]:
-    """The config block must read back through
-    `GenerationConfig.from_lines`, be that config's echo line for line, and
-    have n_scenes equal to `n_rows`."""
-    try:
-        cfg = GenerationConfig.from_lines(m.config, m.path)
-    except ConfigError as exc:
-        return [str(exc) if exc.line is not None else f"{m.path}: config block: {exc}"]
-    block = [repr(text) for _, text in m.config] + ["no line"]
-    echo = [repr(f"{key}: {value}") for key, value in cfg.echo()] + ["no line"]
-    i = next((i for i, (got, want) in enumerate(zip(block, echo)) if got != want), None)
-    if i is not None:
-        where = f"{m.path}:{m.config[i][0]}" if i < len(m.config) else m.path
-        return [f"{where}: config echoes {echo[i]}; the block has {block[i]}"]
-    if cfg.n_scenes != n_rows:
-        lineno = next(n for n, text in m.config if text.startswith("n_scenes:"))
-        return [f"{m.path}:{lineno}: n_scenes is {cfg.n_scenes}; the manifest has {n_rows} rows"]
-    return []
-
-
-def _maps_problems(m: ManifestLines, fields: list[tuple[str, ...]]) -> list[str]:
-    """The `# maps:` line must be there once, each `;` entry `CITY=N` with
-    N a lane count, and it must name the city of every row not skipped.
-    The lane counts are not checked against the maps."""
-    if not m.maps:
-        return [f"{m.path}: maps line is missing"]
-    (lineno, text), *again = m.maps
-    where = f"{m.path}:{lineno}"
-    problems = [f"{m.path}:{n}: maps line repeats line {lineno}" for n, _ in again]
+def _maps_fault(maps_text: str, rows) -> str | None:
+    """What is wrong with the maps line `maps_text` of a manifest with the
+    rows `rows`, if anything: each `;` entry must be `CITY=N` with N a lane
+    count, and it must name the city of every row not skipped. The lane
+    counts are not checked against the maps."""
     cities = set()
-    for entry in text.split(";"):
+    for entry in maps_text.split(";"):
         city, eq, lanes = entry.partition("=")
         if not (city and eq and lanes.isascii() and lanes.isdigit()):
-            problems.append(f"{where}: maps entry {entry!r} is not CITY=N")
+            return f"maps entry {entry!r} is not CITY=N"
         cities.add(city)
-    listed = {row[1] for row in fields if len(row) > 1 and row[0] != "skipped"}
-    problems.extend(
-        f"{where}: no maps entry for city {city}, which a row lists"
-        for city in sorted(listed - cities)
-    )
-    return problems
+    listed = {row[2] for row in rows if len(row) > 2 and row[1] != "skipped"}
+    missing = sorted(listed - cities)
+    return f"no maps entry for city {missing[0]}, which a row lists" if missing else None
+
+
+def _first_difference(text: str, expected: str) -> tuple[int, str] | None:
+    """The first line of `text` that is not that line of `expected`, as
+    (line number, `expected ..., found ...`); each line is shown with its
+    line end, or as `<end of file>` past the last one."""
+    if text == expected:
+        return None
+    got, want = (re.findall(r"[^\n]*\n|[^\n]+\Z", t) for t in (text, expected))
+    i = next(i for i, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+    found, wanted = (repr(lines[i]) if i < len(lines) else "<end of file>" for lines in (got, want))
+    return i + 1, f"expected {wanted}, found {found}"
 
 
 def manifest_problems(
     path, scene_names: set[str], rows: dict[str, tuple[str, str, str]]
 ) -> list[str]:
-    """Each fault of the manifest at `path`, as `where: problem`, against
+    """The faults of the manifest at `path`, as `where: problem`, against
     the scene files `scene_names`, of which `rows` gives the (status, city,
-    cost) of each that reads back: a config block at fault (as
-    `GenerationConfig.from_lines` reads it); a maps line missing,
-    repeated, malformed or without the city of a row; a malformed or
-    repeated row, or one that disagrees with its file; a file without a
-    row or with a `skipped` one; a count line repeated, missing or off the
-    tally."""
-    m = read_manifest(path)
-    problems: list[str] = []
-    listed_at: dict[str, int] = {}  # first line of each file's row
-    fields: list[tuple[str, ...]] = []  # the (status, city, cost) of each row
-    for lineno, row in m.rows:
-        where = f"{m.path}:{lineno}"
-        if len(row) < 2:
-            problems.append(f"{where}: expected 'file,status,...', got {row[0]!r}")
-            continue
-        name, listed = row[0], tuple(row[1:4])
-        if name in listed_at:
-            problems.append(f"{where}: row of {name} repeats line {listed_at[name]}")
-        listed_at.setdefault(name, lineno)
-        fields.append(listed)
-        if listed[0] == "skipped":
-            if name in scene_names:
-                problems.append(f"{where}: lists {name} as skipped; the file exists")
-        elif name not in scene_names:
-            problems.append(f"{where}: listed file {name} missing")
-        elif name in rows and listed != rows[name]:
-            problems.append(
-                f"{where}: lists {name} as {','.join(listed)}; "
-                f"the file has {','.join(rows[name])}"
-            )
-    problems[:0] = _config_problems(m, len(fields)) + _maps_problems(m, fields)
-    problems.extend(
-        f"{m.path}: no row lists {name}" for name in sorted(scene_names - listed_at.keys())
-    )
-    tally = manifest_counts(fields)
-    counted_at: dict[str, int] = {}  # first line of each count key
-    for lineno, key, value in m.counts:
-        where = f"{m.path}:{lineno}"
-        if key in counted_at:
-            problems.append(f"{where}: count {key} repeats line {counted_at[key]}")
-        counted_at.setdefault(key, lineno)
-        if value != str(tally.get(key, 0)):
-            problems.append(f"{where}: count {key} is {value}; the rows tally {tally.get(key, 0)}")
-    problems.extend(
-        f"{m.path}: count {key} is missing; the rows tally {tally[key]}"
-        for key in sorted(tally.keys() - counted_at.keys())
-    )
-    return problems
+    cost) of each that reads back: one for the manifest, and `no row
+    lists` each scene file that is not one of its `n_scenes`.
+
+    Read without newline translation, as scene files are, the file must
+    be `manifest_text` of its own config block (read back through
+    `GenerationConfig.from_lines`; a ConfigError is the fault), its own
+    maps line (`_maps_fault`) and a row per scene in index order: made
+    from the scene file; as listed, for a file that does not read back;
+    the listed five-field `skipped` row, for a file that does not exist.
+    The fault is the first line that differs, or the maps line's if that
+    comes first. Bytes that are not UTF-8 raise ValidationError.
+    """
+    text = read_text(path, ValidationError, newline="")
+    lines = text.split("\n")
+    config = [(n, line[len(CONFIG):]) for n, line in enumerate(lines, 1) if line.startswith(CONFIG)]
+    try:
+        cfg = GenerationConfig.from_lines(config, path)
+    except ConfigError as exc:
+        return [str(exc) if exc.line is not None else f"{path}: config block: {exc}"]
+    if cfg.n_scenes >= len(lines):  # each scene has a row, below the header
+        return [f"{path}: n_scenes is {cfg.n_scenes}, more rows than the manifest has lines"]
+    names = [scene_filename(index) for index in range(cfg.n_scenes)]
+    unlisted = [f"{path}: no row lists {name}" for name in sorted(scene_names - set(names))]
+    maps_at = next((n for n, line in enumerate(lines, 1) if line.startswith(MAPS)), None)
+    if maps_at is None:
+        return [f"{path}: maps line is missing", *unlisted]
+    listed: dict[str, tuple[str, ...]] = {}  # the first row that names each file
+    for line in lines:
+        listed.setdefault(line.partition(",")[0], tuple(line.split(",")))
+    expected = []
+    for name in names:
+        row = listed.get(name, ())
+        if name in rows:
+            row = (name, *rows[name], "")
+        elif name in scene_names:  # a file that does not read back
+            row = row or (name, UNKNOWN)
+        elif not (len(row) == 5 and row[1:4] == ("skipped", "-", "-")):
+            row = (name, "skipped", "-", "-", UNKNOWN)
+        expected.append(row)
+    maps_text = lines[maps_at - 1][len(MAPS):]
+    fault = _first_difference(text, manifest_text(cfg, maps_text, expected))
+    maps_fault = _maps_fault(maps_text, expected)
+    if maps_fault is not None and (fault is None or maps_at <= fault[0]):
+        fault = maps_at, maps_fault
+    return ([] if fault is None else [f"{path}:{fault[0]}: {fault[1]}"]) + unlisted

@@ -247,7 +247,8 @@ def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
     negative velocity are pruned; expansions past the end of the path are
     pruned and, if they starve a scene's search, reported as a path
     overrun. Ties on terminal cost break toward lower velocity, then lower
-    arc-length.
+    arc-length. A start that is not finite, or a negative initial
+    velocity, raises ValueError before any search.
 
     All problems run together under `p`: one beam pass over padded
     `(scene, state)` arrays, then one exact pass over flat state arrays
@@ -265,6 +266,8 @@ def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
     out: list[CoarsePlan | PlanningError | None] = [None] * len(problems)
     live: list[int] = []  # problems that start on their path
     for k, (path, s0, v0, _) in enumerate(problems):
+        if not (math.isfinite(s0) and math.isfinite(v0)):
+            raise ValueError(f"initial state must be finite, got s={s0}, v={v0}")
         if v0 < 0:
             raise ValueError(f"initial velocity must be nonnegative, got {v0}")
         if s0 < 0 or s0 > path.length:

@@ -69,7 +69,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import MOVING_STEP, Point2
-from .manifest import MANIFEST_FILE, manifest_fields, manifest_text
+from .manifest import MANIFEST_FILE, manifest_fields, manifest_text, scene_filename
 from .maps import (
     ReferencePath,
     SceneMap,
@@ -427,10 +427,6 @@ def read_scene(path, text: str | None = None) -> Scene:
     return scene
 
 
-def scene_filename(index: int) -> str:
-    return f"scene_{index:06d}.csv"
-
-
 @dataclass
 class SceneRecord:
     index: int
@@ -622,5 +618,7 @@ def generate_dataset(
                 )
 
     ordered = [records[i] for i in range(cfg.n_scenes)]
-    write_text_atomic(out_dir / MANIFEST_FILE, manifest_text(cfg, maps, ordered))
+    maps_text = ";".join(f"{m.city}={len(m.lanes)}" for m in maps)
+    rows = [(rec.filename, rec.status, rec.city, rec.cost, rec.reason) for rec in ordered]
+    write_text_atomic(out_dir / MANIFEST_FILE, manifest_text(cfg, maps_text, rows))
     return ordered

@@ -20,6 +20,11 @@ whose files held the floats that `pretrain.read_sample` now remakes from
 the scene, and `reference_sample_text` writes v1 text from first
 principles.
 
+`read_manifest` splits a dataset manifest into its parts, each with
+its line, so that a test can read the config block and the counts; the
+package itself checks a manifest only against the text that
+`manifest.manifest_text` writes.
+
 `plan_one`, `refine_one` and `make_scene` are no oracles: they run the
 package's batched planner, refinement and scene attempt on one problem
 and raise its error, the single-problem form that most tests call.
@@ -962,6 +967,30 @@ def lane_records(path) -> list[str]:
         if records:
             records[-1].append(line[len("# map: "):])
     return ["\n".join(record) for record in records]
+
+
+class ManifestParts(NamedTuple):
+    config: list[tuple[int, str]]  # (line, `key: value`) of each `# config` line
+    maps: list[tuple[int, str]]  # (line, text) of each `# maps:` line
+    counts: list[tuple[int, str, str]]  # (line, key, value) of each `# count` line
+    rows: list[tuple[int, list[str]]]  # (line, comma-split fields) of each row
+
+
+def read_manifest(path) -> ManifestParts:
+    """The parts of the dataset manifest at `path`, each with its file
+    line; other `#` lines and blank lines are left out."""
+    parts = ManifestParts([], [], [], [])
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if line.startswith("# config "):
+            parts.config.append((lineno, line[len("# config "):]))
+        elif line.startswith("# count "):
+            key, _, value = line[len("# count "):].partition(":")
+            parts.counts.append((lineno, key.strip(), value.strip()))
+        elif line.startswith("# maps: "):
+            parts.maps.append((lineno, line[len("# maps: "):]))
+        elif line.strip() and not line.startswith("#"):
+            parts.rows.append((lineno, line.split(",")))
+    return parts
 
 
 def assert_same_map(got: SceneMap, want: SceneMap) -> None:

@@ -16,14 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lane_records, trajectory_stats, with_lane_cache
+from oracles import lane_records, read_manifest, trajectory_stats, with_lane_cache
 
 import scenesynth
 from scenesynth import analysis, cli
 from scenesynth.cli import main, parse_run_config
 from scenesynth.errors import ConfigError
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.manifest import read_manifest
 from scenesynth.maps import LaneSegment, load_map, make_map, read_lines, save_map
 from scenesynth.pretrain import ReconTask, read_sample
 from scenesynth import maps
@@ -142,8 +141,9 @@ def test_generate_summary_counts_made_and_skipped_scenes_apart(
 def test_generate_manifest_echoes_each_config_key_once(tmp_path, map_file):
     cfg = write_cfg(tmp_path, map_file, n_scenes=2)
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
-    manifest = read_manifest(tmp_path / "scenes" / "manifest.txt")
-    assert GenerationConfig.from_lines(manifest.config, manifest.path) == parse_run_config(cfg)
+    path = tmp_path / "scenes" / "manifest.txt"
+    manifest = read_manifest(path)
+    assert GenerationConfig.from_lines(manifest.config, path) == parse_run_config(cfg)
     block = [text for _, text in manifest.config]
     keys = [text.partition(":")[0] for text in block]
     assert len(keys) == len(set(keys))
@@ -271,28 +271,45 @@ def _list_twice(line):
     return f"{line}\n{line}" if line.startswith("scene_") else line
 
 
+def _case(fault, edit, named):
+    """A case whose FAIL line names the first manifest line that is not
+    the writer's, `named`; its id names the fault that `edit` makes."""
+    return pytest.param(edit, named, id=f"{edit.__name__}-{fault}")
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda line: None if _row_of("scene_000001.csv", line) else line,
-         "no row lists scene_000001.csv"),
-        (lambda line: "scene_000002.csv,skipped,-,-,x" if _row_of("scene_000002.csv", line)
-         else line, "lists scene_000002.csv as skipped"),
-        (lambda line: "# count total: 4" if line.startswith("# count total:") else line,
-         "count total is 4; the rows tally 3"),
-        (lambda line: None if line.startswith("# count city MIA:") else line,
-         "count city MIA is missing; the rows tally 3"),
-        (lambda line: f"# count total: 99\n{line}" if line.startswith("# count total:")
-         else line, f":{FIRST_COUNT + 1}: count total repeats line {FIRST_COUNT}"),
-        (_list_twice, f":{FIRST_ROW + 1}: row of scene_000000.csv repeats line {FIRST_ROW}"),
+        _case("no row lists scene_000001.csv",
+              lambda line: None if _row_of("scene_000001.csv", line) else line,
+              f":{FIRST_ROW + 1}: expected 'scene_000001.csv,"),
+        _case("lists scene_000002.csv as skipped",
+              lambda line: "scene_000002.csv,skipped,-,-,x" if _row_of("scene_000002.csv", line)
+              else line, f":{FIRST_ROW + 2}: expected 'scene_000002.csv,"),
+        _case("count total is 4; the rows tally 3",
+              lambda line: "# count total: 4" if line.startswith("# count total:") else line,
+              f":{FIRST_COUNT}: expected '# count total: 3\\n', found '# count total: 4\\n'"),
+        _case("count city MIA is missing; the rows tally 3",
+              lambda line: None if line.startswith("# count city MIA:") else line,
+              f":{FIRST_COUNT + 4}: expected '# count city MIA: 3\\n', found 'scene_000000.csv,"),
+        _case(f":{FIRST_COUNT + 1}: count total repeats line {FIRST_COUNT}",
+              lambda line: f"# count total: 99\n{line}" if line.startswith("# count total:")
+              else line,
+              f":{FIRST_COUNT}: expected '# count total: 3\\n', found '# count total: 99\\n'"),
+        _case(f":{FIRST_ROW + 1}: row of scene_000000.csv repeats line {FIRST_ROW}", _list_twice,
+              f":{FIRST_COUNT}: expected '# count total: 3\\n', found '# count total: 6\\n'"),
         (lambda line: "# config seed: banana" if line.startswith("# config seed:") else line,
          ":2: seed: expected an integer, got 'banana'"),
-        (lambda line: None if line.startswith("# config n_scenes:") else line,
-         ":3: config echoes 'n_scenes: 10'; the block has 'output_dir: "),
-        (lambda line: "# config n_scenes: 7" if line.startswith("# config n_scenes:") else line,
-         ":3: n_scenes is 7; the manifest has 3 rows"),
-        (lambda line: f"{line}\n# maps: MIA=12" if line.startswith("# maps:") else line,
-         f":{FIRST_COUNT}: maps line repeats line {FIRST_COUNT - 1}"),
+        _case(":3: config echoes 'n_scenes: 10'; the block has 'output_dir: ",
+              lambda line: None if line.startswith("# config n_scenes:") else line,
+              ":3: expected '# config n_scenes: 10\\n', found '# config output_dir: "),
+        _case(":3: n_scenes is 7; the manifest has 3 rows",
+              lambda line: "# config n_scenes: 7" if line.startswith("# config n_scenes:")
+              else line,
+              f":{FIRST_COUNT}: expected '# count total: 7\\n', found '# count total: 3\\n'"),
+        _case(f":{FIRST_COUNT}: maps line repeats line {FIRST_COUNT - 1}",
+              lambda line: f"{line}\n# maps: MIA=12" if line.startswith("# maps:") else line,
+              f":{FIRST_COUNT}: expected '# count total: 3\\n', found '# maps: MIA=12\\n'"),
         (lambda line: None if line.startswith("# maps:") else line, "maps line is missing"),
         (lambda line: "# maps: banana" if line.startswith("# maps:") else line,
          f":{FIRST_COUNT - 1}: maps entry 'banana' is not CITY=N"),
@@ -324,7 +341,64 @@ def test_validate_checks_the_manifest_from_the_files_side(
     assert main(["validate", "--scenes", str(scenes)]) == 1
     err = capsys.readouterr().err
     assert named in err
-    assert all(line.startswith(f"FAIL {manifest}") for line in err.splitlines())
+    assert err.count("\n") == 1 and err.startswith(f"FAIL {manifest}")
+
+
+def _fifth_field(text):
+    """A reason on the row of a made scene, whose fifth field is empty."""
+    row = next(line for line in text.split("\n") if _row_of("scene_000000.csv", line))
+    assert row.endswith(",")
+    return text.replace(f"{row}\n", f"{row}late\n")
+
+
+def _shown(text, lineno):
+    """Line `lineno` of `text` as a FAIL line shows it: with its line end,
+    or `<end of file>` past the last line."""
+    lines = text.splitlines(keepends=True)
+    return repr(lines[lineno - 1]) if lineno <= len(lines) else "<end of file>"
+
+
+@pytest.mark.parametrize(
+    "edit, lineno",
+    [
+        (lambda text: text.replace("# scenesynth dataset manifest", "# scenesynth manifest"), 1),
+        (lambda text: text + "\n", FIRST_ROW + 3),
+        (lambda text: text + "# note\n", FIRST_ROW + 3),
+        (_fifth_field, FIRST_ROW),
+        (lambda text: text.replace("# count total: 3\n", "# count total: 3 \n"), FIRST_COUNT),
+        (lambda text: text.replace("\n", "\r\n"), 1),
+    ],
+    ids=["format-line", "blank-line", "comment-line", "fifth-field", "count-space", "crlf"],
+)
+def test_validate_fails_a_manifest_that_is_not_the_writers_text(
+    tmp_path, map_file, capsys, edit, lineno
+):
+    """Each edit leaves every field that the files check intact, and the
+    manifest fails at the edited line, showing the line it should be."""
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "scenes" / "manifest.txt"
+    text = manifest.read_text()
+    edited = edit(text)
+    assert _shown(edited, lineno) != _shown(text, lineno)
+    manifest.write_bytes(edited.encode())
+    capsys.readouterr()
+    assert main(["validate", "--scenes", str(tmp_path / "scenes")]) == 1
+    want, got = _shown(text, lineno), _shown(edited, lineno)
+    assert capsys.readouterr().err == f"FAIL {manifest}:{lineno}: expected {want}, found {got}\n"
+
+
+def test_validate_fails_an_n_scenes_that_the_manifest_cannot_list(tmp_path, map_file, capsys):
+    # the check renders a row per scene: it refuses to render 10**12 of them
+    cfg = write_cfg(tmp_path, map_file, n_scenes=3)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "scenes" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("n_scenes: 3\n", f"n_scenes: {10**12}\n"))
+    capsys.readouterr()
+    assert main(["validate", "--scenes", str(tmp_path / "scenes")]) == 1
+    assert capsys.readouterr().err == (
+        f"FAIL {manifest}: n_scenes is {10**12}, more rows than the manifest has lines\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -346,19 +420,26 @@ def small_dataset(tmp_path_factory):
 def test_validate_fuzz_manifest_line_fails_without_traceback(
     small_dataset, line, cut, junk, tmp_path_factory
 ):
-    """Any one manifest line cut short and followed by arbitrary text."""
+    """Any one manifest line cut short and followed by arbitrary text. The
+    edited manifest fails unless it is the original, or unless the edit
+    sets a value that no scene file holds: a config value that still
+    echoes as written, such as another seed or output_dir, or a lane count
+    of the maps line."""
     scenes = tmp_path_factory.mktemp("fuzz")
     for f in small_dataset.iterdir():
         (scenes / f.name).write_bytes(f.read_bytes())
     lines = (small_dataset / "manifest.txt").read_text().rstrip("\n").split("\n")
     i = line % len(lines)
-    lines[i] = lines[i][:cut] + junk
+    old, lines[i] = lines[i], lines[i][:cut] + junk
     (scenes / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(["validate", "--scenes", str(scenes)])
     assert code in (0, 1)
     assert (code == 1) == ("FAIL " in err.getvalue())
+    if code == 0 and lines[i] != old:
+        prefix = next((p for p in ("# config ", "# maps: ") if old.startswith(p)), None)
+        assert prefix is not None and lines[i].startswith(prefix) and "\n" not in lines[i]
 
 
 def test_validate_empty_dir_exits_1(tmp_path):
@@ -1085,12 +1166,13 @@ def test_manifest_config_block_reads_back(tmp_path, map_file):
         action_set="-2, -1, 0, 1", v_d_min=7, retry_budget=3,
     )
     assert main(["generate", "--config", str(cfg), "--workers", "2"]) == 0
-    manifest = read_manifest(tmp_path / "scenes" / "manifest.txt")
+    path = tmp_path / "scenes" / "manifest.txt"
+    manifest = read_manifest(path)
     keys = [text.partition(":")[0] for _, text in manifest.config]
     assert keys == [f.name for f in KEY_FIELDS]
     assert [lineno for lineno, _ in manifest.config] == list(range(2, 2 + len(KEY_FIELDS)))
     run = parse_run_config(cfg)
-    back = GenerationConfig.from_lines(manifest.config, manifest.path)
+    back = GenerationConfig.from_lines(manifest.config, path)
     assert back == run
     assert back.map_files == (str(map_file), str(other))
     assert run.w1 == 4.5
@@ -1414,13 +1496,14 @@ def test_compare_outputs_same_tree_exits_0():
 
 
 def test_compare_outputs_reports_a_dataset_that_fails_validate(tmp_path):
-    # a tree whose manifests end in a second total line
+    # a tree whose scene files end in a space, which the reader refuses
+    # (a writer fault that `validate` accepts shows only as differing bytes)
     tree = tmp_path / "tree"
     shutil.copytree(REPO / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    module = tree / "src" / "scenesynth" / "manifest.py"
+    module = tree / "src" / "scenesynth" / "synthesis.py"
     module.write_text(module.read_text() + (
-        "\n_text = manifest_text\n\n\ndef manifest_text(cfg, maps, manifest):\n"
-        "    return _text(cfg, maps, manifest) + '# count total: 0\\n'\n"
+        "\n_text = scene_to_text\n\n\ndef scene_to_text(scene):\n"
+        "    return _text(scene)[:-1] + ' \\n'\n"
     ))
     script = REPO / "scripts" / "compare_outputs.py"
     proc = subprocess.run(
@@ -1428,7 +1511,7 @@ def test_compare_outputs_reports_a_dataset_that_fails_validate(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "count total repeats line" in proc.stderr
+    assert re.search(r"scene_000000\.csv:\d+: CITY_NAME '(MIA|PIT) ', expected", proc.stderr)
     assert "scenesynth validate exited 1" in proc.stderr
 
 

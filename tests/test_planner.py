@@ -200,6 +200,18 @@ def test_plan_rejects_negative_initial_velocity():
         plan_one(path, 0.0, -1.0, 10.0, PlannerParams())
 
 
+@pytest.mark.parametrize(
+    "s0, v0",
+    [(math.nan, 10.0), (0.0, math.nan), (0.0, math.inf), (math.inf, 10.0)],
+    ids=["nan-s0", "nan-v0", "inf-v0", "inf-s0"],
+)
+def test_plan_rejects_a_non_finite_start(s0, v0):
+    # a RuntimeWarning from the array work would fail the test too
+    path = wiggly_path(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        plan_one(path, s0, v0, 10.0, PlannerParams())
+
+
 def plan_to_global(plan, path):
     """A plan's states as (t, x, y): its arc lengths placed on the path by
     `ReferencePath.xy_at`, as synthesis places a refined plan."""
