@@ -1,6 +1,6 @@
 """scenesynth: deterministic driving-scene synthesis and masking toolkit."""
 
-from .geometry import Point2, Polyline, curvature_profile, resample_polyline
+from .geometry import Polyline, curvature_profile, resample_polyline
 from .maps import (
     LaneSegment,
     ReferencePath,
@@ -12,7 +12,6 @@ from .maps import (
 from .augment import (
     TurnKind,
     TurnTransformParams,
-    WarpFrame,
     apply_transform,
     sample_transform_params,
 )

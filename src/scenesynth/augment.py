@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Point2, Polyline, rotate
+from .geometry import Polyline, rotate
 from .maps import LanePoints, LaneSegment, ReferencePath, SceneMap
 
 ALPHA1_RANGE = (1.0, 10.0)
@@ -31,28 +31,24 @@ class TurnKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class WarpFrame:
-    """Anchor pose: warp coordinates are relative to origin and heading."""
-
-    origin: Point2
-    heading: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.heading):
-            raise ValueError("frame heading must be finite")
-
-
-@dataclass(frozen=True)
 class TurnTransformParams:
+    """A warp's shape and its anchor frame: warp coordinates are relative to
+    the finite origin (`frame_x`, `frame_y`) and heading `frame_heading`."""
+
     kind: TurnKind
     b: float
     alpha1: float
     alpha2: float
     s_t: float
     beta: float | None
-    frame: WarpFrame
+    frame_x: float
+    frame_y: float
+    frame_heading: float
 
     def __post_init__(self):
+        frame = (self.frame_x, self.frame_y, self.frame_heading)
+        if not all(map(math.isfinite, frame)):
+            raise ValueError(f"non-finite frame x, y, heading {frame}")
         if not ALPHA1_RANGE[0] <= self.alpha1 <= ALPHA1_RANGE[1]:
             raise ValueError(f"alpha1 {self.alpha1} outside {ALPHA1_RANGE}")
         if self.alpha2 <= 1:
@@ -69,9 +65,9 @@ class TurnTransformParams:
             "transform_alpha1": repr(self.alpha1),
             "transform_alpha2": repr(self.alpha2),
             "transform_s_t": repr(self.s_t),
-            "transform_frame_x": repr(self.frame.origin.x),
-            "transform_frame_y": repr(self.frame.origin.y),
-            "transform_frame_heading": repr(self.frame.heading),
+            "transform_frame_x": repr(self.frame_x),
+            "transform_frame_y": repr(self.frame_y),
+            "transform_frame_heading": repr(self.frame_heading),
         }
         if self.kind is TurnKind.DOUBLE:
             md["transform_beta"] = repr(self.beta)
@@ -121,13 +117,13 @@ def apply_transform(m: SceneMap, p: TurnTransformParams) -> SceneMap:
     stretched past `geometry.LENGTH_LIMIT`, say) raises ValidationError.
     """
     ids, xy, offsets = m.points
-    origin = np.array([p.frame.origin.x, p.frame.origin.y])
-    local = rotate(xy - origin, -p.frame.heading)
+    origin = np.array([p.frame_x, p.frame_y])
+    local = rotate(xy - origin, -p.frame_heading)
     touched = local[:, 0] >= p.b
     warped = local[touched]
     warped[:, 1] += warp_displacement(warped[:, 0] - p.b, p)
     new_xy = xy.copy()
-    new_xy[touched] = rotate(warped, p.frame.heading) + origin
+    new_xy[touched] = rotate(warped, p.frame_heading) + origin
     new_xy.setflags(write=False)
     lanes = {}
     hit = np.logical_or.reduceat(touched, offsets[:-1])
@@ -156,8 +152,6 @@ def sample_transform_params(rng: np.random.Generator, path: ReferencePath) -> Tu
     kind = TurnKind.SINGLE if int(rng.integers(2)) == 0 else TurnKind.DOUBLE
     alpha1 = float(rng.uniform(*ALPHA1_RANGE))
     k = int(rng.integers(path.samples.n_points))
-    origin = Point2(float(path.samples.xy[k, 0]), float(path.samples.xy[k, 1]))
-    frame = WarpFrame(origin, path.tangent_at_index(k))
     return TurnTransformParams(
         kind=kind,
         b=DEFAULT_ONSET,
@@ -165,5 +159,7 @@ def sample_transform_params(rng: np.random.Generator, path: ReferencePath) -> Tu
         alpha2=DEFAULT_ALPHA2,
         s_t=DEFAULT_TURN_LENGTH,
         beta=DEFAULT_TURN_GAP if kind is TurnKind.DOUBLE else None,
-        frame=frame,
+        frame_x=float(path.samples.xy[k, 0]),
+        frame_y=float(path.samples.xy[k, 1]),
+        frame_heading=path.tangent_at_index(k),
     )

@@ -1,4 +1,4 @@
-"""Planar primitives: points, polylines, arc-length resampling, curvature.
+"""Planar primitives: polylines, arc-length resampling, curvature.
 
 Everything here is immutable after construction and safe to share across
 worker processes.
@@ -7,7 +7,6 @@ worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +27,6 @@ COORDINATE_LIMIT = 1e150
 # lanes every 1 m, so this bounds the samples of one lane; real lane
 # segments are metres to kilometres long.
 LENGTH_LIMIT = 1e5
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A finite 2-D point in meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
 
 
 class Polyline:

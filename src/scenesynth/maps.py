@@ -47,13 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MapFormatError, PathOverrunError, ValidationError
-from .geometry import (
-    COINCIDENT_TOL,
-    Point2,
-    Polyline,
-    curvature_profile,
-    resample_polyline,
-)
+from .geometry import COINCIDENT_TOL, Polyline, curvature_profile, resample_polyline
 
 # Characters that a `city` label may not hold, as the files that name it
 # use them as separators.
@@ -506,18 +500,18 @@ def build_reference_path(
     return hit[1]
 
 
-def crop_map(m: SceneMap, center: Point2, radius: float) -> SceneMap:
+def crop_map(m: SceneMap, center: tuple[float, float], radius: float) -> SceneMap:
     """Keep lanes with any centerline point within `radius` of `center`,
-    pruning connectivity references that leave the crop.
+    an `(x, y)` pair, pruning connectivity references that leave the crop.
 
     The squared distances of all of the map's points (`m.points`) come
     from one array pass, and `np.logical_or.reduceat` turns them into one
     keep flag per lane. A kept lane whose links all stay in the crop is
-    kept as it is. The crop is not validated here: its graph is part of
-    the source map's, and `validate_scene` checks the crop of every
-    emitted scene."""
+    kept as it is. The crop is not validated: it keeps its lanes'
+    centerlines and drops only links that leave it, so the crop of a
+    valid map is valid."""
     ids, xy, offsets = m.points
-    d2 = (xy - np.array([center.x, center.y])) ** 2
+    d2 = (xy - np.array(center, dtype=float)) ** 2
     near = d2[:, 0] + d2[:, 1] <= radius * radius
     kept = {ids[k] for k in np.flatnonzero(np.logical_or.reduceat(near, offsets[:-1]))}
     lanes: dict[str, LaneSegment] = {}

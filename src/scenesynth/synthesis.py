@@ -26,7 +26,7 @@ the config's one set of parameters, and `generate_scene` finishes
 (place, crop, validate) or raises the attempt's error.
 `generate_dataset` keeps the scenes still to make in one queue per
 worker task (the whole to-do list with one worker, the chunks of
-`chunk_indices` with more, each of at most `CHUNK_SCENES`) and runs each
+`chunk_indices` with more, each of at most `ROUND_SCENES`) and runs each
 queue in rounds: a round takes up to `ROUND_SCENES` attempts, the
 retries of the round before first and then the next scenes of the
 queue, draws each, plans and refines all of them in one call each, and
@@ -68,7 +68,7 @@ from .errors import (
     SceneSynthError,
     ValidationError,
 )
-from .geometry import MOVING_STEP, Point2
+from .geometry import MOVING_STEP
 from .manifest import MANIFEST_FILE, manifest_fields, manifest_text, scene_filename
 from .maps import (
     ReferencePath,
@@ -94,14 +94,10 @@ TIMESTAMP_TEXT = tuple(f"{k * FINE_DT:.1f}" for k in range(SCENE_SAMPLES))
 SCENE_TIMES = np.array(TIMESTAMP_TEXT, float)
 SCENE_TIMES.setflags(write=False)
 
-# the most attempts that one round plans and refines together: each planner
-# call has a fixed cost (about 1.7 ms on a 2-core Xeon), which a larger round
-# shares among more scenes. Output bytes do not depend on it
+# the most attempts that one round plans and refines together, and the most
+# scene indices per pool task: each planner call has a fixed cost, which a
+# larger round shares among more scenes. Output bytes do not depend on it
 ROUND_SCENES = 64
-
-# the most scene indices per pool task (so with N > 1 workers also the
-# largest round); output bytes do not depend on it
-CHUNK_SCENES = 16
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,9 @@ class Scene:
 
 
 def validate_scene(scene: Scene) -> None:
-    """Check every scene invariant; raises ValidationError."""
+    """Check every scene invariant; raises ValidationError. The crop's lane
+    graph is not checked: a crop of a valid map is valid (`crop_map`), and
+    a read crop is checked as it is parsed (`maps.make_map`)."""
     sid = scene.scene_id
     if scene.trajectory.shape != (SCENE_SAMPLES, 2):
         raise ValidationError(f"scene {sid}: trajectory shape {scene.trajectory.shape}")
@@ -135,7 +133,6 @@ def validate_scene(scene: Scene) -> None:
         raise ValidationError(
             f"scene {sid}: acceleration outside {ACCEL_BOUNDS}"
         )
-    scene.map_crop.validate()
     if scene.map_crop.city != scene.city:
         raise ValidationError(f"scene {sid}: map city {scene.map_crop.city!r} mismatch")
     try:
@@ -258,14 +255,14 @@ def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig)
     (plan, s_fine), path = outcome, draft.path
     xy = path.xy_at(s_fine[:SCENE_SAMPLES])
 
-    center = Point2(float(xy[SCENE_SAMPLES // 2, 0]), float(xy[SCENE_SAMPLES // 2, 1]))
-    crop = crop_map(draft.work_map, center, cfg.crop_radius)
+    cx, cy = xy[SCENE_SAMPLES // 2].tolist()
+    crop = crop_map(draft.work_map, (cx, cy), cfg.crop_radius)
     metadata = {
         **draft.metadata,
         "plan_cost": repr(plan.total_cost),
         "drive_lanes": ";".join(path.lane_ids),
-        "crop_center_x": repr(center.x),
-        "crop_center_y": repr(center.y),
+        "crop_center_x": repr(cx),
+        "crop_center_y": repr(cy),
         "crop_radius": repr(cfg.crop_radius),
     }
     scene = Scene(draft.scene_id, draft.city, crop, xy, metadata)
@@ -538,13 +535,13 @@ def _pool_build(indices):
 def chunk_indices(todo: list[int], workers: int) -> list[list[int]]:
     """Cut the scene indices still to make into pool tasks, in order: a
     multiple of `workers` near-equal chunks (sizes differ by at most one,
-    none above `CHUNK_SCENES`, none empty), so that no worker idles while
-    another runs the last chunk: 200 scenes on 2 workers make 14 chunks
-    of 14 or 15.
+    none above `ROUND_SCENES`, none empty), so that no worker idles while
+    another runs the last chunk, and each chunk plans in rounds as full as
+    one worker's: 200 scenes on 2 workers make 4 chunks of 50.
     """
     if not todo:
         return []
-    n = -(-len(todo) // CHUNK_SCENES)
+    n = -(-len(todo) // ROUND_SCENES)
     n = min(-(-n // workers) * workers, len(todo))
     size, extra = divmod(len(todo), n)
     bounds = [k * size + min(k, extra) for k in range(n + 1)]
@@ -560,6 +557,8 @@ def generate_dataset(
     """Write `cfg.n_scenes` scene files plus a manifest into the output dir,
     and return the record of each scene in index order.
 
+    Each map's lane graph is checked first (`SceneMap.validate`), once per
+    run: a fault is a ValidationError, raised before anything is written.
     Already-written scene ids are kept, so interrupted runs resume; a
     rerun over a complete dataset rewrites nothing. Each kept file is read
     and validated in full (`read_scene`), and then its seed is checked: a
@@ -568,14 +567,17 @@ def generate_dataset(
     written.
 
     One worker makes the scenes still to make as one queue; more workers
-    make the chunks of `chunk_indices`, one queue and one pool task each.
+    make the chunks of `chunk_indices`, one queue and one pool task each,
+    on at most one process per chunk.
     The queue's loop (`_build_scene_records`) writes each scene file in
     index order as it emits the record; this loop stores and logs the
     records in index order, and writes the manifest. Output bytes do not
-    depend on `workers`, `ROUND_SCENES` or `CHUNK_SCENES`.
+    depend on `workers` or `ROUND_SCENES`.
     """
     if not maps:
         raise ConfigError("need at least one map")
+    for m in maps:
+        m.validate()
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -603,7 +605,10 @@ def generate_dataset(
 
     chunks = chunk_indices(todo, workers) if workers > 1 else [todo]
     pooled = len(chunks) > 1
-    pool = multiprocessing.Pool(workers, _pool_init, (maps, cfg)) if pooled else nullcontext()
+    pool = (
+        multiprocessing.Pool(min(workers, len(chunks)), _pool_init, (maps, cfg))
+        if pooled else nullcontext()
+    )
     with pool:
         built = (
             (rec for recs in pool.imap(_pool_build, chunks) for rec in recs)

@@ -749,19 +749,19 @@ def reference_apply_transform(m: SceneMap, p) -> SceneMap:
     `augment.apply_transform` replaced: rotate each lane into the frame,
     displace its points past the onset, rotate it back, and keep the
     LaneSegment object of a lane with no point past the onset."""
-    origin = np.array([p.frame.origin.x, p.frame.origin.y])
+    origin = np.array([p.frame_x, p.frame_y])
     lanes = []
     for lane_id in m.sorted_ids():
         lane = m.lanes[lane_id]
         xy = lane.centerline.xy
-        local = rotate(xy - origin, -p.frame.heading)
+        local = rotate(xy - origin, -p.frame_heading)
         touched = local[:, 0] >= p.b
         if touched.any():
             warped = local.copy()
             warped[touched, 1] += warp_displacement(
                 local[touched, 0] - p.b, p
             )
-            back = rotate(warped, p.frame.heading) + origin
+            back = rotate(warped, p.frame_heading) + origin
             new_xy = np.where(touched[:, None], back, xy)
             lane = LaneSegment(
                 lane.lane_id, Polyline(new_xy), lane.predecessors, lane.successors
@@ -775,7 +775,7 @@ def reference_apply_transform(m: SceneMap, p) -> SceneMap:
 def reference_crop_map(m: SceneMap, center, radius: float) -> SceneMap:
     """The crop one lane at a time, by the loop that the whole-map
     `maps.crop_map` replaced."""
-    c = np.array([center.x, center.y])
+    c = np.array(center, dtype=float)
     keep: dict[str, LaneSegment] = {}
     for lane_id, lane in m.lanes.items():
         d2 = ((lane.centerline.xy - c) ** 2).sum(axis=1)

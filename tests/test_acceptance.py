@@ -35,8 +35,8 @@ from oracles import (
     wiggly_path,
 )
 from scenesynth.analysis import forecast_metrics
-from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame
-from scenesynth.geometry import Point2, Polyline
+from scenesynth.augment import TurnKind, TurnTransformParams
+from scenesynth.geometry import Polyline
 from scenesynth.manifest import manifest_counts
 from scenesynth.maps import LaneSegment, make_map, write_text_atomic
 from scenesynth.planner import PlannerParams
@@ -59,7 +59,7 @@ from scenesynth.synthesis import (
     scene_to_text,
 )
 
-IDENTITY = WarpFrame(Point2(0.0, 0.0), 0.0)
+IDENTITY = (0.0, 0.0, 0.0)  # frame x, y, heading
 
 
 @contextmanager
@@ -99,10 +99,10 @@ def test_criterion_1_warp_correctness():
         for _ in range(1000):
             alpha1 = float(rng.uniform(1.0, 10.0))
             ps = TurnTransformParams(
-                TurnKind.SINGLE, 10.0, alpha1, 20.0, 10.0, None, IDENTITY
+                TurnKind.SINGLE, 10.0, alpha1, 20.0, 10.0, None, *IDENTITY
             )
             pd = TurnTransformParams(
-                TurnKind.DOUBLE, 10.0, alpha1, 20.0, 10.0, 20.0, IDENTITY
+                TurnKind.DOUBLE, 10.0, alpha1, 20.0, 10.0, 20.0, *IDENTITY
             )
             # q at the turn end hits alpha1 exactly
             assert q_alpha(ps.s_t, alpha1, ps.alpha2, ps.s_t) == alpha1

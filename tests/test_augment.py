@@ -20,25 +20,24 @@ from scenesynth.augment import (
     DEFAULT_TURN_LENGTH,
     TurnKind,
     TurnTransformParams,
-    WarpFrame,
     apply_transform,
     sample_transform_params,
     warp_displacement,
 )
 from scenesynth.errors import ValidationError
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.geometry import Point2, Polyline
+from scenesynth.geometry import Polyline
 from scenesynth.maps import LaneSegment, build_reference_path, make_map
 
-IDENTITY = WarpFrame(Point2(0.0, 0.0), 0.0)
+IDENTITY = (0.0, 0.0, 0.0)  # frame x, y, heading
 
 
 def single(alpha1=5.0, alpha2=20.0, s_t=10.0, b=10.0, frame=IDENTITY):
-    return TurnTransformParams(TurnKind.SINGLE, b, alpha1, alpha2, s_t, None, frame)
+    return TurnTransformParams(TurnKind.SINGLE, b, alpha1, alpha2, s_t, None, *frame)
 
 
 def double(alpha1=5.0, alpha2=20.0, s_t=10.0, beta=20.0, b=10.0, frame=IDENTITY):
-    return TurnTransformParams(TurnKind.DOUBLE, b, alpha1, alpha2, s_t, beta, frame)
+    return TurnTransformParams(TurnKind.DOUBLE, b, alpha1, alpha2, s_t, beta, *frame)
 
 
 def test_q_alpha_zero():
@@ -130,8 +129,7 @@ def test_warp_displacement_matches_scalar():
 
 def test_apply_transform_identity_region_bit_exact():
     m = generate_map_fixture("corridors")
-    frame = WarpFrame(Point2(-40.0, 60.0), 0.3)
-    p = single(frame=frame)
+    p = single(frame=(-40.0, 60.0, 0.3))
     out = apply_transform(m, p)
     for lane_id, lane in m.lanes.items():
         xy = lane.centerline.xy
@@ -143,8 +141,7 @@ def test_apply_transform_identity_region_bit_exact():
 
 def test_apply_transform_identity_when_all_before_onset():
     m = generate_map_fixture("straight_pair")
-    frame = WarpFrame(Point2(500.0, 0.0), 0.0)  # onset far past the map
-    out = apply_transform(m, single(frame=frame))
+    out = apply_transform(m, single(frame=(500.0, 0.0, 0.0)))  # onset far past the map
     for lane_id in m.lanes:
         assert np.array_equal(
             out.lanes[lane_id].centerline.xy, m.lanes[lane_id].centerline.xy
@@ -185,7 +182,7 @@ def test_apply_transform_double_far_tail_parallel():
 
 def test_apply_transform_preserves_topology():
     m = generate_map_fixture("corridors")
-    out = apply_transform(m, double(frame=WarpFrame(Point2(-100.0, 0.0), 0.0)))
+    out = apply_transform(m, double(frame=(-100.0, 0.0, 0.0)))
     assert sorted(out.lanes) == sorted(m.lanes)
     for lane_id, lane in m.lanes.items():
         other = out.lanes[lane_id]
@@ -208,7 +205,8 @@ def random_warp(rng, m):
         DEFAULT_ALPHA2,
         DEFAULT_TURN_LENGTH,
         DEFAULT_TURN_GAP if kind is TurnKind.DOUBLE else None,
-        WarpFrame(Point2(*map(float, origin)), float(rng.uniform(-math.pi, math.pi))),
+        *map(float, origin),
+        float(rng.uniform(-math.pi, math.pi)),
     )
 
 
@@ -245,8 +243,8 @@ def test_apply_transform_matches_reference_on_random_warps(name):
     xy = np.concatenate([lane.centerline.xy for lane in m.lanes.values()])
     (x0, y0), (x1, _) = xy.min(axis=0), xy.max(axis=0)
     warps = [
-        single(frame=WarpFrame(Point2(float(x1) + 100.0, float(y0)), 0.0)),  # touches none
-        double(alpha1=1.0, frame=WarpFrame(Point2(float(x0) - 20.0, float(y0)), 0.0)),
+        single(frame=(float(x1) + 100.0, float(y0), 0.0)),  # touches none
+        double(alpha1=1.0, frame=(float(x0) - 20.0, float(y0), 0.0)),
     ] + [random_warp(rng, m) for _ in range(200)]
     changed = []
     for p in warps:
@@ -294,9 +292,14 @@ def test_sample_params_ranges_and_kind_frequency(corridors_map):
     assert 0.45 <= doubles / n <= 0.55
 
 
-def test_frame_heading_must_be_finite():
-    with pytest.raises(ValueError):
-        WarpFrame(Point2(0.0, 0.0), math.inf)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["frame_x", "frame_y", "frame_heading"])
+def test_params_refuse_a_non_finite_frame(field, bad):
+    frame = dict(frame_x=1.0, frame_y=2.0, frame_heading=0.5)
+    single(frame=frame.values())  # the finite frame is accepted
+    frame[field] = bad
+    with pytest.raises(ValueError, match="non-finite frame"):
+        single(frame=frame.values())
 
 
 def test_lane_warped_past_the_length_limit_is_a_validation_error():

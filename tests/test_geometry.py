@@ -9,18 +9,10 @@ from oracles import circle_points
 from scenesynth.geometry import (
     COORDINATE_LIMIT,
     LENGTH_LIMIT,
-    Point2,
     Polyline,
     curvature_profile,
     resample_polyline,
 )
-
-
-def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        Point2(0.0, float("inf"))
 
 
 def test_polyline_rejects_coincident_points():

@@ -11,7 +11,7 @@ from oracles import (
     with_lane_cache,
 )
 from scenesynth import maps
-from scenesynth.augment import TurnKind, TurnTransformParams, WarpFrame, apply_transform
+from scenesynth.augment import TurnKind, TurnTransformParams, apply_transform
 from scenesynth.errors import (
     MapFormatError,
     PathOverrunError,
@@ -19,7 +19,7 @@ from scenesynth.errors import (
     ValidationError,
 )
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.geometry import Point2, Polyline
+from scenesynth.geometry import Polyline
 from scenesynth.maps import (
     PATH_CACHE_SIZE,
     LaneSegment,
@@ -329,18 +329,17 @@ def test_crop_map_matches_reference(name):
     `points` the warp built), a radius of 0 on a centerline point, and a
     crop that keeps no lane."""
     base = generate_map_fixture(name)
-    frame = WarpFrame(Point2(*map(float, base.points.xy[3])), 0.4)
+    x, y = base.points.xy[3].tolist()
     warped = apply_transform(
-        base, TurnTransformParams(TurnKind.SINGLE, 5.0, 3.0, 20.0, 10.0, None, frame)
+        base, TurnTransformParams(TurnKind.SINGLE, 5.0, 3.0, 20.0, 10.0, None, x, y, 0.4)
     )
     rng = np.random.default_rng([9, len(name)])
     lo, hi = base.points.xy.min(axis=0) - 150.0, base.points.xy.max(axis=0) + 150.0
     kept = set()
     for m in (base, warped):
-        on_point = Point2(*map(float, m.points.xy[7]))
-        cases = [(on_point, 0.0), (Point2(*map(float, hi + 500.0)), 100.0)]
+        cases = [(m.points.xy[7].tolist(), 0.0), ((hi + 500.0).tolist(), 100.0)]
         cases += [
-            (Point2(*map(float, rng.uniform(lo, hi))), float(rng.uniform(0.5, 200.0)))
+            (rng.uniform(lo, hi).tolist(), float(rng.uniform(0.5, 200.0)))
             for _ in range(200)
         ]
         for center, radius in cases:
@@ -352,20 +351,21 @@ def test_crop_map_matches_reference(name):
         assert len(crop_map(m, *cases[0]).lanes) >= 1
         assert crop_map(m, *cases[1]).lanes == {}
     assert {0, len(base.lanes)} < kept
-    assert crop_map(make_map("MIA", []), Point2(0.0, 0.0), 10.0).lanes == {}
+    assert crop_map(make_map("MIA", []), (0.0, 0.0), 10.0).lanes == {}
 
 
 @pytest.mark.parametrize("name", ["corridors", "fork", "chain3"])
 def test_crop_map_equals_make_map_of_its_lanes(name):
     """A crop is the map that `make_map` builds, and validates, from the
-    same lanes; a lane whose links all stay in the crop is the source's
-    own `LaneSegment`."""
+    same lanes, so a crop of a valid map passes `SceneMap.validate` (which
+    `validate_scene` relies on); a lane whose links all stay in the crop
+    is the source's own `LaneSegment`."""
     base = generate_map_fixture(name)
     rng = np.random.default_rng([10, len(name)])
     lo, hi = base.points.xy.min(axis=0) - 50.0, base.points.xy.max(axis=0) + 50.0
     pruned = whole = 0
     for _ in range(200):
-        center = Point2(*map(float, rng.uniform(lo, hi)))
+        center = rng.uniform(lo, hi).tolist()
         crop = crop_map(base, center, float(rng.uniform(0.5, 200.0)))
         assert crop == make_map(base.city, list(crop.lanes.values()))
         for lane_id, lane in crop.lanes.items():
@@ -427,9 +427,8 @@ def test_warped_chain_is_not_served_from_its_unwarped_twin(path_cache, monkeypat
     short = build_reference_path(m, "L1", 30.0, np.random.default_rng(0))
     assert base.lane_ids == ("L1", "L2", "L3") and short.lane_ids == ("L1",)
     # an onset at x = 85 bends L3 only
-    frame = WarpFrame(Point2(0.0, 0.0), 0.0)
     warped = apply_transform(
-        m, TurnTransformParams(TurnKind.SINGLE, 85.0, 2.0, 20.0, 10.0, None, frame)
+        m, TurnTransformParams(TurnKind.SINGLE, 85.0, 2.0, 20.0, 10.0, None, 0.0, 0.0, 0.0)
     )
     assert warped.lanes["L1"] is m.lanes["L1"] and warped.lanes["L3"] is not m.lanes["L3"]
     got = build_reference_path(warped, "L1", 100.0, np.random.default_rng(0))
@@ -450,10 +449,8 @@ def test_path_cache_never_exceeds_its_bound(path_cache, monkeypatch):
     m = generate_map_fixture("chain3")
     kept = build_reference_path(m, "L1", 100.0, np.random.default_rng(0))
     for k in range(2 * PATH_CACHE_SIZE):
-        frame = WarpFrame(Point2(-5.0 - k, 0.0), 0.0)
-        warped = apply_transform(
-            m, TurnTransformParams(TurnKind.SINGLE, 0.0, 1.0, 20.0, 10.0, None, frame)
-        )
+        p = TurnTransformParams(TurnKind.SINGLE, 0.0, 1.0, 20.0, 10.0, None, -5.0 - k, 0.0, 0.0)
+        warped = apply_transform(m, p)
         got = build_reference_path(warped, "L1", 100.0, np.random.default_rng(0))
         assert_same_path(got, uncached_path(warped, "L1", 100.0, 0, monkeypatch)[0])
         assert len(path_cache) == min(k + 2, PATH_CACHE_SIZE)

@@ -22,7 +22,7 @@ from oracles import (
 )
 from scenesynth.errors import ConfigError, MapFormatError, SceneSynthError, ValidationError
 from scenesynth.fixtures import generate_map_fixture
-from scenesynth.geometry import COORDINATE_LIMIT, Point2, Polyline
+from scenesynth.geometry import COORDINATE_LIMIT, Polyline
 from scenesynth.maps import LaneSegment, SceneMap, crop_map
 from scenesynth.planner import PlannerParams
 from scenesynth.refine import RefinementParams
@@ -630,7 +630,7 @@ def test_lanes_keep_the_last_records_up_to_their_bound(tmp_path, demo_scene, cor
 
 
 def test_crop_keeps_nearby_lanes_and_prunes_links(corridors_map):
-    crop = crop_map(corridors_map, Point2(-100.0, 0.0), 30.0)
+    crop = crop_map(corridors_map, (-100.0, 0.0), 30.0)
     assert "H0_0" in crop.lanes
     assert "H2_0" not in crop.lanes  # 120 m away
     crop.validate()
@@ -681,9 +681,9 @@ def test_generate_dataset_worker_count_invariant_bytes(tmp_path, corridors_map):
 
 
 def test_chunk_indices_gives_each_worker_the_same_number_of_near_equal_chunks():
-    size = synthesis.CHUNK_SCENES
-    assert [len(c) for c in synthesis.chunk_indices(list(range(200)), 2)] == [15] * 4 + [14] * 10
-    for n in (0, 1, 3, 16, 17, 33, 40, 199, 200, 1000):
+    size = synthesis.ROUND_SCENES
+    assert [len(c) for c in synthesis.chunk_indices(list(range(200)), 2)] == [50] * 4
+    for n in (0, 1, 3, 16, 17, 64, 65, 199, 200, 1000):
         todo = list(range(5, 5 + 2 * n, 2))  # gaps, as when resuming
         least = -(-n // size)  # chunks needed with none above `size`
         for workers in (2, 3, 4, 7):
@@ -695,6 +695,46 @@ def test_chunk_indices_gives_each_worker_the_same_number_of_near_equal_chunks():
             # the fewest chunks that are a multiple of the workers, or one per scene
             rounds = -(-least // workers)
             assert len(chunks) == min(rounds * workers, n)
+
+
+@pytest.mark.parametrize("n, workers, processes", [(3, 8, [3]), (5, 2, [2]), (1, 4, [])])
+def test_generate_dataset_starts_one_process_per_pool_task_at_most(
+    tmp_path, corridors_map, monkeypatch, n, workers, processes
+):
+    started = []  # the size of each pool
+
+    class InlinePool:
+        """A pool that runs its tasks in this process, in order."""
+
+        def __init__(self, size, initializer, initargs):
+            started.append(size)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(synthesis, "_POOL_STATE", None)
+    monkeypatch.setattr(synthesis.multiprocessing, "Pool", InlinePool)
+    records = generate_dataset([corridors_map], small_cfg(tmp_path, n=n), workers=workers)
+    assert started == processes
+    assert [rec.index for rec in records] == list(range(n))
+
+
+def test_generate_dataset_checks_each_map_before_writing(tmp_path, corridors_map):
+    lane = corridors_map.lanes["H0_0"]
+    broken = SceneMap(
+        corridors_map.city,
+        {**corridors_map.lanes, "H0_0": replace(lane, successors=lane.successors + ("gone",))},
+    )
+    with pytest.raises(ValidationError, match="references missing lane 'gone'"):
+        generate_dataset([corridors_map, broken], small_cfg(tmp_path, n=3))
+    assert not (tmp_path / "scenes").exists()
 
 
 def test_generate_dataset_requires_maps(tmp_path):
