@@ -26,26 +26,21 @@ the fields and of the manifest's config block:
     n_scenes = 10             number of scenes to generate
     output_dir = out/scenes   where scene files and the manifest land
     augmented_fraction = 0.44594594594594594
-    crop_radius = 100.0       map crop half-extent around the trajectory midpoint
-    v_d_min = 6.0             desired-velocity sampling range
-    v_d_max = 15.0
-    action_set = -2.0,-1.0,-0.5,0.0,0.5,1.0
     dt = 0.5                  coarse planning step (s), a whole number of 0.1 s steps
     t_g = 5.0                 planning horizon (s)
-    w1 = 5.0                  acceleration cost weight
-    w2 = 5.0                  curvature cost weight
-    w3 = 1.0                  velocity-tracking cost weight
-    omega1 = 1.0              smoothing acceleration weight
-    omega2 = 1.0              smoothing jerk weight
-    omega3 = 10.0             coarse-plan tracking weight
     path_min_length = 150.0   reference-path assembly target (m)
-    retry_budget = 5          regeneration attempts per failed scene
     map_files =               comma-separated map paths (required by generate)
 
+The planner's action set and cost weights (`planner.PlannerParams`), the
+smoothing weights (`refine.RefinementParams`), the desired-velocity range
+(`planner.V_D_RANGE`), the crop radius and the retries per scene
+(`synthesis.CROP_RADIUS`, `synthesis.RETRY_BUDGET`) are constants.
 Refinement smooths each plan onto the 10 Hz scene grid, k = dt / 0.1 fine
-steps per coarse step. `validate` checks each scene file, then that the
+steps per coarse step. `validate` checks each scene file (a file that
+cannot be read is one failure, and the check goes on), then that the
 manifest is the text that `manifest.manifest_text` makes from its own
-config block and maps line and the scene files (`manifest.manifest_problems`).
+config block and maps line and the scene files, and that its seed is
+the one in each scene's `rng_key` (`manifest.manifest_problems`).
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ from . import analysis, pretrain
 from .augment import DEFAULT_TURN_GAP, TurnKind, apply_transform
 from .config import GenerationConfig, parse_run_config
 from .errors import ConfigError, SceneSynthError
-from .manifest import MANIFEST_FILE, manifest_fields, manifest_problems
+from .manifest import MANIFEST_FILE, manifest_problems
 from .maps import load_map, save_map, write_text_atomic
 from .synthesis import (
     SCENE_SAMPLES,
@@ -190,22 +185,22 @@ def cmd_stats(args) -> int:
 def cmd_validate(args) -> int:
     files = _scene_files(args.scenes)
     failures = 0
-    # the (status, city, cost) manifest row of each scene that reads back
-    rows: dict[str, tuple[str, str, str]] = {}
+    metadata: dict[str, dict[str, str]] = {}  # of each scene that reads back
     for path in files:
         try:
             text = read_scene_text(path)  # read once: the parse and the compare see one text
             scene = read_scene(path, text)
             if scene_to_text(scene) != text:
                 raise SceneSynthError("file bytes differ from canonical serialization", path)
-        except SceneSynthError as exc:  # each names its file
+        except (SceneSynthError, OSError) as exc:  # a SceneSynthError names its file
             failures += 1
-            print(f"FAIL {exc}", file=sys.stderr)
+            fault = exc if isinstance(exc, SceneSynthError) else f"{path}: {exc.strerror or exc}"
+            print(f"FAIL {fault}", file=sys.stderr)
             continue
-        rows[path.name] = manifest_fields(scene.metadata)
+        metadata[path.name] = scene.metadata
     manifest = Path(args.scenes) / MANIFEST_FILE
     if manifest.exists():
-        problems = manifest_problems(manifest, {path.name for path in files}, rows)
+        problems = manifest_problems(manifest, {path.name for path in files}, metadata)
         for problem in problems:
             print(f"FAIL {problem}", file=sys.stderr)
         failures += len(problems)

@@ -11,14 +11,16 @@ syntax, `parse_run_config` reads a config file through it, and
 block (module `manifest`), which reads back as the same config. The
 worker count is a run detail that no output file records.
 
-A config is checked as it is made. Every plan of a run has the config's
-`dt` and `n_steps + 1` states, so one smoothing system refines them all:
-`GenerationConfig` checks that the horizon fills a scene of
-`refine.SCENE_SAMPLES` samples, builds the system's gain and refines a
-probe plan (`refinement_shape`) with its other value checks. A config
-whose system cannot be solved, or that refines no plan, is a
-ConfigError, which `from_lines` gives the line of a key that its message
-names.
+A config is checked as it is made. The planner's action set and cost
+weights and the smoothing weights are the defaults of `PlannerParams`
+and `RefinementParams`; a config sets only the planner step `dt` and the
+horizon `t_g`. Every plan of a run has the config's `dt` and
+`n_steps + 1` states, so one smoothing system, which depends only on
+`dt` and `t_g`, refines them all: `GenerationConfig` checks that the
+horizon fills a scene of `refine.SCENE_SAMPLES` samples, builds the
+system's gain and refines a probe plan (`refinement_shape`) with its
+other value checks. A faulty value is a ConfigError, which `from_lines`
+gives the line of a key that its message names.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ def _parse_finite(text: str) -> float:
 INT = ValueType("an integer", int, str)
 FLOAT = ValueType("a finite number", _parse_finite, repr)
 TEXT = ValueType("text", str, str)
-FLOATS = ValueType(
-    "comma-separated finite numbers",
-    lambda text: tuple(_parse_finite(a) for a in _parse_list(text)),
-    lambda v: ",".join(map(repr, v)),
-)
 PATHS = ValueType("comma-separated paths", lambda text: tuple(_parse_list(text)), ",".join)
 
 _CONFIG_LINE = re.compile(r"([^=:]+)[=:](.*)")
@@ -76,41 +73,29 @@ def _key(default, vtype: ValueType):
 class GenerationConfig:
     """A run's config. Each init field is one config key, in manifest
     order, with its default and its `ValueType` (field metadata "type");
-    the planner and smoothing keys default to those of `PlannerParams`
-    and `RefinementParams`, which `__post_init__` builds from them once
-    per config as `planner` and `refinement`, and their smoothing system
-    must refine a plan (`refinement_shape`). A value check names the keys
-    at fault in its message."""
+    `dt` and `t_g` default to those of `PlannerParams`. `__post_init__`
+    builds `planner`, a `PlannerParams` of the config's `dt` and `t_g`,
+    and `refinement`, the default `RefinementParams`, once per config,
+    and their smoothing system must refine a plan (`refinement_shape`). A
+    value check names the keys at fault in its message."""
 
     seed: int = _key(0, INT)
     n_scenes: int = _key(10, INT)
     output_dir: str = _key("out/scenes", TEXT)
     augmented_fraction: float = _key(165.0 / 370.0, FLOAT)
-    crop_radius: float = _key(100.0, FLOAT)
-    v_d_min: float = _key(6.0, FLOAT)
-    v_d_max: float = _key(15.0, FLOAT)
-    action_set: tuple[float, ...] = _key(PlannerParams.action_set, FLOATS)
     dt: float = _key(PlannerParams.dt, FLOAT)
     t_g: float = _key(PlannerParams.t_g, FLOAT)
-    w1: float = _key(PlannerParams.w1, FLOAT)
-    w2: float = _key(PlannerParams.w2, FLOAT)
-    w3: float = _key(PlannerParams.w3, FLOAT)
-    omega1: float = _key(RefinementParams.omega1, FLOAT)
-    omega2: float = _key(RefinementParams.omega2, FLOAT)
-    omega3: float = _key(RefinementParams.omega3, FLOAT)
     path_min_length: float = _key(150.0, FLOAT)
-    retry_budget: int = _key(5, INT)
     map_files: tuple[str, ...] = _key((), PATHS)
     planner: PlannerParams = field(init=False, repr=False, compare=False)
     refinement: RefinementParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            for name, params in (("planner", PlannerParams), ("refinement", RefinementParams)):
-                values = {f.name: getattr(self, f.name) for f in fields(params)}
-                object.__setattr__(self, name, params(**values))
+            object.__setattr__(self, "planner", PlannerParams(dt=self.dt, t_g=self.t_g))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "refinement", RefinementParams())
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_scenes < 1:
@@ -119,14 +104,6 @@ class GenerationConfig:
             raise ConfigError(
                 f"augmented_fraction must lie in [0, 1], got {self.augmented_fraction}"
             )
-        if self.crop_radius <= 0:
-            raise ConfigError(f"crop_radius must be positive, got {self.crop_radius}")
-        if not 0 < self.v_d_min <= self.v_d_max:
-            raise ConfigError(
-                f"v_d_min must lie in (0, v_d_max], got {self.v_d_min} and {self.v_d_max}"
-            )
-        if self.retry_budget < 0:
-            raise ConfigError(f"retry_budget must be nonnegative, got {self.retry_budget}")
         if self.path_min_length <= 0:
             raise ConfigError(f"path_min_length must be positive, got {self.path_min_length}")
         try:

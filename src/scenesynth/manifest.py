@@ -106,12 +106,12 @@ def _first_difference(text: str, expected: str) -> tuple[int, str] | None:
 
 
 def manifest_problems(
-    path, scene_names: set[str], rows: dict[str, tuple[str, str, str]]
+    path, scene_names: set[str], metadata: dict[str, dict[str, str]]
 ) -> list[str]:
     """The faults of the manifest at `path`, as `where: problem`, against
-    the scene files `scene_names`, of which `rows` gives the (status, city,
-    cost) of each that reads back: one for the manifest, and `no row
-    lists` each scene file that is not one of its `n_scenes`.
+    the scene files `scene_names`, of which `metadata` gives the metadata
+    of each that reads back: one for the manifest, and `no row lists` each
+    scene file that is not one of its `n_scenes`.
 
     Read without newline translation, as scene files are, the file must
     be `manifest_text` of its own config block (read back through
@@ -119,8 +119,11 @@ def manifest_problems(
     maps line (`_maps_fault`) and a row per scene in index order: made
     from the scene file; as listed, for a file that does not read back;
     the listed five-field `skipped` row, for a file that does not exist.
-    The fault is the first line that differs, or the maps line's if that
-    comes first. Bytes that are not UTF-8 raise ValidationError.
+    The seed line must be the seed of each such scene's `rng_key`, and a
+    fault there names the first scene, by name, that has another. The
+    fault is the first line at fault: the seed line's or the maps line's
+    before a line that differs. Bytes that are not UTF-8 raise
+    ValidationError.
     """
     text = read_text(path, ValidationError, newline="")
     lines = text.split("\n")
@@ -142,16 +145,25 @@ def manifest_problems(
     expected = []
     for name in names:
         row = listed.get(name, ())
-        if name in rows:
-            row = (name, *rows[name], "")
+        if name in metadata:
+            row = (name, *manifest_fields(metadata[name]), "")
         elif name in scene_names:  # a file that does not read back
             row = row or (name, UNKNOWN)
         elif not (len(row) == 5 and row[1:4] == ("skipped", "-", "-")):
             row = (name, "skipped", "-", "-", UNKNOWN)
         expected.append(row)
     maps_text = lines[maps_at - 1][len(MAPS):]
-    fault = _first_difference(text, manifest_text(cfg, maps_text, expected))
+    faults = []  # (line, problem); on one line, the seed's or the maps line's first
+    seed_at = next((n for n, entry in config if entry.startswith("seed:")), None)
+    keys = {name: metadata[name].get("rng_key", "") for name in sorted(metadata)}
+    other = next((name for name, key in keys.items() if key.split("/")[0] != str(cfg.seed)), None)
+    if seed_at is not None and other is not None:
+        faults.append((seed_at, f"seed is {cfg.seed}, but {other} has rng_key {keys[other]!r}"))
     maps_fault = _maps_fault(maps_text, expected)
-    if maps_fault is not None and (fault is None or maps_at <= fault[0]):
-        fault = maps_at, maps_fault
+    if maps_fault is not None:
+        faults.append((maps_at, maps_fault))
+    difference = _first_difference(text, manifest_text(cfg, maps_text, expected))
+    if difference is not None:
+        faults.append(difference)
+    fault = min(faults, key=lambda f: f[0], default=None)
     return ([] if fault is None else [f"{path}:{fault[0]}: {fault[1]}"]) + unlisted

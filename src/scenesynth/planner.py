@@ -37,6 +37,8 @@ from .maps import ReferencePath
 
 ACTION_RANGE = (-2.0, 1.0)
 DEFAULT_ACTION_SET = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
+# the range (m/s) that each scene's desired velocity is drawn from
+V_D_RANGE = (6.0, 15.0)
 # states per layer in the bounding beam pass; 16, 32 and 64 time the same
 BEAM_WIDTH = 32
 
@@ -301,10 +303,9 @@ def astar_plan(problems, p: PlannerParams) -> list[CoarsePlan | PlanningError]:
     return out
 
 
-def sample_speed_targets(
-    rng: np.random.Generator, v_d_range: tuple[float, float]
-) -> tuple[float, float]:
-    """Draw a desired velocity and a consistent initial velocity."""
-    v_d = float(rng.uniform(*v_d_range))
+def sample_speed_targets(rng: np.random.Generator) -> tuple[float, float]:
+    """Draw a desired velocity from `V_D_RANGE` and a consistent initial
+    velocity."""
+    v_d = float(rng.uniform(*V_D_RANGE))
     v0 = max(0.0, float(rng.uniform(0.8 * v_d, 1.2 * v_d)))
     return v_d, v0

@@ -99,6 +99,11 @@ SCENE_TIMES.setflags(write=False)
 # larger round shares among more scenes. Output bytes do not depend on it
 ROUND_SCENES = 64
 
+# the half-extent (m) of each scene's map crop around its trajectory's
+# middle sample, and the retries of a scene before it is skipped
+CROP_RADIUS = 100.0
+RETRY_BUDGET = 5
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -205,10 +210,10 @@ def draw_scene(
     lane_ids = work_map.sorted_ids()
     drive_lane = lane_ids[int(rng.integers(len(lane_ids)))]
     path = maps_mod.build_reference_path(work_map, drive_lane, cfg.path_min_length, rng)
-    v_d, v0 = sample_speed_targets(rng, (cfg.v_d_min, cfg.v_d_max))
+    v_d, v0 = sample_speed_targets(rng)
 
     t_end = cfg.planner.n_steps * cfg.dt
-    max_accel = max(0.0, max(cfg.action_set))
+    max_accel = max(0.0, max(cfg.planner.action_set))
     # head margin keeps smoothing undershoot on the path; tail margin
     # covers the farthest kinematically reachable arc-length
     reach = v0 * t_end + 0.5 * max_accel * t_end * t_end + 1.0
@@ -245,25 +250,25 @@ def plan_and_refine(drafts: list[Draft], cfg: GenerationConfig) -> list[Outcome]
     return outcomes
 
 
-def generate_scene(draft: Draft | None, outcome: Outcome, cfg: GenerationConfig) -> Scene:
+def generate_scene(draft: Draft | None, outcome: Outcome) -> Scene:
     """Finish one attempt: raise the error that its draw, plan or
     refinement ended in (`outcome`, with no draft after a failed draw), or
-    place the refined plan on the path, crop the map around it and
-    validate the scene."""
+    place the refined plan on the path, crop the map to `CROP_RADIUS`
+    around its middle sample and validate the scene."""
     if isinstance(outcome, SceneSynthError):
         raise outcome
     (plan, s_fine), path = outcome, draft.path
     xy = path.xy_at(s_fine[:SCENE_SAMPLES])
 
     cx, cy = xy[SCENE_SAMPLES // 2].tolist()
-    crop = crop_map(draft.work_map, (cx, cy), cfg.crop_radius)
+    crop = crop_map(draft.work_map, (cx, cy), CROP_RADIUS)
     metadata = {
         **draft.metadata,
         "plan_cost": repr(plan.total_cost),
         "drive_lanes": ";".join(path.lane_ids),
         "crop_center_x": repr(cx),
         "crop_center_y": repr(cy),
-        "crop_radius": repr(cfg.crop_radius),
+        "crop_radius": repr(CROP_RADIUS),
     }
     scene = Scene(draft.scene_id, draft.city, crop, xy, metadata)
     validate_scene(scene)
@@ -455,8 +460,8 @@ def _build_scene_records(
     finishes each attempt through one `generate_scene` call, and a failed
     attempt with budget left joins the next round. A round's retries are
     at most its size, so they all fit in the next round: a scene is done
-    `retry_budget` rounds after its first attempt at the latest, and a
-    record waits at most `retry_budget + 1` rounds for the scenes before
+    `RETRY_BUDGET` rounds after its first attempt at the latest, and a
+    record waits at most `RETRY_BUDGET + 1` rounds for the scenes before
     it. A scene's `wall_ms` is its own draw and finish time plus, for each
     round it was planned in, the planning and refinement time over the
     number of drafts planned; serializing and writing the scene are not
@@ -495,11 +500,11 @@ def _build_scene_records(
         for index, attempt in attempts:
             t0 = time.perf_counter()
             try:
-                scene = generate_scene(drafts.get(index), outcomes[index], cfg)
+                scene = generate_scene(drafts.get(index), outcomes[index])
             except (PlanningError, RefinementError, ValidationError) as exc:
                 scene, reason = None, str(exc).replace(",", ";").replace("\n", " ")
             wall[index] += (time.perf_counter() - t0) * 1e3
-            if scene is None and attempt < cfg.retry_budget:
+            if scene is None and attempt < RETRY_BUDGET:
                 retries.append((index, attempt + 1))
             elif scene is None:
                 done[index] = SceneRecord(

@@ -56,6 +56,7 @@ from scenesynth.errors import (
 from scenesynth.augment import TurnKind, TurnTransformParams, warp_displacement
 from scenesynth.geometry import Polyline, rotate
 from scenesynth.maps import (
+    CITY_FORBIDDEN,
     LaneSegment,
     ReferencePath,
     SceneMap,
@@ -119,7 +120,7 @@ def make_scene(
     if force_augmented is None:
         force_augmented = bool(rng.random() < cfg.augmented_fraction)
     draft = synthesis.draw_scene(base_map, rng, cfg, scene_id, rng_key, force_augmented)
-    return synthesis.generate_scene(draft, synthesis.plan_and_refine([draft], cfg)[0], cfg)
+    return synthesis.generate_scene(draft, synthesis.plan_and_refine([draft], cfg)[0])
 
 
 def binomial_band(n: int, p: float, z: float = 2.5758293035489004):
@@ -675,6 +676,10 @@ def reference_parse_map_lines(lines, path=None, line_numbers=None) -> SceneMap:
             if len(fields) != 2:
                 raise MapFormatError("city line needs one label", path, lineno)
             city = fields[1]
+            for c in city:
+                if c in CITY_FORBIDDEN:
+                    msg = f"city label {city!r} holds {c!r}, a scene and manifest separator"
+                    raise MapFormatError(msg, path, lineno)
         elif tag == "lane":
             if len(fields) != 2:
                 raise MapFormatError("lane line needs one id", path, lineno)

@@ -7,12 +7,21 @@ must be named somewhere in the program: `src/`, `scripts/` or
 traced functions up by name). Docstrings do not count, and neither does
 the package `__init__.py`, which only re-exports. Code that only the
 tests call belongs in the tests.
+
+Every config key, too, must be set by a workload of the program, a
+config that `scripts/` or `perfbench/` writes: a key that only the tests
+set is an option with one value in use, which belongs in the code as a
+constant.
 """
 
 import ast
 import importlib
+import re
 import runpy
+from dataclasses import fields
 from pathlib import Path
+
+from scenesynth.config import GenerationConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "scenesynth"
@@ -71,6 +80,21 @@ def test_every_package_definition_is_named_by_the_program():
             if path != PACKAGE / "__init__.py":
                 used |= _used(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(defined - used - PROMISED) == []
+
+
+def test_every_config_key_is_set_by_a_workload():
+    # config text `key = ` at the start of a line of a string constant (or
+    # of an f-string's constant part)
+    texts = [
+        node.value
+        for directory in ("scripts", "perfbench")
+        for path in (ROOT / directory).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    keys = [f.name for f in fields(GenerationConfig) if f.init]
+    unset = [key for key in keys if not any(re.search(rf"(?m)^{key} = ", t) for t in texts)]
+    assert keys and unset == []
 
 
 def test_every_perfbench_traced_site_is_a_function_of_its_module():

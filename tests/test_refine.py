@@ -22,12 +22,14 @@ from oracles import (
 )
 from scenesynth import synthesis
 from scenesynth.errors import RefinementError, SceneSynthError
+from scenesynth.planner import PlannerParams, astar_plan
 from scenesynth.refine import (
     RefinementParams,
     _cholesky,
     _gain,
     _quadratic_form,
     refine_trajectory,
+    refinement_shape,
 )
 
 
@@ -169,6 +171,21 @@ def test_an_overflowing_weight_fails_the_stationarity_residual():
     p = RefinementParams(omega1=1e303)
     with pytest.raises(RefinementError, match="stationarity residual too large"):
         refine_one(make_plan([0.0] * 11), p, 10.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "p, text",
+    [(RefinementParams(omega1=0.0, omega2=0.0), "untracked interior knots"),
+     (RefinementParams(omega1=1e308), "singular smoothing system"),
+     (RefinementParams(omega1=1e8), "refine no plan")],
+    ids=["zero-smoothing", "overflowing-weight", "refines-no-plan"],
+)
+def test_refinement_shape_refuses_weights_that_refine_no_plan(p, text):
+    # the system of plans of 11 states at the default dt = 0.5 (k = 5):
+    # untracked fine samples without smoothing, a quadratic form that
+    # overflows, and weights under which the probe plan fails its checks
+    with np.errstate(over="ignore"), pytest.raises(RefinementError, match=text):
+        refinement_shape(p, 0.5, 11)
 
 
 def test_initial_constraints_hold_exactly():
@@ -322,10 +339,12 @@ def test_refine_matches_reference_on_generated_plans(
 
 
 def test_refine_matches_reference_on_one_step_plans(corridors_map, monkeypatch):
-    # three actions keep the 50-layer search at 0.1 s steps quick
-    cfg = synthesis.GenerationConfig(
-        output_dir="unused", dt=0.1, action_set=(-1.0, 0.0, 1.0)
-    )
+    # three actions keep the 50-layer search at 0.1 s steps quick (the
+    # default six take about 2 s a scene); the largest is the default's,
+    # which the draw of the start takes
+    cfg = synthesis.GenerationConfig(output_dir="unused", dt=0.1)
+    quick = PlannerParams(dt=0.1, action_set=(-1.0, 0.0, 1.0))
+    monkeypatch.setattr(synthesis, "astar_plan", lambda problems, p: astar_plan(problems, quick))
     problems = captured_refinements(corridors_map, monkeypatch, cfg, 16)
     assert {plan.dt for plan, _, _ in problems} == {0.1}
     assert_batches_match_reference(problems, np.random.default_rng(16))

@@ -79,8 +79,6 @@ def test_config_validation():
         GenerationConfig(seed=1, n_scenes=0)
     with pytest.raises(ConfigError):
         GenerationConfig(seed=1, n_scenes=1, augmented_fraction=1.5)
-    with pytest.raises(ConfigError):
-        GenerationConfig(seed=1, n_scenes=1, crop_radius=0.0)
     for bad in (0.0, -1.0):
         with pytest.raises(ConfigError, match="path_min_length must be positive"):
             GenerationConfig(seed=1, n_scenes=1, path_min_length=bad)
@@ -99,16 +97,16 @@ def test_config_validation():
 
 
 def test_replaced_config_rebuilds_its_planner_and_refinement():
-    cfg = replace(GenerationConfig(), dt=1.0, t_g=7.0, omega3=4.0)
+    cfg = replace(GenerationConfig(), dt=1.0, t_g=7.0)
     assert (cfg.planner.dt, cfg.planner.t_g) == (1.0, 7.0)
     assert cfg.planner == PlannerParams(dt=1.0, t_g=7.0)
-    assert cfg.refinement == RefinementParams(omega3=4.0)
+    assert cfg.refinement == RefinementParams()
     assert GenerationConfig().planner == PlannerParams()
 
 
 def test_config_survives_a_pickle_round_trip():
     # as the pool's workers receive it
-    cfg = GenerationConfig(seed=4, dt=1.0, t_g=7.0, omega1=0.5, map_files=("a.map",))
+    cfg = GenerationConfig(seed=4, dt=1.0, t_g=7.0, map_files=("a.map",))
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg
     assert back.planner == cfg.planner and back.refinement == cfg.refinement
@@ -861,9 +859,10 @@ def test_dataset_bytes_pinned_on_other_kernels(setting):
 def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
     tmp_path, corridors_map, monkeypatch
 ):
-    # one worker in rounds of one attempt and of ROUND_SCENES: every third
-    # scene fails its first two attempts and scene 7 every one, so retries
-    # join later rounds and one scene ends skipped
+    # one worker in rounds of one attempt and of ROUND_SCENES, with three
+    # retries per scene: every third scene fails its first two attempts and
+    # scene 7 every one, so retries join later rounds and one scene ends
+    # skipped
     real_validate = synthesis.validate_scene
 
     def flaky(scene):
@@ -887,6 +886,7 @@ def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
     runs = {}
     full = synthesis.ROUND_SCENES
     n = 150  # more than two full rounds
+    monkeypatch.setattr(synthesis, "RETRY_BUDGET", 3)
     for size in (1, full):
         monkeypatch.setattr(synthesis, "ROUND_SCENES", size)
         with monkeypatch.context() as mp:
@@ -894,9 +894,7 @@ def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
                 calls[name] = []
                 mp.setattr(synthesis, name, counted(name))
             log = []
-            cfg = small_cfg(
-                tmp_path / str(size), n=n, seed=6, augmented_fraction=1.0, retry_budget=3
-            )
+            cfg = small_cfg(tmp_path / str(size), n=n, seed=6, augmented_fraction=1.0)
             built = generate_dataset([corridors_map], cfg, log=log.append)
         records = [(r.filename, r.status, r.cost, r.attempts, r.reason) for r in built]
         # one finishing call per attempt, as the traced benchmark counts them
@@ -915,7 +913,7 @@ def test_chunk_with_forced_retries_writes_the_bytes_of_chunks_of_one(
     # it plan fewer than ROUND_SCENES problems
     assert rolled[3][:2] == [full, full]
     short = [size for size in rolled[3] if size != full]
-    assert len(short) <= cfg.retry_budget + 1
+    assert len(short) <= synthesis.RETRY_BUDGET + 1
     assert sum(rolled[3]) == sum(one[3])
     records = one[1]
     assert records[7][1:4] == ("skipped", "-", 4) and "forced failure 7/3" in records[7][4]
